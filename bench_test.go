@@ -412,37 +412,6 @@ func BenchmarkPruningAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkSummaryAblation compares Stage-1 cost with the interprocedural
-// callee summaries (the default) against the summary-free engine on the
-// helper-heavy corpus, whose clustered helper calls are the workload the
-// summary cache targets. The found-bug set is identical in both variants
-// (TestSummaryEquivalence); only executed steps and wall-clock differ.
-func BenchmarkSummaryAblation(b *testing.B) {
-	c := oscorpus.Generate(oscorpus.HelperHeavySpec())
-	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("defaults", func(b *testing.B) {
-		var steps int64
-		for i := 0; i < b.N; i++ {
-			res := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()}).Run()
-			steps = res.Stats.StepsExecuted
-		}
-		b.ReportMetric(float64(steps), "steps")
-	})
-	b.Run("no-summaries", func(b *testing.B) {
-		var steps int64
-		for i := 0; i < b.N; i++ {
-			res := core.NewEngine(mod, core.Config{
-				Checkers: typestate.CoreCheckers(), NoSummaries: true,
-			}).Run()
-			steps = res.Stats.StepsExecuted
-		}
-		b.ReportMetric(float64(steps), "steps")
-	})
-}
-
 // BenchmarkBenchPipeline regenerates the BENCH_pipeline.json grid (all
 // corpora × workers {1,4} × engine variant) without writing the file.
 func BenchmarkBenchPipeline(b *testing.B) {

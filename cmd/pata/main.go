@@ -14,8 +14,7 @@
 //	-no-validate           skip Stage-2 SMT path validation
 //	-no-prune              disable Stage-1 infeasible-branch pruning
 //	-no-memo               disable Stage-1 (block, state) memoization
-//	-no-summaries          disable Stage-1 interprocedural callee summaries
-//	-no-adaptive           disable the per-entry adaptive cost model
+//	-no-adaptive           disable the per-entry adaptive size gate
 //	-no-batch-validate     disable batched prefix-sharing Stage-2 validation
 //	-validate-backend B    Stage-2 solver backend: builtin, smtlib2, or smtlib2:CMD
 //	-max-conts N           callee continuations per call (P2 cap; negative = unlimited)
@@ -41,8 +40,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -53,41 +54,50 @@ import (
 	"repro/internal/report"
 )
 
-func main() {
-	checkers := flag.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz or 'all' (default npd,uva,ml)")
-	dir := flag.String("dir", "", "analyze every .c file under this directory")
-	noAlias := flag.Bool("no-alias", false, "disable alias analysis (PATA-NA)")
-	noValidate := flag.Bool("no-validate", false, "skip SMT path validation")
-	noPrune := flag.Bool("no-prune", false, "disable Stage-1 on-the-fly infeasible-branch pruning")
-	noMemo := flag.Bool("no-memo", false, "disable Stage-1 (block, state) subtree memoization")
-	noSummaries := flag.Bool("no-summaries", false, "disable Stage-1 interprocedural callee summaries")
-	noAdaptive := flag.Bool("no-adaptive", false, "disable the per-entry adaptive cost model (always run the full layer stack)")
-	noBatchValidate := flag.Bool("no-batch-validate", false, "disable batched prefix-sharing Stage-2 validation (solve every candidate from scratch)")
-	validateBackend := flag.String("validate-backend", "", "Stage-2 solver backend: builtin (default), smtlib2, or smtlib2:CMD ARGS to cross-check against an external SMT-LIB2 solver")
-	maxConts := flag.Int("max-conts", 0, "callee continuations per call: the P2 cap (0 = default 2, negative = unlimited)")
-	stats := flag.Bool("stats", false, "print engine statistics")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text")
-	unroll := flag.Int("unroll", 1, "loop unroll factor (paper default 1)")
-	workers := flag.Int("workers", 0, "Stage-1 analysis workers (0 = GOMAXPROCS, 1 = sequential)")
-	validateWorkers := flag.Int("validate-workers", 0, "Stage-2 validation workers (0 = GOMAXPROCS, 1 = sequential)")
-	cacheDir := flag.String("cache-dir", "", "persist per-entry analysis results in this directory for incremental re-runs")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries once the cache exceeds this many bytes (0 = unlimited)")
-	entryTimeout := flag.Duration("entry-timeout", 0, "wall-clock budget per entry function, e.g. 30s (0 = no deadline); sick entries retry on the degrade ladder and are reported as incomplete")
-	runTimeout := flag.Duration("run-timeout", 0, "wall-clock budget for the whole analysis (0 = no deadline); on expiry the partial result is reported")
-	maxRetries := flag.Int("max-retries", 0, "degrade-ladder retries for a timed-out or panicking entry (0 = default 1, negative = none)")
-	witness := flag.Bool("witness", false, "print each bug's witness path and trigger values")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the analysis to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile at exit to this file (captures channel/backpressure stalls)")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile at exit to this file (captures lock convoys)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, analyzes, writes the report to
+// stdout and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("pata", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	checkers := flags.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz or 'all' (default npd,uva,ml)")
+	dir := flags.String("dir", "", "analyze every .c file under this directory")
+	noAlias := flags.Bool("no-alias", false, "disable alias analysis (PATA-NA)")
+	noValidate := flags.Bool("no-validate", false, "skip SMT path validation")
+	noPrune := flags.Bool("no-prune", false, "disable Stage-1 on-the-fly infeasible-branch pruning")
+	noMemo := flags.Bool("no-memo", false, "disable Stage-1 (block, state) subtree memoization")
+	noAdaptive := flags.Bool("no-adaptive", false, "disable the per-entry adaptive size gate (run pruning and memoization on every entry)")
+	noBatchValidate := flags.Bool("no-batch-validate", false, "disable batched prefix-sharing Stage-2 validation (solve every candidate from scratch)")
+	validateBackend := flags.String("validate-backend", "", "Stage-2 solver backend: builtin (default), smtlib2, or smtlib2:CMD ARGS to cross-check against an external SMT-LIB2 solver")
+	maxConts := flags.Int("max-conts", 0, "callee continuations per call: the P2 cap (0 = default 2, negative = unlimited)")
+	stats := flags.Bool("stats", false, "print engine statistics")
+	asJSON := flags.Bool("json", false, "emit machine-readable JSON instead of text")
+	unroll := flags.Int("unroll", 1, "loop unroll factor (paper default 1)")
+	workers := flags.Int("workers", 0, "Stage-1 analysis workers (0 = GOMAXPROCS, 1 = sequential)")
+	validateWorkers := flags.Int("validate-workers", 0, "Stage-2 validation workers (0 = GOMAXPROCS, 1 = sequential)")
+	cacheDir := flags.String("cache-dir", "", "persist per-entry analysis results in this directory for incremental re-runs")
+	cacheMaxBytes := flags.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries once the cache exceeds this many bytes (0 = unlimited)")
+	entryTimeout := flags.Duration("entry-timeout", 0, "wall-clock budget per entry function, e.g. 30s (0 = no deadline); sick entries retry on the degrade ladder and are reported as incomplete")
+	runTimeout := flags.Duration("run-timeout", 0, "wall-clock budget for the whole analysis (0 = no deadline); on expiry the partial result is reported")
+	maxRetries := flags.Int("max-retries", 0, "degrade-ladder retries for a timed-out or panicking entry (0 = default 1, negative = none)")
+	witness := flags.Bool("witness", false, "print each bug's witness path and trigger values")
+	cpuProfile := flags.String("cpuprofile", "", "write a CPU profile of the analysis to this file")
+	memProfile := flags.String("memprofile", "", "write an allocation profile at exit to this file")
+	blockProfile := flags.String("blockprofile", "", "write a goroutine blocking profile at exit to this file (captures channel/backpressure stalls)")
+	mutexProfile := flags.String("mutexprofile", "", "write a mutex contention profile at exit to this file (captures lock convoys)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg := pata.Config{
 		NoAlias:                 *noAlias,
 		SkipValidation:          *noValidate,
 		NoPrune:                 *noPrune,
 		NoMemo:                  *noMemo,
-		NoSummaries:             *noSummaries,
 		NoAdaptive:              *noAdaptive,
 		MaxContinuationsPerCall: *maxConts,
 		LoopUnroll:              *unroll,
@@ -108,8 +118,8 @@ func main() {
 
 	prof := &profiles.Set{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile}
 	if err := prof.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "pata:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pata:", err)
+		return 1
 	}
 
 	// Ctrl-C / SIGTERM cancels the analysis through the engine's context
@@ -126,30 +136,24 @@ func main() {
 	switch {
 	case *dir != "":
 		res, err = pata.AnalyzeDirCtx(ctx, *dir, cfg)
-	case flag.NArg() > 0:
-		res, err = pata.AnalyzeFilesCtx(ctx, flag.Args(), cfg)
+	case flags.NArg() > 0:
+		res, err = pata.AnalyzeFilesCtx(ctx, flags.Args(), cfg)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: pata [flags] file.c ...  |  pata -dir DIR")
-		flag.PrintDefaults()
-		os.Exit(2)
+		stop()
+		fmt.Fprintln(stderr, "usage: pata [flags] file.c ...  |  pata -dir DIR")
+		flags.PrintDefaults()
+		return 2
 	}
 	interrupted := ctx.Err() != nil
 	stop()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pata:", err)
-		os.Exit(1)
-	}
-	if interrupted {
-		fmt.Fprintln(os.Stderr, "pata: interrupted, reporting partial results")
-	}
 
-	// exit wraps os.Exit so the requested profiles are written first. An
+	// exit writes the requested profiles before the code is returned. An
 	// interrupted clean run exits 130 (128+SIGINT convention) — "no bugs"
 	// from a partial analysis is not a clean bill; bugs found still exit 3
 	// (the finding stands even if the run was cut short).
-	exit := func(code int) {
+	exit := func(code int) int {
 		if werr := prof.Stop(); werr != nil {
-			fmt.Fprintln(os.Stderr, "pata:", werr)
+			fmt.Fprintln(stderr, "pata:", werr)
 			if code == 0 {
 				code = 1
 			}
@@ -157,53 +161,61 @@ func main() {
 		if interrupted && code == 0 {
 			code = 130
 		}
-		os.Exit(code)
+		return code
+	}
+	if err != nil {
+		// Library errors already carry the "pata:" prefix.
+		fmt.Fprintln(stderr, err)
+		return exit(1)
+	}
+	if interrupted {
+		fmt.Fprintln(stderr, "pata: interrupted, reporting partial results")
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
 			Bugs       []pata.Bug             `json:"bugs"`
 			Incomplete []pata.IncompleteEntry `json:"incomplete,omitempty"`
 			Stats      pata.Stats             `json:"stats"`
 		}{Bugs: res.Bugs, Incomplete: res.Incomplete, Stats: res.Stats}); err != nil {
-			fmt.Fprintln(os.Stderr, "pata:", err)
-			exit(1)
+			fmt.Fprintln(stderr, "pata:", err)
+			return exit(1)
 		}
 		if len(res.Bugs) > 0 {
-			exit(3)
+			return exit(3)
 		}
-		exit(0)
+		return exit(0)
 	}
 	if len(res.Bugs) == 0 {
-		fmt.Println("no bugs found")
+		fmt.Fprintln(stdout, "no bugs found")
 		// Result.String (the branch below) already renders the incomplete
 		// section; without bugs it must still be visible.
-		report.WriteIncomplete(os.Stdout, res.Incomplete)
+		report.WriteIncomplete(stdout, res.Incomplete)
 	} else {
-		fmt.Print(res)
+		fmt.Fprint(stdout, res)
 		if *witness {
 			for i, b := range res.Bugs {
-				fmt.Printf("\n[%d] %s at %s:%d\n", i+1, b.Type, b.File, b.Line)
+				fmt.Fprintf(stdout, "\n[%d] %s at %s:%d\n", i+1, b.Type, b.File, b.Line)
 				if len(b.Trigger) > 0 {
-					fmt.Printf("    trigger: %s\n", strings.Join(b.Trigger, ", "))
+					fmt.Fprintf(stdout, "    trigger: %s\n", strings.Join(b.Trigger, ", "))
 				}
 				if len(b.AliasSet) > 0 {
-					fmt.Printf("    alias set: %s\n", strings.Join(b.AliasSet, ", "))
+					fmt.Fprintf(stdout, "    alias set: %s\n", strings.Join(b.AliasSet, ", "))
 				}
 				for _, line := range b.Witness {
-					fmt.Println("   ", line)
+					fmt.Fprintln(stdout, "   ", line)
 				}
 			}
 		}
 	}
 	if *stats {
-		fmt.Println()
-		report.WriteStats(os.Stdout, res.Stats)
+		fmt.Fprintln(stdout)
+		report.WriteStats(stdout, res.Stats)
 	}
 	if len(res.Bugs) > 0 {
-		exit(3) // bugs found: non-zero for CI use
+		return exit(3) // bugs found: non-zero for CI use
 	}
-	exit(0)
+	return exit(0)
 }

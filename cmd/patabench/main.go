@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	patabench -exp table4|table5|table6|table7|table8|fig11|fpaudit|cases|fsm|pruning|summaries|degrade|daemon|all
+//	patabench -exp table4|table5|table6|table7|table8|fig11|fpaudit|cases|fsm|pruning|degrade|daemon|all
 //	patabench -exp bench [-bench-out BENCH_pipeline.json]
 //	patabench -exp incremental [-incremental-out BENCH_incremental.json]
 //	patabench -exp validate [-validate-out BENCH_validate.json]
@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table4, table5, table6, table7, table8, fig11, fpaudit, extensions, cases, fsm, pruning, summaries, degrade, daemon, bench, incremental, validate, scaling, or all")
+	which := flag.String("exp", "all", "experiment: table4, table5, table6, table7, table8, fig11, fpaudit, extensions, cases, fsm, pruning, degrade, daemon, bench, incremental, validate, scaling, or all")
 	benchOut := flag.String("bench-out", "BENCH_pipeline.json", "output path for -exp bench")
 	incOut := flag.String("incremental-out", "BENCH_incremental.json", "output path for -exp incremental")
 	valOut := flag.String("validate-out", "BENCH_validate.json", "output path for -exp validate")
@@ -102,7 +102,6 @@ func main() {
 	run("extensions", func() error { _, err := exp.Extensions(os.Stdout); return err })
 	run("cases", func() error { _, err := exp.Cases(os.Stdout); return err })
 	run("pruning", func() error { _, err := exp.PruningTable(os.Stdout); return err })
-	run("summaries", func() error { _, err := exp.SummaryTable(os.Stdout); return err })
 	run("degrade", func() error { _, err := exp.DegradeTable(os.Stdout); return err })
 	run("daemon", func() error { _, err := exp.DaemonTable(os.Stdout); return err })
 
@@ -128,7 +127,7 @@ func main() {
 			fail("scaling", err)
 		}
 	}
-	// smoke is the CI wall-clock gate for the adaptive cost model; it runs
+	// smoke is the CI wall-clock gate for the adaptive size gate; it runs
 	// only when selected so -exp all stays timing-independent.
 	if *which == "smoke" {
 		if err := exp.BenchSmoke(os.Stdout); err != nil {

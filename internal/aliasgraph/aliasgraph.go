@@ -252,9 +252,6 @@ func (g *Graph) toggleConst(n *Node, c *cir.Const) {
 	}
 }
 
-// NumNodes returns the number of nodes ever created (live and dead).
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 func (g *Graph) newNode() *Node {
 	g.nextID++
 	n := &Node{ID: g.nextID, vars: make(map[cir.Value]struct{}), out: make(map[Label]*Node)}

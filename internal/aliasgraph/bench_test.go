@@ -71,7 +71,7 @@ func canonBenchGraph() (*Graph, []cir.Value) {
 }
 
 // BenchmarkCanonState compares the two canonicalization paths the engine
-// chooses between when computing memo/summary keys: the full CanonState
+// chooses between when computing memo keys: the full CanonState
 // scan (filter every variable, fixpoint over every node) and the
 // seed-restricted CanonStateSeeded walk. The seeded path is the default;
 // its allocs/op must stay at zero so join-heavy entries don't churn.

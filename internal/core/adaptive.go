@@ -1,83 +1,33 @@
-// Per-entry adaptive cost model: decide, per entry function, whether the
-// pruning / memoization / summary layers are paying for themselves, and turn
-// the losers off.
+// Per-entry adaptive size gate: decide, before exploring an entry function,
+// whether the pruning and memoization layers can pay for themselves on it.
 //
 // BENCH_pipeline.json motivated this: on small corpora the precision layers
 // eliminate most paths yet still lose wall-clock, because canonicalization
-// and cursor upkeep cost more than the skipped exploration was worth. The
-// controller has two mechanisms:
-//
-//  1. A pre-flight size gate: an entry whose call-graph closure is small
-//     (few instructions, few branches) cannot explode — its full unpruned
-//     exploration is cheaper than one round of layer bookkeeping — so it
-//     runs with every layer off.
-//  2. A probation window: larger entries start with their configured layers
-//     on while the controller watches each layer's deterministic yield
-//     (prunes per branch consult, memo hits per lookup, summary hits per
-//     lookup) over the first adaptDefaultProbe executed steps, then
-//     switches off any layer below its floor. Deactivation only stops NEW
-//     consults/recordings — in-flight memo and summary recordings run to
-//     completion — so no activation boundary is ever violated.
+// and cursor upkeep cost more than the skipped exploration was worth. An
+// entry whose call-graph closure is small (few instructions, few branches)
+// cannot explode — its full unpruned exploration is cheaper than one round
+// of layer bookkeeping — so it runs with both layers off.
 //
 // Report invariance: each layer individually preserves the validated bug
 // set (pruning only discards Stage-2-infeasible paths; memo hits replay
-// recorded emissions; summaries replay recorded callee effects), so any
-// per-entry on/off combination — including mid-flight deactivation at the
-// boundaries above — yields byte-identical reports. Determinism: every
-// input to every decision (closure sizes, step counts, hit counters) is a
-// deterministic function of the entry alone, so parallel and sequential
-// runs — and repeated runs — decide identically.
+// recorded emissions), so either choice yields a byte-identical report.
+// Determinism: the gate reads only static closure sizes, so parallel and
+// sequential runs — and repeated runs — decide identically.
 package core
 
 import "repro/internal/cir"
 
-// Tunables. Values were fixed empirically against the bench grid (see
-// BENCH_pipeline.json): the yield floors are set low — a layer is only
-// evicted when it is clearly dead weight, since a single prune or memo hit
-// can repay thousands of steps — and the size gate is set high enough to
-// cover the small-corpus entries whose whole exploration is cheaper than
-// layer setup.
+// Size gate: run both layers off when the entry's call-graph closure has at
+// most this many branches and instructions. Worst-case unpruned path count
+// grows with branch count; a closure this small cannot outgrow plain
+// exploration. Values were fixed empirically against the bench grid (see
+// BENCH_pipeline.json).
 const (
-	// adaptDefaultProbe is the probation window in executed steps
-	// (Config.AdaptiveProbe overrides; negative = never decide).
-	adaptDefaultProbe = 4096
-	// Size gate: run every layer off when the entry's call-graph closure
-	// has at most this many branches and instructions. Worst-case unpruned
-	// path count grows with branch count; a closure this small cannot
-	// outgrow plain exploration.
 	adaptGateBranches = 10
 	adaptGateInstrs   = 400
-	// Yield floors, as (hits, consults) ratios in 1/64ths: a layer is
-	// disabled when hits*64 < consults*floor after at least adaptMinObs
-	// consults. Integer arithmetic keeps decisions exactly reproducible.
-	adaptPruneFloor = 1 // < 1/64 of branch consults pruned
-	adaptMemoFloor  = 1 // < 1/64 of lookups hit
-	adaptSumFloor   = 1 // < 1/64 of lookups hit
-	adaptMinObs     = 48
 )
 
-// adaptState is the per-entry controller state.
-type adaptState struct {
-	probeEnd int64 // steps+charged at which to decide; <0 = never
-	decided  bool
-
-	// Observation counters, all per-entry and deterministic.
-	branchConsults int64
-	memoLookups    int64
-	sumLookups     int64
-	// Stats snapshots at entry start, to read per-entry yields off the
-	// accumulated engine counters.
-	prunes0   int64
-	memoHits0 int64
-	sumHits0  int64
-
-	// Consult kill switches (the pruner has its own, p.off, so its in-queue
-	// state stays rollback-consistent).
-	memoOff bool
-	sumOff  bool
-}
-
-// adaptiveOn reports whether the controller is active for this config
+// adaptiveOn reports whether the size gate is active for this config
 // (mirrors the layer toggles' ModePATA/Trace gating).
 func (c *Config) adaptiveOn() bool {
 	return c.Mode == ModePATA && c.Trace == nil && !c.NoAdaptive
@@ -93,16 +43,12 @@ type fnCounts struct {
 // callees only, recursion-safe via the visited set). Memoized per function
 // at the closure level is unsound under cycles, so only local counts are
 // memoized; the per-entry BFS over a few dozen functions is negligible next
-// to exploration. The second result reports whether any defined callee is
-// reached from two or more static call sites in the closure — the cheap
-// structural signal that summary reuse is likely to pay.
-func (e *Engine) closureCounts(fn *cir.Function) (fnCounts, bool) {
+// to exploration.
+func (e *Engine) closureCounts(fn *cir.Function) fnCounts {
 	if e.fnLocal == nil {
 		e.fnLocal = make(map[*cir.Function]fnCounts)
 	}
 	var total fnCounts
-	repeated := false
-	sites := make(map[*cir.Function]int)
 	visited := map[*cir.Function]bool{fn: true}
 	queue := []*cir.Function{fn}
 	for len(queue) > 0 {
@@ -129,13 +75,7 @@ func (e *Engine) closureCounts(fn *cir.Function) (fnCounts, bool) {
 					continue
 				}
 				callee := e.Mod.Funcs[call.Callee]
-				if callee == nil || callee.IsDecl() {
-					continue
-				}
-				if sites[callee]++; sites[callee] >= 2 {
-					repeated = true
-				}
-				if visited[callee] {
+				if callee == nil || callee.IsDecl() || visited[callee] {
 					continue
 				}
 				visited[callee] = true
@@ -143,67 +83,12 @@ func (e *Engine) closureCounts(fn *cir.Function) (fnCounts, bool) {
 			}
 		}
 	}
-	return total, repeated
+	return total
 }
 
-// adaptGate classifies the entry before exploration starts. small means the
-// closure is too little to outgrow plain exploration, so prune/memo
-// bookkeeping cannot pay for itself. reuse means the closure calls some
-// defined function from multiple sites, so summaries retain their shot even
-// on small entries (helper-heavy code wins through replay, not pruning).
-func (e *Engine) adaptGate(fn *cir.Function) (small, reuse bool) {
-	c, repeated := e.closureCounts(fn)
-	small = c.branches <= adaptGateBranches && c.instrs <= adaptGateInstrs
-	return small, repeated
+// adaptSmall reports whether fn's closure is too little to outgrow plain
+// exploration, so prune/memo bookkeeping cannot pay for itself.
+func (e *Engine) adaptSmall(fn *cir.Function) bool {
+	c := e.closureCounts(fn)
+	return c.branches <= adaptGateBranches && c.instrs <= adaptGateInstrs
 }
-
-// adaptStart arms the probation controller for the entry now starting.
-func (e *Engine) adaptStart() {
-	probe := int64(adaptDefaultProbe)
-	if e.Cfg.AdaptiveProbe != 0 {
-		probe = int64(e.Cfg.AdaptiveProbe)
-	}
-	e.adapt = &adaptState{
-		probeEnd:  probe,
-		prunes0:   e.stats.PrunedBranches,
-		memoHits0: e.stats.MemoHits,
-		sumHits0:  e.stats.SummaryHits,
-	}
-	if probe < 0 {
-		e.adapt.decided = true // observe forever, never disable
-	}
-}
-
-// adaptMaybeDecide runs the end-of-probation decision once the entry has
-// executed (or been charged for) probeEnd steps. Called on the exec hot
-// path; the fast exit is two compares.
-func (e *Engine) adaptMaybeDecide() {
-	a := e.adapt
-	if a == nil || a.decided || e.steps+e.stepsCharged < a.probeEnd {
-		return
-	}
-	a.decided = true
-	if e.pruner != nil && !e.pruner.off && a.branchConsults >= adaptMinObs {
-		if (e.stats.PrunedBranches-a.prunes0)*64 < a.branchConsults*adaptPruneFloor {
-			e.pruner.off = true
-			e.stats.AdaptiveLayersOff++
-		}
-	}
-	if e.memo != nil && !a.memoOff && a.memoLookups >= adaptMinObs {
-		if (e.stats.MemoHits-a.memoHits0)*64 < a.memoLookups*adaptMemoFloor {
-			a.memoOff = true
-			e.stats.AdaptiveLayersOff++
-		}
-	}
-	if e.sums != nil && !a.sumOff && a.sumLookups >= adaptMinObs {
-		if (e.stats.SummaryHits-a.sumHits0)*64 < a.sumLookups*adaptSumFloor {
-			a.sumOff = true
-			e.stats.AdaptiveLayersOff++
-		}
-	}
-}
-
-// adaptMemoOn/adaptSumOn gate new consults; in-flight recordings are
-// unaffected (they complete through their own stacks).
-func (e *Engine) adaptMemoOn() bool { return e.adapt == nil || !e.adapt.memoOff }
-func (e *Engine) adaptSumOn() bool  { return e.adapt == nil || !e.adapt.sumOff }

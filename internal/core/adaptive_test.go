@@ -11,12 +11,11 @@ import (
 	"repro/internal/typestate"
 )
 
-// TestAdaptiveEquivalence pins the adaptive cost model's contract: the
-// per-entry layer scheduling it performs — size-gated light entries,
-// probation-window layer eviction — must never change the validated bug
-// set. Every corpus is analyzed with the model on and off, sequentially and
-// through the pipelined scheduler, and all four reports must be
-// byte-identical.
+// TestAdaptiveEquivalence pins the adaptive size gate's contract: the
+// per-entry layer scheduling it performs — size-gated light entries — must
+// never change the validated bug set. Every corpus is analyzed with the
+// gate on and off, sequentially and through the pipelined scheduler, and
+// all four reports must be byte-identical.
 func TestAdaptiveEquivalence(t *testing.T) {
 	specs := append(oscorpus.AllSpecs(), oscorpus.HelperHeavySpec())
 	for _, spec := range specs {
@@ -45,33 +44,9 @@ func TestAdaptiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestAdaptiveProbeEquivalence drives the probation decision itself: a
-// 1-step probe forces the controller to judge every layer at the first
-// opportunity (evicting any that have not paid yet), which exercises
-// mid-flight deactivation on every non-gated entry. Reports must not move.
-func TestAdaptiveProbeEquivalence(t *testing.T) {
-	c := oscorpus.Generate(oscorpus.LinuxSpec())
-	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(probe int) core.Config {
-		cfg := core.Config{Checkers: typestate.AllCheckers(), AdaptiveProbe: probe}
-		pathval.New().Install(&cfg)
-		return cfg
-	}
-	want := bugReport(core.NewEngine(mod, mk(-1)).Run()) // observe forever, never evict
-	for _, probe := range []int{1, 64, 100000} {
-		if got := bugReport(core.NewEngine(mod, mk(probe)).Run()); got != want {
-			t.Errorf("probe=%d changed the report:\n--- never-evict\n%s\n--- probe\n%s", probe, want, got)
-		}
-	}
-}
-
-// TestAdaptiveGateCounters sanity-checks the two observable controller
-// counters: the small corpora are fully size-gated (every entry light, so
-// no layer ever runs), and forcing a tiny probe on a corpus with non-gated
-// entries records evictions.
+// TestAdaptiveGateCounters sanity-checks the gate's observable counter: the
+// small corpora are size-gated (light entries run no layer), and with the
+// gate off no entry is light and pruning fires.
 func TestAdaptiveGateCounters(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.ZephyrSpec())
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)

@@ -1,8 +1,7 @@
 package core
 
 // stepArena bump-allocates []PathStep slices whose lifetime is one
-// analyzeEntry call: the path suffixes captured into memo and summary
-// recordings. The DFS emits candidates constantly and each emission copies
+// analyzeEntry call: the path suffixes captured into memo recordings. The DFS emits candidates constantly and each emission copies
 // a short suffix per open recording frame, so individual makes dominate the
 // hot path's allocation profile; carving them out of shared chunks amortizes
 // that to one allocation per ~chunk of steps. reset keeps the chunks for the
@@ -67,8 +66,8 @@ func (a *stepArena) retire() {
 
 // reset invalidates every outstanding slice and makes all chunks available
 // again. Callers must only reset once nothing references arena memory —
-// analyzeEntry does so at entry start, after the previous entry's memo and
-// summary tables (the only suffix holders) have been dropped.
+// analyzeEntry does so at entry start, after the previous entry's memo
+// table (the only suffix holder) has been dropped.
 func (a *stepArena) reset() {
 	a.retire()
 	a.next = 0

@@ -1,6 +1,6 @@
-// Seeded canonical-digest computation for memo and summary keys.
+// Seeded canonical-digest computation for memo keys.
 //
-// The memo and summary keys need ID-independent canonical digests
+// Memo keys need ID-independent canonical digests
 // (aliasgraph canonicalization + Tracker.CanonDigest). The full
 // aliasgraph.CanonState path filters every variable the graph has ever
 // bound and runs its label fixpoint over every node — O(graph) per query,
@@ -35,22 +35,18 @@ import (
 // run.
 var canonCrossCheck func(seededGd, fullGd, seededTd, fullTd uint64, seededOK, fullOK, labelsEqual bool)
 
-// canonDigests returns the canonical digest pair and label assignment for
-// the current graph+tracker state restricted to the union of the given
-// reachability sets. The returned label map is the graph's scratch storage,
-// valid until the next canonicalization. ok=false reports a
-// non-canonicalizable configuration (see Tracker.CanonDigest).
-func (e *Engine) canonDigests(sets []*blockInfo) (uint64, uint64, map[*aliasgraph.Node]uint64, bool) {
+// canonDigests returns the canonical digest pair for the current
+// graph+tracker state restricted to the union of the given reachability
+// sets. ok=false reports a non-canonicalizable configuration (see
+// Tracker.CanonDigest).
+func (e *Engine) canonDigests(sets []*blockInfo) (gd, td uint64, ok bool) {
 	start := time.Now()
-	gd, td, labels, ok := e.canonDigestsImpl(sets)
+	gd, td, ok = e.canonDigestsImpl(sets)
 	e.stats.CanonNanos += int64(time.Since(start))
-	return gd, td, labels, ok
+	return gd, td, ok
 }
 
-func (e *Engine) canonDigestsImpl(sets []*blockInfo) (uint64, uint64, map[*aliasgraph.Node]uint64, bool) {
-	if e.Cfg.CanonFull {
-		return e.canonFull(sets)
-	}
+func (e *Engine) canonDigestsImpl(sets []*blockInfo) (uint64, uint64, bool) {
 	vars := e.canonVarW[:0]
 	if len(sets) == 1 {
 		for v := range sets[0].vals {
@@ -86,20 +82,18 @@ func (e *Engine) canonDigestsImpl(sets []*blockInfo) (uint64, uint64, map[*alias
 		labelsEqual := true
 		if ok && fok {
 			labelsEqual = labelMapsEqual(snap, flabels)
-			labels = flabels
 		}
 		canonCrossCheck(gd, fgd, td, ftd, ok, fok, labelsEqual)
 	}
 	if !ok {
-		return 0, 0, nil, false
+		return 0, 0, false
 	}
-	return gd, td, labels, true
+	return gd, td, true
 }
 
-// canonFull is the unrestricted reference path (Config.CanonFull, and the
-// cross-check hook's oracle): a full CanonState re-labelling with a
-// membership-test relevant function, plus the tracker digest over the fresh
-// labels.
+// canonFull is the cross-check hook's oracle: an unrestricted CanonState
+// re-labelling with a membership-test relevant function, plus the tracker
+// digest over the fresh labels.
 func (e *Engine) canonFull(sets []*blockInfo) (uint64, uint64, map[*aliasgraph.Node]uint64, bool) {
 	relevant := func(v cir.Value) bool {
 		for _, s := range sets {

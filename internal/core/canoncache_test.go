@@ -9,7 +9,7 @@ import (
 )
 
 // TestCanonSeededCrossCheck runs every corpus with the canonCrossCheck hook
-// installed: on each memo/summary digest query the engine computes both the
+// installed: on each memo digest query the engine computes both the
 // seed-restricted CanonStateSeeded path and the full CanonState path, and
 // the two must agree — digests, validity, and the label assignment. This is
 // the soundness fuzz for the restricted canonicalization: any divergence
@@ -42,9 +42,9 @@ func TestCanonSeededCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// NoAdaptive keeps memo and summaries engaged on every entry so both
-		// key shapes (multi-set memo unions, single-set summary seeds) are
-		// exercised on every corpus.
+		// NoAdaptive keeps the memo engaged on every entry so both key
+		// shapes (single-set block seeds, multi-set unions with stacked call
+		// sites) are exercised on every corpus.
 		cfg := Config{Checkers: typestate.AllCheckers(), NoAdaptive: true}
 		NewEngine(mod, cfg).Run()
 	}
@@ -52,22 +52,4 @@ func TestCanonSeededCrossCheck(t *testing.T) {
 		t.Fatal("cross-check hook never fired: no digest queries across the corpora")
 	}
 	t.Logf("cross-checked %d seeded digest queries", queries)
-}
-
-// TestCanonFullFlagBypassesSeeded pins the debug escape hatch: under
-// Config.CanonFull the engine must go straight to the full CanonState path,
-// so the cross-check hook (which only fires on the seeded path) stays
-// silent.
-func TestCanonFullFlagBypassesSeeded(t *testing.T) {
-	canonCrossCheck = func(uint64, uint64, uint64, uint64, bool, bool, bool) {
-		t.Error("seeded path taken under CanonFull")
-	}
-	defer func() { canonCrossCheck = nil }()
-	c := oscorpus.Generate(oscorpus.ZephyrSpec())
-	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Checkers: typestate.AllCheckers(), NoAdaptive: true, CanonFull: true}
-	NewEngine(mod, cfg).Run()
 }

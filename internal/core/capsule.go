@@ -27,7 +27,7 @@ type EntryCache interface {
 // every cached capsule and verdict at once. Bump it whenever the capsule
 // layout, the Stats replayed from it, or the engine's exploration semantics
 // change in a way old capsules cannot represent.
-const capsuleVersion = 2
+const capsuleVersion = 3
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
@@ -47,7 +47,7 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h = hmix.Mix3(h,
 		uint64(int64(c.MaxContinuationsPerCall)),
 		uint64(int64(c.LoopUnroll)))
-	h = hmix.Mix4(h, boolBit(c.NoPrune), boolBit(c.NoMemo), boolBit(c.NoSummaries))
+	h = hmix.Mix3(h, boolBit(c.NoPrune), boolBit(c.NoMemo))
 	h = hmix.Mix2(h, boolBit(c.Validate && c.ValidatePath != nil))
 	// The Stage-2 backend IS salted: an external solver may refute systems
 	// the builtin cannot, so verdicts persisted under one backend must not
@@ -57,10 +57,9 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	// EntryTimeout/RunTimeout/MaxRetries deliberately are not — degraded
 	// entries are simply never persisted, so timing knobs cannot poison
 	// the cache and changing them must not invalidate healthy capsules.
-	// NoAdaptive/AdaptiveProbe/CanonFull are likewise excluded: the
-	// adaptive cost model and the digest cache only re-schedule work, and
-	// every layer combination they select is report-preserving, so the
-	// persisted candidates are identical under every setting.
+	// NoAdaptive is likewise excluded: the size gate only re-schedules
+	// work, and every layer combination it selects is report-preserving, so
+	// the persisted candidates are identical under either setting.
 	// NoBatchValidate is excluded for the same reason: batching only
 	// re-schedules Stage-2 solves, and batched reports are byte-identical
 	// to per-candidate ones.
@@ -206,7 +205,7 @@ func (t *refTable) stepsOf(path []PathStep) ([]stepC, bool) {
 }
 
 // originInstr finds the candidate's origin instruction on one of its
-// witness paths. Soundness note: memo and summary canonical digests include
+// witness paths. Soundness note: memo canonical digests include
 // the tracked object's __origin prop, so a replayed emission's origin is
 // always reachable on the grafted path — the search failing means the
 // candidate isn't capsule-representable, and the caller skips caching.

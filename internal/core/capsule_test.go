@@ -70,7 +70,6 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 		{"LoopUnroll", func(c Config) Config { c.LoopUnroll = 2; return c }},
 		{"NoPrune", func(c Config) Config { c.NoPrune = true; return c }},
 		{"NoMemo", func(c Config) Config { c.NoMemo = true; return c }},
-		{"NoSummaries", func(c Config) Config { c.NoSummaries = true; return c }},
 		{"Validate", func(c Config) Config { c.Validate = false; return c }},
 		{"Checkers", func(c Config) Config {
 			c.Checkers = append(typestate.CoreCheckers(), typestate.NewDBZ())
@@ -126,15 +125,13 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 	if salt(irr) != s0 {
 		t.Error("EntryTimeout/RunTimeout/MaxRetries changed the salt")
 	}
-	// The adaptive cost model and the canon digest cache only re-schedule
-	// work — every layer combination they select is report-preserving — so
-	// their knobs must not invalidate healthy capsules either.
+	// The adaptive size gate only re-schedules work — both layer choices it
+	// makes are report-preserving — so it must not invalidate healthy
+	// capsules either.
 	irr = base
 	irr.NoAdaptive = true
-	irr.AdaptiveProbe = 64
-	irr.CanonFull = true
 	if salt(irr) != s0 {
-		t.Error("NoAdaptive/AdaptiveProbe/CanonFull changed the salt")
+		t.Error("NoAdaptive changed the salt")
 	}
 
 	// A new global invalidates.

@@ -11,10 +11,10 @@ import (
 
 // BenchmarkEmitCandidate is the allocation regression guard for the
 // path-suffix arena: emitCandidate snapshots a suffix of the live path into
-// every open memo-recording and summary-recording frame, and those copies
-// must come from the per-entry arena, not per-call make calls. The bench
-// holds two open recording frames and one summary frame over a ~64-step
-// path — the shape of a deep DFS with active memoization — so a regression
+// every open memo-recording frame, and those copies must come from the
+// per-entry arena, not per-call make calls. The bench holds two open
+// recording frames over a ~64-step path — the shape of a deep DFS with
+// active memoization — so a regression
 // back to per-suffix heap allocation shows up directly in allocs/op.
 func BenchmarkEmitCandidate(b *testing.B) {
 	mod, err := minicc.LowerAll("bench", map[string]string{"bench.c": capsuleSrc})
@@ -45,7 +45,6 @@ func BenchmarkEmitCandidate(b *testing.B) {
 		recFrame{pathLen: 0},
 		recFrame{pathLen: len(steps) / 2},
 	)
-	e.sumStack = append(e.sumStack, &sumFrame{pathLen: len(steps) / 4})
 
 	bugInstr := steps[len(steps)-1].Instr
 	origin := steps[0].Instr.GID()
@@ -61,10 +60,6 @@ func BenchmarkEmitCandidate(b *testing.B) {
 		for j := range e.recStack {
 			e.recStack[j].emits = e.recStack[j].emits[:0]
 			e.recStack[j].poisoned = false
-		}
-		for _, sf := range e.sumStack {
-			sf.events = sf.events[:0]
-			sf.poisoned = false
 		}
 		e.emitCandidate(0, origin, bugInstr, nil, nil, nil)
 	}

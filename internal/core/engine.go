@@ -79,35 +79,15 @@ type Config struct {
 	// explored, emission-free one. Active only in ModePATA and when
 	// Trace is nil.
 	NoMemo bool
-	// NoSummaries disables the interprocedural summary cache: by default
-	// the DFS records, per (callee, observable entry state, loop context,
-	// depth) activation, the callee's per-continuation effects — alias
-	// deltas over canonical labels, typestate transitions, path-condition
-	// atoms, candidate emissions, return bindings — and replays them at
-	// later matching activations instead of re-walking the callee (see
-	// summary.go). Active only in ModePATA and when Trace is nil.
-	NoSummaries bool
-	// NoAdaptive disables the per-entry adaptive cost model: by default the
-	// engine sizes up each entry before exploring it and watches the pruning,
-	// memoization, and summary layers' hit/yield rates during a probation
-	// window, switching off any layer that is not paying for itself on that
-	// entry. Decisions use only deterministic step/hit counts (never wall
-	// clock) and take effect only at activation boundaries, so the validated
-	// bug set — and the full report — is byte-identical with the controller
-	// on or off, sequentially and in parallel. Active only in ModePATA and
-	// when Trace is nil.
+	// NoAdaptive disables the per-entry adaptive size gate: by default the
+	// engine sizes up each entry's call-graph closure before exploring it
+	// and runs small entries with pruning and memoization off, since their
+	// full exploration is cheaper than the layers' bookkeeping. The gate
+	// reads only static closure sizes, and each layer is individually
+	// report-preserving, so the report is byte-identical with the gate on
+	// or off, sequentially and in parallel. Active only in ModePATA and when
+	// Trace is nil.
 	NoAdaptive bool
-	// AdaptiveProbe overrides the adaptive controller's probation window in
-	// executed steps (0 selects the default; negative pins the window open,
-	// i.e. observe forever and never disable). Exposed for experiments.
-	AdaptiveProbe int
-	// CanonFull computes every memo/summary key with the full CanonState
-	// re-labelling (a relevance filter over every variable, a fixpoint over
-	// every node) instead of the seed-restricted CanonStateSeeded walk.
-	// Debug knob: the two paths are bit-identical by construction (the
-	// cross-check tests pin this on whole corpora), so this only trades
-	// speed for nothing — it exists to isolate the seeded path in A/B runs.
-	CanonFull bool
 	// Validate enables Stage-2 path validation (default true). The
 	// ValidatePath hook is installed by the pathval package (or a custom
 	// validator); when nil, validation is skipped.
@@ -225,10 +205,6 @@ func (c Config) PruneInfeasible() bool { return !c.NoPrune }
 // unless NoMemo is set).
 func (c Config) MemoStates() bool { return !c.NoMemo }
 
-// Summaries reports whether the interprocedural summary cache is requested
-// (on unless NoSummaries is set).
-func (c Config) Summaries() bool { return !c.NoSummaries }
-
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Checkers == nil {
@@ -317,19 +293,16 @@ type Stats struct {
 	MemoHits         int64
 	MemoPathsSkipped int64
 	MemoStepsSkipped int64
-	// SummaryHits counts call-site activations served from the
-	// interprocedural summary cache instead of re-walking the callee.
-	// SummaryPathsReplayed/SummaryStepsReplayed accumulate the recorded
-	// in-callee cost those hits avoided (charged against the entry budgets,
-	// like the memo's skipped cost).
-	SummaryHits          int64
-	SummaryPathsReplayed int64
-	SummaryStepsReplayed int64
-	PossibleBugs         int64
-	RepeatedDropped      int64
-	FalseDropped         int64
-	Constraints          int64
-	ConstraintsUnaware   int64
+	// SummaryHits counted callee-summary replays.
+	//
+	// Deprecated: always 0. The callee-summary cache was removed; the field
+	// stays for readers of the JSON stats.
+	SummaryHits        int64
+	PossibleBugs       int64
+	RepeatedDropped    int64
+	FalseDropped       int64
+	Constraints        int64
+	ConstraintsUnaware int64
 	// ValidationCacheHits/Misses count Stage-2 verdict-cache outcomes:
 	// hits are constraint systems whose sat/unsat verdict (and model) was
 	// reused instead of re-solved. ValidationCacheEvictions counts entries
@@ -355,8 +328,8 @@ type Stats struct {
 	// its recorded exploration counters) without re-running the DFS;
 	// CacheStepsSkipped accumulates the StepsExecuted those hits avoided.
 	// All three are zero when Config.Cache is nil.
-	CacheEntriesHit  int64
-	CacheEntriesMiss int64
+	CacheEntriesHit   int64
+	CacheEntriesMiss  int64
 	CacheStepsSkipped int64
 	// WorkSteals counts Stage-1 tasks a worker claimed from another
 	// worker's queue (RunParallel's work-stealing scheduler; zero for
@@ -376,23 +349,20 @@ type Stats struct {
 	PanicsContained int
 	EntriesRetried  int
 	EntriesDegraded int
-	// Adaptive cost-model counters. AdaptiveEntriesLight counts entries the
-	// pre-flight size gate ran with every precision layer off;
-	// AdaptiveLayersOff counts per-entry layer deactivations the probation
-	// controller made mid-flight (0–3 per entry). Both are deterministic:
-	// decisions use only step/hit counts, never wall clock.
+	// AdaptiveEntriesLight counts entries the pre-flight size gate ran with
+	// pruning and memoization off. Deterministic: the gate reads only
+	// static closure sizes, never wall clock.
 	AdaptiveEntriesLight int64
-	AdaptiveLayersOff    int64
-	// Per-layer self-time, in nanoseconds: CanonNanos covers memo/summary
-	// key computation (canonical digests and their cache), CursorNanos the
+	// Per-layer self-time, in nanoseconds: CanonNanos covers memo key
+	// computation (canonical digests), CursorNanos the
 	// incremental feasibility cursor's branch/replay consults, SolverNanos
 	// the Stage-2 validation calls. Wall-clock measurements: nondeterministic
 	// across runs, excluded from every equivalence comparison.
-	CanonNanos  int64
-	CursorNanos int64
-	SolverNanos int64
-	AnalysisTime    time.Duration
-	ValidationTime  time.Duration
+	CanonNanos     int64
+	CursorNanos    int64
+	SolverNanos    int64
+	AnalysisTime   time.Duration
+	ValidationTime time.Duration
 }
 
 // addValidation folds one validation outcome's counters into the stats.
@@ -457,23 +427,12 @@ type Engine struct {
 	pathsCharged int64
 	stepsCharged int64
 
-	// Per-entry interprocedural summary state (nil when the feature is off
-	// for this entry): completed summaries by activation key, keys whose
-	// recording was abandoned (not worth re-attempting), the in-progress
-	// recording stack, and a scratch slot for summaryKey's reach set.
-	sums       map[uint64]*summaryRec
-	sumFailed  map[uint64]bool
-	sumStack   []*sumFrame
-	sumScratch [1]*blockInfo
-
 	// canonSeen/canonVarW are canonDigests' seed-assembly scratch: memo keys
 	// union the reach sets of the block and every stacked call site, and a
 	// variable in two sets must seed the canonicalization exactly once.
 	canonSeen map[cir.Value]bool
 	canonVarW []cir.Value
-	// adapt is the per-entry adaptive cost-model state (nil when disabled);
-	// fnLocal memoizes per-function size counts for its pre-flight gate.
-	adapt   *adaptState
+	// fnLocal memoizes per-function size counts for the adaptive size gate.
 	fnLocal map[*cir.Function]fnCounts
 
 	paths int64
@@ -503,10 +462,10 @@ type Engine struct {
 	stats    Stats
 
 	// suffixArena bump-allocates the short path-suffix copies captured by
-	// emitCandidate and captureCont into open memo/summary recordings. The
-	// suffixes die with the per-entry memo and summary tables, so the arena
-	// resets at each analyzeEntry; pooling them keeps the candidate-emission
-	// hot path from hammering the allocator with tiny slices.
+	// emitCandidate into open memo recordings. The suffixes die with the
+	// per-entry memo table, so the arena resets at each analyzeEntry; pooling
+	// them keeps the candidate-emission hot path from hammering the
+	// allocator with tiny slices.
 	suffixArena stepArena
 
 	stackAddrMemo map[*cir.Register]bool
@@ -720,50 +679,22 @@ func (e *Engine) analyzeEntry(fn *cir.Function) {
 	e.recStack = e.recStack[:0]
 	e.pathsCharged = 0
 	e.stepsCharged = 0
-	e.sums = nil
-	e.sumFailed = nil
-	e.sumStack = e.sumStack[:0]
 	e.suffixArena.reset()
-	e.adapt = nil
-	adaptive := e.Cfg.adaptiveOn()
-	light, reuse := false, false
-	if adaptive {
-		// Small entry: full exploration is cheaper than prune/memo setup, so
-		// those layers stay nil. Summaries survive the gate when the closure
-		// shows repeated callees (reuse) — replay is the one layer that can
-		// still pay on a small entry. The report is unaffected either way
-		// because each layer is individually report-preserving.
-		light, reuse = e.adaptGate(fn)
-		if light {
-			e.stats.AdaptiveEntriesLight++
-		}
+	// Small entry: full exploration is cheaper than prune/memo setup, so
+	// those layers stay nil. The report is unaffected either way because
+	// each layer is individually report-preserving.
+	light := e.Cfg.adaptiveOn() && e.adaptSmall(fn)
+	if light {
+		e.stats.AdaptiveEntriesLight++
 	}
-	if e.Cfg.Mode == ModePATA && e.Cfg.Trace == nil && (!light || reuse) {
-		if adaptive {
-			e.adaptStart()
-		}
-		if e.Cfg.PruneInfeasible() && !light {
+	if e.Cfg.Mode == ModePATA && e.Cfg.Trace == nil && !light {
+		if e.Cfg.PruneInfeasible() {
 			e.pruner = newPruner()
 		}
-		if e.Cfg.MemoStates() && !light {
+		if e.Cfg.MemoStates() {
 			e.memo = make(map[uint64]memoRec)
 			if e.reach == nil {
 				e.reach = newReachSets(e.Mod)
-			}
-		}
-		if e.Cfg.Summaries() {
-			// The summary cache is per-entry for the same reason the memo
-			// is: keys embed per-entry canonical state, and per-entry reset
-			// keeps RunParallel's per-worker engines byte-identical to the
-			// sequential engine.
-			e.sums = make(map[uint64]*summaryRec)
-			e.sumFailed = make(map[uint64]bool)
-			if e.reach == nil {
-				e.reach = newReachSets(e.Mod)
-			}
-			if e.pruner != nil {
-				e.pruner.logAtoms = true
-				e.pruner.symNode = make(map[*smt.Var]int)
 			}
 		}
 	}
@@ -792,9 +723,8 @@ func (e *Engine) analyzeEntry(fn *cir.Function) {
 const pollEvery = 64
 
 // stopped reports whether the current entry's exploration has ended early
-// for any reason — budget, deadline, or cancellation. Memo and summary
-// recordings consult it: a subtree cut short must never be recorded as
-// fully explored.
+// for any reason — budget, deadline, or cancellation. Memo recordings
+// consult it: a subtree cut short must never be recorded as fully explored.
 func (e *Engine) stopped() bool { return e.over || e.timedOut || e.cancelled }
 
 func (e *Engine) budgetExceeded() bool {
@@ -841,8 +771,7 @@ func (e *Engine) exec(in cir.Instr) {
 	if e.budgetExceeded() {
 		return
 	}
-	e.adaptMaybeDecide()
-	if e.memo != nil && e.adaptMemoOn() {
+	if e.memo != nil {
 		// Only block entries at CFG join points are worth fingerprinting:
 		// distinct DFS routes can converge only there, so memoizing
 		// single-predecessor blocks would pay the canonicalization cost
@@ -855,18 +784,12 @@ func (e *Engine) exec(in cir.Instr) {
 				e.execStep(in)
 				return
 			}
-			if e.adapt != nil {
-				e.adapt.memoLookups++
-			}
 			if rec, ok := e.memo[key]; ok {
 				e.stats.MemoHits++
 				e.stats.MemoPathsSkipped += rec.paths
 				e.stats.MemoStepsSkipped += rec.steps
 				e.pathsCharged += rec.paths
 				e.stepsCharged += rec.steps
-				// The skipped subtree may contain returns of a callee being
-				// summarized; the recording would miss those continuations.
-				e.poisonSummaries()
 				for i := range rec.emits {
 					me := &rec.emits[i]
 					e.emitCandidate(me.ci, me.origin, me.bugInstr, me.extra, me.aliasSet, me.suffix)
@@ -924,7 +847,7 @@ func (e *Engine) memoKey(in cir.Instr) (uint64, bool) {
 		sets = append(sets, e.reach.blockReach(f.call.Block()))
 	}
 	e.reachScratch = sets[:0]
-	gd, td, _, ok := e.canonDigests(sets)
+	gd, td, ok := e.canonDigests(sets)
 	if !ok {
 		return 0, false
 	}
@@ -1093,15 +1016,12 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 			// whole subtree when the path condition becomes unsatisfiable:
 			// every candidate it could produce carries a path Stage-2
 			// validation would prove infeasible.
-			if e.adapt != nil {
-				e.adapt.branchConsults++
-			}
 			pm = e.pruner.mark()
 			t0 := time.Now()
 			verdict := e.pruner.pushBranch(e.g, br, taken)
 			e.stats.CursorNanos += int64(time.Since(t0))
 			if verdict == smt.Unsat {
-				e.notePrune()
+				e.stats.PrunedBranches++
 				e.pruner.rollback(pm)
 				e.tracker.Rollback(tm)
 				e.g.Rollback(gm)
@@ -1161,31 +1081,6 @@ func (e *Engine) execCall(call *cir.Call) {
 			}
 		}
 	}
-	// Interprocedural summary consult: keyed on the post-binding observable
-	// state, a matching activation replays the recorded callee effects; a
-	// first activation records them while walking live. Either way the
-	// bindings roll back below like a live walk's would.
-	if e.summariesOn() && e.adaptSumOn() {
-		if key, labels, ok := e.summaryKey(callee); ok {
-			if e.adapt != nil {
-				e.adapt.sumLookups++
-			}
-			if rec, hit := e.sums[key]; hit {
-				if e.replaySummary(call, rec, labels) {
-					e.tracker.Rollback(tm)
-					e.g.Rollback(gm)
-					return
-				}
-				// A recorded ref did not resolve here (label collision);
-				// fall through to a live walk without recording.
-			} else if !e.sumFailed[key] {
-				e.recordCall(call, callee, key, labels)
-				e.tracker.Rollback(tm)
-				e.g.Rollback(gm)
-				return
-			}
-		}
-	}
 	e.frames = append(e.frames, &frame{fn: callee, call: call, fid: len(e.frames) + 1})
 	e.exec(callee.Entry().Instrs[0])
 	e.frames = e.frames[:len(e.frames)-1]
@@ -1213,17 +1108,6 @@ func (e *Engine) execRet(ret *cir.Ret) {
 		e.endPath()
 		return
 	}
-	// If this activation is being summarized, snapshot the continuation
-	// (callee effects so far, expressed canonically) before the caller
-	// resumes, and suspend the recording: the caller's continuation runs
-	// nested inside the callee walk but is not part of the callee's effect.
-	sf := e.sumTop(f)
-	if sf != nil {
-		e.captureCont(sf, ret)
-		sf.suspended = true
-		sf.suspSteps = e.steps + e.stepsCharged
-		sf.suspPaths = e.paths + e.pathsCharged
-	}
 	// Bind the return value to the call destination (HandleCALL lines
 	// 19–20) and continue after the call site.
 	e.frames = e.frames[:len(e.frames)-1]
@@ -1247,11 +1131,6 @@ func (e *Engine) execRet(ret *cir.Ret) {
 	e.tracker.Rollback(tm)
 	e.g.Rollback(gm)
 	e.frames = append(e.frames, f)
-	if sf != nil {
-		sf.extSteps += e.steps + e.stepsCharged - sf.suspSteps
-		sf.extPaths += e.paths + e.pathsCharged - sf.suspPaths
-		sf.suspended = false
-	}
 }
 
 func (e *Engine) endPath() {
@@ -1346,25 +1225,6 @@ func (e *Engine) emitCandidate(ci, origin int, bugInstr cir.Instr, extra *typest
 			ci: ci, origin: origin, bugInstr: bugInstr,
 			extra: extra, aliasSet: aliasSet, suffix: suffix,
 		})
-	}
-	// Open summary recordings capture the emission the same way, relative to
-	// their own activation point. Suspended recordings skip it: an emission
-	// during a caller continuation is not a callee effect — the continuation
-	// re-runs live at replay sites and regenerates it there.
-	for _, sf := range e.sumStack {
-		if sf.poisoned || sf.suspended {
-			continue
-		}
-		if len(sf.events) >= maxSummaryEvents {
-			sf.poisoned = true
-			continue
-		}
-		suffix := e.suffixArena.alloc(len(full) - sf.pathLen)
-		copy(suffix, full[sf.pathLen:])
-		sf.events = append(sf.events, sumEvent{emit: &sumEmit{
-			ci: ci, origin: origin, bugInstr: bugInstr,
-			extra: extra, aliasSet: aliasSet, suffix: suffix,
-		}})
 	}
 	key := dedupKey{checker: ci, origin: origin, bug: bugInstr.GID()}
 	if prev, dup := e.dedup[key]; dup {

@@ -137,9 +137,6 @@ func addAttemptStats(dst *Stats, src Stats) {
 	dst.MemoHits += src.MemoHits
 	dst.MemoPathsSkipped += src.MemoPathsSkipped
 	dst.MemoStepsSkipped += src.MemoStepsSkipped
-	dst.SummaryHits += src.SummaryHits
-	dst.SummaryPathsReplayed += src.SummaryPathsReplayed
-	dst.SummaryStepsReplayed += src.SummaryStepsReplayed
 	dst.Typestates += src.Typestates
 	dst.TypestatesUnaware += src.TypestatesUnaware
 	dst.DeadlineTrips += src.DeadlineTrips

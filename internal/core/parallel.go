@@ -98,15 +98,11 @@ func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 	res.Stats.MemoHits = e.stats.MemoHits - prev.MemoHits
 	res.Stats.MemoPathsSkipped = e.stats.MemoPathsSkipped - prev.MemoPathsSkipped
 	res.Stats.MemoStepsSkipped = e.stats.MemoStepsSkipped - prev.MemoStepsSkipped
-	res.Stats.SummaryHits = e.stats.SummaryHits - prev.SummaryHits
-	res.Stats.SummaryPathsReplayed = e.stats.SummaryPathsReplayed - prev.SummaryPathsReplayed
-	res.Stats.SummaryStepsReplayed = e.stats.SummaryStepsReplayed - prev.SummaryStepsReplayed
 	res.Stats.RepeatedDropped = e.stats.RepeatedDropped - prev.RepeatedDropped
 	res.Stats.Typestates = trk.Transitions - prevTrk.Transitions
 	res.Stats.TypestatesUnaware = trk.TransitionsUnaware - prevTrk.TransitionsUnaware
 	res.Stats.DeadlineTrips = e.stats.DeadlineTrips - prev.DeadlineTrips
 	res.Stats.AdaptiveEntriesLight = e.stats.AdaptiveEntriesLight - prev.AdaptiveEntriesLight
-	res.Stats.AdaptiveLayersOff = e.stats.AdaptiveLayersOff - prev.AdaptiveLayersOff
 	res.Stats.CanonNanos = e.stats.CanonNanos - prev.CanonNanos
 	res.Stats.CursorNanos = e.stats.CursorNanos - prev.CursorNanos
 	return res
@@ -425,9 +421,6 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 				s.MemoHits += r.Stats.MemoHits
 				s.MemoPathsSkipped += r.Stats.MemoPathsSkipped
 				s.MemoStepsSkipped += r.Stats.MemoStepsSkipped
-				s.SummaryHits += r.Stats.SummaryHits
-				s.SummaryPathsReplayed += r.Stats.SummaryPathsReplayed
-				s.SummaryStepsReplayed += r.Stats.SummaryStepsReplayed
 				s.Typestates += r.Stats.Typestates
 				s.TypestatesUnaware += r.Stats.TypestatesUnaware
 				s.RepeatedDropped += r.Stats.RepeatedDropped
@@ -439,7 +432,6 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 				s.EntriesRetried += r.Stats.EntriesRetried
 				s.EntriesDegraded += r.Stats.EntriesDegraded
 				s.AdaptiveEntriesLight += r.Stats.AdaptiveEntriesLight
-				s.AdaptiveLayersOff += r.Stats.AdaptiveLayersOff
 				s.CanonNanos += r.Stats.CanonNanos
 				s.CursorNanos += r.Stats.CursorNanos
 				var batch []*candRec

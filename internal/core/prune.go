@@ -34,17 +34,6 @@ type pruner struct {
 	// paired LIFO order: no live atom ever references a node incarnation
 	// other than the one its ID named when the atom was pushed.
 	syms map[int]*smt.Var
-	// symNode is the reverse of syms, maintained by symOf when the summary
-	// cache needs to map a recorded atom's symbols back to the nodes they
-	// named (for re-basing onto the replay site's symbols). Nil when atom
-	// logging is off.
-	symNode map[*smt.Var]int
-	// logAtoms/atomLog mirror the cursor's live atom chain: each entry is a
-	// pushed formula plus the pre-push cursor mark, so rollback can pop
-	// exactly the entries the cursor rollback undoes. The summary recorder
-	// reads the suffix pushed since a call-site activation began.
-	logAtoms bool
-	atomLog  []atomLogEntry
 	// sigCount/sigLog index the live branch atoms by exact syntactic shape
 	// (predicate + operand identity), so pushBranch can refute a directly
 	// negated repeat of an earlier condition without consulting the cursor.
@@ -52,21 +41,14 @@ type pruner struct {
 	sigCount map[atomSig]int
 	sigLog   []atomSig
 	// pending queues binop equalities (whose assert-time feasibility result
-	// the engine discards anyway) until something actually consults the
-	// cursor: a branch atom, a summary replay, or a summary frame boundary
-	// that must attribute atoms to the right recording window. Binops on
-	// branch-free path tails — and every binop in a subtree the DFS rolls
-	// back before its next branch — never pay for linearization or
-	// propagation at all. pending[:flushed] has been pushed; rollback
-	// restores both cursors, so a flush inside a subtree is undone with it.
+	// the engine discards anyway) until a branch atom actually consults the
+	// cursor. Binops on branch-free path tails — and every binop in a
+	// subtree the DFS rolls back before its next branch — never pay for
+	// linearization or propagation at all. pending[:flushed] has been
+	// pushed; rollback restores both cursors, so a flush inside a subtree is
+	// undone with it.
 	pending []smt.Formula
 	flushed int
-	// off disables the pruner mid-entry (the adaptive controller's kill
-	// switch): pushes become no-ops answering Sat, while mark/rollback keep
-	// working so the engine's checkpoint discipline is undisturbed. Turning
-	// the pruner off only weakens the asserted conjunction, which cannot
-	// change the validated bug set.
-	off bool
 }
 
 // atomSig is the exact syntactic identity of a branch atom: predicate plus
@@ -79,11 +61,6 @@ type atomSig struct {
 	xv, yv int64
 	xIsVar bool
 	yIsVar bool
-}
-
-type atomLogEntry struct {
-	f  smt.Formula
-	cm smt.CursorMark
 }
 
 func newPruner() *pruner {
@@ -109,9 +86,6 @@ func (p *pruner) mark() prunerMark {
 
 func (p *pruner) rollback(m prunerMark) {
 	p.cursor.Rollback(m.cm)
-	for len(p.atomLog) > 0 && p.atomLog[len(p.atomLog)-1].cm >= m.cm {
-		p.atomLog = p.atomLog[:len(p.atomLog)-1]
-	}
 	for len(p.sigLog) > int(m.sl) {
 		s := p.sigLog[len(p.sigLog)-1]
 		p.sigLog = p.sigLog[:len(p.sigLog)-1]
@@ -125,28 +99,17 @@ func (p *pruner) rollback(m prunerMark) {
 	p.flushed = m.fl
 }
 
-// flushPending pushes every queued binop equality into the cursor, logging
-// each exactly as an eager push would have. After a flush the cursor state
-// is identical to the eager regime, so every consult sees the same
-// conjunction either way.
+// flushPending pushes every queued binop equality into the cursor. After a
+// flush the cursor state is identical to the eager regime, so every consult
+// sees the same conjunction either way.
 func (p *pruner) flushPending() {
 	for ; p.flushed < len(p.pending); p.flushed++ {
-		f := p.pending[p.flushed]
-		if p.logAtoms {
-			p.atomLog = append(p.atomLog, atomLogEntry{f: f, cm: p.cursor.Checkpoint()})
-		}
-		p.cursor.Push(f)
+		p.cursor.Push(p.pending[p.flushed])
 	}
 }
 
 func (p *pruner) push(f smt.Formula) smt.Result {
-	if p.off {
-		return smt.Sat
-	}
 	p.flushPending()
-	if p.logAtoms {
-		p.atomLog = append(p.atomLog, atomLogEntry{f: f, cm: p.cursor.Checkpoint()})
-	}
 	return p.cursor.Push(f)
 }
 
@@ -157,9 +120,6 @@ func (p *pruner) symOf(n *aliasgraph.Node) *smt.Var {
 	}
 	s := p.ctx.Var("as")
 	p.syms[n.ID] = s
-	if p.symNode != nil {
-		p.symNode[s] = n.ID
-	}
 	return s
 }
 
@@ -200,9 +160,6 @@ func (p *pruner) termOf(g *aliasgraph.Graph, v cir.Value) smt.Term {
 // intervals unbounded), so the signature check adds prune power on top of
 // costing less.
 func (p *pruner) pushBranch(g *aliasgraph.Graph, br *cir.CondBr, taken bool) smt.Result {
-	if p.off {
-		return smt.Sat
-	}
 	reg, ok := br.Cond.(*cir.Register)
 	if !ok || reg.Def == nil {
 		return smt.Sat
@@ -305,9 +262,6 @@ func evalPred(p cir.Pred, a, b int64) bool {
 // program point) but the resulting equality is only queued; flushPending
 // hands it to the cursor when a consult needs it.
 func (p *pruner) pushBinOp(g *aliasgraph.Graph, t *cir.BinOp) {
-	if p.off {
-		return
-	}
 	x := p.termOf(g, t.X)
 	y := p.termOf(g, t.Y)
 	var term smt.Term

@@ -8,10 +8,11 @@ import (
 	"repro/internal/minicc"
 )
 
-// The summary key restricts the canonical entry state to blockReach(callee
-// entry).vals — these tests pin the edge cases that restriction depends on:
-// values reachable only through GEP chains, values created inside callees,
-// and alias-class churn (Detach) on values the callee cannot observe.
+// The memo key restricts the canonical state to blockReach(...).vals of the
+// current block and of every stacked call site — these tests pin the edge
+// cases that restriction depends on: values reachable only through GEP
+// chains, values created inside callees, and alias-class churn (Detach) on
+// values the callee cannot observe.
 
 func lowerOne(t *testing.T, src string) *cir.Module {
 	t.Helper()
@@ -201,7 +202,8 @@ int odd(int n) {
 }
 
 // TestReachRestrictionAfterDetach: the canonical digest restricted to a
-// callee's reach vals — exactly the summary-key restriction — must be
+// callee's reach vals — the memo key's restriction at the callee's entry
+// block — must be
 // insensitive to alias-class churn (Detach, constant rebinding) on values
 // the callee cannot observe, and sensitive to the same churn on an
 // observable value.

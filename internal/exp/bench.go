@@ -11,12 +11,12 @@ import (
 )
 
 // benchVariants are the engine configurations the pipeline bench compares.
-// "defaults" is the shipped configuration: every layer available plus the
-// per-entry adaptive cost model that decides which layers an entry actually
-// runs. The remaining variants force the cost model off (NoAdaptive) and
-// ablate fixed layer subsets, so the grid shows both what the layers buy in
-// explored work and what the cost model buys in wall-clock.
-var benchVariants = []string{"defaults", "always-on", "no-prune-no-memo", "no-summaries", "all-off"}
+// "defaults" is the shipped configuration: both layers available plus the
+// per-entry adaptive size gate that decides whether an entry runs them. The
+// remaining variants force the gate off (NoAdaptive) and run the layers
+// always on or always off, so the grid shows both what the layers buy in
+// explored work and what the gate buys in wall-clock.
+var benchVariants = []string{"defaults", "always-on", "no-prune-no-memo"}
 
 func benchConfig(variant string) core.Config {
 	cfg := PATAConfig()
@@ -27,14 +27,6 @@ func benchConfig(variant string) core.Config {
 		cfg.NoAdaptive = true
 		cfg.NoPrune = true
 		cfg.NoMemo = true
-	case "no-summaries":
-		cfg.NoAdaptive = true
-		cfg.NoSummaries = true
-	case "all-off":
-		cfg.NoAdaptive = true
-		cfg.NoPrune = true
-		cfg.NoMemo = true
-		cfg.NoSummaries = true
 	}
 	return cfg
 }
@@ -55,11 +47,7 @@ type BenchEntry struct {
 	MemoHits         int64   `json:"memo_hits"`
 	MemoPathsSkipped int64   `json:"memo_paths_skipped"`
 	MemoStepsSkipped int64   `json:"memo_steps_skipped"`
-	SummaryHits      int64   `json:"summary_hits"`
-	SummaryPaths     int64   `json:"summary_paths_replayed"`
-	SummarySteps     int64   `json:"summary_steps_replayed"`
 	AdaptiveLight    int64   `json:"adaptive_entries_light,omitempty"`
-	AdaptiveOff      int64   `json:"adaptive_layers_off,omitempty"`
 	Bugs             int     `json:"bugs"`
 }
 
@@ -74,13 +62,9 @@ type BenchReport struct {
 	Entries           []BenchEntry `json:"entries"`
 	PathsReductionPct float64      `json:"paths_reduction_pct"`
 	StepsReductionPct float64      `json:"steps_reduction_pct"`
-	// SummaryStepsReductionPct is the share of Stage-1 executed steps the
-	// interprocedural callee summaries save on the helper-heavy corpus at
-	// workers=1 (always-on vs no-summaries, everything else identical).
-	SummaryStepsReductionPct float64 `json:"summary_steps_reduction_pct"`
 	// DefaultsWorstRatio is max over (corpus, workers) cells of the
 	// adaptive defaults' wall-clock divided by the cell's fastest forced
-	// ablation — the headline number for the adaptive cost model (≤ 1.0
+	// ablation — the headline number for the adaptive size gate (≤ 1.0
 	// means the defaults are the fastest variant everywhere).
 	DefaultsWorstRatio float64 `json:"defaults_worst_ratio"`
 }
@@ -125,11 +109,7 @@ func benchRow(c *oscorpus.Corpus, workers int) (map[string]BenchEntry, error) {
 			MemoHits:         run.Stats.MemoHits,
 			MemoPathsSkipped: run.Stats.MemoPathsSkipped,
 			MemoStepsSkipped: run.Stats.MemoStepsSkipped,
-			SummaryHits:      run.Stats.SummaryHits,
-			SummaryPaths:     run.Stats.SummaryPathsReplayed,
-			SummarySteps:     run.Stats.SummaryStepsReplayed,
 			AdaptiveLight:    run.Stats.AdaptiveEntriesLight,
-			AdaptiveOff:      run.Stats.AdaptiveLayersOff,
 			Bugs:             len(run.Reports),
 		}
 	}
@@ -137,15 +117,14 @@ func benchRow(c *oscorpus.Corpus, workers int) (map[string]BenchEntry, error) {
 }
 
 // BenchPipeline runs the full two-stage pipeline over every corpus — the
-// four paper OSes plus the helper-heavy summary workload — at Stage-1
-// workers ∈ {1, 4} and the five engine variants above. It collects
+// four paper OSes plus the helper-heavy workload — at Stage-1 workers ∈
+// {1, 4} and the three engine variants above. It collects
 // wall-clock plus the work-avoidance counters. The bug sets of all variants
 // are identical by construction (the equivalence tests assert it); only the
 // scheduled work differs.
 func BenchPipeline(w io.Writer) (*BenchReport, error) {
 	rep := &BenchReport{Workload: "oscorpus"}
 	var pOn, pOff, sOn, sOff int64
-	var hhOn, hhOff int64
 	corpora := append(Corpora(), oscorpus.Generate(oscorpus.HelperHeavySpec()))
 	for _, c := range corpora {
 		for _, workers := range []int{1, 4} {
@@ -172,10 +151,6 @@ func BenchPipeline(w io.Writer) (*BenchReport, error) {
 				sOn += cell["always-on"].StepsExecuted
 				pOff += cell["no-prune-no-memo"].PathsExplored
 				sOff += cell["no-prune-no-memo"].StepsExecuted
-				if c.Spec.Name == "helper-heavy" {
-					hhOn = cell["always-on"].StepsExecuted
-					hhOff = cell["no-summaries"].StepsExecuted
-				}
 			}
 		}
 	}
@@ -185,21 +160,16 @@ func BenchPipeline(w io.Writer) (*BenchReport, error) {
 	if sOff > 0 {
 		rep.StepsReductionPct = 100 * float64(sOff-sOn) / float64(sOff)
 	}
-	if hhOff > 0 {
-		rep.SummaryStepsReductionPct = 100 * float64(hhOff-hhOn) / float64(hhOff)
-	}
 	if w != nil {
 		fmt.Fprintf(w, "pipeline bench: %.1f%% fewer paths, %.1f%% fewer steps with pruning+memo forced on (workers=1)\n",
 			rep.PathsReductionPct, rep.StepsReductionPct)
-		fmt.Fprintf(w, "summary bench: %.1f%% fewer steps with callee summaries on helper-heavy (workers=1)\n",
-			rep.SummaryStepsReductionPct)
 		fmt.Fprintf(w, "adaptive bench: defaults at worst %.2fx the fastest forced ablation per cell\n",
 			rep.DefaultsWorstRatio)
 	}
 	return rep, nil
 }
 
-// BenchSmoke is the CI regression gate for the adaptive cost model: on the
+// BenchSmoke is the CI regression gate for the adaptive size gate: on the
 // zephyr-like corpus at workers=1 the shipped defaults must stay within 10%
 // of the fastest forced ablation. Variants are interleaved best-of-5 to keep
 // scheduler noise and load drift out of the verdict on a corpus this small.

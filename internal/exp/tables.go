@@ -221,60 +221,6 @@ func PruningTable(w io.Writer) ([]PruningRow, error) {
 	return rows, nil
 }
 
-// SummaryRow compares one corpus analyzed with and without the Stage-1
-// interprocedural callee summaries.
-type SummaryRow struct {
-	OS  string
-	On  *ToolRun // defaults: callee summaries recorded and replayed
-	Off *ToolRun // -no-summaries
-}
-
-// SummaryTable quantifies the interprocedural callee summaries: for each
-// corpus — the four paper OSes plus the helper-heavy workload built to
-// exercise repeated call-site activations — it runs the default engine and
-// the -no-summaries variant, and reports executed steps, the hit/replay
-// counters, and the found bugs, which must match exactly since a summary is
-// only replayed when its recorded activation is observationally equivalent.
-func SummaryTable(w io.Writer) ([]SummaryRow, error) {
-	var rows []SummaryRow
-	corpora := append(Corpora(), oscorpus.Generate(oscorpus.HelperHeavySpec()))
-	for _, c := range corpora {
-		on, err := RunPATA(c, PATAConfig(), "pata")
-		if err != nil {
-			return nil, err
-		}
-		cfg := PATAConfig()
-		cfg.NoSummaries = true
-		off, err := RunPATA(c, cfg, "pata-nosum")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, SummaryRow{OS: c.Spec.Name, On: on, Off: off})
-	}
-	fmt.Fprintln(w, "Interprocedural summary effect (defaults vs -no-summaries)")
-	t := &report.Table{Header: []string{
-		"OS", "Steps (on/off)", "Summary hits", "Replayed (paths/steps)",
-		"Found bugs (on/off)", "Time (on/off)",
-	}}
-	var sOn, sOff int64
-	for _, r := range rows {
-		sOn += r.On.Stats.StepsExecuted
-		sOff += r.Off.Stats.StepsExecuted
-		t.AddRow(r.OS,
-			fmt.Sprintf("%d/%d", r.On.Stats.StepsExecuted, r.Off.Stats.StepsExecuted),
-			fmt.Sprintf("%d", r.On.Stats.SummaryHits),
-			fmt.Sprintf("%d/%d", r.On.Stats.SummaryPathsReplayed, r.On.Stats.SummaryStepsReplayed),
-			fmt.Sprintf("%d/%d", r.On.Score.Found, r.Off.Score.Found),
-			fmt.Sprintf("%s/%s", fmtDuration(r.On.Elapsed), fmtDuration(r.Off.Elapsed)))
-	}
-	t.Write(w)
-	if sOff > 0 {
-		fmt.Fprintf(w, "Overall: %d steps with summaries, %d without (%.0f%% reduction)\n",
-			sOn, sOff, 100*float64(sOff-sOn)/float64(sOff))
-	}
-	return rows, nil
-}
-
 // Fig11Bucket is one slice of the Figure 11 pie.
 type Fig11Bucket struct {
 	Group    string

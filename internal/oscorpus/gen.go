@@ -15,8 +15,8 @@ type CatSpec struct {
 	Files  int
 	Filler int // bug-free functions across the category
 	// Helpers counts helper-heavy clusters (see helperShapes): drivers whose
-	// path explosion concentrates in repeated calls to small shared helpers,
-	// the shape interprocedural summaries collapse. Zero everywhere except
+	// path explosion concentrates in repeated calls to small shared helpers.
+	// Zero everywhere except
 	// the dedicated helper-heavy spec, so existing corpora are unchanged.
 	Helpers int
 	// Validation counts validation-heavy clusters (see validationShapes):

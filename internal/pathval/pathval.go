@@ -281,15 +281,22 @@ func (v *Validator) solveReplayed(ctx context.Context, r *replayer) core.Validat
 
 // triggerValues renders the solver model as "name = value" pairs for
 // source-named variables, giving reports concrete inputs that drive the
-// witness path.
+// witness path. Alias classes are visited in symbol-ID order, so when two
+// classes carry the same source name (e.g. a local reassigned along the
+// path) the first-created one names the value on every run.
 func (r *replayer) triggerValues(model smt.Model) []string {
 	if len(model) == 0 {
 		return nil
 	}
+	nodes := make([]*aliasgraph.Node, 0, len(r.syms))
+	for node := range r.syms {
+		nodes = append(nodes, node)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return r.syms[nodes[i]].ID < r.syms[nodes[j]].ID })
 	var out []string
 	seen := map[string]bool{}
-	for node, sym := range r.syms {
-		val, ok := model[sym.ID]
+	for _, node := range nodes {
+		val, ok := model[r.syms[node].ID]
 		if !ok {
 			continue
 		}
@@ -493,7 +500,7 @@ func stepCallee(st core.PathStep, steps []core.PathStep, i int) *cir.Function {
 }
 
 // applyStep replays one path step against the current state. callee is the
-// resolved inlined callee for a Call step (nil when the call is summarized);
+// resolved inlined callee for a Call step (nil when the call is not inlined);
 // the caller resolves it, typically via stepCallee. Every mutation is either
 // trailed by the alias graph / term context or recorded in the replayer's
 // undo logs, so checkpoint/rollback brackets any sequence of applySteps.

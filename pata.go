@@ -61,15 +61,10 @@ type Config struct {
 	// on): without it, repeated identical basic-block configurations are
 	// re-explored.
 	NoMemo bool
-	// NoSummaries disables the Stage-1 interprocedural callee summaries
-	// (default on): without them, every call-site activation re-walks the
-	// callee even when a recorded activation with the same observable state
-	// could be replayed.
-	NoSummaries bool
-	// NoAdaptive disables the per-entry adaptive cost model (default on):
-	// without it, every entry runs the full configured layer stack even
-	// when the layers' bookkeeping demonstrably costs more than the
-	// exploration they save. Reports are identical either way; only
+	// NoAdaptive disables the per-entry adaptive size gate (default on):
+	// without it, every entry runs the configured pruning and memoization
+	// layers, even small entries whose full exploration costs less than the
+	// layers' bookkeeping. Reports are identical either way; only
 	// wall-clock changes.
 	NoAdaptive bool
 	// MaxCallDepth bounds interprocedural inlining (default 8).
@@ -239,7 +234,6 @@ func (c Config) engineConfig() (core.Config, error) {
 		ValidateWorkers:         c.ValidateWorkers,
 		NoPrune:                 c.NoPrune,
 		NoMemo:                  c.NoMemo,
-		NoSummaries:             c.NoSummaries,
 		NoAdaptive:              c.NoAdaptive,
 		EntryTimeout:            c.EntryTimeout,
 		RunTimeout:              c.RunTimeout,
@@ -255,7 +249,7 @@ func (c Config) engineConfig() (core.Config, error) {
 		if c.ValidateBackend != "" {
 			be, err := pathval.BackendFromSpec(c.ValidateBackend)
 			if err != nil {
-				return core.Config{}, err
+				return core.Config{}, fmt.Errorf("pata: %w", err)
 			}
 			v.Backend = be
 		}
