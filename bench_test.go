@@ -381,10 +381,10 @@ func BenchmarkValidatorCache(b *testing.B) {
 	})
 }
 
-// BenchmarkPruningAblation compares Stage-1 cost with the on-the-fly
-// pruning layers (incremental feasibility cursor + (block, state)
-// memoization, the defaults) against the unpruned engine on the linux-like
-// corpus. The found-bug set is identical in both variants
+// BenchmarkPruningAblation compares Stage-1 cost at defaults (incremental
+// feasibility cursor + (block, state) memoization available, the size gate
+// deciding per entry) against the engine without either layer on the
+// linux-like corpus. The found-bug set is identical in both variants
 // (TestPruningEquivalence); only explored paths and wall-clock differ.
 func BenchmarkPruningAblation(b *testing.B) {
 	c := oscorpus.Generate(oscorpus.LinuxSpec())
@@ -412,32 +412,11 @@ func BenchmarkPruningAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkBenchPipeline regenerates the BENCH_pipeline.json grid (all
-// corpora × workers {1,4} × engine variant) without writing the file.
-func BenchmarkBenchPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.BenchPipeline(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExtensions regenerates the repo-extension experiment (UAF + API
 // pairing checkers).
 func BenchmarkExtensions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := exp.Extensions(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncremental regenerates the incremental-cache ablation (cold
-// populate, warm replay, mutation sweep on the linux corpus) without
-// writing BENCH_incremental.json.
-func BenchmarkIncremental(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.IncrementalTable(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,18 +3,14 @@
 //
 // Usage:
 //
-//	patabench -exp table4|table5|table6|table7|table8|fig11|fpaudit|cases|fsm|pruning|degrade|daemon|all
-//	patabench -exp bench [-bench-out BENCH_pipeline.json]
-//	patabench -exp incremental [-incremental-out BENCH_incremental.json]
-//	patabench -exp validate [-validate-out BENCH_validate.json]
-//	patabench -exp scaling [-scaling-out BENCH_scaling.json]
-//	patabench -exp smoke
-//	patabench -exp validate-smoke
-//	patabench -exp scaling-smoke
+//	patabench -exp table4|table5|table6|table7|table8|fig11|fpaudit|extensions|cases|fsm|pruning|degrade|all
+//
+// Timing lives in the bench/ harness (bash bench/run.sh, see bench/README.md);
+// patabench only reproduces the paper's tables.
 //
 // -cpuprofile/-memprofile write pprof profiles of the selected experiment,
 // for chasing regressions in the analysis hot loops. -blockprofile and
-// -mutexprofile are the contention lens for the parallel experiments: they
+// -mutexprofile are the contention lens for the pipelined experiments: they
 // show time parked on channels and which locks workers convoy on.
 package main
 
@@ -31,11 +27,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table4, table5, table6, table7, table8, fig11, fpaudit, extensions, cases, fsm, pruning, degrade, daemon, bench, incremental, validate, scaling, or all")
-	benchOut := flag.String("bench-out", "BENCH_pipeline.json", "output path for -exp bench")
-	incOut := flag.String("incremental-out", "BENCH_incremental.json", "output path for -exp incremental")
-	valOut := flag.String("validate-out", "BENCH_validate.json", "output path for -exp validate")
-	scalingOut := flag.String("scaling-out", "BENCH_scaling.json", "output path for -exp scaling")
+	which := flag.String("exp", "all", "experiment: table4, table5, table6, table7, table8, fig11, fpaudit, extensions, cases, fsm, pruning, degrade, or all")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile (channel/select waits) at exit to this file")
@@ -44,8 +36,8 @@ func main() {
 
 	// Ctrl-C / SIGTERM cancels the running experiment through the engine's
 	// context path; the run loop then stops between experiments and exits
-	// 130 without writing a partial BENCH json. A second signal kills hard
-	// (NotifyContext restores default handling after the first).
+	// 130. A second signal kills hard (NotifyContext restores default
+	// handling after the first).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	exp.SetBaseContext(ctx)
@@ -61,32 +53,28 @@ func main() {
 		}
 	}()
 
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "patabench: %s: %v\n", name, err)
+	exit := func(code int) {
 		if perr := prof.Stop(); perr != nil {
 			fmt.Fprintln(os.Stderr, "patabench:", perr)
 		}
-		os.Exit(1)
+		os.Exit(code)
 	}
-	interrupted := func() {
-		fmt.Fprintln(os.Stderr, "patabench: interrupted")
-		if perr := prof.Stop(); perr != nil {
-			fmt.Fprintln(os.Stderr, "patabench:", perr)
-		}
-		os.Exit(130)
-	}
+	ran := false
 	run := func(name string, f func() error) {
 		if *which != "all" && *which != name {
 			return
 		}
+		ran = true
 		if err := f(); err != nil {
-			fail(name, err)
+			fmt.Fprintf(os.Stderr, "patabench: %s: %v\n", name, err)
+			exit(1)
 		}
 		// A cancelled experiment returns a partial (well-formed) table, not
 		// an error; stop the sequence here rather than printing the rest of
 		// the suite against a dead context.
 		if ctx.Err() != nil {
-			interrupted()
+			fmt.Fprintln(os.Stderr, "patabench: interrupted")
+			exit(130)
 		}
 		fmt.Println()
 	}
@@ -103,52 +91,9 @@ func main() {
 	run("cases", func() error { _, err := exp.Cases(os.Stdout); return err })
 	run("pruning", func() error { _, err := exp.PruningTable(os.Stdout); return err })
 	run("degrade", func() error { _, err := exp.DegradeTable(os.Stdout); return err })
-	run("daemon", func() error { _, err := exp.DaemonTable(os.Stdout); return err })
 
-	// bench, incremental, validate and scaling write BENCH_*.json files, so
-	// they only run when asked for explicitly, never under -exp all.
-	if *which == "bench" {
-		if err := exp.WriteBenchJSON(os.Stdout, *benchOut); err != nil {
-			fail("bench", err)
-		}
-	}
-	if *which == "incremental" {
-		if err := exp.WriteIncrementalJSON(os.Stdout, *incOut); err != nil {
-			fail("incremental", err)
-		}
-	}
-	if *which == "validate" {
-		if err := exp.WriteValidateJSON(os.Stdout, *valOut); err != nil {
-			fail("validate", err)
-		}
-	}
-	if *which == "scaling" {
-		if err := exp.WriteScalingJSON(os.Stdout, *scalingOut); err != nil {
-			fail("scaling", err)
-		}
-	}
-	// smoke is the CI wall-clock gate for the adaptive size gate; it runs
-	// only when selected so -exp all stays timing-independent.
-	if *which == "smoke" {
-		if err := exp.BenchSmoke(os.Stdout); err != nil {
-			fail("smoke", err)
-		}
-	}
-	// validate-smoke is the CI gate for batched Stage-2 validation: byte-
-	// identical reports and solver time within 1.1x of per-candidate mode.
-	if *which == "validate-smoke" {
-		if err := exp.ValidateSmoke(os.Stdout); err != nil {
-			fail("validate-smoke", err)
-		}
-	}
-	// scaling-smoke is the CI gate for parallel scaling: workers=4 must beat
-	// workers=1 by a CPU-count-aware floor with byte-identical reports.
-	if *which == "scaling-smoke" {
-		if err := exp.ScalingSmoke(os.Stdout); err != nil {
-			fail("scaling-smoke", err)
-		}
-	}
-	if ctx.Err() != nil {
-		interrupted()
+	if !ran {
+		fmt.Fprintf(os.Stderr, "patabench: unknown experiment %q\n", *which)
+		exit(2)
 	}
 }

@@ -1,12 +1,12 @@
 // Per-entry adaptive size gate: decide, before exploring an entry function,
 // whether the pruning and memoization layers can pay for themselves on it.
 //
-// BENCH_pipeline.json motivated this: on small corpora the precision layers
-// eliminate most paths yet still lose wall-clock, because canonicalization
-// and cursor upkeep cost more than the skipped exploration was worth. An
-// entry whose call-graph closure is small (few instructions, few branches)
-// cannot explode — its full unpruned exploration is cheaper than one round
-// of layer bookkeeping — so it runs with both layers off.
+// On small corpora the precision layers eliminate most paths yet still lose
+// wall-clock, because canonicalization and cursor upkeep cost more than the
+// skipped exploration was worth. An entry whose call-graph closure is small
+// (few instructions, few branches) cannot explode — its full unpruned
+// exploration is cheaper than one round of layer bookkeeping — so it runs
+// with both layers off.
 //
 // Report invariance: each layer individually preserves the validated bug
 // set (pruning only discards Stage-2-infeasible paths; memo hits replay
@@ -20,8 +20,9 @@ import "repro/internal/cir"
 // Size gate: run both layers off when the entry's call-graph closure has at
 // most this many branches and instructions. Worst-case unpruned path count
 // grows with branch count; a closure this small cannot outgrow plain
-// exploration. Values were fixed empirically against the bench grid (see
-// BENCH_pipeline.json).
+// exploration. Values were fixed empirically on the synthetic corpora; at
+// these values every entry of every bench/ workload is light, so neither
+// layer runs at defaults (DESIGN.md §9).
 const (
 	adaptGateBranches = 10
 	adaptGateInstrs   = 400

@@ -60,9 +60,6 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	// NoAdaptive is likewise excluded: the size gate only re-schedules
 	// work, and every layer combination it selects is report-preserving, so
 	// the persisted candidates are identical under either setting.
-	// NoBatchValidate is excluded for the same reason: batching only
-	// re-schedules Stage-2 solves, and batched reports are byte-identical
-	// to per-candidate ones.
 	h = hmix.Mix2(h, boolBit(c.FaultHook != nil))
 	h = hmix.Mix2(h, uint64(len(c.Checkers)))
 	for _, chk := range c.Checkers {

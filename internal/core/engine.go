@@ -65,19 +65,22 @@ type Config struct {
 	// bugs whose trigger needs several iterations become reachable, at a
 	// path-count cost.
 	LoopUnroll int
-	// NoPrune disables the on-the-fly feasibility pruning: by default the
-	// Stage-1 DFS carries an incremental constraint cursor and skips a
-	// branch subtree as soon as the accumulated path condition becomes
-	// provably unsatisfiable. Pruning only discards paths Stage-2
-	// validation would reject, so the post-validation bug set is
-	// unaffected. Active only in ModePATA and when Trace is nil.
+	// NoPrune makes the on-the-fly feasibility pruning unavailable. When
+	// available, the adaptive size gate decides per entry whether it runs
+	// (NoAdaptive forces it on): the Stage-1 DFS then carries an
+	// incremental constraint cursor and skips a branch subtree as soon as
+	// the accumulated path condition becomes provably unsatisfiable.
+	// Pruning only discards paths Stage-2 validation would reject, so the
+	// post-validation bug set is unaffected. Active only in ModePATA and
+	// when Trace is nil.
 	NoPrune bool
-	// NoMemo disables the (block, state) memoization: by default the DFS
-	// fingerprints the alias graph, the typestate tracker, the pending
-	// path constraints, and the call stack at every basic-block entry,
-	// and skips subtrees whose configuration repeats an already fully
-	// explored, emission-free one. Active only in ModePATA and when
-	// Trace is nil.
+	// NoMemo makes the (block, state) memoization unavailable. When
+	// available, the adaptive size gate decides per entry whether it runs
+	// (NoAdaptive forces it on): the DFS then fingerprints the alias graph,
+	// the typestate tracker, the pending path constraints, and the call
+	// stack at every basic-block entry, and skips subtrees whose
+	// configuration repeats an already fully explored, emission-free one.
+	// Active only in ModePATA and when Trace is nil.
 	NoMemo bool
 	// NoAdaptive disables the per-entry adaptive size gate: by default the
 	// engine sizes up each entry's call-graph closure before exploring it
@@ -108,10 +111,6 @@ type Config struct {
 	// verdicts must be identical to calling ValidatePath per candidate —
 	// batching is a scheduling optimization, not a semantics change.
 	ValidateBatch func(ctx context.Context, bugs []*PossibleBug, mode Mode) []ValidationOutcome
-	// NoBatchValidate forces per-candidate validation even when a batch
-	// hook is installed. Scheduling-only knob: the validated bug set is
-	// identical either way (excluded from the incremental-cache salt).
-	NoBatchValidate bool
 	// ValidateBackend names the Stage-2 decision backend the installed
 	// validator uses ("" or "builtin" = in-process solver). The engine does
 	// not interpret it, but it IS part of the analysis semantics — an
@@ -129,8 +128,8 @@ type Config struct {
 	// reachable function plus the analysis-relevant configuration (see
 	// analysisSalt), replays cached per-entry results on key hits, and
 	// stores freshly computed ones on misses. Stage-2 verdicts are cached
-	// the same way. The sequential Engine.Run ignores this field;
-	// AnalyzeSources routes to RunParallel whenever a cache is configured.
+	// the same way. The sequential Engine.Run ignores this field, and
+	// RunParallel never falls back to it while a cache is configured.
 	Cache EntryCache
 	// EntryTimeout bounds the wall-clock of one entry function's Stage-1
 	// DFS attempt and of each candidate's Stage-2 validation (<= 0 means
@@ -198,11 +197,11 @@ type ValidationOutcome struct {
 }
 
 // PruneInfeasible reports whether on-the-fly feasibility pruning is
-// requested (on unless NoPrune is set).
+// available (unless NoPrune is set); the size gate still decides per entry.
 func (c Config) PruneInfeasible() bool { return !c.NoPrune }
 
-// MemoStates reports whether (block, state) memoization is requested (on
-// unless NoMemo is set).
+// MemoStates reports whether (block, state) memoization is available
+// (unless NoMemo is set); the size gate still decides per entry.
 func (c Config) MemoStates() bool { return !c.NoMemo }
 
 // withDefaults fills zero fields.

@@ -232,15 +232,15 @@ func validateGuarded(ctx context.Context, cfg Config, pb *PossibleBug, solverNan
 }
 
 // validateBatchGuarded validates one entry's contiguous candidate group.
-// With a batch hook installed (and batching not disabled) the whole group
-// runs in one guarded call sharing one EntryTimeout deadline; otherwise —
-// and for singleton groups, where there is no prefix to share — it
-// degenerates to per-candidate validateGuarded calls. A panic inside the
+// With a batch hook installed the whole group runs in one guarded call
+// sharing one EntryTimeout deadline; otherwise — and for singleton groups,
+// where there is no prefix to share — it degenerates to per-candidate
+// validateGuarded calls. A panic inside the
 // batched call is contained by re-validating every candidate individually:
 // each then gets its own fence, so only the faulting candidate surfaces as
 // Panicked and its group mates keep their real verdicts.
 func validateBatchGuarded(ctx context.Context, cfg Config, pbs []*PossibleBug, solverNanos *int64) []ValidationOutcome {
-	if cfg.ValidateBatch == nil || cfg.NoBatchValidate || len(pbs) <= 1 {
+	if cfg.ValidateBatch == nil || len(pbs) <= 1 {
 		outs := make([]ValidationOutcome, len(pbs))
 		for i, pb := range pbs {
 			outs[i] = validateGuarded(ctx, cfg, pb, solverNanos)

@@ -353,10 +353,10 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	eager := validate && cache == nil
 	// With batching on, the merger dispatches one task per ENTRY (all its
 	// first-sighted candidates together) so the batch validator can share
-	// their path-condition prefixes in one incremental session; with
-	// batching off or absent, tasks stay per-candidate, preserving
-	// within-entry validation concurrency.
-	batching := eager && cfg.ValidateBatch != nil && !cfg.NoBatchValidate
+	// their path-condition prefixes in one incremental session; without a
+	// batch hook, tasks stay per-candidate, preserving within-entry
+	// validation concurrency.
+	batching := eager && cfg.ValidateBatch != nil
 	// solverNanos is the run-wide total; each validator goroutine accumulates
 	// into its own local counter and folds it in exactly once at exit, so the
 	// hot path never bounces a shared cache line between workers.

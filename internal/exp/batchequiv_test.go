@@ -8,12 +8,17 @@ import (
 )
 
 // TestBatchedValidationEquivalence is the repo's report-identity gate for
-// batched Stage-2 validation: on every corpus (the four paper OSes plus the
-// validation-heavy workload), sequential and parallel, the batched default
-// must produce byte-identical bug reports to per-candidate solving.
+// batched Stage-2 validation and for the scheduler: on every corpus (the four
+// paper OSes plus the validation-heavy and helper-heavy workloads), the
+// batched default must produce byte-identical bug reports to per-candidate
+// solving (no ValidateBatch hook installed), and the pipelined run at
+// workers=4 must match the sequential engine at workers=1.
 func TestBatchedValidationEquivalence(t *testing.T) {
-	corpora := append(Corpora(), oscorpus.Generate(oscorpus.ValidationHeavySpec()))
+	corpora := append(Corpora(),
+		oscorpus.Generate(oscorpus.ValidationHeavySpec()),
+		oscorpus.Generate(oscorpus.HelperHeavySpec()))
 	for _, c := range corpora {
+		var seq interface{}
 		for _, workers := range []int{1, 4} {
 			var reports [2]interface{}
 			for vi, variant := range []string{"batched", "per-candidate"} {
@@ -24,10 +29,10 @@ func TestBatchedValidationEquivalence(t *testing.T) {
 					cfg.ValidateWorkers = 2
 				}
 				if variant == "per-candidate" {
-					cfg.NoBatchValidate = true
+					cfg.ValidateBatch = nil
 				}
-				// One tool name for both variants: it is embedded in every
-				// report, and the comparison below is byte-exact.
+				// One tool name for every run: it is embedded in every
+				// report, and the comparisons below are byte-exact.
 				r, err := RunPATAPipelined(c, cfg, "equiv", workers)
 				if err != nil {
 					t.Fatalf("%s workers=%d %s: %v", c.Spec.Name, workers, variant, err)
@@ -42,6 +47,11 @@ func TestBatchedValidationEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(reports[0], reports[1]) {
 				t.Errorf("%s workers=%d: batched and per-candidate bug reports differ", c.Spec.Name, workers)
+			}
+			if workers == 1 {
+				seq = reports[0]
+			} else if !reflect.DeepEqual(seq, reports[0]) {
+				t.Errorf("%s: workers=4 bug reports differ from workers=1", c.Spec.Name)
 			}
 		}
 	}

@@ -3,11 +3,61 @@ package exp
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/acache"
+	"repro/internal/callgraph"
+	"repro/internal/cir"
+	"repro/internal/core"
+	"repro/internal/minicc"
 	"repro/internal/oscorpus"
+	"repro/internal/report"
 )
+
+// incRun lowers sources and analyzes them through the pipelined scheduler,
+// with or without a cache, returning the result, the lowered module (for
+// call-graph queries), and the rendered bug report.
+func incRun(name string, sources map[string]string, cache core.EntryCache) (*core.Result, *cir.Module, string, error) {
+	mod, err := minicc.LowerAll(name, sources)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	cfg := PATAConfig()
+	cfg.Cache = cache
+	res := core.RunParallelCtx(baseCtx, mod, cfg, 4)
+	var sb strings.Builder
+	report.WriteBugs(&sb, res.Bugs)
+	return res, mod, sb.String(), nil
+}
+
+// expectedMisses counts the entry functions whose statically reachable set
+// includes at least one mutated function — the invalidation frontier.
+func expectedMisses(mod *cir.Module, mutated []string) int {
+	cg := callgraph.Build(mod)
+	n := 0
+	for _, fn := range cg.EntryFunctions() {
+		reach := cg.ReachableFrom(fn.Name)
+		for _, m := range mutated {
+			if reach[m] {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// skippedPct is the share of the run's accounted Stage-1 steps that were
+// replayed from the cache rather than executed live. Replayed entries
+// contribute their recorded counters to StepsExecuted (so warm stats mirror
+// a cold run's), which is why the denominator is the total, not a sum.
+func skippedPct(skipped, total int64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(skipped) / float64(total)
+}
 
 // TestIncrementalEquivalence pins the tentpole contract on a real corpus:
 // a warm re-run over unchanged sources serves every entry from the cache,

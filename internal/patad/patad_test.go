@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,19 +85,36 @@ func TestAnalyzeReportMatchesCLI(t *testing.T) {
 	}
 }
 
+// TestWarmAnalyzeByteIdentical: after a cold analyze, concurrent warm
+// analyzes each replay every entry from the store and render the cold report.
 func TestWarmAnalyzeByteIdentical(t *testing.T) {
-	srv := newTestServer(t, Options{Config: pata.Config{CacheDir: t.TempDir()}})
+	srv := newTestServer(t, Options{MaxInFlight: 2, Config: pata.Config{CacheDir: t.TempDir()}})
 	cold := srv.analyze(context.Background(), &Request{Op: OpAnalyze})
-	warm := srv.analyze(context.Background(), &Request{Op: OpAnalyze})
-	if !cold.OK || !warm.OK {
-		t.Fatalf("analyze failed: cold=%q warm=%q", cold.Error, warm.Error)
+	if !cold.OK {
+		t.Fatalf("cold analyze failed: %s", cold.Error)
 	}
-	if warm.Report != cold.Report {
-		t.Errorf("warm report differs from cold:\n--- cold\n%s--- warm\n%s", cold.Report, warm.Report)
+	const n = 4
+	warms := make([]*Response, n)
+	var wg sync.WaitGroup
+	for i := range warms {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			warms[i] = srv.analyze(context.Background(), &Request{Op: OpAnalyze})
+		}(i)
 	}
-	if warm.Stats.CacheEntriesHit != 2 || warm.Stats.CacheEntriesMiss != 0 {
-		t.Errorf("warm run not fully cached: hit=%d miss=%d",
-			warm.Stats.CacheEntriesHit, warm.Stats.CacheEntriesMiss)
+	wg.Wait()
+	for _, warm := range warms {
+		if !warm.OK {
+			t.Fatalf("warm analyze failed: %s", warm.Error)
+		}
+		if warm.Report != cold.Report {
+			t.Errorf("warm report differs from cold:\n--- cold\n%s--- warm\n%s", cold.Report, warm.Report)
+		}
+		if warm.Stats.CacheEntriesHit != 2 || warm.Stats.CacheEntriesMiss != 0 {
+			t.Errorf("warm run not fully cached: hit=%d miss=%d",
+				warm.Stats.CacheEntriesHit, warm.Stats.CacheEntriesMiss)
+		}
 	}
 }
 
@@ -247,13 +265,22 @@ func TestAdmissionShedsWithBackoffHint(t *testing.T) {
 	}
 }
 
+// TestRequestDeadlinePartialResult: a request whose deadline trips returns a
+// well-formed partial result, and the cancelled attempts leave no residue in
+// the capsule store — once the slowdown stops, the next analyze is complete
+// and byte-identical to the CLI.
 func TestRequestDeadlinePartialResult(t *testing.T) {
+	var slowOn atomic.Bool
+	slowOn.Store(true)
 	slow := func(entry string, rung int) *core.FaultSpec {
 		// Per-step slowdown: each entry would take many seconds; the 50ms
 		// request deadline trips at the first post-step poll instead.
+		if !slowOn.Load() {
+			return nil
+		}
 		return &core.FaultSpec{Slow: 200 * time.Millisecond}
 	}
-	srv := newTestServer(t, Options{FaultHook: slow, Config: pata.Config{MaxRetries: -1}})
+	srv := newTestServer(t, Options{FaultHook: slow, Config: pata.Config{MaxRetries: -1, CacheDir: t.TempDir()}})
 	start := time.Now()
 	resp := srv.analyze(context.Background(), &Request{Op: OpAnalyze, TimeoutMs: 50})
 	if d := time.Since(start); d > 5*time.Second {
@@ -272,6 +299,15 @@ func TestRequestDeadlinePartialResult(t *testing.T) {
 	}
 	if !strings.Contains(resp.Report, "incomplete analysis") {
 		t.Errorf("partial report missing incomplete section:\n%s", resp.Report)
+	}
+
+	slowOn.Store(false)
+	rec := srv.analyze(context.Background(), &Request{Op: OpAnalyze})
+	if !rec.OK || len(rec.Incomplete) != 0 {
+		t.Fatalf("recovery analyze: ok=%v incomplete=%+v err=%s", rec.OK, rec.Incomplete, rec.Error)
+	}
+	if want := cliReport(t, testSources(), pata.Config{}); rec.Report != want {
+		t.Errorf("recovery report != CLI report:\n--- daemon\n%s--- cli\n%s", rec.Report, want)
 	}
 }
 

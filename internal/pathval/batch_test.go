@@ -162,7 +162,7 @@ func TestVerdictCacheLRUBound(t *testing.T) {
 	}
 	// Single shard: with one global stripe the per-shard bound equals the
 	// validator bound, so the test pins the exact pre-sharding LRU behavior.
-	v.CacheShards = 1
+	v.cacheShards = 1
 	v.MaxCacheEntries = 1
 	want := perCandidateOutcomes(cands, core.ModePATA)
 	for round := 0; round < 2; round++ {

@@ -50,11 +50,6 @@ type Validator struct {
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64
-	// ShardConflicts counts contended verdict-cache lock acquisitions (a
-	// TryLock that lost to another worker). Pure contention telemetry for
-	// the scaling experiment; it never affects answers.
-	ShardConflicts int64
-
 	// Backend decides final (non-screened) solves; nil means the built-in
 	// solver. Set before the first validation (typically right after New).
 	Backend Backend
@@ -66,12 +61,11 @@ type Validator struct {
 	MaxCacheEntries int
 	MaxCacheBytes   int64
 
-	// CacheShards picks the verdict-cache stripe count before first use:
-	// 0 selects the default (16), 1 restores the single global-mutex layout
-	// (the pre-sharding baseline, used by the scaling experiment's A/B run
-	// and by tests that want exact global LRU order). Rounded up to a power
-	// of two. Ignored after the first validation.
-	CacheShards int
+	// cacheShards picks the verdict-cache stripe count before first use:
+	// 0 selects the default (16), 1 the single global-mutex layout (for
+	// tests that want exact global LRU order). Rounded up to a power of two.
+	// Ignored after the first validation.
+	cacheShards int
 
 	shardOnce sync.Once
 	shards    []*vshard
@@ -104,7 +98,7 @@ type verdict struct {
 
 // New returns a Validator with the default cache bounds and the built-in
 // solver backend. The verdict-cache shard table is built lazily on first
-// use, so CacheShards can still be set after New.
+// use.
 func New() *Validator {
 	return &Validator{
 		MaxCacheEntries: defaultMaxCacheEntries,
@@ -134,7 +128,7 @@ func New() *Validator {
 func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (res smt.Result, model smt.Model, hit, interrupted bool, evictions, disagreements int64) {
 	key := f.Key()
 	s := v.shardFor(key)
-	v.lock(s)
+	s.mu.Lock()
 	if elem, ok := s.cache[key]; ok {
 		s.lru.MoveToFront(elem)
 		e := elem.Value.(*centry).v
@@ -160,7 +154,7 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 	if disagreed {
 		disagreements = 1
 	}
-	v.lock(s)
+	s.mu.Lock()
 	if interrupted {
 		// Drop the timing artifact before releasing waiters.
 		v.removeLocked(s, elem)
@@ -178,7 +172,8 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 
 // Install wires the validator into an engine config: the per-candidate
 // entry point plus the batched group entry point (which the engine uses for
-// same-entry candidate groups unless Config.NoBatchValidate is set).
+// same-entry candidate groups; clear Config.ValidateBatch afterwards to
+// validate every candidate on its own).
 func (v *Validator) Install(cfg *core.Config) {
 	cfg.Validate = true
 	cfg.ValidatePath = v.ValidateCtx

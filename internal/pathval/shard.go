@@ -22,7 +22,6 @@ import (
 	"container/list"
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 )
 
 // defaultCacheShards is the shard count New configures. 16 comfortably
@@ -50,13 +49,12 @@ type vshard struct {
 }
 
 // shardsOf returns the validator's shard table, building it on first use.
-// The table size is CacheShards rounded up to a power of two (0 selects
-// defaultCacheShards; 1 is the single-shard "global mutex" layout, kept as
-// an A/B baseline for the scaling experiment and for tests that want the
-// exact pre-sharding LRU semantics).
+// The table size is cacheShards rounded up to a power of two (0 selects
+// defaultCacheShards; 1 is the single-shard "global mutex" layout, kept for
+// tests that want the exact pre-sharding LRU semantics).
 func (v *Validator) shardsOf() []*vshard {
 	v.shardOnce.Do(func() {
-		n := v.CacheShards
+		n := v.cacheShards
 		if n <= 0 {
 			n = defaultCacheShards
 		}
@@ -81,19 +79,6 @@ func (v *Validator) shardFor(key string) *vshard {
 	}
 	h := maphash.String(shardSeed, key)
 	return shards[h&uint64(len(shards)-1)]
-}
-
-// lock acquires the shard, counting contended acquisitions: a failed TryLock
-// means another validation worker holds this stripe right now. The counter
-// is the scaling experiment's direct measure of cache convoying — at one
-// shard it reproduces the old global-mutex contention, sharded it should
-// collapse toward zero.
-func (v *Validator) lock(s *vshard) {
-	if s.mu.TryLock() {
-		return
-	}
-	atomic.AddInt64(&v.ShardConflicts, 1)
-	s.mu.Lock()
 }
 
 // shardBounds returns the per-shard entry/byte budgets: the validator-wide

@@ -3,11 +3,15 @@ package pathval
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/minicc"
+	"repro/internal/oscorpus"
 	"repro/internal/smt"
 )
 
@@ -28,15 +32,15 @@ func TestShardTableShape(t *testing.T) {
 		{0, defaultCacheShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
 		v := New()
-		v.CacheShards = tc.req
+		v.cacheShards = tc.req
 		if got := len(v.shardsOf()); got != tc.want {
-			t.Errorf("CacheShards=%d: %d shards, want %d", tc.req, got, tc.want)
+			t.Errorf("cacheShards=%d: %d shards, want %d", tc.req, got, tc.want)
 		}
 	}
 	// Per-shard bounds divide the validator-wide bounds, rounding up so a
 	// tiny bound still admits one entry per shard.
 	v := New()
-	v.CacheShards = 8
+	v.cacheShards = 8
 	v.MaxCacheEntries = 20
 	v.MaxCacheBytes = 100
 	maxE, maxB := v.shardBounds()
@@ -171,7 +175,7 @@ func TestShardedCacheInFlightNeverEvicted(t *testing.T) {
 	be := &blockingBackend{release: make(chan struct{})}
 	v := New()
 	v.Backend = be
-	v.CacheShards = 1 // one shard: every formula lands on the in-flight entry's LRU
+	v.cacheShards = 1 // one shard: every formula lands on the in-flight entry's LRU
 	v.MaxCacheEntries = 1
 
 	done := make(chan bool)
@@ -219,5 +223,40 @@ func TestShardedCacheInFlightNeverEvicted(t *testing.T) {
 	}
 	if got := atomic.LoadInt64(&be.solves); got != 21 {
 		t.Errorf("%d solves, want 21 (1 original + 20 churn + 0 for the joiner)", got)
+	}
+}
+
+// TestShardLayoutReportIdentity runs the validation-heavy corpus through the
+// sequential engine and through the pipelined scheduler (4 Stage-1 and 4
+// Stage-2 workers) under both verdict-cache layouts — the sharded default and
+// the single global-mutex shard — and requires the same bugs, in the same
+// order, with the same trigger values every time: the shard layout only
+// changes lock contention, never answers.
+func TestShardLayoutReportIdentity(t *testing.T) {
+	c := oscorpus.Generate(oscorpus.ValidationHeavySpec())
+	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(shards, workers int) string {
+		v := New()
+		v.cacheShards = shards
+		cfg := core.Config{ValidateWorkers: workers}
+		v.Install(&cfg)
+		var sb strings.Builder
+		for _, b := range core.SortedBugs(core.RunParallel(mod, cfg, workers).Bugs) {
+			pos := b.BugInstr.Position()
+			fmt.Fprintf(&sb, "%s %s:%d %s\n", b.Type, pos.File, pos.Line, strings.Join(b.Trigger, ", "))
+		}
+		return sb.String()
+	}
+	want := render(0, 1)
+	if want == "" {
+		t.Fatal("no bugs reported; the corpus no longer exercises validation")
+	}
+	for _, tc := range []struct{ shards, workers int }{{1, 1}, {0, 4}, {1, 4}} {
+		if got := render(tc.shards, tc.workers); got != want {
+			t.Errorf("cacheShards=%d workers=%d: report differs from the sharded sequential run", tc.shards, tc.workers)
+		}
 	}
 }

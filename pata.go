@@ -52,20 +52,21 @@ type Config struct {
 	// SkipValidation disables Stage 2 (possible bugs are reported
 	// unfiltered).
 	SkipValidation bool
-	// NoPrune disables the Stage-1 on-the-fly feasibility pruning
-	// (default on): without it, provably contradictory branch subtrees
-	// are explored and their candidates are left for Stage-2 validation
-	// to drop.
+	// NoPrune makes the Stage-1 on-the-fly feasibility pruning
+	// unavailable. The pruning skips provably contradictory branch subtrees
+	// whose candidates Stage-2 validation would drop anyway; when available,
+	// the adaptive size gate decides per entry whether it runs.
 	NoPrune bool
-	// NoMemo disables the Stage-1 (block, state) memoization (default
-	// on): without it, repeated identical basic-block configurations are
-	// re-explored.
+	// NoMemo makes the Stage-1 (block, state) memoization unavailable. The
+	// memoization skips re-exploring repeated identical basic-block
+	// configurations; when available, the adaptive size gate decides per
+	// entry whether it runs.
 	NoMemo bool
-	// NoAdaptive disables the per-entry adaptive size gate (default on):
-	// without it, every entry runs the configured pruning and memoization
-	// layers, even small entries whose full exploration costs less than the
-	// layers' bookkeeping. Reports are identical either way; only
-	// wall-clock changes.
+	// NoAdaptive disables the per-entry adaptive size gate, forcing the
+	// available pruning and memoization layers on for every entry. The gate
+	// turns both layers off on entries whose full exploration costs less
+	// than the layers' bookkeeping — on the synthetic corpora that is every
+	// entry. Reports are identical either way; only wall-clock changes.
 	NoAdaptive bool
 	// MaxCallDepth bounds interprocedural inlining (default 8).
 	MaxCallDepth int
@@ -80,19 +81,20 @@ type Config struct {
 	// of multi-iteration bugs, §7).
 	LoopUnroll int
 	// Workers sets Stage-1 concurrency: N > 1 analyzes entry functions with
-	// N concurrent engines, 1 forces the sequential engine, and 0 or
-	// negative (the default) selects GOMAXPROCS. Findings are identical to
-	// a sequential run; only wall-clock changes. The same convention holds
-	// everywhere a worker count appears (cmd flags, core.RunParallel,
-	// ValidateWorkers): <= 0 means GOMAXPROCS, 1 means sequential.
+	// N concurrent engines, 1 a single one, and 0 or negative (the default)
+	// selects GOMAXPROCS. Findings are identical to a sequential run; only
+	// wall-clock changes. The same convention holds everywhere a worker
+	// count appears (cmd flags, core.RunParallel, ValidateWorkers): <= 0
+	// means GOMAXPROCS, 1 means one worker.
 	Workers int
 	// ValidateWorkers sets how many concurrent Stage-2 validation workers
 	// the pipelined scheduler uses: 0 or negative selects GOMAXPROCS, 1
-	// forces single-threaded validation. It applies whenever the pipelined
-	// scheduler runs (any non-sequential Workers value, an incremental
-	// cache, timeouts, or a cancellable context). Candidate bugs stream
-	// into the validator pool while path exploration is still running,
-	// overlapping SMT solving with Stage 1.
+	// single-threaded validation. Candidate bugs stream into the validator
+	// pool while path exploration is still running, overlapping SMT solving
+	// with Stage 1. When both worker counts resolve to 1 (explicitly, or
+	// through GOMAXPROCS=1) and no CacheDir, EntryTimeout, RunTimeout or
+	// cancellable context is in play, the analysis runs on the sequential
+	// engine instead of the pipelined scheduler.
 	ValidateWorkers int
 	// WitnessPaths renders each bug's witness path (source lines with
 	// branch directions) into Bug.Witness.
@@ -132,11 +134,6 @@ type Config struct {
 	// process (e.g. "smtlib2:z3 -in") whose check-sat answer is
 	// cross-checked against the builtin verdict.
 	ValidateBackend string
-	// NoBatchValidate disables batched prefix-sharing Stage-2 validation
-	// (default on): without it, every candidate solves its path condition
-	// from scratch even when same-entry candidates share long condition
-	// prefixes. Reports are identical either way; only wall-clock changes.
-	NoBatchValidate bool
 }
 
 // Bug is one validated finding.
@@ -239,7 +236,6 @@ func (c Config) engineConfig() (core.Config, error) {
 		RunTimeout:              c.RunTimeout,
 		MaxRetries:              c.MaxRetries,
 		ValidateBackend:         c.ValidateBackend,
-		NoBatchValidate:         c.NoBatchValidate,
 	}
 	if c.NoAlias {
 		ec.Mode = core.ModeNoAlias
@@ -289,20 +285,10 @@ func AnalyzeSourcesCtx(ctx context.Context, name string, sources map[string]stri
 	if err != nil {
 		return nil, err
 	}
-	var res *core.Result
-	// Per-entry isolation (timeouts, retries) lives in the parallel
-	// scheduler's worker loop, so isolated configs route through it even
-	// with one worker. Workers/ValidateWorkers use the unified convention
-	// (<= 0 = GOMAXPROCS, 1 = sequential), so only an explicit 1 on both
-	// stages bypasses the pipeline; RunParallelCtx itself falls back to the
-	// sequential engine when the resolved counts come out 1/1 with nothing
-	// to overlap, so single-CPU default runs stay on the sequential path.
-	isolated := cfg.EntryTimeout > 0 || cfg.RunTimeout > 0
-	if cfg.Workers != 1 || cfg.ValidateWorkers != 1 || ec.Cache != nil || isolated || ctx.Done() != nil {
-		res = core.RunParallelCtx(ctx, mod, ec, cfg.Workers)
-	} else {
-		res = core.NewEngine(mod, ec).RunCtx(ctx)
-	}
+	// RunParallelCtx picks the scheduler: it falls back to the sequential
+	// engine when both resolved worker counts are 1 and there is no cache,
+	// deadline or cancellable context to serve.
+	res := core.RunParallelCtx(ctx, mod, ec, cfg.Workers)
 	return convert(res, cfg.WitnessPaths), nil
 }
 
