@@ -13,8 +13,7 @@
 //	-no-alias              run the PATA-NA alias-unaware variant (§5.4)
 //	-no-validate           skip Stage-2 SMT path validation
 //	-no-prune              make Stage-1 infeasible-branch pruning unavailable
-//	-no-memo               make Stage-1 (block, state) memoization unavailable
-//	-no-adaptive           disable the per-entry size gate (force pruning and memoization on)
+//	-no-adaptive           disable the per-entry size gate (force pruning on)
 //	-validate-backend B    Stage-2 solver backend: builtin, smtlib2, or smtlib2:CMD
 //	-max-conts N           callee continuations per call (P2 cap; negative = unlimited)
 //	-stats                 print engine statistics
@@ -65,8 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noAlias := flags.Bool("no-alias", false, "disable alias analysis (PATA-NA)")
 	noValidate := flags.Bool("no-validate", false, "skip SMT path validation")
 	noPrune := flags.Bool("no-prune", false, "make Stage-1 on-the-fly infeasible-branch pruning unavailable (the size gate decides per entry whether it runs; -no-adaptive forces it on)")
-	noMemo := flags.Bool("no-memo", false, "make Stage-1 (block, state) subtree memoization unavailable (the size gate decides per entry whether it runs; -no-adaptive forces it on)")
-	noAdaptive := flags.Bool("no-adaptive", false, "disable the per-entry adaptive size gate (run pruning and memoization on every entry)")
+	noAdaptive := flags.Bool("no-adaptive", false, "disable the per-entry adaptive size gate (run pruning on every entry; the bug set is the same, a witness may differ)")
 	validateBackend := flags.String("validate-backend", "", "Stage-2 solver backend: builtin (default), smtlib2, or smtlib2:CMD ARGS to cross-check against an external SMT-LIB2 solver")
 	maxConts := flags.Int("max-conts", 0, "callee continuations per call: the P2 cap (0 = default 2, negative = unlimited)")
 	stats := flags.Bool("stats", false, "print engine statistics")
@@ -95,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		NoAlias:                 *noAlias,
 		SkipValidation:          *noValidate,
 		NoPrune:                 *noPrune,
-		NoMemo:                  *noMemo,
 		NoAdaptive:              *noAdaptive,
 		MaxContinuationsPerCall: *maxConts,
 		LoopUnroll:              *unroll,

@@ -13,12 +13,10 @@ package aliasgraph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/cir"
-	"repro/internal/hmix"
 )
 
 // LabelKind distinguishes edge labels.
@@ -102,31 +100,6 @@ type Graph struct {
 	nodes  []*Node
 	trail  []undo
 	nextID int
-
-	// fp is an incrementally maintained canonical fingerprint of the live
-	// graph: the XOR of one mixed hash per fact, where the facts are
-	// variable-class memberships (v ∈ n), labelled edges (n₁ →l n₂), and
-	// constant bindings (n = c). XOR makes every update O(1) and exactly
-	// reversible through the same trail that drives Rollback, and it is
-	// order-independent, so two graphs reached along different DFS prefixes
-	// fingerprint equal iff they hold the same facts over the same node IDs
-	// (IDs are reproducible because Rollback also rewinds nextID).
-	fp uint64
-	// valHash caches a stable per-variable hash (derived from the value's
-	// printed name plus its owning function, never from pointer identity, so
-	// fingerprints are reproducible across engines).
-	valHash map[cir.Value]uint64
-	// labelHash caches per-label hashes.
-	labelHash map[Label]uint64
-	// canonLabels/canonSeeded are scratch maps reused across CanonState
-	// calls (the engine calls it at every CFG join it enters, so per-call
-	// allocation dominated its cost).
-	canonLabels map[*Node]uint64
-	canonSeeded map[*Node]bool
-	// canonSub/canonInSub are CanonStateSeeded's scratch: the seed-reachable
-	// subgraph in creation order, and its membership set.
-	canonSub   []*Node
-	canonInSub map[*Node]bool
 }
 
 // Mark is a checkpoint into the trail.
@@ -154,102 +127,19 @@ type undo struct {
 // are first touched, which is semantically identical to the paper's
 // initialization of one isolated node per program variable.
 func New() *Graph {
-	return &Graph{
-		varOf:     make(map[cir.Value]*Node),
-		valHash:   make(map[cir.Value]uint64),
-		labelHash: make(map[Label]uint64),
-	}
+	return &Graph{varOf: make(map[cir.Value]*Node)}
 }
 
 // Reset returns the graph to the empty state New produces while keeping the
 // allocations a previous run warmed up: the backing arrays of nodes/trail and
-// the valHash/labelHash caches (both are pure functions of their keys, so
-// stale entries can never change a hash). Node IDs restart at 1 and the
-// fingerprint at 0, so a reset graph replays a path bit-identically to a
-// fresh one — which is what lets the path validator pool replayers instead of
-// allocating graph+maps per candidate.
+// the varOf map. Node IDs restart at 1, so a reset graph replays a path
+// bit-identically to a fresh one — which is what lets the path validator
+// pool replayers instead of allocating graph+maps per candidate.
 func (g *Graph) Reset() {
 	clear(g.varOf)
 	g.nodes = g.nodes[:0]
 	g.trail = g.trail[:0]
 	g.nextID = 0
-	g.fp = 0
-}
-
-// Fingerprint returns the incrementally maintained hash of the live graph.
-// Equal graphs (same memberships, edges, and constant bindings over the same
-// node IDs) always fingerprint equal; distinct graphs collide only with
-// ordinary 64-bit hash probability.
-func (g *Graph) Fingerprint() uint64 { return g.fp }
-
-// Fact tags keep the three fact families in disjoint hash spaces.
-const (
-	tagMember uint64 = 1
-	tagEdge   uint64 = 2
-	tagConst  uint64 = 3
-	// tagCanonReach labels var-less nodes in CanonState by the path that
-	// reaches them, keeping those labels disjoint from seed labels.
-	tagCanonReach uint64 = 4
-)
-
-func (g *Graph) vhash(v cir.Value) uint64 {
-	if h, ok := g.valHash[v]; ok {
-		return h
-	}
-	var h uint64
-	if r, ok := v.(*cir.Register); ok {
-		// Register strings are only unique within a function; qualify with
-		// the owning function's name.
-		fn := ""
-		if r.Fn != nil {
-			fn = r.Fn.Name
-		}
-		h = hmix.Mix2(hmix.Str(fn), uint64(r.ID))
-	} else {
-		h = hmix.Str(v.String())
-	}
-	g.valHash[v] = h
-	return h
-}
-
-func (g *Graph) lhash(l Label) uint64 {
-	if h, ok := g.labelHash[l]; ok {
-		return h
-	}
-	h := hmix.Mix2(uint64(l.Kind), hmix.Str(l.Name))
-	g.labelHash[l] = h
-	return h
-}
-
-func (g *Graph) memberFact(v cir.Value, n *Node) uint64 {
-	return hmix.Mix3(tagMember, g.vhash(v), uint64(n.ID))
-}
-
-func (g *Graph) edgeFact(from *Node, l Label, to *Node) uint64 {
-	return hmix.Mix4(tagEdge, uint64(from.ID), g.lhash(l), uint64(to.ID))
-}
-
-func constHash(c *cir.Const) uint64 {
-	switch {
-	case c.IsNull:
-		return hmix.Mix2(1, 0)
-	case c.IsStr:
-		return hmix.Mix2(2, hmix.Str(c.Str))
-	default:
-		return hmix.Mix2(3, uint64(c.Val))
-	}
-}
-
-func (g *Graph) constFact(n *Node, c *cir.Const) uint64 {
-	return hmix.Mix3(tagConst, uint64(n.ID), constHash(c))
-}
-
-// toggleConst XORs the binding fact n = c in or out; nil bindings carry no
-// fact, so set/rollback stay symmetric.
-func (g *Graph) toggleConst(n *Node, c *cir.Const) {
-	if c != nil {
-		g.fp ^= g.constFact(n, c)
-	}
 }
 
 func (g *Graph) newNode() *Node {
@@ -269,7 +159,6 @@ func (g *Graph) NodeOf(v cir.Value) *Node {
 	n := g.newNode()
 	n.vars[v] = struct{}{}
 	g.varOf[v] = n
-	g.fp ^= g.memberFact(v, n)
 	g.trail = append(g.trail, undo{kind: uVarMove, v: v, from: nil, to: n})
 	return n
 }
@@ -283,17 +172,14 @@ func (g *Graph) moveVar(v cir.Value, from, to *Node) {
 	}
 	if from != nil {
 		delete(from.vars, v)
-		g.fp ^= g.memberFact(v, from)
 	}
 	to.vars[v] = struct{}{}
 	g.varOf[v] = to
-	g.fp ^= g.memberFact(v, to)
 	g.trail = append(g.trail, undo{kind: uVarMove, v: v, from: from, to: to})
 }
 
 func (g *Graph) addEdge(from *Node, l Label, to *Node) {
 	from.out[l] = to
-	g.fp ^= g.edgeFact(from, l, to)
 	g.trail = append(g.trail, undo{kind: uEdgeAdd, from: from, to: to, label: l})
 }
 
@@ -303,15 +189,12 @@ func (g *Graph) delEdge(from *Node, l Label) {
 		return
 	}
 	delete(from.out, l)
-	g.fp ^= g.edgeFact(from, l, to)
 	g.trail = append(g.trail, undo{kind: uEdgeDel, from: from, to: to, label: l})
 }
 
 func (g *Graph) setConst(n *Node, c *cir.Const) {
 	g.trail = append(g.trail, undo{kind: uConstSet, to: n, oldConst: n.ConstVal})
-	g.toggleConst(n, n.ConstVal)
 	n.ConstVal = c
-	g.toggleConst(n, c)
 }
 
 // Checkpoint returns a mark for Rollback.
@@ -325,31 +208,25 @@ func (g *Graph) Rollback(mark Mark) {
 		switch u.kind {
 		case uVarMove:
 			delete(u.to.vars, u.v)
-			g.fp ^= g.memberFact(u.v, u.to)
 			if u.from != nil {
 				u.from.vars[u.v] = struct{}{}
 				g.varOf[u.v] = u.from
-				g.fp ^= g.memberFact(u.v, u.from)
 			} else {
 				delete(g.varOf, u.v)
 			}
 		case uEdgeAdd:
 			delete(u.from.out, u.label)
-			g.fp ^= g.edgeFact(u.from, u.label, u.to)
 		case uEdgeDel:
 			u.from.out[u.label] = u.to
-			g.fp ^= g.edgeFact(u.from, u.label, u.to)
 		case uNodeNew:
 			g.nodes = g.nodes[:len(g.nodes)-1]
-			// Rewind the ID counter too: node IDs feed the fingerprint, and
-			// rewinding makes them reproducible across sibling subtrees of
-			// the DFS (the next allocation after a rollback reuses the ID the
-			// rolled-back node had, in the same structural position).
+			// Rewind the ID counter too, so node IDs are reproducible across
+			// sibling subtrees of the DFS (the next allocation after a
+			// rollback reuses the ID the rolled-back node had, in the same
+			// structural position).
 			g.nextID--
 		case uConstSet:
-			g.toggleConst(u.to, u.to.ConstVal)
 			u.to.ConstVal = u.oldConst
-			g.toggleConst(u.to, u.oldConst)
 		}
 	}
 }
@@ -503,214 +380,6 @@ func (g *Graph) AccessPaths(n *Node, maxDepth int) []string {
 	walk(n, "", 0, map[*Node]bool{n: true})
 	sort.Strings(out)
 	return out
-}
-
-// CanonState returns a node-ID-independent digest of the graph portion
-// reachable (forward, through labelled edges) from relevant program
-// variables, together with the canonical per-node labels it derived. Two
-// graphs holding the same relevant facts digest equal no matter how many
-// nodes were allocated and rolled back on the way there — which the
-// incremental Fingerprint, whose facts embed allocation-order node IDs,
-// cannot promise. The engine's (block, state) memo needs exactly this
-// ID-independence: different DFS prefixes that converge on the same logical
-// configuration must produce the same key.
-//
-// relevant restricts the digest to the variables a caller can still observe
-// (the engine passes "used by an instruction the subtree can reach"); nil
-// means every variable is relevant. Irrelevant variables contribute no seed
-// and no membership fact: a dead condition register absorbed into a class
-// must not distinguish two otherwise-identical configurations, because no
-// future graph query can name it. Nodes holding only irrelevant variables
-// can still inherit a propagated label — the subtree can navigate to them
-// through edges from relevant ones.
-//
-// Labels: a node holding relevant variables is seeded with the XOR of those
-// members' hashes; other nodes inherit the minimum of Mix(label(pred),
-// label(edge)) over their predecessors, propagated to a fixpoint. Nodes
-// unreachable from every relevant variable stay unlabelled and contribute
-// nothing — the subtree resolves objects only through values it uses, so it
-// can never read their facts. Callers that hold their own node references
-// (the typestate tracker) must treat a missing label as either droppable or
-// "not canonicalizable" depending on whether the fact can fire without a
-// variable naming it (see Tracker.CanonDigest).
-//
-// The digest XORs one hash per fact — membership (vhash, label), edge
-// (label, edge hash, label), constant binding (label, const hash) — so it is
-// independent of iteration order; the fixpoint makes it independent of node
-// allocation order.
-//
-// The returned label map is scratch storage owned by the graph: it is valid
-// only until the next CanonState call.
-func (g *Graph) CanonState(relevant func(cir.Value) bool) (uint64, map[*Node]uint64) {
-	if g.canonLabels == nil {
-		g.canonLabels = make(map[*Node]uint64, len(g.varOf))
-		g.canonSeeded = make(map[*Node]bool, len(g.varOf))
-	}
-	labels, seeded := g.canonLabels, g.canonSeeded
-	clear(labels)
-	clear(seeded)
-	for v, n := range g.varOf {
-		if relevant != nil && !relevant(v) {
-			continue
-		}
-		labels[n] ^= hmix.Mix2(tagMember, g.vhash(v))
-		seeded[n] = true
-	}
-	// Propagate labels into non-seeded nodes, min-combining so the result is
-	// independent of visit order once the fixpoint is reached. Labels only
-	// decrease; seeds are never overwritten. The round cap bounds
-	// pathological cycles — an early exit there can only split one logical
-	// configuration into several labels (missed memo hits), never merge two
-	// distinct ones.
-	for round := 0; round <= len(g.nodes); round++ {
-		changed := false
-		for _, n := range g.nodes {
-			ln, ok := labels[n]
-			if !ok {
-				continue
-			}
-			for l, t := range n.out {
-				if seeded[t] {
-					continue
-				}
-				cand := hmix.Mix3(tagCanonReach, ln, g.lhash(l))
-				if cur, ok := labels[t]; !ok || cand < cur {
-					labels[t] = cand
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	var d uint64
-	for v, n := range g.varOf {
-		if relevant != nil && !relevant(v) {
-			continue
-		}
-		d ^= hmix.Mix3(tagMember, g.vhash(v), labels[n])
-	}
-	for _, n := range g.nodes {
-		ln, ok := labels[n]
-		if !ok {
-			continue
-		}
-		if n.ConstVal != nil {
-			d ^= hmix.Mix3(tagConst, ln, constHash(n.ConstVal))
-		}
-		for l, t := range n.out {
-			if lt, ok := labels[t]; ok {
-				d ^= hmix.Mix4(tagEdge, ln, g.lhash(l), lt)
-			}
-		}
-	}
-	return d, labels
-}
-
-// CanonStateSeeded computes exactly what CanonState computes, but in time
-// proportional to the seed-reachable subgraph instead of the whole graph.
-// The caller passes the relevant variables directly (each exactly once —
-// seeding XORs, so a duplicate would cancel itself; unbound variables are
-// skipped) instead of having the graph filter every variable it has ever
-// bound; the fixpoint and the digest then walk only the nodes reachable from
-// the seeds. Since label propagation can only flow out of labelled nodes,
-// every node CanonState would label lies in that reachable set, and
-// iterating it in node-creation order with the same round cap replays the
-// full loop's update sequence verbatim — the digest, the label map, and even
-// the early-exit behaviour on pathological cycles are bit-identical
-// (TestCanonSeededCrossCheck pins this against the full path on whole
-// corpora).
-//
-// The returned label map is scratch storage owned by the graph, valid only
-// until the next CanonState/CanonStateSeeded call; vars is borrowed only for
-// the duration of the call.
-func (g *Graph) CanonStateSeeded(vars []cir.Value) (uint64, map[*Node]uint64) {
-	if g.canonLabels == nil {
-		g.canonLabels = make(map[*Node]uint64, len(g.varOf))
-		g.canonSeeded = make(map[*Node]bool, len(g.varOf))
-	}
-	if g.canonInSub == nil {
-		g.canonInSub = make(map[*Node]bool, len(g.varOf))
-	}
-	labels, seeded, inSub := g.canonLabels, g.canonSeeded, g.canonInSub
-	clear(labels)
-	clear(seeded)
-	clear(inSub)
-	sub := g.canonSub[:0]
-	for _, v := range vars {
-		n := g.varOf[v]
-		if n == nil {
-			continue
-		}
-		labels[n] ^= hmix.Mix2(tagMember, g.vhash(v))
-		if !seeded[n] {
-			seeded[n] = true
-			inSub[n] = true
-			sub = append(sub, n)
-		}
-	}
-	// Close the seed set under out-edges; sub doubles as the BFS queue.
-	for i := 0; i < len(sub); i++ {
-		for _, t := range sub[i].out {
-			if !inSub[t] {
-				inSub[t] = true
-				sub = append(sub, t)
-			}
-		}
-	}
-	// Creation order = ID order: restricting the full loop's iteration to
-	// this subset preserves the in-round update sequence exactly.
-	slices.SortFunc(sub, func(a, b *Node) int { return a.ID - b.ID })
-	// Same round cap as CanonState (the full node count, not the subset):
-	// the cap only matters on pathological cycles, and both paths must give
-	// up after the same number of rounds to stay bit-identical there.
-	for round := 0; round <= len(g.nodes); round++ {
-		changed := false
-		for _, n := range sub {
-			ln, ok := labels[n]
-			if !ok {
-				continue
-			}
-			for l, t := range n.out {
-				if seeded[t] {
-					continue
-				}
-				cand := hmix.Mix3(tagCanonReach, ln, g.lhash(l))
-				if cur, ok := labels[t]; !ok || cand < cur {
-					labels[t] = cand
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	var d uint64
-	for _, v := range vars {
-		n := g.varOf[v]
-		if n == nil {
-			continue
-		}
-		d ^= hmix.Mix3(tagMember, g.vhash(v), labels[n])
-	}
-	for _, n := range sub {
-		ln, ok := labels[n]
-		if !ok {
-			continue
-		}
-		if n.ConstVal != nil {
-			d ^= hmix.Mix3(tagConst, ln, constHash(n.ConstVal))
-		}
-		for l, t := range n.out {
-			if lt, ok := labels[t]; ok {
-				d ^= hmix.Mix4(tagEdge, ln, g.lhash(l), lt)
-			}
-		}
-	}
-	g.canonSub = sub[:0]
-	return d, labels
 }
 
 // SameClass reports whether a and b currently reside in the same alias class.

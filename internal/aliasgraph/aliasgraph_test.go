@@ -192,6 +192,68 @@ func TestRollbackRestoresExactState(t *testing.T) {
 	}
 }
 
+// TestFingerprintRollbackRestores: Rollback rewinds the node-ID counter, so
+// replaying the same operations after a rollback rebuilds the same graph with
+// the same node IDs (String prints them).
+func TestFingerprintRollbackRestores(t *testing.T) {
+	g := New()
+	a, b, c := reg("a"), reg("b"), reg("c")
+	g.Move(b, a)
+	before := g.String()
+	m := g.Checkpoint()
+	mutate := func() {
+		g.Store(a, c)
+		g.Load(b, a)
+		g.MoveConst(c, cir.IntConst(cir.I64, 7))
+	}
+	mutate()
+	after := g.String()
+	if after == before {
+		t.Fatal("mutations must change the graph")
+	}
+	g.Rollback(m)
+	if got := g.String(); got != before {
+		t.Fatalf("rollback mismatch:\nbefore:\n%s\nafter:\n%s", before, got)
+	}
+	mutate()
+	if got := g.String(); got != after {
+		t.Fatalf("replay after rollback differs (node IDs not reproduced?):\nfirst:\n%s\nreplay:\n%s", after, got)
+	}
+}
+
+// TestFingerprintEmptyNodesInvisible: a node with no members, edges, or
+// constants holds no facts, so allocating and abandoning a scratch node
+// leaves the printed graph unchanged, and a rollback past it lets a replay
+// reuse its node ID.
+func TestFingerprintEmptyNodesInvisible(t *testing.T) {
+	g := New()
+	a, b, c := reg("a"), reg("b"), reg("c")
+	g.Move(b, a)
+	before := g.String()
+	m := g.Checkpoint()
+	mutate := func() {
+		g.Store(a, c)
+		g.Load(b, a)
+		g.MoveConst(c, cir.IntConst(cir.I64, 7))
+	}
+	mutate()
+	after := g.String()
+	g.Rollback(m)
+
+	g.newNode()
+	if got := g.String(); got != before {
+		t.Fatalf("an empty node changed the graph:\n%s", got)
+	}
+	g.Rollback(m)
+	if got := g.String(); got != before {
+		t.Fatalf("rollback past an empty node mismatch:\nbefore:\n%s\nafter:\n%s", before, got)
+	}
+	mutate()
+	if got := g.String(); got != after {
+		t.Fatalf("replay after an abandoned node differs:\nfirst:\n%s\nreplay:\n%s", after, got)
+	}
+}
+
 func TestNestedRollback(t *testing.T) {
 	g := New()
 	p := reg("p")

@@ -50,66 +50,6 @@ func BenchmarkCheckpointRollback(b *testing.B) {
 	}
 }
 
-// canonBenchGraph builds a graph shaped like a deep DFS state: many bound
-// variables, chains of field edges, and a small relevant subset — the shape
-// where the seeded canonicalization should beat the full scan.
-func canonBenchGraph() (*Graph, []cir.Value) {
-	g := New()
-	vars := make([]cir.Value, 256)
-	for i := range vars {
-		vars[i] = &cir.Register{ID: i, Name: "v", Typ: cir.PointerTo(cir.I64)}
-		g.NodeOf(vars[i])
-	}
-	for i := 0; i+1 < len(vars); i += 2 {
-		g.GEP(vars[i+1], vars[i], FieldLabel("f"))
-	}
-	for i := 0; i+4 < len(vars); i += 4 {
-		g.Store(vars[i], vars[i+2])
-	}
-	// A 16-variable relevant slice, as a join-point memo key would see.
-	return g, vars[:16]
-}
-
-// BenchmarkCanonState compares the two canonicalization paths the engine
-// chooses between when computing memo keys: the full CanonState
-// scan (filter every variable, fixpoint over every node) and the
-// seed-restricted CanonStateSeeded walk. The seeded path is the default;
-// its allocs/op must stay at zero so join-heavy entries don't churn.
-func BenchmarkCanonState(b *testing.B) {
-	g, relevant := canonBenchGraph()
-	rel := make(map[cir.Value]bool, len(relevant))
-	for _, v := range relevant {
-		rel[v] = true
-	}
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if d, _ := g.CanonState(func(v cir.Value) bool { return rel[v] }); d == 0 {
-				b.Fatal("zero digest")
-			}
-		}
-	})
-	b.Run("seeded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if d, _ := g.CanonStateSeeded(relevant); d == 0 {
-				b.Fatal("zero digest")
-			}
-		}
-	})
-}
-
-// TestCanonStateSeededSteadyStateAllocs guards the seeded path's hot-loop
-// allocation behavior: after scratch warm-up, a digest query must not
-// allocate (the engine runs one per CFG join it enters).
-func TestCanonStateSeededSteadyStateAllocs(t *testing.T) {
-	g, relevant := canonBenchGraph()
-	g.CanonStateSeeded(relevant) // warm the scratch maps/slices
-	if avg := testing.AllocsPerRun(100, func() { g.CanonStateSeeded(relevant) }); avg > 0 {
-		t.Errorf("CanonStateSeeded allocates %.1f/op in steady state, want 0", avg)
-	}
-}
-
 // BenchmarkAccessPaths measures alias-set extraction for reporting.
 func BenchmarkAccessPaths(b *testing.B) {
 	g := New()

@@ -1,35 +1,36 @@
 // Per-entry adaptive size gate: decide, before exploring an entry function,
-// whether the pruning and memoization layers can pay for themselves on it.
+// whether on-the-fly pruning can pay for itself on it.
 //
-// On small corpora the precision layers eliminate most paths yet still lose
-// wall-clock, because canonicalization and cursor upkeep cost more than the
-// skipped exploration was worth. An entry whose call-graph closure is small
-// (few instructions, few branches) cannot explode — its full unpruned
-// exploration is cheaper than one round of layer bookkeeping — so it runs
-// with both layers off.
+// On small corpora pruning eliminates many paths yet still loses
+// wall-clock, because cursor upkeep costs more than the skipped exploration
+// was worth. An entry whose call-graph closure is small (few instructions,
+// few branches) cannot explode — its full unpruned exploration is cheaper
+// than the cursor's bookkeeping — so it runs with pruning off.
 //
-// Report invariance: each layer individually preserves the validated bug
-// set (pruning only discards Stage-2-infeasible paths; memo hits replay
-// recorded emissions), so either choice yields a byte-identical report.
+// Report invariance: pruning only discards Stage-2-infeasible paths, so
+// either choice yields the same validated bug set. The witness can differ:
+// a pruned exploration may reach a bug along a different first path, which
+// changes its reported path length, alias set and trigger. That is why
+// NoAdaptive is salted into the cache key (analysisSalt).
 // Determinism: the gate reads only static closure sizes, so parallel and
 // sequential runs — and repeated runs — decide identically.
 package core
 
 import "repro/internal/cir"
 
-// Size gate: run both layers off when the entry's call-graph closure has at
+// Size gate: run pruning off when the entry's call-graph closure has at
 // most this many branches and instructions. Worst-case unpruned path count
 // grows with branch count; a closure this small cannot outgrow plain
 // exploration. Values were fixed empirically on the synthetic corpora; at
-// these values every entry of every bench/ workload is light, so neither
-// layer runs at defaults (DESIGN.md §9).
+// these values every entry of every bench/ workload is light, so pruning
+// never runs at defaults (DESIGN.md §9).
 const (
 	adaptGateBranches = 10
 	adaptGateInstrs   = 400
 )
 
 // adaptiveOn reports whether the size gate is active for this config
-// (mirrors the layer toggles' ModePATA/Trace gating).
+// (mirrors pruning's ModePATA/Trace gating).
 func (c *Config) adaptiveOn() bool {
 	return c.Mode == ModePATA && c.Trace == nil && !c.NoAdaptive
 }
@@ -88,7 +89,7 @@ func (e *Engine) closureCounts(fn *cir.Function) fnCounts {
 }
 
 // adaptSmall reports whether fn's closure is too little to outgrow plain
-// exploration, so prune/memo bookkeeping cannot pay for itself.
+// exploration, so pruning's bookkeeping cannot pay for itself.
 func (e *Engine) adaptSmall(fn *cir.Function) bool {
 	c := e.closureCounts(fn)
 	return c.branches <= adaptGateBranches && c.instrs <= adaptGateInstrs

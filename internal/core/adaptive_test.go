@@ -59,8 +59,8 @@ func TestAdaptiveGateCounters(t *testing.T) {
 	if res.Stats.AdaptiveEntriesLight == 0 {
 		t.Errorf("no zephyr-like entry was size-gated: %+v", res.Stats)
 	}
-	if res.Stats.PrunedBranches != 0 || res.Stats.MemoHits != 0 {
-		t.Errorf("light entries still ran prune/memo: %+v", res.Stats)
+	if res.Stats.PrunedBranches != 0 {
+		t.Errorf("light entries still pruned: %+v", res.Stats)
 	}
 
 	off := cfg
@@ -75,10 +75,11 @@ func TestAdaptiveGateCounters(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCacheRoundTrip proves adaptivity does not leak into the
-// incremental cache: capsules recorded by an adaptive run replay under
-// NoAdaptive (and vice versa) because the salt excludes the scheduling
-// knobs, and the replayed bug set matches a cold non-adaptive run.
+// TestAdaptiveCacheRoundTrip pins that NoAdaptive is part of the cache key:
+// forcing pruning on can change a bug's witness, so capsules recorded by an
+// adaptive run must not replay under NoAdaptive. The NoAdaptive run misses
+// every entry, reports what a cacheless NoAdaptive run reports, and then
+// replays its own capsules.
 func TestAdaptiveCacheRoundTrip(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.ZephyrSpec())
 	lower := func() *cir.Module {
@@ -89,20 +90,51 @@ func TestAdaptiveCacheRoundTrip(t *testing.T) {
 		return mod
 	}
 	cache := newMemCache()
-	mk := func(noAdaptive bool) core.Config {
+	mk := func(noAdaptive bool, cache core.EntryCache) core.Config {
 		cfg := core.Config{Checkers: typestate.CoreCheckers(), Cache: cache, NoAdaptive: noAdaptive}
 		pathval.New().Install(&cfg)
 		return cfg
 	}
-	cold := core.RunParallel(lower(), mk(false), 2) // adaptive writes the capsules
+	cold := core.RunParallel(lower(), mk(false, cache), 2) // adaptive writes the capsules
 	if cold.Stats.CacheEntriesMiss == 0 {
 		t.Fatalf("cold run hit a fresh cache: %+v", cold.Stats)
 	}
-	warm := core.RunParallel(lower(), mk(true), 2) // non-adaptive replays them
-	if warm.Stats.CacheEntriesMiss != 0 {
-		t.Errorf("NoAdaptive warm run missed: %+v — the salt leaked an adaptive knob", warm.Stats)
+	forced := core.RunParallel(lower(), mk(true, cache), 2)
+	if forced.Stats.CacheEntriesHit != 0 || forced.Stats.CacheEntriesMiss != cold.Stats.CacheEntriesMiss {
+		t.Errorf("NoAdaptive run replayed adaptive capsules: %+v — NoAdaptive is not salted", forced.Stats)
 	}
-	if got, want := bugReport(warm), bugReport(cold); got != want {
-		t.Errorf("warm NoAdaptive replay changed the report:\n--- cold adaptive\n%s\n--- warm\n%s", want, got)
+	want := bugReport(core.RunParallel(lower(), mk(true, nil), 2))
+	if got := bugReport(forced); got != want {
+		t.Errorf("NoAdaptive run over an adaptive cache changed the report:\n--- cacheless\n%s\n--- cached\n%s", want, got)
+	}
+	warm := core.RunParallel(lower(), mk(true, cache), 2)
+	if warm.Stats.CacheEntriesMiss != 0 {
+		t.Errorf("second NoAdaptive run missed its own capsules: %+v", warm.Stats)
+	}
+}
+
+// TestAdaptiveWarmMatchesCold: on validate-heavy, forced pruning reports a
+// different witness (path length, alias set, trigger) for some bugs. A
+// default run over a cache a NoAdaptive run filled must still print exactly
+// what a cold default run prints.
+func TestAdaptiveWarmMatchesCold(t *testing.T) {
+	c := oscorpus.Generate(oscorpus.ValidationHeavySpec())
+	lower := func() *cir.Module {
+		mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mod
+	}
+	mk := func(noAdaptive bool, cache core.EntryCache) core.Config {
+		cfg := core.Config{Cache: cache, NoAdaptive: noAdaptive}
+		pathval.New().Install(&cfg)
+		return cfg
+	}
+	cache := newMemCache()
+	core.RunParallel(lower(), mk(true, cache), 2)
+	want := bugReport(core.RunParallel(lower(), mk(false, nil), 2))
+	if got := bugReport(core.RunParallel(lower(), mk(false, cache), 2)); got != want {
+		t.Errorf("default run over a NoAdaptive cache differs from a cold default run:\n--- cold\n%s\n--- warm\n%s", want, got)
 	}
 }

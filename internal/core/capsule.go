@@ -27,7 +27,7 @@ type EntryCache interface {
 // every cached capsule and verdict at once. Bump it whenever the capsule
 // layout, the Stats replayed from it, or the engine's exploration semantics
 // change in a way old capsules cannot represent.
-const capsuleVersion = 3
+const capsuleVersion = 4
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
@@ -47,7 +47,10 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h = hmix.Mix3(h,
 		uint64(int64(c.MaxContinuationsPerCall)),
 		uint64(int64(c.LoopUnroll)))
-	h = hmix.Mix3(h, boolBit(c.NoPrune), boolBit(c.NoMemo))
+	// NoAdaptive is salted with NoPrune: forcing pruning on keeps the
+	// validated bug set but can pick a different witness (path, alias set,
+	// trigger) for a bug, and capsules persist witnesses.
+	h = hmix.Mix3(h, boolBit(c.NoPrune), boolBit(c.NoAdaptive))
 	h = hmix.Mix2(h, boolBit(c.Validate && c.ValidatePath != nil))
 	// The Stage-2 backend IS salted: an external solver may refute systems
 	// the builtin cannot, so verdicts persisted under one backend must not
@@ -57,9 +60,6 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	// EntryTimeout/RunTimeout/MaxRetries deliberately are not — degraded
 	// entries are simply never persisted, so timing knobs cannot poison
 	// the cache and changing them must not invalidate healthy capsules.
-	// NoAdaptive is likewise excluded: the size gate only re-schedules
-	// work, and every layer combination it selects is report-preserving, so
-	// the persisted candidates are identical under either setting.
 	h = hmix.Mix2(h, boolBit(c.FaultHook != nil))
 	h = hmix.Mix2(h, uint64(len(c.Checkers)))
 	for _, chk := range c.Checkers {
@@ -202,10 +202,8 @@ func (t *refTable) stepsOf(path []PathStep) ([]stepC, bool) {
 }
 
 // originInstr finds the candidate's origin instruction on one of its
-// witness paths. Soundness note: memo canonical digests include
-// the tracked object's __origin prop, so a replayed emission's origin is
-// always reachable on the grafted path — the search failing means the
-// candidate isn't capsule-representable, and the caller skips caching.
+// witness paths. The search failing means the candidate isn't
+// capsule-representable, and the caller skips caching.
 func originInstr(pb *PossibleBug) (cir.Instr, bool) {
 	if pb.OriginGID == 0 {
 		return nil, false

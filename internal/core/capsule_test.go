@@ -69,7 +69,7 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 		{"MaxContinuationsPerCall", func(c Config) Config { c.MaxContinuationsPerCall = 7; return c }},
 		{"LoopUnroll", func(c Config) Config { c.LoopUnroll = 2; return c }},
 		{"NoPrune", func(c Config) Config { c.NoPrune = true; return c }},
-		{"NoMemo", func(c Config) Config { c.NoMemo = true; return c }},
+		{"NoAdaptive", func(c Config) Config { c.NoAdaptive = true; return c }},
 		{"Validate", func(c Config) Config { c.Validate = false; return c }},
 		{"Checkers", func(c Config) Config {
 			c.Checkers = append(typestate.CoreCheckers(), typestate.NewDBZ())
@@ -125,15 +125,6 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 	if salt(irr) != s0 {
 		t.Error("EntryTimeout/RunTimeout/MaxRetries changed the salt")
 	}
-	// The adaptive size gate only re-schedules work — both layer choices it
-	// makes are report-preserving — so it must not invalidate healthy
-	// capsules either.
-	irr = base
-	irr.NoAdaptive = true
-	if salt(irr) != s0 {
-		t.Error("NoAdaptive changed the salt")
-	}
-
 	// A new global invalidates.
 	mod2 := lowerCapsuleSrc(t)
 	mod2.AddGlobal("extra_global", cir.I32)

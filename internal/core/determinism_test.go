@@ -134,7 +134,7 @@ func fullOutput(res *core.Result) string {
 	st.AnalysisTime, st.ValidationTime, st.WorkSteals = 0, 0, 0
 	// Self-time counters are wall-clock measurements, nondeterministic by
 	// nature; exclude them like the phase timers above.
-	st.CanonNanos, st.CursorNanos, st.SolverNanos = 0, 0, 0
+	st.CursorNanos, st.SolverNanos = 0, 0
 	fmt.Fprintf(&sb, "stats: %+v\n", st)
 	return sb.String()
 }

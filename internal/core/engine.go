@@ -15,7 +15,6 @@ import (
 	"repro/internal/aliasgraph"
 	"repro/internal/callgraph"
 	"repro/internal/cir"
-	"repro/internal/hmix"
 	"repro/internal/smt"
 	"repro/internal/typestate"
 )
@@ -74,22 +73,15 @@ type Config struct {
 	// post-validation bug set is unaffected. Active only in ModePATA and
 	// when Trace is nil.
 	NoPrune bool
-	// NoMemo makes the (block, state) memoization unavailable. When
-	// available, the adaptive size gate decides per entry whether it runs
-	// (NoAdaptive forces it on): the DFS then fingerprints the alias graph,
-	// the typestate tracker, the pending path constraints, and the call
-	// stack at every basic-block entry, and skips subtrees whose
-	// configuration repeats an already fully explored, emission-free one.
-	// Active only in ModePATA and when Trace is nil.
-	NoMemo bool
 	// NoAdaptive disables the per-entry adaptive size gate: by default the
 	// engine sizes up each entry's call-graph closure before exploring it
-	// and runs small entries with pruning and memoization off, since their
-	// full exploration is cheaper than the layers' bookkeeping. The gate
-	// reads only static closure sizes, and each layer is individually
-	// report-preserving, so the report is byte-identical with the gate on
-	// or off, sequentially and in parallel. Active only in ModePATA and when
-	// Trace is nil.
+	// and runs small entries with pruning off, since their full exploration
+	// is cheaper than the cursor's bookkeeping. The gate reads only static
+	// closure sizes, so it decides identically sequentially and in
+	// parallel. The validated bug set is identical with the gate on or off,
+	// but a pruned entry may report a different witness (path, alias set,
+	// trigger) for the same bug, so NoAdaptive is salted into the
+	// incremental cache key. Active only in ModePATA and when Trace is nil.
 	NoAdaptive bool
 	// Validate enables Stage-2 path validation (default true). The
 	// ValidatePath hook is installed by the pathval package (or a custom
@@ -200,10 +192,6 @@ type ValidationOutcome struct {
 // available (unless NoPrune is set); the size gate still decides per entry.
 func (c Config) PruneInfeasible() bool { return !c.NoPrune }
 
-// MemoStates reports whether (block, state) memoization is available
-// (unless NoMemo is set); the size gate still decides per entry.
-func (c Config) MemoStates() bool { return !c.NoMemo }
-
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Checkers == nil {
@@ -283,15 +271,11 @@ type Stats struct {
 	// incremental cursor proved the accumulated path condition
 	// unsatisfiable; each one cuts a whole subtree.
 	PrunedBranches int64
-	// MemoHits counts basic-block entries skipped because their
-	// (block, state) fingerprint repeated an already fully explored,
-	// emission-free configuration. MemoPathsSkipped/MemoStepsSkipped
-	// accumulate the recorded full-exploration cost those hits avoided
-	// (the skipped cost still counts against the entry budgets so a
-	// memoized run degrades no earlier than an unmemoized one).
-	MemoHits         int64
-	MemoPathsSkipped int64
-	MemoStepsSkipped int64
+	// MemoHits counted (block, state) memo hits.
+	//
+	// Deprecated: always 0. The (block, state) memo was removed; the field
+	// stays for readers of the JSON stats.
+	MemoHits int64
 	// SummaryHits counted callee-summary replays.
 	//
 	// Deprecated: always 0. The callee-summary cache was removed; the field
@@ -349,15 +333,13 @@ type Stats struct {
 	EntriesRetried  int
 	EntriesDegraded int
 	// AdaptiveEntriesLight counts entries the pre-flight size gate ran with
-	// pruning and memoization off. Deterministic: the gate reads only
-	// static closure sizes, never wall clock.
+	// pruning off. Deterministic: the gate reads only static closure sizes,
+	// never wall clock.
 	AdaptiveEntriesLight int64
-	// Per-layer self-time, in nanoseconds: CanonNanos covers memo key
-	// computation (canonical digests), CursorNanos the
+	// Per-layer self-time, in nanoseconds: CursorNanos covers the
 	// incremental feasibility cursor's branch/replay consults, SolverNanos
 	// the Stage-2 validation calls. Wall-clock measurements: nondeterministic
 	// across runs, excluded from every equivalence comparison.
-	CanonNanos     int64
 	CursorNanos    int64
 	SolverNanos    int64
 	AnalysisTime   time.Duration
@@ -409,28 +391,9 @@ type Engine struct {
 	onPath map[int]int
 	frames []*frame
 
-	// Per-entry pruning/memoization state (nil when the feature is off
-	// for this entry). reach restricts the memo key's loop-counter digest
-	// to instructions the subtree can still visit; recStack holds one
-	// in-progress recording per block entry on the DFS stack, capturing
-	// the subtree's candidate emissions for replay on later hits;
-	// pathsCharged/stepsCharged accumulate the recorded cost of
-	// memo-skipped subtrees, which budgetExceeded adds back so
-	// memoization never stretches an entry's budget beyond what full
-	// exploration would have allowed.
-	pruner       *pruner
-	memo         map[uint64]memoRec
-	reach        *reachSets
-	reachScratch []*blockInfo
-	recStack     []recFrame
-	pathsCharged int64
-	stepsCharged int64
-
-	// canonSeen/canonVarW are canonDigests' seed-assembly scratch: memo keys
-	// union the reach sets of the block and every stacked call site, and a
-	// variable in two sets must seed the canonicalization exactly once.
-	canonSeen map[cir.Value]bool
-	canonVarW []cir.Value
+	// pruner is the per-entry pruning state (nil when pruning is off for
+	// this entry).
+	pruner *pruner
 	// fnLocal memoizes per-function size counts for the adaptive size gate.
 	fnLocal map[*cir.Function]fnCounts
 
@@ -460,13 +423,6 @@ type Engine struct {
 	possible []*PossibleBug
 	stats    Stats
 
-	// suffixArena bump-allocates the short path-suffix copies captured by
-	// emitCandidate into open memo recordings. The suffixes die with the
-	// per-entry memo table, so the arena resets at each analyzeEntry; pooling
-	// them keeps the candidate-emission hot path from hammering the
-	// allocator with tiny slices.
-	suffixArena stepArena
-
 	stackAddrMemo map[*cir.Register]bool
 }
 
@@ -474,10 +430,7 @@ type frame struct {
 	fn   *cir.Function
 	call *cir.Call // nil for the entry frame
 	// fid identifies the activation: it is the frame's depth (1 for the
-	// entry frame). Depth-based ids are reproducible across sibling DFS
-	// subtrees, which the (block, state) memoization requires — a
-	// monotonic counter would make otherwise-identical configurations
-	// hash differently. Reuse across successive same-depth activations
+	// entry frame). Reuse across successive same-depth activations
 	// is safe: the ownership props keyed on fids (ML, Pair) are always
 	// consulted through a live-state guard, and OnReturn clears or
 	// transfers every live ownership of the popping frame.
@@ -666,36 +619,20 @@ func (e *Engine) analyzeEntry(fn *cir.Function) {
 	e.steps = 0
 	e.over = false
 
-	// Pruning and memoization are per-entry: the cursor context and the
-	// memo table restart fresh so symbol numbering and fingerprints
-	// depend only on this entry's exploration (RunParallel's per-worker
-	// engines then behave identically to the sequential engine). Both
-	// features mirror the Stage-2 replayer's ModePATA translation and
-	// are disabled under Trace, which observes every executed
-	// instruction.
+	// Pruning is per-entry: the cursor context restarts fresh so symbol
+	// numbering depends only on this entry's exploration (RunParallel's
+	// per-worker engines then behave identically to the sequential
+	// engine). It mirrors the Stage-2 replayer's ModePATA translation and
+	// is disabled under Trace, which observes every executed instruction.
 	e.pruner = nil
-	e.memo = nil
-	e.recStack = e.recStack[:0]
-	e.pathsCharged = 0
-	e.stepsCharged = 0
-	e.suffixArena.reset()
-	// Small entry: full exploration is cheaper than prune/memo setup, so
-	// those layers stay nil. The report is unaffected either way because
-	// each layer is individually report-preserving.
+	// Small entry: full exploration is cheaper than the cursor's upkeep, so
+	// the pruner stays nil. The validated bug set is unaffected either way.
 	light := e.Cfg.adaptiveOn() && e.adaptSmall(fn)
 	if light {
 		e.stats.AdaptiveEntriesLight++
 	}
-	if e.Cfg.Mode == ModePATA && e.Cfg.Trace == nil && !light {
-		if e.Cfg.PruneInfeasible() {
-			e.pruner = newPruner()
-		}
-		if e.Cfg.MemoStates() {
-			e.memo = make(map[uint64]memoRec)
-			if e.reach == nil {
-				e.reach = newReachSets(e.Mod)
-			}
-		}
+	if e.Cfg.Mode == ModePATA && e.Cfg.Trace == nil && !light && e.Cfg.PruneInfeasible() {
+		e.pruner = newPruner()
 	}
 
 	e.frames = append(e.frames, &frame{fn: fn, fid: 1})
@@ -721,11 +658,6 @@ func (e *Engine) analyzeEntry(fn *cir.Function) {
 // dozen steps.
 const pollEvery = 64
 
-// stopped reports whether the current entry's exploration has ended early
-// for any reason — budget, deadline, or cancellation. Memo recordings
-// consult it: a subtree cut short must never be recorded as fully explored.
-func (e *Engine) stopped() bool { return e.over || e.timedOut || e.cancelled }
-
 func (e *Engine) budgetExceeded() bool {
 	if e.over || e.timedOut || e.cancelled {
 		return true
@@ -749,153 +681,20 @@ func (e *Engine) budgetExceeded() bool {
 			return true
 		}
 	}
-	// Negative budgets mean unlimited. The charged counters stand in for
-	// the work memo hits skipped, keeping the budget trip point where an
-	// unmemoized exploration would have hit it.
-	if (e.Cfg.MaxStepsPerEntry > 0 && e.steps+e.stepsCharged >= int64(e.Cfg.MaxStepsPerEntry)) ||
-		(e.Cfg.MaxPathsPerEntry > 0 && e.paths+e.pathsCharged >= int64(e.Cfg.MaxPathsPerEntry)) {
+	// Negative budgets mean unlimited.
+	if (e.Cfg.MaxStepsPerEntry > 0 && e.steps >= int64(e.Cfg.MaxStepsPerEntry)) ||
+		(e.Cfg.MaxPathsPerEntry > 0 && e.paths >= int64(e.Cfg.MaxPathsPerEntry)) {
 		e.over = true
 	}
 	return e.over
 }
 
 // exec handles one instruction and continues the DFS (HandleINST of
-// Figure 6). At basic-block entries it first consults the (block, state)
-// memo: a subtree whose relevant configuration fingerprint — canonical
-// alias graph, typestates, loop counters, call stack — matches an already
-// fully explored one is skipped, its recorded cost is charged against the
-// entry budget, and its recorded candidate emissions are replayed onto the
-// current path prefix, so a hit can never swallow a report.
+// Figure 6). All mutations are rolled back before returning.
 func (e *Engine) exec(in cir.Instr) {
 	if e.budgetExceeded() {
 		return
 	}
-	if e.memo != nil {
-		// Only block entries at CFG join points are worth fingerprinting:
-		// distinct DFS routes can converge only there, so memoizing
-		// single-predecessor blocks would pay the canonicalization cost
-		// with no chance of a hit.
-		if blk := in.Block(); blk != nil && len(blk.Instrs) > 0 && blk.Instrs[0] == in && e.reach.isJoin(blk) {
-			key, ok := e.memoKey(in)
-			if !ok {
-				// Some tracked object escaped canonicalization; fall
-				// through to plain execution for this block entry.
-				e.execStep(in)
-				return
-			}
-			if rec, ok := e.memo[key]; ok {
-				e.stats.MemoHits++
-				e.stats.MemoPathsSkipped += rec.paths
-				e.stats.MemoStepsSkipped += rec.steps
-				e.pathsCharged += rec.paths
-				e.stepsCharged += rec.steps
-				for i := range rec.emits {
-					me := &rec.emits[i]
-					e.emitCandidate(me.ci, me.origin, me.bugInstr, me.extra, me.aliasSet, me.suffix)
-				}
-				return
-			}
-			e.recStack = append(e.recStack, recFrame{
-				key:     key,
-				pathLen: len(e.path),
-				paths0:  e.paths + e.pathsCharged,
-				steps0:  e.steps + e.stepsCharged,
-				pruned0: e.stats.PrunedBranches,
-			})
-			e.execStep(in)
-			f := &e.recStack[len(e.recStack)-1]
-			// Record only subtrees that ran to completion (no budget trip)
-			// and had no branch pruned inside them. The latter makes the
-			// record independent of the path constraints accumulated
-			// before this block: a subtree in which nothing was pruned
-			// behaves exactly as unpruned exploration would, so a later
-			// hit under a *different* constraint prefix is still sound —
-			// which is what lets the memo key omit the pruner's
-			// constraint chain entirely. Candidate emissions don't block
-			// recording: they are captured (up to maxMemoEmits) and
-			// replayed on hits.
-			if !f.poisoned && !e.stopped() && e.stats.PrunedBranches == f.pruned0 {
-				e.memo[f.key] = memoRec{
-					paths: e.paths + e.pathsCharged - f.paths0,
-					steps: e.steps + e.stepsCharged - f.steps0,
-					emits: f.emits,
-				}
-			}
-			e.recStack = e.recStack[:len(e.recStack)-1]
-			return
-		}
-	}
-	e.execStep(in)
-}
-
-// memoKey fingerprints the complete configuration that determines the
-// (unpruned) behavior of the subtree rooted at block-entry instruction in:
-// the canonical alias graph, the tracked typestates expressed over canonical
-// node labels, the reachability-restricted loop counters, and the call
-// stack. The incremental Fingerprints cannot serve here — their facts embed
-// allocation-order node IDs, which differ between DFS prefixes that converge
-// on the same logical state. The pruner's constraint chain is deliberately
-// absent: recorded subtrees are constraint-free (see exec), so the key must
-// not distinguish prefixes by their path conditions. Returns ok=false when
-// the configuration cannot be canonicalized (a tracked object is no longer
-// variable-reachable); the caller then skips memoization.
-func (e *Engine) memoKey(in cir.Instr) (uint64, bool) {
-	sets := e.reachScratch[:0]
-	sets = append(sets, e.reach.blockReach(in.Block()))
-	for _, f := range e.frames[1:] {
-		sets = append(sets, e.reach.blockReach(f.call.Block()))
-	}
-	e.reachScratch = sets[:0]
-	gd, td, ok := e.canonDigests(sets)
-	if !ok {
-		return 0, false
-	}
-	h := hmix.Mix4(uint64(in.GID()), gd, td, e.onPathDigest(sets))
-	return hmix.Mix2(h, e.framesHash()), true
-}
-
-// onPathDigest hashes the loop-unroll counters the subtree rooted at the
-// current instruction can observe: the counter of any instruction reachable
-// from its block, or reachable once control returns past one of the stacked
-// call sites (sets, as assembled by memoKey). Counters of unreachable
-// ancestors (e.g. the converging arms of a diamond) are excluded — they
-// cannot influence the subtree, and including them would make every
-// configuration unique. XOR-combining keeps the digest independent of map
-// iteration order.
-func (e *Engine) onPathDigest(sets []*blockInfo) uint64 {
-	var h uint64
-	for gid, n := range e.onPath {
-		if n <= 0 {
-			continue
-		}
-		for _, s := range sets {
-			if s.gids[gid] {
-				h ^= hmix.Mix2(uint64(gid), uint64(n))
-				break
-			}
-		}
-	}
-	return h
-}
-
-// framesHash digests the call stack: stack height, each frame's call site,
-// and its consumed continuation budget. The frame's fn and fid are implied
-// by the call site and the depth.
-func (e *Engine) framesHash() uint64 {
-	h := uint64(len(e.frames))
-	for _, f := range e.frames {
-		cg := uint64(0)
-		if f.call != nil {
-			cg = uint64(f.call.GID()) + 1
-		}
-		h = hmix.Mix3(h, cg, uint64(f.conts))
-	}
-	return h
-}
-
-// execStep is the pre-memo body of exec. All mutations are rolled back
-// before returning.
-func (e *Engine) execStep(in cir.Instr) {
 	if e.fault != nil && e.fault.Slow > 0 {
 		time.Sleep(e.fault.Slow)
 	}
@@ -953,12 +752,7 @@ func (e *Engine) execStep(in cir.Instr) {
 	}
 
 	e.path = e.path[:len(e.path)-1]
-	// Drop zeroed counters rather than leaving them behind: onPathDigest
-	// iterates this map at every join, so it must stay proportional to the
-	// live DFS stack, not to everything ever executed.
-	if e.onPath[gid]--; e.onPath[gid] == 0 {
-		delete(e.onPath, gid)
-	}
+	e.onPath[gid]--
 	if e.pruner != nil {
 		e.pruner.rollback(pm)
 	}
@@ -1183,55 +977,25 @@ func (e *Engine) emitInstr(in cir.Instr) {
 	}
 }
 
-// bugSink receives bug-state transitions from the tracker. It resolves the
-// emission's path-independent ingredients (origin, alias set) and hands off
-// to emitCandidate, which deduplicates and snapshots the path.
+// bugSink receives bug-state transitions from the tracker. It deduplicates
+// each candidate by (checker, origin instruction, bug instruction) as the
+// paper's P3 phase does, and snapshots the current path for Stage 2: a
+// repeat only contributes an alternate witness path.
 func (e *Engine) bugSink(ci int, em typestate.Emission, from typestate.State) {
 	origin := int(e.tracker.PropOf(ci, em.Obj, "__origin"))
-	var aliasSet []string
+	full := make([]PathStep, len(e.path))
+	copy(full, e.path)
 	key := dedupKey{checker: ci, origin: origin, bug: em.Instr.GID()}
-	if _, dup := e.dedup[key]; !dup {
-		aliasSet = e.g.AccessPaths(em.Obj, 2)
-		if len(aliasSet) > 8 {
-			aliasSet = aliasSet[:8]
-		}
-	}
-	e.emitCandidate(ci, origin, em.Instr, em.Extra, aliasSet, nil)
-}
-
-// emitCandidate deduplicates one candidate emission by (checker, origin
-// instruction, bug instruction) as the paper's P3 phase does, and snapshots
-// the path for Stage 2. The emission's path is the current path plus tail
-// (tail is non-empty when replaying a memoized subtree's emission: the
-// recorded suffix grafted onto the live prefix). While memo recordings are
-// active, the emission is also captured into each open recording frame,
-// expressed relative to that frame's own memo point.
-func (e *Engine) emitCandidate(ci, origin int, bugInstr cir.Instr, extra *typestate.ExtraConstraint, aliasSet []string, tail []PathStep) {
-	full := make([]PathStep, 0, len(e.path)+len(tail))
-	full = append(append(full, e.path...), tail...)
-	for i := range e.recStack {
-		f := &e.recStack[i]
-		if f.poisoned {
-			continue
-		}
-		if len(f.emits) >= maxMemoEmits {
-			f.poisoned = true
-			continue
-		}
-		suffix := e.suffixArena.alloc(len(full) - f.pathLen)
-		copy(suffix, full[f.pathLen:])
-		f.emits = append(f.emits, memoEmit{
-			ci: ci, origin: origin, bugInstr: bugInstr,
-			extra: extra, aliasSet: aliasSet, suffix: suffix,
-		})
-	}
-	key := dedupKey{checker: ci, origin: origin, bug: bugInstr.GID()}
 	if prev, dup := e.dedup[key]; dup {
 		e.stats.RepeatedDropped++
 		if len(prev.AltPaths) < maxAltPaths {
 			prev.AltPaths = append(prev.AltPaths, full)
 		}
 		return
+	}
+	aliasSet := e.g.AccessPaths(em.Obj, 2)
+	if len(aliasSet) > 8 {
+		aliasSet = aliasSet[:8]
 	}
 	entry := ""
 	cat := ""
@@ -1240,7 +1004,7 @@ func (e *Engine) emitCandidate(ci, origin int, bugInstr cir.Instr, extra *typest
 		cat = e.frames[0].fn.Category
 	}
 	inFn := entry
-	if blk := bugInstr.Block(); blk != nil && blk.Fn != nil {
+	if blk := em.Instr.Block(); blk != nil && blk.Fn != nil {
 		inFn = blk.Fn.Name
 		if blk.Fn.Category != "" {
 			cat = blk.Fn.Category
@@ -1250,10 +1014,10 @@ func (e *Engine) emitCandidate(ci, origin int, bugInstr cir.Instr, extra *typest
 	pb := &PossibleBug{
 		Checker:   chk,
 		Type:      chk.Type(),
-		BugInstr:  bugInstr,
+		BugInstr:  em.Instr,
 		OriginGID: origin,
 		Path:      full,
-		Extra:     extra,
+		Extra:     em.Extra,
 		EntryFn:   entry,
 		InFn:      inFn,
 		Category:  cat,

@@ -145,7 +145,7 @@ void func(struct s *p, char *q) {
 		t.Errorf("expected the contradictory branch to be pruned, stats: %+v", res.Stats)
 	}
 
-	res = run(t, core.Config{NoPrune: true, NoMemo: true}, src)
+	res = run(t, core.Config{NoPrune: true}, src)
 	for _, b := range res.Bugs {
 		if b.BugInstr.Position().Line == 10 {
 			t.Errorf("infeasible-path bug at line 10 survived validation")

@@ -134,9 +134,6 @@ func addAttemptStats(dst *Stats, src Stats) {
 	dst.PathsExplored += src.PathsExplored
 	dst.StepsExecuted += src.StepsExecuted
 	dst.PrunedBranches += src.PrunedBranches
-	dst.MemoHits += src.MemoHits
-	dst.MemoPathsSkipped += src.MemoPathsSkipped
-	dst.MemoStepsSkipped += src.MemoStepsSkipped
 	dst.Typestates += src.Typestates
 	dst.TypestatesUnaware += src.TypestatesUnaware
 	dst.DeadlineTrips += src.DeadlineTrips

@@ -77,7 +77,7 @@ type candRec struct {
 
 // runEntryDelta analyzes a single entry function on a reused engine and
 // returns that entry's delta Result. RunParallel's workers call this instead
-// of Run so one engine — tracker, alias graph, memo tables — is amortized
+// of Run so one engine — tracker, alias graph, size-gate counts — is amortized
 // over all the worker's entries. The dedup map is cleared between entries
 // (its buckets are reused): within-entry deduplication happens here, exactly
 // as in the sequential engine, while cross-entry deduplication is replayed
@@ -95,15 +95,11 @@ func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 	res.Stats.StepsExecuted = e.stats.StepsExecuted - prev.StepsExecuted
 	res.Stats.Budgeted = e.stats.Budgeted - prev.Budgeted
 	res.Stats.PrunedBranches = e.stats.PrunedBranches - prev.PrunedBranches
-	res.Stats.MemoHits = e.stats.MemoHits - prev.MemoHits
-	res.Stats.MemoPathsSkipped = e.stats.MemoPathsSkipped - prev.MemoPathsSkipped
-	res.Stats.MemoStepsSkipped = e.stats.MemoStepsSkipped - prev.MemoStepsSkipped
 	res.Stats.RepeatedDropped = e.stats.RepeatedDropped - prev.RepeatedDropped
 	res.Stats.Typestates = trk.Transitions - prevTrk.Transitions
 	res.Stats.TypestatesUnaware = trk.TransitionsUnaware - prevTrk.TransitionsUnaware
 	res.Stats.DeadlineTrips = e.stats.DeadlineTrips - prev.DeadlineTrips
 	res.Stats.AdaptiveEntriesLight = e.stats.AdaptiveEntriesLight - prev.AdaptiveEntriesLight
-	res.Stats.CanonNanos = e.stats.CanonNanos - prev.CanonNanos
 	res.Stats.CursorNanos = e.stats.CursorNanos - prev.CursorNanos
 	return res
 }
@@ -418,9 +414,6 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 				s.StepsExecuted += r.Stats.StepsExecuted
 				s.Budgeted += r.Stats.Budgeted
 				s.PrunedBranches += r.Stats.PrunedBranches
-				s.MemoHits += r.Stats.MemoHits
-				s.MemoPathsSkipped += r.Stats.MemoPathsSkipped
-				s.MemoStepsSkipped += r.Stats.MemoStepsSkipped
 				s.Typestates += r.Stats.Typestates
 				s.TypestatesUnaware += r.Stats.TypestatesUnaware
 				s.RepeatedDropped += r.Stats.RepeatedDropped
@@ -432,7 +425,6 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 				s.EntriesRetried += r.Stats.EntriesRetried
 				s.EntriesDegraded += r.Stats.EntriesDegraded
 				s.AdaptiveEntriesLight += r.Stats.AdaptiveEntriesLight
-				s.CanonNanos += r.Stats.CanonNanos
 				s.CursorNanos += r.Stats.CursorNanos
 				var batch []*candRec
 				for _, pb := range r.Possible {

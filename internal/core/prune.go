@@ -19,13 +19,9 @@ import (
 	"repro/internal/aliasgraph"
 	"repro/internal/cir"
 	"repro/internal/smt"
-	"repro/internal/typestate"
 )
 
-// pruner owns the per-entry incremental feasibility state. It carries no
-// digest of its own: the memo key deliberately ignores the accumulated
-// constraints (recorded subtrees are pruning-free, see Engine.exec), so the
-// pushed atoms only live inside the cursor.
+// pruner owns the per-entry incremental feasibility state.
 type pruner struct {
 	ctx    *smt.Context
 	cursor *smt.Cursor
@@ -298,47 +294,4 @@ func prunePredAtom(p cir.Pred, x, y smt.Term) smt.Formula {
 		return smt.Ge(x, y)
 	}
 	return smt.True
-}
-
-// memoRec is the record of one fully explored (block, state) subtree: the
-// paths and steps a repeat visit may skip, plus the candidate emissions the
-// subtree produced, replayed (grafted onto the new path prefix) on a hit.
-type memoRec struct {
-	paths int64
-	steps int64
-	emits []memoEmit
-}
-
-// memoEmit is one bugSink call observed while recording a memoized subtree,
-// reduced to its path-independent ingredients plus the path suffix below
-// the memo point. On a hit the suffix is appended to the current path
-// prefix, reproducing exactly the candidate (or duplicate-path append) that
-// re-exploring the subtree would have generated.
-type memoEmit struct {
-	ci       int
-	origin   int
-	bugInstr cir.Instr
-	extra    *typestate.ExtraConstraint
-	// aliasSet is the bug object's access paths at emission time; nil when
-	// the emission was a duplicate at record time (then it stays a
-	// duplicate on every replay — dedup entries are never removed within
-	// an entry's lifetime — and the alias set is never consulted).
-	aliasSet []string
-	suffix   []PathStep
-}
-
-// maxMemoEmits bounds the emissions recorded per subtree; a subtree
-// exceeding it is not memoized and is re-explored on every visit.
-const maxMemoEmits = 32
-
-// recFrame is an in-progress memo recording, one per block entry currently
-// on the DFS stack under the active memo.
-type recFrame struct {
-	key      uint64
-	pathLen  int
-	paths0   int64
-	steps0   int64
-	pruned0  int64
-	emits    []memoEmit
-	poisoned bool
 }

@@ -21,11 +21,10 @@ func bugReport(res *core.Result) string {
 }
 
 // TestPruningEquivalence locks in the on-the-fly pruning contract: across
-// every corpus and checker set, the default engine (incremental feasibility
-// pruning + (block, state) memoization) must produce a byte-identical
-// post-validation bug report to the engine with both features disabled —
-// pruning may only discard work that Stage-2 validation would reject — while
-// actually doing less Stage-1 work.
+// every corpus and checker set, the engine with incremental feasibility
+// pruning forced on must produce a byte-identical post-validation bug report
+// to the engine with pruning disabled — pruning may only discard work that
+// Stage-2 validation would reject — while actually doing less Stage-1 work.
 func TestPruningEquivalence(t *testing.T) {
 	checkerSets := []struct {
 		name string
@@ -34,7 +33,7 @@ func TestPruningEquivalence(t *testing.T) {
 		{"core", typestate.CoreCheckers},
 		{"all", typestate.AllCheckers},
 	}
-	var pathsOn, pathsOff, pruned, memoHits int64
+	var pathsOn, pathsOff, pruned int64
 	for _, spec := range oscorpus.AllSpecs() {
 		c := oscorpus.Generate(spec)
 		mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
@@ -44,7 +43,7 @@ func TestPruningEquivalence(t *testing.T) {
 		for _, cs := range checkerSets {
 			t.Run(spec.Name+"/"+cs.name, func(t *testing.T) {
 				mk := func(disable bool) core.Config {
-					cfg := core.Config{Checkers: cs.mk(), NoPrune: disable, NoMemo: disable, NoAdaptive: true}
+					cfg := core.Config{Checkers: cs.mk(), NoPrune: disable, NoAdaptive: true}
 					pathval.New().Install(&cfg)
 					return cfg
 				}
@@ -57,33 +56,30 @@ func TestPruningEquivalence(t *testing.T) {
 					t.Errorf("pruning explored more paths: %d > %d",
 						on.Stats.PathsExplored, off.Stats.PathsExplored)
 				}
-				if off.Stats.PrunedBranches != 0 || off.Stats.MemoHits != 0 {
+				if off.Stats.PrunedBranches != 0 {
 					t.Errorf("disabled run has pruning counters: %+v", off.Stats)
 				}
 				pathsOn += on.Stats.PathsExplored
 				pathsOff += off.Stats.PathsExplored
 				pruned += on.Stats.PrunedBranches
-				memoHits += on.Stats.MemoHits
 			})
 		}
 	}
 	if pruned == 0 {
 		t.Errorf("no branches pruned across the corpora")
 	}
-	if memoHits == 0 {
-		t.Errorf("no memo hits across the corpora")
-	}
 	if pathsOn >= pathsOff {
 		t.Errorf("pruning did not reduce explored paths: %d vs %d", pathsOn, pathsOff)
 	} else {
-		t.Logf("paths explored: %d with pruning, %d without (%.0f%% reduction; %d pruned branches, %d memo hits)",
-			pathsOn, pathsOff, 100*float64(pathsOff-pathsOn)/float64(pathsOff), pruned, memoHits)
+		t.Logf("paths explored: %d with pruning, %d without (%.0f%% reduction; %d pruned branches)",
+			pathsOn, pathsOff, 100*float64(pathsOff-pathsOn)/float64(pathsOff), pruned)
 	}
 }
 
 // TestPruningEquivalenceParallel repeats the equivalence check through the
 // pipelined scheduler, which must agree with the sequential engine under
-// pruning exactly as it does without it.
+// pruning exactly as it does without it. NoAdaptive forces pruning on: the
+// size gate would otherwise turn it off on every zephyr-like entry.
 func TestPruningEquivalenceParallel(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.ZephyrSpec())
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
@@ -91,7 +87,7 @@ func TestPruningEquivalenceParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func() core.Config {
-		cfg := core.Config{Checkers: typestate.AllCheckers(), ValidateWorkers: 2}
+		cfg := core.Config{Checkers: typestate.AllCheckers(), ValidateWorkers: 2, NoAdaptive: true}
 		pathval.New().Install(&cfg)
 		return cfg
 	}
@@ -100,9 +96,10 @@ func TestPruningEquivalenceParallel(t *testing.T) {
 	if got, want := bugReport(par), bugReport(seq); got != want {
 		t.Errorf("parallel report differs under pruning:\n--- sequential\n%s\n--- parallel\n%s", got, want)
 	}
-	if par.Stats.PrunedBranches != seq.Stats.PrunedBranches ||
-		par.Stats.MemoHits != seq.Stats.MemoHits ||
-		par.Stats.MemoPathsSkipped != seq.Stats.MemoPathsSkipped {
+	if seq.Stats.PrunedBranches == 0 {
+		t.Errorf("forced pruning never pruned: %+v", seq.Stats)
+	}
+	if par.Stats.PrunedBranches != seq.Stats.PrunedBranches {
 		t.Errorf("pruning counters differ: sequential %+v vs parallel %+v", seq.Stats, par.Stats)
 	}
 }
@@ -123,9 +120,9 @@ func TestBudgetNegativeUnlimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pruning/memoization would collapse the correlated branches; this
-	// test is about the raw budget arithmetic.
-	base := core.Config{NoPrune: true, NoMemo: true, NoAdaptive: true}
+	// Pruning would collapse the correlated branches; this test is about
+	// the raw budget arithmetic.
+	base := core.Config{NoPrune: true, NoAdaptive: true}
 
 	capped := base
 	capped.MaxPathsPerEntry = 64
@@ -150,35 +147,5 @@ func TestBudgetNegativeUnlimited(t *testing.T) {
 	unlimitedSteps.MaxPathsPerEntry = 1 << 20
 	if res := core.NewEngine(mod, unlimitedSteps).Run(); res.Stats.Budgeted != 0 {
 		t.Errorf("negative step budget not treated as unlimited: %+v", res.Stats)
-	}
-}
-
-// TestMemoBudgetCharging: a memoized run must not outlive the budget an
-// unmemoized exploration would have hit — skipped subtrees charge their
-// recorded cost, so the budget trips at the same logical amount of work.
-func TestMemoBudgetCharging(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("int f(int a) {\n\tint s = 0;\n")
-	for i := 0; i < 16; i++ {
-		// Uncorrelated tests of distinct ranges keep every branch pair
-		// feasible, so only memoization (not pruning) can skip work.
-		fmt.Fprintf(&sb, "\tif (a == %d)\n\t\ts = 1;\n", i)
-	}
-	sb.WriteString("\treturn s;\n}\n")
-	mod, err := minicc.LowerAll("m", map[string]string{"a.c": sb.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.Config{NoPrune: true, NoAdaptive: true, MaxPathsPerEntry: 100}
-	res := core.NewEngine(mod, cfg).Run()
-	if res.Stats.MemoHits == 0 {
-		t.Fatalf("expected memo hits, stats: %+v", res.Stats)
-	}
-	if res.Stats.Budgeted != 1 {
-		t.Errorf("memoized run must still trip the charged budget: %+v", res.Stats)
-	}
-	if res.Stats.PathsExplored+res.Stats.MemoPathsSkipped < 100 {
-		t.Errorf("charged paths (%d real + %d skipped) below the budget that tripped",
-			res.Stats.PathsExplored, res.Stats.MemoPathsSkipped)
 	}
 }

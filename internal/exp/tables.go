@@ -66,7 +66,6 @@ func Table5(w io.Writer) ([]Table5Row, error) {
 	for _, c := range Corpora() {
 		cfg := PATAConfig()
 		cfg.NoPrune = true
-		cfg.NoMemo = true
 		run, err := RunPATAPipelined(c, cfg, "pata", 0)
 		if err != nil {
 			return nil, err
@@ -166,40 +165,41 @@ func Table5(w io.Writer) ([]Table5Row, error) {
 	return rows, nil
 }
 
-// PruningRow compares one corpus analyzed with and without the Stage-1
-// on-the-fly pruning and memoization.
+// PruningRow compares one corpus analyzed with forced Stage-1 on-the-fly
+// pruning and without it.
 type PruningRow struct {
 	OS  string
-	On  *ToolRun // defaults: incremental feasibility pruning + memoization
-	Off *ToolRun // -no-prune -no-memo
+	On  *ToolRun // -no-adaptive: pruning forced on for every entry
+	Off *ToolRun // -no-prune
 }
 
 // PruningTable quantifies the on-the-fly path pruning: for each corpus it
-// runs the default engine (incremental feasibility cursor + (block, state)
-// memoization) and the disabled variant, and reports the explored
-// paths/steps, the pruned-branch and memo-hit counters, and the found bugs
-// — which must match exactly, since pruning only discards work Stage-2
-// validation would reject.
+// runs the engine with pruning forced on (the size gate, which turns it off
+// on every entry of these corpora, disabled) and with pruning unavailable,
+// and reports the explored paths/steps, the pruned-branch counter, and the
+// found bugs — which must match exactly, since pruning only discards work
+// Stage-2 validation would reject.
 func PruningTable(w io.Writer) ([]PruningRow, error) {
 	var rows []PruningRow
 	for _, c := range Corpora() {
-		on, err := RunPATA(c, PATAConfig(), "pata")
+		cfg := PATAConfig()
+		cfg.NoAdaptive = true
+		on, err := RunPATA(c, cfg, "pata")
 		if err != nil {
 			return nil, err
 		}
-		cfg := PATAConfig()
+		cfg = PATAConfig()
 		cfg.NoPrune = true
-		cfg.NoMemo = true
 		off, err := RunPATA(c, cfg, "pata-noprune")
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, PruningRow{OS: c.Spec.Name, On: on, Off: off})
 	}
-	fmt.Fprintln(w, "On-the-fly pruning effect (defaults vs -no-prune -no-memo)")
+	fmt.Fprintln(w, "On-the-fly pruning effect (forced pruning, -no-adaptive, vs -no-prune)")
 	t := &report.Table{Header: []string{
 		"OS", "Paths (on/off)", "Steps (on/off)", "Pruned branches",
-		"Memo hits (paths skipped)", "Found bugs (on/off)", "Time (on/off)",
+		"Found bugs (on/off)", "Time (on/off)",
 	}}
 	var pOn, pOff int64
 	for _, r := range rows {
@@ -209,7 +209,6 @@ func PruningTable(w io.Writer) ([]PruningRow, error) {
 			fmt.Sprintf("%d/%d", r.On.Stats.PathsExplored, r.Off.Stats.PathsExplored),
 			fmt.Sprintf("%d/%d", r.On.Stats.StepsExecuted, r.Off.Stats.StepsExecuted),
 			fmt.Sprintf("%d", r.On.Stats.PrunedBranches),
-			fmt.Sprintf("%d (%d)", r.On.Stats.MemoHits, r.On.Stats.MemoPathsSkipped),
 			fmt.Sprintf("%d/%d", r.On.Score.Found, r.Off.Score.Found),
 			fmt.Sprintf("%s/%s", fmtDuration(r.On.Elapsed), fmtDuration(r.Off.Elapsed)))
 	}

@@ -1,8 +1,7 @@
 // Package hmix provides the small mixing hashes behind the incremental
-// state fingerprints (alias graph, typestate tracker, engine loop counts).
-// Fingerprints are XOR-accumulated multisets of per-fact hashes, so each
-// fact hash must be well mixed: the finalizer is splitmix64's, which
-// avalanche-mixes every input bit into every output bit.
+// cache keys (function fingerprints, entry keys, the analysis salt, verdict
+// keys). The finalizer is splitmix64's, which avalanche-mixes every input
+// bit into every output bit.
 package hmix
 
 const seed = 0x9e3779b97f4a7c15

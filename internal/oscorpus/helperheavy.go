@@ -9,8 +9,8 @@ import (
 // Helper-heavy cluster shapes: each emission is one driver plus the small
 // leaf helpers it calls, colocated in one file. The drivers interleave the
 // helper calls with flag diamonds that assign path-distinct constants to
-// locals observed at the end of the function, so the (block, state) memo
-// never collapses the routes — every one of the exponentially many prefixes
+// locals observed at the end of the function, so no state-merging scheme
+// can collapse the routes — every one of the exponentially many prefixes
 // re-reaches the next call site, always in the same callee-observable state,
 // which is the access pattern a callee-summary cache would target. Real-OS
 // precedent: register-bank accessors, devres-style field setters, and small

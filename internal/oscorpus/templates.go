@@ -494,7 +494,7 @@ var fillerShapes = []func(tc *templateCtx){
 	func(tc *templateCtx) { // option-flag cascade: 2^6 routes converge on
 		// changed ∈ {0,1}; the kernel's module-param / feature-bit apply
 		// pattern. Path-insensitive in outcome, exponential in routes —
-		// state memoization collapses it.
+		// a state-merging analysis would collapse it.
 		f := tc.f
 		n := tc.id("cfg_apply")
 		f.w("static int %s(int flags) {", n)

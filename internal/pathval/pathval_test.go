@@ -24,7 +24,7 @@ func analyze(t *testing.T, src string, mode core.Mode) ([]*core.PossibleBug, *Va
 	// These tests feed deliberately infeasible candidates to the Stage-2
 	// validator; the engine's default on-the-fly pruning would cut them
 	// during Stage 1, so it is disabled here.
-	eng := core.NewEngine(mod, core.Config{Mode: mode, NoPrune: true, NoMemo: true})
+	eng := core.NewEngine(mod, core.Config{Mode: mode, NoPrune: true})
 	res := eng.Run()
 	return res.Possible, New()
 }

@@ -76,8 +76,6 @@ func WriteStats(w io.Writer, st core.Stats) {
 	fmt.Fprintf(w, "  typestates:          %d (unaware: %d)\n", st.Typestates, st.TypestatesUnaware)
 	fmt.Fprintf(w, "  SMT constraints:     %d (unaware: %d)\n", st.Constraints, st.ConstraintsUnaware)
 	fmt.Fprintf(w, "  pruned branches:     %d\n", st.PrunedBranches)
-	fmt.Fprintf(w, "  memo hits:           %d (paths skipped: %d, steps skipped: %d)\n",
-		st.MemoHits, st.MemoPathsSkipped, st.MemoStepsSkipped)
 	fmt.Fprintf(w, "  repeated dropped:    %d\n", st.RepeatedDropped)
 	fmt.Fprintf(w, "  false dropped:       %d\n", st.FalseDropped)
 	fmt.Fprintf(w, "  verdict cache:       %d hits, %d misses, %d evicted\n",
@@ -89,8 +87,8 @@ func WriteStats(w io.Writer, st core.Stats) {
 	fmt.Fprintf(w, "  fault isolation:     %d degraded, %d retried, %d deadline trips, %d panics contained\n",
 		st.EntriesDegraded, st.EntriesRetried, st.DeadlineTrips, st.PanicsContained)
 	fmt.Fprintf(w, "  adaptive cost model: %d light entries\n", st.AdaptiveEntriesLight)
-	fmt.Fprintf(w, "  layer self-time:     canon %v, cursor %v, solver %v\n",
-		time.Duration(st.CanonNanos), time.Duration(st.CursorNanos), time.Duration(st.SolverNanos))
+	fmt.Fprintf(w, "  layer self-time:     cursor %v, solver %v\n",
+		time.Duration(st.CursorNanos), time.Duration(st.SolverNanos))
 	fmt.Fprintf(w, "  work steals:         %d\n", st.WorkSteals)
 	fmt.Fprintf(w, "  analysis time:       %v\n", st.AnalysisTime)
 	fmt.Fprintf(w, "  validation time:     %v\n", st.ValidationTime)

@@ -131,9 +131,6 @@ func (c *MLChecker) OnBranch(br *cir.CondBr, taken bool, ctx Ctx) []Emission {
 	return out
 }
 
-// ObservesReturn implements Checker: OnReturn sweeps the touched set.
-func (c *MLChecker) ObservesReturn() bool { return true }
-
 // OnReturn implements Checker: fire the ret event on every unfreed,
 // unescaped object owned by the returning frame; transfer ownership of a
 // returned pointer to the caller's frame first.

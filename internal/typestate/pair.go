@@ -167,9 +167,6 @@ func (c *PairChecker) OnBranch(br *cir.CondBr, taken bool, ctx Ctx) []Emission {
 	return out
 }
 
-// ObservesReturn implements Checker: OnReturn sweeps the touched set.
-func (c *PairChecker) ObservesReturn() bool { return true }
-
 // OnReturn implements Checker: held, unescaped handles owned by the
 // returning frame are pairing violations, mirroring the ML checker's
 // ownership rules.

@@ -190,11 +190,6 @@ type Checker interface {
 	// HandleCALL MOVEs of Figure 6). The alias graph has already recorded
 	// the MOVE.
 	OnBind(param *cir.Register, arg cir.Value, site *cir.Call, ctx Ctx) []Emission
-	// ObservesReturn reports whether OnReturn sweeps tracked objects (as ML
-	// and Pair do for leak/unreleased detection) rather than being a no-op.
-	// Such checkers can fire on objects no live value names, so the memo
-	// digest must never drop their facts (see Tracker.CanonDigest).
-	ObservesReturn() bool
 }
 
 // baseChecker provides no-op hooks.
@@ -203,7 +198,6 @@ type baseChecker struct{}
 func (baseChecker) OnInstr(cir.Instr, Ctx) []Emission          { return nil }
 func (baseChecker) OnBranch(*cir.CondBr, bool, Ctx) []Emission { return nil }
 func (baseChecker) OnReturn(*cir.Ret, Ctx) []Emission          { return nil }
-func (baseChecker) ObservesReturn() bool                       { return false }
 func (baseChecker) OnBind(*cir.Register, cir.Value, *cir.Call, Ctx) []Emission {
 	return nil
 }
@@ -263,15 +257,6 @@ type Tracker struct {
 	trail    []tundo
 	Stats    Stats
 	Sink     BugSink
-
-	// fp is the incrementally maintained fingerprint of the tracking state:
-	// the XOR of one mixed hash per (checker, object, state) entry and per
-	// (checker, object, property, value) entry, updated through the same
-	// trail that drives Rollback. Object identity enters as the alias-graph
-	// node ID, which the graph keeps reproducible across DFS siblings.
-	fp     uint64
-	stateH map[State]uint64
-	propH  map[string]uint64
 }
 
 // NewTracker returns a tracker over the given checkers.
@@ -282,81 +267,7 @@ func NewTracker(checkers []Checker, sink BugSink) *Tracker {
 		props:    make(map[propKey]int64),
 		touched:  make(map[int][]*aliasgraph.Node),
 		Sink:     sink,
-		stateH:   make(map[State]uint64),
-		propH:    make(map[string]uint64),
 	}
-}
-
-// Fingerprint returns the incrementally maintained hash of all per-object
-// states and properties. Equal tracking states fingerprint equal (modulo
-// explicit-versus-implicit initial entries, which only costs precision, not
-// soundness); distinct states collide only with 64-bit hash probability.
-func (t *Tracker) Fingerprint() uint64 { return t.fp }
-
-func (t *Tracker) stateHash(s State) uint64 {
-	h, ok := t.stateH[s]
-	if !ok {
-		h = hmix.Str(string(s))
-		t.stateH[s] = h
-	}
-	return h
-}
-
-func (t *Tracker) propHash(p string) uint64 {
-	h, ok := t.propH[p]
-	if !ok {
-		h = hmix.Str(p)
-		t.propH[p] = h
-	}
-	return h
-}
-
-func (t *Tracker) stateFact(k objKey, s State) uint64 {
-	return hmix.Mix4(4, uint64(k.checker), uint64(k.node.ID), t.stateHash(s))
-}
-
-func (t *Tracker) propFact(k propKey, v int64) uint64 {
-	return hmix.Mix2(hmix.Mix4(5, uint64(k.checker), uint64(k.node.ID), t.propHash(k.prop)), uint64(v))
-}
-
-// CanonDigest returns a node-ID-independent hash of the tracking state,
-// expressing object identity through the caller-supplied canonical node
-// labels (from aliasgraph.Graph.CanonState) instead of allocation-order node
-// IDs.
-//
-// A fact on an unlabelled node — an object unreachable from every relevant
-// variable — is handled per checker. Event-driven checkers (NPD, DBZ, UAF,
-// …) fire only on instructions, and an instruction resolves its objects
-// through values it uses, all of which are relevant by construction; their
-// facts on unreachable objects can never be read inside the memoized
-// subtree and are soundly dropped from the digest. Checkers that sweep
-// their touched set at returns (ObservesReturn: ML, Pair) can fire on an
-// object no live value names — a leaked allocation — so their facts must
-// never be dropped: the digest instead reports ok=false and the caller
-// skips memoizing this configuration.
-func (t *Tracker) CanonDigest(labels map[*aliasgraph.Node]uint64) (uint64, bool) {
-	var d uint64
-	for k, s := range t.states {
-		ln, ok := labels[k.node]
-		if !ok {
-			if t.Checkers[k.checker].ObservesReturn() {
-				return 0, false
-			}
-			continue
-		}
-		d ^= hmix.Mix4(4, uint64(k.checker), ln, t.stateHash(s))
-	}
-	for k, v := range t.props {
-		ln, ok := labels[k.node]
-		if !ok {
-			if t.Checkers[k.checker].ObservesReturn() {
-				return 0, false
-			}
-			continue
-		}
-		d ^= hmix.Mix2(hmix.Mix4(5, uint64(k.checker), ln, t.propHash(k.prop)), uint64(v))
-	}
-	return d, true
 }
 
 // Mark is a trail checkpoint.
@@ -372,18 +283,14 @@ func (t *Tracker) Rollback(mark Mark) {
 		t.trail = t.trail[:len(t.trail)-1]
 		switch u.kind {
 		case tuState:
-			t.fp ^= t.stateFact(u.sk, t.states[u.sk])
 			if u.hadState {
 				t.states[u.sk] = u.oldState
-				t.fp ^= t.stateFact(u.sk, u.oldState)
 			} else {
 				delete(t.states, u.sk)
 			}
 		case tuProp:
-			t.fp ^= t.propFact(u.pk, t.props[u.pk])
 			if u.hadProp {
 				t.props[u.pk] = u.oldProp
-				t.fp ^= t.propFact(u.pk, u.oldProp)
 			} else {
 				delete(t.props, u.pk)
 			}
@@ -406,11 +313,7 @@ func (t *Tracker) setState(ci int, obj *aliasgraph.Node, s State) {
 	k := objKey{checker: ci, node: obj}
 	old, had := t.states[k]
 	t.trail = append(t.trail, tundo{kind: tuState, sk: k, oldState: old, hadState: had})
-	if had {
-		t.fp ^= t.stateFact(k, old)
-	}
 	t.states[k] = s
-	t.fp ^= t.stateFact(k, s)
 	if !had {
 		t.touched[ci] = append(t.touched[ci], obj)
 		t.trail = append(t.trail, tundo{kind: tuTouched, checker: ci})
@@ -427,11 +330,7 @@ func (t *Tracker) SetProp(ci int, obj *aliasgraph.Node, prop string, v int64) {
 	k := propKey{checker: ci, node: obj, prop: prop}
 	old, had := t.props[k]
 	t.trail = append(t.trail, tundo{kind: tuProp, pk: k, oldProp: old, hadProp: had})
-	if had {
-		t.fp ^= t.propFact(k, old)
-	}
 	t.props[k] = v
-	t.fp ^= t.propFact(k, v)
 }
 
 // ObjectsInState returns the touched objects of checker ci currently in

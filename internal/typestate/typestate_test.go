@@ -123,6 +123,42 @@ func TestTrackerRollback(t *testing.T) {
 	}
 }
 
+// TestTrackerRollbackRestoresOverwrites: Rollback restores overwritten
+// states and property values exactly, and replaying the writes reproduces
+// them.
+func TestTrackerRollbackRestoresOverwrites(t *testing.T) {
+	g := aliasgraph.New()
+	obj1, obj2 := mkNode(g, "p"), mkNode(g, "q")
+	tr := NewTracker([]Checker{NewNPD()}, nil)
+	tr.setState(0, obj1, npdN)
+	tr.SetProp(0, obj1, "k", 7)
+
+	m := tr.Checkpoint()
+	mutate := func() {
+		tr.SetProp(0, obj1, "k", 9) // prop overwrite
+		tr.setState(0, obj1, npdS0) // state overwrite
+		tr.setState(0, obj2, npdN)
+	}
+	mutate()
+	if tr.PropOf(0, obj1, "k") != 9 || tr.StateOf(0, obj1) != npdS0 || tr.StateOf(0, obj2) != npdN {
+		t.Fatal("mutations not visible")
+	}
+	tr.Rollback(m)
+	if got := tr.PropOf(0, obj1, "k"); got != 7 {
+		t.Errorf("prop after rollback = %d, want 7", got)
+	}
+	if got := tr.StateOf(0, obj1); got != npdN {
+		t.Errorf("obj1 state after rollback = %s, want %s", got, npdN)
+	}
+	if got := tr.ObjectsInState(0, npdN); len(got) != 1 || got[0] != obj1 {
+		t.Errorf("objects in %s after rollback = %v, want only obj1", npdN, got)
+	}
+	mutate()
+	if tr.PropOf(0, obj1, "k") != 9 || tr.StateOf(0, obj1) != npdS0 || tr.StateOf(0, obj2) != npdN {
+		t.Error("replayed mutations not visible")
+	}
+}
+
 func TestObjectsInState(t *testing.T) {
 	g := aliasgraph.New()
 	tr := NewTracker([]Checker{NewML()}, nil)

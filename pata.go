@@ -57,16 +57,12 @@ type Config struct {
 	// whose candidates Stage-2 validation would drop anyway; when available,
 	// the adaptive size gate decides per entry whether it runs.
 	NoPrune bool
-	// NoMemo makes the Stage-1 (block, state) memoization unavailable. The
-	// memoization skips re-exploring repeated identical basic-block
-	// configurations; when available, the adaptive size gate decides per
-	// entry whether it runs.
-	NoMemo bool
-	// NoAdaptive disables the per-entry adaptive size gate, forcing the
-	// available pruning and memoization layers on for every entry. The gate
-	// turns both layers off on entries whose full exploration costs less
-	// than the layers' bookkeeping — on the synthetic corpora that is every
-	// entry. Reports are identical either way; only wall-clock changes.
+	// NoAdaptive disables the per-entry adaptive size gate, forcing pruning
+	// (unless NoPrune is set) on for every entry. The gate turns pruning off
+	// on entries whose full exploration costs less than the cursor's
+	// bookkeeping — on the synthetic corpora that is every entry. The bug
+	// set is identical either way, but a pruned entry may report a
+	// different witness path, alias set or trigger for the same bug.
 	NoAdaptive bool
 	// MaxCallDepth bounds interprocedural inlining (default 8).
 	MaxCallDepth int
@@ -230,7 +226,6 @@ func (c Config) engineConfig() (core.Config, error) {
 		LoopUnroll:              c.LoopUnroll,
 		ValidateWorkers:         c.ValidateWorkers,
 		NoPrune:                 c.NoPrune,
-		NoMemo:                  c.NoMemo,
 		NoAdaptive:              c.NoAdaptive,
 		EntryTimeout:            c.EntryTimeout,
 		RunTimeout:              c.RunTimeout,

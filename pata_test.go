@@ -95,11 +95,11 @@ void func(char *p) {
 	// The dead x==5 branch is exactly what the default on-the-fly pruning
 	// removes during Stage 1; disable it so the candidate reaches (or
 	// skips) Stage-2 validation, which is what this test exercises.
-	validated, err := AnalyzeSources("m", src, Config{NoPrune: true, NoMemo: true})
+	validated, err := AnalyzeSources("m", src, Config{NoPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := AnalyzeSources("m", src, Config{SkipValidation: true, NoPrune: true, NoMemo: true})
+	raw, err := AnalyzeSources("m", src, Config{SkipValidation: true, NoPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ void func(char *p) {
 	}
 	if (!p)
 		use(*p);
-}`}, Config{NoPrune: true, NoMemo: true})
+}`}, Config{NoPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
