@@ -13,6 +13,7 @@ package aliasgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -67,23 +68,30 @@ func IndexLabel(idx cir.Value, site string) Label {
 	return Label{Kind: Index, Name: "i@" + site}
 }
 
-// Node is an alias class.
+// Node is an alias class. Members and out edges are small slices searched
+// linearly: a class holds a handful of variables and a node has at most one
+// edge per label, so a scan beats hashing, and a node recycled after a
+// rollback keeps their capacity. Their order is unspecified; every reader
+// that prints or enumerates them sorts.
 type Node struct {
 	ID   int
-	vars map[cir.Value]struct{}
-	out  map[Label]*Node
+	vars []cir.Value
+	out  []edge
 	// ConstVal records that the abstract object currently holds this
 	// constant (set by stores/moves of constants); nil otherwise. The path
 	// validator and the NPD checker consume it.
 	ConstVal *cir.Const
 }
 
+// edge is one labelled out edge of a node.
+type edge struct {
+	l  Label
+	to *Node
+}
+
 // Vars returns the variables of the alias class, deterministically ordered.
 func (n *Node) Vars() []cir.Value {
-	out := make([]cir.Value, 0, len(n.vars))
-	for v := range n.vars {
-		out = append(out, v)
-	}
+	out := slices.Clone(n.vars)
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
@@ -92,14 +100,50 @@ func (n *Node) Vars() []cir.Value {
 func (n *Node) NumVars() int { return len(n.vars) }
 
 // Out returns the successor along label l, or nil.
-func (n *Node) Out(l Label) *Node { return n.out[l] }
+func (n *Node) Out(l Label) *Node {
+	for _, e := range n.out {
+		if e.l == l {
+			return e.to
+		}
+	}
+	return nil
+}
+
+// removeVar swap-removes v from the class.
+func (n *Node) removeVar(v cir.Value) {
+	i := slices.Index(n.vars, v)
+	last := len(n.vars) - 1
+	n.vars[i] = n.vars[last]
+	n.vars = n.vars[:last]
+}
+
+// removeEdge swap-removes the edge labelled l and returns its target, or nil
+// when there is none.
+func (n *Node) removeEdge(l Label) *Node {
+	for i, e := range n.out {
+		if e.l == l {
+			last := len(n.out) - 1
+			n.out[i] = n.out[last]
+			n.out = n.out[:last]
+			return e.to
+		}
+	}
+	return nil
+}
 
 // Graph is a mutable alias graph with an undo trail.
+//
+// Node IDs are LIFO: node k sits at nodes[k-1], and Rollback retires the
+// newest nodes first. Retired *Node values stay in the backing array past
+// len(nodes) and newNode reuses them, so a holder of a *Node must drop it
+// when a rollback (or Reset) retires the node: the engine's tracker is
+// rolled back together with the graph, the pruner keys its symbols by ID,
+// and the path replayer undoes its pointer-keyed symbols through its own
+// log.
 type Graph struct {
-	varOf  map[cir.Value]*Node
-	nodes  []*Node
-	trail  []undo
-	nextID int
+	varOf map[cir.Value]*Node
+	nodes []*Node
+	trail []undo
 }
 
 // Mark is a checkpoint into the trail.
@@ -131,20 +175,32 @@ func New() *Graph {
 }
 
 // Reset returns the graph to the empty state New produces while keeping the
-// allocations a previous run warmed up: the backing arrays of nodes/trail and
-// the varOf map. Node IDs restart at 1, so a reset graph replays a path
-// bit-identically to a fresh one — which is what lets the path validator
-// pool replayers instead of allocating graph+maps per candidate.
+// allocations a previous run warmed up: the nodes (recycled by later
+// allocations), the trail's backing array and the varOf map. Node IDs
+// restart at 1, so a reset graph replays a path bit-identically to a fresh
+// one — which is what lets the path validator pool replayers instead of
+// allocating graph+maps per candidate.
 func (g *Graph) Reset() {
 	clear(g.varOf)
 	g.nodes = g.nodes[:0]
 	g.trail = g.trail[:0]
-	g.nextID = 0
 }
 
+// newNode allocates the next node, reusing the retired node in the slot
+// past len(nodes) when there is one. A node retired by Rollback is already
+// detached (its var moves and edge changes were undone before its creation
+// was); one retired by Reset is cleared here.
 func (g *Graph) newNode() *Node {
-	g.nextID++
-	n := &Node{ID: g.nextID, vars: make(map[cir.Value]struct{}), out: make(map[Label]*Node)}
+	k := len(g.nodes)
+	var n *Node
+	if k < cap(g.nodes) {
+		n = g.nodes[:k+1][k]
+	}
+	if n == nil {
+		n = &Node{ID: k + 1}
+	} else {
+		*n = Node{ID: k + 1, vars: n.vars[:0], out: n.out[:0]}
+	}
 	g.nodes = append(g.nodes, n)
 	g.trail = append(g.trail, undo{kind: uNodeNew, to: n})
 	return n
@@ -157,7 +213,7 @@ func (g *Graph) NodeOf(v cir.Value) *Node {
 		return n
 	}
 	n := g.newNode()
-	n.vars[v] = struct{}{}
+	n.vars = append(n.vars, v)
 	g.varOf[v] = n
 	g.trail = append(g.trail, undo{kind: uVarMove, v: v, from: nil, to: n})
 	return n
@@ -171,24 +227,24 @@ func (g *Graph) moveVar(v cir.Value, from, to *Node) {
 		return
 	}
 	if from != nil {
-		delete(from.vars, v)
+		from.removeVar(v)
 	}
-	to.vars[v] = struct{}{}
+	to.vars = append(to.vars, v)
 	g.varOf[v] = to
 	g.trail = append(g.trail, undo{kind: uVarMove, v: v, from: from, to: to})
 }
 
+// addEdge adds the edge from -l-> to; from must have no l edge.
 func (g *Graph) addEdge(from *Node, l Label, to *Node) {
-	from.out[l] = to
+	from.out = append(from.out, edge{l: l, to: to})
 	g.trail = append(g.trail, undo{kind: uEdgeAdd, from: from, to: to, label: l})
 }
 
 func (g *Graph) delEdge(from *Node, l Label) {
-	to, ok := from.out[l]
-	if !ok {
+	to := from.removeEdge(l)
+	if to == nil {
 		return
 	}
-	delete(from.out, l)
 	g.trail = append(g.trail, undo{kind: uEdgeDel, from: from, to: to, label: l})
 }
 
@@ -207,24 +263,23 @@ func (g *Graph) Rollback(mark Mark) {
 		g.trail = g.trail[:len(g.trail)-1]
 		switch u.kind {
 		case uVarMove:
-			delete(u.to.vars, u.v)
+			u.to.removeVar(u.v)
 			if u.from != nil {
-				u.from.vars[u.v] = struct{}{}
+				u.from.vars = append(u.from.vars, u.v)
 				g.varOf[u.v] = u.from
 			} else {
 				delete(g.varOf, u.v)
 			}
 		case uEdgeAdd:
-			delete(u.from.out, u.label)
+			u.from.removeEdge(u.label)
 		case uEdgeDel:
-			u.from.out[u.label] = u.to
+			u.from.out = append(u.from.out, edge{l: u.label, to: u.to})
 		case uNodeNew:
+			// Retiring the newest node rewinds the ID counter too, so node
+			// IDs are reproducible across sibling subtrees of the DFS (the
+			// next allocation after a rollback reuses the ID the rolled-back
+			// node had, in the same structural position).
 			g.nodes = g.nodes[:len(g.nodes)-1]
-			// Rewind the ID counter too, so node IDs are reproducible across
-			// sibling subtrees of the DFS (the next allocation after a
-			// rollback reuses the ID the rolled-back node had, in the same
-			// structural position).
-			g.nextID--
 		case uConstSet:
 			u.to.ConstVal = u.oldConst
 		}
@@ -272,7 +327,7 @@ func (g *Graph) Store(v2, v1 cir.Value) {
 // edge to v1's class is created when none exists.
 func (g *Graph) Load(v1, v2 cir.Value) {
 	n2 := g.NodeOf(v2)
-	if nx, ok := n2.out[DerefLabel]; ok {
+	if nx := n2.Out(DerefLabel); nx != nil {
 		g.moveVar(v1, g.NodeOf(v1), nx)
 		return
 	}
@@ -284,7 +339,7 @@ func (g *Graph) Load(v1, v2 cir.Value) {
 // Load but with a field or index label.
 func (g *Graph) GEP(v1, v2 cir.Value, l Label) {
 	n2 := g.NodeOf(v2)
-	if nx, ok := n2.out[l]; ok {
+	if nx := n2.Out(l); nx != nil {
 		g.moveVar(v1, g.NodeOf(v1), nx)
 		return
 	}
@@ -307,7 +362,7 @@ func (g *Graph) Detach(v cir.Value) {
 // object behind *v without introducing a new variable.
 func (g *Graph) Target(v cir.Value, l Label) *Node {
 	n := g.NodeOf(v)
-	if nx, ok := n.out[l]; ok {
+	if nx := n.Out(l); nx != nil {
 		return nx
 	}
 	fresh := g.newNode()
@@ -341,15 +396,15 @@ func (g *Graph) AccessPaths(n *Node, maxDepth int) []string {
 	}
 	rev := make(map[*Node][]redge)
 	for _, m := range g.nodes {
-		for l, t := range m.out {
-			rev[t] = append(rev[t], redge{from: m, l: l})
+		for _, e := range m.out {
+			rev[e.to] = append(rev[e.to], redge{from: m, l: e.l})
 		}
 	}
 	var out []string
 	seen := make(map[string]struct{})
 	var walk func(cur *Node, suffix string, depth int, onPath map[*Node]bool)
 	walk = func(cur *Node, suffix string, depth int, onPath map[*Node]bool) {
-		for v := range cur.vars {
+		for _, v := range cur.vars {
 			p := v.String() + suffix
 			if _, dup := seen[p]; !dup {
 				seen[p] = struct{}{}
@@ -407,8 +462,8 @@ func (g *Graph) String() string {
 			fmt.Fprintf(&b, " =%s", n.ConstVal)
 		}
 		labels := make([]string, 0, len(n.out))
-		for l, t := range n.out {
-			labels = append(labels, fmt.Sprintf(" %s->n%d", l, t.ID))
+		for _, e := range n.out {
+			labels = append(labels, fmt.Sprintf(" %s->n%d", e.l, e.to.ID))
 		}
 		sort.Strings(labels)
 		for _, l := range labels {
@@ -430,8 +485,8 @@ func (g *Graph) DOT(name string) string {
 		if len(n.vars) > 0 || len(n.out) > 0 {
 			live[n] = true
 		}
-		for _, t := range n.out {
-			live[t] = true
+		for _, e := range n.out {
+			live[e.to] = true
 		}
 	}
 	for _, n := range g.nodes {
@@ -457,17 +512,10 @@ func (g *Graph) DOT(name string) string {
 		if !live[n] {
 			continue
 		}
-		labels := make([]string, 0, len(n.out))
-		for l := range n.out {
-			labels = append(labels, l.String())
-		}
-		sort.Strings(labels)
-		for _, ls := range labels {
-			for l, t := range n.out {
-				if l.String() == ls {
-					fmt.Fprintf(&b, "\tn%d -> n%d [label=%q];\n", n.ID, t.ID, ls)
-				}
-			}
+		out := slices.Clone(n.out)
+		sort.Slice(out, func(i, j int) bool { return out[i].l.String() < out[j].l.String() })
+		for _, e := range out {
+			fmt.Fprintf(&b, "\tn%d -> n%d [label=%q];\n", n.ID, e.to.ID, e.l.String())
 		}
 	}
 	b.WriteString("}\n")

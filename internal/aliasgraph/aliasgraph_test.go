@@ -2,6 +2,7 @@ package aliasgraph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -400,7 +401,7 @@ func TestVarNodeConsistencyProperty(t *testing.T) {
 			if n == nil {
 				continue
 			}
-			if _, ok := n.vars[v]; !ok {
+			if !slices.Contains(n.vars, v) {
 				return false
 			}
 		}

@@ -387,9 +387,15 @@ type Engine struct {
 	g       *aliasgraph.Graph
 	tracker *typestate.Tracker
 
-	path   []PathStep
-	onPath map[int]int
+	path []PathStep
+	// onPath counts, per instruction GID, how often the instruction is on
+	// the current path. Sized from the module once per engine and grown on
+	// demand; every exec that returns normally undoes its increment, so it
+	// is all-zero between entries.
+	onPath []int32
 	frames []*frame
+	// emits is the buffer emitInstr hands the checkers' OnInstr.
+	emits []typestate.Emission
 
 	// pruner is the per-entry pruning state (nil when pruning is off for
 	// this entry).
@@ -459,6 +465,7 @@ func newEngineWithCG(mod *cir.Module, cfg Config, cg *callgraph.Graph) *Engine {
 		Cfg:           cfg.withDefaults(),
 		dedup:         make(map[dedupKey]*PossibleBug),
 		stackAddrMemo: make(map[*cir.Register]bool),
+		onPath:        make([]int32, mod.NumInstrs()+1),
 	}
 }
 
@@ -534,7 +541,9 @@ func (e *Engine) RunCtx(ctx context.Context) *Result {
 // runEntryGuarded wraps analyzeEntry in the per-entry fault barrier and
 // records incomplete outcomes. A contained panic unwinds past the entry's
 // rollback points, so the alias graph and tracker are discarded and
-// rebuilt for the next entry with their counters folded into trkBase.
+// rebuilt for the next entry with their counters folded into trkBase; the
+// on-path counts, whose decrements the unwinding skipped, are zeroed and
+// the emission buffer is dropped with them.
 func (e *Engine) runEntryGuarded(fn *cir.Function) {
 	prevBudgeted := e.stats.Budgeted
 	panicked := false
@@ -551,6 +560,8 @@ func (e *Engine) runEntryGuarded(fn *cir.Function) {
 				}
 				e.g, e.tracker = nil, nil
 				e.frames = e.frames[:0]
+				clear(e.onPath)
+				e.emits = nil
 			}
 		}()
 		e.analyzeEntry(fn)
@@ -613,7 +624,6 @@ func (e *Engine) analyzeEntry(fn *cir.Function) {
 	tm := e.tracker.Checkpoint()
 
 	e.path = e.path[:0]
-	e.onPath = make(map[int]int)
 	e.frames = e.frames[:0]
 	e.paths = 0
 	e.steps = 0
@@ -700,7 +710,10 @@ func (e *Engine) exec(in cir.Instr) {
 	}
 	e.steps++
 	gid := in.GID()
-	if e.onPath[gid] >= e.Cfg.LoopUnroll {
+	if gid >= len(e.onPath) {
+		e.onPath = append(e.onPath, make([]int32, gid+1-len(e.onPath))...)
+	}
+	if int(e.onPath[gid]) >= e.Cfg.LoopUnroll {
 		// Loop or re-entry beyond the unroll budget (Figure 6 lines 32–38
 		// with the paper's unroll-once default); the path ends here.
 		e.endPath()
@@ -760,13 +773,23 @@ func (e *Engine) exec(in cir.Instr) {
 	e.g.Rollback(gm)
 }
 
-// instrSuccessors is Next() of the paper's pseudocode.
+// onPathCount returns how often the instruction with this GID is on the
+// current path.
+func (e *Engine) onPathCount(gid int) int {
+	if gid < len(e.onPath) {
+		return int(e.onPath[gid])
+	}
+	return 0
+}
+
+// instrSuccessors is Next() of the paper's pseudocode. The result may alias
+// the block's instruction slice; callers must not modify it.
 func instrSuccessors(in cir.Instr) []cir.Instr {
 	blk := in.Block()
 	for i, cur := range blk.Instrs {
 		if cur == in {
 			if i+1 < len(blk.Instrs) {
-				return []cir.Instr{blk.Instrs[i+1]}
+				return blk.Instrs[i+1 : i+2 : i+2]
 			}
 			break
 		}
@@ -798,7 +821,7 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 			continue
 		}
 		next := target.Instrs[0]
-		if e.onPath[next.GID()] >= e.Cfg.LoopUnroll {
+		if e.onPathCount(next.GID()) >= e.Cfg.LoopUnroll {
 			continue
 		}
 		gm := e.g.Checkpoint()
@@ -842,7 +865,7 @@ func (e *Engine) execCall(call *cir.Call) {
 	inlinable := callee != nil && !callee.IsDecl() &&
 		len(e.frames) < e.Cfg.MaxCallDepth &&
 		callee.Entry() != nil && len(callee.Entry().Instrs) > 0 &&
-		e.onPath[callee.Entry().Instrs[0].GID()] < e.Cfg.LoopUnroll
+		e.onPathCount(callee.Entry().Instrs[0].GID()) < e.Cfg.LoopUnroll
 
 	// The checkers see the call either way (intrinsics, escapes).
 	e.emitInstr(call)
@@ -968,10 +991,12 @@ func isAllocaReg(v cir.Value) bool {
 	return isAlloca
 }
 
-// emitInstr feeds one instruction through all checkers.
+// emitInstr feeds one instruction through all checkers, collecting each
+// checker's emissions in the engine's reused buffer.
 func (e *Engine) emitInstr(in cir.Instr) {
 	for ci, c := range e.tracker.Checkers {
-		for _, em := range c.OnInstr(in, e) {
+		e.emits = c.OnInstr(in, e, e.emits[:0])
+		for _, em := range e.emits {
 			e.tracker.Apply(ci, em)
 		}
 	}

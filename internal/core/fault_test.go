@@ -74,18 +74,19 @@ func sickHook(entry string, rung int) *core.FaultSpec {
 	return nil
 }
 
-// healthyReport renders the bugs of every entry NOT in sickNames, in order.
-func healthyReport(res *core.Result) string {
-	var healthy []*core.Bug
+// reportExcept renders the bugs and candidates of every entry not in skip,
+// in order.
+func reportExcept(res *core.Result, skip map[string]bool) string {
+	var kept []*core.Bug
 	for _, b := range res.Bugs {
-		if !sickNames[b.EntryFn] {
-			healthy = append(healthy, b)
+		if !skip[b.EntryFn] {
+			kept = append(kept, b)
 		}
 	}
 	var sb strings.Builder
-	report.WriteBugs(&sb, healthy)
+	report.WriteBugs(&sb, kept)
 	for _, pb := range res.Possible {
-		if !sickNames[pb.EntryFn] {
+		if !skip[pb.EntryFn] {
 			fmt.Fprintf(&sb, "possible %s origin=%d bug=%d entry=%s path=%d alts=%d\n",
 				pb.Type, pb.OriginGID, pb.BugInstr.GID(), pb.EntryFn, len(pb.Path), len(pb.AltPaths))
 		}
@@ -136,7 +137,7 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 	cfg.FaultHook = sickHook
 	injected := core.RunParallel(mod, cfg, 4)
 
-	if got, want := healthyReport(injected), healthyReport(baseline); got != want {
+	if got, want := reportExcept(injected, sickNames), reportExcept(baseline, sickNames); got != want {
 		t.Errorf("healthy-entry report differs under fault injection:\n--- baseline\n%s\n--- injected\n%s", want, got)
 	}
 
@@ -224,5 +225,94 @@ func TestDegradedEntriesNotCached(t *testing.T) {
 	}
 	if e := inc["pata_sick_slow"]; e.Reason != core.ReasonTimeout || e.Rung != -1 {
 		t.Errorf("re-attempted timeout record = %+v", e)
+	}
+}
+
+// deepPanicSource holds an entry whose DFS reaches shared_get two calls
+// deep, and a later entry (names sort after it) whose NPD is found only
+// when shared_get is inlined, i.e. only when none of shared_get's
+// instructions is still counted as on the path.
+const deepPanicSource = `
+struct dev { int flags; };
+struct dev *dev_table;
+
+struct dev *shared_get(int k) {
+	struct dev *d = dev_table;
+	if (k > 3)
+		d = NULL;
+	return d;
+}
+
+int aa_deep_mid(int k) {
+	struct dev *d = shared_get(k);
+	return k;
+}
+
+int aa_deep_entry(int k) {
+	return aa_deep_mid(k + 1);
+}
+
+int use_shared(int k) {
+	struct dev *d = shared_get(k);
+	return d->flags;
+}
+`
+
+// panicChecker is a checker with no events whose OnInstr, when armed,
+// panics on its n-th call at call depth 2 or more.
+type panicChecker struct {
+	armed    bool
+	n, calls int
+}
+
+func (c *panicChecker) Name() string            { return "panic-on-nth-deep-instr" }
+func (c *panicChecker) Type() typestate.BugType { return "PANIC" }
+func (c *panicChecker) FSM() *typestate.FSM     { return &typestate.FSM{Initial: "s0", Bug: "bug"} }
+func (c *panicChecker) OnInstr(_ cir.Instr, ctx typestate.Ctx, out []typestate.Emission) []typestate.Emission {
+	if c.armed && ctx.Depth() >= 2 {
+		if c.calls++; c.calls == c.n {
+			panic("panicChecker: deep instruction")
+		}
+	}
+	return out
+}
+func (c *panicChecker) OnBranch(*cir.CondBr, bool, typestate.Ctx) []typestate.Emission { return nil }
+func (c *panicChecker) OnReturn(*cir.Ret, typestate.Ctx) []typestate.Emission          { return nil }
+func (c *panicChecker) OnBind(*cir.Register, cir.Value, *cir.Call, typestate.Ctx) []typestate.Emission {
+	return nil
+}
+
+// TestContainedPanicLeavesNoPathState: a checker panic deep inside one
+// entry skips the DFS's on-path decrements and leaves emissions in the
+// engine's buffer. The sequential engine's panic fence must discard that
+// state with the alias graph and tracker, so the entries after the
+// panicked one report exactly what a fresh engine reports for them.
+func TestContainedPanicLeavesNoPathState(t *testing.T) {
+	c := oscorpus.Generate(oscorpus.ZephyrSpec())
+	c.Sources["pata_deep.c"] = deepPanicSource
+	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyze := func(armed bool) *core.Result {
+		cfg := core.Config{Checkers: append(typestate.CoreCheckers(), &panicChecker{armed: armed, n: 2})}
+		pathval.New().Install(&cfg)
+		return core.NewEngine(mod, cfg).Run()
+	}
+	fresh, got := analyze(false), analyze(true)
+
+	if len(got.Incomplete) != 1 || got.Incomplete[0].Entry != "aa_deep_entry" || got.Incomplete[0].Reason != core.ReasonPanic {
+		t.Fatalf("incomplete = %+v, want one panic record for aa_deep_entry", got.Incomplete)
+	}
+	found := false
+	for _, b := range fresh.Bugs {
+		found = found || (b.EntryFn == "use_shared" && b.Type == typestate.NPD)
+	}
+	if !found {
+		t.Fatal("fresh engine misses the NPD in use_shared; the test would prove nothing")
+	}
+	skip := map[string]bool{"aa_deep_entry": true}
+	if want, have := reportExcept(fresh, skip), reportExcept(got, skip); have != want {
+		t.Errorf("entries after a contained panic report differently from a fresh engine:\n--- fresh\n%s\n--- after panic\n%s", want, have)
 	}
 }

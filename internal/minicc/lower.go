@@ -2,6 +2,7 @@ package minicc
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/cir"
 )
@@ -38,7 +39,7 @@ func LowerAll(name string, sources map[string]string) (*cir.Module, error) {
 	for n := range sources {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for _, n := range names {
 		if err := Lower(mod, n, sources[n]); err != nil {
 			return mod, err
@@ -49,14 +50,6 @@ func LowerAll(name string, sources map[string]string) (*cir.Module, error) {
 		return mod, fmt.Errorf("lowered module fails verification: %w", err)
 	}
 	return mod, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 type lowerer struct {

@@ -36,7 +36,7 @@ func (v *Validator) releaseReplayer(r *replayer) {
 
 // reset returns the replayer to the state newReplayer(mode) produces while
 // keeping warmed-up allocations: map storage, slice backing arrays, and the
-// alias graph's interned hash caches. Determinism argument: replay only
+// alias graph's nodes, which the next replay recycles. Determinism argument: replay only
 // observes the graph/context through Var-ID allocation (both rewound to
 // their initial counters), map lookups (all cleared), and slice contents
 // (all truncated) — so a reset replayer replays any step sequence into the

@@ -47,7 +47,7 @@ func preg(name string) *cir.Register {
 // feed applies all emissions of one instruction through the tracker.
 func feed(m *mockCtx, c Checker, in cir.Instr) {
 	ci := m.tr.CheckerIndex(c)
-	for _, em := range c.OnInstr(in, m) {
+	for _, em := range c.OnInstr(in, m, nil) {
 		m.tr.Apply(ci, em)
 	}
 }
@@ -88,7 +88,7 @@ func TestNPDCheckerStackAddrSafe(t *testing.T) {
 	slot := preg("slot")
 	m.stack[slot] = true
 	ld := &cir.Load{Dst: preg("v"), Addr: slot}
-	if ems := c.OnInstr(ld, m); len(ems) != 0 {
+	if ems := c.OnInstr(ld, m, nil); len(ems) != 0 {
 		t.Errorf("stack load must not emit deref: %v", ems)
 	}
 }
@@ -284,7 +284,7 @@ func TestPairCheckerHandleStyles(t *testing.T) {
 
 	dev := preg("dev")
 	ci := m.tr.CheckerIndex(arg)
-	for _, em := range arg.OnInstr(mkCall("on", nil, dev), m) {
+	for _, em := range arg.OnInstr(mkCall("on", nil, dev), m, nil) {
 		m.tr.Apply(ci, em)
 	}
 	if m.tr.StateOf(ci, m.g.NodeOf(dev)) != pairHeld {
@@ -328,7 +328,7 @@ func TestAIUIndexUseExtraConstraint(t *testing.T) {
 	idx := preg("i")
 	idx.Typ = cir.I64
 	ia := &cir.IndexAddr{Dst: preg("e"), Base: preg("arr"), Index: idx}
-	ems := c.OnInstr(ia, m)
+	ems := c.OnInstr(ia, m, nil)
 	if len(ems) != 1 || ems[0].Extra == nil || ems[0].Extra.Pred != cir.PredLT {
 		t.Errorf("index use must carry the idx<0 extra constraint: %v", ems)
 	}

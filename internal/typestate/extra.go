@@ -57,19 +57,19 @@ func (c *DLChecker) Type() BugType { return DL }
 func (c *DLChecker) FSM() *FSM { return c.fsm }
 
 // OnInstr implements Checker.
-func (c *DLChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
+func (c *DLChecker) OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission {
 	call, ok := in.(*cir.Call)
 	if !ok || len(call.Args) == 0 {
-		return nil
+		return out
 	}
 	obj := ctx.Graph().NodeOf(call.Args[0])
 	switch ctx.Intrinsics().Classify(call.Callee) {
 	case IntrLock:
-		return []Emission{{Obj: obj, Event: evLock, Instr: in}}
+		return append(out, Emission{Obj: obj, Event: evLock, Instr: in})
 	case IntrUnlock:
-		return []Emission{{Obj: obj, Event: evUnlock, Instr: in}}
+		return append(out, Emission{Obj: obj, Event: evUnlock, Instr: in})
 	}
-	return nil
+	return out
 }
 
 // AIU states and events.
@@ -131,7 +131,7 @@ func (c *AIUChecker) Type() BugType { return AIU }
 func (c *AIUChecker) FSM() *FSM { return c.fsm }
 
 // OnInstr implements Checker.
-func (c *AIUChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
+func (c *AIUChecker) OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission {
 	g := ctx.Graph()
 	switch t := in.(type) {
 	case *cir.Move:
@@ -140,17 +140,17 @@ func (c *AIUChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
 			if cc.Val < 0 {
 				ev = evAssNeg
 			}
-			return []Emission{{Obj: g.NodeOf(t.Dst), Event: ev, Instr: in}}
+			return append(out, Emission{Obj: g.NodeOf(t.Dst), Event: ev, Instr: in})
 		}
 	case *cir.IndexAddr:
 		if r, ok := t.Index.(*cir.Register); ok {
-			return []Emission{{
+			return append(out, Emission{
 				Obj: g.NodeOf(r), Event: evIndexUse, Instr: in,
 				Extra: &ExtraConstraint{Val: r, Pred: cir.PredLT, Bound: 0},
-			}}
+			})
 		}
 	}
-	return nil
+	return out
 }
 
 // OnBranch implements Checker: sign checks drive the FSM.
@@ -238,7 +238,7 @@ func (c *DBZChecker) Type() BugType { return DBZ }
 func (c *DBZChecker) FSM() *FSM { return c.fsm }
 
 // OnInstr implements Checker.
-func (c *DBZChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
+func (c *DBZChecker) OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission {
 	g := ctx.Graph()
 	switch t := in.(type) {
 	case *cir.Move:
@@ -247,24 +247,24 @@ func (c *DBZChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
 			if cc.Val == 0 {
 				ev = evAssZero
 			}
-			return []Emission{{Obj: g.NodeOf(t.Dst), Event: ev, Instr: in}}
+			return append(out, Emission{Obj: g.NodeOf(t.Dst), Event: ev, Instr: in})
 		}
 	case *cir.Store:
 		if cc, ok := t.Val.(*cir.Const); ok && !cc.IsStr && !cc.IsNull && cc.Val == 0 {
-			return []Emission{{Obj: g.DerefNode(t.Addr), Event: evAssZero, Instr: in}}
+			return append(out, Emission{Obj: g.DerefNode(t.Addr), Event: evAssZero, Instr: in})
 		}
 	case *cir.BinOp:
 		if t.Op != cir.OpDiv && t.Op != cir.OpRem {
-			return nil
+			return out
 		}
 		if r, ok := t.Y.(*cir.Register); ok {
-			return []Emission{{
+			return append(out, Emission{
 				Obj: g.NodeOf(r), Event: evDivUse, Instr: in,
 				Extra: &ExtraConstraint{Val: r, Pred: cir.PredEQ, Bound: 0},
-			}}
+			})
 		}
 	}
-	return nil
+	return out
 }
 
 // OnBranch implements Checker: zero checks drive the FSM.

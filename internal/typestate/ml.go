@@ -64,11 +64,10 @@ func (c *MLChecker) FSM() *FSM { return c.fsm }
 
 // OnInstr implements Checker: allocation and free intrinsics drive the FSM;
 // stores into non-stack storage and opaque calls escape the object.
-func (c *MLChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
+func (c *MLChecker) OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission {
 	g := ctx.Graph()
 	tr := ctx.Tracker()
 	ci := tr.CheckerIndex(c)
-	var out []Emission
 	switch t := in.(type) {
 	case *cir.Call:
 		switch ctx.Intrinsics().Classify(t.Callee) {

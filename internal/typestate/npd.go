@@ -116,9 +116,8 @@ func (c *NPDChecker) FSM() *FSM { return c.fsm }
 
 // OnInstr implements Checker: NULL assignments set S_N; loads, stores and
 // field accesses through non-stack pointers are dereferences.
-func (c *NPDChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
+func (c *NPDChecker) OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission {
 	g := ctx.Graph()
-	var out []Emission
 	switch t := in.(type) {
 	case *cir.Move:
 		if cir.IsNullConst(t.Src) {

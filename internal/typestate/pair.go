@@ -106,10 +106,10 @@ func (c *PairChecker) handleOf(call *cir.Call, ctx Ctx) *cir.Value {
 }
 
 // OnInstr implements Checker.
-func (c *PairChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
+func (c *PairChecker) OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission {
 	call, ok := in.(*cir.Call)
 	if !ok {
-		return nil
+		return out
 	}
 	g := ctx.Graph()
 	tr := ctx.Tracker()
@@ -118,17 +118,17 @@ func (c *PairChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
 	case c.open[call.Callee]:
 		h := c.handleOf(call, ctx)
 		if h == nil {
-			return nil
+			return out
 		}
 		obj := g.NodeOf(*h)
 		tr.SetProp(ci, obj, propFrame, int64(ctx.FrameID()))
 		tr.SetProp(ci, obj, propEscaped, 0)
-		return []Emission{{Obj: obj, Event: evPairOpen, Instr: in}}
+		return append(out, Emission{Obj: obj, Event: evPairOpen, Instr: in})
 	case c.close[call.Callee]:
 		if len(call.Args) == 0 {
-			return nil
+			return out
 		}
-		return []Emission{{Obj: g.NodeOf(call.Args[0]), Event: evPairClose, Instr: in}}
+		return append(out, Emission{Obj: g.NodeOf(call.Args[0]), Event: evPairClose, Instr: in})
 	default:
 		// Handing the handle to an opaque callee may transfer release
 		// responsibility.
@@ -142,7 +142,7 @@ func (c *PairChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
 			}
 		}
 	}
-	return nil
+	return out
 }
 
 // OnBranch implements Checker: taking the handle == NULL branch after a

@@ -178,8 +178,10 @@ type Checker interface {
 	Name() string
 	Type() BugType
 	FSM() *FSM
-	// OnInstr inspects an instruction (after the alias-graph update).
-	OnInstr(in cir.Instr, ctx Ctx) []Emission
+	// OnInstr inspects an instruction (after the alias-graph update) and
+	// appends its emissions to out, returning the extended slice. The
+	// engine passes one reused buffer, so OnInstr must not retain out.
+	OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission
 	// OnBranch inspects a conditional branch taken in the given direction.
 	OnBranch(br *cir.CondBr, taken bool, ctx Ctx) []Emission
 	// OnReturn inspects a return at the current depth (used by ML to fire
@@ -195,9 +197,9 @@ type Checker interface {
 // baseChecker provides no-op hooks.
 type baseChecker struct{}
 
-func (baseChecker) OnInstr(cir.Instr, Ctx) []Emission          { return nil }
-func (baseChecker) OnBranch(*cir.CondBr, bool, Ctx) []Emission { return nil }
-func (baseChecker) OnReturn(*cir.Ret, Ctx) []Emission          { return nil }
+func (baseChecker) OnInstr(_ cir.Instr, _ Ctx, out []Emission) []Emission { return out }
+func (baseChecker) OnBranch(*cir.CondBr, bool, Ctx) []Emission            { return nil }
+func (baseChecker) OnReturn(*cir.Ret, Ctx) []Emission                     { return nil }
 func (baseChecker) OnBind(*cir.Register, cir.Value, *cir.Call, Ctx) []Emission {
 	return nil
 }

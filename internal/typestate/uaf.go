@@ -67,9 +67,8 @@ func (c *UAFChecker) FSM() *FSM { return c.fsm }
 
 // OnInstr implements Checker: allocations and frees drive the lifecycle;
 // dereferences and re-frees of a freed class are uses.
-func (c *UAFChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
+func (c *UAFChecker) OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission {
 	g := ctx.Graph()
-	var out []Emission
 	switch t := in.(type) {
 	case *cir.Call:
 		switch ctx.Intrinsics().Classify(t.Callee) {

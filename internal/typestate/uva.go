@@ -83,11 +83,10 @@ func (c *UVAChecker) Type() BugType { return UVA }
 func (c *UVAChecker) FSM() *FSM { return c.fsm }
 
 // OnInstr implements Checker.
-func (c *UVAChecker) OnInstr(in cir.Instr, ctx Ctx) []Emission {
+func (c *UVAChecker) OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission {
 	g := ctx.Graph()
 	tr := ctx.Tracker()
 	ci := tr.CheckerIndex(c)
-	var out []Emission
 	switch t := in.(type) {
 	case *cir.Alloca:
 		// A local without initializer is uninitialized storage. Parameter
