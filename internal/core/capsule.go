@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -16,6 +14,8 @@ import (
 // values are opaque byte payloads. Load returns ok=false on any miss —
 // including corrupted or stale storage — and Save is best-effort (a failed
 // write must degrade to a miss on the next run, never to an error).
+// Payloads are shared, not copied: an implementation may retain the slice
+// Save receives, and nobody modifies a payload after Save or Load.
 // Implementations must be safe for concurrent use; acache.Store is the
 // standard on-disk implementation.
 type EntryCache interface {
@@ -27,7 +27,7 @@ type EntryCache interface {
 // every cached capsule and verdict at once. Bump it whenever the capsule
 // layout, the Stats replayed from it, or the engine's exploration semantics
 // change in a way old capsules cannot represent.
-const capsuleVersion = 4
+const capsuleVersion = 5
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
@@ -254,6 +254,15 @@ func encodeExtra(ex *typestate.ExtraConstraint) (*extraC, bool) {
 // replay. Call it BEFORE handing res to the merger: the merger mutates
 // first-sighting candidates (AltPaths accumulation) in place.
 func encodeCapsule(res *Result) ([]byte, bool) {
+	c, ok := capsuleOf(res)
+	if !ok {
+		return nil, false
+	}
+	return marshalCapsule(&c), true
+}
+
+// capsuleOf lifts one entry's Result into its wire form.
+func capsuleOf(res *Result) (entryCapsule, bool) {
 	cap0 := entryCapsule{Stats: res.Stats, Cands: make([]candC, 0, len(res.Possible))}
 	t := newRefTable()
 	for _, pb := range res.Possible {
@@ -266,39 +275,35 @@ func encodeCapsule(res *Result) ([]byte, bool) {
 		}
 		var ok bool
 		if c.Bug, ok = t.refOf(pb.BugInstr); !ok {
-			return nil, false
+			return entryCapsule{}, false
 		}
 		if pb.OriginGID != 0 {
 			origin, found := originInstr(pb)
 			if !found {
-				return nil, false
+				return entryCapsule{}, false
 			}
 			if c.Origin, ok = t.refOf(origin); !ok {
-				return nil, false
+				return entryCapsule{}, false
 			}
 			c.HasOrigin = true
 		}
 		if c.Path, ok = t.stepsOf(pb.Path); !ok {
-			return nil, false
+			return entryCapsule{}, false
 		}
 		if len(pb.AltPaths) > 0 {
 			c.Alts = make([][]stepC, len(pb.AltPaths))
 			for i, alt := range pb.AltPaths {
 				if c.Alts[i], ok = t.stepsOf(alt); !ok {
-					return nil, false
+					return entryCapsule{}, false
 				}
 			}
 		}
 		if c.Extra, ok = encodeExtra(pb.Extra); !ok {
-			return nil, false
+			return entryCapsule{}, false
 		}
 		cap0.Cands = append(cap0.Cands, c)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&cap0); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
+	return cap0, true
 }
 
 // ---- decoding ----
@@ -397,13 +402,13 @@ func checkersByName(cfg Config) map[string]typestate.Checker {
 }
 
 // decodeCapsule rebuilds one entry's Result against the fresh module.
-// ok=false — an unresolvable ref, an unknown checker, malformed gob —
+// ok=false — an unresolvable ref, an unknown checker, a malformed payload —
 // means the caller treats the capsule as a miss and re-analyzes the entry.
 // The replayed Stats carry the stored exploration counters plus the cache
 // accounting: one entry hit, with every stored executed step skipped.
 func decodeCapsule(data []byte, mod *cir.Module, checkers map[string]typestate.Checker) (*Result, bool) {
-	var cap0 entryCapsule
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cap0); err != nil {
+	cap0, ok := unmarshalCapsule(data)
+	if !ok {
 		return nil, false
 	}
 	r := resolver{mod: mod}
@@ -511,23 +516,18 @@ func verdictKey(salt uint64, pb *PossibleBug, mode Mode) (string, bool) {
 	return fmt.Sprintf("v%016x", h), true
 }
 
-func encodeVerdict(out ValidationOutcome) ([]byte, bool) {
-	v := verdictC{
+func encodeVerdict(out ValidationOutcome) []byte {
+	return marshalVerdict(&verdictC{
 		Feasible:           out.Feasible,
 		Constraints:        out.Constraints,
 		ConstraintsUnaware: out.ConstraintsUnaware,
 		Trigger:            out.Trigger,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
+	})
 }
 
 func decodeVerdict(data []byte) (ValidationOutcome, bool) {
-	var v verdictC
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
+	v, ok := unmarshalVerdict(data)
+	if !ok {
 		return ValidationOutcome{}, false
 	}
 	return ValidationOutcome{

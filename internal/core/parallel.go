@@ -506,13 +506,11 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 							}
 						}
 					}
-					rec.out = validateGuarded(ctx, cfg, rec.pb, &solverNanos)
+					rec.out = validateGuarded(ctx, cfg, rec.pb, &mySolver)
 					// An interrupted or panicked verdict is conservative,
 					// not proven; persisting it would freeze a guess.
 					if keyed && !rec.out.TimedOut && !rec.out.Panicked {
-						if data, ok := encodeVerdict(rec.out); ok {
-							cache.Save(key, data)
-						}
+						cache.Save(key, encodeVerdict(rec.out))
 					}
 				}
 			}()

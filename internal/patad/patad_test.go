@@ -441,7 +441,8 @@ func TestSessionProtocol(t *testing.T) {
 	if r := send(`{"op":"ping","id":"p"}`); !r.OK || r.ID != "p" {
 		t.Errorf("ping: %+v", r)
 	}
-	if r := send(`{"op":"status"}`); !r.OK || r.Status == nil || r.Status.Files != 2 || r.Status.Entries != 2 {
+	if r := send(`{"op":"status"}`); !r.OK || r.Status == nil || r.Status.Files != 2 || r.Status.Entries != 2 ||
+		r.Status.ResidentEntries != 0 || r.Status.ResidentKB != 0 {
 		t.Errorf("status: %+v", r)
 	}
 	if r := send(`{not json`); r.OK || !strings.Contains(r.Error, "bad request") {

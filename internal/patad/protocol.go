@@ -112,4 +112,10 @@ type StatusInfo struct {
 	// CacheDir is empty when the daemon runs without a persistent store
 	// (warm restarts are then cold).
 	CacheDir string `json:"cache_dir,omitempty"`
+	// ResidentEntries and ResidentKB size the in-memory capsule tier: the
+	// cached payloads the last analyze touched (or that the current one
+	// has touched so far), in entries and KiB of payload. Both are 0
+	// without a cache directory.
+	ResidentEntries int   `json:"resident_entries"`
+	ResidentKB      int64 `json:"resident_kb"`
 }

@@ -57,19 +57,27 @@ type Options struct {
 // capsule store, and one admission gate; any number of protocol sessions
 // (stdio, socket connections) share them.
 type Server struct {
-	opts  Options
-	ec    core.Config   // template; value-copied per request
-	store *acache.Store // nil when CacheDir is unset or unusable
-	adm   *admission
+	opts Options
+	ec   core.Config // template; value-copied per request
+	// resident is the engine's cache: the in-memory tier in front of the
+	// capsule store. nil when CacheDir is unset or unusable.
+	resident *residentCache
+	adm      *admission
 
 	// modMu guards the current module epoch. Analyses snapshot the module
 	// pointer and run on it unlocked (modules are immutable once
 	// published, fingerprints pre-warmed); invalidations build and publish
 	// a fresh one. In-flight analyses on the old epoch finish undisturbed.
-	modMu      sync.Mutex
-	sources    map[string]string
-	mod        *cir.Module
-	entryCount int
+	// cg is the epoch's call graph and entryKeys its salt-0 entry keys by
+	// entry name, so the next invalidate diffs against them instead of
+	// rebuilding the old graph. The initial epoch's keys are computed by
+	// the first invalidate (nil until then), keeping start-up as cheap as
+	// a cold daemon needs.
+	modMu     sync.Mutex
+	sources   map[string]string
+	mod       *cir.Module
+	cg        *callgraph.Graph
+	entryKeys map[string]uint64
 
 	served atomic.Int64
 
@@ -145,28 +153,37 @@ func New(opts Options) (*Server, error) {
 			fmt.Fprintf(opts.Stderr, "patad: cache disabled: %v\n", err)
 		} else {
 			store.WarnLog = opts.Stderr
-			s.store = store
-			s.ec.Cache = store
+			s.resident = newResidentCache(store)
+			s.ec.Cache = s.resident
 		}
 	}
 
-	mod, _, err := lowerAndFingerprint(opts.Sources, nil)
+	mod, err := lowerAndFingerprint(opts.Sources, nil)
 	if err != nil {
 		return nil, fmt.Errorf("patad: frontend: %w", err)
 	}
-	s.sources = cloneSources(opts.Sources)
-	s.publish(mod)
+	s.publish(cloneSources(opts.Sources), mod, callgraph.Build(mod), nil)
 	return s, nil
 }
 
-// publish installs a new module epoch. Callers pass a module whose
-// fingerprints are already warmed (lowerAndFingerprint).
-func (s *Server) publish(mod *cir.Module) {
-	cg := callgraph.Build(mod)
-	n := len(cg.EntryFunctions())
+// entryKeys returns cg's salt-0 entry keys by entry name. The module's
+// fingerprints must already be warmed (lowerAndFingerprint).
+func entryKeys(cg *callgraph.Graph) map[string]uint64 {
+	entries := cg.EntryFunctions()
+	keys := make(map[string]uint64, len(entries))
+	for _, fn := range entries {
+		keys[fn.Name] = cg.EntryKey(fn, 0)
+	}
+	return keys
+}
+
+// publish installs a new module epoch.
+func (s *Server) publish(sources map[string]string, mod *cir.Module, cg *callgraph.Graph, keys map[string]uint64) {
 	s.modMu.Lock()
+	s.sources = sources
 	s.mod = mod
-	s.entryCount = n
+	s.cg = cg
+	s.entryKeys = keys
 	s.modMu.Unlock()
 }
 
@@ -183,14 +200,12 @@ func (s *Server) snapshot() *cir.Module {
 // functions whose defining file actually changed are re-fingerprinted —
 // unchanged files' functions adopt the previous epoch's memo (identical
 // source text lowers to an identical rendering, so the hash is the same by
-// construction; TestAdoptedFingerprintsMatchRecompute pins it). It returns
-// the set of function names that had to be re-hashed.
-func lowerAndFingerprint(sources map[string]string, prev *prevEpoch) (*cir.Module, map[string]bool, error) {
+// construction; TestAdoptedFingerprintsMatchRecompute pins it).
+func lowerAndFingerprint(sources map[string]string, prev *prevEpoch) (*cir.Module, error) {
 	mod, err := minicc.LowerAll("program", sources)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rehashed := make(map[string]bool)
 	for _, fn := range mod.SortedFuncs() {
 		if prev != nil && !prev.changedFiles[fn.File] {
 			if old, ok := prev.mod.Funcs[fn.Name]; ok && fn.AdoptFingerprint(old) {
@@ -198,9 +213,8 @@ func lowerAndFingerprint(sources map[string]string, prev *prevEpoch) (*cir.Modul
 			}
 		}
 		fn.Fingerprint()
-		rehashed[fn.Name] = true
 	}
-	return mod, rehashed, nil
+	return mod, nil
 }
 
 // prevEpoch carries what lowerAndFingerprint needs to skip unchanged work.
@@ -291,8 +305,8 @@ func (s *Server) Shutdown() {
 	}
 	s.killCancel()
 
-	if s.store != nil {
-		if err := s.store.Flush(); err != nil {
+	if s.resident != nil {
+		if err := s.resident.disk.Flush(); err != nil {
 			fmt.Fprintf(s.opts.Stderr, "patad: cache flush: %v\n", err)
 		}
 	}
@@ -476,6 +490,9 @@ func (s *Server) analyzeInto(ctx context.Context, req *Request, send func(*Respo
 
 	mod := s.snapshot()
 	res := core.RunParallelCtx(rctx, mod, s.ec, s.opts.Config.Workers)
+	if s.resident != nil {
+		s.resident.endAnalyze()
+	}
 	pres := pata.ConvertResult(res, s.opts.Config.WitnessPaths || req.Witness)
 	s.served.Add(1)
 
@@ -496,7 +513,7 @@ func (s *Server) invalidate(req *Request) *Response {
 	resp := &Response{ID: req.ID, Op: req.Op}
 
 	s.modMu.Lock()
-	oldMod := s.mod
+	oldMod, oldCG, oldKeys := s.mod, s.cg, s.entryKeys
 	next := cloneSources(s.sources)
 	s.modMu.Unlock()
 
@@ -522,7 +539,7 @@ func (s *Server) invalidate(req *Request) *Response {
 		return resp
 	}
 
-	mod, rehashed, err := lowerAndFingerprint(next, &prevEpoch{mod: oldMod, changedFiles: changedFiles})
+	mod, err := lowerAndFingerprint(next, &prevEpoch{mod: oldMod, changedFiles: changedFiles})
 	if err != nil {
 		resp.Error = fmt.Sprintf("frontend: %v", err)
 		return resp
@@ -555,27 +572,24 @@ func (s *Server) invalidate(req *Request) *Response {
 	// uses (salt 0: both sides share whatever configuration salt the real
 	// keys carry, so it cancels out of the comparison). This is exactly
 	// the set the next analyze re-runs; everything else replays warm.
-	oldCG, newCG := callgraph.Build(oldMod), callgraph.Build(mod)
-	oldKeys := make(map[string]uint64)
-	for _, fn := range oldCG.EntryFunctions() {
-		oldKeys[fn.Name] = oldCG.EntryKey(fn, 0)
+	if oldKeys == nil {
+		oldKeys = entryKeys(oldCG)
 	}
+	cg := callgraph.Build(mod)
+	keys := entryKeys(cg)
 	var frontier []string
-	for _, fn := range newCG.EntryFunctions() {
-		if key, ok := oldKeys[fn.Name]; !ok || key != newCG.EntryKey(fn, 0) {
-			frontier = append(frontier, fn.Name)
+	for name, key := range keys {
+		if old, ok := oldKeys[name]; !ok || old != key {
+			frontier = append(frontier, name)
 		}
 	}
+	sort.Strings(frontier)
 
-	s.modMu.Lock()
-	s.sources = next
-	s.modMu.Unlock()
-	s.publish(mod)
+	s.publish(next, mod, cg, keys)
 
 	resp.OK = true
 	resp.Changed = sortedNames(changed)
-	resp.Frontier = frontier // EntryFunctions is already name-ordered
-	_ = rehashed             // reported via Changed; kept for tests via lowerAndFingerprint
+	resp.Frontier = frontier
 	return resp
 }
 
@@ -591,9 +605,9 @@ func sortedNames(set map[string]bool) []string {
 // status builds the OpStatus payload.
 func (s *Server) status(req *Request) *Response {
 	s.modMu.Lock()
-	files, entries := len(s.sources), s.entryCount
+	files, entries := len(s.sources), len(s.cg.EntryFunctions())
 	s.modMu.Unlock()
-	return &Response{ID: req.ID, Op: req.Op, OK: true, Status: &StatusInfo{
+	info := &StatusInfo{
 		InFlight: s.adm.inFlight(),
 		Queued:   int(s.adm.queued.Load()),
 		Draining: s.Draining(),
@@ -602,14 +616,19 @@ func (s *Server) status(req *Request) *Response {
 		Served:   s.served.Load(),
 		Shed:     s.adm.shed.Load(),
 		CacheDir: s.cacheDir(),
-	}}
+	}
+	if s.resident != nil {
+		n, b := s.resident.size()
+		info.ResidentEntries, info.ResidentKB = n, b/1024
+	}
+	return &Response{ID: req.ID, Op: req.Op, OK: true, Status: info}
 }
 
 func (s *Server) cacheDir() string {
-	if s.store == nil {
+	if s.resident == nil {
 		return ""
 	}
-	return s.store.Dir()
+	return s.resident.disk.Dir()
 }
 
 // renderReport produces the same text the pata CLI prints for a result
