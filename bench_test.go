@@ -381,34 +381,6 @@ func BenchmarkValidatorCache(b *testing.B) {
 	})
 }
 
-// BenchmarkPruningAblation compares Stage-1 cost with pruning forced on
-// (the size gate, which turns it off on every linux-like entry, disabled)
-// against the engine without pruning on the linux-like corpus. The
-// found-bug set is identical in both variants (TestPruningEquivalence);
-// only explored paths and wall-clock differ.
-func BenchmarkPruningAblation(b *testing.B) {
-	c := oscorpus.Generate(oscorpus.LinuxSpec())
-	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, v := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"forced-pruning", core.Config{Checkers: typestate.CoreCheckers(), NoAdaptive: true}},
-		{"no-prune", core.Config{Checkers: typestate.CoreCheckers(), NoPrune: true}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			var paths int64
-			for i := 0; i < b.N; i++ {
-				paths = core.NewEngine(mod, v.cfg).Run().Stats.PathsExplored
-			}
-			b.ReportMetric(float64(paths), "paths")
-		})
-	}
-}
-
 // BenchmarkExtensions regenerates the repo-extension experiment (UAF + API
 // pairing checkers).
 func BenchmarkExtensions(b *testing.B) {

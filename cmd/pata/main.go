@@ -8,16 +8,15 @@
 //
 // Flags:
 //
-//	-checkers npd,uva,ml   checkers to run (also: dl, aiu, dbz, all)
+//	-checkers npd,uva,ml   checkers to run (also: dl, aiu, dbz, uaf, all)
 //	-dir DIR               analyze every .c file under DIR
 //	-no-alias              run the PATA-NA alias-unaware variant (§5.4)
 //	-no-validate           skip Stage-2 SMT path validation
-//	-no-prune              make Stage-1 infeasible-branch pruning unavailable
-//	-no-adaptive           disable the per-entry size gate (force pruning on)
 //	-validate-backend B    Stage-2 solver backend: builtin, smtlib2, or smtlib2:CMD
 //	-max-conts N           callee continuations per call (P2 cap; negative = unlimited)
 //	-stats                 print engine statistics
 //	-json                  emit machine-readable JSON
+//	-witness               print each bug's witness path and trigger values
 //	-unroll N              loop unroll factor (default 1, the paper's rule)
 //	-workers N             Stage-1 analysis workers (0 = GOMAXPROCS, 1 = sequential)
 //	-validate-workers N    Stage-2 validation workers (0 = GOMAXPROCS, 1 = sequential)
@@ -59,12 +58,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("pata", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	checkers := flags.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz or 'all' (default npd,uva,ml)")
+	checkers := flags.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz,uaf or 'all' (default npd,uva,ml)")
 	dir := flags.String("dir", "", "analyze every .c file under this directory")
 	noAlias := flags.Bool("no-alias", false, "disable alias analysis (PATA-NA)")
 	noValidate := flags.Bool("no-validate", false, "skip SMT path validation")
-	noPrune := flags.Bool("no-prune", false, "make Stage-1 on-the-fly infeasible-branch pruning unavailable (the size gate decides per entry whether it runs; -no-adaptive forces it on)")
-	noAdaptive := flags.Bool("no-adaptive", false, "disable the per-entry adaptive size gate (run pruning on every entry; the bug set is the same, a witness may differ)")
 	validateBackend := flags.String("validate-backend", "", "Stage-2 solver backend: builtin (default), smtlib2, or smtlib2:CMD ARGS to cross-check against an external SMT-LIB2 solver")
 	maxConts := flags.Int("max-conts", 0, "callee continuations per call: the P2 cap (0 = default 2, negative = unlimited)")
 	stats := flags.Bool("stats", false, "print engine statistics")
@@ -92,8 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := pata.Config{
 		NoAlias:                 *noAlias,
 		SkipValidation:          *noValidate,
-		NoPrune:                 *noPrune,
-		NoAdaptive:              *noAdaptive,
 		MaxContinuationsPerCall: *maxConts,
 		LoopUnroll:              *unroll,
 		Workers:                 *workers,

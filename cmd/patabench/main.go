@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	patabench -exp table4|table5|table6|table7|table8|fig11|fpaudit|extensions|cases|fsm|pruning|degrade|all
+//	patabench -exp table4|table5|table6|table7|table8|fig11|fpaudit|extensions|cases|fsm|degrade|all
 //
 // Timing lives in the bench/ harness (bash bench/run.sh, see bench/README.md);
 // patabench only reproduces the paper's tables.
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table4, table5, table6, table7, table8, fig11, fpaudit, extensions, cases, fsm, pruning, degrade, or all")
+	which := flag.String("exp", "all", "experiment: table4, table5, table6, table7, table8, fig11, fpaudit, extensions, cases, fsm, degrade, or all")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile (channel/select waits) at exit to this file")
@@ -89,7 +89,6 @@ func main() {
 	run("fpaudit", func() error { _, err := exp.FPAudit(os.Stdout); return err })
 	run("extensions", func() error { _, err := exp.Extensions(os.Stdout); return err })
 	run("cases", func() error { _, err := exp.Cases(os.Stdout); return err })
-	run("pruning", func() error { _, err := exp.PruningTable(os.Stdout); return err })
 	run("degrade", func() error { _, err := exp.DegradeTable(os.Stdout); return err })
 
 	if !ran {

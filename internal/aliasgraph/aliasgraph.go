@@ -137,9 +137,8 @@ func (n *Node) removeEdge(l Label) *Node {
 // newest nodes first. Retired *Node values stay in the backing array past
 // len(nodes) and newNode reuses them, so a holder of a *Node must drop it
 // when a rollback (or Reset) retires the node: the engine's tracker is
-// rolled back together with the graph, the pruner keys its symbols by ID,
-// and the path replayer undoes its pointer-keyed symbols through its own
-// log.
+// rolled back together with the graph, and the path replayer undoes its
+// pointer-keyed symbols through its own log.
 type Graph struct {
 	varOf map[cir.Value]*Node
 	nodes []*Node

@@ -27,7 +27,7 @@ type EntryCache interface {
 // every cached capsule and verdict at once. Bump it whenever the capsule
 // layout, the Stats replayed from it, or the engine's exploration semantics
 // change in a way old capsules cannot represent.
-const capsuleVersion = 5
+const capsuleVersion = 6
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
@@ -47,10 +47,6 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h = hmix.Mix3(h,
 		uint64(int64(c.MaxContinuationsPerCall)),
 		uint64(int64(c.LoopUnroll)))
-	// NoAdaptive is salted with NoPrune: forcing pruning on keeps the
-	// validated bug set but can pick a different witness (path, alias set,
-	// trigger) for a bug, and capsules persist witnesses.
-	h = hmix.Mix3(h, boolBit(c.NoPrune), boolBit(c.NoAdaptive))
 	h = hmix.Mix2(h, boolBit(c.Validate && c.ValidatePath != nil))
 	// The Stage-2 backend IS salted: an external solver may refute systems
 	// the builtin cannot, so verdicts persisted under one backend must not

@@ -68,8 +68,6 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 		{"MaxStepsPerEntry", func(c Config) Config { c.MaxStepsPerEntry = 5000; return c }},
 		{"MaxContinuationsPerCall", func(c Config) Config { c.MaxContinuationsPerCall = 7; return c }},
 		{"LoopUnroll", func(c Config) Config { c.LoopUnroll = 2; return c }},
-		{"NoPrune", func(c Config) Config { c.NoPrune = true; return c }},
-		{"NoAdaptive", func(c Config) Config { c.NoAdaptive = true; return c }},
 		{"Validate", func(c Config) Config { c.Validate = false; return c }},
 		{"Checkers", func(c Config) Config {
 			c.Checkers = append(typestate.CoreCheckers(), typestate.NewDBZ())

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/minicc"
+	"repro/internal/pathval"
 	"repro/internal/typestate"
 )
 
@@ -15,6 +16,8 @@ import (
 // means unlimited. The NPD below sits behind v == 30, which only the third
 // of pick's four return paths can produce — so it is invisible under the
 // default cap and found once the cap admits three or more continuations.
+// Stage 2 runs, so the candidates behind pick's infeasible return paths
+// (v == 10 or 20 meeting v == 30) are dropped.
 func TestContinuationsNegativeUnlimited(t *testing.T) {
 	mod, err := minicc.LowerAll("m", map[string]string{"a.c": `
 int pick(int x) {
@@ -37,7 +40,9 @@ int f(int x) {
 		t.Fatal(err)
 	}
 	analyze := func(maxConts int) *core.Result {
-		return core.NewEngine(mod, core.Config{MaxContinuationsPerCall: maxConts, NoAdaptive: true}).Run()
+		cfg := core.Config{MaxContinuationsPerCall: maxConts}
+		pathval.New().Install(&cfg)
+		return core.NewEngine(mod, cfg).Run()
 	}
 	npd := func(res *core.Result) int {
 		n := 0

@@ -15,7 +15,6 @@ import (
 	"repro/internal/aliasgraph"
 	"repro/internal/callgraph"
 	"repro/internal/cir"
-	"repro/internal/smt"
 	"repro/internal/typestate"
 )
 
@@ -64,25 +63,6 @@ type Config struct {
 	// bugs whose trigger needs several iterations become reachable, at a
 	// path-count cost.
 	LoopUnroll int
-	// NoPrune makes the on-the-fly feasibility pruning unavailable. When
-	// available, the adaptive size gate decides per entry whether it runs
-	// (NoAdaptive forces it on): the Stage-1 DFS then carries an
-	// incremental constraint cursor and skips a branch subtree as soon as
-	// the accumulated path condition becomes provably unsatisfiable.
-	// Pruning only discards paths Stage-2 validation would reject, so the
-	// post-validation bug set is unaffected. Active only in ModePATA and
-	// when Trace is nil.
-	NoPrune bool
-	// NoAdaptive disables the per-entry adaptive size gate: by default the
-	// engine sizes up each entry's call-graph closure before exploring it
-	// and runs small entries with pruning off, since their full exploration
-	// is cheaper than the cursor's bookkeeping. The gate reads only static
-	// closure sizes, so it decides identically sequentially and in
-	// parallel. The validated bug set is identical with the gate on or off,
-	// but a pruned entry may report a different witness (path, alias set,
-	// trigger) for the same bug, so NoAdaptive is salted into the
-	// incremental cache key. Active only in ModePATA and when Trace is nil.
-	NoAdaptive bool
 	// Validate enables Stage-2 path validation (default true). The
 	// ValidatePath hook is installed by the pathval package (or a custom
 	// validator); when nil, validation is skipped.
@@ -188,10 +168,6 @@ type ValidationOutcome struct {
 	Panicked bool
 }
 
-// PruneInfeasible reports whether on-the-fly feasibility pruning is
-// available (unless NoPrune is set); the size gate still decides per entry.
-func (c Config) PruneInfeasible() bool { return !c.NoPrune }
-
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Checkers == nil {
@@ -267,9 +243,10 @@ type Stats struct {
 	Budgeted          int // entries that hit a path/step budget
 	Typestates        int64
 	TypestatesUnaware int64
-	// PrunedBranches counts branch directions skipped because the
-	// incremental cursor proved the accumulated path condition
-	// unsatisfiable; each one cuts a whole subtree.
+	// PrunedBranches counted branch directions Stage-1 pruning skipped.
+	//
+	// Deprecated: always 0. Stage-1 pruning was removed; the field stays
+	// for readers of the JSON stats.
 	PrunedBranches int64
 	// MemoHits counted (block, state) memo hits.
 	//
@@ -332,15 +309,15 @@ type Stats struct {
 	PanicsContained int
 	EntriesRetried  int
 	EntriesDegraded int
-	// AdaptiveEntriesLight counts entries the pre-flight size gate ran with
-	// pruning off. Deterministic: the gate reads only static closure sizes,
-	// never wall clock.
+	// AdaptiveEntriesLight counted entries the size gate ran with pruning
+	// off.
+	//
+	// Deprecated: always 0. The size gate was removed with Stage-1
+	// pruning; the field stays for readers of the JSON stats.
 	AdaptiveEntriesLight int64
-	// Per-layer self-time, in nanoseconds: CursorNanos covers the
-	// incremental feasibility cursor's branch/replay consults, SolverNanos
-	// the Stage-2 validation calls. Wall-clock measurements: nondeterministic
-	// across runs, excluded from every equivalence comparison.
-	CursorNanos    int64
+	// SolverNanos is the Stage-2 validation calls' self-time in
+	// nanoseconds. A wall-clock measurement: nondeterministic across runs,
+	// excluded from every equivalence comparison.
 	SolverNanos    int64
 	AnalysisTime   time.Duration
 	ValidationTime time.Duration
@@ -396,12 +373,6 @@ type Engine struct {
 	frames []*frame
 	// emits is the buffer emitInstr hands the checkers' OnInstr.
 	emits []typestate.Emission
-
-	// pruner is the per-entry pruning state (nil when pruning is off for
-	// this entry).
-	pruner *pruner
-	// fnLocal memoizes per-function size counts for the adaptive size gate.
-	fnLocal map[*cir.Function]fnCounts
 
 	paths int64
 	steps int64
@@ -629,22 +600,6 @@ func (e *Engine) analyzeEntry(fn *cir.Function) {
 	e.steps = 0
 	e.over = false
 
-	// Pruning is per-entry: the cursor context restarts fresh so symbol
-	// numbering depends only on this entry's exploration (RunParallel's
-	// per-worker engines then behave identically to the sequential
-	// engine). It mirrors the Stage-2 replayer's ModePATA translation and
-	// is disabled under Trace, which observes every executed instruction.
-	e.pruner = nil
-	// Small entry: full exploration is cheaper than the cursor's upkeep, so
-	// the pruner stays nil. The validated bug set is unaffected either way.
-	light := e.Cfg.adaptiveOn() && e.adaptSmall(fn)
-	if light {
-		e.stats.AdaptiveEntriesLight++
-	}
-	if e.Cfg.Mode == ModePATA && e.Cfg.Trace == nil && !light && e.Cfg.PruneInfeasible() {
-		e.pruner = newPruner()
-	}
-
 	e.frames = append(e.frames, &frame{fn: fn, fid: 1})
 	entryBlk := fn.Entry()
 	if entryBlk != nil && len(entryBlk.Instrs) > 0 {
@@ -721,10 +676,6 @@ func (e *Engine) exec(in cir.Instr) {
 	}
 	gm := e.g.Checkpoint()
 	tm := e.tracker.Checkpoint()
-	var pm prunerMark
-	if e.pruner != nil {
-		pm = e.pruner.mark()
-	}
 	if e.onPath[gid] > 0 {
 		// Re-execution (loop unroll > 1): the defined register is a fresh
 		// dynamic instance; detach it from the previous iteration's class.
@@ -747,13 +698,6 @@ func (e *Engine) exec(in cir.Instr) {
 		if e.Cfg.Trace != nil {
 			e.Cfg.Trace(in, e.g)
 		}
-		if e.pruner != nil {
-			// Arithmetic definitions feed the cursor (Table 3 asg rule)
-			// so later branch conditions over derived values can refute.
-			if bin, ok := in.(*cir.BinOp); ok {
-				e.pruner.pushBinOp(e.g, bin)
-			}
-		}
 		e.emitInstr(in)
 		succs := instrSuccessors(in)
 		if len(succs) == 0 {
@@ -766,9 +710,6 @@ func (e *Engine) exec(in cir.Instr) {
 
 	e.path = e.path[:len(e.path)-1]
 	e.onPath[gid]--
-	if e.pruner != nil {
-		e.pruner.rollback(pm)
-	}
 	e.tracker.Rollback(tm)
 	e.g.Rollback(gm)
 }
@@ -804,14 +745,6 @@ func instrSuccessors(in cir.Instr) []cir.Instr {
 }
 
 func (e *Engine) execCondBr(br *cir.CondBr) {
-	if e.pruner != nil {
-		// Flush queued binop atoms outside the per-direction checkpoints so
-		// both subtrees share one flush; inside the loop each direction would
-		// re-push the whole shared prefix after the sibling's rollback.
-		t0 := time.Now()
-		e.pruner.flushPending()
-		e.stats.CursorNanos += int64(time.Since(t0))
-	}
 	for _, taken := range []bool{true, false} {
 		target := br.False
 		if taken {
@@ -826,24 +759,6 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 		}
 		gm := e.g.Checkpoint()
 		tm := e.tracker.Checkpoint()
-		var pm prunerMark
-		if e.pruner != nil {
-			// Assert the branch condition for this direction and skip the
-			// whole subtree when the path condition becomes unsatisfiable:
-			// every candidate it could produce carries a path Stage-2
-			// validation would prove infeasible.
-			pm = e.pruner.mark()
-			t0 := time.Now()
-			verdict := e.pruner.pushBranch(e.g, br, taken)
-			e.stats.CursorNanos += int64(time.Since(t0))
-			if verdict == smt.Unsat {
-				e.stats.PrunedBranches++
-				e.pruner.rollback(pm)
-				e.tracker.Rollback(tm)
-				e.g.Rollback(gm)
-				continue
-			}
-		}
 		// Record the direction on the branch step already on the path.
 		e.path[len(e.path)-1].Taken = taken
 		for ci, c := range e.tracker.Checkers {
@@ -852,9 +767,6 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 			}
 		}
 		e.exec(next)
-		if e.pruner != nil {
-			e.pruner.rollback(pm)
-		}
 		e.tracker.Rollback(tm)
 		e.g.Rollback(gm)
 	}

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -119,10 +121,8 @@ static int mcde_dsi_bind(struct mcde_dsi *d) {
 
 func TestNPDInfeasiblePathDropped(t *testing.T) {
 	// The Figure 9 pattern: the "bug" needs q != 0 and q == 0 on one path —
-	// infeasible. With the default on-the-fly pruning the contradictory
-	// branch is cut during Stage 1; with pruning disabled the candidate
-	// reaches Stage 2 and alias-aware validation must drop it. Either way
-	// no line-10 bug may survive.
+	// infeasible. The candidate reaches Stage 2 and alias-aware validation
+	// must drop it.
 	src := map[string]string{"a.c": `
 struct s { int f; };
 void func(struct s *p, char *q) {
@@ -135,17 +135,7 @@ void func(struct s *p, char *q) {
 			use(*q);        /* line 10: only reachable when q != 0 AND q == 0 */
 	}
 }`}
-	res := run(t, core.Config{NoAdaptive: true}, src)
-	for _, b := range res.Bugs {
-		if b.BugInstr.Position().Line == 10 {
-			t.Errorf("infeasible-path bug at line 10 survived (pruning on)")
-		}
-	}
-	if res.Stats.PrunedBranches == 0 {
-		t.Errorf("expected the contradictory branch to be pruned, stats: %+v", res.Stats)
-	}
-
-	res = run(t, core.Config{NoPrune: true}, src)
+	res := run(t, core.Config{}, src)
 	for _, b := range res.Bugs {
 		if b.BugInstr.Position().Line == 10 {
 			t.Errorf("infeasible-path bug at line 10 survived validation")
@@ -452,5 +442,44 @@ int entry2(int a) { return helper(a); }
 `})
 	if res.Stats.EntryFunctions != 2 {
 		t.Errorf("entries = %d, want 2", res.Stats.EntryFunctions)
+	}
+}
+
+// TestBudgetNegativeUnlimited locks in the budget semantics: 0 selects the
+// documented default and any negative value means unlimited.
+func TestBudgetNegativeUnlimited(t *testing.T) {
+	// 12 branches explode to 2^12 = 4096 paths: past the small positive
+	// cap below but within the default step budget, so the unlimited-path
+	// run completes without tripping anything.
+	var sb strings.Builder
+	sb.WriteString("int f(int a, int b) {\n\tint s = 0;\n")
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&sb, "\tif (a > %d)\n\t\ts = s + 1;\n", i)
+	}
+	sb.WriteString("\treturn s;\n}\n")
+	mod, err := minicc.LowerAll("m", map[string]string{"a.c": sb.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	capped := core.Config{MaxPathsPerEntry: 64}
+	cres := core.NewEngine(mod, capped).Run()
+	if cres.Stats.Budgeted != 1 {
+		t.Errorf("capped run not budgeted: %+v", cres.Stats)
+	}
+
+	unlimited := core.Config{MaxPathsPerEntry: -1}
+	ures := core.NewEngine(mod, unlimited).Run()
+	if ures.Stats.Budgeted != 0 {
+		t.Errorf("unlimited run hit a budget: %+v", ures.Stats)
+	}
+	if ures.Stats.PathsExplored <= cres.Stats.PathsExplored {
+		t.Errorf("unlimited run explored %d paths, capped run %d",
+			ures.Stats.PathsExplored, cres.Stats.PathsExplored)
+	}
+
+	unlimitedSteps := core.Config{MaxStepsPerEntry: -1, MaxPathsPerEntry: 1 << 20}
+	if res := core.NewEngine(mod, unlimitedSteps).Run(); res.Stats.Budgeted != 0 {
+		t.Errorf("negative step budget not treated as unlimited: %+v", res.Stats)
 	}
 }

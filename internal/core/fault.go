@@ -133,7 +133,6 @@ func (e *Engine) attemptEntry(fn *cir.Function) (res *Result, reason IncompleteR
 func addAttemptStats(dst *Stats, src Stats) {
 	dst.PathsExplored += src.PathsExplored
 	dst.StepsExecuted += src.StepsExecuted
-	dst.PrunedBranches += src.PrunedBranches
 	dst.Typestates += src.Typestates
 	dst.TypestatesUnaware += src.TypestatesUnaware
 	dst.DeadlineTrips += src.DeadlineTrips

@@ -94,13 +94,10 @@ func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 	res.Stats.PathsExplored = e.stats.PathsExplored - prev.PathsExplored
 	res.Stats.StepsExecuted = e.stats.StepsExecuted - prev.StepsExecuted
 	res.Stats.Budgeted = e.stats.Budgeted - prev.Budgeted
-	res.Stats.PrunedBranches = e.stats.PrunedBranches - prev.PrunedBranches
 	res.Stats.RepeatedDropped = e.stats.RepeatedDropped - prev.RepeatedDropped
 	res.Stats.Typestates = trk.Transitions - prevTrk.Transitions
 	res.Stats.TypestatesUnaware = trk.TransitionsUnaware - prevTrk.TransitionsUnaware
 	res.Stats.DeadlineTrips = e.stats.DeadlineTrips - prev.DeadlineTrips
-	res.Stats.AdaptiveEntriesLight = e.stats.AdaptiveEntriesLight - prev.AdaptiveEntriesLight
-	res.Stats.CursorNanos = e.stats.CursorNanos - prev.CursorNanos
 	return res
 }
 
@@ -413,7 +410,6 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 				s.PathsExplored += r.Stats.PathsExplored
 				s.StepsExecuted += r.Stats.StepsExecuted
 				s.Budgeted += r.Stats.Budgeted
-				s.PrunedBranches += r.Stats.PrunedBranches
 				s.Typestates += r.Stats.Typestates
 				s.TypestatesUnaware += r.Stats.TypestatesUnaware
 				s.RepeatedDropped += r.Stats.RepeatedDropped
@@ -424,8 +420,6 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 				s.PanicsContained += r.Stats.PanicsContained
 				s.EntriesRetried += r.Stats.EntriesRetried
 				s.EntriesDegraded += r.Stats.EntriesDegraded
-				s.AdaptiveEntriesLight += r.Stats.AdaptiveEntriesLight
-				s.CursorNanos += r.Stats.CursorNanos
 				var batch []*candRec
 				for _, pb := range r.Possible {
 					k := mergeKey{checker: pb.Checker.Name(), origin: pb.OriginGID, bug: pb.BugInstr.GID()}

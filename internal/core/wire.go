@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Capsule wire format (capsuleVersion 5).
+// Capsule wire format (capsuleVersion 6).
 //
 // A capsule payload is
 //
@@ -226,7 +226,7 @@ func (r tableReader) str() string {
 // ---- Stats ----
 
 // statsWireFields is the number of Stats fields on the wire.
-const statsWireFields = 34
+const statsWireFields = 33
 
 func appendStats(w *wireWriter, s *Stats) {
 	for _, v := range [statsWireFields]int64{
@@ -237,7 +237,7 @@ func appendStats(w *wireWriter, s *Stats) {
 		s.BatchedSolves, s.BatchFallbacks, s.PrefixAtomsShared, s.BackendDisagreements,
 		s.CacheEntriesHit, s.CacheEntriesMiss, s.CacheStepsSkipped, s.WorkSteals,
 		s.DeadlineTrips, int64(s.PanicsContained), int64(s.EntriesRetried), int64(s.EntriesDegraded),
-		s.AdaptiveEntriesLight, s.CursorNanos, s.SolverNanos,
+		s.AdaptiveEntriesLight, s.SolverNanos,
 		int64(s.AnalysisTime), int64(s.ValidationTime),
 	} {
 		w.varint(v)
@@ -276,7 +276,6 @@ func readStats(r *wireReader) Stats {
 	s.EntriesRetried = r.int()
 	s.EntriesDegraded = r.int()
 	s.AdaptiveEntriesLight = r.varint()
-	s.CursorNanos = r.varint()
 	s.SolverNanos = r.varint()
 	s.AnalysisTime = time.Duration(r.varint())
 	s.ValidationTime = time.Duration(r.varint())

@@ -56,17 +56,11 @@ type Table5Row struct {
 // counters (typestates and SMT constraints, alias-aware vs unaware),
 // bug-filtering counters (dropped repeated/false bugs) and found/real bugs
 // per type. The runs go through the pipelined parallel scheduler, so the
-// time-usage row reflects the overlapped two-stage pipeline. On-the-fly
-// pruning is disabled for this table: the paper's tool filters infeasible
-// candidates only in Stage 2, and the "dropped false bugs" row counts
-// exactly those Stage-2 drops (the default pruning would intercept most of
-// them during Stage 1 — PruningTable reports that effect).
+// time-usage row reflects the overlapped two-stage pipeline.
 func Table5(w io.Writer) ([]Table5Row, error) {
 	var rows []Table5Row
 	for _, c := range Corpora() {
-		cfg := PATAConfig()
-		cfg.NoPrune = true
-		run, err := RunPATAPipelined(c, cfg, "pata", 0)
+		run, err := RunPATAPipelined(c, PATAConfig(), "pata", 0)
 		if err != nil {
 			return nil, err
 		}
@@ -161,61 +155,6 @@ func Table5(w io.Writer) ([]Table5Row, error) {
 	if found > 0 {
 		fmt.Fprintf(w, "Overall: %d found, %d real, false positive rate %.0f%% (paper: 797 found, 574 real, 28%%)\n",
 			found, real, 100*float64(found-real)/float64(found))
-	}
-	return rows, nil
-}
-
-// PruningRow compares one corpus analyzed with forced Stage-1 on-the-fly
-// pruning and without it.
-type PruningRow struct {
-	OS  string
-	On  *ToolRun // -no-adaptive: pruning forced on for every entry
-	Off *ToolRun // -no-prune
-}
-
-// PruningTable quantifies the on-the-fly path pruning: for each corpus it
-// runs the engine with pruning forced on (the size gate, which turns it off
-// on every entry of these corpora, disabled) and with pruning unavailable,
-// and reports the explored paths/steps, the pruned-branch counter, and the
-// found bugs — which must match exactly, since pruning only discards work
-// Stage-2 validation would reject.
-func PruningTable(w io.Writer) ([]PruningRow, error) {
-	var rows []PruningRow
-	for _, c := range Corpora() {
-		cfg := PATAConfig()
-		cfg.NoAdaptive = true
-		on, err := RunPATA(c, cfg, "pata")
-		if err != nil {
-			return nil, err
-		}
-		cfg = PATAConfig()
-		cfg.NoPrune = true
-		off, err := RunPATA(c, cfg, "pata-noprune")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, PruningRow{OS: c.Spec.Name, On: on, Off: off})
-	}
-	fmt.Fprintln(w, "On-the-fly pruning effect (forced pruning, -no-adaptive, vs -no-prune)")
-	t := &report.Table{Header: []string{
-		"OS", "Paths (on/off)", "Steps (on/off)", "Pruned branches",
-		"Found bugs (on/off)", "Time (on/off)",
-	}}
-	var pOn, pOff int64
-	for _, r := range rows {
-		pOn += r.On.Stats.PathsExplored
-		pOff += r.Off.Stats.PathsExplored
-		t.AddRow(r.OS,
-			fmt.Sprintf("%d/%d", r.On.Stats.PathsExplored, r.Off.Stats.PathsExplored),
-			fmt.Sprintf("%d/%d", r.On.Stats.StepsExecuted, r.Off.Stats.StepsExecuted),
-			fmt.Sprintf("%d", r.On.Stats.PrunedBranches),
-			fmt.Sprintf("%d/%d", r.On.Score.Found, r.Off.Score.Found),
-			fmt.Sprintf("%s/%s", fmtDuration(r.On.Elapsed), fmtDuration(r.Off.Elapsed)))
-	}
-	t.Write(w)
-	if pOff > 0 {
-		fmt.Fprintf(w, "Overall: %d paths with pruning, %d without (%.0f%% reduction)\n",
-			pOn, pOff, 100*float64(pOff-pOn)/float64(pOff))
 	}
 	return rows, nil
 }

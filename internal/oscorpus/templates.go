@@ -511,8 +511,8 @@ var fillerShapes = []func(tc *templateCtx){
 	},
 	func(tc *templateCtx) { // exclusive mode ladder: the guards are
 		// mutually exclusive, so all but one of the 2^5 branch
-		// combinations are infeasible — constraint-aware pruning kills
-		// each contradictory arm at the fork.
+		// combinations are infeasible — Stage-2 validation drops each
+		// contradictory arm.
 		f := tc.f
 		n := tc.id("set_policy")
 		f.w("static int %s(int mode) {", n)

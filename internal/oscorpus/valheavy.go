@@ -5,9 +5,8 @@ import (
 )
 
 // Validation-heavy cluster shapes: each emission is one entry function whose
-// Stage-1 exploration is trivial (few branches — deliberately under the
-// adaptive cost model's light-entry gate, so pruning stays off and every
-// syntactic path reaches Stage 2) but whose candidate set hammers the Stage-2
+// Stage-1 exploration is trivial (few branches, so every syntactic path
+// reaches Stage 2 cheaply) but whose candidate set hammers the Stage-2
 // solver. Same-entry candidates share long path-condition prefixes, the
 // access pattern the batched prefix-sharing validator exists for: a fan of
 // contradictory arms under one shared dead guard is refuted with a handful of

@@ -25,7 +25,7 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		dir             = fs.String("dir", "", "load every .c file under this directory")
 		socket          = fs.String("socket", "", "serve the NDJSON protocol on this Unix socket path")
 		stdio           = fs.Bool("stdio", false, "serve the NDJSON protocol on stdin/stdout (default when -socket is not given)")
-		checkers        = fs.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz or 'all' (default npd,uva,ml)")
+		checkers        = fs.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz,uaf or 'all' (default npd,uva,ml)")
 		unroll          = fs.Int("unroll", 1, "loop unroll factor (paper default 1)")
 		workers         = fs.Int("workers", 0, "Stage-1 analysis workers per request (0 = GOMAXPROCS, 1 = sequential)")
 		validateWorkers = fs.Int("validate-workers", 0, "Stage-2 validation workers per request (0 = GOMAXPROCS, 1 = sequential)")

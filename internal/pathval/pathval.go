@@ -216,8 +216,8 @@ func (v *Validator) ValidateCtx(ctx context.Context, bug *core.PossibleBug, mode
 // bug, and so does Unknown — which the solver also returns when the DNF
 // expansion of a path's constraint system hits its clause cap and is
 // truncated; a truncated system proves nothing, so dropping on it would be
-// unsound for a bug finder. The Stage-1 pruner relies on the same
-// asymmetry from the other side: it skips a branch only on Unsat.
+// unsound for a bug finder. The batched screen relies on the same
+// asymmetry from the other side: it drops a candidate only on Unsat.
 func FeasibleVerdict(res smt.Result) bool { return res != smt.Unsat }
 
 // newReplayer returns a fresh replay state: its own alias graph and term

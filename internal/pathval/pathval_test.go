@@ -21,10 +21,7 @@ func analyze(t *testing.T, src string, mode core.Mode) ([]*core.PossibleBug, *Va
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	// These tests feed deliberately infeasible candidates to the Stage-2
-	// validator; the engine's default on-the-fly pruning would cut them
-	// during Stage 1, so it is disabled here.
-	eng := core.NewEngine(mod, core.Config{Mode: mode, NoPrune: true})
+	eng := core.NewEngine(mod, core.Config{Mode: mode})
 	res := eng.Run()
 	return res.Possible, New()
 }

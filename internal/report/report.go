@@ -75,7 +75,6 @@ func WriteStats(w io.Writer, st core.Stats) {
 	fmt.Fprintf(w, "  steps executed:      %d\n", st.StepsExecuted)
 	fmt.Fprintf(w, "  typestates:          %d (unaware: %d)\n", st.Typestates, st.TypestatesUnaware)
 	fmt.Fprintf(w, "  SMT constraints:     %d (unaware: %d)\n", st.Constraints, st.ConstraintsUnaware)
-	fmt.Fprintf(w, "  pruned branches:     %d\n", st.PrunedBranches)
 	fmt.Fprintf(w, "  repeated dropped:    %d\n", st.RepeatedDropped)
 	fmt.Fprintf(w, "  false dropped:       %d\n", st.FalseDropped)
 	fmt.Fprintf(w, "  verdict cache:       %d hits, %d misses, %d evicted\n",
@@ -86,9 +85,7 @@ func WriteStats(w io.Writer, st core.Stats) {
 		st.CacheEntriesHit, st.CacheEntriesMiss, st.CacheStepsSkipped)
 	fmt.Fprintf(w, "  fault isolation:     %d degraded, %d retried, %d deadline trips, %d panics contained\n",
 		st.EntriesDegraded, st.EntriesRetried, st.DeadlineTrips, st.PanicsContained)
-	fmt.Fprintf(w, "  adaptive cost model: %d light entries\n", st.AdaptiveEntriesLight)
-	fmt.Fprintf(w, "  layer self-time:     cursor %v, solver %v\n",
-		time.Duration(st.CursorNanos), time.Duration(st.SolverNanos))
+	fmt.Fprintf(w, "  solver self-time:    %v\n", time.Duration(st.SolverNanos))
 	fmt.Fprintf(w, "  work steals:         %d\n", st.WorkSteals)
 	fmt.Fprintf(w, "  analysis time:       %v\n", st.AnalysisTime)
 	fmt.Fprintf(w, "  validation time:     %v\n", st.ValidationTime)

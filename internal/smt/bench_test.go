@@ -48,7 +48,7 @@ func BenchmarkFormulaKey(b *testing.B) {
 
 // BenchmarkCursorPush measures the incremental feasibility cursor in its
 // DFS duty cycle: checkpoint, push a handful of branch conditions, roll
-// back — the pattern the engine's pruner runs at every explored branch.
+// back — the pattern the batched Stage-2 screen runs at every trie step.
 // Steady-state allocs/op are bounded per pushed atom (see the guard test
 // below): pushes allocate the linearized constraint and its canonical form,
 // nothing proportional to the facts already held.

@@ -4,25 +4,26 @@ package smt
 // conjunction of atoms. It wraps the same offset union-find + interval
 // machinery conjSolver uses for batch queries, but exposes it through
 // Push/Checkpoint/Rollback with an undo trail, mirroring the alias graph's
-// trail so a path-sensitive DFS can assert one branch condition, descend,
-// backtrack, and assert the other — all in O(changed facts) instead of
-// re-solving the whole conjunction at every fork.
+// trail so a walk over a tree of paths can assert one branch condition,
+// descend, backtrack, and assert the other — all in O(changed facts)
+// instead of re-solving the whole conjunction at every fork.
 //
 // Soundness contract: Push returns Unsat only when the accumulated
 // conjunction is provably unsatisfiable by rules that are a strict subset of
 // conjSolver's (equality absorption, one-shot interval propagation,
 // singleton disequality checks). Anything the cursor cannot decide is
 // reported as Sat ("not proven unsat"). This subset property is what lets
-// the analysis engine prune a branch subtree without changing the validated
-// bug set: a cursor-UNSAT prefix extends only to paths whose full Table-3
-// constraint system the Stage-2 solver would also refute.
+// the batched Stage-2 screen (pathval) drop every candidate below a refuted
+// path prefix without changing the validated bug set: a cursor-UNSAT prefix
+// extends only to paths whose full Table-3 constraint system the full
+// solver would also refute.
 //
 // Propagation is batched and change-driven: each stored constraint caches
 // its canonicalized form plus the event counter it was last propagated at,
 // and recheck revisits only constraints whose variables' intervals (or the
 // union-find shape) changed since. A Push that adds nothing new costs a
 // handful of integer compares instead of a full re-propagation sweep —
-// which is what keeps the DFS's per-instruction asserts (one equality per
+// which is what keeps per-instruction asserts (one equality per
 // arithmetic definition) from turning each path into an O(atoms²) solve.
 // The skip rule is exact, not heuristic: interval propagation is a
 // deterministic monotone function of a constraint's canonical form and its
@@ -101,13 +102,6 @@ func NewCursor(ctx *Context) *Cursor {
 		ivs:    make(map[int]interval),
 		ivMark: make(map[int]uint64),
 	}
-}
-
-// NumFacts reports how many facts the cursor currently holds (stored
-// constraints, merged classes, narrowed intervals). The engine's adaptive
-// laziness consults it: a cursor with no facts cannot refute anything.
-func (c *Cursor) NumFacts() int {
-	return len(c.ineqs) + len(c.diseqs) + len(c.parent) + len(c.ivs)
 }
 
 // Checkpoint returns a mark for Rollback.

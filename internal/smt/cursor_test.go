@@ -139,7 +139,7 @@ func TestCursorRollbackRestoresExactly(t *testing.T) {
 	}
 }
 
-// TestCursorSoundnessSubset checks the pruning soundness contract on a grid
+// TestCursorSoundnessSubset checks the cursor's soundness contract on a grid
 // of atom sequences: whenever the cursor answers Unsat for a prefix, the
 // batch solver must also answer Unsat for the same conjunction. (The
 // converse need not hold — the cursor may answer Sat where the batch solver

@@ -52,18 +52,6 @@ type Config struct {
 	// SkipValidation disables Stage 2 (possible bugs are reported
 	// unfiltered).
 	SkipValidation bool
-	// NoPrune makes the Stage-1 on-the-fly feasibility pruning
-	// unavailable. The pruning skips provably contradictory branch subtrees
-	// whose candidates Stage-2 validation would drop anyway; when available,
-	// the adaptive size gate decides per entry whether it runs.
-	NoPrune bool
-	// NoAdaptive disables the per-entry adaptive size gate, forcing pruning
-	// (unless NoPrune is set) on for every entry. The gate turns pruning off
-	// on entries whose full exploration costs less than the cursor's
-	// bookkeeping — on the synthetic corpora that is every entry. The bug
-	// set is identical either way, but a pruned entry may report a
-	// different witness path, alias set or trigger for the same bug.
-	NoAdaptive bool
 	// MaxCallDepth bounds interprocedural inlining (default 8).
 	MaxCallDepth int
 	// MaxPathsPerEntry bounds path enumeration per entry function
@@ -225,8 +213,6 @@ func (c Config) engineConfig() (core.Config, error) {
 		MaxContinuationsPerCall: c.MaxContinuationsPerCall,
 		LoopUnroll:              c.LoopUnroll,
 		ValidateWorkers:         c.ValidateWorkers,
-		NoPrune:                 c.NoPrune,
-		NoAdaptive:              c.NoAdaptive,
 		EntryTimeout:            c.EntryTimeout,
 		RunTimeout:              c.RunTimeout,
 		MaxRetries:              c.MaxRetries,

@@ -92,14 +92,11 @@ void func(char *p) {
 			use(*p);
 	}
 }`}
-	// The dead x==5 branch is exactly what the default on-the-fly pruning
-	// removes during Stage 1; disable it so the candidate reaches (or
-	// skips) Stage-2 validation, which is what this test exercises.
-	validated, err := AnalyzeSources("m", src, Config{NoPrune: true})
+	validated, err := AnalyzeSources("m", src, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := AnalyzeSources("m", src, Config{SkipValidation: true, NoPrune: true})
+	raw, err := AnalyzeSources("m", src, Config{SkipValidation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +170,7 @@ void func(char *p) {
 	}
 	if (!p)
 		use(*p);
-}`}, Config{NoPrune: true})
+}`}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
