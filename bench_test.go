@@ -10,7 +10,6 @@ package pata_test
 // cost of regenerating each one.
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -300,8 +299,11 @@ func BenchmarkAblationLoopUnroll(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelWorkers measures entry-level parallelism of Stage 1+2 on
-// the 4x linux-like corpus.
+// BenchmarkParallelWorkers measures RunParallel on the 4x linux-like corpus
+// across worker counts: Stage 1 spreads entry functions over the workers,
+// then Stage 2 spreads same-entry candidate groups over the same workers.
+// Output is byte-identical to the sequential engine at every count
+// (TestRunParallelByteIdentical); only wall-clock moves.
 func BenchmarkParallelWorkers(b *testing.B) {
 	c := oscorpus.Generate(oscorpus.Scaled(oscorpus.LinuxSpec(), 4))
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
@@ -316,32 +318,6 @@ func BenchmarkParallelWorkers(b *testing.B) {
 				core.RunParallel(mod, cfg, w)
 			}
 		})
-	}
-}
-
-// BenchmarkRunParallelPipeline measures the pipelined two-stage scheduler on
-// the 4x linux-like corpus across the Stage-1 workers × Stage-2 validation
-// workers grid. With w>1 the work-stealing scheduler spreads entry functions
-// over the workers; with v>1 candidate bugs stream into the validator pool
-// while exploration is still running, overlapping SMT solving with Stage 1.
-// Output is byte-identical to the sequential engine at every grid point
-// (TestRunParallelByteIdentical); only wall-clock moves.
-func BenchmarkRunParallelPipeline(b *testing.B) {
-	c := oscorpus.Generate(oscorpus.Scaled(oscorpus.LinuxSpec(), 4))
-	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4} {
-		for _, v := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("w%d-v%d", w, v), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cfg := core.Config{Checkers: typestate.CoreCheckers(), ValidateWorkers: v}
-					pathval.New().Install(&cfg)
-					core.RunParallel(mod, cfg, w)
-				}
-			})
-		}
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 // -cpuprofile/-memprofile write pprof profiles of the selected experiment,
 // for chasing regressions in the analysis hot loops. -blockprofile and
-// -mutexprofile are the contention lens for the pipelined experiments: they
+// -mutexprofile are the contention lens for the parallel experiments: they
 // show time parked on channels and which locks workers convoy on.
 package main
 

@@ -32,7 +32,6 @@ func TestCancelDuringValidation(t *testing.T) {
 	validating := make(chan struct{}, 1)
 	cfg := core.Config{
 		Checkers: typestate.CoreCheckers(),
-		Validate: true,
 		ValidatePath: func(ctx context.Context, bug *core.PossibleBug, mode core.Mode) core.ValidationOutcome {
 			select {
 			case validating <- struct{}{}:
@@ -82,8 +81,8 @@ func TestCancelDuringValidation(t *testing.T) {
 		t.Error("empty rendered report")
 	}
 
-	// No goroutine leaks: the scheduler's workers, merger, and validator
-	// pools must all have exited. Poll briefly — goroutine teardown is
+	// No goroutine leaks: the scheduler's Stage-1 workers, merger, and
+	// Stage-2 workers must all have exited. Poll briefly — goroutine teardown is
 	// asynchronous after the result is delivered.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

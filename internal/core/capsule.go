@@ -25,9 +25,10 @@ type EntryCache interface {
 
 // capsuleVersion is folded into analysisSalt, so bumping it invalidates
 // every cached capsule and verdict at once. Bump it whenever the capsule
-// layout, the Stats replayed from it, or the engine's exploration semantics
-// change in a way old capsules cannot represent.
-const capsuleVersion = 6
+// layout, the Stats replayed from it, the counters a stored verdict
+// carries, or the engine's exploration semantics change in a way old
+// capsules and verdicts cannot represent.
+const capsuleVersion = 7
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
@@ -47,7 +48,7 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h = hmix.Mix3(h,
 		uint64(int64(c.MaxContinuationsPerCall)),
 		uint64(int64(c.LoopUnroll)))
-	h = hmix.Mix2(h, boolBit(c.Validate && c.ValidatePath != nil))
+	h = hmix.Mix2(h, boolBit(c.ValidatePath != nil))
 	// The Stage-2 backend IS salted: an external solver may refute systems
 	// the builtin cannot, so verdicts persisted under one backend must not
 	// replay under another.

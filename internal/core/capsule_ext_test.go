@@ -7,6 +7,7 @@ import (
 	"repro/internal/cir"
 	"repro/internal/core"
 	"repro/internal/minicc"
+	"repro/internal/oscorpus"
 	"repro/internal/pathval"
 	"repro/internal/typestate"
 )
@@ -166,5 +167,41 @@ func TestConfigChangeMissesCache(t *testing.T) {
 			t.Errorf("%s: expected all %d entries to miss, got %d",
 				variant.name, warm.Stats.EntryFunctions, warm.Stats.CacheEntriesMiss)
 		}
+	}
+}
+
+// TestCachedRunStatsMatchUncached: on validate-heavy, whose candidates carry
+// alternate witnesses, a cold run with a cache reports the same Stats as an
+// uncached run — the cache only adds its own entry counters — and a warm
+// run replays the same Stage-2 constraint counts from the stored verdicts.
+func TestCachedRunStatsMatchUncached(t *testing.T) {
+	c := oscorpus.Generate(oscorpus.ValidationHeavySpec())
+	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cache core.EntryCache) core.Stats {
+		cfg := core.Config{Checkers: typestate.CoreCheckers(), Cache: cache}
+		pathval.New().Install(&cfg)
+		return core.RunParallel(mod, cfg, 2).Stats
+	}
+	strip := func(s core.Stats) core.Stats {
+		s.CacheEntriesHit, s.CacheEntriesMiss, s.CacheStepsSkipped = 0, 0, 0
+		s.AnalysisTime, s.ValidationTime, s.SolverNanos, s.WorkSteals = 0, 0, 0, 0
+		return s
+	}
+	uncached := run(nil)
+	cache := newMemCache()
+	cold := run(cache)
+	if strip(cold) != strip(uncached) {
+		t.Errorf("cold cached Stats differ from uncached:\n--- uncached\n%+v\n--- cold\n%+v", strip(uncached), strip(cold))
+	}
+	warm := run(cache)
+	if warm.CacheEntriesMiss != 0 {
+		t.Fatalf("warm run missed %d entries", warm.CacheEntriesMiss)
+	}
+	if warm.Constraints != cold.Constraints || warm.ConstraintsUnaware != cold.ConstraintsUnaware {
+		t.Errorf("warm replay constraints = %d/%d, cold = %d/%d",
+			warm.Constraints, warm.ConstraintsUnaware, cold.Constraints, cold.ConstraintsUnaware)
 	}
 }

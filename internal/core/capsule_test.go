@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/aliasgraph"
 	"repro/internal/cir"
 	"repro/internal/minicc"
 	"repro/internal/typestate"
@@ -48,13 +49,13 @@ func lowerCapsuleSrc(t *testing.T) *cir.Module {
 // TestAnalysisSaltInvalidation pins the cache-key contract: every
 // analysis-relevant Config field, the checker set, the intrinsics table,
 // and the module's globals each change the salt, while irrelevant knobs
-// (worker counts, trace hooks) do not.
+// (trace hooks, timing knobs) do not.
 func TestAnalysisSaltInvalidation(t *testing.T) {
 	mod := lowerCapsuleSrc(t)
 	valid := func(context.Context, *PossibleBug, Mode) ValidationOutcome {
 		return ValidationOutcome{Feasible: true}
 	}
-	base := Config{Validate: true, ValidatePath: valid}
+	base := Config{ValidatePath: valid}
 	salt := func(c Config) uint64 { return c.withDefaults().analysisSalt(mod) }
 	s0 := salt(base)
 
@@ -68,7 +69,7 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 		{"MaxStepsPerEntry", func(c Config) Config { c.MaxStepsPerEntry = 5000; return c }},
 		{"MaxContinuationsPerCall", func(c Config) Config { c.MaxContinuationsPerCall = 7; return c }},
 		{"LoopUnroll", func(c Config) Config { c.LoopUnroll = 2; return c }},
-		{"Validate", func(c Config) Config { c.Validate = false; return c }},
+		{"ValidatePath", func(c Config) Config { c.ValidatePath = nil; return c }},
 		{"Checkers", func(c Config) Config {
 			c.Checkers = append(typestate.CoreCheckers(), typestate.NewDBZ())
 			return c
@@ -110,9 +111,9 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 
 	// Analysis-irrelevant knobs must NOT invalidate.
 	irr := base
-	irr.ValidateWorkers = 9
+	irr.Trace = func(cir.Instr, *aliasgraph.Graph) {}
 	if salt(irr) != s0 {
-		t.Error("ValidateWorkers changed the salt")
+		t.Error("Trace changed the salt")
 	}
 	// Timing knobs don't determine what a *healthy* entry explores, and
 	// degraded entries are never persisted — so they must not invalidate.

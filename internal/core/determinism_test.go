@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cir"
 	"repro/internal/core"
 	"repro/internal/minicc"
 	"repro/internal/oscorpus"
@@ -115,7 +116,7 @@ static void entry_fn(struct model *m) {
 // rendered bug report (positions, alias sets, triggers, path lengths), the
 // ordered candidate list with its witness-path shapes, and the counters.
 // Wall-clock and steal counts are zeroed — those are the only fields allowed
-// to differ between the sequential engine and the pipelined scheduler.
+// to differ between the sequential engine and the parallel scheduler.
 func fullOutput(res *core.Result) string {
 	var sb strings.Builder
 	report.WriteBugs(&sb, res.Bugs)
@@ -139,16 +140,24 @@ func fullOutput(res *core.Result) string {
 	return sb.String()
 }
 
-// TestRunParallelByteIdentical locks in the pipelined scheduler's contract:
-// for every mode, checker set, and worker/validate-worker split, RunParallel
-// must produce byte-identical output to the sequential Engine.Run — same
-// bugs in the same order, same candidate list, same AltPaths, same triggers,
-// and the same counters including verdict-cache hits and misses.
+// TestRunParallelByteIdentical locks in the scheduler's contract: for every
+// corpus, mode, checker set, and worker count, RunParallel must produce
+// byte-identical output to the sequential Engine.Run — same bugs in the same
+// order, same candidate list, same AltPaths, same triggers, and the same
+// counters, Stage-2 constraint, verdict-cache and batching counters
+// included. validate-heavy is the corpus whose candidates carry alternate
+// witnesses; helper-heavy the one with deep Stage-1 entries.
 func TestRunParallelByteIdentical(t *testing.T) {
-	c := oscorpus.Generate(oscorpus.ZephyrSpec())
-	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
-	if err != nil {
-		t.Fatal(err)
+	var mods []*cir.Module
+	for _, spec := range []oscorpus.OSSpec{
+		oscorpus.ZephyrSpec(), oscorpus.ValidationHeavySpec(), oscorpus.HelperHeavySpec(),
+	} {
+		c := oscorpus.Generate(spec)
+		mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods = append(mods, mod)
 	}
 	checkerSets := []struct {
 		name string
@@ -164,24 +173,24 @@ func TestRunParallelByteIdentical(t *testing.T) {
 		{"pata", core.ModePATA},
 		{"noalias", core.ModeNoAlias},
 	}
-	grid := []struct{ workers, vworkers int }{
-		{1, 4}, {2, 2}, {4, 1}, {4, 4},
-	}
 	for _, cs := range checkerSets {
 		for _, m := range modes {
 			t.Run(cs.name+"/"+m.name, func(t *testing.T) {
-				mk := func(vworkers int) core.Config {
-					cfg := core.Config{Checkers: cs.mk(), Mode: m.mode, ValidateWorkers: vworkers}
+				mk := func() core.Config {
+					cfg := core.Config{Checkers: cs.mk(), Mode: m.mode}
 					pathval.New().Install(&cfg)
 					return cfg
 				}
-				want := fullOutput(core.NewEngine(mod, mk(1)).Run())
-				for _, g := range grid {
-					got := fullOutput(core.RunParallel(mod, mk(g.vworkers), g.workers))
-					if got != want {
-						t.Errorf("workers=%d validate-workers=%d output differs from sequential:\n--- sequential\n%s\n--- pipelined\n%s",
-							g.workers, g.vworkers, want, got)
-					}
+				for _, mod := range mods {
+					t.Run(mod.Name, func(t *testing.T) {
+						want := fullOutput(core.NewEngine(mod, mk()).Run())
+						for _, workers := range []int{1, 2, 4} {
+							if got := fullOutput(core.RunParallel(mod, mk(), workers)); got != want {
+								t.Errorf("workers=%d output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s",
+									workers, want, got)
+							}
+						}
+					})
 				}
 			})
 		}

@@ -63,17 +63,16 @@ type Config struct {
 	// bugs whose trigger needs several iterations become reachable, at a
 	// path-count cost.
 	LoopUnroll int
-	// Validate enables Stage-2 path validation (default true). The
-	// ValidatePath hook is installed by the pathval package (or a custom
-	// validator); when nil, validation is skipped.
-	Validate bool
 	// ValidatePath decides a candidate bug's path feasibility; it returns
-	// false when the path is proven infeasible (the bug is dropped). The
-	// counts it returns feed the Table 5 constraint statistics. The
-	// context carries the run's cancellation and, when EntryTimeout is
-	// set, a per-candidate deadline; an implementation that cannot finish
-	// in time must return a conservative verdict (Feasible) with TimedOut
-	// set rather than block.
+	// false when the path is proven infeasible (the bug is dropped). It is
+	// installed by the pathval package (or a custom validator); when nil,
+	// Stage-2 validation is skipped. The counts it returns feed the Table 5
+	// constraint statistics. The context carries the run's cancellation
+	// and, when EntryTimeout is set, a per-candidate deadline; an
+	// implementation that cannot finish in time must return a conservative
+	// verdict (Feasible) with TimedOut set rather than block. RunParallel
+	// calls it (and ValidateBatch) from several workers at once, so both
+	// must be safe for concurrent use (pathval's Validator is).
 	ValidatePath func(ctx context.Context, bug *PossibleBug, mode Mode) ValidationOutcome
 	// ValidateBatch, when set, validates a group of candidates from ONE
 	// entry function in a single call (installed by pathval alongside
@@ -89,19 +88,12 @@ type Config struct {
 	// external solver may refute more paths — so it is salted into the
 	// incremental cache key.
 	ValidateBackend string
-	// ValidateWorkers sets how many concurrent Stage-2 validation workers
-	// RunParallel's pipelined scheduler uses (<= 0 selects GOMAXPROCS).
-	// With more than one worker the ValidatePath hook is called
-	// concurrently and must be safe for concurrent use (pathval's
-	// Validator is). The sequential Engine.Run ignores this field.
-	ValidateWorkers int
 	// Cache, when set, enables content-addressed incremental analysis:
 	// RunParallel keys each entry function by the fingerprints of every
 	// reachable function plus the analysis-relevant configuration (see
 	// analysisSalt), replays cached per-entry results on key hits, and
 	// stores freshly computed ones on misses. Stage-2 verdicts are cached
-	// the same way. The sequential Engine.Run ignores this field, and
-	// RunParallel never falls back to it while a cache is configured.
+	// the same way. The sequential Engine.Run ignores this field.
 	Cache EntryCache
 	// EntryTimeout bounds the wall-clock of one entry function's Stage-1
 	// DFS attempt and of each candidate's Stage-2 validation (<= 0 means
@@ -475,35 +467,7 @@ func (e *Engine) RunCtx(ctx context.Context) *Result {
 
 	res := &Result{Possible: e.possible, Incomplete: e.incomplete, Stats: e.stats}
 	vstart := time.Now()
-	if e.Cfg.Validate && e.Cfg.ValidatePath != nil {
-		// Validate contiguous same-entry candidate runs as one group:
-		// candidates append per entry in entry order, so each run is exactly
-		// one entry's candidates, and the batch validator can share their
-		// path-condition prefixes. With batching off every group degenerates
-		// to per-candidate calls.
-		for start := 0; start < len(e.possible); {
-			end := start + 1
-			for end < len(e.possible) && e.possible[end].EntryFn == e.possible[start].EntryFn {
-				end++
-			}
-			group := e.possible[start:end]
-			outs := validateBatchGuarded(ctx, e.Cfg, group, &res.Stats.SolverNanos)
-			for i, pb := range group {
-				out := outs[i]
-				res.Stats.addValidation(out)
-				if !out.Feasible {
-					res.Stats.FalseDropped++
-					continue
-				}
-				res.Bugs = append(res.Bugs, &Bug{PossibleBug: pb, Validated: !out.Panicked, Trigger: out.Trigger})
-			}
-			start = end
-		}
-	} else {
-		for _, pb := range e.possible {
-			res.Bugs = append(res.Bugs, &Bug{PossibleBug: pb})
-		}
-	}
+	res.Bugs = validateCandidates(ctx, e.Cfg, e.possible, 1, nil, 0, &res.Stats)
 	res.Stats.ValidationTime = time.Since(vstart)
 	e.stats = res.Stats
 	return res

@@ -96,12 +96,6 @@ func (c Config) degradeRung(r int) Config {
 	return c
 }
 
-// isolated reports whether any per-entry isolation feature is configured,
-// which routes runs through the parallel scheduler's retry machinery.
-func (c Config) isolated() bool {
-	return c.EntryTimeout > 0 || c.RunTimeout > 0 || c.FaultHook != nil
-}
-
 // attemptEntry runs one guarded analyzeEntry attempt on a worker engine
 // and classifies the outcome. A panic is contained here; the caller must
 // then discard the engine (the alias graph and tracker were unwound past

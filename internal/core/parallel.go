@@ -63,21 +63,9 @@ func steal(queues []*stealQueue, w int) (entryTask, bool) {
 	return entryTask{}, false
 }
 
-// candRec tracks one merged candidate through the validation pipeline. The
-// merger writes pb and prim before dispatch; exactly one validator worker
-// writes out; the assembler reads everything after the pools drain.
-type candRec struct {
-	pb *PossibleBug
-	// prim is a snapshot of the candidate with AltPaths stripped, taken at
-	// dispatch time — the merger may still append alternate witnesses to pb
-	// while the primary path is being validated.
-	prim *PossibleBug
-	out  ValidationOutcome
-}
-
 // runEntryDelta analyzes a single entry function on a reused engine and
 // returns that entry's delta Result. RunParallel's workers call this instead
-// of Run so one engine — tracker, alias graph, size-gate counts — is amortized
+// of Run so one engine — tracker, alias graph, on-path counts — is amortized
 // over all the worker's entries. The dedup map is cleared between entries
 // (its buckets are reused): within-entry deduplication happens here, exactly
 // as in the sequential engine, while cross-entry deduplication is replayed
@@ -101,28 +89,26 @@ func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 	return res
 }
 
-// RunParallel analyzes the module with a pipelined two-stage scheduler.
+// RunParallel analyzes the module with a two-stage scheduler.
 //
 // Stage 1 runs `workers` concurrent engines over a work-stealing queue of
 // entry functions sorted by descending instruction count (entry functions
 // are independent analysis roots, so Stage 1 parallelizes perfectly and the
-// largest entries start first). Stage 2 runs cfg.ValidateWorkers concurrent
-// path validators; candidate bugs stream from Stage-1 workers through a
-// bounded channel into the validator pool, so constraint solving overlaps
-// path exploration instead of waiting for the full merge.
+// largest entries start first). A merger replays the per-entry results in
+// entry-name order as they arrive. After the Stage-1 barrier, Stage 2
+// validates the final candidate list in one pass on the same `workers`
+// (see validateCandidates).
 //
 // The result is identical to the sequential Engine.Run: per-entry results
 // are replayed through the merge in entry-name order, reproducing the
 // sequential engine's candidate order, cross-entry deduplication, and
-// AltPaths accumulation exactly, and each candidate's validation tries the
-// same witness paths in the same order. Only the timing counters
-// (AnalysisTime, ValidationTime, WorkSteals) differ.
+// AltPaths accumulation exactly, and Stage 2 validates the same same-entry
+// candidate groups through the same call. Only the timing counters
+// (AnalysisTime, ValidationTime, SolverNanos, WorkSteals) differ.
 //
 // workers <= 0 selects GOMAXPROCS. The merged Stats sum the per-worker
-// counters; AnalysisTime is the wall-clock of the Stage-1 parallel phase
-// (including incremental-cache replay and validation work overlapped with
-// it), ValidationTime the wall-clock of draining the remaining validation
-// work after Stage 1.
+// counters; AnalysisTime is the wall-clock of Stage 1 (including
+// incremental-cache replay), ValidationTime the wall-clock of Stage 2.
 //
 // When cfg.Cache is set, the run is incremental: each entry function is
 // keyed by callgraph.EntryKey (transitive content fingerprint mixed with
@@ -156,26 +142,10 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	vworkers := cfg.ValidateWorkers
-	if vworkers <= 0 {
-		vworkers = runtime.GOMAXPROCS(0)
-	}
 	cg := callgraph.Build(mod)
 	entries := cg.EntryFunctions()
 	cache := cfg.Cache
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	if cache == nil && workers <= 1 && vworkers <= 1 && ctx.Done() == nil &&
-		cfg.EntryTimeout <= 0 && cfg.FaultHook == nil {
-		// Nothing to overlap, nothing to replay, and no isolation ladder
-		// to walk: the sequential engine is equivalent and avoids the
-		// scheduling machinery.
-		return newEngineWithCG(mod, cfg, cg).RunCtx(ctx)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, len(entries)), 1)
 
 	start := time.Now()
 
@@ -265,23 +235,18 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 		idx int
 		res *Result
 	}
-	// resCh holds every entry's result without blocking: Stage-1 throughput
-	// is the scaling product, so a worker finishing an entry must never
-	// stall behind the merger — which CAN stall, briefly, on the bounded
-	// vtasks channel when Stage-2 validators fall behind. vtasks is the
-	// deliberate backpressure point (it bounds in-flight validation memory);
-	// resCh is deliberately not one (its entries are already materialized,
-	// buffering them adds no memory beyond the slice header per entry).
+	// resCh holds every entry's result without blocking: a worker finishing
+	// an entry never stalls behind the merger, and buffering costs nothing
+	// beyond the slice header per entry (the results are already
+	// materialized).
 	resCh := make(chan entryResult, len(entries)+1)
 	var steals int64
 	var wg1 sync.WaitGroup
-	subCfg := cfg
-	subCfg.Validate = false // Stage 2 runs in the validator pool
 	for w := 0; w < workers; w++ {
 		wg1.Add(1)
 		go func(w int) {
 			defer wg1.Done()
-			eng := newEngineWithCG(mod, subCfg, cg)
+			eng := newEngineWithCG(mod, cfg, cg)
 			eng.runCtx = ctx
 			for {
 				t, ok := queues[w].popFront()
@@ -333,57 +298,12 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 		}
 	}()
 
-	// Stage-2 validator pool: primary witness paths are validated as soon
-	// as the merger materializes a candidate. A candidate whose primary
-	// path is feasible never consults its alternates (exactly as the
-	// sequential validator short-circuits), so its verdict is final here.
-	//
-	// With an incremental cache the eager pool stays idle: verdicts are
-	// keyed by the candidate's full witness set (primary plus alternates),
-	// which is only final after the merge, so validation runs as a single
-	// post-merge cached pass instead.
-	validate := cfg.Validate && cfg.ValidatePath != nil
-	eager := validate && cache == nil
-	// With batching on, the merger dispatches one task per ENTRY (all its
-	// first-sighted candidates together) so the batch validator can share
-	// their path-condition prefixes in one incremental session; without a
-	// batch hook, tasks stay per-candidate, preserving within-entry
-	// validation concurrency.
-	batching := eager && cfg.ValidateBatch != nil
-	// solverNanos is the run-wide total; each validator goroutine accumulates
-	// into its own local counter and folds it in exactly once at exit, so the
-	// hot path never bounces a shared cache line between workers.
-	var solverNanos int64
-	vtasks := make(chan []*candRec, 4*vworkers)
-	var wgV sync.WaitGroup
-	if eager {
-		for i := 0; i < vworkers; i++ {
-			wgV.Add(1)
-			go func() {
-				defer wgV.Done()
-				var mySolver int64
-				defer func() { atomic.AddInt64(&solverNanos, mySolver) }()
-				for batch := range vtasks {
-					prims := make([]*PossibleBug, len(batch))
-					for i, rec := range batch {
-						prims[i] = rec.prim
-					}
-					outs := validateBatchGuarded(ctx, cfg, prims, &mySolver)
-					for i, rec := range batch {
-						rec.out = outs[i]
-					}
-				}
-			}()
-		}
-	}
-
 	// Merger: replays per-entry candidate lists in entry-name order through
 	// a global dedup, reproducing the sequential engine's bugSink behavior
 	// across entries — the first sighting keeps the candidate, later
 	// sightings append their primary path and then their own alternates as
 	// AltPaths (capped), each sighting counting one repeated drop.
 	merged := &Result{}
-	var recs []*candRec
 	mergeDone := make(chan struct{})
 	go func() {
 		defer close(mergeDone)
@@ -420,7 +340,6 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 				s.PanicsContained += r.Stats.PanicsContained
 				s.EntriesRetried += r.Stats.EntriesRetried
 				s.EntriesDegraded += r.Stats.EntriesDegraded
-				var batch []*candRec
 				for _, pb := range r.Possible {
 					k := mergeKey{checker: pb.Checker.Name(), origin: pb.OriginGID, bug: pb.BugInstr.GID()}
 					if prev, dup := seen[k]; dup {
@@ -438,25 +357,6 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 					}
 					seen[k] = pb
 					merged.Possible = append(merged.Possible, pb)
-					rec := &candRec{pb: pb}
-					recs = append(recs, rec)
-					if eager {
-						prim := *pb
-						prim.AltPaths = nil
-						rec.prim = &prim
-						if batching {
-							batch = append(batch, rec)
-						} else {
-							vtasks <- []*candRec{rec}
-						}
-					}
-				}
-				if len(batch) > 0 {
-					// One entry's worth of first-sighted candidates: exactly
-					// the group the sequential engine hands its batch
-					// validator, so the shared-prefix screening sees the same
-					// formulas in both schedulers.
-					vtasks <- batch
 				}
 			}
 		}
@@ -466,107 +366,111 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	close(resCh)
 	<-mergeDone
 	merged.Stats.AnalysisTime = time.Since(start)
-	close(vtasks)
-	wgV.Wait()
 
-	// Deferred pass: candidates whose primary path was infeasible try their
-	// accumulated alternate witnesses in order, like the sequential
-	// validator, but concurrently across candidates. This must wait for the
-	// Stage-1 barrier because alternates keep arriving until the merge is
-	// complete.
 	vstart := time.Now()
-	if validate && cache != nil {
-		// Cached validation: one pass over the merged candidates, each
-		// validated as a whole (primary, then alternates on infeasibility —
-		// exactly the sequential Validator semantics) so the stored verdict
-		// covers the candidate's final witness set. Replayed verdicts carry
-		// zero in-memory verdict-cache counters: those describe solver work,
-		// and a disk hit does none.
-		vc := make(chan *candRec)
-		var wgF sync.WaitGroup
-		for i := 0; i < vworkers; i++ {
-			wgF.Add(1)
-			go func() {
-				defer wgF.Done()
-				var mySolver int64
-				defer func() { atomic.AddInt64(&solverNanos, mySolver) }()
-				for rec := range vc {
-					key, keyed := verdictKey(salt, rec.pb, cfg.Mode)
-					if keyed {
-						if data, hit := cache.Load(key); hit {
-							if out, ok := decodeVerdict(data); ok {
-								rec.out = out
-								continue
-							}
-						}
-					}
-					rec.out = validateGuarded(ctx, cfg, rec.pb, &mySolver)
-					// An interrupted or panicked verdict is conservative,
-					// not proven; persisting it would freeze a guess.
-					if keyed && !rec.out.TimedOut && !rec.out.Panicked {
-						cache.Save(key, encodeVerdict(rec.out))
-					}
-				}
-			}()
-		}
-		for _, rec := range recs {
-			vc <- rec
-		}
-		close(vc)
-		wgF.Wait()
-	} else if validate {
-		altCh := make(chan *candRec)
-		var wgA sync.WaitGroup
-		for i := 0; i < vworkers; i++ {
-			wgA.Add(1)
-			go func() {
-				defer wgA.Done()
-				var mySolver int64
-				defer func() { atomic.AddInt64(&solverNanos, mySolver) }()
-				for rec := range altCh {
-					alt := *rec.pb
-					alt.Path = rec.pb.AltPaths[0]
-					alt.AltPaths = rec.pb.AltPaths[1:]
-					out := validateGuarded(ctx, cfg, &alt, &mySolver)
-					rec.out.Feasible = out.Feasible
-					rec.out.Constraints += out.Constraints
-					rec.out.ConstraintsUnaware += out.ConstraintsUnaware
-					rec.out.CacheHits += out.CacheHits
-					rec.out.CacheMisses += out.CacheMisses
-					rec.out.CacheEvictions += out.CacheEvictions
-					rec.out.Disagreements += out.Disagreements
-					rec.out.TimedOut = rec.out.TimedOut || out.TimedOut
-					rec.out.Panicked = rec.out.Panicked || out.Panicked
-					// Trigger stays the primary path's, matching the
-					// sequential validator.
-				}
-			}()
-		}
-		for _, rec := range recs {
-			if !rec.out.Feasible && len(rec.pb.AltPaths) > 0 {
-				altCh <- rec
-			}
-		}
-		close(altCh)
-		wgA.Wait()
-	}
-
-	for _, rec := range recs {
-		b := &Bug{PossibleBug: rec.pb}
-		if validate {
-			merged.Stats.addValidation(rec.out)
-			if !rec.out.Feasible {
-				merged.Stats.FalseDropped++
-				continue
-			}
-			b.Validated = !rec.out.Panicked
-			b.Trigger = rec.out.Trigger
-		}
-		merged.Bugs = append(merged.Bugs, b)
-	}
+	merged.Bugs = validateCandidates(ctx, cfg, merged.Possible, workers, cache, salt, &merged.Stats)
 	merged.Stats.PossibleBugs = int64(len(merged.Possible)) + merged.Stats.RepeatedDropped
 	merged.Stats.WorkSteals = atomic.LoadInt64(&steals)
-	merged.Stats.SolverNanos += atomic.LoadInt64(&solverNanos)
 	merged.Stats.ValidationTime = time.Since(vstart)
 	return merged
+}
+
+// validateCandidates is Stage 2: it validates the deduplicated candidate
+// list in one pass and returns the surviving bugs in candidate order,
+// folding every outcome's counters into st. Candidates are split into their
+// contiguous same-entry groups — candidates append per entry in entry
+// order, so each group is exactly one entry's candidates — and `workers`
+// goroutines take groups in turn. Each group's candidates are probed in the
+// verdict cache (when cache is set), and the misses, primary and alternate
+// witnesses alike, are validated together in one validateBatchGuarded call
+// so a batch validator can share their path-condition prefixes. Every
+// verdict that is neither interrupted nor panicked is saved. With no
+// validator installed, every candidate is reported unvalidated.
+func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug, workers int, cache EntryCache, salt uint64, st *Stats) []*Bug {
+	var bugs []*Bug
+	if cfg.ValidatePath == nil {
+		for _, pb := range possible {
+			bugs = append(bugs, &Bug{PossibleBug: pb})
+		}
+		return bugs
+	}
+	var groups []int // start index of each group; len(possible) closes the last
+	for i, pb := range possible {
+		if i == 0 || pb.EntryFn != possible[i-1].EntryFn {
+			groups = append(groups, i)
+		}
+	}
+	groups = append(groups, len(possible))
+
+	outs := make([]ValidationOutcome, len(possible))
+	var next, solverNanos atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(groups)-1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each goroutine accumulates solver time locally and folds it in
+			// once at exit, so the hot path never bounces a shared cache line.
+			var mySolver int64
+			defer func() { solverNanos.Add(mySolver) }()
+			for {
+				g := int(next.Add(1)) - 1
+				if g >= len(groups)-1 {
+					return
+				}
+				lo, hi := groups[g], groups[g+1]
+				validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], cache, salt, &mySolver)
+			}
+		}()
+	}
+	wg.Wait()
+	st.SolverNanos += solverNanos.Load()
+
+	for i, pb := range possible {
+		out := outs[i]
+		st.addValidation(out)
+		if !out.Feasible {
+			st.FalseDropped++
+			continue
+		}
+		bugs = append(bugs, &Bug{PossibleBug: pb, Validated: !out.Panicked, Trigger: out.Trigger})
+	}
+	return bugs
+}
+
+// validateGroup validates one same-entry candidate group into outs, which
+// is positionally parallel to pbs: verdict-cache hits replay, and the
+// misses go to the validator together in one validateBatchGuarded call.
+func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []ValidationOutcome, cache EntryCache, salt uint64, solverNanos *int64) {
+	var miss []*PossibleBug
+	var idx []int
+	var keys []string
+	for i, pb := range pbs {
+		key := ""
+		if cache != nil {
+			var keyed bool
+			if key, keyed = verdictKey(salt, pb, cfg.Mode); keyed {
+				if data, hit := cache.Load(key); hit {
+					if out, ok := decodeVerdict(data); ok {
+						// A replayed verdict carries no verdict-cache
+						// counters: those describe solver work, and a disk
+						// hit does none.
+						outs[i] = out
+						continue
+					}
+				}
+			}
+		}
+		miss = append(miss, pb)
+		idx = append(idx, i)
+		keys = append(keys, key)
+	}
+	for j, out := range validateBatchGuarded(ctx, cfg, miss, solverNanos) {
+		outs[idx[j]] = out
+		// An interrupted or panicked verdict is conservative, not proven;
+		// persisting it would freeze a guess.
+		if keys[j] != "" && !out.TimedOut && !out.Panicked {
+			cache.Save(keys[j], encodeVerdict(out))
+		}
+	}
 }

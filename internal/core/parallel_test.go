@@ -1,12 +1,17 @@
 package core_test
 
 import (
+	"context"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/cir"
 	"repro/internal/core"
 	"repro/internal/minicc"
 	"repro/internal/oscorpus"
 	"repro/internal/pathval"
+	"repro/internal/report"
 	"repro/internal/typestate"
 )
 
@@ -38,7 +43,9 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestRunParallelSingleWorkerFallback(t *testing.T) {
+// TestRunParallelSingleEntry: with one entry function the worker count
+// clamps to one and the scheduler still reports the bug.
+func TestRunParallelSingleEntry(t *testing.T) {
 	mod, err := minicc.LowerAll("m", map[string]string{"a.c": `
 struct s { int f; };
 int f(struct s *p) {
@@ -51,8 +58,65 @@ int f(struct s *p) {
 	}
 	cfg := core.Config{Checkers: typestate.CoreCheckers()}
 	pathval.New().Install(&cfg)
-	res := core.RunParallel(mod, cfg, 8) // 1 entry: falls back to sequential
+	res := core.RunParallel(mod, cfg, 8)
 	if len(res.Bugs) != 1 {
 		t.Errorf("bugs = %d", len(res.Bugs))
+	}
+}
+
+// boomChecker wraps a checker and panics when shown a call to boom.
+type boomChecker struct{ typestate.Checker }
+
+func (c boomChecker) OnInstr(in cir.Instr, ctx typestate.Ctx, out []typestate.Emission) []typestate.Emission {
+	if call, ok := in.(*cir.Call); ok && call.Callee == "boom" {
+		panic("boomChecker: call boom")
+	}
+	return c.Checker.OnInstr(in, ctx, out)
+}
+
+// TestRunParallelContextParity: a library caller's context must not change
+// the result. The entry f panics after its NPD emission, so the run walks
+// the degrade ladder; whether the context can be cancelled, and whether the
+// worker count is explicit or GOMAXPROCS, the Result is the same. GOMAXPROCS
+// is pinned to 1 so that both worker counts resolve to a single worker, the
+// setting most tempting to shortcut onto the sequential engine.
+func TestRunParallelContextParity(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mod, err := minicc.LowerAll("m", map[string]string{"a.c": `
+struct s { int f; };
+int f(struct s *p) {
+	int x = 0;
+	if (!p) {
+		x = p->f;
+		boom();
+	}
+	return x;
+}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() core.Config {
+		cfg := core.Config{Checkers: []typestate.Checker{boomChecker{typestate.NewNPD()}}}
+		pathval.New().Install(&cfg)
+		return cfg
+	}
+	render := func(res *core.Result) string {
+		var sb strings.Builder
+		sb.WriteString(fullOutput(res))
+		report.WriteIncomplete(&sb, res.Incomplete)
+		return sb.String()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, workers := range []int{1, 0} {
+		background := core.RunParallelCtx(context.Background(), mod, mk(), workers)
+		if background.Stats.PanicsContained == 0 {
+			t.Fatalf("workers=%d: no panic contained; the test would prove nothing", workers)
+		}
+		want := render(background)
+		if got := render(core.RunParallelCtx(ctx, mod, mk(), workers)); got != want {
+			t.Errorf("workers=%d: cancellable context changes the result:\n--- background\n%s\n--- cancellable\n%s",
+				workers, want, got)
+		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Capsule wire format (capsuleVersion 6).
+// Capsule wire format (capsuleVersion 7).
 //
 // A capsule payload is
 //

@@ -11,8 +11,8 @@ import (
 // batched Stage-2 validation and for the scheduler: on every corpus (the four
 // paper OSes plus the validation-heavy and helper-heavy workloads), the
 // batched default must produce byte-identical bug reports to per-candidate
-// solving (no ValidateBatch hook installed), and the pipelined run at
-// workers=4 must match the sequential engine at workers=1.
+// solving (no ValidateBatch hook installed), and the run at workers=4 must
+// match the one at workers=1.
 func TestBatchedValidationEquivalence(t *testing.T) {
 	corpora := append(Corpora(),
 		oscorpus.Generate(oscorpus.ValidationHeavySpec()),
@@ -23,11 +23,6 @@ func TestBatchedValidationEquivalence(t *testing.T) {
 			var reports [2]interface{}
 			for vi, variant := range []string{"batched", "per-candidate"} {
 				cfg := PATAConfig()
-				if workers == 1 {
-					cfg.ValidateWorkers = 1
-				} else {
-					cfg.ValidateWorkers = 2
-				}
 				if variant == "per-candidate" {
 					cfg.ValidateBatch = nil
 				}
@@ -57,10 +52,10 @@ func TestBatchedValidationEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchedValidationRaceStress drives the parallel engine's validator
-// pool with batching on; its assertions are weak on purpose — the test's
-// value is under `go test -race`, where it exercises the batch dispatch,
-// the shared verdict cache, and the stats merge concurrently.
+// TestBatchedValidationRaceStress drives RunParallel's Stage-2 workers with
+// batching on; its assertions are weak on purpose — the test's value is
+// under `go test -race`, where it exercises the group dispatch, the shared
+// verdict cache, and the stats merge concurrently.
 func TestBatchedValidationRaceStress(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.ValidationHeavySpec())
 	rounds := 3
@@ -69,7 +64,6 @@ func TestBatchedValidationRaceStress(t *testing.T) {
 	}
 	for i := 0; i < rounds; i++ {
 		cfg := PATAConfig()
-		cfg.ValidateWorkers = 4
 		r, err := RunPATAPipelined(c, cfg, "race-stress", 4)
 		if err != nil {
 			t.Fatal(err)

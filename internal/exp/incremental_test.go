@@ -15,7 +15,7 @@ import (
 	"repro/internal/report"
 )
 
-// incRun lowers sources and analyzes them through the pipelined scheduler,
+// incRun lowers sources and analyzes them through the parallel scheduler,
 // with or without a cache, returning the result, the lowered module (for
 // call-graph queries), and the rendered bug report.
 func incRun(name string, sources map[string]string, cache core.EntryCache) (*core.Result, *cir.Module, string, error) {

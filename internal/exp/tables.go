@@ -55,8 +55,8 @@ type Table5Row struct {
 // Table5 reproduces "Analysis results of the four OSes": code-analysis cost
 // counters (typestates and SMT constraints, alias-aware vs unaware),
 // bug-filtering counters (dropped repeated/false bugs) and found/real bugs
-// per type. The runs go through the pipelined parallel scheduler, so the
-// time-usage row reflects the overlapped two-stage pipeline.
+// per type. The runs go through the parallel scheduler (core.RunParallel),
+// so the time-usage row reflects a multi-worker run.
 func Table5(w io.Writer) ([]Table5Row, error) {
 	var rows []Table5Row
 	for _, c := range Corpora() {
@@ -140,7 +140,7 @@ func Table5(w io.Writer) ([]Table5Row, error) {
 	addRow("Time usage",
 		func(r Table5Row) string { return fmtDuration(r.Run.Elapsed) },
 		func() string { return "" })
-	addRow("Stage wall-clock (S1/S2 tail)",
+	addRow("Stage wall-clock (S1/S2)",
 		func(r Table5Row) string {
 			return fmt.Sprintf("%s/%s", fmtDuration(r.Run.Stats.AnalysisTime), fmtDuration(r.Run.Stats.ValidationTime))
 		},
@@ -222,7 +222,7 @@ type Table6Row struct {
 }
 
 // Table6 reproduces the PATA vs PATA-NA sensitivity analysis on the
-// Linux-like corpus. Both variants run through the pipelined scheduler.
+// Linux-like corpus. Both variants run through the parallel scheduler.
 func Table6(w io.Writer) ([]Table6Row, error) {
 	c := Corpora()[0]
 	na, err := RunPATAPipelined(c, NAConfig(), "pata-na", 0)
@@ -266,7 +266,6 @@ func Table7(w io.Writer) ([]Table7Row, error) {
 	}}
 	pv := PATAConfig()
 	cfg.ValidatePath = pv.ValidatePath
-	cfg.Validate = true
 	run, err := RunPATA(c, cfg, "pata-ext")
 	if err != nil {
 		return nil, err
@@ -508,7 +507,6 @@ func Extensions(w io.Writer) ([]ExtensionsRow, error) {
 	cfg := core.Config{Checkers: checkers}
 	base := PATAConfig()
 	cfg.ValidatePath = base.ValidatePath
-	cfg.Validate = true
 	run, err := RunPATA(c, cfg, "pata-repo-ext")
 	if err != nil {
 		return nil, err

@@ -79,11 +79,10 @@ func RunPATA(c *oscorpus.Corpus, cfg core.Config, toolName string) (*ToolRun, er
 	return tr, nil
 }
 
-// RunPATAPipelined runs the framework through core.RunParallel's pipelined
-// two-stage scheduler (work-stealing Stage-1 workers, concurrent Stage-2
-// validation). Findings and counters are identical to RunPATA — only the
-// wall-clock and the scheduler counters (WorkSteals, cache hits) differ.
-// workers <= 0 selects GOMAXPROCS for both stages.
+// RunPATAPipelined runs the framework through core.RunParallel's two-stage
+// scheduler (work-stealing Stage-1 workers, then Stage-2 validation on the
+// same workers). Findings and counters are identical to RunPATA — only the
+// timers and WorkSteals differ. workers <= 0 selects GOMAXPROCS.
 func RunPATAPipelined(c *oscorpus.Corpus, cfg core.Config, toolName string, workers int) (*ToolRun, error) {
 	mod, err := lowerCorpus(c)
 	if err != nil {
@@ -150,7 +149,6 @@ func InferLikeConfig() core.Config {
 		Checkers:     typestate.CoreCheckers(),
 		Mode:         core.ModeNoAlias,
 		MaxCallDepth: 4,
-		Validate:     false,
 	}
 }
 

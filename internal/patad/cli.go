@@ -22,21 +22,20 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("patad", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir             = fs.String("dir", "", "load every .c file under this directory")
-		socket          = fs.String("socket", "", "serve the NDJSON protocol on this Unix socket path")
-		stdio           = fs.Bool("stdio", false, "serve the NDJSON protocol on stdin/stdout (default when -socket is not given)")
-		checkers        = fs.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz,uaf or 'all' (default npd,uva,ml)")
-		unroll          = fs.Int("unroll", 1, "loop unroll factor (paper default 1)")
-		workers         = fs.Int("workers", 0, "Stage-1 analysis workers per request (0 = GOMAXPROCS, 1 = sequential)")
-		validateWorkers = fs.Int("validate-workers", 0, "Stage-2 validation workers per request (0 = GOMAXPROCS, 1 = sequential)")
-		entryTimeout    = fs.Duration("entry-timeout", 0, "wall-clock budget per entry function (0 = none)")
-		requestTimeout  = fs.Duration("request-timeout", 0, "default wall-clock budget per analyze request; a request's timeout_ms overrides it (0 = none)")
-		maxRetries      = fs.Int("max-retries", 0, "degrade-ladder retries per sick entry (0 = default 1, negative = none)")
-		maxInFlight     = fs.Int("max-inflight", 1, "concurrently running analyses before requests queue")
-		maxQueue        = fs.Int("max-queue", 8, "requests waiting for a slot before load-shedding with retry_after_ms")
-		drainTimeout    = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain grace period for in-flight work on SIGTERM/shutdown")
-		cacheDir        = fs.String("cache-dir", "", "persist per-entry analysis capsules in this directory (enables crash-safe warm restart)")
-		cacheMaxBytes   = fs.Int64("cache-max-bytes", 0, "evict least-recently-used capsules past this many bytes (0 = unlimited)")
+		dir            = fs.String("dir", "", "load every .c file under this directory")
+		socket         = fs.String("socket", "", "serve the NDJSON protocol on this Unix socket path")
+		stdio          = fs.Bool("stdio", false, "serve the NDJSON protocol on stdin/stdout (default when -socket is not given)")
+		checkers       = fs.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz,uaf or 'all' (default npd,uva,ml)")
+		unroll         = fs.Int("unroll", 1, "loop unroll factor (paper default 1)")
+		workers        = fs.Int("workers", 0, "analysis workers for both stages per request (0 = GOMAXPROCS, 1 = sequential)")
+		entryTimeout   = fs.Duration("entry-timeout", 0, "wall-clock budget per entry function (0 = none)")
+		requestTimeout = fs.Duration("request-timeout", 0, "default wall-clock budget per analyze request; a request's timeout_ms overrides it (0 = none)")
+		maxRetries     = fs.Int("max-retries", 0, "degrade-ladder retries per sick entry (0 = default 1, negative = none)")
+		maxInFlight    = fs.Int("max-inflight", 1, "concurrently running analyses before requests queue")
+		maxQueue       = fs.Int("max-queue", 8, "requests waiting for a slot before load-shedding with retry_after_ms")
+		drainTimeout   = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain grace period for in-flight work on SIGTERM/shutdown")
+		cacheDir       = fs.String("cache-dir", "", "persist per-entry analysis capsules in this directory (enables crash-safe warm restart)")
+		cacheMaxBytes  = fs.Int64("cache-max-bytes", 0, "evict least-recently-used capsules past this many bytes (0 = unlimited)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -69,13 +68,12 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	cfg := pata.Config{
-		LoopUnroll:      *unroll,
-		Workers:         *workers,
-		ValidateWorkers: *validateWorkers,
-		EntryTimeout:    *entryTimeout,
-		MaxRetries:      *maxRetries,
-		CacheDir:        *cacheDir,
-		CacheMaxBytes:   *cacheMaxBytes,
+		LoopUnroll:    *unroll,
+		Workers:       *workers,
+		EntryTimeout:  *entryTimeout,
+		MaxRetries:    *maxRetries,
+		CacheDir:      *cacheDir,
+		CacheMaxBytes: *cacheMaxBytes,
 	}
 	if *checkers != "" {
 		cfg.Checkers = strings.Split(*checkers, ",")

@@ -26,8 +26,8 @@ import (
 type Options struct {
 	// Config is the analysis configuration every request runs under.
 	// CacheDir enables the persistent capsule store — without it the
-	// daemon still works, but a restart is cold. Workers/ValidateWorkers
-	// follow the usual convention (<= 0 = GOMAXPROCS).
+	// daemon still works, but a restart is cold. Workers follows the usual
+	// convention (<= 0 = GOMAXPROCS).
 	Config pata.Config
 	// Sources is the initial module (file name → content).
 	Sources map[string]string

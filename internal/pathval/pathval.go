@@ -33,8 +33,8 @@ const (
 )
 
 // Validator validates candidate bug paths. Safe for reuse across bugs and
-// for concurrent use (RunParallel's validator pool calls Validate from
-// several goroutines); the counters are updated atomically and the verdict
+// for concurrent use (RunParallel's Stage-2 workers call it from several
+// goroutines); the counters are updated atomically and the verdict
 // cache is internally synchronized.
 type Validator struct {
 	// Stats accumulates solver work. Read with atomic loads while
@@ -175,7 +175,6 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 // same-entry candidate groups; clear Config.ValidateBatch afterwards to
 // validate every candidate on its own).
 func (v *Validator) Install(cfg *core.Config) {
-	cfg.Validate = true
 	cfg.ValidatePath = v.ValidateCtx
 	cfg.ValidateBatch = v.ValidateBatchCtx
 }

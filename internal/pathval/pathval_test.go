@@ -170,7 +170,7 @@ func TestInstallWiresConfig(t *testing.T) {
 	var cfg core.Config
 	v := New()
 	v.Install(&cfg)
-	if !cfg.Validate || cfg.ValidatePath == nil {
+	if cfg.ValidatePath == nil || cfg.ValidateBatch == nil {
 		t.Error("Install must enable validation")
 	}
 }

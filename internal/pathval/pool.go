@@ -1,7 +1,7 @@
 // Replayer pooling: every candidate validation used to allocate a fresh
 // replayer — an alias graph (three maps), an SMT term context, and three
-// more maps — only to throw the lot away a few microseconds later. Under the
-// parallel validator pool that churn was the dominant allocation source on
+// more maps — only to throw the lot away a few microseconds later. Under
+// parallel Stage-2 workers that churn was the dominant allocation source on
 // the Stage-2 hot path and a GC assist magnet for every worker. Validators
 // now recycle replayers through a sync.Pool: reset restores the exact state
 // a fresh replayer starts in (the alias graph rewinds node IDs to 1, the

@@ -226,12 +226,11 @@ func TestShardedCacheInFlightNeverEvicted(t *testing.T) {
 	}
 }
 
-// TestShardLayoutReportIdentity runs the validation-heavy corpus through the
-// sequential engine and through the pipelined scheduler (4 Stage-1 and 4
-// Stage-2 workers) under both verdict-cache layouts — the sharded default and
-// the single global-mutex shard — and requires the same bugs, in the same
-// order, with the same trigger values every time: the shard layout only
-// changes lock contention, never answers.
+// TestShardLayoutReportIdentity runs the validation-heavy corpus through
+// RunParallel at 1 and 4 workers under both verdict-cache layouts — the
+// sharded default and the single global-mutex shard — and requires the same
+// bugs, in the same order, with the same trigger values every time: the
+// shard layout only changes lock contention, never answers.
 func TestShardLayoutReportIdentity(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.ValidationHeavySpec())
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
@@ -241,7 +240,7 @@ func TestShardLayoutReportIdentity(t *testing.T) {
 	render := func(shards, workers int) string {
 		v := New()
 		v.cacheShards = shards
-		cfg := core.Config{ValidateWorkers: workers}
+		var cfg core.Config
 		v.Install(&cfg)
 		var sb strings.Builder
 		for _, b := range core.SortedBugs(core.RunParallel(mod, cfg, workers).Bugs) {
@@ -256,7 +255,7 @@ func TestShardLayoutReportIdentity(t *testing.T) {
 	}
 	for _, tc := range []struct{ shards, workers int }{{1, 1}, {0, 4}, {1, 4}} {
 		if got := render(tc.shards, tc.workers); got != want {
-			t.Errorf("cacheShards=%d workers=%d: report differs from the sharded sequential run", tc.shards, tc.workers)
+			t.Errorf("cacheShards=%d workers=%d: report differs from the sharded single-worker run", tc.shards, tc.workers)
 		}
 	}
 }

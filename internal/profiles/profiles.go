@@ -1,10 +1,11 @@
 // Package profiles wires the standard pprof dump files behind one Set so
 // both binaries (pata, patabench) expose identical -cpuprofile/-memprofile/
 // -blockprofile/-mutexprofile behavior. Block and mutex profiles are the
-// contention lens for the parallel pipeline: `go tool pprof` over a
+// contention lens for the parallel scheduler: `go tool pprof` over a
 // -mutexprofile dump shows exactly which lock (verdict-cache shard, acache
 // stripe, steal deque) parallel workers convoy on, and -blockprofile shows
-// time parked on channels (the vtasks backpressure point).
+// time parked on channels and locks (the merge channel, singleflight
+// waits).
 package profiles
 
 import (

@@ -65,7 +65,7 @@ func OriginInstr(b *core.Bug) cir.Instr {
 	return nil
 }
 
-// WriteStats renders the engine counters, including the pipelined
+// WriteStats renders the engine counters, including the parallel
 // scheduler's per-stage wall-clock, work-steal, and verdict-cache counters
 // (cmd/pata -stats uses this).
 func WriteStats(w io.Writer, st core.Stats) {

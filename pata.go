@@ -64,22 +64,14 @@ type Config struct {
 	// (default 1, the paper's rule; higher values trade time for coverage
 	// of multi-iteration bugs, §7).
 	LoopUnroll int
-	// Workers sets Stage-1 concurrency: N > 1 analyzes entry functions with
-	// N concurrent engines, 1 a single one, and 0 or negative (the default)
-	// selects GOMAXPROCS. Findings are identical to a sequential run; only
-	// wall-clock changes. The same convention holds everywhere a worker
-	// count appears (cmd flags, core.RunParallel, ValidateWorkers): <= 0
-	// means GOMAXPROCS, 1 means one worker.
+	// Workers sets the analysis concurrency: N > 1 analyzes entry functions
+	// with N concurrent engines and then validates the candidates with N
+	// concurrent Stage-2 workers, 1 uses a single worker for both stages,
+	// and 0 or negative (the default) selects GOMAXPROCS. Findings are
+	// identical to a sequential run; only wall-clock changes. The same
+	// convention holds everywhere a worker count appears (cmd flags,
+	// core.RunParallel): <= 0 means GOMAXPROCS, 1 means one worker.
 	Workers int
-	// ValidateWorkers sets how many concurrent Stage-2 validation workers
-	// the pipelined scheduler uses: 0 or negative selects GOMAXPROCS, 1
-	// single-threaded validation. Candidate bugs stream into the validator
-	// pool while path exploration is still running, overlapping SMT solving
-	// with Stage 1. When both worker counts resolve to 1 (explicitly, or
-	// through GOMAXPROCS=1) and no CacheDir, EntryTimeout, RunTimeout or
-	// cancellable context is in play, the analysis runs on the sequential
-	// engine instead of the pipelined scheduler.
-	ValidateWorkers int
 	// WitnessPaths renders each bug's witness path (source lines with
 	// branch directions) into Bug.Witness.
 	WitnessPaths bool
@@ -212,7 +204,6 @@ func (c Config) engineConfig() (core.Config, error) {
 		MaxPathsPerEntry:        c.MaxPathsPerEntry,
 		MaxContinuationsPerCall: c.MaxContinuationsPerCall,
 		LoopUnroll:              c.LoopUnroll,
-		ValidateWorkers:         c.ValidateWorkers,
 		EntryTimeout:            c.EntryTimeout,
 		RunTimeout:              c.RunTimeout,
 		MaxRetries:              c.MaxRetries,
@@ -266,9 +257,6 @@ func AnalyzeSourcesCtx(ctx context.Context, name string, sources map[string]stri
 	if err != nil {
 		return nil, err
 	}
-	// RunParallelCtx picks the scheduler: it falls back to the sequential
-	// engine when both resolved worker counts are 1 and there is no cache,
-	// deadline or cancellable context to serve.
 	res := core.RunParallelCtx(ctx, mod, ec, cfg.Workers)
 	return convert(res, cfg.WitnessPaths), nil
 }
