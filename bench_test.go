@@ -123,8 +123,7 @@ func BenchmarkStage1LinuxCorpus(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()})
-		eng.Run()
+		core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
 	}
 }
 
@@ -136,7 +135,7 @@ func BenchmarkStage2Validation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()}).Run()
+	res := core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := pathval.New()
@@ -199,9 +198,9 @@ func BenchmarkAblationAliasMode(b *testing.B) {
 	}{{"pata", core.ModePATA}, {"na", core.ModeNoAlias}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.NewEngine(mod, core.Config{
+				core.RunParallel(mod, core.Config{
 					Checkers: typestate.CoreCheckers(), Mode: bc.mode,
-				}).Run()
+				}, 1)
 			}
 		})
 	}
@@ -229,7 +228,7 @@ func BenchmarkAblationContinuations(b *testing.B) {
 			cfg := core.Config{Checkers: typestate.CoreCheckers()}
 			cfg.MaxContinuationsPerCall = k
 			for i := 0; i < b.N; i++ {
-				core.NewEngine(mod, cfg).Run()
+				core.RunParallel(mod, cfg, 1)
 			}
 		})
 	}
@@ -245,14 +244,14 @@ func BenchmarkAblationValidation(b *testing.B) {
 	}
 	b.Run("novalidate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()}).Run()
+			core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
 		}
 	})
 	b.Run("validate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := core.Config{Checkers: typestate.CoreCheckers()}
 			pathval.New().Install(&cfg)
-			core.NewEngine(mod, cfg).Run()
+			core.RunParallel(mod, cfg, 1)
 		}
 	})
 }
@@ -274,7 +273,7 @@ func BenchmarkScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.Config{Checkers: typestate.CoreCheckers()}
 				pathval.New().Install(&cfg)
-				core.NewEngine(mod, cfg).Run()
+				core.RunParallel(mod, cfg, 1)
 			}
 		})
 	}
@@ -291,9 +290,9 @@ func BenchmarkAblationLoopUnroll(b *testing.B) {
 	for _, k := range []int{1, 2, 3} {
 		b.Run(map[int]string{1: "k1", 2: "k2", 3: "k3"}[k], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.NewEngine(mod, core.Config{
+				core.RunParallel(mod, core.Config{
 					Checkers: typestate.CoreCheckers(), LoopUnroll: k,
-				}).Run()
+				}, 1)
 			}
 		})
 	}
@@ -302,8 +301,8 @@ func BenchmarkAblationLoopUnroll(b *testing.B) {
 // BenchmarkParallelWorkers measures RunParallel on the 4x linux-like corpus
 // across worker counts: Stage 1 spreads entry functions over the workers,
 // then Stage 2 spreads same-entry candidate groups over the same workers.
-// Output is byte-identical to the sequential engine at every count
-// (TestRunParallelByteIdentical); only wall-clock moves.
+// Output is byte-identical at every count (TestRunParallelByteIdentical);
+// only wall-clock moves.
 func BenchmarkParallelWorkers(b *testing.B) {
 	c := oscorpus.Generate(oscorpus.Scaled(oscorpus.LinuxSpec(), 4))
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
@@ -331,7 +330,7 @@ func BenchmarkValidatorCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()}).Run()
+	res := core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
 	if len(res.Possible) == 0 {
 		b.Fatal("no candidates")
 	}

@@ -18,7 +18,7 @@
 //	-json                  emit machine-readable JSON
 //	-witness               print each bug's witness path and trigger values
 //	-unroll N              loop unroll factor (default 1, the paper's rule)
-//	-workers N             analysis workers for both stages (0 = GOMAXPROCS, 1 = sequential)
+//	-workers N             analysis workers for both stages (0 = GOMAXPROCS, 1 = one worker)
 //	-entry-timeout D       wall-clock budget per entry function (0 = none)
 //	-run-timeout D         wall-clock budget for the whole run (0 = none)
 //	-max-retries N         degrade-ladder retries per sick entry (0 = default 1)
@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := flags.Bool("stats", false, "print engine statistics")
 	asJSON := flags.Bool("json", false, "emit machine-readable JSON instead of text")
 	unroll := flags.Int("unroll", 1, "loop unroll factor (paper default 1)")
-	workers := flags.Int("workers", 0, "analysis workers for both stages (0 = GOMAXPROCS, 1 = sequential)")
+	workers := flags.Int("workers", 0, "analysis workers for both stages (0 = GOMAXPROCS, 1 = one worker)")
 	cacheDir := flags.String("cache-dir", "", "persist per-entry analysis results in this directory for incremental re-runs")
 	cacheMaxBytes := flags.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries once the cache exceeds this many bytes (0 = unlimited)")
 	entryTimeout := flags.Duration("entry-timeout", 0, "wall-clock budget per entry function, e.g. 30s (0 = no deadline); sick entries retry on the degrade ladder and are reported as incomplete")

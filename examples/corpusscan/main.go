@@ -19,8 +19,8 @@ func main() {
 	for _, spec := range oscorpus.AllSpecs() {
 		c := oscorpus.Generate(spec)
 		runs := []func() (*exp.ToolRun, error){
-			func() (*exp.ToolRun, error) { return exp.RunPATA(c, exp.PATAConfig(), "pata") },
-			func() (*exp.ToolRun, error) { return exp.RunPATA(c, exp.NAConfig(), "pata-na") },
+			func() (*exp.ToolRun, error) { return exp.RunPATA(c, exp.PATAConfig(), "pata", 0) },
+			func() (*exp.ToolRun, error) { return exp.RunPATA(c, exp.NAConfig(), "pata-na", 0) },
 			func() (*exp.ToolRun, error) { return exp.RunLintTool(c, lint.Cppcheck{}) },
 			func() (*exp.ToolRun, error) { return exp.RunLintTool(c, lint.Smatch{}) },
 			func() (*exp.ToolRun, error) { return exp.RunSVFNull(c) },

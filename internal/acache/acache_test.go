@@ -184,7 +184,7 @@ func TestUnlimitedNeverEvicts(t *testing.T) {
 	}
 	misses := 0
 	for i := 0; i < 50; i++ {
-		if _, ok := s.Load(string(rune('a' + i%26)) + string(rune('0' + i/26))); !ok {
+		if _, ok := s.Load(string(rune('a'+i%26)) + string(rune('0'+i/26))); !ok {
 			misses++
 		}
 	}

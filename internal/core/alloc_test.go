@@ -14,12 +14,12 @@ import (
 // the on-path counts by GID and appends checker emissions to a reused
 // buffer, so it allocates almost nothing; most of what remains is branch
 // facts, call frames, block-end successor lists and per-candidate report
-// data. Measured 0.16 mallocs/step on helper-heavy ×1; the budget leaves
+// data. Measured 0.17 mallocs/step on helper-heavy ×1; the budget leaves
 // under 2× headroom. Map-based graph nodes allocated afresh on every path
 // cost 4.4 mallocs/step.
 const stage1AllocBudget = 0.3
 
-// TestStage1AllocBudget runs the sequential engine with validation off over
+// TestStage1AllocBudget runs one worker with validation off over
 // the helper-heavy corpus, whose deep helper chains make Stage 1 ~90% of a
 // run, and fails when mallocs per executed step exceed the budget.
 func TestStage1AllocBudget(t *testing.T) {
@@ -28,11 +28,10 @@ func TestStage1AllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewEngine(mod, core.Config{})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res := eng.Run()
+	res := core.RunParallel(mod, core.Config{}, 1)
 	runtime.ReadMemStats(&after)
 	steps := res.Stats.StepsExecuted
 	if steps == 0 {

@@ -81,7 +81,7 @@ func TestCancelDuringValidation(t *testing.T) {
 		t.Error("empty rendered report")
 	}
 
-	// No goroutine leaks: the scheduler's Stage-1 workers, merger, and
+	// No goroutine leaks: the cache probe, the Stage-1 workers and the
 	// Stage-2 workers must all have exited. Poll briefly — goroutine teardown is
 	// asynchronous after the result is delivered.
 	deadline := time.Now().Add(5 * time.Second)

@@ -33,7 +33,8 @@ const capsuleVersion = 7
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
 // every budget knob, the feature toggles, whether Stage-2 validation is
-// live, the checker set (by name, in configured order — order affects
+// live and whether it is batched (batching changes the constraint counters
+// a stored verdict replays), the checker set (by name, in configured order — order affects
 // checker indices and alias-set capture), the intrinsics table, and the
 // module's globals (name and element type; global bodies don't exist in
 // CIR). EntryKey mixes this salt under every per-entry key, so changing
@@ -48,7 +49,7 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h = hmix.Mix3(h,
 		uint64(int64(c.MaxContinuationsPerCall)),
 		uint64(int64(c.LoopUnroll)))
-	h = hmix.Mix2(h, boolBit(c.ValidatePath != nil))
+	h = hmix.Mix3(h, boolBit(c.ValidatePath != nil), boolBit(c.ValidateBatch != nil))
 	// The Stage-2 backend IS salted: an external solver may refute systems
 	// the builtin cannot, so verdicts persisted under one backend must not
 	// replay under another.
@@ -248,7 +249,7 @@ func encodeExtra(ex *typestate.ExtraConstraint) (*extraC, bool) {
 // candidate isn't representable (an off-module instruction, an unlocatable
 // origin, an exotic extra-constraint value); the caller then simply doesn't
 // cache the entry — a conservative miss on the next run, never a wrong
-// replay. Call it BEFORE handing res to the merger: the merger mutates
+// replay. Call it BEFORE mergeResults sees res: the merge mutates
 // first-sighting candidates (AltPaths accumulation) in place.
 func encodeCapsule(res *Result) ([]byte, bool) {
 	c, ok := capsuleOf(res)

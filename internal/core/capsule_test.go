@@ -70,6 +70,12 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 		{"MaxContinuationsPerCall", func(c Config) Config { c.MaxContinuationsPerCall = 7; return c }},
 		{"LoopUnroll", func(c Config) Config { c.LoopUnroll = 2; return c }},
 		{"ValidatePath", func(c Config) Config { c.ValidatePath = nil; return c }},
+		{"ValidateBatch", func(c Config) Config {
+			c.ValidateBatch = func(_ context.Context, bugs []*PossibleBug, _ Mode) []ValidationOutcome {
+				return make([]ValidationOutcome, len(bugs))
+			}
+			return c
+		}},
 		{"Checkers", func(c Config) Config {
 			c.Checkers = append(typestate.CoreCheckers(), typestate.NewDBZ())
 			return c

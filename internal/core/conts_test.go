@@ -42,7 +42,7 @@ int f(int x) {
 	analyze := func(maxConts int) *core.Result {
 		cfg := core.Config{MaxContinuationsPerCall: maxConts}
 		pathval.New().Install(&cfg)
-		return core.NewEngine(mod, cfg).Run()
+		return core.RunParallel(mod, cfg, 1)
 	}
 	npd := func(res *core.Result) int {
 		n := 0

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -35,7 +37,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 		}
 		cfg := core.Config{Checkers: typestate.CoreCheckers()}
 		pathval.New().Install(&cfg)
-		res := core.NewEngine(mod, cfg).Run()
+		res := core.RunParallel(mod, cfg, 1)
 		sigs = append(sigs, signature(res))
 		stats = append(stats, res.Stats)
 	}
@@ -46,31 +48,6 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 		stats[0].PathsExplored != stats[1].PathsExplored ||
 		stats[0].Constraints != stats[1].Constraints {
 		t.Errorf("stats differ: %+v vs %+v", stats[0], stats[1])
-	}
-}
-
-func TestEngineReusableAfterRun(t *testing.T) {
-	// A second Run on the same engine must not double-report (dedup state
-	// persists by design, so the second run adds nothing).
-	mod, err := minicc.LowerAll("m", map[string]string{"a.c": `
-struct s { int f; };
-int f(struct s *p) {
-	if (!p)
-		return p->f;
-	return 0;
-}`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()})
-	first := eng.Run()
-	second := eng.Run()
-	if len(first.Possible) == 0 {
-		t.Fatal("no candidates on first run")
-	}
-	if len(second.Possible) != len(first.Possible) {
-		t.Errorf("second run changed candidates: %d vs %d",
-			len(second.Possible), len(first.Possible))
 	}
 }
 
@@ -92,7 +69,7 @@ static void entry_fn(struct model *m) {
 	}
 	cfg := core.Config{Checkers: typestate.CoreCheckers()}
 	pathval.New().Install(&cfg)
-	res := core.NewEngine(mod, cfg).Run()
+	res := core.RunParallel(mod, cfg, 1)
 	if len(res.Bugs) == 0 {
 		t.Fatal("no bugs")
 	}
@@ -116,7 +93,7 @@ static void entry_fn(struct model *m) {
 // rendered bug report (positions, alias sets, triggers, path lengths), the
 // ordered candidate list with its witness-path shapes, and the counters.
 // Wall-clock and steal counts are zeroed — those are the only fields allowed
-// to differ between the sequential engine and the parallel scheduler.
+// to differ between worker counts.
 func fullOutput(res *core.Result) string {
 	var sb strings.Builder
 	report.WriteBugs(&sb, res.Bugs)
@@ -141,11 +118,12 @@ func fullOutput(res *core.Result) string {
 }
 
 // TestRunParallelByteIdentical locks in the scheduler's contract: for every
-// corpus, mode, checker set, and worker count, RunParallel must produce
-// byte-identical output to the sequential Engine.Run — same bugs in the same
-// order, same candidate list, same AltPaths, same triggers, and the same
-// counters, Stage-2 constraint, verdict-cache and batching counters
-// included. validate-heavy is the corpus whose candidates carry alternate
+// corpus, mode, checker set, and worker count, RunParallel must reproduce
+// the recorded output in testdata/byteidentical byte for byte — same bugs
+// in the same order, same candidate list, same AltPaths, same triggers, and
+// the same counters, Stage-2 constraint, verdict-cache and batching
+// counters included. The files were recorded from the retired sequential
+// engine. validate-heavy is the corpus whose candidates carry alternate
 // witnesses; helper-heavy the one with deep Stage-1 entries.
 func TestRunParallelByteIdentical(t *testing.T) {
 	var mods []*cir.Module
@@ -183,11 +161,15 @@ func TestRunParallelByteIdentical(t *testing.T) {
 				}
 				for _, mod := range mods {
 					t.Run(mod.Name, func(t *testing.T) {
-						want := fullOutput(core.NewEngine(mod, mk()).Run())
+						golden := filepath.Join("testdata", "byteidentical", cs.name+"-"+m.name+"-"+mod.Name+".golden")
+						want, err := os.ReadFile(golden)
+						if err != nil {
+							t.Fatal(err)
+						}
 						for _, workers := range []int{1, 2, 4} {
-							if got := fullOutput(core.RunParallel(mod, mk(), workers)); got != want {
-								t.Errorf("workers=%d output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s",
-									workers, want, got)
+							if got := fullOutput(core.RunParallel(mod, mk(), workers)); got != string(want) {
+								t.Errorf("workers=%d output differs from %s:\n--- recorded\n%s\n--- got\n%s",
+									workers, golden, want, got)
 							}
 						}
 					})

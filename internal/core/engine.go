@@ -93,13 +93,13 @@ type Config struct {
 	// reachable function plus the analysis-relevant configuration (see
 	// analysisSalt), replays cached per-entry results on key hits, and
 	// stores freshly computed ones on misses. Stage-2 verdicts are cached
-	// the same way. The sequential Engine.Run ignores this field.
+	// the same way.
 	Cache EntryCache
 	// EntryTimeout bounds the wall-clock of one entry function's Stage-1
 	// DFS attempt and of each candidate's Stage-2 validation (<= 0 means
 	// no deadline). The DFS polls the deadline at a bounded step cadence;
 	// an entry that trips it is retried down the degrade ladder (see
-	// MaxRetries; RunParallel only) and recorded in Result.Incomplete.
+	// MaxRetries) and recorded in Result.Incomplete.
 	EntryTimeout time.Duration
 	// RunTimeout bounds the whole run's wall-clock (<= 0 means none). On
 	// expiry, in-flight entries stop at their next poll and entries not
@@ -109,10 +109,7 @@ type Config struct {
 	// entry is retried on before its incomplete record goes out with no
 	// completed attempt: rung r shrinks the path/step budgets 8× per rung,
 	// and from rung 2 on also halves MaxCallDepth (see Config.degradeRung).
-	// 0 selects the default (1 retry); negative disables retries. Only
-	// RunParallel walks the ladder — retries need a pristine engine per
-	// attempt — but the sequential engine still contains panics and
-	// honors deadlines.
+	// 0 selects the default (1 retry); negative disables retries.
 	MaxRetries int
 	// FaultHook, when set, injects a test-only fault for an (entry, rung)
 	// attempt; returning nil means no fault. It exists to make every
@@ -284,8 +281,8 @@ type Stats struct {
 	CacheEntriesMiss  int64
 	CacheStepsSkipped int64
 	// WorkSteals counts Stage-1 tasks a worker claimed from another
-	// worker's queue (RunParallel's work-stealing scheduler; zero for
-	// sequential runs).
+	// worker's queue (RunParallel's work-stealing scheduler; zero with one
+	// worker).
 	WorkSteals int64
 	// Fault-isolation counters. DeadlineTrips counts per-entry deadline
 	// expiries observed by the Stage-1 DFS and by Stage-2 validations;
@@ -347,7 +344,8 @@ type Result struct {
 	Stats      Stats
 }
 
-// Engine analyzes one module.
+// Engine is one Stage-1 worker's DFS state over a module; RunParallel
+// reuses one engine per worker across that worker's entries.
 type Engine struct {
 	Mod *cir.Module
 	CG  *callgraph.Graph
@@ -375,9 +373,7 @@ type Engine struct {
 	// slowdown makes single steps expensive); timedOut/cancelled record
 	// why the current entry stopped early; fault is the injected fault
 	// for the current entry, rung the degrade-ladder rung the current
-	// attempt runs on (0 = full budgets). trkBase accumulates typestate
-	// counters orphaned when a contained panic forces the tracker to be
-	// rebuilt mid-run (sequential path only).
+	// attempt runs on (0 = full budgets).
 	runCtx        context.Context
 	entryDeadline time.Time
 	pollTick      int
@@ -385,8 +381,6 @@ type Engine struct {
 	cancelled     bool
 	fault         *FaultSpec
 	rung          int
-	incomplete    []IncompleteEntry
-	trkBase       typestate.Stats
 
 	dedup    map[dedupKey]*PossibleBug
 	possible []*PossibleBug
@@ -413,14 +407,9 @@ type dedupKey struct {
 	bug     int
 }
 
-// NewEngine prepares an engine for mod.
-func NewEngine(mod *cir.Module, cfg Config) *Engine {
-	return newEngineWithCG(mod, cfg, callgraph.Build(mod))
-}
-
-// newEngineWithCG prepares an engine reusing an already-built call graph
-// (the graph is read-only after Build, so RunParallel shares one across its
-// per-entry worker engines).
+// newEngineWithCG prepares a worker engine reusing an already-built call
+// graph (the graph is read-only after Build, so RunParallel shares one
+// across its worker engines).
 func newEngineWithCG(mod *cir.Module, cfg Config, cg *callgraph.Graph) *Engine {
 	return &Engine{
 		Mod:           mod,
@@ -432,99 +421,9 @@ func newEngineWithCG(mod *cir.Module, cfg Config, cg *callgraph.Graph) *Engine {
 	}
 }
 
-// Run executes Stage 1 (path-sensitive alias + typestate analysis over all
-// entry functions) and Stage 2 (dedup already folded into Stage 1's sink,
-// then path validation).
-func (e *Engine) Run() *Result { return e.RunCtx(context.Background()) }
-
-// RunCtx is Run with cooperative cancellation and the per-entry fault
-// barrier: each entry runs under a recover() fence and, when EntryTimeout
-// is set, a wall-clock deadline, and entries that stop early are recorded
-// in Result.Incomplete. The sequential engine does not walk the degrade
-// ladder — a retry needs a pristine engine per attempt, which is
-// RunParallel's per-worker machinery — so a timed-out or panicked entry is
-// recorded with Rung -1 here. Unlike RunParallel's workers, a contained
-// panic on the sequential path keeps the candidates emitted before the
-// panic (they were already deduplicated into the shared sink).
-func (e *Engine) RunCtx(ctx context.Context) *Result {
-	if e.Cfg.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.Cfg.RunTimeout)
-		defer cancel()
-	}
-	e.runCtx = ctx
-	start := time.Now()
-	entries := e.CG.EntryFunctions()
-	e.stats.EntryFunctions = len(entries)
-	for _, fn := range entries {
-		e.runEntryGuarded(fn)
-	}
-	e.stats.PossibleBugs = int64(len(e.possible)) + e.stats.RepeatedDropped
-	trk := e.tracker0Stats()
-	e.stats.Typestates = e.trkBase.Transitions + trk.Transitions
-	e.stats.TypestatesUnaware = e.trkBase.TransitionsUnaware + trk.TransitionsUnaware
-	e.stats.AnalysisTime = time.Since(start)
-
-	res := &Result{Possible: e.possible, Incomplete: e.incomplete, Stats: e.stats}
-	vstart := time.Now()
-	res.Bugs = validateCandidates(ctx, e.Cfg, e.possible, 1, nil, 0, &res.Stats)
-	res.Stats.ValidationTime = time.Since(vstart)
-	e.stats = res.Stats
-	return res
-}
-
-// runEntryGuarded wraps analyzeEntry in the per-entry fault barrier and
-// records incomplete outcomes. A contained panic unwinds past the entry's
-// rollback points, so the alias graph and tracker are discarded and
-// rebuilt for the next entry with their counters folded into trkBase; the
-// on-path counts, whose decrements the unwinding skipped, are zeroed and
-// the emission buffer is dropped with them.
-func (e *Engine) runEntryGuarded(fn *cir.Function) {
-	prevBudgeted := e.stats.Budgeted
-	panicked := false
-	detail := ""
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				panicked = true
-				detail = fmt.Sprint(p)
-				e.stats.PanicsContained++
-				if e.tracker != nil {
-					e.trkBase.Transitions += e.tracker.Stats.Transitions
-					e.trkBase.TransitionsUnaware += e.tracker.Stats.TransitionsUnaware
-				}
-				e.g, e.tracker = nil, nil
-				e.frames = e.frames[:0]
-				clear(e.onPath)
-				e.emits = nil
-			}
-		}()
-		e.analyzeEntry(fn)
-	}()
-	switch {
-	case panicked:
-		e.stats.EntriesDegraded++
-		e.incomplete = append(e.incomplete, IncompleteEntry{Entry: fn.Name, Reason: ReasonPanic, Rung: -1, Detail: detail})
-	case e.cancelled:
-		e.incomplete = append(e.incomplete, IncompleteEntry{Entry: fn.Name, Reason: ReasonCancelled, Rung: -1})
-	case e.timedOut:
-		e.stats.EntriesDegraded++
-		e.incomplete = append(e.incomplete, IncompleteEntry{Entry: fn.Name, Reason: ReasonTimeout, Rung: -1})
-	case e.stats.Budgeted > prevBudgeted:
-		e.incomplete = append(e.incomplete, IncompleteEntry{Entry: fn.Name, Reason: ReasonBudget, Rung: 0})
-	}
-}
-
-func (e *Engine) tracker0Stats() typestate.Stats {
-	if e.tracker == nil {
-		return typestate.Stats{}
-	}
-	return e.tracker.Stats
-}
-
 // analyzeEntry runs the Figure 6 DFS from one entry function. The alias
-// graph and tracker persist across entries so the Stats counters accumulate;
-// per-entry state (path, frames) is reset.
+// graph and tracker persist across a worker's entries, rolled back to their
+// entry checkpoints; per-entry state (path, frames) is reset.
 func (e *Engine) analyzeEntry(fn *cir.Function) {
 	// Per-entry fault-isolation setup: resolve the injected fault (if a
 	// hook is installed), arm the wall-clock deadline, and observe an

@@ -20,8 +20,7 @@ func run(t *testing.T, cfg core.Config, sources map[string]string) *core.Result 
 	}
 	v := pathval.New()
 	v.Install(&cfg)
-	eng := core.NewEngine(mod, cfg)
-	return eng.Run()
+	return core.RunParallel(mod, cfg, 1)
 }
 
 func countType(res *core.Result, bt typestate.BugType) int {
@@ -463,13 +462,13 @@ func TestBudgetNegativeUnlimited(t *testing.T) {
 	}
 
 	capped := core.Config{MaxPathsPerEntry: 64}
-	cres := core.NewEngine(mod, capped).Run()
+	cres := core.RunParallel(mod, capped, 1)
 	if cres.Stats.Budgeted != 1 {
 		t.Errorf("capped run not budgeted: %+v", cres.Stats)
 	}
 
 	unlimited := core.Config{MaxPathsPerEntry: -1}
-	ures := core.NewEngine(mod, unlimited).Run()
+	ures := core.RunParallel(mod, unlimited, 1)
 	if ures.Stats.Budgeted != 0 {
 		t.Errorf("unlimited run hit a budget: %+v", ures.Stats)
 	}
@@ -479,7 +478,7 @@ func TestBudgetNegativeUnlimited(t *testing.T) {
 	}
 
 	unlimitedSteps := core.Config{MaxStepsPerEntry: -1, MaxPathsPerEntry: 1 << 20}
-	if res := core.NewEngine(mod, unlimitedSteps).Run(); res.Stats.Budgeted != 0 {
+	if res := core.RunParallel(mod, unlimitedSteps, 1); res.Stats.Budgeted != 0 {
 		t.Errorf("negative step budget not treated as unlimited: %+v", res.Stats)
 	}
 }

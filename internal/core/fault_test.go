@@ -284,9 +284,9 @@ func (c *panicChecker) OnBind(*cir.Register, cir.Value, *cir.Call, typestate.Ctx
 
 // TestContainedPanicLeavesNoPathState: a checker panic deep inside one
 // entry skips the DFS's on-path decrements and leaves emissions in the
-// engine's buffer. The sequential engine's panic fence must discard that
-// state with the alias graph and tracker, so the entries after the
-// panicked one report exactly what a fresh engine reports for them.
+// engine's buffer. The panic fence must discard that state with the
+// engine, so on one worker the entries after the panicked one report
+// exactly what a fresh engine reports for them.
 func TestContainedPanicLeavesNoPathState(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.ZephyrSpec())
 	c.Sources["pata_deep.c"] = deepPanicSource
@@ -297,7 +297,7 @@ func TestContainedPanicLeavesNoPathState(t *testing.T) {
 	analyze := func(armed bool) *core.Result {
 		cfg := core.Config{Checkers: append(typestate.CoreCheckers(), &panicChecker{armed: armed, n: 2})}
 		pathval.New().Install(&cfg)
-		return core.NewEngine(mod, cfg).Run()
+		return core.RunParallel(mod, cfg, 1)
 	}
 	fresh, got := analyze(false), analyze(true)
 

@@ -110,7 +110,7 @@ void foo(struct S *p) {
 			}
 		},
 	}
-	core.NewEngine(mod, cfg).Run()
+	core.RunParallel(mod, cfg, 1)
 	if !checked {
 		t.Fatal("trace never reached bar's dereference")
 	}

@@ -10,11 +10,12 @@ import (
 
 	"repro/internal/callgraph"
 	"repro/internal/cir"
+	"repro/internal/typestate"
 )
 
 // entryTask is one Stage-1 unit of work: a single entry function, tagged
-// with its position in the name-ordered entry list so the merger can replay
-// results in the exact order the sequential engine would visit them.
+// with its position in the name-ordered entry list, which is the slot its
+// Result fills.
 type entryTask struct {
 	idx int
 	fn  *cir.Function
@@ -63,62 +64,57 @@ func steal(queues []*stealQueue, w int) (entryTask, bool) {
 	return entryTask{}, false
 }
 
-// runEntryDelta analyzes a single entry function on a reused engine and
-// returns that entry's delta Result. RunParallel's workers call this instead
-// of Run so one engine — tracker, alias graph, on-path counts — is amortized
-// over all the worker's entries. The dedup map is cleared between entries
-// (its buckets are reused): within-entry deduplication happens here, exactly
-// as in the sequential engine, while cross-entry deduplication is replayed
-// centrally by the merger in entry order.
+// runEntryDelta analyzes a single entry function on a reused worker engine
+// and returns that entry's Result. One engine — tracker, alias graph,
+// on-path counts — is amortized over all the worker's entries; the
+// counters and the dedup map are reset per entry (the map's buckets are
+// reused), so within-entry deduplication happens here while cross-entry
+// deduplication is replayed by mergeResults in entry order.
 func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
-	prev := e.stats
-	prevTrk := e.tracker0Stats()
+	e.stats = Stats{}
+	if e.tracker != nil {
+		e.tracker.Stats = typestate.Stats{}
+	}
 	clear(e.dedup)
 	e.possible = nil
 	e.analyzeEntry(fn)
-	trk := e.tracker0Stats()
-	res := &Result{Possible: e.possible}
+	res := &Result{Possible: e.possible, Stats: e.stats}
 	res.Stats.EntryFunctions = 1
-	res.Stats.PathsExplored = e.stats.PathsExplored - prev.PathsExplored
-	res.Stats.StepsExecuted = e.stats.StepsExecuted - prev.StepsExecuted
-	res.Stats.Budgeted = e.stats.Budgeted - prev.Budgeted
-	res.Stats.RepeatedDropped = e.stats.RepeatedDropped - prev.RepeatedDropped
-	res.Stats.Typestates = trk.Transitions - prevTrk.Transitions
-	res.Stats.TypestatesUnaware = trk.TransitionsUnaware - prevTrk.TransitionsUnaware
-	res.Stats.DeadlineTrips = e.stats.DeadlineTrips - prev.DeadlineTrips
+	res.Stats.Typestates = e.tracker.Stats.Transitions
+	res.Stats.TypestatesUnaware = e.tracker.Stats.TransitionsUnaware
 	return res
 }
 
-// RunParallel analyzes the module with a two-stage scheduler.
+// RunParallel analyzes the module with a two-stage scheduler; it is the
+// engine's only driver.
 //
 // Stage 1 runs `workers` concurrent engines over a work-stealing queue of
 // entry functions sorted by descending instruction count (entry functions
 // are independent analysis roots, so Stage 1 parallelizes perfectly and the
-// largest entries start first). A merger replays the per-entry results in
-// entry-name order as they arrive. After the Stage-1 barrier, Stage 2
-// validates the final candidate list in one pass on the same `workers`
-// (see validateCandidates).
+// largest entries start first). Each entry's Result lands in its slot of an
+// entry-indexed slice; after the Stage-1 barrier the slice is merged once,
+// in entry-name order (see mergeResults). Stage 2 then validates the merged
+// candidate list in one pass on the same `workers` (see validateCandidates).
 //
-// The result is identical to the sequential Engine.Run: per-entry results
-// are replayed through the merge in entry-name order, reproducing the
-// sequential engine's candidate order, cross-entry deduplication, and
-// AltPaths accumulation exactly, and Stage 2 validates the same same-entry
-// candidate groups through the same call. Only the timing counters
-// (AnalysisTime, ValidationTime, SolverNanos, WorkSteals) differ.
+// The result does not depend on the worker count: the merge reproduces the
+// same candidate order, cross-entry deduplication and AltPaths
+// accumulation, and Stage 2 validates the same same-entry candidate groups
+// through the same call. Only the timing counters (AnalysisTime,
+// ValidationTime, SolverNanos, WorkSteals) differ.
 //
-// workers <= 0 selects GOMAXPROCS. The merged Stats sum the per-worker
+// workers <= 0 selects GOMAXPROCS. The merged Stats sum the per-entry
 // counters; AnalysisTime is the wall-clock of Stage 1 (including
 // incremental-cache replay), ValidationTime the wall-clock of Stage 2.
 //
 // When cfg.Cache is set, the run is incremental: each entry function is
 // keyed by callgraph.EntryKey (transitive content fingerprint mixed with
 // the analysisSalt configuration digest). Entries whose key hits the cache
-// skip Stage 1 entirely — their stored capsule replays through the normal
-// merge, so candidate order, cross-entry dedup, and the report are
-// byte-identical to a cold run — and Stage-2 verdicts are served from the
-// cache per candidate the same way. Misses run live and are stored for the
-// next run. Every cache failure mode (corrupt file, unresolvable ref,
-// unrepresentable candidate) degrades to a cold path, never to an error.
+// skip Stage 1 entirely — their stored capsule fills the entry's slot, so
+// candidate order, cross-entry dedup, and the report are byte-identical to
+// a cold run — and Stage-2 verdicts are served from the cache per candidate
+// the same way. Misses run live and are stored for the next run. Every
+// cache failure mode (corrupt file, unresolvable ref, unrepresentable
+// candidate) degrades to a cold path, never to an error.
 func RunParallel(mod *cir.Module, cfg Config, workers int) *Result {
 	return RunParallelCtx(context.Background(), mod, cfg, workers)
 }
@@ -127,11 +123,10 @@ func RunParallel(mod *cir.Module, cfg Config, workers int) *Result {
 // Config.RunTimeout, applied here) stops the run cooperatively — in-flight
 // entries stop at their next poll, queued entries drain as "cancelled"
 // incomplete records — and the partial Result is still well-formed and
-// fully merged. This is also the entry point that walks the degrade
-// ladder: each worker wraps every entry in runEntryIsolated, so a panic or
-// deadline trip in one entry never takes down the run, and degraded
-// results are withheld from the incremental cache (a warm re-run retries
-// them).
+// fully merged. Each worker wraps every entry in runEntryIsolated, so a
+// panic or deadline trip in one entry walks the degrade ladder instead of
+// taking down the run, and degraded results are withheld from the
+// incremental cache (a warm re-run retries them).
 func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers int) *Result {
 	cfg = cfg.withDefaults()
 	if cfg.RunTimeout > 0 {
@@ -150,15 +145,15 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	start := time.Now()
 
 	// Incremental lookup: probe the cache for every entry up front. Hits
-	// are replayed straight into the merge; only misses are scheduled onto
-	// the Stage-1 deques. The key pass is sequential — EntryKey memoizes
-	// function fingerprints on first computation, and hashing is cheap — but
-	// the capsule reads and decodes fan out across workers: each probe
-	// touches a disjoint hits slot, the store's locks are striped by key,
-	// and decodeCapsule only reads the module.
+	// fill their result slot; only misses are scheduled onto the Stage-1
+	// deques. The key pass is sequential — EntryKey memoizes function
+	// fingerprints on first computation, and hashing is cheap — but the
+	// capsule reads and decodes fan out across workers: each probe touches
+	// a disjoint slot, the store's locks are striped by key, and
+	// decodeCapsule only reads the module.
 	var salt uint64
 	var keys []string
-	hits := make([]*Result, len(entries))
+	results := make([]*Result, len(entries))
 	if cache != nil {
 		salt = cfg.analysisSalt(mod)
 		byName := checkersByName(cfg)
@@ -190,7 +185,7 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 						res.Incomplete = append(res.Incomplete,
 							IncompleteEntry{Entry: entries[i].Name, Reason: ReasonBudget, Rung: 0})
 					}
-					hits[i] = res
+					results[i] = res
 				}
 			}(p)
 		}
@@ -198,54 +193,41 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	}
 	live := make([]entryTask, 0, len(entries))
 	for i, fn := range entries {
-		if hits[i] != nil {
-			continue
+		if results[i] == nil {
+			live = append(live, entryTask{idx: i, fn: fn})
 		}
-		live = append(live, entryTask{idx: i, fn: fn})
 	}
 
 	// Seed the deques: entries sorted by descending size, striped across
 	// workers so every deque starts with a mix of large and small tasks.
-	sorted := make([]entryTask, len(live))
 	sizes := make([]int, len(entries))
 	for i, fn := range entries {
 		sizes[i] = fn.NumInstrs()
 	}
-	copy(sorted, live)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		si, sj := sizes[sorted[i].idx], sizes[sorted[j].idx]
+	sort.SliceStable(live, func(i, j int) bool {
+		si, sj := sizes[live[i].idx], sizes[live[j].idx]
 		if si != sj {
 			return si > sj
 		}
-		return sorted[i].fn.Name < sorted[j].fn.Name
+		return live[i].fn.Name < live[j].fn.Name
 	})
 	queues := make([]*stealQueue, workers)
 	for w := range queues {
 		queues[w] = &stealQueue{}
 	}
-	for i, t := range sorted {
+	for i, t := range live {
 		q := queues[i%workers]
 		q.tasks = append(q.tasks, t)
 	}
 
 	// Stage-1 workers: one reused engine per worker (sharing the call
-	// graph), emitting one delta Result per entry so a finished entry
-	// streams to the merger while its worker moves on.
-	type entryResult struct {
-		idx int
-		res *Result
-	}
-	// resCh holds every entry's result without blocking: a worker finishing
-	// an entry never stalls behind the merger, and buffering costs nothing
-	// beyond the slice header per entry (the results are already
-	// materialized).
-	resCh := make(chan entryResult, len(entries)+1)
+	// graph), each writing its entries' Results into their slots.
 	var steals int64
-	var wg1 sync.WaitGroup
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg1.Add(1)
+		wg.Add(1)
 		go func(w int) {
-			defer wg1.Done()
+			defer wg.Done()
 			eng := newEngineWithCG(mod, cfg, cg)
 			eng.runCtx = ctx
 			for {
@@ -269,12 +251,12 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 					res, eng, degraded = runEntryIsolated(eng, t.fn)
 				}
 				if cache != nil {
-					// Encode before the merger sees res: the merger mutates
-					// first-sighting candidates in place (AltPaths). A
-					// non-encodable entry just isn't cached — and neither
-					// is a degraded one: its result depends on wall-clock
-					// (or on a contained panic), so a warm re-run must
-					// re-attempt it rather than replay the degraded shadow.
+					// Encode before the merge mutates first-sighting
+					// candidates in place (AltPaths). A non-encodable entry
+					// just isn't cached — and neither is a degraded one: its
+					// result depends on wall-clock (or on a contained panic),
+					// so a warm re-run must re-attempt it rather than replay
+					// the degraded shadow.
 					if !degraded {
 						if data, ok := encodeCapsule(res); ok {
 							cache.Save(keys[t.idx], data)
@@ -282,89 +264,13 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 					}
 					res.Stats.CacheEntriesMiss = 1
 				}
-				resCh <- entryResult{idx: t.idx, res: res}
+				results[t.idx] = res
 			}
 		}(w)
 	}
-	// Hit injector: replayed entries enter the same merge stream as live
-	// ones; the merger's reorder buffer restores entry order.
-	wg1.Add(1)
-	go func() {
-		defer wg1.Done()
-		for idx, res := range hits {
-			if res != nil {
-				resCh <- entryResult{idx: idx, res: res}
-			}
-		}
-	}()
+	wg.Wait()
 
-	// Merger: replays per-entry candidate lists in entry-name order through
-	// a global dedup, reproducing the sequential engine's bugSink behavior
-	// across entries — the first sighting keeps the candidate, later
-	// sightings append their primary path and then their own alternates as
-	// AltPaths (capped), each sighting counting one repeated drop.
-	merged := &Result{}
-	mergeDone := make(chan struct{})
-	go func() {
-		defer close(mergeDone)
-		type mergeKey struct {
-			checker string
-			origin  int
-			bug     int
-		}
-		seen := make(map[mergeKey]*PossibleBug)
-		pending := make(map[int]*Result)
-		next := 0
-		for er := range resCh {
-			pending[er.idx] = er.res
-			for {
-				r, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				merged.Incomplete = append(merged.Incomplete, r.Incomplete...)
-				s := &merged.Stats
-				s.EntryFunctions += r.Stats.EntryFunctions
-				s.PathsExplored += r.Stats.PathsExplored
-				s.StepsExecuted += r.Stats.StepsExecuted
-				s.Budgeted += r.Stats.Budgeted
-				s.Typestates += r.Stats.Typestates
-				s.TypestatesUnaware += r.Stats.TypestatesUnaware
-				s.RepeatedDropped += r.Stats.RepeatedDropped
-				s.CacheEntriesHit += r.Stats.CacheEntriesHit
-				s.CacheEntriesMiss += r.Stats.CacheEntriesMiss
-				s.CacheStepsSkipped += r.Stats.CacheStepsSkipped
-				s.DeadlineTrips += r.Stats.DeadlineTrips
-				s.PanicsContained += r.Stats.PanicsContained
-				s.EntriesRetried += r.Stats.EntriesRetried
-				s.EntriesDegraded += r.Stats.EntriesDegraded
-				for _, pb := range r.Possible {
-					k := mergeKey{checker: pb.Checker.Name(), origin: pb.OriginGID, bug: pb.BugInstr.GID()}
-					if prev, dup := seen[k]; dup {
-						merged.Stats.RepeatedDropped++
-						if len(prev.AltPaths) < maxAltPaths {
-							prev.AltPaths = append(prev.AltPaths, pb.Path)
-						}
-						for _, alt := range pb.AltPaths {
-							if len(prev.AltPaths) >= maxAltPaths {
-								break
-							}
-							prev.AltPaths = append(prev.AltPaths, alt)
-						}
-						continue
-					}
-					seen[k] = pb
-					merged.Possible = append(merged.Possible, pb)
-				}
-			}
-		}
-	}()
-
-	wg1.Wait()
-	close(resCh)
-	<-mergeDone
+	merged := mergeResults(results)
 	merged.Stats.AnalysisTime = time.Since(start)
 
 	vstart := time.Now()
@@ -372,6 +278,59 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	merged.Stats.PossibleBugs = int64(len(merged.Possible)) + merged.Stats.RepeatedDropped
 	merged.Stats.WorkSteals = atomic.LoadInt64(&steals)
 	merged.Stats.ValidationTime = time.Since(vstart)
+	return merged
+}
+
+// mergeResults folds the per-entry Results, in entry-name order, into one
+// run Result through a global dedup that extends bugSink's across entries:
+// the first sighting keeps the candidate, later sightings append their
+// primary path and then their own alternates as AltPaths (capped), each
+// sighting counting one repeated drop.
+func mergeResults(results []*Result) *Result {
+	type mergeKey struct {
+		checker string
+		origin  int
+		bug     int
+	}
+	seen := make(map[mergeKey]*PossibleBug)
+	merged := &Result{}
+	s := &merged.Stats
+	for _, r := range results {
+		merged.Incomplete = append(merged.Incomplete, r.Incomplete...)
+		s.EntryFunctions += r.Stats.EntryFunctions
+		s.PathsExplored += r.Stats.PathsExplored
+		s.StepsExecuted += r.Stats.StepsExecuted
+		s.Budgeted += r.Stats.Budgeted
+		s.Typestates += r.Stats.Typestates
+		s.TypestatesUnaware += r.Stats.TypestatesUnaware
+		s.RepeatedDropped += r.Stats.RepeatedDropped
+		s.CacheEntriesHit += r.Stats.CacheEntriesHit
+		s.CacheEntriesMiss += r.Stats.CacheEntriesMiss
+		s.CacheStepsSkipped += r.Stats.CacheStepsSkipped
+		s.DeadlineTrips += r.Stats.DeadlineTrips
+		s.PanicsContained += r.Stats.PanicsContained
+		s.EntriesRetried += r.Stats.EntriesRetried
+		s.EntriesDegraded += r.Stats.EntriesDegraded
+		for _, pb := range r.Possible {
+			k := mergeKey{checker: pb.Checker.Name(), origin: pb.OriginGID, bug: pb.BugInstr.GID()}
+			prev, dup := seen[k]
+			if !dup {
+				seen[k] = pb
+				merged.Possible = append(merged.Possible, pb)
+				continue
+			}
+			s.RepeatedDropped++
+			if len(prev.AltPaths) < maxAltPaths {
+				prev.AltPaths = append(prev.AltPaths, pb.Path)
+			}
+			for _, alt := range pb.AltPaths {
+				if len(prev.AltPaths) >= maxAltPaths {
+					break
+				}
+				prev.AltPaths = append(prev.AltPaths, alt)
+			}
+		}
+	}
 	return merged
 }
 

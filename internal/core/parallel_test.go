@@ -15,6 +15,8 @@ import (
 	"repro/internal/typestate"
 )
 
+// TestRunParallelMatchesSequential: one worker and four find the same bugs
+// with the same exploration counters on the linux-like corpus.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.LinuxSpec())
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
@@ -23,14 +25,14 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	}
 	seqCfg := core.Config{Checkers: typestate.CoreCheckers()}
 	pathval.New().Install(&seqCfg)
-	seq := core.NewEngine(mod, seqCfg).Run()
+	seq := core.RunParallel(mod, seqCfg, 1)
 
 	parCfg := core.Config{Checkers: typestate.CoreCheckers()}
 	pathval.New().Install(&parCfg)
 	par := core.RunParallel(mod, parCfg, 4)
 
 	if signature(seq) != signature(par) {
-		t.Errorf("parallel findings differ from sequential:\nseq: %s\npar: %s",
+		t.Errorf("findings at 4 workers differ from 1 worker:\none: %s\nfour: %s",
 			signature(seq), signature(par))
 	}
 	if seq.Stats.Typestates != par.Stats.Typestates {
@@ -79,7 +81,7 @@ func (c boomChecker) OnInstr(in cir.Instr, ctx typestate.Ctx, out []typestate.Em
 // the degrade ladder; whether the context can be cancelled, and whether the
 // worker count is explicit or GOMAXPROCS, the Result is the same. GOMAXPROCS
 // is pinned to 1 so that both worker counts resolve to a single worker, the
-// setting most tempting to shortcut onto the sequential engine.
+// setting most tempting to shortcut past the scheduler.
 func TestRunParallelContextParity(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mod, err := minicc.LowerAll("m", map[string]string{"a.c": `
@@ -117,6 +119,43 @@ int f(struct s *p) {
 		if got := render(core.RunParallelCtx(ctx, mod, mk(), workers)); got != want {
 			t.Errorf("workers=%d: cancellable context changes the result:\n--- background\n%s\n--- cancellable\n%s",
 				workers, want, got)
+		}
+	}
+}
+
+// TestRunParallelCrossEntryDedup: two entries reach the same NPD inside a
+// shared helper. The merge keeps the first entry's candidate, counts the
+// second sighting as a repeated drop and appends its path as an alternate
+// witness, whichever worker finished first.
+func TestRunParallelCrossEntryDedup(t *testing.T) {
+	mod, err := minicc.LowerAll("m", map[string]string{"a.c": `
+struct s { int f; };
+static int helper(struct s *p) {
+	if (!p)
+		return p->f;
+	return 0;
+}
+int entry1(struct s *a) { return helper(a); }
+int entry2(struct s *b) { return helper(b); }
+`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ""
+	for _, workers := range []int{1, 2} {
+		res := core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, workers)
+		if len(res.Possible) != 1 {
+			t.Fatalf("workers=%d: %d candidates, want 1", workers, len(res.Possible))
+		}
+		pb := res.Possible[0]
+		if pb.EntryFn != "entry1" || len(pb.AltPaths) != 1 || res.Stats.RepeatedDropped != 1 {
+			t.Errorf("workers=%d: entry=%s alts=%d repeated=%d, want entry1, 1, 1",
+				workers, pb.EntryFn, len(pb.AltPaths), res.Stats.RepeatedDropped)
+		}
+		if got := fullOutput(res); want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("workers=%d output differs from workers=1:\n%s\nvs\n%s", workers, got, want)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestBatchedValidationEquivalence(t *testing.T) {
 				}
 				// One tool name for every run: it is embedded in every
 				// report, and the comparisons below are byte-exact.
-				r, err := RunPATAPipelined(c, cfg, "equiv", workers)
+				r, err := RunPATA(c, cfg, "equiv", workers)
 				if err != nil {
 					t.Fatalf("%s workers=%d %s: %v", c.Spec.Name, workers, variant, err)
 				}
@@ -64,7 +64,7 @@ func TestBatchedValidationRaceStress(t *testing.T) {
 	}
 	for i := 0; i < rounds; i++ {
 		cfg := PATAConfig()
-		r, err := RunPATAPipelined(c, cfg, "race-stress", 4)
+		r, err := RunPATA(c, cfg, "race-stress", 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,14 +13,14 @@ import (
 
 // DegradeRow is one fault-injection scenario of the degrade table.
 type DegradeRow struct {
-	Scenario        string
-	Bugs            int
+	Scenario         string
+	Bugs             int
 	HealthyIdentical bool // bug set outside the injected entries matches baseline
-	Incomplete      int
-	Degraded        int
-	Retried         int
-	PanicsContained int
-	DeadlineTrips   int64
+	Incomplete       int
+	Degraded         int
+	Retried          int
+	PanicsContained  int
+	DeadlineTrips    int64
 }
 
 // degradeScenario names a fault plan over the two injected entries.

@@ -60,7 +60,7 @@ type Table5Row struct {
 func Table5(w io.Writer) ([]Table5Row, error) {
 	var rows []Table5Row
 	for _, c := range Corpora() {
-		run, err := RunPATAPipelined(c, PATAConfig(), "pata", 0)
+		run, err := RunPATA(c, PATAConfig(), "pata", 0)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +175,7 @@ func Fig11(w io.Writer) ([]Fig11Bucket, error) {
 		perCat := map[string]int{}
 		total := 0
 		for _, c := range corpora {
-			run, err := RunPATA(c, PATAConfig(), "pata")
+			run, err := RunPATA(c, PATAConfig(), "pata", 1)
 			if err != nil {
 				return err
 			}
@@ -225,11 +225,11 @@ type Table6Row struct {
 // Linux-like corpus. Both variants run through the parallel scheduler.
 func Table6(w io.Writer) ([]Table6Row, error) {
 	c := Corpora()[0]
-	na, err := RunPATAPipelined(c, NAConfig(), "pata-na", 0)
+	na, err := RunPATA(c, NAConfig(), "pata-na", 0)
 	if err != nil {
 		return nil, err
 	}
-	full, err := RunPATAPipelined(c, PATAConfig(), "pata", 0)
+	full, err := RunPATA(c, PATAConfig(), "pata", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -261,12 +261,9 @@ type Table7Row struct {
 func Table7(w io.Writer) ([]Table7Row, error) {
 	spec := oscorpus.WithExtensions(oscorpus.LinuxSpec())
 	c := oscorpus.Generate(spec)
-	cfg := core.Config{Checkers: []typestate.Checker{
-		typestate.NewDL(), typestate.NewAIU(), typestate.NewDBZ(),
-	}}
-	pv := PATAConfig()
-	cfg.ValidatePath = pv.ValidatePath
-	run, err := RunPATA(c, cfg, "pata-ext")
+	cfg := PATAConfig()
+	cfg.Checkers = []typestate.Checker{typestate.NewDL(), typestate.NewAIU(), typestate.NewDBZ()}
+	run, err := RunPATA(c, cfg, "pata-ext", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -312,11 +309,11 @@ func Table8(w io.Writer) ([]Table8Cell, error) {
 			{"cppcheck", func() (*ToolRun, error) { return RunLintTool(c, lint.Cppcheck{}) }},
 			{"coccinelle", func() (*ToolRun, error) { return RunLintTool(c, lint.Coccinelle{}) }},
 			{"smatch", func() (*ToolRun, error) { return RunLintTool(c, lint.Smatch{}) }},
-			{"csa-like", func() (*ToolRun, error) { return RunPATA(c, CSALikeConfig(), "csa-like") }},
-			{"infer-like", func() (*ToolRun, error) { return RunPATA(c, InferLikeConfig(), "infer-like") }},
+			{"csa-like", func() (*ToolRun, error) { return RunPATA(c, CSALikeConfig(), "csa-like", 1) }},
+			{"infer-like", func() (*ToolRun, error) { return RunPATA(c, InferLikeConfig(), "infer-like", 1) }},
 			{"saber-like", RunSaberLikeFor(c)},
 			{"svf-null", RunSVFNullFor(c)},
-			{"pata", func() (*ToolRun, error) { return RunPATA(c, PATAConfig(), "pata") }},
+			{"pata", func() (*ToolRun, error) { return RunPATA(c, PATAConfig(), "pata", 1) }},
 		}
 		for _, nr := range runs {
 			run, err := nr.run()
@@ -373,7 +370,7 @@ func FPAudit(w io.Writer) ([]FPAuditRow, error) {
 	for _, v := range variants {
 		totals := map[string]int{}
 		for _, c := range Corpora() {
-			run, err := RunPATA(c, v.cfg(), "pata")
+			run, err := RunPATA(c, v.cfg(), "pata", 1)
 			if err != nil {
 				return nil, err
 			}
@@ -415,7 +412,7 @@ func Cases(w io.Writer) ([]CaseResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := core.NewEngine(mod, PATAConfig()).RunCtx(baseCtx)
+		res := core.RunParallelCtx(baseCtx, mod, PATAConfig(), 1)
 		detected, spurious := 0, 0
 		for _, b := range res.Bugs {
 			pos := b.BugInstr.Position()
@@ -499,15 +496,12 @@ type ExtensionsRow struct {
 func Extensions(w io.Writer) ([]ExtensionsRow, error) {
 	spec := oscorpus.WithRepoExtensions(oscorpus.LinuxSpec())
 	c := oscorpus.Generate(spec)
-	var checkers []typestate.Checker
-	checkers = append(checkers, typestate.NewUAF())
+	cfg := PATAConfig()
+	cfg.Checkers = []typestate.Checker{typestate.NewUAF()}
 	for _, r := range typestate.CommonPairRules() {
-		checkers = append(checkers, typestate.NewPair(r))
+		cfg.Checkers = append(cfg.Checkers, typestate.NewPair(r))
 	}
-	cfg := core.Config{Checkers: checkers}
-	base := PATAConfig()
-	cfg.ValidatePath = base.ValidatePath
-	run, err := RunPATA(c, cfg, "pata-repo-ext")
+	run, err := RunPATA(c, cfg, "pata-repo-ext", 1)
 	if err != nil {
 		return nil, err
 	}

@@ -61,29 +61,12 @@ func bugReports(tool string, bugs []*core.Bug) []oscorpus.Report {
 	return out
 }
 
-// RunPATA runs the full framework (or a configured variant) on a corpus.
-func RunPATA(c *oscorpus.Corpus, cfg core.Config, toolName string) (*ToolRun, error) {
-	mod, err := lowerCorpus(c)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := core.NewEngine(mod, cfg).RunCtx(baseCtx)
-	tr := &ToolRun{
-		Tool:    toolName,
-		Reports: bugReports(toolName, res.Bugs),
-		Elapsed: time.Since(start),
-		Stats:   res.Stats,
-	}
-	tr.Score = oscorpus.Evaluate(c, tr.Reports)
-	return tr, nil
-}
-
-// RunPATAPipelined runs the framework through core.RunParallel's two-stage
-// scheduler (work-stealing Stage-1 workers, then Stage-2 validation on the
-// same workers). Findings and counters are identical to RunPATA — only the
-// timers and WorkSteals differ. workers <= 0 selects GOMAXPROCS.
-func RunPATAPipelined(c *oscorpus.Corpus, cfg core.Config, toolName string, workers int) (*ToolRun, error) {
+// RunPATA runs the full framework (or a configured variant) on a corpus
+// through core.RunParallelCtx: work-stealing Stage-1 workers, then Stage-2
+// validation on the same workers. Findings and counters do not depend on
+// the worker count — only the timers and WorkSteals do. workers <= 0
+// selects GOMAXPROCS.
+func RunPATA(c *oscorpus.Corpus, cfg core.Config, toolName string, workers int) (*ToolRun, error) {
 	mod, err := lowerCorpus(c)
 	if err != nil {
 		return nil, err

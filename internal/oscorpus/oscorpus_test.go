@@ -90,7 +90,7 @@ func analyzeCorpus(t *testing.T, c *Corpus, mode core.Mode) []Report {
 	cfg := core.Config{Mode: mode, Checkers: typestate.CoreCheckers()}
 	v := pathval.New()
 	v.Install(&cfg)
-	res := core.NewEngine(mod, cfg).Run()
+	res := core.RunParallel(mod, cfg, 1)
 	var out []Report
 	for _, b := range res.Bugs {
 		pos := b.BugInstr.Position()
@@ -162,7 +162,7 @@ func TestPaperCasesDetected(t *testing.T) {
 		cfg := core.Config{}
 		v := pathval.New()
 		v.Install(&cfg)
-		res := core.NewEngine(mod, cfg).Run()
+		res := core.RunParallel(mod, cfg, 1)
 		got := map[string]bool{}
 		for _, b := range res.Bugs {
 			pos := b.BugInstr.Position()
@@ -253,7 +253,7 @@ int f(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()}).Run()
+	res := core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
 	if len(res.Possible) != 0 {
 		t.Errorf("brace-initialized struct flagged: %d candidates", len(res.Possible))
 	}
@@ -267,7 +267,7 @@ func TestBugInstrIsLastPathStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()}).Run()
+	res := core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
 	if len(res.Possible) == 0 {
 		t.Fatal("no candidates")
 	}

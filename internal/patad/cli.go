@@ -27,7 +27,7 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		stdio          = fs.Bool("stdio", false, "serve the NDJSON protocol on stdin/stdout (default when -socket is not given)")
 		checkers       = fs.String("checkers", "", "comma-separated checkers: npd,uva,ml,dl,aiu,dbz,uaf or 'all' (default npd,uva,ml)")
 		unroll         = fs.Int("unroll", 1, "loop unroll factor (paper default 1)")
-		workers        = fs.Int("workers", 0, "analysis workers for both stages per request (0 = GOMAXPROCS, 1 = sequential)")
+		workers        = fs.Int("workers", 0, "analysis workers for both stages per request (0 = GOMAXPROCS, 1 = one worker)")
 		entryTimeout   = fs.Duration("entry-timeout", 0, "wall-clock budget per entry function (0 = none)")
 		requestTimeout = fs.Duration("request-timeout", 0, "default wall-clock budget per analyze request; a request's timeout_ms overrides it (0 = none)")
 		maxRetries     = fs.Int("max-retries", 0, "degrade-ladder retries per sick entry (0 = default 1, negative = none)")

@@ -21,8 +21,7 @@ func analyze(t *testing.T, src string, mode core.Mode) ([]*core.PossibleBug, *Va
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	eng := core.NewEngine(mod, core.Config{Mode: mode})
-	res := eng.Run()
+	res := core.RunParallel(mod, core.Config{Mode: mode}, 1)
 	return res.Possible, New()
 }
 
@@ -188,8 +187,7 @@ int pick(int *a, int i) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewEngine(mod, core.Config{Checkers: []typestate.Checker{typestate.NewAIU()}})
-	res := eng.Run()
+	res := core.RunParallel(mod, core.Config{Checkers: []typestate.Checker{typestate.NewAIU()}}, 1)
 	v := New()
 	for _, pb := range res.Possible {
 		if pb.Extra == nil {

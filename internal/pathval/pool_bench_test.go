@@ -17,7 +17,7 @@ func poolCandidate(tb testing.TB) *core.PossibleBug {
 	if err != nil {
 		tb.Fatalf("lower: %v", err)
 	}
-	res := core.NewEngine(mod, core.Config{Mode: core.ModePATA}).Run()
+	res := core.RunParallel(mod, core.Config{Mode: core.ModePATA}, 1)
 	for _, pb := range res.Possible {
 		if pb.BugInstr.Position().Line == 10 {
 			return pb

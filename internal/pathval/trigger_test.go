@@ -26,7 +26,7 @@ func TestTriggerValuesDeterministic(t *testing.T) {
 		cfg := core.Config{}
 		pathval.New().Install(&cfg)
 		var sb strings.Builder
-		for _, b := range core.SortedBugs(core.NewEngine(mod, cfg).Run().Bugs) {
+		for _, b := range core.SortedBugs(core.RunParallel(mod, cfg, 1).Bugs) {
 			pos := b.BugInstr.Position()
 			fmt.Fprintf(&sb, "%s %s:%d %s\n", b.Type, pos.File, pos.Line, strings.Join(b.Trigger, ", "))
 		}

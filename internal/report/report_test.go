@@ -32,7 +32,7 @@ int leak(int n) {
 	}
 	cfg := core.Config{}
 	pathval.New().Install(&cfg)
-	return core.NewEngine(mod, cfg).Run().Bugs
+	return core.RunParallel(mod, cfg, 1).Bugs
 }
 
 func TestWriteBugs(t *testing.T) {

@@ -103,7 +103,7 @@ func TestCursorPushSteadyStateAllocs(t *testing.T) {
 		c.Push(f2)
 		c.Rollback(m)
 	}
-	cycle() // warm trail/constraint storage
+	cycle()           // warm trail/constraint storage
 	const budget = 32 // two atoms, measured 24/op
 	if avg := testing.AllocsPerRun(100, cycle); avg > budget {
 		t.Errorf("cursor push cycle allocates %.1f/op in steady state, budget %d", avg, budget)

@@ -67,8 +67,8 @@ type Config struct {
 	// Workers sets the analysis concurrency: N > 1 analyzes entry functions
 	// with N concurrent engines and then validates the candidates with N
 	// concurrent Stage-2 workers, 1 uses a single worker for both stages,
-	// and 0 or negative (the default) selects GOMAXPROCS. Findings are
-	// identical to a sequential run; only wall-clock changes. The same
+	// and 0 or negative (the default) selects GOMAXPROCS. Findings do not
+	// depend on the worker count; only wall-clock changes. The same
 	// convention holds everywhere a worker count appears (cmd flags,
 	// core.RunParallel): <= 0 means GOMAXPROCS, 1 means one worker.
 	Workers int
@@ -415,6 +415,6 @@ func AnalyzeSourcesWithPairs(name string, sources map[string]string) (*Result, e
 	}
 	ec := core.Config{Checkers: checkers}
 	pathval.New().Install(&ec)
-	res := core.NewEngine(mod, ec).Run()
+	res := core.RunParallel(mod, ec, 1)
 	return convert(res, false), nil
 }
