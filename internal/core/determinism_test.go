@@ -122,27 +122,40 @@ func fullOutput(res *core.Result) string {
 // the recorded output in testdata/byteidentical byte for byte — same bugs
 // in the same order, same candidate list, same AltPaths, same triggers, and
 // the same counters, Stage-2 constraint, verdict-cache and batching
-// counters included. The files were recorded from the retired sequential
-// engine. validate-heavy is the corpus whose candidates carry alternate
-// witnesses; helper-heavy the one with deep Stage-1 entries.
+// counters included. The core and all files were recorded from the retired
+// sequential engine. validate-heavy is the corpus whose candidates carry
+// alternate witnesses; helper-heavy the one with deep Stage-1 entries. The
+// ext set (use-after-free plus the API-pairing rules, on the linux corpus
+// seeded with those bugs) and the unaware set (the thread-unaware UVA
+// variant) cover the checkers the core and all sets leave out.
 func TestRunParallelByteIdentical(t *testing.T) {
-	var mods []*cir.Module
-	for _, spec := range []oscorpus.OSSpec{
-		oscorpus.ZephyrSpec(), oscorpus.ValidationHeavySpec(), oscorpus.HelperHeavySpec(),
-	} {
+	lower := func(spec oscorpus.OSSpec) *cir.Module {
 		c := oscorpus.Generate(spec)
 		mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mods = append(mods, mod)
+		return mod
 	}
+	zephyr := lower(oscorpus.ZephyrSpec())
+	paper := []*cir.Module{zephyr, lower(oscorpus.ValidationHeavySpec()), lower(oscorpus.HelperHeavySpec())}
 	checkerSets := []struct {
 		name string
 		mk   func() []typestate.Checker
+		mods []*cir.Module
 	}{
-		{"core", typestate.CoreCheckers},
-		{"all", typestate.AllCheckers},
+		{"core", typestate.CoreCheckers, paper},
+		{"all", typestate.AllCheckers, paper},
+		{"ext", func() []typestate.Checker {
+			cs := []typestate.Checker{typestate.NewUAF()}
+			for _, r := range typestate.CommonPairRules() {
+				cs = append(cs, typestate.NewPair(r))
+			}
+			return cs
+		}, []*cir.Module{lower(oscorpus.WithRepoExtensions(oscorpus.LinuxSpec()))}},
+		{"unaware", func() []typestate.Checker {
+			return []typestate.Checker{typestate.NewNPD(), typestate.NewUVAThreadUnaware(), typestate.NewML()}
+		}, []*cir.Module{zephyr}},
 	}
 	modes := []struct {
 		name string
@@ -159,7 +172,7 @@ func TestRunParallelByteIdentical(t *testing.T) {
 					pathval.New().Install(&cfg)
 					return cfg
 				}
-				for _, mod := range mods {
+				for _, mod := range cs.mods {
 					t.Run(mod.Name, func(t *testing.T) {
 						golden := filepath.Join("testdata", "byteidentical", cs.name+"-"+m.name+"-"+mod.Name+".golden")
 						want, err := os.ReadFile(golden)
