@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	pata "repro"
 )
 
 // TestUnknownCheckerError: a library error reaches stderr exactly once
@@ -25,5 +27,23 @@ func TestUnknownCheckerError(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("stdout = %q, want empty", stdout.String())
+	}
+}
+
+// TestCheckersHelpListsEveryName: the -checkers help names every checker
+// the library accepts.
+func TestCheckersHelpListsEveryName(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	run([]string{"-h"}, &stdout, &stderr)
+	var line string
+	for _, l := range strings.Split(stderr.String(), "\n") {
+		if strings.Contains(l, "comma-separated checkers") {
+			line = l
+		}
+	}
+	for _, name := range pata.CheckerNames() {
+		if !strings.Contains(line, name) {
+			t.Errorf("-checkers help %q does not list %q", line, name)
+		}
 	}
 }

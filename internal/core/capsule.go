@@ -34,12 +34,13 @@ const capsuleVersion = 7
 // analysis result can depend on: the capsule format version, the mode,
 // every budget knob, the feature toggles, whether Stage-2 validation is
 // live and whether it is batched (batching changes the constraint counters
-// a stored verdict replays), the checker set (by name, in configured order — order affects
-// checker indices and alias-set capture), the intrinsics table, and the
-// module's globals (name and element type; global bodies don't exist in
-// CIR). EntryKey mixes this salt under every per-entry key, so changing
-// any of these is a full cache invalidation. Call on a withDefaults()
-// config — zero fields would otherwise alias their defaulted spellings.
+// a stored verdict replays), the checker set (specs by content digest,
+// others by name, in configured order — order affects checker indices and
+// alias-set capture), the intrinsics table, and the module's globals (name
+// and element type; global bodies don't exist in CIR). EntryKey mixes this
+// salt under every per-entry key, so changing any of these is a full cache
+// invalidation. Call on a withDefaults() config — zero fields would
+// otherwise alias their defaulted spellings.
 func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h := hmix.Mix2(capsuleVersion, uint64(int64(c.Mode)))
 	h = hmix.Mix4(h,
@@ -61,7 +62,11 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h = hmix.Mix2(h, boolBit(c.FaultHook != nil))
 	h = hmix.Mix2(h, uint64(len(c.Checkers)))
 	for _, chk := range c.Checkers {
-		h = hmix.Mix2(h, hmix.Str(chk.Name()))
+		d := hmix.Str(chk.Name())
+		if spec, ok := chk.(*typestate.Spec); ok {
+			d = spec.Digest()
+		}
+		h = hmix.Mix2(h, d)
 	}
 	h = hmix.Mix2(h, c.Intrinsics.Digest())
 	names := make([]string, 0, len(mod.Globals))

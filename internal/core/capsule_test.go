@@ -47,9 +47,9 @@ func lowerCapsuleSrc(t *testing.T) *cir.Module {
 }
 
 // TestAnalysisSaltInvalidation pins the cache-key contract: every
-// analysis-relevant Config field, the checker set, the intrinsics table,
-// and the module's globals each change the salt, while irrelevant knobs
-// (trace hooks, timing knobs) do not.
+// analysis-relevant Config field, the checker set down to same-named
+// variants, the intrinsics table, and the module's globals each change the
+// salt, while irrelevant knobs (trace hooks, timing knobs) do not.
 func TestAnalysisSaltInvalidation(t *testing.T) {
 	mod := lowerCapsuleSrc(t)
 	valid := func(context.Context, *PossibleBug, Mode) ValidationOutcome {
@@ -82,6 +82,20 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 		}},
 		{"CheckerSubset", func(c Config) Config {
 			c.Checkers = []typestate.Checker{typestate.NewNPD()}
+			return c
+		}},
+		// Same-named variants: the thread-unaware UVA, and a pairing rule
+		// that differs from the next one only in its callees.
+		{"UVAThreadUnaware", func(c Config) Config {
+			c.Checkers = []typestate.Checker{typestate.NewNPD(), typestate.NewUVAThreadUnaware(), typestate.NewML()}
+			return c
+		}},
+		{"PairOpenA", func(c Config) Config {
+			c.Checkers = []typestate.Checker{typestate.NewPair(typestate.PairRule{Name: "r", Open: []string{"a"}, Close: []string{"z"}})}
+			return c
+		}},
+		{"PairOpenB", func(c Config) Config {
+			c.Checkers = []typestate.Checker{typestate.NewPair(typestate.PairRule{Name: "r", Open: []string{"b"}, Close: []string{"z"}})}
 			return c
 		}},
 		{"Intrinsics", func(c Config) Config {

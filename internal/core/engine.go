@@ -361,8 +361,10 @@ type Engine struct {
 	// is all-zero between entries.
 	onPath []int32
 	frames []*frame
-	// emits is the buffer emitInstr hands the checkers' OnInstr.
+	// emits is the buffer every checker hook appends to; ci is the index
+	// of the checker whose hook runs (typestate.Ctx.Checker).
 	emits []typestate.Emission
+	ci    int
 
 	paths int64
 	steps int64
@@ -625,9 +627,8 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 		// Record the direction on the branch step already on the path.
 		e.path[len(e.path)-1].Taken = taken
 		for ci, c := range e.tracker.Checkers {
-			for _, em := range c.OnBranch(br, taken, e) {
-				e.tracker.Apply(ci, em)
-			}
+			e.ci = ci
+			e.apply(c.OnBranch(br, taken, e, e.emits[:0]))
 		}
 		e.exec(next)
 		e.tracker.Rollback(tm)
@@ -667,9 +668,8 @@ func (e *Engine) execCall(call *cir.Call) {
 		}
 		e.g.Move(p, call.Args[i])
 		for ci, c := range e.tracker.Checkers {
-			for _, em := range c.OnBind(p, call.Args[i], call, e) {
-				e.tracker.Apply(ci, em)
-			}
+			e.ci = ci
+			e.apply(c.OnBind(p, call.Args[i], call, e, e.emits[:0]))
 		}
 	}
 	e.frames = append(e.frames, &frame{fn: callee, call: call, fid: len(e.frames) + 1})
@@ -682,9 +682,8 @@ func (e *Engine) execCall(call *cir.Call) {
 func (e *Engine) execRet(ret *cir.Ret) {
 	// Checkers observe the return in the returning frame (ML leak check).
 	for ci, c := range e.tracker.Checkers {
-		for _, em := range c.OnReturn(ret, e) {
-			e.tracker.Apply(ci, em)
-		}
+		e.ci = ci
+		e.apply(c.OnReturn(ret, e, e.emits[:0]))
 	}
 	if len(e.frames) == 1 {
 		e.endPath()
@@ -707,9 +706,8 @@ func (e *Engine) execRet(ret *cir.Ret) {
 	if f.call.Dst != nil && ret.Val != nil {
 		e.g.Move(f.call.Dst, ret.Val)
 		for ci, c := range e.tracker.Checkers {
-			for _, em := range c.OnBind(f.call.Dst, ret.Val, f.call, e) {
-				e.tracker.Apply(ci, em)
-			}
+			e.ci = ci
+			e.apply(c.OnBind(f.call.Dst, ret.Val, f.call, e, e.emits[:0]))
 		}
 	}
 	succs := instrSuccessors(f.call)
@@ -766,14 +764,20 @@ func isAllocaReg(v cir.Value) bool {
 	return isAlloca
 }
 
-// emitInstr feeds one instruction through all checkers, collecting each
-// checker's emissions in the engine's reused buffer.
+// emitInstr feeds one instruction through all checkers.
 func (e *Engine) emitInstr(in cir.Instr) {
 	for ci, c := range e.tracker.Checkers {
-		e.emits = c.OnInstr(in, e, e.emits[:0])
-		for _, em := range e.emits {
-			e.tracker.Apply(ci, em)
-		}
+		e.ci = ci
+		e.apply(c.OnInstr(in, e, e.emits[:0]))
+	}
+}
+
+// apply feeds checker e.ci's emissions through the tracker and keeps their
+// buffer for the next hook.
+func (e *Engine) apply(ems []typestate.Emission) {
+	e.emits = ems
+	for _, em := range ems {
+		e.tracker.Apply(e.ci, em)
 	}
 }
 
@@ -782,7 +786,7 @@ func (e *Engine) emitInstr(in cir.Instr) {
 // paper's P3 phase does, and snapshots the current path for Stage 2: a
 // repeat only contributes an alternate witness path.
 func (e *Engine) bugSink(ci int, em typestate.Emission, from typestate.State) {
-	origin := int(e.tracker.PropOf(ci, em.Obj, "__origin"))
+	origin := e.tracker.Origin(ci, em.Obj)
 	full := make([]PathStep, len(e.path))
 	copy(full, e.path)
 	key := dedupKey{checker: ci, origin: origin, bug: em.Instr.GID()}
@@ -834,6 +838,9 @@ func (e *Engine) Graph() *aliasgraph.Graph { return e.g }
 
 // Tracker implements typestate.Ctx.
 func (e *Engine) Tracker() *typestate.Tracker { return e.tracker }
+
+// Checker implements typestate.Ctx.
+func (e *Engine) Checker() int { return e.ci }
 
 // Intrinsics implements typestate.Ctx.
 func (e *Engine) Intrinsics() *typestate.Intrinsics { return e.Cfg.Intrinsics }

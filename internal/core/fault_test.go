@@ -276,10 +276,14 @@ func (c *panicChecker) OnInstr(_ cir.Instr, ctx typestate.Ctx, out []typestate.E
 	}
 	return out
 }
-func (c *panicChecker) OnBranch(*cir.CondBr, bool, typestate.Ctx) []typestate.Emission { return nil }
-func (c *panicChecker) OnReturn(*cir.Ret, typestate.Ctx) []typestate.Emission          { return nil }
-func (c *panicChecker) OnBind(*cir.Register, cir.Value, *cir.Call, typestate.Ctx) []typestate.Emission {
-	return nil
+func (c *panicChecker) OnBranch(_ *cir.CondBr, _ bool, _ typestate.Ctx, out []typestate.Emission) []typestate.Emission {
+	return out
+}
+func (c *panicChecker) OnReturn(_ *cir.Ret, _ typestate.Ctx, out []typestate.Emission) []typestate.Emission {
+	return out
+}
+func (c *panicChecker) OnBind(_ *cir.Register, _ cir.Value, _ *cir.Call, _ typestate.Ctx, out []typestate.Emission) []typestate.Emission {
+	return out
 }
 
 // TestContainedPanicLeavesNoPathState: a checker panic deep inside one

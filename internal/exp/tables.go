@@ -452,7 +452,7 @@ func Cases(w io.Writer) ([]CaseResult, error) {
 
 // FSMs prints the Table 2 state machines.
 func FSMs(w io.Writer) {
-	fmt.Fprintln(w, "Table 2: FSMs of the six checkers")
+	fmt.Fprintf(w, "Table 2: FSMs of the %d built-in checkers\n", len(typestate.CheckerNames()))
 	for _, c := range typestate.AllCheckers() {
 		fsm := c.FSM()
 		fmt.Fprintf(w, "%s (%s): initial=%s bug=%s\n", fsm.Name, c.Name(), fsm.Initial, fsm.Bug)

@@ -132,17 +132,7 @@ func (v *Validator) ValidateBatchCtx(ctx context.Context, bugs []*core.PossibleB
 				altOut = v.validateOne(ctx, bugs[i], items[j].path, mode)
 				altOut.BatchFallbacks = 1
 			}
-			out := &outs[i]
-			out.Feasible = altOut.Feasible
-			out.Constraints += altOut.Constraints
-			out.ConstraintsUnaware += altOut.ConstraintsUnaware
-			out.CacheHits += altOut.CacheHits
-			out.CacheMisses += altOut.CacheMisses
-			out.CacheEvictions += altOut.CacheEvictions
-			out.Disagreements += altOut.Disagreements
-			out.BatchedSolves += altOut.BatchedSolves
-			out.BatchFallbacks += altOut.BatchFallbacks
-			out.TimedOut = out.TimedOut || altOut.TimedOut
+			foldAlt(&outs[i], altOut)
 		}
 	}
 	// The shared-prefix count is a property of the whole batch; pin it to

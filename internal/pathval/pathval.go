@@ -199,15 +199,25 @@ func (v *Validator) ValidateCtx(ctx context.Context, bug *core.PossibleBug, mode
 		if out.Feasible {
 			break
 		}
-		altOut := v.validateOne(ctx, bug, alt, mode)
-		out.Feasible = altOut.Feasible
-		out.Constraints += altOut.Constraints
-		out.ConstraintsUnaware += altOut.ConstraintsUnaware
-		out.CacheHits += altOut.CacheHits
-		out.CacheMisses += altOut.CacheMisses
-		out.TimedOut = out.TimedOut || altOut.TimedOut
+		foldAlt(&out, v.validateOne(ctx, bug, alt, mode))
 	}
 	return out
+}
+
+// foldAlt folds an alternate witness's outcome into its candidate's: the
+// alternate decides feasibility, and every counter accumulates. Both the
+// per-candidate and the batched path fold through it, so they count alike.
+func foldAlt(out *core.ValidationOutcome, alt core.ValidationOutcome) {
+	out.Feasible = alt.Feasible
+	out.Constraints += alt.Constraints
+	out.ConstraintsUnaware += alt.ConstraintsUnaware
+	out.CacheHits += alt.CacheHits
+	out.CacheMisses += alt.CacheMisses
+	out.CacheEvictions += alt.CacheEvictions
+	out.Disagreements += alt.Disagreements
+	out.BatchedSolves += alt.BatchedSolves
+	out.BatchFallbacks += alt.BatchFallbacks
+	out.TimedOut = out.TimedOut || alt.TimedOut
 }
 
 // FeasibleVerdict maps a solver result to the validator's keep/drop

@@ -254,6 +254,42 @@ void func(char *p) {
 	}
 }
 
+// TestAltWitnessCountersFold: when an infeasible primary hands over to an
+// alternate witness, the per-candidate outcome must carry the alternate's
+// counters too — a one-entry cache evicts the primary's verdict when the
+// alternate's is stored, and that eviction must reach the outcome exactly
+// as the validator's own counter sees it.
+func TestAltWitnessCountersFold(t *testing.T) {
+	cands, v := analyze(t, `
+void func(char *p) {
+	int x = 3;
+	if (x == 5) {
+		if (!p)
+			use(*p);
+	}
+	if (!p)
+		use(*p);
+}`, core.ModePATA)
+	v.cacheShards = 1
+	v.MaxCacheEntries = 1
+	var target *core.PossibleBug
+	for _, pb := range cands {
+		if len(pb.AltPaths) > 0 {
+			target = pb
+		}
+	}
+	if target == nil {
+		t.Fatal("no candidate with an alternate witness")
+	}
+	out := v.ValidateCtx(context.Background(), target, core.ModePATA)
+	if !out.Feasible || out.CacheMisses < 2 {
+		t.Fatalf("outcome %+v: want a feasible alternate after an infeasible primary", out)
+	}
+	if out.CacheEvictions == 0 || out.CacheEvictions != v.CacheEvictions {
+		t.Errorf("outcome counts %d evictions, validator %d", out.CacheEvictions, v.CacheEvictions)
+	}
+}
+
 func TestStringArgumentsOpaque(t *testing.T) {
 	// String literals become opaque symbols; paths through logging calls
 	// stay feasible.

@@ -9,6 +9,7 @@ import (
 
 // mockCtx drives checkers directly, without the engine.
 type mockCtx struct {
+	ci      int
 	g       *aliasgraph.Graph
 	tr      *Tracker
 	intr    *Intrinsics
@@ -39,17 +40,33 @@ func (m *mockCtx) Depth() int                   { return m.depth }
 func (m *mockCtx) FrameID() int                 { return m.frame }
 func (m *mockCtx) CallerFrameID() int           { return m.caller }
 func (m *mockCtx) IsDefined(callee string) bool { return m.defined[callee] }
+func (m *mockCtx) Checker() int                 { return m.ci }
 
 func preg(name string) *cir.Register {
 	return &cir.Register{Name: name, Typ: cir.PointerTo(cir.I64)}
 }
 
+// index returns c's tracker index and makes it the running checker.
+func (m *mockCtx) index(c Checker) int {
+	for i, cc := range m.tr.Checkers {
+		if cc == c {
+			m.ci = i
+		}
+	}
+	return m.ci
+}
+
+// apply feeds emissions through the tracker as checker m.ci.
+func (m *mockCtx) apply(ems []Emission) {
+	for _, em := range ems {
+		m.tr.Apply(m.ci, em)
+	}
+}
+
 // feed applies all emissions of one instruction through the tracker.
 func feed(m *mockCtx, c Checker, in cir.Instr) {
-	ci := m.tr.CheckerIndex(c)
-	for _, em := range c.OnInstr(in, m, nil) {
-		m.tr.Apply(ci, em)
-	}
+	m.index(c)
+	m.apply(c.OnInstr(in, m, nil))
 }
 
 func mkCall(callee string, dst *cir.Register, args ...cir.Value) *cir.Call {
@@ -71,13 +88,13 @@ func TestNPDCheckerEmissions(t *testing.T) {
 	p.Def = mv
 	m.g.Move(p, mv.Src)
 	feed(m, c, mv)
-	if m.tr.StateOf(0, m.g.NodeOf(p)) != npdN {
+	if m.tr.StateOf(0, m.g.NodeOf(p)) != "S_N" {
 		t.Fatalf("state after NULL move = %s", m.tr.StateOf(0, m.g.NodeOf(p)))
 	}
 	// Deref through the null pointer hits the bug state.
 	ld := &cir.Load{Dst: preg("v"), Addr: p}
 	feed(m, c, ld)
-	if m.tr.StateOf(0, m.g.NodeOf(p)) != npdBug {
+	if m.tr.StateOf(0, m.g.NodeOf(p)) != "S_NPD" {
 		t.Errorf("deref of NULL did not reach bug state")
 	}
 }
@@ -98,11 +115,11 @@ func TestNPDOnBindNull(t *testing.T) {
 	m := newMockCtx(c)
 	param := preg("param")
 	site := mkCall("callee", nil)
-	ems := c.OnBind(param, cir.NullConst(param.Typ), site, m)
-	if len(ems) != 1 || ems[0].Event != evAssNull {
+	ems := c.OnBind(param, cir.NullConst(param.Typ), site, m, nil)
+	if len(ems) != 1 || ems[0].Event != "ass_null" {
 		t.Errorf("bind-null emissions = %v", ems)
 	}
-	if ems := c.OnBind(param, preg("arg"), site, m); len(ems) != 0 {
+	if ems := c.OnBind(param, preg("arg"), site, m, nil); len(ems) != 0 {
 		t.Errorf("non-null bind should not emit: %v", ems)
 	}
 }
@@ -114,7 +131,7 @@ func TestUVACheckerRegionInheritance(t *testing.T) {
 	dst := preg("buf")
 	call := mkCall("kmalloc", dst, cir.IntConst(cir.I64, 64))
 	feed(m, c, call)
-	if m.tr.StateOf(0, m.g.NodeOf(dst)) != uvaUI {
+	if m.tr.StateOf(0, m.g.NodeOf(dst)) != "S_UI" {
 		t.Fatal("malloc region should start S_UI")
 	}
 	// A field carved from the region inherits S_UI.
@@ -122,13 +139,13 @@ func TestUVACheckerRegionInheritance(t *testing.T) {
 	fa.Dst.Def = fa
 	m.g.GEP(fa.Dst, dst, aliasgraph.FieldLabel("x"))
 	feed(m, c, fa)
-	if m.tr.StateOf(0, m.g.NodeOf(fa.Dst)) != uvaUI {
+	if m.tr.StateOf(0, m.g.NodeOf(fa.Dst)) != "S_UI" {
 		t.Error("field of uninitialized region should inherit S_UI")
 	}
 	// Storing initializes the field; loading then is clean.
 	st := &cir.Store{Addr: fa.Dst, Val: cir.IntConst(cir.I64, 1)}
 	feed(m, c, st)
-	if m.tr.StateOf(0, m.g.NodeOf(fa.Dst)) != uvaI {
+	if m.tr.StateOf(0, m.g.NodeOf(fa.Dst)) != "S_I" {
 		t.Error("store should initialize the field")
 	}
 }
@@ -139,7 +156,7 @@ func TestUVAMemsetInitializes(t *testing.T) {
 	dst := preg("buf")
 	feed(m, c, mkCall("kmalloc", dst, cir.IntConst(cir.I64, 64)))
 	feed(m, c, mkCall("memset", nil, dst, cir.IntConst(cir.I64, 0)))
-	if m.tr.StateOf(0, m.g.NodeOf(dst)) != uvaI {
+	if m.tr.StateOf(0, m.g.NodeOf(dst)) != "S_I" {
 		t.Error("memset should initialize the region")
 	}
 }
@@ -147,18 +164,18 @@ func TestUVAMemsetInitializes(t *testing.T) {
 func TestUVAOpaqueCalleeModes(t *testing.T) {
 	// Default: opaque callee initializes; thread-unaware: it does not.
 	for _, tc := range []struct {
-		checker *UVAChecker
+		checker *Spec
 		want    State
 	}{
-		{NewUVA(), uvaI},
-		{NewUVAThreadUnaware(), uvaUI},
+		{NewUVA(), "S_I"},
+		{NewUVAThreadUnaware(), "S_UI"},
 	} {
 		m := newMockCtx(tc.checker)
 		dst := preg("buf")
 		feed(m, tc.checker, mkCall("kmalloc", dst, cir.IntConst(cir.I64, 64)))
 		feed(m, tc.checker, mkCall("thread_start", nil, dst))
 		if got := m.tr.StateOf(0, m.g.NodeOf(dst)); got != tc.want {
-			t.Errorf("opaqueInit=%v: state = %s, want %s", tc.checker.opaqueInit, got, tc.want)
+			t.Errorf("OpaqueInit=%q: state = %s, want %s", tc.checker.OpaqueInit, got, tc.want)
 		}
 	}
 }
@@ -169,17 +186,17 @@ func TestMLCheckerLifecycle(t *testing.T) {
 	dst := preg("p")
 	feed(m, c, mkCall("malloc", dst, cir.IntConst(cir.I64, 8)))
 	obj := m.g.NodeOf(dst)
-	if m.tr.StateOf(0, obj) != mlNF {
+	if m.tr.StateOf(0, obj) != "S_NF" {
 		t.Fatal("malloc should set S_NF")
 	}
 	// Escape through an opaque consumer.
 	feed(m, c, mkCall("register_buffer", nil, dst))
-	if m.tr.PropOf(0, obj, propEscaped) != 1 {
+	if !m.tr.rec(0, obj).escaped {
 		t.Error("opaque consumer should escape the object")
 	}
 	// Free moves to S_F.
 	feed(m, c, mkCall("free", nil, dst))
-	if m.tr.StateOf(0, obj) != mlF {
+	if m.tr.StateOf(0, obj) != "S_F" {
 		t.Error("free should set S_F")
 	}
 }
@@ -190,12 +207,9 @@ func TestMLOnReturnLeak(t *testing.T) {
 	dst := preg("p")
 	feed(m, c, mkCall("malloc", dst, cir.IntConst(cir.I64, 8)))
 	ret := &cir.Ret{}
-	ci := m.tr.CheckerIndex(c)
 	var bug bool
 	m.tr.Sink = func(int, Emission, State) { bug = true }
-	for _, em := range c.OnReturn(ret, m) {
-		m.tr.Apply(ci, em)
-	}
+	m.apply(c.OnReturn(ret, m, nil))
 	if !bug {
 		t.Error("unfreed object at return should report")
 	}
@@ -211,10 +225,10 @@ func TestMLOnReturnOwnershipTransfer(t *testing.T) {
 	feed(m, c, mkCall("malloc", dst, cir.IntConst(cir.I64, 8)))
 	obj := m.g.NodeOf(dst)
 	ret := &cir.Ret{Val: dst}
-	if ems := c.OnReturn(ret, m); len(ems) != 0 {
+	if ems := c.OnReturn(ret, m, nil); len(ems) != 0 {
 		t.Errorf("returned pointer must not leak: %v", ems)
 	}
-	if m.tr.PropOf(0, obj, propFrame) != 1 {
+	if m.tr.rec(0, obj).frame != 1 {
 		t.Error("ownership should transfer to the caller frame")
 	}
 }
@@ -226,13 +240,13 @@ func TestUAFCheckerLifecycle(t *testing.T) {
 	feed(m, c, mkCall("malloc", dst, cir.IntConst(cir.I64, 8)))
 	feed(m, c, mkCall("free", nil, dst))
 	obj := m.g.NodeOf(dst)
-	if m.tr.StateOf(0, obj) != uafFreed {
+	if m.tr.StateOf(0, obj) != "S_FREED" {
 		t.Fatalf("state after free = %s", m.tr.StateOf(0, obj))
 	}
 	// Use after free.
 	ld := &cir.Load{Dst: preg("v"), Addr: dst}
 	feed(m, c, ld)
-	if m.tr.StateOf(0, obj) != uafBug {
+	if m.tr.StateOf(0, obj) != "S_UAF" {
 		t.Error("use after free should reach the bug state")
 	}
 }
@@ -256,7 +270,7 @@ func TestDLCheckerEmissions(t *testing.T) {
 	m := newMockCtx(c)
 	lk := preg("lock")
 	feed(m, c, mkCall("mutex_lock", nil, lk))
-	if m.tr.StateOf(0, m.g.NodeOf(lk)) != dlLocked {
+	if m.tr.StateOf(0, m.g.NodeOf(lk)) != "S_L" {
 		t.Fatal("lock should set S_L")
 	}
 	var bug bool
@@ -274,20 +288,18 @@ func TestPairCheckerHandleStyles(t *testing.T) {
 
 	h := preg("h")
 	feed(m, result, mkCall("acquire", h))
-	if m.tr.StateOf(0, m.g.NodeOf(h)) != pairHeld {
+	if m.tr.StateOf(0, m.g.NodeOf(h)) != "S_HELD" {
 		t.Error("result-style handle not held")
 	}
 	feed(m, result, mkCall("release", nil, h))
-	if m.tr.StateOf(0, m.g.NodeOf(h)) != pairDone {
+	if m.tr.StateOf(0, m.g.NodeOf(h)) != "S_DONE" {
 		t.Error("release did not balance")
 	}
 
 	dev := preg("dev")
-	ci := m.tr.CheckerIndex(arg)
-	for _, em := range arg.OnInstr(mkCall("on", nil, dev), m, nil) {
-		m.tr.Apply(ci, em)
-	}
-	if m.tr.StateOf(ci, m.g.NodeOf(dev)) != pairHeld {
+	ci := m.index(arg)
+	m.apply(arg.OnInstr(mkCall("on", nil, dev), m, nil))
+	if m.tr.StateOf(ci, m.g.NodeOf(dev)) != "S_HELD" {
 		t.Error("argument-style handle not held")
 	}
 }
@@ -299,13 +311,13 @@ func TestAIUAndDBZOnBind(t *testing.T) {
 	site := mkCall("callee", nil)
 
 	pIdx := preg("idx")
-	ems := aiu.OnBind(pIdx, cir.IntConst(cir.I64, -2), site, m)
-	if len(ems) != 1 || ems[0].Event != evAssNeg {
+	ems := aiu.OnBind(pIdx, cir.IntConst(cir.I64, -2), site, m, nil)
+	if len(ems) != 1 || ems[0].Event != "ass_neg" {
 		t.Errorf("AIU bind emissions = %v", ems)
 	}
 	pDiv := preg("div")
-	ems = dbz.OnBind(pDiv, cir.IntConst(cir.I64, 0), site, m)
-	if len(ems) != 1 || ems[0].Event != evAssZero {
+	ems = dbz.OnBind(pDiv, cir.IntConst(cir.I64, 0), site, m, nil)
+	if len(ems) != 1 || ems[0].Event != "ass_zero" {
 		t.Errorf("DBZ bind emissions = %v", ems)
 	}
 }
@@ -317,7 +329,7 @@ func TestDBZStoreZero(t *testing.T) {
 	st := &cir.Store{Addr: addr, Val: cir.IntConst(cir.I64, 0)}
 	m.g.Store(addr, st.Val)
 	feed(m, c, st)
-	if m.tr.StateOf(0, m.g.DerefNode(addr)) != dbzZero {
+	if m.tr.StateOf(0, m.g.DerefNode(addr)) != "S_Z" {
 		t.Error("storing 0 should set the location's class to S_Z")
 	}
 }

@@ -5,11 +5,14 @@
 // that halves the paper's typestate count versus per-variable tracking
 // (Table 5) and removes the synchronization transitions of Figure 8(a).
 //
-// Checkers translate instructions and branch directions into events on
-// abstract objects (alias-graph nodes). Six checkers ship with the package:
-// NPD, UVA and ML (Table 2) plus the §5.5 extension checkers for double
-// lock/unlock, array-index underflow and division by zero. Each checker is
-// deliberately small (~100–200 lines), as the paper reports.
+// A checker is a Spec: plain data holding its FSM and the event each
+// shared event source emits (a NULL assignment, a dereference, a
+// pointer-vs-NULL branch, a matched call, a resource leaving its frame...).
+// One interpreter implements every source once, so a new bug type costs a
+// small table, as §5.5 argues. Seven specs ship with the package: NPD, UVA
+// and ML (Table 2), the §5.5 extension checkers for double lock/unlock,
+// array-index underflow and division by zero, and use-after-free; Pair
+// builds one more per API-pairing rule.
 package typestate
 
 import (
@@ -32,6 +35,8 @@ const (
 	DL  BugType = "DL"  // double lock/unlock
 	AIU BugType = "AIU" // array index underflow
 	DBZ BugType = "DBZ" // division by zero
+	UAF BugType = "UAF" // use after free
+	API BugType = "API" // API-pairing violation (configurable rules)
 )
 
 // State is an FSM state.
@@ -171,37 +176,29 @@ type Ctx interface {
 	// IsDefined reports whether callee has a body in the module (calls to
 	// undefined functions are treated as opaque by escape analysis).
 	IsDefined(callee string) bool
+	// Checker is the tracker index of the checker whose hook is running.
+	Checker() int
 }
 
-// Checker is a typestate property plus its event extraction.
+// Checker is a typestate property plus its event extraction. Every hook
+// appends its emissions to out and returns the extended slice; the engine
+// passes one reused buffer, so a hook must not retain out.
 type Checker interface {
 	Name() string
 	Type() BugType
 	FSM() *FSM
-	// OnInstr inspects an instruction (after the alias-graph update) and
-	// appends its emissions to out, returning the extended slice. The
-	// engine passes one reused buffer, so OnInstr must not retain out.
+	// OnInstr inspects an instruction (after the alias-graph update).
 	OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission
 	// OnBranch inspects a conditional branch taken in the given direction.
-	OnBranch(br *cir.CondBr, taken bool, ctx Ctx) []Emission
-	// OnReturn inspects a return at the current depth (used by ML to fire
-	// its ret event on unfreed objects of the returning frame).
-	OnReturn(ret *cir.Ret, ctx Ctx) []Emission
+	OnBranch(br *cir.CondBr, taken bool, ctx Ctx, out []Emission) []Emission
+	// OnReturn inspects a return at the current depth (ML and Pair fire
+	// their leak event on the returning frame's resources).
+	OnReturn(ret *cir.Ret, ctx Ctx, out []Emission) []Emission
 	// OnBind inspects the binding of an actual argument to a formal
 	// parameter when the engine descends into a defined callee (the
-	// HandleCALL MOVEs of Figure 6). The alias graph has already recorded
-	// the MOVE.
-	OnBind(param *cir.Register, arg cir.Value, site *cir.Call, ctx Ctx) []Emission
-}
-
-// baseChecker provides no-op hooks.
-type baseChecker struct{}
-
-func (baseChecker) OnInstr(_ cir.Instr, _ Ctx, out []Emission) []Emission { return out }
-func (baseChecker) OnBranch(*cir.CondBr, bool, Ctx) []Emission            { return nil }
-func (baseChecker) OnReturn(*cir.Ret, Ctx) []Emission                     { return nil }
-func (baseChecker) OnBind(*cir.Register, cir.Value, *cir.Call, Ctx) []Emission {
-	return nil
+	// HandleCALL MOVEs of Figure 6), and of a callee's return value to the
+	// call's result. The alias graph has already recorded the MOVE.
+	OnBind(param *cir.Register, arg cir.Value, site *cir.Call, ctx Ctx, out []Emission) []Emission
 }
 
 // ---- tracker ----
@@ -211,29 +208,25 @@ type objKey struct {
 	node    *aliasgraph.Node
 }
 
-type propKey struct {
-	checker int
-	node    *aliasgraph.Node
-	prop    string
+// objRec is the per-(checker, object) record.
+type objRec struct {
+	// state is "" until the object's first transition: the FSM's initial
+	// state.
+	state State
+	// origin is the GID of the instruction that put the object into its
+	// current state: the "origin" half of the paper's repeated-bug key (P3).
+	origin int
+	// frame and escaped belong to the resource-ownership source: the frame
+	// that owns a held resource, and whether it outlives static tracking.
+	frame   int
+	escaped bool
 }
 
-type tundoKind uint8
-
-const (
-	tuState tundoKind = iota
-	tuProp
-	tuTouched
-)
-
+// tundo restores one record; had is false when the key was absent.
 type tundo struct {
-	kind     tundoKind
-	sk       objKey
-	pk       propKey
-	oldState State
-	hadState bool
-	oldProp  int64
-	hadProp  bool
-	checker  int
+	key objKey
+	old objRec
+	had bool
 }
 
 // BugSink receives bug-state transitions as they happen during tracking.
@@ -249,25 +242,25 @@ type Stats struct {
 	TransitionsUnaware int64
 }
 
-// Tracker holds the per-alias-class states of all checkers, with trail-based
-// checkpoint/rollback mirroring the alias graph's.
+// Tracker holds the per-alias-class records of all checkers, with
+// trail-based checkpoint/rollback mirroring the alias graph's.
 type Tracker struct {
 	Checkers []Checker
-	states   map[objKey]State
-	props    map[propKey]int64
-	touched  map[int][]*aliasgraph.Node // per checker, insertion-ordered
-	trail    []tundo
-	Stats    Stats
-	Sink     BugSink
+	recs     map[objKey]objRec
+	// touched lists, per checker and in insertion order, the objects whose
+	// state has left the initial state.
+	touched [][]*aliasgraph.Node
+	trail   []tundo
+	Stats   Stats
+	Sink    BugSink
 }
 
 // NewTracker returns a tracker over the given checkers.
 func NewTracker(checkers []Checker, sink BugSink) *Tracker {
 	return &Tracker{
 		Checkers: checkers,
-		states:   make(map[objKey]State),
-		props:    make(map[propKey]int64),
-		touched:  make(map[int][]*aliasgraph.Node),
+		recs:     make(map[objKey]objRec),
+		touched:  make([][]*aliasgraph.Node, len(checkers)),
 		Sink:     sink,
 	}
 }
@@ -283,74 +276,44 @@ func (t *Tracker) Rollback(mark Mark) {
 	for len(t.trail) > int(mark) {
 		u := t.trail[len(t.trail)-1]
 		t.trail = t.trail[:len(t.trail)-1]
-		switch u.kind {
-		case tuState:
-			if u.hadState {
-				t.states[u.sk] = u.oldState
-			} else {
-				delete(t.states, u.sk)
-			}
-		case tuProp:
-			if u.hadProp {
-				t.props[u.pk] = u.oldProp
-			} else {
-				delete(t.props, u.pk)
-			}
-		case tuTouched:
-			lst := t.touched[u.checker]
-			t.touched[u.checker] = lst[:len(lst)-1]
+		if u.old.state == "" && t.recs[u.key].state != "" {
+			lst := t.touched[u.key.checker]
+			t.touched[u.key.checker] = lst[:len(lst)-1]
 		}
+		if u.had {
+			t.recs[u.key] = u.old
+		} else {
+			delete(t.recs, u.key)
+		}
+	}
+}
+
+func (t *Tracker) rec(ci int, obj *aliasgraph.Node) objRec {
+	return t.recs[objKey{checker: ci, node: obj}]
+}
+
+// set replaces obj's record under checker ci, trailing the old one.
+func (t *Tracker) set(ci int, obj *aliasgraph.Node, r objRec) {
+	k := objKey{checker: ci, node: obj}
+	old, had := t.recs[k]
+	t.trail = append(t.trail, tundo{key: k, old: old, had: had})
+	t.recs[k] = r
+	if old.state == "" && r.state != "" {
+		t.touched[ci] = append(t.touched[ci], obj)
 	}
 }
 
 // StateOf returns the current state of obj under checker ci.
 func (t *Tracker) StateOf(ci int, obj *aliasgraph.Node) State {
-	if s, ok := t.states[objKey{checker: ci, node: obj}]; ok {
+	if s := t.rec(ci, obj).state; s != "" {
 		return s
 	}
 	return t.Checkers[ci].FSM().Initial
 }
 
-func (t *Tracker) setState(ci int, obj *aliasgraph.Node, s State) {
-	k := objKey{checker: ci, node: obj}
-	old, had := t.states[k]
-	t.trail = append(t.trail, tundo{kind: tuState, sk: k, oldState: old, hadState: had})
-	t.states[k] = s
-	if !had {
-		t.touched[ci] = append(t.touched[ci], obj)
-		t.trail = append(t.trail, tundo{kind: tuTouched, checker: ci})
-	}
-}
-
-// PropOf reads a named integer property of obj (0 when unset).
-func (t *Tracker) PropOf(ci int, obj *aliasgraph.Node, prop string) int64 {
-	return t.props[propKey{checker: ci, node: obj, prop: prop}]
-}
-
-// SetProp writes a named integer property of obj.
-func (t *Tracker) SetProp(ci int, obj *aliasgraph.Node, prop string, v int64) {
-	k := propKey{checker: ci, node: obj, prop: prop}
-	old, had := t.props[k]
-	t.trail = append(t.trail, tundo{kind: tuProp, pk: k, oldProp: old, hadProp: had})
-	t.props[k] = v
-}
-
-// ObjectsInState returns the touched objects of checker ci currently in
-// state s.
-func (t *Tracker) ObjectsInState(ci int, s State) []*aliasgraph.Node {
-	var out []*aliasgraph.Node
-	seen := make(map[*aliasgraph.Node]bool)
-	for _, n := range t.touched[ci] {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if t.StateOf(ci, n) == s {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+// Origin returns the GID of the instruction that put obj into its current
+// state under checker ci (0 when it never left the initial state).
+func (t *Tracker) Origin(ci int, obj *aliasgraph.Node) int { return t.rec(ci, obj).origin }
 
 // Apply feeds one emission through checker ci's FSM, counting costs and
 // reporting bug-state entries through the sink.
@@ -370,37 +333,18 @@ func (t *Tracker) Apply(ci int, em Emission) {
 	}
 	t.Stats.TransitionsUnaware += 2*nvars - 1
 	if next != cur {
-		t.setState(ci, em.Obj, next)
+		r := t.rec(ci, em.Obj)
+		r.state = next
 		if next != fsm.Bug && em.Instr != nil {
-			// Remember the instruction that put the object into this state:
-			// it is the "origin" half of the paper's repeated-bug key (P3).
-			t.SetProp(ci, em.Obj, "__origin", int64(em.Instr.GID()))
+			r.origin = em.Instr.GID()
 		}
+		t.set(ci, em.Obj, r)
 	}
 	if next == fsm.Bug && t.Sink != nil {
 		t.Sink(ci, em, cur)
 	}
 }
 
-// ApplyAll feeds emissions from all checkers for one instruction.
-func (t *Tracker) ApplyAll(emsByChecker [][]Emission) {
-	for ci, ems := range emsByChecker {
-		for _, em := range ems {
-			t.Apply(ci, em)
-		}
-	}
-}
-
-// CheckerIndex returns the index of c, or -1.
-func (t *Tracker) CheckerIndex(c Checker) int {
-	for i, cc := range t.Checkers {
-		if cc == c {
-			return i
-		}
-	}
-	return -1
-}
-
 func (t *Tracker) String() string {
-	return fmt.Sprintf("tracker{%d checkers, %d states}", len(t.Checkers), len(t.states))
+	return fmt.Sprintf("tracker{%d checkers, %d records}", len(t.Checkers), len(t.recs))
 }

@@ -14,24 +14,68 @@ func mkNode(g *aliasgraph.Graph, name string) *aliasgraph.Node {
 
 func TestFSMNext(t *testing.T) {
 	fsm := NewNPD().FSM()
-	s, ok := fsm.Next(npdS0, evBrNull)
-	if !ok || s != npdN {
+	s, ok := fsm.Next("S0", "br_null")
+	if !ok || s != "S_N" {
 		t.Errorf("S0 --br_null--> %s (%v)", s, ok)
 	}
-	s, ok = fsm.Next(npdN, evDeref)
-	if !ok || s != npdBug {
+	s, ok = fsm.Next("S_N", "deref")
+	if !ok || s != "S_NPD" {
 		t.Errorf("S_N --deref--> %s (%v)", s, ok)
 	}
 	// Undefined transitions keep the state.
-	s, ok = fsm.Next(npdBug, evBrNull)
-	if ok || s != npdBug {
+	s, ok = fsm.Next("S_NPD", "br_null")
+	if ok || s != "S_NPD" {
 		t.Errorf("undefined transition moved: %s (%v)", s, ok)
 	}
 }
 
-func TestAllFSMsWellFormed(t *testing.T) {
+// specEvents lists every event s's sources can emit.
+func specEvents(s *Spec) []Event {
+	evs := []Event{s.AssNull, s.BrNull, s.BrNonNull, s.Deref, s.AssBad, s.AssGood,
+		s.StoreBad, s.IndexUse, s.DivUse, s.Alloc, s.Write, s.Read, s.OpaqueInit, s.Leak}
+	for _, f := range s.BrConst {
+		evs = append(evs, f.Event)
+	}
+	for _, r := range s.Calls {
+		evs = append(evs, r.Event)
+	}
+	return evs
+}
+
+// allSpecs returns every built-in spec plus one per common pairing rule.
+func allSpecs() []*Spec {
+	var out []*Spec
 	for _, c := range AllCheckers() {
+		out = append(out, c.(*Spec))
+	}
+	out = append(out, NewUVAThreadUnaware())
+	for _, r := range CommonPairRules() {
+		out = append(out, NewPair(r))
+	}
+	return out
+}
+
+func TestAllFSMsWellFormed(t *testing.T) {
+	for _, c := range allSpecs() {
 		fsm := c.FSM()
+		// Every event a source emits must drive some transition, or the
+		// source is dead weight (a misspelled event name).
+		used := map[Event]bool{}
+		for _, m := range fsm.Transitions {
+			for e := range m {
+				used[e] = true
+			}
+		}
+		for _, e := range specEvents(c) {
+			if e != "" && !used[e] {
+				t.Errorf("%s: emitted event %q has no transition", c.Name(), e)
+			}
+		}
+		for _, s := range []State{c.Region, c.Held} {
+			if _, ok := fsm.Transitions[s]; s != "" && !ok {
+				t.Errorf("%s: state %s has no transitions", c.Name(), s)
+			}
+		}
 		if fsm.Initial == "" || fsm.Bug == "" || fsm.Name == "" {
 			t.Errorf("%s: incomplete FSM", c.Name())
 		}
@@ -62,16 +106,16 @@ func TestTrackerTransitionsAndSink(t *testing.T) {
 	obj := mkNode(g, "p")
 	in := &cir.Store{} // placeholder instruction (nil position is fine)
 
-	tr.Apply(0, Emission{Obj: obj, Event: evBrNull, Instr: in})
-	if got := tr.StateOf(0, obj); got != npdN {
+	tr.Apply(0, Emission{Obj: obj, Event: "br_null", Instr: in})
+	if got := tr.StateOf(0, obj); got != "S_N" {
 		t.Fatalf("state = %s, want S_N", got)
 	}
-	tr.Apply(0, Emission{Obj: obj, Event: evDeref, Instr: in})
+	tr.Apply(0, Emission{Obj: obj, Event: "deref", Instr: in})
 	if len(bugs) != 1 {
 		t.Fatalf("bug sink fired %d times, want 1", len(bugs))
 	}
 	// Re-entrant bug state fires again for each unsafe use.
-	tr.Apply(0, Emission{Obj: obj, Event: evDeref, Instr: in})
+	tr.Apply(0, Emission{Obj: obj, Event: "deref", Instr: in})
 	if len(bugs) != 2 {
 		t.Errorf("second deref should fire again, got %d", len(bugs))
 	}
@@ -90,7 +134,7 @@ func TestTrackerUnawareCountScalesWithAliasSet(t *testing.T) {
 	g.Move(b, a)
 	g.Move(c, a) // class of size 3
 	obj := g.NodeOf(a)
-	tr.Apply(0, Emission{Obj: obj, Event: evBrNull, Instr: &cir.Store{}})
+	tr.Apply(0, Emission{Obj: obj, Event: "br_null", Instr: &cir.Store{}})
 	if tr.Stats.Transitions != 1 {
 		t.Errorf("aware transitions = %d, want 1", tr.Stats.Transitions)
 	}
@@ -106,70 +150,69 @@ func TestTrackerRollback(t *testing.T) {
 	in := &cir.Store{}
 
 	m := tr.Checkpoint()
-	tr.Apply(0, Emission{Obj: obj, Event: evBrNull, Instr: in})
-	tr.SetProp(1, obj, propFrame, 7)
-	if tr.StateOf(0, obj) != npdN || tr.PropOf(1, obj, propFrame) != 7 {
+	tr.Apply(0, Emission{Obj: obj, Event: "br_null", Instr: in})
+	tr.set(1, obj, objRec{frame: 7})
+	if tr.StateOf(0, obj) != "S_N" || tr.rec(1, obj).frame != 7 {
 		t.Fatal("mutations not visible")
 	}
 	tr.Rollback(m)
-	if tr.StateOf(0, obj) != npdS0 {
+	if tr.StateOf(0, obj) != "S0" {
 		t.Error("state not rolled back")
 	}
-	if tr.PropOf(1, obj, propFrame) != 0 {
-		t.Error("prop not rolled back")
+	if tr.rec(1, obj).frame != 0 {
+		t.Error("ownership field not rolled back")
 	}
-	if len(tr.ObjectsInState(0, npdN)) != 0 {
+	if len(tr.touched[0]) != 0 {
 		t.Error("touched list not rolled back")
 	}
 }
 
 // TestTrackerRollbackRestoresOverwrites: Rollback restores overwritten
-// states and property values exactly, and replaying the writes reproduces
+// states and record fields exactly, and replaying the writes reproduces
 // them.
 func TestTrackerRollbackRestoresOverwrites(t *testing.T) {
 	g := aliasgraph.New()
 	obj1, obj2 := mkNode(g, "p"), mkNode(g, "q")
 	tr := NewTracker([]Checker{NewNPD()}, nil)
-	tr.setState(0, obj1, npdN)
-	tr.SetProp(0, obj1, "k", 7)
+	tr.set(0, obj1, objRec{state: "S_N", frame: 7})
 
 	m := tr.Checkpoint()
 	mutate := func() {
-		tr.SetProp(0, obj1, "k", 9) // prop overwrite
-		tr.setState(0, obj1, npdS0) // state overwrite
-		tr.setState(0, obj2, npdN)
+		tr.set(0, obj1, objRec{state: "S_NON", frame: 9}) // overwrite
+		tr.set(0, obj2, objRec{state: "S_N"})
 	}
 	mutate()
-	if tr.PropOf(0, obj1, "k") != 9 || tr.StateOf(0, obj1) != npdS0 || tr.StateOf(0, obj2) != npdN {
+	if tr.rec(0, obj1).frame != 9 || tr.StateOf(0, obj1) != "S_NON" || tr.StateOf(0, obj2) != "S_N" {
 		t.Fatal("mutations not visible")
 	}
 	tr.Rollback(m)
-	if got := tr.PropOf(0, obj1, "k"); got != 7 {
-		t.Errorf("prop after rollback = %d, want 7", got)
+	if got := tr.rec(0, obj1).frame; got != 7 {
+		t.Errorf("frame after rollback = %d, want 7", got)
 	}
-	if got := tr.StateOf(0, obj1); got != npdN {
-		t.Errorf("obj1 state after rollback = %s, want %s", got, npdN)
+	if got := tr.StateOf(0, obj1); got != "S_N" {
+		t.Errorf("obj1 state after rollback = %s, want S_N", got)
 	}
-	if got := tr.ObjectsInState(0, npdN); len(got) != 1 || got[0] != obj1 {
-		t.Errorf("objects in %s after rollback = %v, want only obj1", npdN, got)
+	if got := tr.touched[0]; len(got) != 1 || got[0] != obj1 {
+		t.Errorf("touched after rollback = %v, want only obj1", got)
 	}
 	mutate()
-	if tr.PropOf(0, obj1, "k") != 9 || tr.StateOf(0, obj1) != npdS0 || tr.StateOf(0, obj2) != npdN {
+	if tr.rec(0, obj1).frame != 9 || tr.StateOf(0, obj1) != "S_NON" || tr.StateOf(0, obj2) != "S_N" {
 		t.Error("replayed mutations not visible")
 	}
 }
 
+// TestObjectsInState: the leak sweep visits exactly the touched objects
+// still in the held state.
 func TestObjectsInState(t *testing.T) {
-	g := aliasgraph.New()
-	tr := NewTracker([]Checker{NewML()}, nil)
-	in := &cir.Store{}
-	a, b := mkNode(g, "a"), mkNode(g, "b")
-	tr.Apply(0, Emission{Obj: a, Event: evMalloc, Instr: in})
-	tr.Apply(0, Emission{Obj: b, Event: evMalloc, Instr: in})
-	tr.Apply(0, Emission{Obj: b, Event: evFree, Instr: in})
-	nf := tr.ObjectsInState(0, mlNF)
-	if len(nf) != 1 || nf[0] != a {
-		t.Errorf("ObjectsInState(S_NF) = %v", nf)
+	ml := NewML()
+	m := newMockCtx(ml)
+	a, b := preg("a"), preg("b")
+	feed(m, ml, mkCall("malloc", a, cir.IntConst(cir.I64, 8)))
+	feed(m, ml, mkCall("malloc", b, cir.IntConst(cir.I64, 8)))
+	feed(m, ml, mkCall("free", nil, b))
+	ems := ml.OnReturn(&cir.Ret{}, m, nil)
+	if len(ems) != 1 || ems[0].Obj != m.g.NodeOf(a) {
+		t.Errorf("leak sweep emissions = %v, want one on a", ems)
 	}
 }
 
@@ -183,21 +226,24 @@ func TestBranchFacts(t *testing.T) {
 	cmp.Dst.Def = cmp
 	br := &cir.CondBr{Cond: cmp.Dst, True: blkT, False: blkF}
 
-	facts := BranchFacts(br, true)
-	if len(facts) != 1 || facts[0].Pred != cir.PredEQ || facts[0].Val != p {
-		t.Fatalf("taken facts = %+v", facts)
+	facts, n := BranchFacts(br, true)
+	if n != 1 || facts[0].Pred != cir.PredEQ || facts[0].Val != p {
+		t.Fatalf("taken facts = %+v", facts[:n])
 	}
-	facts = BranchFacts(br, false)
-	if len(facts) != 1 || facts[0].Pred != cir.PredNE {
-		t.Fatalf("not-taken facts = %+v", facts)
+	facts, n = BranchFacts(br, false)
+	if n != 1 || facts[0].Pred != cir.PredNE {
+		t.Fatalf("not-taken facts = %+v", facts[:n])
 	}
 	// Constant on the left gets the swapped predicate.
 	cmp2 := &cir.Cmp{Dst: &cir.Register{Name: "c2", Typ: cir.I1}, Pred: cir.PredLT, X: cir.IntConst(cir.I64, 0), Y: p}
 	cmp2.Dst.Def = cmp2
 	br2 := &cir.CondBr{Cond: cmp2.Dst, True: blkT, False: blkF}
-	facts = BranchFacts(br2, true) // 0 < p  =>  p > 0
-	if len(facts) != 1 || facts[0].Pred != cir.PredGT {
-		t.Fatalf("swapped facts = %+v", facts)
+	facts, n = BranchFacts(br2, true) // 0 < p  =>  p > 0
+	if n != 1 || facts[0].Pred != cir.PredGT {
+		t.Fatalf("swapped facts = %+v", facts[:n])
+	}
+	if allocs := testing.AllocsPerRun(10, func() { BranchFacts(br2, true) }); allocs != 0 {
+		t.Errorf("BranchFacts allocates %.0f times, want 0", allocs)
 	}
 }
 
@@ -224,7 +270,7 @@ func TestIntrinsicsTable(t *testing.T) {
 // Property: tracker rollback after a random emission sequence restores the
 // initial state for every touched object.
 func TestTrackerRollbackProperty(t *testing.T) {
-	events := []Event{evBrNull, evBrNonNull, evAssNull, evDeref}
+	events := []Event{"br_null", "br_nonnull", "ass_null", "deref"}
 	f := func(choices []uint8) bool {
 		g := aliasgraph.New()
 		tr := NewTracker([]Checker{NewNPD()}, nil)
@@ -238,11 +284,11 @@ func TestTrackerRollbackProperty(t *testing.T) {
 		}
 		tr.Rollback(m)
 		for _, obj := range objs {
-			if tr.StateOf(0, obj) != npdS0 {
+			if tr.StateOf(0, obj) != "S0" {
 				return false
 			}
 		}
-		return len(tr.ObjectsInState(0, npdN)) == 0
+		return len(tr.touched[0]) == 0 && len(tr.recs) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -264,7 +310,7 @@ func TestUnawareDominatesProperty(t *testing.T) {
 			for j := 0; j < int(sz%5); j++ {
 				g.Move(&cir.Register{ID: 1000 + i*10 + j, Name: "w", Typ: cir.PointerTo(cir.I64)}, base)
 			}
-			tr.Apply(0, Emission{Obj: g.NodeOf(base), Event: evBrNull, Instr: in})
+			tr.Apply(0, Emission{Obj: g.NodeOf(base), Event: "br_null", Instr: in})
 		}
 		return tr.Stats.TransitionsUnaware >= tr.Stats.Transitions
 	}
@@ -276,11 +322,7 @@ func TestUnawareDominatesProperty(t *testing.T) {
 // Property: in every checker's FSM, the bug state is reachable from the
 // initial state (otherwise the checker can never report).
 func TestBugStateReachable(t *testing.T) {
-	checkers := AllCheckers()
-	for _, r := range CommonPairRules() {
-		checkers = append(checkers, NewPair(r))
-	}
-	for _, c := range checkers {
+	for _, c := range allSpecs() {
 		fsm := c.FSM()
 		seen := map[State]bool{fsm.Initial: true}
 		frontier := []State{fsm.Initial}
