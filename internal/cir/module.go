@@ -3,6 +3,7 @@ package cir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -77,7 +78,7 @@ func (fn *Function) Entry() *Block {
 
 // NewBlock creates, appends and returns a new basic block.
 func (fn *Function) NewBlock(name string) *Block {
-	b := &Block{Name: fmt.Sprintf("%s%d", name, len(fn.Blocks)), Fn: fn}
+	b := &Block{Name: name + strconv.Itoa(len(fn.Blocks)), Fn: fn}
 	fn.Blocks = append(fn.Blocks, b)
 	return b
 }
@@ -150,10 +151,19 @@ func NewModule(name string) *Module {
 // NewFunction creates and registers a function. Duplicate names are
 // disambiguated with a file-scope suffix when static.
 func (m *Module) NewFunction(name string, typ *FuncType) *Function {
-	fn := &Function{Name: name, Typ: typ, Mod: m}
-	m.Funcs[name] = fn
-	m.order = append(m.order, name)
+	fn := &Function{Name: name, Typ: typ}
+	m.AddFunction(fn)
 	return fn
+}
+
+// AddFunction registers fn under its name and appends it to definition
+// order. A frontend that creates functions before it knows their order
+// (minicc declares every file before it lowers any body) enters them in
+// Funcs first and calls AddFunction once the order is settled.
+func (m *Module) AddFunction(fn *Function) {
+	fn.Mod = m
+	m.Funcs[fn.Name] = fn
+	m.order = append(m.order, fn.Name)
 }
 
 // AddGlobal registers a global variable.

@@ -9,7 +9,8 @@ import (
 // (which runs the preprocessor, lexer, and parser) must return an error for
 // malformed input, never panic or hang. Lowering the successfully parsed
 // mutants additionally exercises the AST→CIR path on shapes no hand-written
-// test would produce.
+// test would produce. Each input is also split into two files and lowered
+// at GOMAXPROCS 1 and 4, which must give the same module or the same error.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -33,6 +34,13 @@ func FuzzParse(f *testing.F) {
 			// stack the binding limit; crash containment for that is the
 			// engine's job, not the lexer's.
 			t.Skip()
+		}
+		split := map[string]string{"a.c": src[:len(src)/2], "b.c": src[len(src)/2:]}
+		var one, four string
+		withProcs(1, func() { one = lowerDigest("fuzz", split) })
+		withProcs(4, func() { four = lowerDigest("fuzz", split) })
+		if one != four {
+			t.Errorf("two-file split lowers differently at GOMAXPROCS 1 (%s) and 4 (%s)", one, four)
 		}
 		file, err := Parse("fuzz.c", src)
 		if err != nil || file == nil {

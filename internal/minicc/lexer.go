@@ -110,21 +110,79 @@ func (lx *Lexer) skipTrivia() {
 	}
 }
 
-// punctuators, longest first so maximal munch works with a simple scan.
-var punctuators = []string{
-	"<<=", ">>=", "...",
-	"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
-	"(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "?",
+// punct returns the punctuator that starts s by maximal munch, or "" if
+// none does.
+func punct(s string) string {
+	var c1, c2 byte
+	if len(s) > 1 {
+		c1 = s[1]
+	}
+	if len(s) > 2 {
+		c2 = s[2]
+	}
+	n := 0
+	switch s[0] {
+	case '(', ')', '{', '}', '[', ']', ',', ';', ':', '?', '~':
+		n = 1
+	case '.':
+		n = 1
+		if c1 == '.' && c2 == '.' {
+			n = 3
+		}
+	case '<', '>':
+		// <, <=, <<, <<= and the same for >.
+		n = 1
+		if c1 == s[0] {
+			n = 2
+			if c2 == '=' {
+				n = 3
+			}
+		} else if c1 == '=' {
+			n = 2
+		}
+	case '-':
+		n = 1
+		if c1 == '>' || c1 == '-' || c1 == '=' {
+			n = 2
+		}
+	case '+', '&', '|':
+		// +, ++, += and the same for & and |.
+		n = 1
+		if c1 == s[0] || c1 == '=' {
+			n = 2
+		}
+	case '*', '/', '%', '^', '=', '!':
+		n = 1
+		if c1 == '=' {
+			n = 2
+		}
+	}
+	return s[:n]
 }
 
-// Next returns the next token.
+// Next returns the next token. A run of bytes that start no token is
+// skipped with one error, at its first byte.
 func (lx *Lexer) Next() Token {
-	lx.skipTrivia()
-	if lx.pos >= len(lx.src) {
-		return Token{Kind: EOF, Line: lx.line, Col: lx.col}
+	badEnd := -1
+	for {
+		lx.skipTrivia()
+		if lx.pos >= len(lx.src) {
+			return Token{Kind: EOF, Line: lx.line, Col: lx.col}
+		}
+		if t, ok := lx.token(); ok {
+			return t
+		}
+		if lx.pos != badEnd {
+			lx.errorf(lx.line, lx.col, "unexpected character %q", string(lx.peek()))
+		}
+		lx.advance()
+		badEnd = lx.pos
 	}
+}
+
+// token scans the token at the current position, which is not trivia and
+// not the end of input; ok is false when no token starts there.
+func (lx *Lexer) token() (tok Token, ok bool) {
 	line, col := lx.line, lx.col
 	c := lx.peek()
 
@@ -139,7 +197,7 @@ func (lx *Lexer) Next() Token {
 		if _, ok := keywords[text]; ok {
 			k = KEYWORD
 		}
-		return Token{Kind: k, Text: text, Line: line, Col: col}
+		return Token{Kind: k, Text: text, Line: line, Col: col}, true
 
 	case isDigit(c):
 		start := lx.pos
@@ -162,7 +220,7 @@ func (lx *Lexer) Next() Token {
 			lx.advance()
 		}
 		val := parseInt(text, base)
-		return Token{Kind: INT, Text: text, Val: val, Line: line, Col: col}
+		return Token{Kind: INT, Text: text, Val: val, Line: line, Col: col}, true
 
 	case c == '\'':
 		lx.advance()
@@ -180,7 +238,7 @@ func (lx *Lexer) Next() Token {
 		} else {
 			lx.errorf(line, col, "unterminated character literal")
 		}
-		return Token{Kind: CHARLIT, Text: "'c'", Val: v, Line: line, Col: col}
+		return Token{Kind: CHARLIT, Text: "'c'", Val: v, Line: line, Col: col}, true
 
 	case c == '"':
 		lx.advance()
@@ -197,21 +255,16 @@ func (lx *Lexer) Next() Token {
 		} else {
 			lx.errorf(line, col, "unterminated string literal")
 		}
-		return Token{Kind: STRING, Text: sb.String(), Line: line, Col: col}
+		return Token{Kind: STRING, Text: sb.String(), Line: line, Col: col}, true
 	}
 
-	rest := lx.src[lx.pos:]
-	for _, p := range punctuators {
-		if strings.HasPrefix(rest, p) {
-			for range p {
-				lx.advance()
-			}
-			return Token{Kind: PUNCT, Text: p, Line: line, Col: col}
-		}
+	p := punct(lx.src[lx.pos:])
+	if p == "" {
+		return Token{}, false
 	}
-	lx.errorf(line, col, "unexpected character %q", string(c))
-	lx.advance()
-	return lx.Next()
+	lx.pos += len(p)
+	lx.col += len(p)
+	return Token{Kind: PUNCT, Text: p, Line: line, Col: col}, true
 }
 
 func isHex(c byte) bool {
@@ -263,10 +316,17 @@ func escapeVal(c byte) int64 {
 	return int64(c)
 }
 
-// Tokenize returns all tokens of src (testing helper).
+// srcBytesPerToken sizes Tokenize's token slice. The generated corpora's
+// files have 3.3–4.3 bytes of preprocessed source per token (3.8 on
+// average), so estimating from a lower ratio lets them tokenize without
+// regrowing the slice.
+const srcBytesPerToken = 3
+
+// Tokenize returns all tokens of src, ending with EOF, and the lexical
+// errors found. Parse runs it on the preprocessed source.
 func Tokenize(file, src string) ([]Token, []error) {
 	lx := NewLexer(file, src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/srcBytesPerToken+1)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

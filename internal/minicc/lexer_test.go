@@ -1,8 +1,10 @@
 package minicc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -149,4 +151,69 @@ func itoa(v int64) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestLexStrayBytesRun pins that a run of bytes no token starts with costs
+// one error and linear time: a megabyte of '@' used to recurse once per
+// byte and record a million errors, taking seconds.
+func TestLexStrayBytesRun(t *testing.T) {
+	src := strings.Repeat("@", 1<<20)
+	start := time.Now()
+	toks, errs := Tokenize("big.c", src)
+	_, err := Parse("big.c", src)
+	elapsed := time.Since(start)
+	if len(toks) != 1 || toks[0].Kind != EOF {
+		t.Errorf("tokens = %v, want only EOF", toks)
+	}
+	if len(errs) != 1 {
+		t.Errorf("%d lexical errors, want 1", len(errs))
+	}
+	const want = `big.c:1:1: unexpected character "@"`
+	if err == nil || err.Error() != want {
+		t.Errorf("Parse error = %v, want %s", err, want)
+	}
+	if elapsed > 200*time.Millisecond && !raceEnabled {
+		t.Errorf("tokenizing and parsing 1 MB of stray bytes took %v, want under 200ms", elapsed)
+	}
+	// Separate runs are separate errors.
+	if _, errs := Tokenize("t.c", "int @@ x $ y;"); len(errs) != 2 {
+		t.Errorf("errors for two runs = %v, want 2", errs)
+	}
+}
+
+// TestLexPunctuatorsMaximalMunch checks the first-byte punctuator switch
+// against maximal munch over the full punctuator table, on every string of
+// up to three punctuator bytes.
+func TestLexPunctuatorsMaximalMunch(t *testing.T) {
+	table := []string{
+		"<<=", ">>=", "...",
+		"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+		"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
+		"(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "?",
+	}
+	munch := func(s string) string {
+		for _, p := range table { // longest first
+			if strings.HasPrefix(s, p) {
+				return p
+			}
+		}
+		return ""
+	}
+	alphabet := "<>=.-+*/%&|^~!(){}[],;:?a@"
+	var strs []string
+	for _, a := range alphabet {
+		strs = append(strs, string(a))
+		for _, b := range alphabet {
+			strs = append(strs, string(a)+string(b))
+			for _, c := range alphabet {
+				strs = append(strs, string(a)+string(b)+string(c))
+			}
+		}
+	}
+	for _, s := range strs {
+		if got, want := punct(s), munch(s); got != want {
+			t.Errorf("punct(%q) = %q, want %q", s, got, want)
+		}
+	}
 }

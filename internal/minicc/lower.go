@@ -1,8 +1,12 @@
 package minicc
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cir"
 )
@@ -18,47 +22,186 @@ func Lower(mod *cir.Module, file, src string) error {
 	return LowerFile(mod, f)
 }
 
-// LowerFile lowers a parsed file into mod.
+// LowerFile lowers a parsed file into mod, after the files already lowered
+// into it: it declares the file's structs, globals and functions, then
+// lowers its function bodies — LowerAll's two lowering passes, over one
+// file.
 func LowerFile(mod *cir.Module, f *File) error {
-	lw := &lowerer{mod: mod, file: f, enums: make(map[string]int64), statics: make(map[string]string)}
-	lw.run()
-	mod.Files = append(mod.Files, f.Name)
-	mod.SourceLines += f.Lines
-	if len(lw.errs) > 0 {
-		return lw.errs[0]
+	fe := &frontend{mod: mod}
+	d := fe.declare(f)
+	for _, u := range d.units {
+		fe.lowerBody(u)
 	}
-	return nil
+	return fe.finish([]*fileDecls{d})
 }
 
-// LowerAll lowers a set of sources (file name → text) into one module and
-// assigns instruction IDs.
+// LowerAll lowers a set of sources (file name → text) into one module,
+// assigns instruction IDs and verifies the result. Like the paper's P1,
+// which compiles each file on its own and joins the results through a
+// function-information database, it runs in four phases:
+//
+//  1. each file is parsed on its own, on a pool of GOMAXPROCS goroutines;
+//  2. one sequential declaration pass, in sorted file order, declares every
+//     file's enums, structs, globals and function signatures and renames
+//     colliding statics;
+//  3. function bodies are lowered on the pool against those frozen tables;
+//     the functions they take the address of and the implicit declarations
+//     of callees no file declares are then merged in file and body order;
+//  4. instruction IDs are assigned module-wide, and each function is
+//     verified on the pool.
+//
+// So a body sees the declarations of every file, not only of earlier ones.
+// The module depends only on sources, never on GOMAXPROCS or scheduling.
+// The error returned is the one lowering the files one after another
+// reports: going through the files in sorted order, the first that fails
+// gives its parse error, or else its first lowering error. Files after the
+// first that fails to parse are not lowered.
 func LowerAll(name string, sources map[string]string) (*cir.Module, error) {
 	mod := cir.NewModule(name)
-	// Deterministic file order.
 	names := make([]string, 0, len(sources))
 	for n := range sources {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		if err := Lower(mod, n, sources[n]); err != nil {
-			return mod, err
+
+	files := make([]*File, len(names))
+	parseErrs := make([]error, len(names))
+	forEach(len(names), func(i int) {
+		files[i], parseErrs[i] = Parse(names[i], sources[names[i]])
+	})
+	parsed := len(names)
+	for i, err := range parseErrs {
+		if err != nil {
+			parsed = i
+			break
 		}
 	}
+
+	fe := &frontend{mod: mod}
+	decls := make([]*fileDecls, parsed)
+	var units []*unit
+	for i := range decls {
+		decls[i] = fe.declare(files[i])
+		units = append(units, decls[i].units...)
+		files[i] = nil // from here on only the units hold the bodies' ASTs
+	}
+	forEach(len(units), func(i int) { fe.lowerBody(units[i]) })
+	if err := fe.finish(decls); err != nil {
+		return mod, err
+	}
+	if parsed < len(names) {
+		return mod, parseErrs[parsed]
+	}
+
 	mod.AssignGIDs()
-	if err := cir.Verify(mod); err != nil {
+	funcs := mod.SortedFuncs()
+	verrs := make([]error, len(funcs))
+	forEach(len(funcs), func(i int) { verrs[i] = cir.VerifyFunction(funcs[i]) })
+	if err := errors.Join(verrs...); err != nil {
 		return mod, fmt.Errorf("lowered module fails verification: %w", err)
 	}
 	return mod, nil
 }
 
-type lowerer struct {
-	mod  *cir.Module
-	file *File
-	errs []error
+// forEach calls f(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines and returns when all calls have. A panic in f is re-raised on
+// the caller's goroutine, where the caller's recover can contain it.
+func forEach(n int, f func(i int)) {
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		panicMu sync.Mutex
+		panicV  any
+	)
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicMu.Lock()
+					panicV = p
+					panicMu.Unlock()
+				}
+			}()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if panicV != nil {
+		panic(panicV)
+	}
+}
 
+// frontend holds what the lowering passes share across files.
+type frontend struct {
+	mod *cir.Module
+
+	// bodyStructs holds the struct types that only function bodies name.
+	// Bodies lower concurrently and so may not write mod.Structs; finish
+	// adds these to it.
+	mu          sync.Mutex
+	bodyStructs map[string]*cir.StructType
+}
+
+// fileDecls is what the declaration pass records for one file.
+type fileDecls struct {
+	name    string
 	enums   map[string]int64
-	statics map[string]string // source name -> mangled module name
+	statics map[string]static // source name -> renamed static
+	errs    []error           // reported while declaring the file's functions
+	// declared lists the functions the file declared first, in order.
+	declared []*cir.Function
+	units    []*unit // the file's function bodies, in source order
+}
+
+// static is a file-static function renamed because an earlier definition
+// has its name. Calls in the file's bodies from index from on use the new
+// name.
+type static struct {
+	name string
+	from int
+}
+
+// unit is one function body: claimed by the declaration pass, lowered on
+// the pool, merged by finish.
+type unit struct {
+	file *fileDecls
+	idx  int // index among the file's bodies
+	fd   *FuncDecl
+	fn   *cir.Function // nil for a duplicate body, which is skipped
+	// created is set when fn was made for this body (a static defined twice
+	// in one file); finish then gives fn its place in definition order.
+	created   bool
+	errs      []error // nil entries are placeholders finish resolves
+	uses      []use
+	addrTaken []string
+}
+
+// use is a body's reference to a function no declaration names. A call
+// declares the callee implicitly, as pre-C99 C does; an identifier is an
+// address-taken function if a call before it has done so, and an error
+// otherwise. Which calls come first is known only in file and body order,
+// so finish decides.
+type use struct {
+	name  string
+	nargs int      // the call's argument count; -1 for an identifier
+	pos   Position // an identifier's position
+	err   int      // an identifier's error placeholder in unit.errs
+}
+
+// implicitType is the type a call gives a callee nothing declares; the
+// declaration finish creates has one int parameter per argument.
+var implicitType = &cir.FuncType{Result: cir.I64, Variadic: true}
+
+type lowerer struct {
+	fe   *frontend
+	mod  *cir.Module
+	file *fileDecls
+	unit *unit // the body being lowered; nil in the declaration pass
+	errs []error
 
 	// per-function state
 	fn      *cir.Function
@@ -66,7 +209,7 @@ type lowerer struct {
 	scopes  []map[string]*cir.Register
 	labels  map[string]*cir.Block
 	defined map[string]bool // labels that have a LabelStmt
-	gotos   map[string]Position
+	gotos   []*GotoStmt     // in source order
 	// breaks is the stack of break targets (loops and switches); conts is
 	// the stack of continue targets (loops only).
 	breaks []*cir.Block
@@ -77,27 +220,98 @@ func (lw *lowerer) errorf(pos Position, format string, args ...any) {
 	lw.errs = append(lw.errs, &Error{File: pos.File, Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (lw *lowerer) run() {
-	for _, e := range lw.file.Enums {
+// declare is the declaration pass over one file. It leaves every function
+// with a body in f claimed (see claimBody) and ready to lower.
+func (fe *frontend) declare(f *File) *fileDecls {
+	d := &fileDecls{name: f.Name, enums: make(map[string]int64), statics: make(map[string]static)}
+	lw := &lowerer{fe: fe, mod: fe.mod, file: d}
+	for _, e := range f.Enums {
 		for i, n := range e.Names {
-			lw.enums[n] = e.Vals[i]
+			d.enums[n] = e.Vals[i]
 		}
 	}
-	for _, sd := range lw.file.Structs {
+	for _, sd := range f.Structs {
 		lw.lowerStruct(sd)
 	}
-	for _, g := range lw.file.Globals {
+	for _, g := range f.Globals {
 		lw.lowerGlobal(g)
 	}
 	// Declare all functions first so forward calls type-resolve.
-	for _, fd := range lw.file.Funcs {
+	for _, fd := range f.Funcs {
 		lw.declareFunc(fd)
 	}
-	for _, fd := range lw.file.Funcs {
+	d.errs = lw.errs
+	for _, fd := range f.Funcs {
 		if fd.Body != nil {
-			lw.lowerFunc(fd)
+			d.units = append(d.units, lw.claimBody(fd, len(d.units)))
 		}
 	}
+	fe.mod.Files = append(fe.mod.Files, f.Name)
+	fe.mod.SourceLines += f.Lines
+	return d
+}
+
+// lowerBody lowers u's body into its function. It reads the module's tables
+// and writes only u and u.fn, so bodies lower concurrently.
+func (fe *frontend) lowerBody(u *unit) {
+	if u.fn == nil {
+		return
+	}
+	lw := &lowerer{fe: fe, mod: fe.mod, file: u.file, unit: u, errs: u.errs}
+	lw.lowerFunc(u.fd)
+	u.errs = lw.errs
+	u.fd = nil // release the body's AST while other bodies lower
+}
+
+// finish merges the lowered bodies into the module in file and body order,
+// which is the order lowering one file after another would produce: each
+// file's declared functions, then per body the function it created and the
+// implicit declarations its calls made, enter the definition order. It
+// returns the first error in that order.
+func (fe *frontend) finish(decls []*fileDecls) error {
+	mod := fe.mod
+	var first error
+	for _, d := range decls {
+		for _, fn := range d.declared {
+			mod.AddFunction(fn)
+		}
+		if first == nil && len(d.errs) > 0 {
+			first = d.errs[0]
+		}
+		for _, u := range d.units {
+			if u.created {
+				mod.AddFunction(u.fn)
+			}
+			for _, use := range u.uses {
+				_, declared := mod.Funcs[use.name]
+				switch {
+				case use.nargs >= 0 && !declared:
+					ft := &cir.FuncType{Result: cir.I64, Variadic: true}
+					for range use.nargs {
+						ft.Params = append(ft.Params, cir.I64)
+					}
+					mod.NewFunction(use.name, ft)
+				case use.nargs < 0 && declared:
+					mod.AddressTaken[use.name] = true
+				case use.nargs < 0:
+					u.errs[use.err] = &Error{File: use.pos.File, Line: use.pos.Line, Col: use.pos.Col,
+						Msg: "undefined identifier " + use.name}
+				}
+			}
+			for _, name := range u.addrTaken {
+				mod.AddressTaken[name] = true
+			}
+			for _, err := range u.errs {
+				if first == nil && err != nil {
+					first = err
+				}
+			}
+		}
+	}
+	for _, st := range fe.bodyStructs {
+		mod.AddStruct(st)
+	}
+	return first
 }
 
 // resolveStruct returns (creating if needed) the nominal struct type.
@@ -105,8 +319,27 @@ func (lw *lowerer) resolveStruct(tag string) *cir.StructType {
 	if st, ok := lw.mod.Structs[tag]; ok {
 		return st
 	}
+	if lw.unit != nil {
+		return lw.fe.bodyStruct(tag)
+	}
 	st := &cir.StructType{Name: tag}
 	lw.mod.AddStruct(st)
+	return st
+}
+
+// bodyStruct returns the struct type a body names that the declaration
+// pass did not create, making one per tag however many bodies name it.
+func (fe *frontend) bodyStruct(tag string) *cir.StructType {
+	fe.mu.Lock()
+	defer fe.mu.Unlock()
+	st, ok := fe.bodyStructs[tag]
+	if !ok {
+		if fe.bodyStructs == nil {
+			fe.bodyStructs = make(map[string]*cir.StructType)
+		}
+		st = &cir.StructType{Name: tag}
+		fe.bodyStructs[tag] = st
+	}
 	return st
 }
 
@@ -157,16 +390,17 @@ func (lw *lowerer) lowerGlobal(g *VarDecl) {
 }
 
 // moduleName returns the module-level name of a source-level function,
-// mangling statics on collision.
-func (lw *lowerer) moduleName(fd *FuncDecl) string {
-	if mangled, ok := lw.statics[fd.Name]; ok {
-		return mangled
+// renaming a static definition whose name an earlier one has; from is the
+// first body index the new name applies to.
+func (lw *lowerer) moduleName(fd *FuncDecl, from int) string {
+	if s, ok := lw.file.statics[fd.Name]; ok {
+		return s.name
 	}
 	name := fd.Name
 	if prev, ok := lw.mod.Funcs[name]; ok && !prev.IsDecl() && fd.Body != nil {
 		if fd.Static {
-			name = fd.Name + "@" + lw.file.Name
-			lw.statics[fd.Name] = name
+			name = fd.Name + "@" + lw.file.name
+			lw.file.statics[fd.Name] = static{name: name, from: from}
 		} else {
 			lw.errorf(fd.Pos, "redefinition of function %s", fd.Name)
 		}
@@ -182,43 +416,80 @@ func (lw *lowerer) funcType(fd *FuncDecl) *cir.FuncType {
 	return ft
 }
 
+// declareFunc declares fd's function unless its module name is taken.
+// Functions enter mod.Funcs here so later files and every body resolve
+// them; finish gives them their place in definition order.
 func (lw *lowerer) declareFunc(fd *FuncDecl) {
-	name := lw.moduleName(fd)
-	if prev, ok := lw.mod.Funcs[name]; ok {
-		if prev.IsDecl() && fd.Body != nil {
-			prev.Typ = lw.funcType(fd) // refine declaration with definition's type
-		}
+	name := lw.moduleName(fd, 0)
+	if _, ok := lw.mod.Funcs[name]; ok {
 		return
 	}
-	fn := lw.mod.NewFunction(name, lw.funcType(fd))
-	fn.Pos = cir.Pos{File: fd.Pos.File, Line: fd.Pos.Line}
-	fn.File = lw.file.Name
-	fn.Static = fd.Static
+	fn := &cir.Function{Name: name, Typ: lw.funcType(fd), Mod: lw.mod,
+		Pos: cir.Pos{File: fd.Pos.File, Line: fd.Pos.Line}, File: lw.file.name, Static: fd.Static}
+	lw.mod.Funcs[name] = fn
+	lw.file.declared = append(lw.file.declared, fn)
 }
 
-// getOrDeclare returns the function for a call target, creating an implicit
-// external declaration for unknown names (as pre-C99 C does).
-func (lw *lowerer) getOrDeclare(name string, nargs int) *cir.Function {
-	if mangled, ok := lw.statics[name]; ok {
-		name = mangled
+// claimBody gives the body of fd, the idx-th in its file, its function. The
+// first definition of a module name claims it; a later one is renamed if
+// static (moduleName) and skipped if not. Claiming sets the function's
+// signature and position to the definition's, before any body that calls
+// it is lowered, and gives it its entry block, so IsDecl reports it defined
+// from here on.
+func (lw *lowerer) claimBody(fd *FuncDecl, idx int) *unit {
+	u := &unit{file: lw.file, idx: idx, fd: fd}
+	lw.errs = nil
+	name := lw.moduleName(fd, idx)
+	fn := lw.mod.Funcs[name]
+	switch {
+	case fn == nil:
+		fn = &cir.Function{Name: name, Mod: lw.mod}
+		lw.mod.Funcs[name] = fn
+		u.created = true
+	case !fn.IsDecl():
+		// Either an error was reported, or the same (non-static) function
+		// appears twice; skip the duplicate body.
+		u.errs = lw.errs
+		return u
+	}
+	fn.Typ = lw.funcType(fd)
+	fn.Pos = cir.Pos{File: fd.Pos.File, Line: fd.Pos.Line}
+	fn.File = lw.file.name
+	fn.Static = fd.Static
+	fn.NewBlock("entry")
+	u.fn = fn
+	u.errs = lw.errs
+	return u
+}
+
+// callee resolves a call target to its module name and type. A name nothing
+// declares is recorded for finish to declare implicitly; meanwhile the call
+// gets implicitType, which, like the int parameters of that declaration,
+// retypes no NULL argument.
+func (lw *lowerer) callee(name string, nargs int) (string, *cir.FuncType) {
+	if s, ok := lw.file.statics[name]; ok && s.from <= lw.unit.idx {
+		name = s.name
 	}
 	if fn, ok := lw.mod.Funcs[name]; ok {
-		return fn
+		return name, fn.Typ
 	}
-	ft := &cir.FuncType{Result: cir.I64, Variadic: true}
-	for i := 0; i < nargs; i++ {
-		ft.Params = append(ft.Params, cir.I64)
-	}
-	return lw.mod.NewFunction(name, ft)
+	lw.unit.uses = append(lw.unit.uses, use{name: name, nargs: nargs})
+	return name, implicitType
 }
 
 // ---- function bodies ----
 
-func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, make(map[string]*cir.Register)) }
+// pushScope opens a scope; its map is made by the first define in it, as
+// most blocks declare nothing.
+func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, nil) }
 func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
 
 func (lw *lowerer) define(name string, addr *cir.Register) {
-	lw.scopes[len(lw.scopes)-1][name] = addr
+	top := &lw.scopes[len(lw.scopes)-1]
+	if *top == nil {
+		*top = make(map[string]*cir.Register)
+	}
+	(*top)[name] = addr
 }
 
 func (lw *lowerer) lookup(name string) *cir.Register {
@@ -235,28 +506,11 @@ func (lw *lowerer) at(pos Position) {
 }
 
 func (lw *lowerer) lowerFunc(fd *FuncDecl) {
-	name := lw.moduleName(fd)
-	fn := lw.mod.Funcs[name]
-	if fn == nil || !fn.IsDecl() {
-		// Either an error was reported, or the same (non-static) function
-		// appears twice; skip the duplicate body.
-		if fn != nil && !fn.IsDecl() {
-			return
-		}
-		fn = lw.mod.NewFunction(name, lw.funcType(fd))
-	}
-	fn.Typ = lw.funcType(fd)
-	fn.Pos = cir.Pos{File: fd.Pos.File, Line: fd.Pos.Line}
-	fn.File = lw.file.Name
-	fn.Static = fd.Static
+	fn := lw.unit.fn
 	lw.fn = fn
 	lw.b = cir.NewBuilder(fn)
 	lw.labels = make(map[string]*cir.Block)
 	lw.defined = make(map[string]bool)
-	lw.gotos = make(map[string]Position)
-	lw.breaks = nil
-	lw.conts = nil
-	lw.scopes = nil
 	lw.pushScope()
 	lw.at(fd.Pos)
 
@@ -271,9 +525,11 @@ func (lw *lowerer) lowerFunc(fd *FuncDecl) {
 		lw.define(pd.Name, slot)
 	}
 	lw.lowerBlockStmt(fd.Body)
-	for label, pos := range lw.gotos {
-		if !lw.defined[label] {
-			lw.errorf(pos, "goto undefined label %s", label)
+	// Report each undefined label once, at its first goto.
+	for _, g := range lw.gotos {
+		if !lw.defined[g.Label] {
+			lw.errorf(g.Pos, "goto undefined label %s", g.Label)
+			lw.defined[g.Label] = true
 		}
 	}
 	lw.sealFunction()
@@ -352,9 +608,7 @@ func (lw *lowerer) lowerStmt(s Stmt) {
 		}
 	case *GotoStmt:
 		lw.at(st.Pos)
-		if _, seen := lw.gotos[st.Label]; !seen {
-			lw.gotos[st.Label] = st.Pos
-		}
+		lw.gotos = append(lw.gotos, st)
 		lw.b.Br(lw.labelBlock(st.Label))
 	case *LabelStmt:
 		lw.defined[st.Name] = true
@@ -694,7 +948,7 @@ func (lw *lowerer) lowerExpr(e Expr) cir.Value {
 	case *NullLit:
 		return cir.NullConst(cir.PointerTo(cir.I8))
 	case *Ident:
-		if v, ok := lw.enums[x.Name]; ok {
+		if v, ok := lw.file.enums[x.Name]; ok {
 			return cir.IntConst(cir.I64, v)
 		}
 		if slot := lw.lookup(x.Name); slot != nil {
@@ -717,10 +971,13 @@ func (lw *lowerer) lowerExpr(e Expr) cir.Value {
 			// A function name used as a value: record as address-taken and
 			// produce an opaque constant (function-pointer calls are out of
 			// scope, §7).
-			lw.mod.AddressTaken[x.Name] = true
+			lw.unit.addrTaken = append(lw.unit.addrTaken, x.Name)
 			return cir.IntConst(cir.I64, 0)
 		}
-		lw.errorf(x.Pos, "undefined identifier %s", x.Name)
+		// Either a function a call in an earlier body declared, or
+		// undefined: finish decides and fills the error slot if need be.
+		lw.unit.uses = append(lw.unit.uses, use{name: x.Name, nargs: -1, pos: x.Pos, err: len(lw.errs)})
+		lw.errs = append(lw.errs, nil)
 		return cir.IntConst(cir.I64, 0)
 	case *Unary:
 		return lw.lowerUnary(x)
@@ -937,20 +1194,19 @@ func (lw *lowerer) lowerTernary(x *Cond) cir.Value {
 }
 
 func (lw *lowerer) lowerCall(x *CallExpr) cir.Value {
-	callee := lw.getOrDeclare(x.Fun, len(x.Args))
+	callee, ft := lw.callee(x.Fun, len(x.Args))
 	var args []cir.Value
 	for i, a := range x.Args {
 		v := lw.lowerExpr(a)
-		if c, ok := v.(*cir.Const); ok && c.IsNull && i < len(callee.Typ.Params) {
-			if cir.IsPointer(callee.Typ.Params[i]) {
-				v = cir.NullConst(callee.Typ.Params[i])
+		if c, ok := v.(*cir.Const); ok && c.IsNull && i < len(ft.Params) {
+			if cir.IsPointer(ft.Params[i]) {
+				v = cir.NullConst(ft.Params[i])
 			}
 		}
 		args = append(args, v)
 	}
 	lw.at(x.Pos)
-	res := callee.Typ.Result
-	r := lw.b.Call(x.Fun, callee.Name, res, args...)
+	r := lw.b.Call(x.Fun, callee, ft.Result, args...)
 	if r == nil {
 		return cir.IntConst(cir.I64, 0)
 	}

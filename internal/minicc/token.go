@@ -5,6 +5,14 @@
 // to the CIR of internal/cir, playing the role Clang 9 plays in the paper's
 // P1 phase.
 //
+// As P1 compiles each file on its own and joins the results through a
+// function-information database, LowerAll parses the files in parallel,
+// declares every file's types, globals and function signatures in one
+// sequential pass in sorted file order, then lowers and verifies the
+// function bodies in parallel, on GOMAXPROCS goroutines. A body sees the
+// declarations of every file; the module does not depend on the number of
+// goroutines.
+//
 // Deliberately unsupported, matching the paper's stated limitations (§4, §7):
 // function-pointer calls, varargs data dependence, unions, floating point.
 package minicc
