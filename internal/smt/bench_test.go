@@ -2,24 +2,40 @@ package smt
 
 import "testing"
 
-// BenchmarkConjunction measures a typical alias-aware path conjunction
-// (equalities, bounds, one disequality).
+// BenchmarkConjunction measures solving path conjunctions. path is a
+// typical alias-aware one: an 8-link offset chain, bounds, one
+// disequality. chain-2000 states each link as v[j-1] == v[j] - 1, which
+// makes the newer variable the root at every union, so the union-find
+// grows one 2,000-deep chain; without path compression, resolving every
+// member to its root (as the witness model does) turns quadratic.
 func BenchmarkConjunction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ctx := NewContext()
-		s := NewSolver(ctx)
-		vars := make([]*Var, 8)
-		for j := range vars {
-			vars[j] = ctx.Var("v")
-		}
-		fs := []Formula{Ge(vars[0], Int(0))}
-		for j := 1; j < len(vars); j++ {
-			fs = append(fs, Eq(vars[j], Add(vars[j-1], Int(1))))
-		}
-		fs = append(fs, Le(vars[len(vars)-1], Int(100)), Ne(vars[3], Int(-5)))
-		if s.Solve(And(fs...)) != Sat {
-			b.Fatal("unexpected verdict")
-		}
+	for _, c := range []struct {
+		name  string
+		links int
+		link  func(prev, next *Var) Formula
+		hi    int64
+	}{
+		{"path", 8, func(prev, next *Var) Formula { return Eq(next, Add(prev, Int(1))) }, 100},
+		{"chain-2000", 2000, func(prev, next *Var) Formula { return Eq(prev, Sub(next, Int(1))) }, 2100},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ctx := NewContext()
+				s := NewSolver(ctx)
+				vars := make([]*Var, c.links)
+				for j := range vars {
+					vars[j] = ctx.Var("v")
+				}
+				fs := []Formula{Ge(vars[0], Int(0))}
+				for j := 1; j < len(vars); j++ {
+					fs = append(fs, c.link(vars[j-1], vars[j]))
+				}
+				fs = append(fs, Le(vars[len(vars)-1], Int(c.hi)), Ne(vars[3], Int(-5)))
+				if s.Solve(And(fs...)) != Sat {
+					b.Fatal("unexpected verdict")
+				}
+			}
+		})
 	}
 }
 

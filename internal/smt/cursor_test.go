@@ -139,46 +139,6 @@ func TestCursorRollbackRestoresExactly(t *testing.T) {
 	}
 }
 
-// TestCursorSoundnessSubset checks the cursor's soundness contract on a grid
-// of atom sequences: whenever the cursor answers Unsat for a prefix, the
-// batch solver must also answer Unsat for the same conjunction. (The
-// converse need not hold — the cursor may answer Sat where the batch solver
-// proves Unsat.)
-func TestCursorSoundnessSubset(t *testing.T) {
-	mkAtoms := func(ctx *Context) [][]Formula {
-		x, y, z := ctx.Var("x"), ctx.Var("y"), ctx.Var("z")
-		return [][]Formula{
-			{Eq(x, Int(0)), Ne(x, Int(0))},
-			{Lt(x, y), Lt(y, z), Lt(z, x)},
-			{Eq(x, Add(y, Int(5))), Le(x, Int(3)), Ge(y, Int(0))},
-			{Ge(x, Int(1)), Le(x, Int(1)), Ne(x, Int(1))},
-			{Eq(Mul(x, Int(2)), Int(7)), Ge(x, Int(0))},
-			{Eq(x, y), Eq(y, z), Ne(x, z)},
-			{Gt(Add(x, y), Int(10)), Le(x, Int(2)), Le(y, Int(2))},
-			{Eq(x, Int(-3)), Gt(x, Int(0))},
-		}
-	}
-	for si, seq := range mkAtoms(NewContext()) {
-		// Fresh context per sequence so cursor and solver agree on var IDs.
-		ctx := NewContext()
-		seq = mkAtoms(ctx)[si]
-		c := NewCursor(ctx)
-		s := NewSolver(ctx)
-		var prefix []Formula
-		for ai, f := range seq {
-			prefix = append(prefix, f)
-			res := c.Push(f)
-			if res != Unsat {
-				continue
-			}
-			batch := s.Solve(And(prefix...))
-			if batch != Unsat {
-				t.Errorf("seq %d atom %d: cursor Unsat but batch solver says %v", si, ai, batch)
-			}
-		}
-	}
-}
-
 func TestCursorStatsCounters(t *testing.T) {
 	ctx := NewContext()
 	c := NewCursor(ctx)

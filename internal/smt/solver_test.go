@@ -1,9 +1,7 @@
 package smt
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -210,77 +208,6 @@ func TestStatsCounting(t *testing.T) {
 	if s.Stats.Queries != 1 || s.Stats.Conjunctions != 1 || s.Stats.Atoms != 2 {
 		t.Errorf("stats = %+v", s.Stats)
 	}
-}
-
-// Property: for random small conjunctions of single-variable constraints, the
-// solver agrees with brute-force evaluation over a small domain whenever it
-// answers Unsat (soundness of Unsat).
-func TestUnsatSoundnessProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ctx := NewContext()
-		s := NewSolver(ctx)
-		vars := []*Var{ctx.Var("a"), ctx.Var("b")}
-		var atoms []Formula
-		n := rng.Intn(5) + 1
-		type ca struct {
-			v    int
-			pred string
-			c    int64
-		}
-		var cas []ca
-		preds := []string{"==", "!=", "<", "<=", ">", ">="}
-		for i := 0; i < n; i++ {
-			a := ca{v: rng.Intn(2), pred: preds[rng.Intn(6)], c: int64(rng.Intn(7) - 3)}
-			cas = append(cas, a)
-			atoms = append(atoms, &Atom{Pred: a.pred, X: vars[a.v], Y: Int(a.c)})
-		}
-		res := s.Solve(And(atoms...))
-		if res != Unsat {
-			return true // only Unsat claims are checked
-		}
-		// Brute force over [-5,5]^2.
-		for av := int64(-5); av <= 5; av++ {
-			for bv := int64(-5); bv <= 5; bv++ {
-				ok := true
-				for _, a := range cas {
-					val := av
-					if a.v == 1 {
-						val = bv
-					}
-					if !evalPred(a.pred, val, a.c) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					return false // solver said unsat but we found a model
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func evalPred(p string, a, b int64) bool {
-	switch p {
-	case "==":
-		return a == b
-	case "!=":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	}
-	return false
 }
 
 // Property: nnf is involution-stable — double negation yields the same
