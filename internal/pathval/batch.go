@@ -17,11 +17,13 @@
 // would build. Formula keys, cached verdicts, witness models, and trigger
 // values therefore match unbatched validation exactly.
 //
-// Soundness: the cursor's Unsat is a strict subset of the full solver's
-// refutation rules (see smt.Cursor's contract), and refuting a prefix of a
-// conjunction refutes every extension of it, so a screened candidate is one
-// the per-candidate path would also have dropped. Everything else falls back
-// to the full solve, so Sat verdicts are never manufactured by the screen.
+// Soundness: the cursor applies the same rule functions the full solver
+// runs on each cube, minus the solver's difference-bound check and
+// fixpoint iteration (see smt.Cursor's contract), so its Unsat is a subset
+// of the solver's; and refuting a prefix of a conjunction refutes every
+// extension of it, so a screened candidate is one the per-candidate path
+// would also have dropped. Everything else falls back to the full solve,
+// so Sat verdicts are never manufactured by the screen.
 package pathval
 
 import (

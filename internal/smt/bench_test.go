@@ -101,7 +101,7 @@ func BenchmarkCursorPush(b *testing.B) {
 // TestCursorPushSteadyStateAllocs guards the cursor's hot-loop allocation
 // behavior: a warmed cursor's checkpoint/push/rollback cycle allocates only
 // the per-atom constraint objects (linearized form, canonical form, root
-// list — currently ~12 small allocations per atom), never anything
+// list — currently ~9 small allocations per atom), never anything
 // proportional to the facts it already holds. The budget below is headroom
 // over the measured steady state; crossing it means a per-fact scan or copy
 // crept into the push path.
@@ -120,7 +120,7 @@ func TestCursorPushSteadyStateAllocs(t *testing.T) {
 		c.Rollback(m)
 	}
 	cycle()           // warm trail/constraint storage
-	const budget = 32 // two atoms, measured 24/op
+	const budget = 32 // two atoms, measured 18/op
 	if avg := testing.AllocsPerRun(100, cycle); avg > budget {
 		t.Errorf("cursor push cycle allocates %.1f/op in steady state, budget %d", avg, budget)
 	}

@@ -1,39 +1,45 @@
 package smt
 
-// Cursor is an incremental satisfiability front-end over a growing
-// conjunction of atoms. It wraps the same offset union-find + interval
-// machinery conjSolver uses for batch queries, but exposes it through
-// Push/Checkpoint/Rollback with an undo trail, mirroring the alias graph's
-// trail so a walk over a tree of paths can assert one branch condition,
-// descend, backtrack, and assert the other — all in O(changed facts)
-// instead of re-solving the whole conjunction at every fork.
+// Cursor holds the package's one decision core: an offset union-find over
+// equalities, per-class intervals, and stored inequalities and
+// disequalities, every mutation recorded on an undo trail. It serves two
+// drivers:
+//
+//   - Push/Checkpoint/Rollback assert one conjunct at a time, mirroring the
+//     alias graph's trail, so a walk over a tree of paths can assert one
+//     branch condition, descend, backtrack, and assert the other — all in
+//     O(changed facts) instead of re-solving the whole conjunction at every
+//     fork.
+//   - Solver runs each DNF cube on a fresh Cursor in batch order (classify
+//     every atom, absorb equalities, check difference bounds, propagate to
+//     a fixpoint, check disequalities), calling the same rule functions.
 //
 // Soundness contract: Push returns Unsat only when the accumulated
-// conjunction is provably unsatisfiable by rules that are a strict subset of
-// conjSolver's (equality absorption, one-shot interval propagation,
-// singleton disequality checks). Anything the cursor cannot decide is
-// reported as Sat ("not proven unsat"). This subset property is what lets
-// the batched Stage-2 screen (pathval) drop every candidate below a refuted
-// path prefix without changing the validated bug set: a cursor-UNSAT prefix
-// extends only to paths whose full Table-3 constraint system the full
-// solver would also refute.
+// conjunction is provably unsatisfiable. Its rules — atom classification,
+// equality absorption, the interval bound rule and the singleton
+// disequality check — are the functions the Solver calls; the Solver adds
+// difference-bound cycles and propagation to a fixpoint on top. So every
+// cursor Unsat is a Solver Unsat by construction, which is what lets the
+// batched Stage-2 screen (pathval) drop every candidate below a refuted
+// path prefix without changing the validated bug set. Anything the cursor
+// cannot decide is reported as Sat ("not proven unsat").
 //
-// Propagation is batched and change-driven: each stored constraint caches
-// its canonicalized form plus the event counter it was last propagated at,
-// and recheck revisits only constraints whose variables' intervals (or the
-// union-find shape) changed since. A Push that adds nothing new costs a
-// handful of integer compares instead of a full re-propagation sweep —
-// which is what keeps per-instruction asserts (one equality per
-// arithmetic definition) from turning each path into an O(atoms²) solve.
-// The skip rule is exact, not heuristic: interval propagation is a
-// deterministic monotone function of a constraint's canonical form and its
-// variables' current intervals, so re-running it with unchanged inputs is a
-// no-op and eliding the run leaves every derived bound — and therefore
-// every Sat/Unsat answer — identical to the eager sweep.
+// Propagation under Push is batched and change-driven: each stored
+// constraint caches its canonicalized form plus the event counter it was
+// last propagated at, and recheck revisits only constraints whose
+// variables' intervals (or the union-find shape) changed since. A Push that
+// adds nothing new costs a handful of integer compares instead of a full
+// re-propagation sweep — which is what keeps per-instruction asserts (one
+// equality per arithmetic definition) from turning each path into an
+// O(atoms²) solve. The skip rule is exact, not heuristic: interval
+// propagation is a deterministic monotone function of a constraint's
+// canonical form and its variables' current intervals, so re-running it
+// with unchanged inputs is a no-op and eliding the run leaves every derived
+// bound — and therefore every Sat/Unsat answer — identical to the eager
+// sweep.
 type Cursor struct {
 	ctx    *Context
-	parent map[int]int
-	offset map[int]int64 // var = parent + offset
+	links  map[int]link // var = parent + off; roots have no entry
 	ivs    map[int]interval
 	ineqs  []*lin // each lin <= 0, stored raw and canonicalized at use
 	diseqs []*lin // each lin != 0, stored raw
@@ -54,17 +60,19 @@ type Cursor struct {
 	ivMark     map[int]uint64
 	ineqC      []constrCache // parallel to ineqs
 	diseqC     []constrCache // parallel to diseqs
+}
 
-	// Pushes counts Push calls; Unsats counts those answered Unsat.
-	Pushes int64
-	Unsats int64
+// link is a non-root variable's union-find edge: var = parent + off.
+type link struct {
+	parent int
+	off    int64
 }
 
 // constrCache is the per-constraint incremental-recheck state: the
 // canonicalized form (raw variables rewritten through the union-find), its
 // sorted variable ids, and the epochs it was canonicalized/last processed
 // at. "Processed" means propagated for an inequality, evaluated for a
-// disequality.
+// disequality. A nil canon has not been computed yet.
 type constrCache struct {
 	canon      *lin
 	roots      []int
@@ -80,25 +88,27 @@ type cundoKind uint8
 const (
 	cuIv    cundoKind = iota // interval narrowed on a root
 	cuUnion                  // root attached under another root
+	cuLink                   // find re-pointed a link at its root
 	cuIneq                   // inequality appended
 	cuDiseq                  // disequality appended
 	cuUnsat                  // unsat flag raised
 )
 
+// cundo is one trail entry. x is the variable it concerns; iv/had hold x's
+// interval before the change (cuIv, cuUnion) and old its link (cuLink).
 type cundo struct {
-	kind       cundoKind
-	x, y       int
-	xIv, yIv   interval
-	xHad, yHad bool
+	kind cundoKind
+	had  bool
+	x    int
+	iv   interval
+	old  link
 }
 
-// NewCursor returns an empty cursor bound to ctx (used to intern opaque
-// subterms exactly as the batch solver does).
+// NewCursor returns an empty cursor that interns opaque subterms in ctx.
 func NewCursor(ctx *Context) *Cursor {
 	return &Cursor{
 		ctx:    ctx,
-		parent: make(map[int]int),
-		offset: make(map[int]int64),
+		links:  make(map[int]link),
 		ivs:    make(map[int]interval),
 		ivMark: make(map[int]uint64),
 	}
@@ -113,31 +123,20 @@ func (c *Cursor) Rollback(mark CursorMark) {
 		u := c.trail[len(c.trail)-1]
 		c.trail = c.trail[:len(c.trail)-1]
 		switch u.kind {
-		case cuIv:
-			if u.xHad {
-				c.ivs[u.x] = u.xIv
+		case cuIv, cuUnion:
+			if u.had {
+				c.ivs[u.x] = u.iv
 			} else {
 				delete(c.ivs, u.x)
 			}
+			if u.kind == cuUnion {
+				delete(c.links, u.x)
+				c.unionEpoch++
+			}
 			c.epoch++
 			c.ivMark[u.x] = c.epoch
-		case cuUnion:
-			delete(c.parent, u.x)
-			delete(c.offset, u.x)
-			if u.xHad {
-				c.ivs[u.x] = u.xIv
-			} else {
-				delete(c.ivs, u.x)
-			}
-			if u.yHad {
-				c.ivs[u.y] = u.yIv
-			} else {
-				delete(c.ivs, u.y)
-			}
-			c.unionEpoch++
-			c.epoch++
-			c.ivMark[u.x] = c.epoch
-			c.ivMark[u.y] = c.epoch
+		case cuLink:
+			c.links[u.x] = u.old
 		case cuIneq:
 			c.ineqs = c.ineqs[:len(c.ineqs)-1]
 			c.ineqC = c.ineqC[:len(c.ineqC)-1]
@@ -157,11 +156,9 @@ func (c *Cursor) Rollback(mark CursorMark) {
 // conservative. The mutation stays on the trail either way: callers that
 // prune on Unsat roll back to their checkpoint.
 func (c *Cursor) Push(f Formula) Result {
-	c.Pushes++
 	c.pushF(f)
 	c.recheck()
 	if c.unsat {
-		c.Unsats++
 		return Unsat
 	}
 	return Sat
@@ -178,44 +175,40 @@ func (c *Cursor) pushF(f Formula) {
 			c.pushF(g)
 		}
 	case *Atom:
-		c.pushAtom(ff)
+		splitAtom(c.ctx, ff, c.pushEq, c.pushIneq, c.addDiseq)
 	}
 }
 
-func (c *Cursor) pushAtom(a *Atom) {
-	x := linearizeTerm(c.ctx, a.X)
-	y := linearizeTerm(c.ctx, a.Y)
-	d := newLin()
-	d.add(x, 1)
-	d.add(y, -1) // d = X - Y
+// splitAtom linearizes a as d = X - Y and hands it to the callback for its
+// class: eq receives d for d == 0, diseq receives d for d != 0, and ineq
+// receives l with l <= 0 (strict comparisons tightened by one).
+func splitAtom(ctx *Context, a *Atom, eq, ineq, diseq func(*lin)) {
+	d := linearizeTerm(ctx, a.X)
+	d.add(linearizeTerm(ctx, a.Y), -1)
 	switch a.Pred {
 	case "==":
-		c.pushEq(d)
+		eq(d)
 	case "!=":
-		c.pushDiseq(d)
+		diseq(d)
 	case "<": // X - Y < 0  =>  X - Y + 1 <= 0
 		d.k++
-		c.pushIneq(d)
+		ineq(d)
 	case "<=":
-		c.pushIneq(d)
+		ineq(d)
 	case ">": // X - Y > 0  =>  Y - X + 1 <= 0
-		n := newLin()
-		n.add(d, -1)
+		n := d.neg()
 		n.k++
-		c.pushIneq(n)
+		ineq(n)
 	case ">=":
-		n := newLin()
-		n.add(d, -1)
-		c.pushIneq(n)
+		ineq(d.neg())
 	}
 }
 
-// pushEq mirrors conjSolver's phase-2 equality absorption: constants refute
-// directly, single unit-coefficient variables pin an interval, two-variable
-// unit differences merge union-find classes, and everything else degrades to
-// an inequality pair.
-func (c *Cursor) pushEq(d *lin) {
-	e := c.canon(d)
+// absorbEq absorbs the canonical equality e == 0: a constant refutes or
+// holds, a single unit-coefficient variable pins an interval, and a
+// two-variable unit difference merges union-find classes. It returns false,
+// changing nothing, for any other shape.
+func (c *Cursor) absorbEq(e *lin) bool {
 	ids := e.vars()
 	switch {
 	case len(ids) == 0:
@@ -223,9 +216,11 @@ func (c *Cursor) pushEq(d *lin) {
 			c.setUnsat()
 		}
 	case len(ids) == 1 && abs64(e.coef[ids[0]]) == 1:
+		// c*x + k == 0 => x = -k/c
 		v := -e.k / e.coef[ids[0]]
 		c.intersect(ids[0], interval{lo: v, hi: v})
 	case len(ids) == 2 && e.coef[ids[0]]*e.coef[ids[1]] == -1:
+		// x - y + k == 0 (up to sign) => x = y - k/cx
 		x, y := ids[0], ids[1]
 		if e.coef[x] == 1 {
 			c.union(x, y, -e.k)
@@ -233,38 +228,49 @@ func (c *Cursor) pushEq(d *lin) {
 			c.union(y, x, -e.k)
 		}
 	default:
-		n := newLin()
-		n.add(d, -1)
+		return false
+	}
+	return true
+}
+
+// pushEq absorbs d == 0, degrading to the inequality pair d <= 0, -d <= 0
+// when absorbEq cannot.
+func (c *Cursor) pushEq(d *lin) {
+	if !c.absorbEq(c.canon(d)) {
 		c.pushIneq(d)
-		c.pushIneq(n)
+		c.pushIneq(d.neg())
 	}
 }
 
-// pushIneq stores the inequality, caches its canonical form, and propagates
-// it once immediately (so the same Push can already observe its bounds);
-// recheck then revisits it only when its inputs change.
-func (c *Cursor) pushIneq(l *lin) {
+// addIneq stores l <= 0 without propagating it.
+func (c *Cursor) addIneq(l *lin) {
 	c.ineqs = append(c.ineqs, l)
+	c.ineqC = append(c.ineqC, constrCache{})
 	c.trail = append(c.trail, cundo{kind: cuIneq})
-	cc := constrCache{canon: c.canon(l), canonEpoch: c.unionEpoch}
-	cc.roots = cc.canon.vars()
+}
+
+// pushIneq stores the inequality and propagates it once immediately (so the
+// same Push can already observe its bounds); recheck then revisits it only
+// when its inputs change.
+func (c *Cursor) pushIneq(l *lin) {
+	c.addIneq(l)
+	cc := &c.ineqC[len(c.ineqC)-1]
+	c.refreshCanon(l, cc)
 	cc.doneEpoch = c.epoch
-	c.ineqC = append(c.ineqC, cc)
 	c.propagateCanon(cc.canon, cc.roots)
 }
 
-func (c *Cursor) pushDiseq(l *lin) {
+// addDiseq stores l != 0; its doneEpoch of 0 makes the next recheck
+// evaluate it.
+func (c *Cursor) addDiseq(l *lin) {
 	c.diseqs = append(c.diseqs, l)
+	c.diseqC = append(c.diseqC, constrCache{})
 	c.trail = append(c.trail, cundo{kind: cuDiseq})
-	cc := constrCache{canon: c.canon(l), canonEpoch: c.unionEpoch}
-	cc.roots = cc.canon.vars()
-	// doneEpoch 0 forces the first evaluation in the recheck below.
-	c.diseqC = append(c.diseqC, cc)
 }
 
-// propagateCanon applies one round of the phase-3 bound-derivation rule for
-// a single already-canonicalized inequality sum(ci*xi) + k <= 0, with ids
-// holding its variables in deterministic order.
+// propagateCanon applies the bound rule once to a canonical inequality
+// sum(ci*xi) + k <= 0, with ids holding its variables in deterministic
+// order: each xi is narrowed to ci*xi <= -k - sum_{j != i} min(cj*xj).
 func (c *Cursor) propagateCanon(l *lin, ids []int) {
 	if c.unsat {
 		return
@@ -298,9 +304,23 @@ func (c *Cursor) propagateCanon(l *lin, ids []int) {
 	}
 }
 
-// refreshCanon re-canonicalizes constraint cc when the union-find shape
-// changed since its cached form was computed; doneEpoch resets so the next
-// staleness check reprocesses it under the new form.
+// diseqViolated reports whether the canonical disequality l != 0 over roots
+// is refuted: every variable is pinned to a single value and the sum is 0.
+func (c *Cursor) diseqViolated(l *lin, roots []int) bool {
+	val := l.k
+	for _, id := range roots {
+		v, ok := c.iv(id).singleton()
+		if !ok {
+			return false
+		}
+		val += l.coef[id] * v
+	}
+	return val == 0
+}
+
+// refreshCanon (re)canonicalizes constraint cc when it has no form yet or
+// the union-find shape changed since its form was computed; doneEpoch
+// resets so the next staleness check reprocesses it under the new form.
 func (c *Cursor) refreshCanon(raw *lin, cc *constrCache) {
 	if cc.canon != nil && cc.canonEpoch == c.unionEpoch {
 		return
@@ -324,11 +344,10 @@ func (c *Cursor) stale(cc *constrCache) bool {
 
 // recheck runs one propagation round over the stored inequalities whose
 // inputs changed (so a new bound flows through older constraints) and
-// re-evaluates the disequalities whose variables have collapsed to
-// singletons. Constraints with unchanged canonical form and unchanged
-// variable intervals are skipped: reprocessing them is provably a no-op, so
-// the derived bounds — and every Sat/Unsat answer — match what an
-// unconditional sweep would produce.
+// re-evaluates the disequalities whose variables changed. Constraints with
+// unchanged canonical form and unchanged variable intervals are skipped:
+// reprocessing them is provably a no-op, so the derived bounds — and every
+// Sat/Unsat answer — match what an unconditional sweep would produce.
 func (c *Cursor) recheck() {
 	if c.unsat {
 		return
@@ -352,41 +371,41 @@ func (c *Cursor) recheck() {
 			continue
 		}
 		cc.doneEpoch = c.epoch
-		l := cc.canon
-		val := l.k
-		fixed := true
-		for _, id := range cc.roots {
-			v, ok := c.iv(id).singleton()
-			if !ok {
-				fixed = false
-				break
-			}
-			val += l.coef[id] * v
-		}
-		if fixed && val == 0 {
+		if c.diseqViolated(cc.canon, cc.roots) {
 			c.setUnsat()
 			return
 		}
 	}
 }
 
-// find returns (root, offsetToRoot) without path compression: compression
-// would complicate the undo trail, and cursor chains stay shallow because a
-// path pushes at most a few dozen equalities.
+// find returns (root, offsetToRoot). It compresses the path it walks,
+// trailing every re-pointed link so Rollback restores the exact shape:
+// without compression, each find on a long equality chain costs the
+// chain's length.
 func (c *Cursor) find(x int) (int, int64) {
-	var off int64
+	root, off := x, int64(0)
 	for {
-		p, ok := c.parent[x]
-		if !ok || p == x {
-			return x, off
+		l, ok := c.links[root]
+		if !ok {
+			break
 		}
-		off += c.offset[x]
-		x = p
+		off += l.off
+		root = l.parent
 	}
+	for rem := off; x != root; {
+		l := c.links[x]
+		if l.parent != root {
+			c.trail = append(c.trail, cundo{kind: cuLink, x: x, old: l})
+			c.links[x] = link{parent: root, off: rem}
+		}
+		rem -= l.off
+		x = l.parent
+	}
+	return root, off
 }
 
-// union records x = y + d, merging intervals like conjSolver.union but with
-// every mutation trailed.
+// union records x = y + d, attaching x's root under y's and moving its
+// interval across.
 func (c *Cursor) union(x, y int, d int64) {
 	rx, ox := c.find(x) // x = rx + ox
 	ry, oy := c.find(y) // y = ry + oy
@@ -397,34 +416,16 @@ func (c *Cursor) union(x, y int, d int64) {
 		}
 		return
 	}
-	u := cundo{kind: cuUnion, x: rx, y: ry}
-	u.xIv, u.xHad = c.ivs[rx]
-	u.yIv, u.yHad = c.ivs[ry]
-	c.trail = append(c.trail, u)
 	off := oy + d - ox // rx = ry + off
-	c.parent[rx] = ry
-	c.offset[rx] = off
+	u := cundo{kind: cuUnion, x: rx}
+	u.iv, u.had = c.ivs[rx]
+	c.trail = append(c.trail, u)
+	c.links[rx] = link{parent: ry, off: off}
 	c.unionEpoch++
-	if u.xHad {
+	if u.had {
 		// rx = ry + off  =>  ry's interval is rx's shifted by -off.
 		delete(c.ivs, rx)
-		shifted := interval{lo: satAdd(u.xIv.lo, -off), hi: satAdd(u.xIv.hi, -off)}
-		cur := u.yIv
-		if !u.yHad {
-			cur = fullInterval()
-		}
-		if shifted.lo > cur.lo {
-			cur.lo = shifted.lo
-		}
-		if shifted.hi < cur.hi {
-			cur.hi = shifted.hi
-		}
-		c.ivs[ry] = cur
-		c.epoch++
-		c.ivMark[ry] = c.epoch
-		if cur.empty() {
-			c.setUnsat()
-		}
+		c.intersect(ry, interval{lo: satAdd(u.iv.lo, -off), hi: satAdd(u.iv.hi, -off)})
 	}
 }
 
@@ -451,7 +452,7 @@ func (c *Cursor) intersect(x int, nv interval) {
 	if next == cur {
 		return
 	}
-	c.trail = append(c.trail, cundo{kind: cuIv, x: x, xIv: cur, xHad: had})
+	c.trail = append(c.trail, cundo{kind: cuIv, x: x, iv: cur, had: had})
 	c.ivs[x] = next
 	c.epoch++
 	c.ivMark[x] = c.epoch

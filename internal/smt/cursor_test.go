@@ -138,17 +138,3 @@ func TestCursorRollbackRestoresExactly(t *testing.T) {
 			len(c.trail), len(c.ineqs), len(c.diseqs), c.unsat)
 	}
 }
-
-func TestCursorStatsCounters(t *testing.T) {
-	ctx := NewContext()
-	c := NewCursor(ctx)
-	x := ctx.Var("x")
-	c.Push(Eq(x, Int(1)))
-	c.Push(Eq(x, Int(2)))
-	if c.Pushes != 2 {
-		t.Fatalf("Pushes = %d, want 2", c.Pushes)
-	}
-	if c.Unsats != 1 {
-		t.Fatalf("Unsats = %d, want 1", c.Unsats)
-	}
-}

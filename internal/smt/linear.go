@@ -30,6 +30,13 @@ func (l *lin) add(o *lin, mult int64) {
 	l.k += o.k * mult
 }
 
+// neg returns -l.
+func (l *lin) neg() *lin {
+	n := newLin()
+	n.add(l, -1)
+	return n
+}
+
 func (l *lin) isConst() bool { return len(l.coef) == 0 }
 
 // vars returns the variable IDs in deterministic order.
@@ -42,13 +49,9 @@ func (l *lin) vars() []int {
 	return ids
 }
 
-// linearize converts a term to a linear expression, delegating non-linear
-// subterms to interned opaque variables.
-func (s *conjSolver) linearize(t Term) *lin { return linearizeTerm(s.ctx, t) }
-
-// linearizeTerm is the shared translation used by both the batch conjSolver
-// and the incremental Cursor; both must intern opaque subterms through the
-// same Context so that identical non-linear terms map to the same variable.
+// linearizeTerm converts a term to a linear expression, delegating
+// non-linear subterms to opaque variables interned in ctx, so identical
+// non-linear terms map to the same variable.
 func linearizeTerm(ctx *Context, t Term) *lin {
 	out := newLin()
 	switch tt := t.(type) {

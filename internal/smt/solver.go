@@ -42,14 +42,15 @@ type Stats struct {
 // overshoot to one bounded slice of work.
 const pollStride = 16
 
+// maxIters bounds interval-propagation rounds per conjunction.
+const maxIters = 50
+
 // Solver decides formulas built from the constructors in this package.
 type Solver struct {
 	ctx *Context
 	// MaxCubes bounds DNF expansion; beyond it the solver answers Unknown
 	// rather than exploding.
 	MaxCubes int
-	// MaxIters bounds interval-propagation rounds per conjunction.
-	MaxIters int
 	// Deadline, when non-zero, makes the solver give up with Unknown once
 	// the wall clock passes it. Checked between cubes and between interval
 	// propagation rounds, so a query stops within one bounded unit of work.
@@ -89,7 +90,7 @@ func (s *Solver) interrupted() bool {
 
 // NewSolver returns a solver bound to ctx.
 func NewSolver(ctx *Context) *Solver {
-	return &Solver{ctx: ctx, MaxCubes: 64, MaxIters: 50}
+	return &Solver{ctx: ctx, MaxCubes: 64}
 }
 
 // Solve decides f.
@@ -218,188 +219,49 @@ func (s *Solver) dnf(f Formula, max int) ([][]*Atom, bool) {
 	return [][]*Atom{{}}, false
 }
 
-// ---- conjunction solving ----
-
-type conjSolver struct {
-	ctx    *Context
-	parent map[int]int
-	offset map[int]int64 // var = parent + offset
-	ivs    map[int]interval
-	ineqs  []*lin // each lin <= 0
-	diseqs []*lin // each lin != 0
-	unsat  bool
-}
-
-// find returns (root, offsetToRoot) with path compression.
-func (c *conjSolver) find(x int) (int, int64) {
-	p, ok := c.parent[x]
-	if !ok || p == x {
-		return x, 0
-	}
-	r, o := c.find(p)
-	c.parent[x] = r
-	c.offset[x] = c.offset[x] + o
-	return r, c.offset[x]
-}
-
-// union records x = y + d.
-func (c *conjSolver) union(x, y int, d int64) {
-	rx, ox := c.find(x) // x = rx + ox
-	ry, oy := c.find(y) // y = ry + oy
-	if rx == ry {
-		// x = y + d  =>  rx + ox = ry + oy + d  =>  ox == oy + d
-		if ox != oy+d {
-			c.unsat = true
-		}
-		return
-	}
-	// Attach rx under ry: rx = ry + (oy + d - ox).
-	c.parent[rx] = ry
-	c.offset[rx] = oy + d - ox
-	// Merge intervals of rx into ry, shifted.
-	if iv, ok := c.ivs[rx]; ok {
-		shifted := interval{lo: satAdd(iv.lo, c.offset[rx]*-1), hi: satAdd(iv.hi, c.offset[rx]*-1)}
-		// rx = ry + off  =>  ry = rx - off, so ry's interval is rx's shifted by -off.
-		c.intersect(ry, shifted)
-		delete(c.ivs, rx)
-	}
-}
-
-func (c *conjSolver) iv(x int) interval {
-	if iv, ok := c.ivs[x]; ok {
-		return iv
-	}
-	return fullInterval()
-}
-
-func (c *conjSolver) intersect(x int, nv interval) bool {
-	cur := c.iv(x)
-	changed := false
-	if nv.lo > cur.lo {
-		cur.lo = nv.lo
-		changed = true
-	}
-	if nv.hi < cur.hi {
-		cur.hi = nv.hi
-		changed = true
-	}
-	c.ivs[x] = cur
-	if cur.empty() {
-		c.unsat = true
-	}
-	return changed
-}
-
-// canon rewrites l in terms of representatives.
-func (c *conjSolver) canon(l *lin) *lin {
-	out := newLin()
-	out.k = l.k
-	for id, coef := range l.coef {
-		r, o := c.find(id)
-		out.addVar(int64(r), coef)
-		out.k += coef * o
-	}
-	return out
-}
-
-func (s *Solver) solveConj(atoms []*Atom) Result {
-	r, _ := s.solveConjModel(atoms)
-	return r
-}
-
+// solveConjModel decides one cube on a fresh Cursor in batch order: every
+// atom is classified first, equalities are absorbed in two passes (so
+// substitutions expose new unions), and only then do the difference-bound
+// check, interval propagation to a fixpoint and the disequality check run.
+// The order fixes which variables become union-find roots, and with them
+// the witness models.
 func (s *Solver) solveConjModel(atoms []*Atom) (Result, Model) {
-	c := &conjSolver{
-		ctx:    s.ctx,
-		parent: make(map[int]int),
-		offset: make(map[int]int64),
-		ivs:    make(map[int]interval),
-	}
 	s.Stats.Atoms += len(atoms)
+	c := NewCursor(s.ctx)
 
-	// Phase 1: classify atoms.
 	var eqs []*lin
+	addEq := func(d *lin) { eqs = append(eqs, d) }
 	for _, a := range atoms {
-		x := c.linearize(a.X)
-		y := c.linearize(a.Y)
-		d := newLin()
-		d.add(x, 1)
-		d.add(y, -1) // d = X - Y
-		switch a.Pred {
-		case "==":
-			eqs = append(eqs, d)
-		case "!=":
-			c.diseqs = append(c.diseqs, d)
-		case "<": // X - Y < 0  =>  X - Y + 1 <= 0
-			d.k++
-			c.ineqs = append(c.ineqs, d)
-		case "<=":
-			c.ineqs = append(c.ineqs, d)
-		case ">": // X - Y > 0  =>  Y - X + 1 <= 0
-			n := newLin()
-			n.add(d, -1)
-			n.k++
-			c.ineqs = append(c.ineqs, n)
-		case ">=":
-			n := newLin()
-			n.add(d, -1)
-			c.ineqs = append(c.ineqs, n)
-		}
+		splitAtom(s.ctx, a, addEq, c.addIneq, c.addDiseq)
 	}
 
-	// Phase 2: absorb equalities into the offset union-find where possible;
-	// the rest become inequality pairs. Two passes let substitutions expose
-	// new union opportunities.
+	// Two absorption passes let substitutions expose new unions; the
+	// equalities absorbEq still cannot take become inequality pairs.
 	for pass := 0; pass < 2 && !c.unsat; pass++ {
-		var rest []*lin
+		rest := eqs[:0]
 		for _, e := range eqs {
-			e = c.canon(e)
-			ids := e.vars()
-			switch {
-			case len(ids) == 0:
-				if e.k != 0 {
-					c.unsat = true
-				}
-			case len(ids) == 1 && abs64(e.coef[ids[0]]) == 1:
-				// c*x + k == 0 => x = -k/c
-				v := -e.k / e.coef[ids[0]]
-				c.intersect(ids[0], interval{lo: v, hi: v})
-			case len(ids) == 2 && e.coef[ids[0]]*e.coef[ids[1]] == -1:
-				// x - y + k == 0 (up to sign) => x = y - k/cx
-				x, y := ids[0], ids[1]
-				if e.coef[x] == 1 {
-					c.union(x, y, -e.k)
-				} else { // coef[x] == -1, coef[y] == 1
-					c.union(y, x, -e.k)
-				}
-			default:
+			if e = c.canon(e); !c.absorbEq(e) {
 				rest = append(rest, e)
 			}
 		}
 		eqs = rest
 	}
 	for _, e := range eqs {
-		n := newLin()
-		n.add(e, -1)
-		c.ineqs = append(c.ineqs, e, n)
+		c.addIneq(e)
+		c.addIneq(e.neg())
 	}
-	if c.unsat {
+	if c.unsat || !c.differenceConsistent() {
 		return Unsat, nil
 	}
 
-	// Phase 2b: difference constraints x - y <= k form a constraint graph;
-	// a negative cycle refutes the conjunction even when no variable has an
-	// absolute bound (Bellman-Ford over representatives).
-	if !c.differenceConsistent() {
-		return Unsat, nil
-	}
-
-	// Phase 3: interval propagation to fixpoint.
-	for iter := 0; iter < s.MaxIters && !c.unsat; iter++ {
+	// Interval propagation to a fixpoint: a round changed something iff it
+	// moved the cursor's epoch.
+	for iter := 0; iter < maxIters && !c.unsat; iter++ {
 		if s.interrupted() {
 			return Unknown, nil
 		}
-		changed := false
-		for i, raw := range c.ineqs {
+		start := c.epoch
+		for i := range c.ineqs {
 			if i > 0 && i%pollStride == 0 {
 				if s.pollHook != nil {
 					s.pollHook()
@@ -409,40 +271,11 @@ func (s *Solver) solveConjModel(atoms []*Atom) (Result, Model) {
 					return Unknown, nil
 				}
 			}
-			l := c.canon(raw)
-			ids := l.vars()
-			if len(ids) == 0 {
-				if l.k > 0 {
-					c.unsat = true
-				}
-				continue
-			}
-			// sum ci*xi + k <= 0. For each xi:
-			// ci*xi <= -k - sum_{j != i} min(cj*xj)
-			for _, xi := range ids {
-				rest := int64(-l.k)
-				for _, xj := range ids {
-					if xj == xi {
-						continue
-					}
-					r := mulRange(l.coef[xj], c.iv(xj))
-					rest = satAdd(rest, -r.lo)
-				}
-				ci := l.coef[xi]
-				cur := c.iv(xi)
-				var nv interval = fullInterval()
-				if ci > 0 {
-					nv.hi = floorDiv(rest, ci)
-				} else {
-					nv.lo = ceilDiv(rest, ci)
-				}
-				if c.intersect(xi, nv) {
-					changed = true
-				}
-				_ = cur
-			}
+			cc := &c.ineqC[i]
+			c.refreshCanon(c.ineqs[i], cc)
+			c.propagateCanon(cc.canon, cc.roots)
 		}
-		if c.unsat || !changed {
+		if c.epoch == start {
 			break
 		}
 	}
@@ -450,28 +283,25 @@ func (s *Solver) solveConjModel(atoms []*Atom) (Result, Model) {
 		return Unsat, nil
 	}
 
-	// Phase 4: disequalities.
-	for _, raw := range c.diseqs {
-		l := c.canon(raw)
-		ids := l.vars()
-		val := l.k
-		fixed := true
-		for _, id := range ids {
-			if v, ok := c.iv(id).singleton(); ok {
-				val += l.coef[id] * v
-			} else {
-				fixed = false
-				break
-			}
-		}
-		if fixed && val == 0 {
+	for i := range c.diseqs {
+		cc := &c.diseqC[i]
+		c.refreshCanon(c.diseqs[i], cc)
+		if c.diseqViolated(cc.canon, cc.roots) {
 			return Unsat, nil
 		}
 	}
-	// Derive witness values from the final state: representatives take a
-	// value inside their interval (preferring 0, then the nearest bound);
-	// other variables follow via their offsets.
-	model := make(Model)
+	return Sat, c.model()
+}
+
+// model derives witness values from the final state: roots take a value
+// inside their interval (preferring 0, then the nearest bound); other
+// variables follow via their offsets. The key set is part of the answer —
+// pathval prints a trigger only for variables the model covers — so it
+// covers every root with an interval, every root of an inequality's
+// canonical form (an unbounded one takes 0) and every union-find member
+// with its root.
+func (c *Cursor) model() Model {
+	m := make(Model)
 	pickVal := func(iv interval) int64 {
 		switch {
 		case iv.lo <= 0 && iv.hi >= 0:
@@ -482,35 +312,43 @@ func (s *Solver) solveConjModel(atoms []*Atom) (Result, Model) {
 			return iv.hi
 		}
 	}
-	for id := range c.ivs {
-		model[id] = pickVal(c.iv(id))
+	for id, iv := range c.ivs {
+		m[id] = pickVal(iv)
 	}
-	for id := range c.parent {
+	for i := range c.ineqC {
+		for _, r := range c.ineqC[i].roots {
+			if _, ok := m[r]; !ok {
+				m[r] = pickVal(c.iv(r))
+			}
+		}
+	}
+	for id := range c.links {
 		r, off := c.find(id)
-		rv, ok := model[r]
+		rv, ok := m[r]
 		if !ok {
 			rv = pickVal(c.iv(r))
-			model[r] = rv
+			m[r] = rv
 		}
-		model[id] = rv + off
+		m[id] = rv + off
 	}
-	return Sat, model
+	return m
 }
 
 // differenceConsistent checks the difference-bound fragment: every
 // inequality of the form x - y + k <= 0 (unit coefficients, two variables)
 // becomes an edge y →(−k)… in the constraint graph; the system is
 // inconsistent iff the graph has a negative cycle.
-func (c *conjSolver) differenceConsistent() bool {
+func (c *Cursor) differenceConsistent() bool {
 	type edge struct {
 		from, to int
 		w        int64
 	}
 	var edges []edge
 	nodes := map[int]bool{}
-	for _, raw := range c.ineqs {
-		l := c.canon(raw)
-		ids := l.vars()
+	for i := range c.ineqs {
+		cc := &c.ineqC[i]
+		c.refreshCanon(c.ineqs[i], cc)
+		l, ids := cc.canon, cc.roots
 		if len(ids) != 2 {
 			continue
 		}

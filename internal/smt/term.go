@@ -3,12 +3,17 @@
 // linear integer (in)equalities over alias-class symbols, with occasional
 // disjunctions from lowered boolean operators.
 //
-// The decision procedure combines offset union-find over equalities,
-// interval (bound) propagation over linear atoms, and disequality checking,
-// with bounded DNF splitting for disjunctions. UNSAT answers are sound;
-// SAT answers may be over-approximate (the paper accepts the same
-// incompleteness for Z3 on complex arithmetic, §5.2) — a "SAT" path keeps
-// its bug report, which is the conservative direction for a bug finder.
+// One decision core, Cursor, holds an offset union-find over equalities,
+// per-class intervals and the stored inequalities and disequalities. Solver
+// expands a formula into at most MaxCubes DNF cubes and decides each on a
+// fresh Cursor: equality absorption, a difference-bound negative-cycle
+// check, interval (bound) propagation to a fixpoint, then disequality
+// checking. The batched Stage-2 screen pushes atoms into one Cursor
+// incrementally and calls the same rule functions, so its Unsat is a
+// subset of the Solver's. UNSAT answers are sound; SAT answers may be
+// over-approximate (the paper accepts the same incompleteness for Z3 on
+// complex arithmetic, §5.2) — a "SAT" path keeps its bug report, which is
+// the conservative direction for a bug finder.
 package smt
 
 import (
