@@ -23,7 +23,6 @@
 //	-run-timeout D         wall-clock budget for the whole run (0 = none)
 //	-max-retries N         degrade-ladder retries per sick entry (0 = default 1)
 //	-cache-dir DIR         persist per-entry results in DIR for incremental re-runs
-//	-cache-max-bytes N     evict least-recently-used cache entries past N bytes
 //	-cpuprofile FILE       write a CPU profile of the analysis to FILE
 //	-memprofile FILE       write an allocation profile at exit to FILE
 //	-blockprofile FILE     write a goroutine blocking profile at exit to FILE
@@ -69,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	unroll := flags.Int("unroll", 1, "loop unroll factor (paper default 1)")
 	workers := flags.Int("workers", 0, "analysis workers for both stages (0 = GOMAXPROCS, 1 = one worker)")
 	cacheDir := flags.String("cache-dir", "", "persist per-entry analysis results in this directory for incremental re-runs")
-	cacheMaxBytes := flags.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries once the cache exceeds this many bytes (0 = unlimited)")
 	entryTimeout := flags.Duration("entry-timeout", 0, "wall-clock budget per entry function, e.g. 30s (0 = no deadline); sick entries retry on the degrade ladder and are reported as incomplete")
 	runTimeout := flags.Duration("run-timeout", 0, "wall-clock budget for the whole analysis (0 = no deadline); on expiry the partial result is reported")
 	maxRetries := flags.Int("max-retries", 0, "degrade-ladder retries for a timed-out or panicking entry (0 = default 1, negative = none)")
@@ -92,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		LoopUnroll:              *unroll,
 		Workers:                 *workers,
 		CacheDir:                *cacheDir,
-		CacheMaxBytes:           *cacheMaxBytes,
 		WitnessPaths:            *witness,
 		EntryTimeout:            *entryTimeout,
 		RunTimeout:              *runTimeout,
@@ -175,25 +172,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return exit(0)
 	}
-	if len(res.Bugs) == 0 {
-		fmt.Fprintln(stdout, "no bugs found")
-		// Result.String (the branch below) already renders the incomplete
-		// section; without bugs it must still be visible.
-		report.WriteIncomplete(stdout, res.Incomplete)
-	} else {
-		fmt.Fprint(stdout, res)
-		if *witness {
-			for i, b := range res.Bugs {
-				fmt.Fprintf(stdout, "\n[%d] %s at %s:%d\n", i+1, b.Type, b.File, b.Line)
-				if len(b.Trigger) > 0 {
-					fmt.Fprintf(stdout, "    trigger: %s\n", strings.Join(b.Trigger, ", "))
-				}
-				if len(b.AliasSet) > 0 {
-					fmt.Fprintf(stdout, "    alias set: %s\n", strings.Join(b.AliasSet, ", "))
-				}
-				for _, line := range b.Witness {
-					fmt.Fprintln(stdout, "   ", line)
-				}
+	fmt.Fprint(stdout, res.Report())
+	if *witness {
+		for i, b := range res.Bugs {
+			fmt.Fprintf(stdout, "\n[%d] %s at %s:%d\n", i+1, b.Type, b.File, b.Line)
+			if len(b.Trigger) > 0 {
+				fmt.Fprintf(stdout, "    trigger: %s\n", strings.Join(b.Trigger, ", "))
+			}
+			if len(b.AliasSet) > 0 {
+				fmt.Fprintf(stdout, "    alias set: %s\n", strings.Join(b.AliasSet, ", "))
+			}
+			for _, line := range b.Witness {
+				fmt.Fprintln(stdout, "   ", line)
 			}
 		}
 	}

@@ -36,7 +36,6 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		maxQueue       = fs.Int("max-queue", 8, "requests waiting for a slot before load-shedding with retry_after_ms")
 		drainTimeout   = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain grace period for in-flight work on SIGTERM/shutdown")
 		cacheDir       = fs.String("cache-dir", "", "persist per-entry analysis capsules in this directory (enables crash-safe warm restart)")
-		cacheMaxBytes  = fs.Int64("cache-max-bytes", 0, "evict least-recently-used capsules past this many bytes (0 = unlimited)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -69,12 +68,11 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	cfg := pata.Config{
-		LoopUnroll:    *unroll,
-		Workers:       *workers,
-		EntryTimeout:  *entryTimeout,
-		MaxRetries:    *maxRetries,
-		CacheDir:      *cacheDir,
-		CacheMaxBytes: *cacheMaxBytes,
+		LoopUnroll:   *unroll,
+		Workers:      *workers,
+		EntryTimeout: *entryTimeout,
+		MaxRetries:   *maxRetries,
+		CacheDir:     *cacheDir,
 	}
 	if *checkers != "" {
 		cfg.Checkers = strings.Split(*checkers, ",")

@@ -64,7 +64,7 @@ func e2eExpectedReport(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderReport(res)
+	return res.Report()
 }
 
 // daemon is one spawned subprocess daemon.

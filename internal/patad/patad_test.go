@@ -48,7 +48,7 @@ func cliReport(t *testing.T, sources map[string]string, cfg pata.Config) string 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return renderReport(res)
+	return res.Report()
 }
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -510,5 +510,49 @@ func TestSessionInvalidateThenAnalyzeOrdering(t *testing.T) {
 	}
 	if an := byID["a"]; !an.OK || len(an.Bugs) != 0 {
 		t.Errorf("analyze after fix still reports bugs: %+v", an.Bugs)
+	}
+}
+
+// TestOversizedLineKeepsSession: a request line longer than the line cap
+// gets an error response, and the session keeps serving the lines after
+// it. The cap is lowered from 64 MiB to keep the test small; the reader
+// path is the same.
+func TestOversizedLineKeepsSession(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	srv.maxLine = 4 << 10
+	cr, sw := io.Pipe()
+	sr, cw := io.Pipe()
+	go func() {
+		defer sw.Close()
+		srv.ServeStream(sr, sw)
+	}()
+	go func() {
+		defer cw.Close()
+		big := strings.Repeat("x", 2*srv.maxLine)
+		io.WriteString(cw, `{"op":"ping","id":"p1"}`+"\n"+
+			`{"op":"invalidate","id":"big","sources":{"b.c":"`+big+`"}}`+"\n"+
+			`{"op":"ping","id":"p2"}`+"\n")
+	}()
+
+	sc := bufio.NewScanner(cr)
+	var resps []Response
+	for sc.Scan() {
+		var resp Response
+		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
+			t.Fatalf("bad response line %q: %v", sc.Text(), err)
+		}
+		resps = append(resps, resp)
+	}
+	if len(resps) != 3 {
+		t.Fatalf("got %d responses, want 3: %+v", len(resps), resps)
+	}
+	if r := resps[0]; !r.OK || r.ID != "p1" {
+		t.Errorf("first ping: %+v", r)
+	}
+	if r := resps[1]; r.OK || !strings.Contains(r.Error, "line longer than") {
+		t.Errorf("oversized line: %+v", r)
+	}
+	if r := resps[2]; !r.OK || r.ID != "p2" {
+		t.Errorf("ping after the oversized line: %+v", r)
 	}
 }

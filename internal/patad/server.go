@@ -7,19 +7,12 @@ import (
 	"net"
 	"os"
 	"runtime/debug"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	pata "repro"
-	"repro/internal/acache"
-	"repro/internal/callgraph"
-	"repro/internal/cir"
 	"repro/internal/core"
-	"repro/internal/minicc"
-	"repro/internal/report"
 )
 
 // Options configures a Server.
@@ -63,21 +56,15 @@ type Server struct {
 	// capsule store. nil when CacheDir is unset or unusable.
 	resident *residentCache
 	adm      *admission
+	// maxLine caps a request line's length (scanMaxBuf).
+	maxLine int
 
-	// modMu guards the current module epoch. Analyses snapshot the module
-	// pointer and run on it unlocked (modules are immutable once
-	// published, fingerprints pre-warmed); invalidations build and publish
-	// a fresh one. In-flight analyses on the old epoch finish undisturbed.
-	// cg is the epoch's call graph and entryKeys its salt-0 entry keys by
-	// entry name, so the next invalidate diffs against them instead of
-	// rebuilding the old graph. The initial epoch's keys are computed by
-	// the first invalidate (nil until then), keeping start-up as cheap as
-	// a cold daemon needs.
-	modMu     sync.Mutex
-	sources   map[string]string
-	mod       *cir.Module
-	cg        *callgraph.Graph
-	entryKeys map[string]uint64
+	// prog is the published program epoch. Analyses load the pointer and
+	// run on it unlocked: a published Program is immutable and indexed, so
+	// concurrent requests only read its fingerprint memo. An invalidate
+	// derives the next Program and stores it; in-flight analyses on the
+	// old epoch finish undisturbed.
+	prog atomic.Pointer[pata.Program]
 
 	served atomic.Int64
 
@@ -105,8 +92,9 @@ type Server struct {
 
 // New builds a Server: resolves the engine configuration once (one shared
 // validator, so the in-memory verdict cache stays warm across requests),
-// opens the capsule store, lowers the initial module, and pre-warms every
-// function fingerprint so concurrent requests only ever read the memo.
+// opens the capsule store, and loads the initial Program, indexing it
+// before it is published so concurrent requests only ever read the
+// fingerprint memo.
 func New(opts Options) (*Server, error) {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = 1
@@ -123,13 +111,7 @@ func New(opts Options) (*Server, error) {
 		opts.Stderr = os.Stderr
 	}
 
-	// Resolve the engine config with CacheDir stripped: the server owns
-	// the store's lifecycle (shared across requests, flushed on drain), so
-	// it opens the store itself instead of letting EngineConfig do it as a
-	// side effect.
-	cfgNoCache := opts.Config
-	cfgNoCache.CacheDir = ""
-	ec, err := cfgNoCache.EngineConfig()
+	ec, err := opts.Config.EngineConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -139,96 +121,28 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		ec:      ec,
 		adm:     newAdmission(opts.MaxInFlight, opts.MaxQueue),
+		maxLine: scanMaxBuf,
 		drainCh: make(chan struct{}),
 		doneCh:  make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	s.killCtx, s.killCancel = context.WithCancel(context.Background())
 
-	if opts.Config.CacheDir != "" {
-		store, err := acache.Open(opts.Config.CacheDir, opts.Config.CacheMaxBytes)
-		if err != nil {
-			// Same trade as the CLI: an unusable cache directory degrades
-			// to an uncached (cold-restart) daemon, never to a dead one.
-			fmt.Fprintf(opts.Stderr, "patad: cache disabled: %v\n", err)
-		} else {
-			store.WarnLog = opts.Stderr
-			s.resident = newResidentCache(store)
-			s.ec.Cache = s.resident
-		}
+	// Same trade as the CLI: an unusable cache directory degrades to an
+	// uncached (cold-restart) daemon, never to a dead one.
+	if store := opts.Config.OpenCache(opts.Stderr); store != nil {
+		store.WarnLog = opts.Stderr
+		s.resident = newResidentCache(store)
+		s.ec.Cache = s.resident
 	}
 
-	mod, err := lowerAndFingerprint(opts.Sources, nil)
-	if err != nil {
-		return nil, fmt.Errorf("patad: frontend: %w", err)
-	}
-	s.publish(cloneSources(opts.Sources), mod, callgraph.Build(mod), nil)
-	return s, nil
-}
-
-// entryKeys returns cg's salt-0 entry keys by entry name. The module's
-// fingerprints must already be warmed (lowerAndFingerprint).
-func entryKeys(cg *callgraph.Graph) map[string]uint64 {
-	entries := cg.EntryFunctions()
-	keys := make(map[string]uint64, len(entries))
-	for _, fn := range entries {
-		keys[fn.Name] = cg.EntryKey(fn, 0)
-	}
-	return keys
-}
-
-// publish installs a new module epoch.
-func (s *Server) publish(sources map[string]string, mod *cir.Module, cg *callgraph.Graph, keys map[string]uint64) {
-	s.modMu.Lock()
-	s.sources = sources
-	s.mod = mod
-	s.cg = cg
-	s.entryKeys = keys
-	s.modMu.Unlock()
-}
-
-// snapshot returns the current module epoch.
-func (s *Server) snapshot() *cir.Module {
-	s.modMu.Lock()
-	defer s.modMu.Unlock()
-	return s.mod
-}
-
-// lowerAndFingerprint lowers sources into a fresh module and warms every
-// defined function's fingerprint memo before the module is shared, so
-// later concurrent key passes are read-only. When prev is non-nil, only
-// functions whose defining file actually changed are re-fingerprinted —
-// unchanged files' functions adopt the previous epoch's memo (identical
-// source text lowers to an identical rendering, so the hash is the same by
-// construction; TestAdoptedFingerprintsMatchRecompute pins it).
-func lowerAndFingerprint(sources map[string]string, prev *prevEpoch) (*cir.Module, error) {
-	mod, err := minicc.LowerAll("program", sources)
+	prog, err := pata.Load("program", opts.Sources)
 	if err != nil {
 		return nil, err
 	}
-	for _, fn := range mod.SortedFuncs() {
-		if prev != nil && !prev.changedFiles[fn.File] {
-			if old, ok := prev.mod.Funcs[fn.Name]; ok && fn.AdoptFingerprint(old) {
-				continue
-			}
-		}
-		fn.Fingerprint()
-	}
-	return mod, nil
-}
-
-// prevEpoch carries what lowerAndFingerprint needs to skip unchanged work.
-type prevEpoch struct {
-	mod          *cir.Module
-	changedFiles map[string]bool
-}
-
-func cloneSources(src map[string]string) map[string]string {
-	out := make(map[string]string, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
+	prog.Index()
+	s.prog.Store(prog)
+	return s, nil
 }
 
 // beginWork registers one unit of in-flight work, refusing once drain has
@@ -488,16 +402,14 @@ func (s *Server) analyzeInto(ctx context.Context, req *Request, send func(*Respo
 		defer tcancel()
 	}
 
-	mod := s.snapshot()
-	res := core.RunParallelCtx(rctx, mod, s.ec, s.opts.Config.Workers)
+	pres := s.prog.Load().Analyze(rctx, s.ec, s.opts.Config.Workers, s.opts.Config.WitnessPaths || req.Witness)
 	if s.resident != nil {
 		s.resident.endAnalyze()
 	}
-	pres := pata.ConvertResult(res, s.opts.Config.WitnessPaths || req.Witness)
 	s.served.Add(1)
 
 	resp.OK = true
-	resp.Report = renderReport(pres)
+	resp.Report = pres.Report()
 	resp.Bugs = pres.Bugs
 	resp.Incomplete = pres.Incomplete
 	resp.Stats = &pres.Stats
@@ -505,142 +417,39 @@ func (s *Server) analyzeInto(ctx context.Context, req *Request, send func(*Respo
 	sent = true
 }
 
-// invalidate applies a source edit, re-lowers, re-fingerprints exactly the
-// changed files' functions, and reports the invalidation frontier. A
-// module that no longer lowers (parse error) costs this request only: the
-// previous epoch stays published and keeps serving.
+// invalidate applies a source edit through Program.Update, publishes the
+// next epoch, and reports the changed functions and the invalidation
+// frontier. A module that no longer lowers (parse error) costs this
+// request only: the previous epoch stays published and keeps serving.
 func (s *Server) invalidate(req *Request) *Response {
 	resp := &Response{ID: req.ID, Op: req.Op}
-
-	s.modMu.Lock()
-	oldMod, oldCG, oldKeys := s.mod, s.cg, s.entryKeys
-	next := cloneSources(s.sources)
-	s.modMu.Unlock()
-
-	changedFiles := make(map[string]bool)
-	for name, content := range req.Sources {
-		if prev, ok := next[name]; !ok || prev != content {
-			changedFiles[name] = true
-		}
-		next[name] = content
-	}
-	for _, name := range req.Remove {
-		if _, ok := next[name]; ok {
-			changedFiles[name] = true
-		}
-		delete(next, name)
-	}
-	if len(changedFiles) == 0 {
-		resp.OK = true // no-op invalidation: everything stays warm
-		return resp
-	}
-	if len(next) == 0 {
-		resp.Error = "invalidate would remove every source file"
-		return resp
-	}
-
-	mod, err := lowerAndFingerprint(next, &prevEpoch{mod: oldMod, changedFiles: changedFiles})
+	next, changed, frontier, err := s.prog.Load().Update(req.Sources, req.Remove)
 	if err != nil {
-		resp.Error = fmt.Sprintf("frontend: %v", err)
+		resp.Error = err.Error()
 		return resp
 	}
-
-	// Changed = defined functions whose content fingerprint differs across
-	// the epochs (including added and removed definitions). Declarations
-	// are opaque to the engine and do not contribute to entry keys.
-	changed := make(map[string]bool)
-	for name, old := range oldMod.Funcs {
-		if old.IsDecl() {
-			continue
-		}
-		nf, ok := mod.Funcs[name]
-		if !ok || nf.IsDecl() || nf.Fingerprint() != old.Fingerprint() {
-			changed[name] = true
-		}
-	}
-	for name, nf := range mod.Funcs {
-		if nf.IsDecl() {
-			continue
-		}
-		if of, ok := oldMod.Funcs[name]; !ok || of.IsDecl() {
-			changed[name] = true
-		}
-	}
-
-	// Frontier = entry functions whose transitive content key changed —
-	// computed with the same callgraph.EntryKey the incremental cache
-	// uses (salt 0: both sides share whatever configuration salt the real
-	// keys carry, so it cancels out of the comparison). This is exactly
-	// the set the next analyze re-runs; everything else replays warm.
-	if oldKeys == nil {
-		oldKeys = entryKeys(oldCG)
-	}
-	cg := callgraph.Build(mod)
-	keys := entryKeys(cg)
-	var frontier []string
-	for name, key := range keys {
-		if old, ok := oldKeys[name]; !ok || old != key {
-			frontier = append(frontier, name)
-		}
-	}
-	sort.Strings(frontier)
-
-	s.publish(next, mod, cg, keys)
-
+	s.prog.Store(next)
 	resp.OK = true
-	resp.Changed = sortedNames(changed)
-	resp.Frontier = frontier
+	resp.Changed, resp.Frontier = changed, frontier
 	return resp
-}
-
-func sortedNames(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // status builds the OpStatus payload.
 func (s *Server) status(req *Request) *Response {
-	s.modMu.Lock()
-	files, entries := len(s.sources), len(s.cg.EntryFunctions())
-	s.modMu.Unlock()
+	prog := s.prog.Load()
 	info := &StatusInfo{
 		InFlight: s.adm.inFlight(),
 		Queued:   int(s.adm.queued.Load()),
 		Draining: s.Draining(),
-		Files:    files,
-		Entries:  entries,
+		Files:    prog.Files(),
+		Entries:  prog.Entries(),
 		Served:   s.served.Load(),
 		Shed:     s.adm.shed.Load(),
-		CacheDir: s.cacheDir(),
 	}
 	if s.resident != nil {
+		info.CacheDir = s.resident.disk.Dir()
 		n, b := s.resident.size()
 		info.ResidentEntries, info.ResidentKB = n, b/1024
 	}
 	return &Response{ID: req.ID, Op: req.Op, OK: true, Status: info}
-}
-
-func (s *Server) cacheDir() string {
-	if s.resident == nil {
-		return ""
-	}
-	return s.resident.disk.Dir()
-}
-
-// renderReport produces the same text the pata CLI prints for a result
-// (sans the optional -witness / -stats trailers) — the warm-restart and
-// parity tests compare this byte-for-byte against CLI stdout.
-func renderReport(res *pata.Result) string {
-	var b strings.Builder
-	if len(res.Bugs) == 0 {
-		b.WriteString("no bugs found\n")
-		report.WriteIncomplete(&b, res.Incomplete)
-	} else {
-		fmt.Fprint(&b, res)
-	}
-	return b.String()
 }

@@ -11,12 +11,31 @@ import (
 	"sync"
 )
 
-// scanner sizing: requests inline whole source files, so lines can be
-// large. 64 KiB initial, 64 MiB hard cap per line.
+// Request lines inline whole source files, so they can be large: reads go
+// through a 64 KiB buffer, and a line longer than 64 MiB (Server.maxLine)
+// is answered with an error instead of being served.
 const (
 	scanInitBuf = 64 << 10
 	scanMaxBuf  = 64 << 20
 )
+
+// readLine returns the next line of r without its newline, reusing buf. A
+// line of more than max bytes, newline included, is read to its end and
+// reported as tooLong, so the session can answer it and go on with the
+// next line. err is r's error after the last line (io.EOF at the end of
+// the stream).
+func readLine(r *bufio.Reader, buf []byte, max int) (line []byte, tooLong bool, err error) {
+	line = buf[:0]
+	for {
+		frag, err := r.ReadSlice('\n')
+		if tooLong = tooLong || len(line)+len(frag) > max; !tooLong {
+			line = append(line, frag...)
+		}
+		if err != bufio.ErrBufferFull {
+			return bytes.TrimSuffix(line, []byte("\n")), tooLong, err
+		}
+	}
+}
 
 // sessionWriter serializes one-line JSON responses onto a shared stream.
 // Analyze responses come from per-request goroutines, so writes must be
@@ -40,12 +59,14 @@ func (sw *sessionWriter) send(resp *Response) {
 	sw.w.Write([]byte("\n"))
 }
 
-// ServeStream runs one protocol session over r/w until EOF, a read error,
-// or server drain. Analyze requests are dispatched to goroutines so the
-// session keeps reading (that is how admission control gets exercised and
-// how a client cancels-by-disconnecting); control ops answer inline in
-// arrival order. ServeStream returns only after every dispatched request
-// has written its response.
+// ServeStream runs one protocol session over r/w until EOF, a read error
+// (reported on Options.Stderr unless the server is draining), or server
+// drain. Every non-blank line read gets exactly one response, a line too
+// long to serve included. Analyze requests are dispatched to goroutines
+// so the session keeps reading (that is how admission control gets
+// exercised and how a client cancels-by-disconnecting); control ops
+// answer inline in arrival order. ServeStream returns only after every
+// dispatched request has written its response.
 func (s *Server) ServeStream(r io.Reader, w io.Writer) {
 	sw := &sessionWriter{w: w}
 	// Session context: cancelled when the session ends (so queued requests
@@ -56,50 +77,68 @@ func (s *Server) ServeStream(r io.Reader, w io.Writer) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, scanInitBuf), scanMaxBuf)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			sw.send(&Response{OK: false, Error: fmt.Sprintf("bad request: %v", err)})
-			continue
-		}
-		switch req.Op {
-		case OpAnalyze:
-			wg.Add(1)
-			go func(req Request) {
-				defer wg.Done()
-				// analyzeInto sends the response itself, inside the
-				// drain-tracked window, and contains its own panics.
-				s.analyzeInto(ctx, &req, sw.send)
-			}(req)
-		case OpInvalidate:
-			// Invalidation is serialized with the reader loop on purpose:
-			// it defines an epoch boundary, and a client that pipelines
-			// "invalidate, analyze" must see the analyze hit the new epoch.
-			sw.send(s.guarded(&req, func() *Response { return s.invalidate(&req) }))
-		case OpStatus:
-			sw.send(s.status(&req))
-		case OpPing:
-			sw.send(&Response{ID: req.ID, Op: req.Op, OK: true})
-		case OpShutdown:
-			// A client that pipelines "analyze, shutdown" means the analyze
-			// to run: wait for this session's dispatched requests (their
-			// responses land first), then ack and drain. The impolite path
-			// is SIGTERM, where the drain deadline caps the wait instead.
-			wg.Wait()
-			sw.send(&Response{ID: req.ID, Op: req.Op, OK: true})
-			go s.Shutdown()
+	br := bufio.NewReaderSize(r, scanInitBuf)
+	var buf []byte
+	for {
+		line, tooLong, err := readLine(br, buf, s.maxLine)
+		buf = line
+		if err != nil && err != io.EOF {
+			if !s.Draining() {
+				fmt.Fprintf(s.opts.Stderr, "patad: session read: %v\n", err)
+			}
 			return
-		default:
-			sw.send(&Response{ID: req.ID, Op: req.Op, OK: false,
-				Error: fmt.Sprintf("unknown op %q", req.Op)})
+		}
+		if tooLong {
+			sw.send(&Response{OK: false, Error: fmt.Sprintf("bad request: line longer than %d bytes", s.maxLine)})
+		} else if len(bytes.TrimSpace(line)) > 0 && s.serveLine(ctx, &wg, sw, line) {
+			return
+		}
+		if err == io.EOF {
+			return
 		}
 	}
+}
+
+// serveLine answers one request line, dispatching analyze requests onto
+// wg. It reports whether the line ended the session (a shutdown request).
+func (s *Server) serveLine(ctx context.Context, wg *sync.WaitGroup, sw *sessionWriter, line []byte) bool {
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		sw.send(&Response{OK: false, Error: fmt.Sprintf("bad request: %v", err)})
+		return false
+	}
+	switch req.Op {
+	case OpAnalyze:
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// analyzeInto sends the response itself, inside the
+			// drain-tracked window, and contains its own panics.
+			s.analyzeInto(ctx, &req, sw.send)
+		}()
+	case OpInvalidate:
+		// Invalidation is serialized with the reader loop on purpose: it
+		// defines an epoch boundary, and a client that pipelines
+		// "invalidate, analyze" must see the analyze hit the new epoch.
+		sw.send(s.guarded(&req, func() *Response { return s.invalidate(&req) }))
+	case OpStatus:
+		sw.send(s.status(&req))
+	case OpPing:
+		sw.send(&Response{ID: req.ID, Op: req.Op, OK: true})
+	case OpShutdown:
+		// A client that pipelines "analyze, shutdown" means the analyze to
+		// run: wait for this session's dispatched requests (their
+		// responses land first), then ack and drain. The impolite path is
+		// SIGTERM, where the drain deadline caps the wait instead.
+		wg.Wait()
+		sw.send(&Response{ID: req.ID, Op: req.Op, OK: true})
+		go s.Shutdown()
+		return true
+	default:
+		sw.send(&Response{ID: req.ID, Op: req.Op, OK: false,
+			Error: fmt.Sprintf("unknown op %q", req.Op)})
+	}
+	return false
 }
 
 // guarded runs fn, converting a panic into an error response. The engine

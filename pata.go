@@ -25,6 +25,7 @@ package pata
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,7 +34,6 @@ import (
 
 	"repro/internal/acache"
 	"repro/internal/core"
-	"repro/internal/minicc"
 	"repro/internal/pathval"
 	"repro/internal/report"
 	"repro/internal/typestate"
@@ -84,10 +84,6 @@ type Config struct {
 	// function re-analyze. The directory is created if missing; corrupted
 	// or stale files silently fall back to cold analysis.
 	CacheDir string
-	// CacheMaxBytes caps the cache directory's total size; least-recently
-	// used capsules are evicted past it. 0 means unlimited. Ignored when
-	// CacheDir is empty.
-	CacheMaxBytes int64
 	// EntryTimeout bounds the wall-clock spent on a single entry function
 	// (Stage-1 exploration attempt, and each Stage-2 candidate solve). An
 	// entry that exceeds it is retried down the degrade ladder with tighter
@@ -178,7 +174,12 @@ func checkersFor(names []string) ([]typestate.Checker, error) {
 	return out, nil
 }
 
-func (c Config) engineConfig() (core.Config, error) {
+// EngineConfig resolves the public configuration into the engine-level
+// core.Config the scheduler consumes, for hosts that drive
+// Program.Analyze or core.RunParallelCtx themselves (the patad daemon, the
+// bench harness). It has no side effects: CacheDir is left for the caller
+// to open, so a resident host owns its store's lifecycle.
+func (c Config) EngineConfig() (core.Config, error) {
 	checkers, err := checkersFor(c.Checkers)
 	if err != nil {
 		return core.Config{}, err
@@ -208,18 +209,6 @@ func (c Config) engineConfig() (core.Config, error) {
 		}
 		v.Install(&ec)
 	}
-	if c.CacheDir != "" {
-		store, err := acache.Open(c.CacheDir, c.CacheMaxBytes)
-		if err != nil {
-			// An unusable cache directory degrades to an uncached run: the
-			// cache is a pure accelerator, and refusing to analyze because
-			// a disk path is read-only would be the wrong trade for a bug
-			// finder.
-			fmt.Fprintf(os.Stderr, "pata: cache disabled: %v\n", err)
-		} else {
-			ec.Cache = store
-		}
-	}
 	return ec, nil
 }
 
@@ -234,16 +223,34 @@ func AnalyzeSources(name string, sources map[string]string, cfg Config) (*Result
 // work and returns the partial result, with unfinished entries listed in
 // Result.Incomplete as cancelled.
 func AnalyzeSourcesCtx(ctx context.Context, name string, sources map[string]string, cfg Config) (*Result, error) {
-	mod, err := minicc.LowerAll(name, sources)
-	if err != nil {
-		return nil, fmt.Errorf("pata: frontend: %w", err)
-	}
-	ec, err := cfg.engineConfig()
+	p, err := Load(name, sources)
 	if err != nil {
 		return nil, err
 	}
-	res := core.RunParallelCtx(ctx, mod, ec, cfg.Workers)
-	return convert(res, cfg.WitnessPaths), nil
+	ec, err := cfg.EngineConfig()
+	if err != nil {
+		return nil, err
+	}
+	if store := cfg.OpenCache(os.Stderr); store != nil {
+		ec.Cache = store
+	}
+	return p.Analyze(ctx, ec, cfg.Workers, cfg.WitnessPaths), nil
+}
+
+// OpenCache opens CacheDir as the capsule store. It returns nil when
+// CacheDir is empty or unusable, warning on w in the latter case: the
+// cache is a pure accelerator, and refusing to analyze because a disk
+// path is read-only would be the wrong trade for a bug finder.
+func (c Config) OpenCache(w io.Writer) *acache.Store {
+	if c.CacheDir == "" {
+		return nil
+	}
+	store, err := acache.Open(c.CacheDir, 0)
+	if err != nil {
+		fmt.Fprintf(w, "pata: cache disabled: %v\n", err)
+		return nil
+	}
+	return store
 }
 
 // AnalyzeFiles reads and analyzes the given mini-C files as one program.
@@ -315,22 +322,11 @@ func ReadSources(paths []string) (map[string]string, error) {
 	return sources, nil
 }
 
-// EngineConfig resolves the public configuration into the engine-level
-// core.Config the scheduler consumes — the same resolution AnalyzeSources
-// performs, exposed for module-internal hosts that drive core.RunParallelCtx
-// directly over a retained module (the patad daemon). When CacheDir is set
-// this opens the on-disk store as a side effect; a resident caller that
-// wants to own the store's lifecycle (flush on drain, reuse across
-// requests) should leave CacheDir empty and install core.Config.Cache
-// itself.
-func (c Config) EngineConfig() (core.Config, error) { return c.engineConfig() }
-
-// ConvertResult converts an engine-level result into the public Result —
-// the exact conversion AnalyzeSources applies, so hosts that run the engine
-// directly render reports byte-identical to the library's.
-func ConvertResult(res *core.Result, witness bool) *Result { return convert(res, witness) }
-
-func convert(res *core.Result, witness bool) *Result {
+// ConvertResult converts an engine-level result into the public Result,
+// rendering witness paths when witness is set. Program.Analyze applies it,
+// so hosts that run the engine directly render reports byte-identical to
+// the library's.
+func ConvertResult(res *core.Result, witness bool) *Result {
 	out := &Result{Stats: res.Stats, Incomplete: res.Incomplete}
 	for _, b := range core.SortedBugs(res.Bugs) {
 		pos := b.BugInstr.Position()
@@ -386,13 +382,27 @@ func (r *Result) String() string {
 	return b.String()
 }
 
+// Report renders the text report cmd/pata prints and a patad analyze
+// response carries (without the CLI's -witness and -stats trailers):
+// String's listing, or, when there are no bugs, "no bugs found" followed
+// by any incomplete-analysis section.
+func (r *Result) Report() string {
+	if len(r.Bugs) > 0 {
+		return r.String()
+	}
+	var b strings.Builder
+	b.WriteString("no bugs found\n")
+	report.WriteIncomplete(&b, r.Incomplete)
+	return b.String()
+}
+
 // AnalyzeSourcesWithPairs analyzes sources with the configurable
 // API-pairing checkers (typestate.CommonPairRules) instead of the default
 // trio — the §7 "API-rule checking" application.
 func AnalyzeSourcesWithPairs(name string, sources map[string]string) (*Result, error) {
-	mod, err := minicc.LowerAll(name, sources)
+	p, err := Load(name, sources)
 	if err != nil {
-		return nil, fmt.Errorf("pata: frontend: %w", err)
+		return nil, err
 	}
 	var checkers []typestate.Checker
 	for _, r := range typestate.CommonPairRules() {
@@ -400,6 +410,5 @@ func AnalyzeSourcesWithPairs(name string, sources map[string]string) (*Result, e
 	}
 	ec := core.Config{Checkers: checkers}
 	pathval.New().Install(&ec)
-	res := core.RunParallel(mod, ec, 1)
-	return convert(res, false), nil
+	return p.Analyze(context.Background(), ec, 1, false), nil
 }
