@@ -365,3 +365,36 @@ func BenchmarkExtensions(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProgramUpdate measures Program.Update on serve-edit's shape: the
+// seed-1 linux-like corpus at scale 4, each op applying one
+// oscorpus.Mutate edit of two functions to the Program the previous op
+// returned, as patad's invalidate does. Generating the edit is not timed.
+func BenchmarkProgramUpdate(b *testing.B) {
+	spec := oscorpus.Scaled(oscorpus.LinuxSpec(), 4)
+	spec.Seed++
+	c := oscorpus.Generate(spec)
+	prog, err := pata.Load(c.Spec.Name, c.Sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog.Index()
+	sources := c.Sources
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		edited, _ := oscorpus.Mutate(sources, 2, int64(i+1))
+		set := make(map[string]string)
+		for name, src := range edited {
+			if src != sources[name] {
+				set[name] = src
+			}
+		}
+		b.StartTimer()
+		next, _, _, err := prog.Update(set, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, sources = next, edited
+	}
+}

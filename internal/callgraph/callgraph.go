@@ -6,7 +6,9 @@
 package callgraph
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/cir"
@@ -37,41 +39,29 @@ func Build(mod *cir.Module) *Graph {
 		Callees: make(map[string][]string),
 		Callers: make(map[string][]string),
 	}
-	calleeSets := make(map[string]map[string]bool)
-	callerSets := make(map[string]map[string]bool)
-	for _, fn := range mod.SortedFuncs() {
+	for name, fn := range mod.Funcs {
+		var callees []string
 		fn.Instrs(func(in cir.Instr) {
-			call, ok := in.(*cir.Call)
-			if !ok {
-				return
+			if call, ok := in.(*cir.Call); ok {
+				callees = append(callees, call.Callee)
 			}
-			g.NumCallSites++
-			if calleeSets[fn.Name] == nil {
-				calleeSets[fn.Name] = make(map[string]bool)
-			}
-			if callerSets[call.Callee] == nil {
-				callerSets[call.Callee] = make(map[string]bool)
-			}
-			calleeSets[fn.Name][call.Callee] = true
-			callerSets[call.Callee][fn.Name] = true
 		})
+		if len(callees) == 0 {
+			continue
+		}
+		g.NumCallSites += len(callees)
+		sort.Strings(callees)
+		g.Callees[name] = slices.Compact(callees)
 	}
-	for name, set := range calleeSets {
-		g.Callees[name] = sortedKeys(set)
+	for name, callees := range g.Callees {
+		for _, c := range callees {
+			g.Callers[c] = append(g.Callers[c], name)
+		}
 	}
-	for name, set := range callerSets {
-		g.Callers[name] = sortedKeys(set)
+	for _, callers := range g.Callers {
+		sort.Strings(callers)
 	}
 	return g
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EntryFunctions returns the defined functions without explicit callers, in
@@ -80,14 +70,12 @@ func sortedKeys(m map[string]bool) []string {
 // function-pointer registration, plus true roots.
 func (g *Graph) EntryFunctions() []*cir.Function {
 	g.entriesOnce.Do(func() {
-		for _, fn := range g.Mod.SortedFuncs() {
-			if fn.IsDecl() {
-				continue
-			}
-			if len(g.Callers[fn.Name]) == 0 {
+		for name, fn := range g.Mod.Funcs {
+			if !fn.IsDecl() && len(g.Callers[name]) == 0 {
 				g.entries = append(g.entries, fn)
 			}
 		}
+		slices.SortFunc(g.entries, func(a, b *cir.Function) int { return strings.Compare(a.Name, b.Name) })
 	})
 	return append([]*cir.Function(nil), g.entries...)
 }

@@ -52,7 +52,6 @@ type Function struct {
 	Typ    *FuncType
 	Params []*Register
 	Blocks []*Block
-	Mod    *Module
 	Pos    Pos
 	File   string // defining source file
 	Static bool   // file-local, as in C 'static'
@@ -133,8 +132,8 @@ type Module struct {
 	// (Figure 1 of the paper).
 	AddressTaken map[string]bool
 
-	order   []string
-	nextGID int
+	order  []string
+	maxGID int
 }
 
 // NewModule returns an empty module.
@@ -159,9 +158,9 @@ func (m *Module) NewFunction(name string, typ *FuncType) *Function {
 // AddFunction registers fn under its name and appends it to definition
 // order. A frontend that creates functions before it knows their order
 // (minicc declares every file before it lowers any body) enters them in
-// Funcs first and calls AddFunction once the order is settled.
+// Funcs first and calls AddFunction once the order is settled. It does not
+// write fn, which several modules may share.
 func (m *Module) AddFunction(fn *Function) {
-	fn.Mod = m
 	m.Funcs[fn.Name] = fn
 	m.order = append(m.order, fn.Name)
 }
@@ -203,18 +202,29 @@ func (m *Module) SortedFuncs() []*Function {
 // shift whenever any function changes; LIDs depend only on the owning
 // function's body, which is what the incremental cache's content addressing
 // needs. It must be called once after construction and before analysis.
-func (m *Module) AssignGIDs() {
-	m.nextGID = 0
-	for _, fn := range m.SortedFuncs() {
+func (m *Module) AssignGIDs() { m.ExtendGIDs(0, m.SortedFuncs()) }
+
+// ExtendGIDs numbers the instructions of fns, in the order given, with GIDs
+// from base+1 up, and gives them their LIDs. It is AssignGIDs for a module
+// whose other functions already hold GIDs no higher than base (functions it
+// shares with an earlier module, say); the module's GIDs are then unique but
+// need not be dense, which is why GID-indexed tables size by MaxGID.
+func (m *Module) ExtendGIDs(base int, fns []*Function) {
+	m.maxGID = base
+	for _, fn := range fns {
 		lid := 0
 		fn.Instrs(func(in Instr) {
-			m.nextGID++
-			in.setGID(m.nextGID)
+			m.maxGID++
+			in.setGID(m.maxGID)
 			lid++
 			in.setLID(lid)
 		})
 	}
 }
+
+// MaxGID returns the highest GID AssignGIDs or ExtendGIDs gave out: a bound
+// for tables indexed by GID.
+func (m *Module) MaxGID() int { return m.maxGID }
 
 // NumInstrs returns the total instruction count.
 func (m *Module) NumInstrs() int {

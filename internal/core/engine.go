@@ -419,7 +419,7 @@ func newEngineWithCG(mod *cir.Module, cfg Config, cg *callgraph.Graph) *Engine {
 		Cfg:           cfg.withDefaults(),
 		dedup:         make(map[dedupKey]*PossibleBug),
 		stackAddrMemo: make(map[*cir.Register]bool),
-		onPath:        make([]int32, mod.NumInstrs()+1),
+		onPath:        make([]int32, mod.MaxGID()+1),
 	}
 }
 

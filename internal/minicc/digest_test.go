@@ -2,16 +2,13 @@ package minicc
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cir"
+	"repro/internal/cir/cirtest"
 	"repro/internal/oscorpus"
 )
 
@@ -72,52 +69,8 @@ func frontendCorpora() []digestCorpus {
 	return digestCorpora
 }
 
-// moduleDigest hashes everything LowerAll produces: the printed functions,
-// and what Module.String leaves out — structs and their fields, globals,
-// the address-taken set, files, line count, each function's file,
-// position and linkage, and each instruction's GID, LID and position.
-func moduleDigest(mod *cir.Module) string {
-	h := sha256.New()
-	fmt.Fprint(h, mod.String())
-	tags := make([]string, 0, len(mod.Structs))
-	for tag := range mod.Structs {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	for _, tag := range tags {
-		fmt.Fprintf(h, "struct %s {", tag)
-		for _, f := range mod.Structs[tag].Fields {
-			fmt.Fprintf(h, " %s %s;", f.Type, f.Name)
-		}
-		fmt.Fprint(h, " }\n")
-	}
-	globals := make([]string, 0, len(mod.Globals))
-	for name := range mod.Globals {
-		globals = append(globals, name)
-	}
-	sort.Strings(globals)
-	for _, name := range globals {
-		fmt.Fprintf(h, "global %s %s\n", name, mod.Globals[name].Elem)
-	}
-	taken := make([]string, 0, len(mod.AddressTaken))
-	for name, ok := range mod.AddressTaken {
-		if ok {
-			taken = append(taken, name)
-		}
-	}
-	sort.Strings(taken)
-	fmt.Fprintf(h, "address-taken %s\n", strings.Join(taken, " "))
-	fmt.Fprintf(h, "files %s\nlines %d\n", strings.Join(mod.Files, " "), mod.SourceLines)
-	for _, name := range mod.FuncNames() {
-		fn := mod.Funcs[name]
-		fmt.Fprintf(h, "func %s file=%s pos=%s:%d static=%t\n", name, fn.File, fn.Pos.File, fn.Pos.Line, fn.Static)
-		fn.Instrs(func(in cir.Instr) {
-			p := in.Position()
-			fmt.Fprintf(h, "%d %d %s:%d\n", in.GID(), in.LID(), p.File, p.Line)
-		})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// moduleDigest hashes everything LowerAll produces (cirtest.Digest).
+func moduleDigest(mod *cir.Module) string { return cirtest.Digest(mod) }
 
 // lowerDigest lowers sources and returns the module digest, or the error
 // text when lowering fails.

@@ -3,7 +3,9 @@ package minicc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,6 +59,21 @@ func LowerFile(mod *cir.Module, f *File) error {
 // gives its parse error, or else its first lowering error. Files after the
 // first that fails to parse are not lowered.
 func LowerAll(name string, sources map[string]string) (*cir.Module, error) {
+	l, err := lowerAll(name, sources)
+	return l.Mod, err
+}
+
+// LowerProgram is LowerAll for a program that will be edited: on success
+// it also keeps the records Relower re-lowers edited files against.
+func LowerProgram(name string, sources map[string]string) (*Lowered, error) {
+	l, err := lowerAll(name, sources)
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+func lowerAll(name string, sources map[string]string) (*Lowered, error) {
 	mod := cir.NewModule(name)
 	names := make([]string, 0, len(sources))
 	for n := range sources {
@@ -65,9 +82,13 @@ func LowerAll(name string, sources map[string]string) (*cir.Module, error) {
 	sort.Strings(names)
 
 	files := make([]*File, len(names))
+	keys := make([]uint64, len(names))
 	parseErrs := make([]error, len(names))
 	forEach(len(names), func(i int) {
 		files[i], parseErrs[i] = Parse(names[i], sources[names[i]])
+		if parseErrs[i] == nil {
+			keys[i] = declKey(files[i])
+		}
 	})
 	parsed := len(names)
 	for i, err := range parseErrs {
@@ -78,29 +99,42 @@ func LowerAll(name string, sources map[string]string) (*cir.Module, error) {
 	}
 
 	fe := &frontend{mod: mod}
-	decls := make([]*fileDecls, parsed)
+	l := &Lowered{Mod: mod, files: make([]*fileDecls, parsed)}
 	var units []*unit
-	for i := range decls {
-		decls[i] = fe.declare(files[i])
-		units = append(units, decls[i].units...)
+	for i := range l.files {
+		d := fe.declare(files[i])
+		d.key = keys[i]
+		l.files[i] = d
+		units = append(units, d.units...)
 		files[i] = nil // from here on only the units hold the bodies' ASTs
 	}
+	l.structs, l.addrTaken = maps.Clone(mod.Structs), maps.Clone(mod.AddressTaken)
 	forEach(len(units), func(i int) { fe.lowerBody(units[i]) })
-	if err := fe.finish(decls); err != nil {
-		return mod, err
+	if err := fe.finish(l.files); err != nil {
+		return l, err
 	}
 	if parsed < len(names) {
-		return mod, parseErrs[parsed]
+		return l, parseErrs[parsed]
 	}
 
 	mod.AssignGIDs()
-	funcs := mod.SortedFuncs()
+	if err := verify(mod.SortedFuncs()); err != nil {
+		return l, err
+	}
+	l.instrs = mod.MaxGID() // AssignGIDs numbers densely
+	l.bodyStructs = fe.bodyStructs
+	release(l.files)
+	return l, nil
+}
+
+// verify verifies funcs on the pool and joins their errors in order.
+func verify(funcs []*cir.Function) error {
 	verrs := make([]error, len(funcs))
 	forEach(len(funcs), func(i int) { verrs[i] = cir.VerifyFunction(funcs[i]) })
 	if err := errors.Join(verrs...); err != nil {
-		return mod, fmt.Errorf("lowered module fails verification: %w", err)
+		return fmt.Errorf("lowered module fails verification: %w", err)
 	}
-	return mod, nil
+	return nil
 }
 
 // forEach calls f(i) for every i in [0, n) on min(GOMAXPROCS, n)
@@ -149,11 +183,15 @@ type frontend struct {
 // fileDecls is what the declaration pass records for one file.
 type fileDecls struct {
 	name    string
+	lines   int
+	key     uint64 // declKey of the parsed file
 	enums   map[string]int64
 	statics map[string]static // source name -> renamed static
 	errs    []error           // reported while declaring the file's functions
-	// declared lists the functions the file declared first, in order.
-	declared []*cir.Function
+	// declared lists the functions the file declared first, in order, and
+	// declFD the index in the file's Funcs of the declaration that did.
+	declared []string
+	declFD   []int
 	units    []*unit // the file's function bodies, in source order
 }
 
@@ -178,6 +216,7 @@ type unit struct {
 	errs      []error // nil entries are placeholders finish resolves
 	uses      []use
 	addrTaken []string
+	structs   []string // tags of the struct types only bodies name
 }
 
 // use is a body's reference to a function no declaration names. A call
@@ -223,13 +262,8 @@ func (lw *lowerer) errorf(pos Position, format string, args ...any) {
 // declare is the declaration pass over one file. It leaves every function
 // with a body in f claimed (see claimBody) and ready to lower.
 func (fe *frontend) declare(f *File) *fileDecls {
-	d := &fileDecls{name: f.Name, enums: make(map[string]int64), statics: make(map[string]static)}
+	d := &fileDecls{name: f.Name, lines: f.Lines, enums: fileEnums(f), statics: make(map[string]static)}
 	lw := &lowerer{fe: fe, mod: fe.mod, file: d}
-	for _, e := range f.Enums {
-		for i, n := range e.Names {
-			d.enums[n] = e.Vals[i]
-		}
-	}
 	for _, sd := range f.Structs {
 		lw.lowerStruct(sd)
 	}
@@ -237,8 +271,8 @@ func (fe *frontend) declare(f *File) *fileDecls {
 		lw.lowerGlobal(g)
 	}
 	// Declare all functions first so forward calls type-resolve.
-	for _, fd := range f.Funcs {
-		lw.declareFunc(fd)
+	for i, fd := range f.Funcs {
+		lw.declareFunc(fd, i)
 	}
 	d.errs = lw.errs
 	for _, fd := range f.Funcs {
@@ -246,9 +280,18 @@ func (fe *frontend) declare(f *File) *fileDecls {
 			d.units = append(d.units, lw.claimBody(fd, len(d.units)))
 		}
 	}
-	fe.mod.Files = append(fe.mod.Files, f.Name)
-	fe.mod.SourceLines += f.Lines
 	return d
+}
+
+// fileEnums returns f's enumerator constants by name.
+func fileEnums(f *File) map[string]int64 {
+	enums := make(map[string]int64)
+	for _, e := range f.Enums {
+		for i, n := range e.Names {
+			enums[n] = e.Vals[i]
+		}
+	}
+	return enums
 }
 
 // lowerBody lowers u's body into its function. It reads the module's tables
@@ -267,13 +310,16 @@ func (fe *frontend) lowerBody(u *unit) {
 // which is the order lowering one file after another would produce: each
 // file's declared functions, then per body the function it created and the
 // implicit declarations its calls made, enter the definition order. It
-// returns the first error in that order.
+// returns the first error in that order. It writes only the module, never
+// a unit, so Relower runs it over records an earlier module still uses.
 func (fe *frontend) finish(decls []*fileDecls) error {
 	mod := fe.mod
 	var first error
 	for _, d := range decls {
-		for _, fn := range d.declared {
-			mod.AddFunction(fn)
+		mod.Files = append(mod.Files, d.name)
+		mod.SourceLines += d.lines
+		for _, name := range d.declared {
+			mod.AddFunction(mod.Funcs[name])
 		}
 		if first == nil && len(d.errs) > 0 {
 			first = d.errs[0]
@@ -282,6 +328,10 @@ func (fe *frontend) finish(decls []*fileDecls) error {
 			if u.created {
 				mod.AddFunction(u.fn)
 			}
+			// undefined is the body's first identifier that names nothing;
+			// its error goes in placeholder undefAt of u.errs.
+			var undefined error
+			undefAt := len(u.errs)
 			for _, use := range u.uses {
 				_, declared := mod.Funcs[use.name]
 				switch {
@@ -293,23 +343,27 @@ func (fe *frontend) finish(decls []*fileDecls) error {
 					mod.NewFunction(use.name, ft)
 				case use.nargs < 0 && declared:
 					mod.AddressTaken[use.name] = true
-				case use.nargs < 0:
-					u.errs[use.err] = &Error{File: use.pos.File, Line: use.pos.Line, Col: use.pos.Col,
+				case use.nargs < 0 && undefined == nil:
+					undefined = &Error{File: use.pos.File, Line: use.pos.Line, Col: use.pos.Col,
 						Msg: "undefined identifier " + use.name}
+					undefAt = min(use.err, undefAt)
 				}
 			}
 			for _, name := range u.addrTaken {
 				mod.AddressTaken[name] = true
 			}
-			for _, err := range u.errs {
+			for _, tag := range u.structs {
+				mod.AddStruct(fe.bodyStructs[tag])
+			}
+			for _, err := range u.errs[:undefAt] {
 				if first == nil && err != nil {
 					first = err
 				}
 			}
+			if first == nil {
+				first = undefined
+			}
 		}
-	}
-	for _, st := range fe.bodyStructs {
-		mod.AddStruct(st)
 	}
 	return first
 }
@@ -320,6 +374,9 @@ func (lw *lowerer) resolveStruct(tag string) *cir.StructType {
 		return st
 	}
 	if lw.unit != nil {
+		if !slices.Contains(lw.unit.structs, tag) {
+			lw.unit.structs = append(lw.unit.structs, tag)
+		}
 		return lw.fe.bodyStruct(tag)
 	}
 	st := &cir.StructType{Name: tag}
@@ -416,18 +473,19 @@ func (lw *lowerer) funcType(fd *FuncDecl) *cir.FuncType {
 	return ft
 }
 
-// declareFunc declares fd's function unless its module name is taken.
-// Functions enter mod.Funcs here so later files and every body resolve
-// them; finish gives them their place in definition order.
-func (lw *lowerer) declareFunc(fd *FuncDecl) {
+// declareFunc declares fd, the i-th function of its file, unless its
+// module name is taken. Functions enter mod.Funcs here so later files and
+// every body resolve them; finish gives them their place in definition
+// order.
+func (lw *lowerer) declareFunc(fd *FuncDecl, i int) {
 	name := lw.moduleName(fd, 0)
 	if _, ok := lw.mod.Funcs[name]; ok {
 		return
 	}
-	fn := &cir.Function{Name: name, Typ: lw.funcType(fd), Mod: lw.mod,
+	lw.mod.Funcs[name] = &cir.Function{Name: name, Typ: lw.funcType(fd),
 		Pos: cir.Pos{File: fd.Pos.File, Line: fd.Pos.Line}, File: lw.file.name, Static: fd.Static}
-	lw.mod.Funcs[name] = fn
-	lw.file.declared = append(lw.file.declared, fn)
+	lw.file.declared = append(lw.file.declared, name)
+	lw.file.declFD = append(lw.file.declFD, i)
 }
 
 // claimBody gives the body of fd, the idx-th in its file, its function. The
@@ -443,7 +501,7 @@ func (lw *lowerer) claimBody(fd *FuncDecl, idx int) *unit {
 	fn := lw.mod.Funcs[name]
 	switch {
 	case fn == nil:
-		fn = &cir.Function{Name: name, Mod: lw.mod}
+		fn = &cir.Function{Name: name}
 		lw.mod.Funcs[name] = fn
 		u.created = true
 	case !fn.IsDecl():

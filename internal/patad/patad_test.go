@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	pata "repro"
 	"repro/internal/core"
 	"repro/internal/minicc"
+	"repro/internal/oscorpus"
 )
 
 // Two-file test module: alpha carries a validated NPD bug, beta is clean.
@@ -191,6 +193,48 @@ func TestInvalidateFrontendErrorKeepsOldEpoch(t *testing.T) {
 	if !after.OK || after.Report != before.Report {
 		t.Errorf("old epoch not preserved after failed invalidate:\n--- before\n%s--- after\n%s",
 			before.Report, after.Report)
+	}
+}
+
+// TestConcurrentInvalidatesKeepBothEdits: two sessions that invalidate
+// different files at the same moment must both land. Each invalidate
+// derives the next epoch from the published one, so unless the two are
+// serialized from load to publish, both derive from the same epoch and the
+// later publish drops the earlier edit.
+func TestConcurrentInvalidatesKeepBothEdits(t *testing.T) {
+	sources := oscorpus.Generate(oscorpus.LinuxSpec()).Sources
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	a, b := names[0], names[len(names)-1]
+	srv := newTestServer(t, Options{Sources: sources})
+	for round := range 4 {
+		edits := [2]map[string]string{
+			{a: sources[a] + fmt.Sprintf("\nint edit_a%d(int x) { return x + %d; }\n", round, round)},
+			{b: sources[b] + fmt.Sprintf("\nint edit_b%d(int x) { return x - %d; }\n", round, round)},
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, edit := range edits {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if inv := srv.invalidate(&Request{Op: OpInvalidate, Sources: edit}); !inv.OK {
+					t.Errorf("round %d: invalidate failed: %s", round, inv.Error)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		// Re-sending both edits must change nothing: the epoch holds them.
+		both := map[string]string{a: edits[0][a], b: edits[1][b]}
+		if inv := srv.invalidate(&Request{Op: OpInvalidate, Sources: both}); !inv.OK || len(inv.Changed) != 0 {
+			t.Fatalf("round %d: the published epoch lost an edit: re-sending both changed %v (error %q)",
+				round, inv.Changed, inv.Error)
+		}
 	}
 }
 

@@ -63,8 +63,11 @@ type Server struct {
 	// run on it unlocked: a published Program is immutable and indexed, so
 	// concurrent requests only read its fingerprint memo. An invalidate
 	// derives the next Program and stores it; in-flight analyses on the
-	// old epoch finish undisturbed.
-	prog atomic.Pointer[pata.Program]
+	// old epoch finish undisturbed. invalidateMu serializes invalidates
+	// from load to store, so each derives from the epoch the one before it
+	// published and no edit is lost.
+	prog         atomic.Pointer[pata.Program]
+	invalidateMu sync.Mutex
 
 	served atomic.Int64
 
@@ -423,6 +426,8 @@ func (s *Server) analyzeInto(ctx context.Context, req *Request, send func(*Respo
 // request only: the previous epoch stays published and keeps serving.
 func (s *Server) invalidate(req *Request) *Response {
 	resp := &Response{ID: req.ID, Op: req.Op}
+	s.invalidateMu.Lock()
+	defer s.invalidateMu.Unlock()
 	next, changed, frontier, err := s.prog.Load().Update(req.Sources, req.Remove)
 	if err != nil {
 		resp.Error = err.Error()

@@ -345,3 +345,82 @@ func TestAIUIndexUseExtraConstraint(t *testing.T) {
 		t.Errorf("index use must carry the idx<0 extra constraint: %v", ems)
 	}
 }
+
+// nullBranch returns a branch on v == NULL.
+func nullBranch(v cir.Value) *cir.CondBr {
+	fn := &cir.Function{Name: "f"}
+	cmp := &cir.Cmp{Dst: &cir.Register{Name: "c", Typ: cir.I1}, Pred: cir.PredEQ, X: v, Y: cir.NullConst(v.Type())}
+	cmp.Dst.Def = cmp
+	return &cir.CondBr{Cond: cmp.Dst, True: &cir.Block{Name: "t", Fn: fn}, False: &cir.Block{Name: "f", Fn: fn}}
+}
+
+// TestAliasNodeCreationOrder pins which event sources create alias-graph
+// nodes, and in what order, for the resource checkers. Node IDs number the
+// creations, so a source that starts or stops creating a node moves them,
+// even where no report changes.
+// ML and Pair create the node of a pointer on its NULL branch (their
+// alloc_failed and open_failed events), not on its non-NULL one; DL creates
+// the node of a call's first argument only when the callee locks or
+// unlocks; no checker creates one for an opaque callee's argument.
+func TestAliasNodeCreationOrder(t *testing.T) {
+	ml, dl := NewML(), NewDL()
+	pair := NewPair(PairRule{Name: "r", Open: []string{"acquire"}, Close: []string{"release"}, HandleFromResult: true})
+	for _, c := range []struct {
+		name     string
+		checkers []Checker
+		want     map[string]int // value → node ID; 0 = no node
+	}{
+		{"ML", []Checker{ml}, map[string]int{"q": 1, "p": 2}},
+		{"DL", []Checker{dl}, map[string]int{"lk": 1}},
+		{"Pair", []Checker{pair}, map[string]int{"q": 1, "h": 2}},
+		{"ML+DL+Pair", []Checker{ml, dl, pair}, map[string]int{"q": 1, "p": 2, "lk": 3, "h": 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newMockCtx(c.checkers...)
+			step := func(hook func(Checker) []Emission) {
+				for _, ck := range c.checkers {
+					m.index(ck)
+					m.apply(hook(ck))
+				}
+			}
+			vals := make(map[string]*cir.Register)
+			for _, name := range []string{"p", "q", "r", "s", "lk", "h"} {
+				vals[name] = preg(name)
+			}
+			// Each event is a call, or a branch on v == NULL, taken or not.
+			type event struct {
+				call  *cir.Call
+				null  cir.Value
+				taken bool
+			}
+			for _, ev := range []event{
+				{call: mkCall("printk", nil, vals["r"])}, // opaque callee
+				{null: vals["q"], taken: true},
+				{call: mkCall("malloc", vals["p"], cir.IntConst(cir.I64, 8))},
+				{null: vals["s"], taken: false},
+				{call: mkCall("mutex_lock", nil, vals["lk"], vals["r"])},
+				{call: mkCall("acquire", vals["h"])}, // Pair's open
+				{call: mkCall("mutex_unlock", nil, vals["lk"], vals["s"])},
+			} {
+				if ev.call != nil {
+					step(func(ck Checker) []Emission { return ck.OnInstr(ev.call, m, nil) })
+					continue
+				}
+				br := nullBranch(ev.null)
+				step(func(ck Checker) []Emission { return ck.OnBranch(br, ev.taken, m, nil) })
+			}
+			for name, v := range vals {
+				got := 0
+				if n := m.g.Lookup(v); n != nil {
+					got = n.ID
+				}
+				if got != c.want[name] {
+					t.Errorf("%s: node %d, want %d", name, got, c.want[name])
+				}
+			}
+			if n := m.g.NodeOf(preg("next")); n.ID != len(c.want)+1 {
+				t.Errorf("next node is %d, want %d: a source created a node no value names", n.ID, len(c.want)+1)
+			}
+		})
+	}
+}

@@ -9,20 +9,21 @@ import (
 	"sync"
 
 	"repro/internal/callgraph"
-	"repro/internal/cir"
 	"repro/internal/core"
 	"repro/internal/minicc"
 )
 
-// Program is one loaded mini-C program: its sources and lowered module
-// and, once indexed, its call graph and salt-0 entry keys. It is the one
-// pipeline object behind both the library (Load, then Analyze) and the
-// patad daemon, whose epochs are Programs derived from each other by
-// Update. A Program never changes once shared.
+// Program is one loaded mini-C program: its sources, its lowered module
+// with the frontend's per-file records (minicc.Lowered) and, once indexed,
+// its call graph and salt-0 entry keys. It is the one pipeline object
+// behind both the library (Load, then Analyze) and the patad daemon, whose
+// epochs are Programs derived from each other by Update. A Program never
+// changes once shared; Programs derived from it share the functions of
+// every file the edits left alone.
 type Program struct {
 	name    string
 	sources map[string]string
-	mod     *cir.Module
+	low     *minicc.Lowered
 
 	indexOnce sync.Once
 	cg        *callgraph.Graph
@@ -32,11 +33,11 @@ type Program struct {
 // Load lowers sources (file name → content) into a Program named name. It
 // does no fingerprinting, which a cold analysis never needs.
 func Load(name string, sources map[string]string) (*Program, error) {
-	mod, err := minicc.LowerAll(name, sources)
+	low, err := minicc.LowerProgram(name, sources)
 	if err != nil {
 		return nil, fmt.Errorf("pata: frontend: %w", err)
 	}
-	return &Program{name: name, sources: maps.Clone(sources), mod: mod}, nil
+	return &Program{name: name, sources: maps.Clone(sources), low: low}, nil
 }
 
 // Index builds p's call graph, memoizes every function fingerprint and
@@ -47,10 +48,10 @@ func Load(name string, sources map[string]string) (*Program, error) {
 // indexed Programs.
 func (p *Program) Index() {
 	p.indexOnce.Do(func() {
-		for _, fn := range p.mod.SortedFuncs() {
+		for _, fn := range p.low.Mod.Funcs {
 			fn.Fingerprint()
 		}
-		p.cg = callgraph.Build(p.mod)
+		p.cg = callgraph.Build(p.low.Mod)
 		entries := p.cg.EntryFunctions()
 		p.keys = make(map[string]uint64, len(entries))
 		for _, fn := range entries {
@@ -74,7 +75,7 @@ func (p *Program) Entries() int {
 // when witness is set. Cancelling ctx stops the run at the next bounded
 // unit of work; unfinished entries are listed in Result.Incomplete.
 func (p *Program) Analyze(ctx context.Context, ec core.Config, workers int, witness bool) *Result {
-	return ConvertResult(core.RunParallelCtx(ctx, p.mod, ec, workers), witness)
+	return ConvertResult(core.RunParallelCtx(ctx, p.low.Mod, ec, workers), witness)
 }
 
 // Update applies an edit — set maps file name → new content, remove lists
@@ -83,14 +84,23 @@ func (p *Program) Analyze(ctx context.Context, ec core.Config, workers int, witn
 // definitions) and the frontier: the entry functions whose salt-0
 // callgraph.EntryKey changed. The frontier is exactly the set a cached
 // Analyze of the next Program re-runs; every other entry replays. p is
-// left as it was. An edit that changes no file returns p itself; one that
-// no longer lowers, or that removes every file, returns an error.
+// left as it was, and may be analyzed meanwhile. An edit that changes no
+// file returns p itself; one that no longer lowers, or that removes every
+// file, returns an error.
+//
+// An edit that only rewrites existing files re-lowers just those files
+// (minicc.Lowered.Relower): the next Program shares every other function
+// with p. Anything Relower declines — an added or removed file, a changed
+// declaration, a frontend error — lowers the edited sources from scratch,
+// as Load does.
 func (p *Program) Update(set map[string]string, remove []string) (*Program, []string, []string, error) {
 	sources := maps.Clone(p.sources)
+	edits := make(map[string]string) // changed files' new content
 	changedFiles := make(map[string]bool)
 	for name, content := range set {
 		if prev, ok := sources[name]; !ok || prev != content {
 			changedFiles[name] = true
+			edits[name] = content
 		}
 		sources[name] = content
 	}
@@ -106,47 +116,58 @@ func (p *Program) Update(set map[string]string, remove []string) (*Program, []st
 	if len(sources) == 0 {
 		return nil, nil, nil, errors.New("pata: update would remove every source file")
 	}
-	next, err := Load(p.name, sources)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Functions of unchanged files adopt p's fingerprints: identical source
-	// text lowers to an identical rendering, so the hash is the same by
-	// construction (TestAdoptedFingerprintsMatchRecompute pins it).
+	// Index p first: the functions the next Program shares then carry
+	// their fingerprints, and indexing it writes none of them.
 	p.Index()
-	for _, fn := range next.mod.SortedFuncs() {
-		if !changedFiles[fn.File] {
-			fn.AdoptFingerprint(p.mod.Funcs[fn.Name])
+	var next *Program
+	if len(edits) == len(changedFiles) {
+		if low := p.low.Relower(edits); low != nil {
+			next = &Program{name: p.name, sources: sources, low: low}
+		}
+	}
+	if next == nil {
+		var err error
+		if next, err = Load(p.name, sources); err != nil {
+			return nil, nil, nil, err
+		}
+		// Functions of unchanged files adopt p's fingerprints: identical
+		// source text lowers to an identical rendering, so the hash is the
+		// same by construction (TestAdoptedFingerprintsMatchRecompute pins
+		// it).
+		for _, fn := range next.low.Mod.SortedFuncs() {
+			if !changedFiles[fn.File] {
+				fn.AdoptFingerprint(p.low.Mod.Funcs[fn.Name])
+			}
 		}
 	}
 	next.Index()
+	changed, frontier := p.diff(next)
+	return next, changed, frontier, nil
+}
 
-	// Changed = defined functions whose fingerprint differs across the two
-	// Programs, including added and removed definitions. Declarations are
-	// opaque to the engine and do not contribute to entry keys.
-	var changed []string
-	for name, old := range p.mod.Funcs {
-		if nf, ok := next.mod.Funcs[name]; !old.IsDecl() && (!ok || nf.IsDecl() || nf.Fingerprint() != old.Fingerprint()) {
+// diff compares p with next, both indexed: changed lists the defined
+// functions whose fingerprint differs across the two, including added and
+// removed definitions, and frontier the entries whose salt-0 key changed.
+// Declarations are opaque to the engine and do not contribute to entry
+// keys. Salt 0 stands in for the configuration salt the real cache keys
+// carry: both sides share it, so it cancels out of the comparison.
+func (p *Program) diff(next *Program) (changed, frontier []string) {
+	for name, old := range p.low.Mod.Funcs {
+		if nf, ok := next.low.Mod.Funcs[name]; !old.IsDecl() && (!ok || nf.IsDecl() || nf.Fingerprint() != old.Fingerprint()) {
 			changed = append(changed, name)
 		}
 	}
-	for name, nf := range next.mod.Funcs {
-		if of, ok := p.mod.Funcs[name]; !nf.IsDecl() && (!ok || of.IsDecl()) {
+	for name, nf := range next.low.Mod.Funcs {
+		if of, ok := p.low.Mod.Funcs[name]; !nf.IsDecl() && (!ok || of.IsDecl()) {
 			changed = append(changed, name)
 		}
 	}
 	sort.Strings(changed)
-
-	// Frontier = entries whose key changed. Salt 0 stands in for the
-	// configuration salt the real cache keys carry: both sides share it,
-	// so it cancels out of the comparison.
-	var frontier []string
 	for name, key := range next.keys {
 		if old, ok := p.keys[name]; !ok || old != key {
 			frontier = append(frontier, name)
 		}
 	}
 	sort.Strings(frontier)
-	return next, changed, frontier, nil
+	return changed, frontier
 }

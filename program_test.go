@@ -2,12 +2,15 @@ package pata
 
 import (
 	"context"
+	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/acache"
+	"repro/internal/cir/cirtest"
 	"repro/internal/core"
 	"repro/internal/oscorpus"
 )
@@ -100,4 +103,220 @@ func TestProgramUpdateEquivalence(t *testing.T) {
 		}
 		prog, sources = next, edited
 	}
+}
+
+// updateBase is a three-file program for the Update tests: a prototype
+// defined in another file, colliding statics, a callee no file declares
+// and an identifier naming it, and an ops-struct initializer.
+var updateBase = map[string]string{
+	"a.c": `struct dev { int flags; struct dev *next; };
+int helper(struct dev *d);
+static int local(int x) { return x + 1; }
+int probe(struct dev *d) {
+	if (!d)
+		return d->flags;
+	return helper(d) + local(d->flags) + ext_log(d->flags);
+}
+`,
+	"b.c": `struct dev { int flags; struct dev *next; };
+int helper(struct dev *d) {
+	if (d->next)
+		return d->next->flags;
+	return 0;
+}
+static int local(int x) { return x - 1; }
+int use_local(int y) { return local(y); }
+`,
+	"c.c": `static struct driver_ops probe_ops = { .probe = probe };
+int uses_ext(void) { return ext_log; }
+int tail(int n) {
+	char *p = (char *)kmalloc(n);
+	if (!p)
+		return p[0];
+	kfree(p);
+	return 0;
+}
+`,
+}
+
+// checkUpdate applies set and remove to p through Update and checks the
+// result against a fresh Load of the edited sources: the same error, or a
+// module that is the same up to GIDs (cirtest.NormalizedDigest) with the
+// same changed functions and frontier as diffing p against that Load.
+func checkUpdate(t *testing.T, p *Program, set map[string]string, remove []string) *Program {
+	t.Helper()
+	next, changed, frontier, err := p.Update(set, remove)
+	sources := maps.Clone(p.sources)
+	maps.Copy(sources, set)
+	for _, name := range remove {
+		delete(sources, name)
+	}
+	want, werr := Load(p.name, sources)
+	if err != nil || werr != nil {
+		if err == nil || werr == nil || err.Error() != werr.Error() {
+			t.Fatalf("Update error %v, Load error %v", err, werr)
+		}
+		return nil
+	}
+	if got, want := normalizedDigest(t, next), normalizedDigest(t, want); got != want {
+		t.Errorf("Update's module differs from a fresh Load's")
+	}
+	want.Index()
+	wchanged, wfrontier := p.diff(want)
+	if !slices.Equal(changed, wchanged) || !slices.Equal(frontier, wfrontier) {
+		t.Errorf("Update changed %v, frontier %v; against a fresh Load: changed %v, frontier %v",
+			changed, frontier, wchanged, wfrontier)
+	}
+	return next
+}
+
+func normalizedDigest(t *testing.T, p *Program) string {
+	t.Helper()
+	d, err := cirtest.NormalizedDigest(p.low.Mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestUpdateMatchesLoad checks Update against a fresh Load along an
+// oscorpus.Mutate edit sequence, which takes the re-lowering fast path at
+// every step, and on hand-written edits that take it or fall back.
+func TestUpdateMatchesLoad(t *testing.T) {
+	t.Run("mutate sequence", func(t *testing.T) {
+		c := oscorpus.Generate(oscorpus.LinuxSpec())
+		prog, err := Load(c.Spec.Name, c.Sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources := c.Sources
+		for step := range 6 {
+			edited, _ := oscorpus.Mutate(sources, 2, int64(step+1))
+			set := make(map[string]string)
+			for name, src := range edited {
+				if src != sources[name] {
+					set[name] = src
+				}
+			}
+			prog, sources = checkUpdate(t, prog, set, nil), edited
+		}
+	})
+	edit := func(file, old, new string) map[string]string {
+		if !strings.Contains(updateBase[file], old) {
+			t.Fatalf("%s lacks %q", file, old)
+		}
+		return map[string]string{file: strings.Replace(updateBase[file], old, new, 1)}
+	}
+	for _, c := range []struct {
+		name   string
+		set    map[string]string
+		remove []string
+	}{
+		{"new implicit declaration", edit("b.c", "return 0;", "return new_ext(d->flags, 1);"), nil},
+		{"newly address-taken function", edit("b.c", "return 0;", "return tail ? 1 : 0;"), nil},
+		{"line shift", edit("a.c", "struct dev", "\n\nstruct dev"), nil},
+		{"changed struct", edit("a.c", "int flags;", "int flags; int more;"), nil},
+		{"changed prototype", edit("a.c", "int helper(struct dev *d);", "int helper(struct dev *d, int n);"), nil},
+		{"identifier loses its declaring call", edit("a.c", " + ext_log(d->flags)", ""), nil},
+		{"file added", map[string]string{"d.c": "int extra(int *q) { if (!q) return *q; return 0; }\n"}, nil},
+		{"file removed", nil, []string{"b.c"}},
+		{"parse error", map[string]string{"b.c": "int helper( {"}, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := Load("m", updateBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkUpdate(t, prog, c.set, c.remove)
+		})
+	}
+}
+
+// TestUpdateSharesUnchangedFunctions: an Update that edits function bodies
+// shares every function of the unchanged files with the previous Program,
+// pointer for pointer, and makes new ones for the edited files; it writes
+// nothing of the previous Program, which an Analyze runs on meanwhile (the
+// race detector checks the overlap).
+func TestUpdateSharesUnchangedFunctions(t *testing.T) {
+	c := oscorpus.Generate(oscorpus.LinuxSpec())
+	prog, err := Load(c.Spec.Name, c.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Index()
+	before := cirtest.Digest(prog.low.Mod)
+	ec, err := Config{}.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Result)
+	go func() { done <- prog.Analyze(context.Background(), ec, 2, true) }()
+
+	edited, mutated := oscorpus.Mutate(c.Sources, 2, 1)
+	set := make(map[string]string)
+	for name, src := range edited {
+		if src != c.Sources[name] {
+			set[name] = src
+		}
+	}
+	next, changed, _, err := prog.Update(set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(changed, mutated) {
+		t.Errorf("changed = %v, want %v", changed, mutated)
+	}
+	shared := 0
+	for name, fn := range next.low.Mod.Funcs {
+		old := prog.low.Mod.Funcs[name]
+		_, edited := set[fn.File]
+		switch {
+		case fn.File == "": // implicit declarations are remade
+		case edited && fn == old:
+			t.Errorf("%s of edited file %s is shared", name, fn.File)
+		case !edited && fn != old:
+			t.Errorf("%s of unchanged file %s is not shared", name, fn.File)
+		case !edited:
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Error("no function shared")
+	}
+	res := <-done
+	if after := cirtest.Digest(prog.low.Mod); after != before {
+		t.Error("Update changed the previous Program's module")
+	}
+	if again := prog.Analyze(context.Background(), ec, 1, true); again.Report() != res.Report() {
+		t.Error("the previous Program analyzes differently after Update")
+	}
+}
+
+// FuzzUpdate replaces the middle file of updateBase with fuzzer bytes:
+// Update must match a fresh Load of the result, with the same error or the
+// same module up to GIDs, changed functions and frontier.
+func FuzzUpdate(f *testing.F) {
+	for _, s := range []string{
+		updateBase["b.c"],
+		strings.Replace(updateBase["b.c"], "return 0;", "return 7;", 1),
+		strings.Replace(updateBase["b.c"], "return 0;", "return ext_log(1) + new_ext();", 1),
+		strings.Replace(updateBase["b.c"], "return 0;", "struct tmp *t = 0;\n\treturn t == 0;", 1),
+		strings.Replace(updateBase["b.c"], "int flags;", "int flags; int more;", 1),
+		strings.Replace(updateBase["b.c"], "static int local", "int local", 1),
+		"\n" + updateBase["b.c"],
+		"", "int helper( {", "int helper(struct dev *d) { return nowhere; }",
+	} {
+		f.Add(s)
+	}
+	prog, err := Load("m", updateBase)
+	if err != nil {
+		f.Fatal(err)
+	}
+	prog.Index()
+	f.Fuzz(func(t *testing.T, src string) {
+		if strings.Count(src, "{")+strings.Count(src, "(") > 2000 {
+			t.Skip() // the parser's recursion depth, as in FuzzParse
+		}
+		checkUpdate(t, prog, map[string]string{"b.c": src}, nil)
+	})
 }
