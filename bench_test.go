@@ -10,7 +10,9 @@ package pata_test
 // cost of regenerating each one.
 
 import (
+	"context"
 	"io"
+	"sync"
 	"testing"
 
 	pata "repro"
@@ -397,4 +399,67 @@ func BenchmarkProgramUpdate(b *testing.B) {
 		}
 		prog, sources = next, edited
 	}
+}
+
+// memCache is an in-memory core.EntryCache.
+type memCache struct {
+	mu sync.Mutex
+	m  map[string][]byte
+}
+
+func (c *memCache) Load(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d, ok := c.m[key]
+	return d, ok
+}
+
+func (c *memCache) Save(key string, data []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = data
+}
+
+// BenchmarkWarmAnalyze measures a warm cached analysis against a cold
+// cacheless one on scan-validate's corpus (validate-heavy ×12 with its
+// clusters scaled, seed 1), each op a Load and an Analyze as the CLI runs
+// them. "warm" replays every entry, Stage-2 verdicts included, from an
+// in-memory EntryCache filled before the timer starts; "cacheless" runs
+// both stages.
+func BenchmarkWarmAnalyze(b *testing.B) {
+	base := oscorpus.ValidationHeavySpec()
+	spec := oscorpus.Scaled(base, 12)
+	for i := range spec.Cats {
+		spec.Cats[i].Helpers = base.Cats[i].Helpers * 12
+		spec.Cats[i].Validation = base.Cats[i].Validation * 12
+	}
+	spec.Seed++
+	c := oscorpus.Generate(spec)
+	analyze := func(b *testing.B, cache core.EntryCache) *pata.Result {
+		prog, err := pata.Load(c.Spec.Name, c.Sources)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ec, err := pata.Config{}.EngineConfig()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ec.Cache = cache
+		return prog.Analyze(context.Background(), ec, 0, false)
+	}
+	b.Run("cacheless", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			analyze(b, nil)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		cache := &memCache{m: make(map[string][]byte)}
+		analyze(b, cache)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := analyze(b, cache); res.Stats.CacheEntriesMiss != 0 {
+				b.Fatalf("warm op missed %d entries", res.Stats.CacheEntriesMiss)
+			}
+		}
+	})
 }

@@ -1,7 +1,7 @@
 // Package acache is the on-disk store behind the incremental analysis
 // cache: a flat directory of capsule files, each named by a content-derived
-// key (core computes entry keys from transitive function fingerprints and
-// verdict keys from candidate content; this package never interprets them).
+// key (core computes entry keys from transitive function fingerprints;
+// this package never interprets them).
 //
 // The store is deliberately forgiving: it is a cache, not a database. Every
 // write is atomic (temp file + rename, so a crashed run never leaves a

@@ -30,6 +30,11 @@ type Graph struct {
 	// entry, which made the recomputation quadratic in module size.
 	entriesOnce sync.Once
 	entries     []*cir.Function
+
+	// bases memoizes EntryKey's salt-free part per function, so keying
+	// every entry under a second salt costs one mix each.
+	basesMu sync.Mutex
+	bases   map[*cir.Function]uint64
 }
 
 // Build constructs the call graph of mod.
@@ -87,25 +92,44 @@ func (g *Graph) IsEntry(name string) bool {
 }
 
 // EntryKey returns the content-addressed cache key of entry function fn:
-// the salt (the analysis-relevant configuration digest supplied by the
-// caller) mixed with the content fingerprint of fn and of every defined
-// function statically reachable from it, in sorted name order. The key is
-// unchanged exactly when nothing the entry's analysis can observe changed:
-// editing any reachable function, adding or removing a reachable
-// definition (definedness itself changes the reachable set), or renaming a
-// function all produce a different key, while edits to unreachable code
-// leave it alone. Calls to external declarations are opaque to the engine
-// (no inlining, unconstrained result), so declaration bodies do not
-// contribute — but a declaration *becoming* defined enters the reachable
-// set and invalidates.
+// a salt-free base — fn's name and the content fingerprint of fn and of
+// every defined function statically reachable from it, in sorted name
+// order — with the salt (the analysis-relevant configuration digest
+// supplied by the caller) mixed in last. The key is unchanged exactly when
+// nothing the entry's analysis can observe changed: editing any reachable
+// function, adding or removing a reachable definition (definedness itself
+// changes the reachable set), or renaming a function all produce a
+// different key, while edits to unreachable code leave it alone. Calls to
+// external declarations are opaque to the engine (no inlining,
+// unconstrained result), so declaration bodies do not contribute — but a
+// declaration *becoming* defined enters the reachable set and invalidates.
+//
+// The base is computed once per Graph and function, so keys under several
+// salts cost one reachability walk. The memo is locked, which also keeps
+// the fingerprints it computes from racing each other.
 func (g *Graph) EntryKey(fn *cir.Function, salt uint64) uint64 {
+	g.basesMu.Lock()
+	defer g.basesMu.Unlock()
+	base, ok := g.bases[fn]
+	if !ok {
+		base = g.entryBase(fn)
+		if g.bases == nil {
+			g.bases = make(map[*cir.Function]uint64)
+		}
+		g.bases[fn] = base
+	}
+	return hmix.Mix2(salt, base)
+}
+
+// entryBase is EntryKey's salt-free part.
+func (g *Graph) entryBase(fn *cir.Function) uint64 {
 	reach := g.ReachableFrom(fn.Name)
 	names := make([]string, 0, len(reach))
 	for n := range reach {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	h := hmix.Mix2(salt, hmix.Str(fn.Name))
+	h := hmix.Str(fn.Name)
 	for _, n := range names {
 		if f, ok := g.Mod.Funcs[n]; ok {
 			h = hmix.Mix3(h, hmix.Str(n), f.Fingerprint())

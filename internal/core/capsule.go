@@ -9,8 +9,9 @@ import (
 	"repro/internal/typestate"
 )
 
-// EntryCache persists per-entry analysis results and Stage-2 verdicts
-// across runs. Keys are content-addressed strings computed by the engine;
+// EntryCache persists per-entry analysis results across runs: one capsule
+// per entry function, holding its Stage-1 candidates and their Stage-2
+// verdicts. Keys are content-addressed strings computed by the engine;
 // values are opaque byte payloads. Load returns ok=false on any miss —
 // including corrupted or stale storage — and Save is best-effort (a failed
 // write must degrade to a miss on the next run, never to an error).
@@ -24,21 +25,21 @@ type EntryCache interface {
 }
 
 // capsuleVersion is folded into analysisSalt, so bumping it invalidates
-// every cached capsule and verdict at once. Bump it whenever the capsule
-// layout, the Stats replayed from it, the counters a stored verdict
+// every cached capsule at once. Bump it whenever the capsule layout, the
+// entry keys, the Stats replayed from it, the counters a stored verdict
 // carries, or the engine's exploration semantics change in a way old
-// capsules and verdicts cannot represent.
-const capsuleVersion = 7
+// capsules cannot represent.
+const capsuleVersion = 8
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
 // every budget knob, the feature toggles, whether Stage-2 validation is
 // live and whether it is batched (batching changes the constraint counters
-// a stored verdict replays), the checker set (specs by content digest,
+// a capsule's verdicts replay), the checker set (specs by content digest,
 // others by name, in configured order — order affects checker indices and
 // alias-set capture), the intrinsics table, and the module's globals (name
 // and element type; global bodies don't exist in CIR). EntryKey mixes this
-// salt under every per-entry key, so changing any of these is a full cache
+// salt into every per-entry key, so changing any of these is a full cache
 // invalidation. Call on a withDefaults() config — zero fields would
 // otherwise alias their defaulted spellings.
 func (c Config) analysisSalt(mod *cir.Module) uint64 {
@@ -137,6 +138,7 @@ type candC struct {
 	InFn      string
 	Category  string
 	AliasSet  []string
+	Verdict   *verdictC
 }
 
 // entryCapsule is one entry function's complete Stage-1 outcome: its
@@ -147,14 +149,32 @@ type entryCapsule struct {
 	Cands []candC
 }
 
-// verdictC is one Stage-2 validation outcome. Verdict-cache hit/miss
-// counters are not persisted: they describe the run that computed the
-// verdict, not the verdict itself.
+// verdictC is one candidate's Stage-2 validation outcome. Verdict-cache
+// hit/miss and batching counters are not persisted: they describe the run
+// that computed the verdict, not the verdict itself.
 type verdictC struct {
 	Feasible           bool
 	Constraints        int64
 	ConstraintsUnaware int64
 	Trigger            []string
+}
+
+func verdictOf(out ValidationOutcome) *verdictC {
+	return &verdictC{
+		Feasible:           out.Feasible,
+		Constraints:        out.Constraints,
+		ConstraintsUnaware: out.ConstraintsUnaware,
+		Trigger:            out.Trigger,
+	}
+}
+
+func (v *verdictC) outcome() ValidationOutcome {
+	return ValidationOutcome{
+		Feasible:           v.Feasible,
+		Constraints:        v.Constraints,
+		ConstraintsUnaware: v.ConstraintsUnaware,
+		Trigger:            v.Trigger,
+	}
 }
 
 // ---- encoding ----
@@ -250,21 +270,13 @@ func encodeExtra(ex *typestate.ExtraConstraint) (*extraC, bool) {
 	return out, true
 }
 
-// encodeCapsule serializes one entry's Result. ok=false means some
-// candidate isn't representable (an off-module instruction, an unlocatable
-// origin, an exotic extra-constraint value); the caller then simply doesn't
-// cache the entry — a conservative miss on the next run, never a wrong
-// replay. Call it BEFORE mergeResults sees res: the merge mutates
-// first-sighting candidates (AltPaths accumulation) in place.
-func encodeCapsule(res *Result) ([]byte, bool) {
-	c, ok := capsuleOf(res)
-	if !ok {
-		return nil, false
-	}
-	return marshalCapsule(&c), true
-}
-
-// capsuleOf lifts one entry's Result into its wire form.
+// capsuleOf lifts one entry's Result into its wire form. ok=false means
+// some candidate isn't representable (an off-module instruction, an
+// unlocatable origin, an exotic extra-constraint value); the caller then
+// simply doesn't cache the entry — a conservative miss on the next run,
+// never a wrong replay. Lift a missed entry BEFORE mergeResults sees res:
+// the merge mutates first-sighting candidates (AltPaths accumulation) in
+// place.
 func capsuleOf(res *Result) (entryCapsule, bool) {
 	cap0 := entryCapsule{Stats: res.Stats, Cands: make([]candC, 0, len(res.Possible))}
 	t := newRefTable()
@@ -275,6 +287,7 @@ func capsuleOf(res *Result) (entryCapsule, bool) {
 			InFn:     pb.InFn,
 			Category: pb.Category,
 			AliasSet: pb.AliasSet,
+			Verdict:  pb.verdict,
 		}
 		var ok bool
 		if c.Bug, ok = t.refOf(pb.BugInstr); !ok {
@@ -408,7 +421,8 @@ func checkersByName(cfg Config) map[string]typestate.Checker {
 // ok=false — an unresolvable ref, an unknown checker, a malformed payload —
 // means the caller treats the capsule as a miss and re-analyzes the entry.
 // The replayed Stats carry the stored exploration counters plus the cache
-// accounting: one entry hit, with every stored executed step skipped.
+// accounting: one entry hit, with every stored executed step skipped. Each
+// candidate carries its stored verdict, if any, for Stage 2 to replay.
 func decodeCapsule(data []byte, mod *cir.Module, checkers map[string]typestate.Checker) (*Result, bool) {
 	cap0, ok := unmarshalCapsule(data)
 	if !ok {
@@ -435,6 +449,7 @@ func decodeCapsule(data []byte, mod *cir.Module, checkers map[string]typestate.C
 			InFn:     c.InFn,
 			Category: c.Category,
 			AliasSet: c.AliasSet,
+			verdict:  c.Verdict,
 		}
 		if pb.BugInstr, ok = r.instr(c.Bug); !ok {
 			return nil, false
@@ -463,80 +478,4 @@ func decodeCapsule(data []byte, mod *cir.Module, checkers map[string]typestate.C
 		res.Possible = append(res.Possible, pb)
 	}
 	return res, true
-}
-
-// ---- verdict cache ----
-
-// instrDigest hashes an instruction by content and position — everything
-// its rendering and its report line depend on — so verdict keys survive
-// GID renumbering but not edits.
-func instrDigest(in cir.Instr) uint64 {
-	fnName := ""
-	if blk := in.Block(); blk != nil && blk.Fn != nil {
-		fnName = blk.Fn.Name
-	}
-	pos := in.Position()
-	h := hmix.Mix2(hmix.Str(fnName), hmix.Str(in.String()))
-	return hmix.Mix3(h, hmix.Str(pos.File), uint64(int64(pos.Line)))
-}
-
-func pathDigest(h uint64, path []PathStep) uint64 {
-	h = hmix.Mix2(h, uint64(len(path)))
-	for _, st := range path {
-		h = hmix.Mix3(h, instrDigest(st.Instr), boolBit(st.Taken))
-	}
-	return h
-}
-
-// verdictKey computes a content-addressed key for one candidate's Stage-2
-// verdict: the analysis salt, the checker, the mode, the bug and origin
-// instructions, the extra constraint, and every witness path the validator
-// may try. ok=false (unrepresentable candidate) means validate live and
-// don't cache.
-func verdictKey(salt uint64, pb *PossibleBug, mode Mode) (string, bool) {
-	h := hmix.Mix3(salt, hmix.Str(pb.Checker.Name()), hmix.Str(string(pb.Type)))
-	h = hmix.Mix3(h, uint64(int64(mode)), instrDigest(pb.BugInstr))
-	if pb.OriginGID != 0 {
-		origin, found := originInstr(pb)
-		if !found {
-			return "", false
-		}
-		h = hmix.Mix2(h, instrDigest(origin))
-	}
-	if pb.Extra != nil {
-		ec, ok := encodeExtra(pb.Extra)
-		if !ok {
-			return "", false
-		}
-		h = hmix.Mix4(h, uint64(int64(ec.Kind)), uint64(ec.Val), boolBit(ec.IsNull))
-		h = hmix.Mix4(h, hmix.Str(ec.Str), hmix.Str(ec.RegFn+"#"+ec.Name), uint64(int64(ec.RegID)))
-		h = hmix.Mix3(h, hmix.Str(ec.Pred), uint64(ec.Bound))
-	}
-	h = pathDigest(h, pb.Path)
-	for _, alt := range pb.AltPaths {
-		h = pathDigest(h, alt)
-	}
-	return fmt.Sprintf("v%016x", h), true
-}
-
-func encodeVerdict(out ValidationOutcome) []byte {
-	return marshalVerdict(&verdictC{
-		Feasible:           out.Feasible,
-		Constraints:        out.Constraints,
-		ConstraintsUnaware: out.ConstraintsUnaware,
-		Trigger:            out.Trigger,
-	})
-}
-
-func decodeVerdict(data []byte) (ValidationOutcome, bool) {
-	v, ok := unmarshalVerdict(data)
-	if !ok {
-		return ValidationOutcome{}, false
-	}
-	return ValidationOutcome{
-		Feasible:           v.Feasible,
-		Constraints:        v.Constraints,
-		ConstraintsUnaware: v.ConstraintsUnaware,
-		Trigger:            v.Trigger,
-	}, true
 }

@@ -92,8 +92,8 @@ type Config struct {
 	// RunParallel keys each entry function by the fingerprints of every
 	// reachable function plus the analysis-relevant configuration (see
 	// analysisSalt), replays cached per-entry results on key hits, and
-	// stores freshly computed ones on misses. Stage-2 verdicts are cached
-	// the same way.
+	// stores freshly computed ones on misses. Each entry's capsule also
+	// carries its candidates' Stage-2 verdicts, so a hit skips Stage 2.
 	Cache EntryCache
 	// EntryTimeout bounds the wall-clock of one entry function's Stage-1
 	// DFS attempt and of each candidate's Stage-2 validation (<= 0 means
@@ -210,6 +210,14 @@ type PossibleBug struct {
 	// AliasSet holds the access paths of the affected object's alias class
 	// at the bug point (Example 1 of the paper), for readable reports.
 	AliasSet []string
+
+	// The candidate's Stage-2 verdict as its entry capsule stores it:
+	// replayed from a cache hit, or recorded by Stage 2 (fresh) for the
+	// capsule saved after it. merged marks a first sighting to which
+	// mergeResults appended another entry's paths; see validateGroup.
+	verdict *verdictC
+	fresh   bool
+	merged  bool
 }
 
 // maxAltPaths bounds the extra witness paths kept per candidate.

@@ -8,13 +8,12 @@ import "repro/internal/cir"
 
 type (
 	CapsuleWire = entryCapsule
+	CandWire    = candC
 	VerdictWire = verdictC
 )
 
 func UnmarshalCapsuleWire(data []byte) (CapsuleWire, bool) { return unmarshalCapsule(data) }
 func MarshalCapsuleWire(c CapsuleWire) []byte              { return marshalCapsule(&c) }
-func UnmarshalVerdictWire(data []byte) (VerdictWire, bool) { return unmarshalVerdict(data) }
-func MarshalVerdictWire(v VerdictWire) []byte              { return marshalVerdict(&v) }
 
 // ReplayCapsule decodes a capsule payload against mod the way a cache hit
 // does.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,14 +108,15 @@ func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 // incremental-cache replay), ValidationTime the wall-clock of Stage 2.
 //
 // When cfg.Cache is set, the run is incremental: each entry function is
-// keyed by callgraph.EntryKey (transitive content fingerprint mixed with
-// the analysisSalt configuration digest). Entries whose key hits the cache
-// skip Stage 1 entirely — their stored capsule fills the entry's slot, so
-// candidate order, cross-entry dedup, and the report are byte-identical to
-// a cold run — and Stage-2 verdicts are served from the cache per candidate
-// the same way. Misses run live and are stored for the next run. Every
-// cache failure mode (corrupt file, unresolvable ref, unrepresentable
-// candidate) degrades to a cold path, never to an error.
+// keyed by callgraph.EntryKey (transitive content fingerprint with the
+// analysisSalt configuration digest mixed in). Entries whose key hits the
+// cache skip Stage 1 entirely — their stored capsule fills the entry's
+// slot, so candidate order, cross-entry dedup, and the report are
+// byte-identical to a cold run — and their candidates replay the Stage-2
+// verdicts the capsule carries. Misses run live and are stored, with their
+// verdicts, for the next run. Every cache failure mode (corrupt file,
+// unresolvable ref, unrepresentable candidate) degrades to a cold path,
+// never to an error.
 func RunParallel(mod *cir.Module, cfg Config, workers int) *Result {
 	return RunParallelCtx(context.Background(), mod, cfg, workers)
 }
@@ -128,6 +130,13 @@ func RunParallel(mod *cir.Module, cfg Config, workers int) *Result {
 // taking down the run, and degraded results are withheld from the
 // incremental cache (a warm re-run retries them).
 func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers int) *Result {
+	return RunGraphCtx(ctx, callgraph.Build(mod), cfg, workers)
+}
+
+// RunGraphCtx is RunParallelCtx over cg's module, with cg as the call
+// graph: a host that already holds the graph (pata.Program) neither
+// rebuilds it nor recomputes the salt-free entry keys it memoizes.
+func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers int) *Result {
 	cfg = cfg.withDefaults()
 	if cfg.RunTimeout > 0 {
 		var cancel context.CancelFunc
@@ -137,7 +146,7 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cg := callgraph.Build(mod)
+	mod := cg.Mod
 	entries := cg.EntryFunctions()
 	cache := cfg.Cache
 	workers = max(min(workers, len(entries)), 1)
@@ -147,49 +156,44 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	// Incremental lookup: probe the cache for every entry up front. Hits
 	// fill their result slot; only misses are scheduled onto the Stage-1
 	// deques. The key pass is sequential — EntryKey memoizes function
-	// fingerprints on first computation, and hashing is cheap — but the
-	// capsule reads and decodes fan out across workers: each probe touches
-	// a disjoint slot, the store's locks are striped by key, and
-	// decodeCapsule only reads the module.
-	var salt uint64
+	// fingerprints on first computation — but the capsule reads and
+	// decodes fan out across workers: each probe touches a disjoint slot,
+	// the store's locks are striped by key, and decodeCapsule only reads
+	// the module. Each hit's payload is kept for saveCapsule, and each
+	// miss's wire form (lifted in Stage 1) for saving after Stage 2.
 	var keys []string
+	var hits [][]byte
+	var wires []*entryCapsule
 	results := make([]*Result, len(entries))
 	if cache != nil {
-		salt = cfg.analysisSalt(mod)
+		salt := cfg.analysisSalt(mod)
 		byName := checkersByName(cfg)
 		keys = make([]string, len(entries))
 		for i, fn := range entries {
 			keys[i] = entryKeyString(cg.EntryKey(fn, salt))
 		}
-		var wgP sync.WaitGroup
-		for p := 0; p < workers; p++ {
-			wgP.Add(1)
-			go func(p int) {
-				defer wgP.Done()
-				for i := p; i < len(entries); i += workers {
-					data, ok := cache.Load(keys[i])
-					if !ok {
-						continue
-					}
-					res, ok := decodeCapsule(data, mod, byName)
-					if !ok {
-						continue
-					}
-					// Budget trips are deterministic, so budget-tripped
-					// capsules are cacheable; their incomplete record is
-					// synthesized on replay (capsules predate the record's
-					// creation and stay leaner without it). Degraded
-					// entries are never saved, so no other reason can
-					// surface from a hit.
-					if res.Stats.Budgeted > 0 {
-						res.Incomplete = append(res.Incomplete,
-							IncompleteEntry{Entry: entries[i].Name, Reason: ReasonBudget, Rung: 0})
-					}
-					results[i] = res
-				}
-			}(p)
-		}
-		wgP.Wait()
+		hits = make([][]byte, len(entries))
+		wires = make([]*entryCapsule, len(entries))
+		parallelFor(len(entries), workers, func(i int) {
+			data, ok := cache.Load(keys[i])
+			if !ok {
+				return
+			}
+			res, ok := decodeCapsule(data, mod, byName)
+			if !ok {
+				return
+			}
+			// Budget trips are deterministic, so budget-tripped capsules
+			// are cacheable; their incomplete record is synthesized on
+			// replay (capsules predate the record's creation and stay
+			// leaner without it). Degraded entries are never saved, so no
+			// other reason can surface from a hit.
+			if res.Stats.Budgeted > 0 {
+				res.Incomplete = append(res.Incomplete,
+					IncompleteEntry{Entry: entries[i].Name, Reason: ReasonBudget, Rung: 0})
+			}
+			results[i], hits[i] = res, data
+		})
 	}
 	live := make([]entryTask, 0, len(entries))
 	for i, fn := range entries {
@@ -251,15 +255,15 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 					res, eng, degraded = runEntryIsolated(eng, t.fn)
 				}
 				if cache != nil {
-					// Encode before the merge mutates first-sighting
-					// candidates in place (AltPaths). A non-encodable entry
-					// just isn't cached — and neither is a degraded one: its
-					// result depends on wall-clock (or on a contained panic),
-					// so a warm re-run must re-attempt it rather than replay
-					// the degraded shadow.
+					// Lift the wire form before the merge mutates
+					// first-sighting candidates in place (AltPaths). A
+					// non-encodable entry just isn't cached — and neither
+					// is a degraded one: its result depends on wall-clock
+					// (or on a contained panic), so a warm re-run must
+					// re-attempt it rather than replay the degraded shadow.
 					if !degraded {
-						if data, ok := encodeCapsule(res); ok {
-							cache.Save(keys[t.idx], data)
+						if c, ok := capsuleOf(res); ok {
+							wires[t.idx] = &c
 						}
 					}
 					res.Stats.CacheEntriesMiss = 1
@@ -274,18 +278,61 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 	merged.Stats.AnalysisTime = time.Since(start)
 
 	vstart := time.Now()
-	merged.Bugs = validateCandidates(ctx, cfg, merged.Possible, workers, cache, salt, &merged.Stats)
+	merged.Bugs = validateCandidates(ctx, cfg, merged.Possible, workers, &merged.Stats)
 	merged.Stats.PossibleBugs = int64(len(merged.Possible)) + merged.Stats.RepeatedDropped
 	merged.Stats.WorkSteals = atomic.LoadInt64(&steals)
 	merged.Stats.ValidationTime = time.Since(vstart)
+	if cache != nil {
+		parallelFor(len(entries), workers, func(i int) {
+			saveCapsule(cache, keys[i], results[i], wires[i], hits[i])
+		})
+	}
 	return merged
+}
+
+// parallelFor calls f(i) for every i in [0, n) on `workers` goroutines,
+// each taking every workers-th index.
+func parallelFor(n, workers int, f func(i int)) {
+	var wg sync.WaitGroup
+	for p := 0; p < workers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < n; i += workers {
+				f(i)
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
+// saveCapsule stores one entry's capsule after Stage 2, with each
+// candidate's verdict: a missed entry's wire form c (nil when the entry is
+// degraded or not encodable, and never saved), or — when Stage 2 recorded
+// a verdict the hit's capsule lacked — the hit's payload re-decoded.
+func saveCapsule(cache EntryCache, key string, res *Result, c *entryCapsule, hit []byte) {
+	if c == nil {
+		if hit == nil || !slices.ContainsFunc(res.Possible, func(pb *PossibleBug) bool { return pb.fresh }) {
+			return
+		}
+		w, ok := unmarshalCapsule(hit)
+		if !ok {
+			return
+		}
+		c = &w
+	}
+	for j, pb := range res.Possible {
+		c.Cands[j].Verdict = pb.verdict
+	}
+	cache.Save(key, marshalCapsule(c))
 }
 
 // mergeResults folds the per-entry Results, in entry-name order, into one
 // run Result through a global dedup that extends bugSink's across entries:
 // the first sighting keeps the candidate, later sightings append their
 // primary path and then their own alternates as AltPaths (capped), each
-// sighting counting one repeated drop.
+// sighting counting one repeated drop. A first sighting that gains paths
+// is marked merged: its verdict then depends on another entry.
 func mergeResults(results []*Result) *Result {
 	type mergeKey struct {
 		checker string
@@ -320,6 +367,7 @@ func mergeResults(results []*Result) *Result {
 				continue
 			}
 			s.RepeatedDropped++
+			had := len(prev.AltPaths)
 			if len(prev.AltPaths) < maxAltPaths {
 				prev.AltPaths = append(prev.AltPaths, pb.Path)
 			}
@@ -328,6 +376,9 @@ func mergeResults(results []*Result) *Result {
 					break
 				}
 				prev.AltPaths = append(prev.AltPaths, alt)
+			}
+			if len(prev.AltPaths) > had {
+				prev.merged = true
 			}
 		}
 	}
@@ -339,13 +390,9 @@ func mergeResults(results []*Result) *Result {
 // folding every outcome's counters into st. Candidates are split into their
 // contiguous same-entry groups — candidates append per entry in entry
 // order, so each group is exactly one entry's candidates — and `workers`
-// goroutines take groups in turn. Each group's candidates are probed in the
-// verdict cache (when cache is set), and the misses, primary and alternate
-// witnesses alike, are validated together in one validateBatchGuarded call
-// so a batch validator can share their path-condition prefixes. Every
-// verdict that is neither interrupted nor panicked is saved. With no
-// validator installed, every candidate is reported unvalidated.
-func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug, workers int, cache EntryCache, salt uint64, st *Stats) []*Bug {
+// goroutines take groups in turn (see validateGroup). With no validator
+// installed, every candidate is reported unvalidated.
+func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug, workers int, st *Stats) []*Bug {
 	var bugs []*Bug
 	if cfg.ValidatePath == nil {
 		for _, pb := range possible {
@@ -378,7 +425,7 @@ func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug
 					return
 				}
 				lo, hi := groups[g], groups[g+1]
-				validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], cache, salt, &mySolver)
+				validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], &mySolver)
 			}
 		}()
 	}
@@ -398,38 +445,32 @@ func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug
 }
 
 // validateGroup validates one same-entry candidate group into outs, which
-// is positionally parallel to pbs: verdict-cache hits replay, and the
-// misses go to the validator together in one validateBatchGuarded call.
-func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []ValidationOutcome, cache EntryCache, salt uint64, solverNanos *int64) {
+// is positionally parallel to pbs. A candidate replays the verdict its
+// entry capsule carries, unless the merge appended another entry's paths
+// to it; the rest, primary and alternate witnesses alike, go to the
+// validator together in one validateBatchGuarded call so a batch validator
+// can share their path-condition prefixes. Each live outcome is recorded
+// on its candidate for the capsule (see saveCapsule), except on a merged
+// candidate, whose verdict depends on a key other than its entry's, and
+// except an interrupted or panicked one: that verdict is conservative, not
+// proven, and persisting it would freeze a guess.
+func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []ValidationOutcome, solverNanos *int64) {
 	var miss []*PossibleBug
 	var idx []int
-	var keys []string
 	for i, pb := range pbs {
-		key := ""
-		if cache != nil {
-			var keyed bool
-			if key, keyed = verdictKey(salt, pb, cfg.Mode); keyed {
-				if data, hit := cache.Load(key); hit {
-					if out, ok := decodeVerdict(data); ok {
-						// A replayed verdict carries no verdict-cache
-						// counters: those describe solver work, and a disk
-						// hit does none.
-						outs[i] = out
-						continue
-					}
-				}
-			}
+		if pb.verdict != nil && !pb.merged {
+			// A replayed verdict carries no verdict-cache counters: those
+			// describe solver work, and a replay does none.
+			outs[i] = pb.verdict.outcome()
+			continue
 		}
 		miss = append(miss, pb)
 		idx = append(idx, i)
-		keys = append(keys, key)
 	}
 	for j, out := range validateBatchGuarded(ctx, cfg, miss, solverNanos) {
 		outs[idx[j]] = out
-		// An interrupted or panicked verdict is conservative, not proven;
-		// persisting it would freeze a guess.
-		if keys[j] != "" && !out.TimedOut && !out.Panicked {
-			cache.Save(keys[j], encodeVerdict(out))
+		if pb := miss[j]; !pb.merged && !out.TimedOut && !out.Panicked {
+			pb.verdict, pb.fresh = verdictOf(out), true
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Capsule wire format (capsuleVersion 7).
+// Capsule wire format (capsuleVersion 8).
 //
 // A capsule payload is
 //
@@ -17,7 +17,8 @@ import (
 // and a candidate is
 //
 //	checker  str
-//	flags    byte: 1 = has origin, 2 = has extra constraint
+//	flags    byte: 1 = has origin, 2 = has extra constraint, 4 = has
+//	         verdict
 //	origin   ref, when flagged
 //	bug      ref
 //	path     steps
@@ -27,16 +28,16 @@ import (
 //	         str Pred, varint bound
 //	entry, in-function, category  str, str, str
 //	aliases  uvarint n, then n × str
+//	verdict  when flagged: byte feasible, varint constraints, varint
+//	         constraints-unaware, uvarint n, then n × str trigger
 //
 // where str is a uvarint index into the table, ref is (str fn, varint blk,
 // varint idx), and steps is uvarint n followed by n × (str fn,
 // uvarint zigzag(blk)<<1|taken, varint idx). The table holds every
-// function, checker, category and alias name once, in first-use order, so
-// a path that walks one function a hundred times names it once.
-//
-// A verdict payload is byte feasible, varint constraints, varint
-// constraints-unaware, then uvarint n and n × (uvarint len, bytes) trigger
-// strings.
+// function, checker, category, alias name and trigger string once, in
+// first-use order, so a path that walks one function a hundred times
+// names it once. The verdict is the candidate's Stage-2 outcome, present
+// when Stage 2 decided it from the entry's own paths (see validateGroup).
 //
 // Decoding parses bytes a crashed or hostile writer may have produced (the
 // acache frame checksum catches bit rot, not a forged file), so every
@@ -287,6 +288,7 @@ func readStats(r *wireReader) Stats {
 const (
 	candHasOrigin = 1 << iota
 	candHasExtra
+	candHasVerdict
 )
 
 const (
@@ -345,6 +347,9 @@ func appendCand(w *wireWriter, t *strTable, c *candC) {
 	if c.Extra != nil {
 		flags |= candHasExtra
 	}
+	if c.Verdict != nil {
+		flags |= candHasVerdict
+	}
 	w.buf = append(w.buf, flags)
 	if c.HasOrigin {
 		appendRef(w, t, c.Origin)
@@ -379,6 +384,15 @@ func appendCand(w *wireWriter, t *strTable, c *candC) {
 	w.uvarint(uint64(len(c.AliasSet)))
 	for _, a := range c.AliasSet {
 		t.ref(w, a)
+	}
+	if v := c.Verdict; v != nil {
+		w.bool(v.Feasible)
+		w.varint(v.Constraints)
+		w.varint(v.ConstraintsUnaware)
+		w.uvarint(uint64(len(v.Trigger)))
+		for _, s := range v.Trigger {
+			t.ref(w, s)
+		}
 	}
 }
 
@@ -425,7 +439,7 @@ func readSteps(r tableReader) []stepC {
 func readCand(r tableReader, c *candC) {
 	c.Checker = r.str()
 	flags := r.byte()
-	if flags&^(candHasOrigin|candHasExtra) != 0 {
+	if flags&^(candHasOrigin|candHasExtra|candHasVerdict) != 0 {
 		r.fail()
 		return
 	}
@@ -466,41 +480,14 @@ func readCand(r tableReader, c *candC) {
 			c.AliasSet[i] = r.str()
 		}
 	}
-}
-
-// ---- verdicts ----
-
-// marshalVerdict encodes v in the verdict wire format.
-func marshalVerdict(v *verdictC) []byte {
-	w := &wireWriter{buf: make([]byte, 0, 32)}
-	w.bool(v.Feasible)
-	w.varint(v.Constraints)
-	w.varint(v.ConstraintsUnaware)
-	w.uvarint(uint64(len(v.Trigger)))
-	for _, s := range v.Trigger {
-		w.uvarint(uint64(len(s)))
-		w.buf = append(w.buf, s...)
-	}
-	return w.buf
-}
-
-// unmarshalVerdict decodes a verdict payload; ok=false on any malformation.
-func unmarshalVerdict(data []byte) (verdictC, bool) {
-	r := &wireReader{data: data}
-	v := verdictC{Feasible: r.bool(), Constraints: r.varint(), ConstraintsUnaware: r.varint()}
-	if n := r.count(1); n > 0 {
-		v.Trigger = make([]string, n)
-		for i := range v.Trigger {
-			l := r.uvarint()
-			if l > uint64(len(r.data)) {
-				r.fail()
-				break
+	if flags&candHasVerdict != 0 {
+		v := &verdictC{Feasible: r.bool(), Constraints: r.varint(), ConstraintsUnaware: r.varint()}
+		if n := r.count(1); n > 0 {
+			v.Trigger = make([]string, n)
+			for i := range v.Trigger {
+				v.Trigger[i] = r.str()
 			}
-			v.Trigger[i] = string(r.take(int(l)))
 		}
+		c.Verdict = v
 	}
-	if !r.done() {
-		return verdictC{}, false
-	}
-	return v, true
 }

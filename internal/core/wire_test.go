@@ -62,7 +62,8 @@ func TestCapsuleWireEmptySlicesReadBackNil(t *testing.T) {
 	if got, _ := unmarshalCapsule(marshalCapsule(&entryCapsule{Cands: []candC{}})); got.Cands != nil {
 		t.Error("empty candidate list decoded non-nil")
 	}
-	if v, _ := unmarshalVerdict(marshalVerdict(&verdictC{Trigger: []string{}})); v.Trigger != nil {
+	withEmptyTrigger := entryCapsule{Cands: []candC{{Checker: "NPD", Verdict: &verdictC{Trigger: []string{}}}}}
+	if got, _ := unmarshalCapsule(marshalCapsule(&withEmptyTrigger)); got.Cands[0].Verdict.Trigger != nil {
 		t.Error("empty trigger list decoded non-nil")
 	}
 }
@@ -95,18 +96,35 @@ func TestCapsuleWireRejectsMalformed(t *testing.T) {
 		t.Error("forged table length accepted")
 	}
 
-	vgood := marshalVerdict(&verdictC{Feasible: true, Constraints: 3, Trigger: []string{"q = 0"}})
-	if v, ok := unmarshalVerdict(vgood); !ok || !v.Feasible || v.Trigger[0] != "q = 0" {
+	// A candidate with a verdict: every strict prefix, so every truncation
+	// of the verdict, is rejected, and so is a non-canonical feasible byte,
+	// located as the first byte that changes when feasible flips.
+	verdictCap := func(feasible bool) entryCapsule {
+		v := c
+		v.Cands = []candC{c.Cands[0]}
+		v.Cands[0].Verdict = &verdictC{Feasible: feasible, Constraints: 3, Trigger: []string{"q = 0"}}
+		return v
+	}
+	vgood := marshalCapsule(ptr(verdictCap(true)))
+	if v, ok := unmarshalCapsule(vgood); !ok || !v.Cands[0].Verdict.Feasible || v.Cands[0].Verdict.Trigger[0] != "q = 0" {
 		t.Fatalf("valid verdict: %+v %v", v, ok)
 	}
 	for n := 0; n < len(vgood); n++ {
-		if _, ok := unmarshalVerdict(vgood[:n]); ok {
-			t.Errorf("%d-byte prefix of a %d-byte verdict accepted", n, len(vgood))
+		if _, ok := unmarshalCapsule(vgood[:n]); ok {
+			t.Errorf("%d-byte prefix of a %d-byte capsule with a verdict accepted", n, len(vgood))
 		}
 	}
+	vfalse := marshalCapsule(ptr(verdictCap(false)))
+	foff := 0
+	for foff < len(vgood) && vgood[foff] == vfalse[foff] {
+		foff++
+	}
+	if foff == len(vgood) || vgood[foff] != 1 || vfalse[foff] != 0 {
+		t.Fatalf("feasible byte not found at offset %d", foff)
+	}
 	bad := append([]byte(nil), vgood...)
-	bad[0] = 2 // feasible must be 0 or 1
-	if _, ok := unmarshalVerdict(bad); ok {
+	bad[foff] = 2 // feasible must be 0 or 1
+	if _, ok := unmarshalCapsule(bad); ok {
 		t.Error("non-canonical boolean accepted")
 	}
 
@@ -126,8 +144,10 @@ func TestCapsuleWireRejectsMalformed(t *testing.T) {
 		t.Fatalf("flags byte not found at offset %d", off)
 	}
 	forged := append([]byte(nil), good...)
-	forged[off] = 4
+	forged[off] = 8
 	if _, ok := unmarshalCapsule(forged); ok {
 		t.Error("unknown candidate flag bit accepted")
 	}
 }
+
+func ptr[T any](v T) *T { return &v }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/acache"
@@ -175,5 +176,55 @@ func TestIncrementalCorruptTolerance(t *testing.T) {
 	}
 	if warmRes.Stats.CacheEntriesHit == 0 {
 		t.Error("no hits at all: corruption of two files should not flush the whole cache")
+	}
+}
+
+// countingCache is a core.EntryCache that counts its Saves.
+type countingCache struct {
+	core.EntryCache
+	saves atomic.Int64
+}
+
+func (c *countingCache) Save(key string, data []byte) {
+	c.saves.Add(1)
+	c.EntryCache.Save(key, data)
+}
+
+// TestCacheOneFilePerEntry pins the store's shape: a cold fill writes one
+// capsule file per entry function and nothing else — each candidate's
+// Stage-2 verdict rides in its entry's capsule — and a warm re-run of the
+// same sources saves nothing.
+func TestCacheOneFilePerEntry(t *testing.T) {
+	for _, spec := range []oscorpus.OSSpec{oscorpus.LinuxSpec(), oscorpus.ValidationHeavySpec()} {
+		c := oscorpus.Generate(spec)
+		dir := t.TempDir()
+		store, err := acache.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := &countingCache{EntryCache: store}
+		cold, _, _, err := incRun(c.Spec.Name, c.Sources, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if !strings.HasPrefix(f.Name(), "e") || filepath.Ext(f.Name()) != ".capsule" {
+				t.Errorf("%s: unexpected file %s in the store", c.Spec.Name, f.Name())
+			}
+		}
+		if len(files) != cold.Stats.EntryFunctions {
+			t.Errorf("%s: cold fill left %d files for %d entries", c.Spec.Name, len(files), cold.Stats.EntryFunctions)
+		}
+		cache.saves.Store(0)
+		if _, _, _, err := incRun(c.Spec.Name, c.Sources, cache); err != nil {
+			t.Fatal(err)
+		}
+		if n := cache.saves.Load(); n != 0 {
+			t.Errorf("%s: warm re-run saved %d capsules, want 0", c.Spec.Name, n)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package hmix provides the small mixing hashes behind the incremental
-// cache keys (function fingerprints, entry keys, the analysis salt, verdict
-// keys). The finalizer is splitmix64's, which avalanche-mixes every input
-// bit into every output bit.
+// cache keys (function fingerprints, entry keys, the analysis salt). The
+// finalizer is splitmix64's, which avalanche-mixes every input bit into
+// every output bit.
 package hmix
 
 const seed = 0x9e3779b97f4a7c15

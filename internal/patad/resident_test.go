@@ -88,7 +88,7 @@ func TestResidentTierDropsUntouchedKeys(t *testing.T) {
 	wantHits(t, analyzeOK(t, srv), 1, 1)
 	after := srv.status(&Request{Op: OpStatus}).Status
 	// Beta's old capsule left and its new one arrived: the count is
-	// unchanged. (Beta has no candidates, so no verdict key moved.)
+	// unchanged.
 	if after.ResidentEntries != before.ResidentEntries {
 		t.Errorf("resident entries %d after the edit, want %d", after.ResidentEntries, before.ResidentEntries)
 	}
@@ -128,9 +128,9 @@ func TestStatusResidentJSONShape(t *testing.T) {
 	cached := newTestServer(t, Options{Config: pata.Config{CacheDir: t.TempDir()}})
 	analyzeOK(t, cached)
 	m = statusJSON(cached)
-	// Two entry capsules and the NPD candidate's verdict.
-	if m["resident_entries"] != float64(3) {
-		t.Errorf("resident_entries = %v, want 3", m["resident_entries"])
+	// Two entry capsules; the NPD candidate's verdict rides in its entry's.
+	if m["resident_entries"] != float64(2) {
+		t.Errorf("resident_entries = %v, want 2", m["resident_entries"])
 	}
 	if _, ok := m["resident_kb"].(float64); !ok {
 		t.Errorf("resident_kb = %v (%T), want a number", m["resident_kb"], m["resident_kb"])

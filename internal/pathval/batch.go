@@ -435,6 +435,9 @@ func (w *batchWalk) screenSubtree(n *stepNode) {
 
 // screenOut records one screened-infeasible verdict.
 func (w *batchWalk) screenOut(idx int) {
+	if w.v.screenOutHook != nil {
+		w.v.screenOutHook(w.r.atoms, w.r.ctx.NumVars())
+	}
 	atomic.AddInt64(&w.v.Queries, 1)
 	atomic.AddInt64(&w.v.Unsat, 1)
 	w.decided[idx] = true

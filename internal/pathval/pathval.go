@@ -77,6 +77,11 @@ type Validator struct {
 	// screenHook, when non-nil, runs before each batch-screen push with the
 	// number of pushes made so far; tests use it to cancel mid-screen.
 	screenHook func(pushes int)
+	// screenOutHook, when non-nil, sees each candidate the batch screen
+	// drops, with the path-condition atoms the cursor refuted (valid only
+	// during the call) and the replay context's variable count; the
+	// solver oracle test re-decides them.
+	screenOutHook func(atoms []smt.Formula, numVars int)
 }
 
 // centry is one verdict-cache slot: the key it is filed under (needed to

@@ -76,9 +76,9 @@ type Config struct {
 	// branch directions) into Bug.Witness.
 	WitnessPaths bool
 	// CacheDir, when non-empty, enables content-addressed incremental
-	// analysis: per-entry results and Stage-2 verdicts persist in this
-	// directory, keyed by the fingerprints of every function the entry can
-	// reach plus the analysis configuration. A warm re-run over unchanged
+	// analysis: per-entry results, Stage-2 verdicts included, persist in
+	// this directory, one file per entry, keyed by the fingerprints of
+	// every function the entry can reach plus the analysis configuration. A warm re-run over unchanged
 	// sources replays from the cache — the findings are byte-identical to
 	// a cold run — and after an edit only entries that can reach a changed
 	// function re-analyze. The directory is created if missing; corrupted

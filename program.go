@@ -14,8 +14,9 @@ import (
 )
 
 // Program is one loaded mini-C program: its sources, its lowered module
-// with the frontend's per-file records (minicc.Lowered) and, once indexed,
-// its call graph and salt-0 entry keys. It is the one pipeline object
+// with the frontend's per-file records (minicc.Lowered) and, built on first
+// use, its call graph, which memoizes the entry keys once the Program is
+// indexed. It is the one pipeline object
 // behind both the library (Load, then Analyze) and the patad daemon, whose
 // epochs are Programs derived from each other by Update. A Program never
 // changes once shared; Programs derived from it share the functions of
@@ -25,9 +26,9 @@ type Program struct {
 	sources map[string]string
 	low     *minicc.Lowered
 
-	indexOnce sync.Once
+	graphOnce sync.Once
 	cg        *callgraph.Graph
-	keys      map[string]uint64 // salt-0 callgraph.EntryKey by entry name
+	indexOnce sync.Once
 }
 
 // Load lowers sources (file name → content) into a Program named name. It
@@ -40,22 +41,26 @@ func Load(name string, sources map[string]string) (*Program, error) {
 	return &Program{name: name, sources: maps.Clone(sources), low: low}, nil
 }
 
-// Index builds p's call graph, memoizes every function fingerprint and
-// computes the salt-0 entry keys Update diffs against; it does the work
-// once per Program. The fingerprint memo is not safe for concurrent first
-// computation, so a host that analyzes one Program with a cache from
-// several goroutines (patad) indexes it before sharing it. Update returns
-// indexed Programs.
+// graph returns p's call graph, building it once per Program.
+func (p *Program) graph() *callgraph.Graph {
+	p.graphOnce.Do(func() { p.cg = callgraph.Build(p.low.Mod) })
+	return p.cg
+}
+
+// Index memoizes every function fingerprint and the salt-free part of
+// every entry key (callgraph.EntryKey), which Update diffs and a cached
+// Analyze mixes its salt into; it does the work once per Program. The
+// fingerprint memo is not safe for concurrent first computation, so a
+// host that analyzes one Program with a cache from several goroutines
+// (patad) indexes it before sharing it. Update returns indexed Programs.
 func (p *Program) Index() {
 	p.indexOnce.Do(func() {
 		for _, fn := range p.low.Mod.Funcs {
 			fn.Fingerprint()
 		}
-		p.cg = callgraph.Build(p.low.Mod)
-		entries := p.cg.EntryFunctions()
-		p.keys = make(map[string]uint64, len(entries))
-		for _, fn := range entries {
-			p.keys[fn.Name] = p.cg.EntryKey(fn, 0)
+		cg := p.graph()
+		for _, fn := range cg.EntryFunctions() {
+			cg.EntryKey(fn, 0)
 		}
 	})
 }
@@ -63,11 +68,8 @@ func (p *Program) Index() {
 // Files returns the number of source files in p.
 func (p *Program) Files() int { return len(p.sources) }
 
-// Entries returns the number of entry functions in p, indexing it.
-func (p *Program) Entries() int {
-	p.Index()
-	return len(p.keys)
-}
+// Entries returns the number of entry functions in p.
+func (p *Program) Entries() int { return len(p.graph().EntryFunctions()) }
 
 // Analyze runs both stages over p under the resolved engine configuration
 // ec (Config.EngineConfig, plus a cache if wanted) on workers workers
@@ -75,7 +77,7 @@ func (p *Program) Entries() int {
 // when witness is set. Cancelling ctx stops the run at the next bounded
 // unit of work; unfinished entries are listed in Result.Incomplete.
 func (p *Program) Analyze(ctx context.Context, ec core.Config, workers int, witness bool) *Result {
-	return ConvertResult(core.RunParallelCtx(ctx, p.low.Mod, ec, workers), witness)
+	return ConvertResult(core.RunGraphCtx(ctx, p.graph(), ec, workers), witness)
 }
 
 // Update applies an edit — set maps file name → new content, remove lists
@@ -163,11 +165,10 @@ func (p *Program) diff(next *Program) (changed, frontier []string) {
 		}
 	}
 	sort.Strings(changed)
-	for name, key := range next.keys {
-		if old, ok := p.keys[name]; !ok || old != key {
-			frontier = append(frontier, name)
+	for _, fn := range next.cg.EntryFunctions() {
+		if old, ok := p.low.Mod.Funcs[fn.Name]; !ok || !p.cg.IsEntry(fn.Name) || p.cg.EntryKey(old, 0) != next.cg.EntryKey(fn, 0) {
+			frontier = append(frontier, fn.Name)
 		}
 	}
-	sort.Strings(frontier)
 	return changed, frontier
 }
