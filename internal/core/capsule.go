@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cir"
@@ -88,8 +87,17 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// entryKeyString formats an entry capsule's storage key.
-func entryKeyString(key uint64) string { return fmt.Sprintf("e%016x", key) }
+// entryKeyString formats an entry capsule's storage key: "e" and the key
+// in 16 lower-case hex digits.
+func entryKeyString(key uint64) string {
+	const digits = "0123456789abcdef"
+	var b [17]byte
+	b[0] = 'e'
+	for i := 16; i > 0; i, key = i-1, key>>4 {
+		b[i] = digits[key&15]
+	}
+	return string(b[:])
+}
 
 // ---- capsule wire types ----
 //

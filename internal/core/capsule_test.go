@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/aliasgraph"
@@ -155,3 +157,28 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 // TestCapsuleRoundTrip and the other EntryCache end-to-end tests live in
 // capsule_ext_test.go (package core_test): they install the pathval
 // validator, which imports core, so an in-package test would cycle.
+
+// TestEntryKeyString pins the capsule storage key format: "e" and the key
+// in 16 lower-case hex digits, as fmt's %016x writes it.
+func TestEntryKeyString(t *testing.T) {
+	for _, key := range []uint64{0, 1, 0xabc, 0x0123456789abcdef, 0xfedcba9876543210, ^uint64(0)} {
+		if got, want := entryKeyString(key), fmt.Sprintf("e%016x", key); got != want {
+			t.Errorf("entryKeyString(%#x) = %q, want %q", key, got, want)
+		}
+	}
+}
+
+// TestOnPathTablesCleared: a pooled onPath table comes back all-zero,
+// even when a panicked entry left counts in it.
+func TestOnPathTablesCleared(t *testing.T) {
+	for range 4 {
+		dirty := make([]int32, 64)
+		dirty[3], dirty[63] = 2, 1
+		putOnPath(dirty)
+		got := getOnPath(32)
+		if slices.ContainsFunc(got, func(c int32) bool { return c != 0 }) {
+			t.Fatalf("table with counts %v", got)
+		}
+		putOnPath(got)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/aliasgraph"
@@ -364,9 +365,10 @@ type Engine struct {
 
 	path []PathStep
 	// onPath counts, per instruction GID, how often the instruction is on
-	// the current path. Sized from the module once per engine and grown on
-	// demand; every exec that returns normally undoes its increment, so it
-	// is all-zero between entries.
+	// the current path. It is a table an earlier run returned, or sized
+	// from the module (see getOnPath), and grown on demand; every exec that
+	// returns normally undoes its increment, so it is all-zero between
+	// entries.
 	onPath []int32
 	frames []*frame
 	// emits is the buffer every checker hook appends to; ci is the index
@@ -427,9 +429,33 @@ func newEngineWithCG(mod *cir.Module, cfg Config, cg *callgraph.Graph) *Engine {
 		Cfg:           cfg.withDefaults(),
 		dedup:         make(map[dedupKey]*PossibleBug),
 		stackAddrMemo: make(map[*cir.Register]bool),
-		onPath:        make([]int32, mod.MaxGID()+1),
+		onPath:        getOnPath(mod.MaxGID() + 1),
 	}
 }
+
+// onPathPool holds the onPath tables of finished runs: allocating every
+// worker's table afresh per run made them a fifth of a warm edit's
+// allocation on linux-like ×4.
+var onPathPool sync.Pool // of *[]int32
+
+// getOnPath returns an all-zero onPath table: a pooled one, whatever its
+// size, or a new one of n slots. A pooled table may be shorter than the
+// module's GID space, since every Relower epoch adds GIDs above the last;
+// exec grows it on demand, and append's spare capacity then absorbs the
+// next epochs' GIDs.
+func getOnPath(n int) []int32 {
+	if p, ok := onPathPool.Get().(*[]int32); ok {
+		t := (*p)[:cap(*p)]
+		// A table is all-zero only if every exec on it returned normally,
+		// which a panic does not.
+		clear(t)
+		return t
+	}
+	return make([]int32, n)
+}
+
+// putOnPath hands a worker's onPath table back once its run is done.
+func putOnPath(t []int32) { onPathPool.Put(&t) }
 
 // analyzeEntry runs the Figure 6 DFS from one entry function. The alias
 // graph and tracker persist across a worker's entries, rolled back to their

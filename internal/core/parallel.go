@@ -16,10 +16,11 @@ import (
 
 // entryTask is one Stage-1 unit of work: a single entry function, tagged
 // with its position in the name-ordered entry list, which is the slot its
-// Result fills.
+// Result fills, and its instruction count, which orders the deques.
 type entryTask struct {
-	idx int
-	fn  *cir.Function
+	idx  int
+	fn   *cir.Function
+	size int
 }
 
 // stealQueue is a mutex-based work-stealing deque of entry tasks. Deques
@@ -195,22 +196,17 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 			results[i], hits[i] = res, data
 		})
 	}
-	live := make([]entryTask, 0, len(entries))
+	var live []entryTask
 	for i, fn := range entries {
 		if results[i] == nil {
-			live = append(live, entryTask{idx: i, fn: fn})
+			live = append(live, entryTask{idx: i, fn: fn, size: fn.NumInstrs()})
 		}
 	}
 
 	// Seed the deques: entries sorted by descending size, striped across
 	// workers so every deque starts with a mix of large and small tasks.
-	sizes := make([]int, len(entries))
-	for i, fn := range entries {
-		sizes[i] = fn.NumInstrs()
-	}
 	sort.SliceStable(live, func(i, j int) bool {
-		si, sj := sizes[live[i].idx], sizes[live[j].idx]
-		if si != sj {
+		if si, sj := live[i].size, live[j].size; si != sj {
 			return si > sj
 		}
 		return live[i].fn.Name < live[j].fn.Name
@@ -234,6 +230,7 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 			defer wg.Done()
 			eng := newEngineWithCG(mod, cfg, cg)
 			eng.runCtx = ctx
+			defer func() { putOnPath(eng.onPath) }()
 			for {
 				t, ok := queues[w].popFront()
 				if !ok {

@@ -166,8 +166,9 @@ func release(files []*fileDecls) {
 // maxGIDSpace bounds a Relowered module's GID space, as a multiple of its
 // instruction count: every edit adds its functions' GIDs above the old ones,
 // and a module that would outgrow the bound is lowered from scratch, which
-// numbers its GIDs densely again. The engine sizes a per-worker table by the
-// GID space, so a larger bound costs every analysis memory, and a smaller
+// numbers its GIDs densely again. Each Stage-1 worker keeps a table sized
+// by the GID space (reused across analyses, not allocated per run), so a
+// larger bound costs memory for as long as the host runs, and a smaller
 // one costs more full lowerings.
 const maxGIDSpace = 4
 

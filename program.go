@@ -5,18 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/callgraph"
+	"repro/internal/cir"
 	"repro/internal/core"
 	"repro/internal/minicc"
 )
 
 // Program is one loaded mini-C program: its sources, its lowered module
-// with the frontend's per-file records (minicc.Lowered) and, built on first
-// use, its call graph, which memoizes the entry keys once the Program is
-// indexed. It is the one pipeline object
+// with the frontend's per-file records (minicc.Lowered) and its call graph,
+// built on first use or derived from the previous epoch's by Update, which
+// memoizes the entry keys once the Program is indexed. It is the one
+// pipeline object
 // behind both the library (Load, then Analyze) and the patad daemon, whose
 // epochs are Programs derived from each other by Update. A Program never
 // changes once shared; Programs derived from it share the functions of
@@ -41,9 +43,14 @@ func Load(name string, sources map[string]string) (*Program, error) {
 	return &Program{name: name, sources: maps.Clone(sources), low: low}, nil
 }
 
-// graph returns p's call graph, building it once per Program.
+// graph returns p's call graph, building it once per Program unless
+// Update derived it.
 func (p *Program) graph() *callgraph.Graph {
-	p.graphOnce.Do(func() { p.cg = callgraph.Build(p.low.Mod) })
+	p.graphOnce.Do(func() {
+		if p.cg == nil {
+			p.cg = callgraph.Build(p.low.Mod)
+		}
+	})
 	return p.cg
 }
 
@@ -69,7 +76,7 @@ func (p *Program) Index() {
 func (p *Program) Files() int { return len(p.sources) }
 
 // Entries returns the number of entry functions in p.
-func (p *Program) Entries() int { return len(p.graph().EntryFunctions()) }
+func (p *Program) Entries() int { return p.graph().NumEntries() }
 
 // Analyze runs both stages over p under the resolved engine configuration
 // ec (Config.EngineConfig, plus a cache if wanted) on workers workers
@@ -92,9 +99,11 @@ func (p *Program) Analyze(ctx context.Context, ec core.Config, workers int, witn
 //
 // An edit that only rewrites existing files re-lowers just those files
 // (minicc.Lowered.Relower): the next Program shares every other function
-// with p. Anything Relower declines — an added or removed file, a changed
-// declaration, a frontend error — lowers the edited sources from scratch,
-// as Load does.
+// with p, and derives its call graph from p's (callgraph.Graph.Derive),
+// so only the edited functions and the entries that reach them are
+// compared and re-keyed. Anything Relower declines — an added or removed
+// file, a changed declaration, a frontend error — lowers the edited
+// sources from scratch, as Load does, and builds the graph anew.
 func (p *Program) Update(set map[string]string, remove []string) (*Program, []string, []string, error) {
 	sources := maps.Clone(p.sources)
 	edits := make(map[string]string) // changed files' new content
@@ -122,28 +131,25 @@ func (p *Program) Update(set map[string]string, remove []string) (*Program, []st
 	// their fingerprints, and indexing it writes none of them.
 	p.Index()
 	var next *Program
+	var delta *callgraph.Delta
 	if len(edits) == len(changedFiles) {
 		if low := p.low.Relower(edits); low != nil {
-			next = &Program{name: p.name, sources: sources, low: low}
+			cg, d := p.graph().Derive(low.Mod)
+			next = &Program{name: p.name, sources: sources, low: low, cg: cg}
+			delta = &d
 		}
 	}
 	if next == nil {
 		var err error
+		// Every function is fingerprinted anew: bodies see every file's
+		// declarations, so an unchanged file can lower differently when
+		// another file's declarations change.
 		if next, err = Load(p.name, sources); err != nil {
 			return nil, nil, nil, err
 		}
-		// Functions of unchanged files adopt p's fingerprints: identical
-		// source text lowers to an identical rendering, so the hash is the
-		// same by construction (TestAdoptedFingerprintsMatchRecompute pins
-		// it).
-		for _, fn := range next.low.Mod.SortedFuncs() {
-			if !changedFiles[fn.File] {
-				fn.AdoptFingerprint(p.low.Mod.Funcs[fn.Name])
-			}
-		}
 	}
 	next.Index()
-	changed, frontier := p.diff(next)
+	changed, frontier := p.diff(next, delta)
 	return next, changed, frontier, nil
 }
 
@@ -153,19 +159,35 @@ func (p *Program) Update(set map[string]string, remove []string) (*Program, []st
 // Declarations are opaque to the engine and do not contribute to entry
 // keys. Salt 0 stands in for the configuration salt the real cache keys
 // carry: both sides share it, so it cancels out of the comparison.
-func (p *Program) diff(next *Program) (changed, frontier []string) {
-	for name, old := range p.low.Mod.Funcs {
-		if nf, ok := next.low.Mod.Funcs[name]; !old.IsDecl() && (!ok || nf.IsDecl() || nf.Fingerprint() != old.Fingerprint()) {
+//
+// With d, the delta of next's graph derived from p's, only d's changed
+// functions and re-keyed entries can differ, and only they are compared;
+// with d nil, every function and entry is.
+func (p *Program) diff(next *Program, d *callgraph.Delta) (changed, frontier []string) {
+	var names []string
+	var entries []*cir.Function
+	if d != nil {
+		names, entries = d.Changed, d.Rekeyed
+	} else {
+		for name := range p.low.Mod.Funcs {
+			names = append(names, name)
+		}
+		for name := range next.low.Mod.Funcs {
+			if _, ok := p.low.Mod.Funcs[name]; !ok {
+				names = append(names, name)
+			}
+		}
+		entries = next.cg.EntryFunctions()
+	}
+	defined := func(fn *cir.Function) bool { return fn != nil && !fn.IsDecl() }
+	for _, name := range names {
+		of, nf := p.low.Mod.Funcs[name], next.low.Mod.Funcs[name]
+		if defined(of) != defined(nf) || defined(of) && of.Fingerprint() != nf.Fingerprint() {
 			changed = append(changed, name)
 		}
 	}
-	for name, nf := range next.low.Mod.Funcs {
-		if of, ok := p.low.Mod.Funcs[name]; !nf.IsDecl() && (!ok || of.IsDecl()) {
-			changed = append(changed, name)
-		}
-	}
-	sort.Strings(changed)
-	for _, fn := range next.cg.EntryFunctions() {
+	slices.Sort(changed)
+	for _, fn := range entries {
 		if old, ok := p.low.Mod.Funcs[fn.Name]; !ok || !p.cg.IsEntry(fn.Name) || p.cg.EntryKey(old, 0) != next.cg.EntryKey(fn, 0) {
 			frontier = append(frontier, fn.Name)
 		}

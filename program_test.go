@@ -143,6 +143,8 @@ int tail(int n) {
 // result against a fresh Load of the edited sources: the same error, or a
 // module that is the same up to GIDs (cirtest.NormalizedDigest) with the
 // same changed functions and frontier as diffing p against that Load.
+// When Update took the Relower path, it also checks the derived call
+// graph (checkDerivedGraph).
 func checkUpdate(t *testing.T, p *Program, set map[string]string, remove []string) *Program {
 	t.Helper()
 	next, changed, frontier, err := p.Update(set, remove)
@@ -162,10 +164,13 @@ func checkUpdate(t *testing.T, p *Program, set map[string]string, remove []strin
 		t.Errorf("Update's module differs from a fresh Load's")
 	}
 	want.Index()
-	wchanged, wfrontier := p.diff(want)
+	wchanged, wfrontier := p.diff(want, nil)
 	if !slices.Equal(changed, wchanged) || !slices.Equal(frontier, wfrontier) {
 		t.Errorf("Update changed %v, frontier %v; against a fresh Load: changed %v, frontier %v",
 			changed, frontier, wchanged, wfrontier)
+	}
+	if next.derivedFrom(p) {
+		checkDerivedGraph(t, p, next, changed, frontier)
 	}
 	return next
 }
@@ -294,7 +299,8 @@ func TestUpdateSharesUnchangedFunctions(t *testing.T) {
 
 // FuzzUpdate replaces the middle file of updateBase with fuzzer bytes:
 // Update must match a fresh Load of the result, with the same error or the
-// same module up to GIDs, changed functions and frontier.
+// same module up to GIDs, changed functions and frontier, and a call graph
+// it derived must match callgraph.Build's (checkUpdate).
 func FuzzUpdate(f *testing.F) {
 	for _, s := range []string{
 		updateBase["b.c"],
@@ -305,6 +311,14 @@ func FuzzUpdate(f *testing.F) {
 		strings.Replace(updateBase["b.c"], "static int local", "int local", 1),
 		"\n" + updateBase["b.c"],
 		"", "int helper( {", "int helper(struct dev *d) { return nowhere; }",
+		// Edits that move call edges.
+		strings.Replace(updateBase["b.c"], "return local(y);", "return helper(0);", 1),
+		strings.Replace(updateBase["b.c"], "return local(y);", "return y;", 1),
+		strings.Replace(updateBase["b.c"], "return 0;", "return use_local(0);", 1),
+		strings.Replace(updateBase["b.c"], "return 0;", "return probe(d) + tail(1);", 1),
+		// A changed return type changes how a.c, itself unchanged, lowers
+		// its call.
+		strings.Replace(updateBase["b.c"], "int helper(struct dev *d) {", "int *helper(struct dev *d) {", 1),
 	} {
 		f.Add(s)
 	}
