@@ -12,7 +12,6 @@
 //	-dir DIR               analyze every .c file under DIR
 //	-no-alias              run the PATA-NA alias-unaware variant (§5.4)
 //	-no-validate           skip Stage-2 SMT path validation
-//	-validate-backend B    Stage-2 solver backend: builtin, smtlib2, or smtlib2:CMD
 //	-max-conts N           callee continuations per call (P2 cap; negative = unlimited)
 //	-stats                 print engine statistics
 //	-json                  emit machine-readable JSON
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := flags.String("dir", "", "analyze every .c file under this directory")
 	noAlias := flags.Bool("no-alias", false, "disable alias analysis (PATA-NA)")
 	noValidate := flags.Bool("no-validate", false, "skip SMT path validation")
-	validateBackend := flags.String("validate-backend", "", "Stage-2 solver backend: builtin (default), smtlib2, or smtlib2:CMD ARGS to cross-check against an external SMT-LIB2 solver")
 	maxConts := flags.Int("max-conts", 0, "callee continuations per call: the P2 cap (0 = default 2, negative = unlimited)")
 	stats := flags.Bool("stats", false, "print engine statistics")
 	asJSON := flags.Bool("json", false, "emit machine-readable JSON instead of text")
@@ -94,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		EntryTimeout:            *entryTimeout,
 		RunTimeout:              *runTimeout,
 		MaxRetries:              *maxRetries,
-		ValidateBackend:         *validateBackend,
 	}
 	if *checkers != "" {
 		cfg.Checkers = strings.Split(*checkers, ",")

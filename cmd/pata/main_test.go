@@ -30,6 +30,18 @@ func TestUnknownCheckerError(t *testing.T) {
 	}
 }
 
+// TestValidateBackendFlagGone: Stage 2 has one decision procedure, so
+// -validate-backend is an unknown flag and the command exits 2.
+func TestValidateBackendFlagGone(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-validate-backend", "x", "f.c"}, &stdout, &stderr); code != 2 {
+		t.Errorf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -validate-backend") {
+		t.Errorf("stderr = %q, want an unknown-flag error", stderr.String())
+	}
+}
+
 // TestCheckersHelpListsEveryName: the -checkers help names every checker
 // the library accepts.
 func TestCheckersHelpListsEveryName(t *testing.T) {

@@ -28,7 +28,7 @@ type EntryCache interface {
 // entry keys, the Stats replayed from it, the counters a stored verdict
 // carries, or the engine's exploration semantics change in a way old
 // capsules cannot represent.
-const capsuleVersion = 8
+const capsuleVersion = 9
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
@@ -51,10 +51,6 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 		uint64(int64(c.MaxContinuationsPerCall)),
 		uint64(int64(c.LoopUnroll)))
 	h = hmix.Mix3(h, boolBit(c.ValidatePath != nil), boolBit(c.ValidateBatch != nil))
-	// The Stage-2 backend IS salted: an external solver may refute systems
-	// the builtin cannot, so verdicts persisted under one backend must not
-	// replay under another.
-	h = hmix.Mix2(h, hmix.Str(c.ValidateBackend))
 	// Fault injection perturbs exploration, so its presence is salted;
 	// EntryTimeout/RunTimeout/MaxRetries deliberately are not — degraded
 	// entries are simply never persisted, so timing knobs cannot poison

@@ -83,12 +83,6 @@ type Config struct {
 	// verdicts must be identical to calling ValidatePath per candidate —
 	// batching is a scheduling optimization, not a semantics change.
 	ValidateBatch func(ctx context.Context, bugs []*PossibleBug, mode Mode) []ValidationOutcome
-	// ValidateBackend names the Stage-2 decision backend the installed
-	// validator uses ("" or "builtin" = in-process solver). The engine does
-	// not interpret it, but it IS part of the analysis semantics — an
-	// external solver may refute more paths — so it is salted into the
-	// incremental cache key.
-	ValidateBackend string
 	// Cache, when set, enables content-addressed incremental analysis:
 	// RunParallel keys each entry function by the fingerprints of every
 	// reachable function plus the analysis-relevant configuration (see
@@ -143,13 +137,10 @@ type ValidationOutcome struct {
 	// BatchFallbacks when the batch screen could not refute the candidate
 	// and it fell back to a per-candidate solve. PrefixAtomsShared counts
 	// path-condition atoms this batch pushed once instead of per candidate
-	// (reported on the batch's first outcome). Disagreements counts
-	// definite-verdict conflicts between the configured backend and its
-	// cross-check solver.
+	// (reported on the batch's first outcome).
 	BatchedSolves     int64
 	BatchFallbacks    int64
 	PrefixAtomsShared int64
-	Disagreements     int64
 	// TimedOut reports that a deadline or cancellation interrupted
 	// solving: the verdict is conservative (the bug is kept) and must not
 	// be persisted or memoized. Panicked reports the validator panicked
@@ -273,14 +264,10 @@ type Stats struct {
 	// solver and verdict cache never ran for them); BatchFallbacks counts
 	// batch leaves that fell back to a per-candidate solve;
 	// PrefixAtomsShared counts path-condition atoms pushed once per batch
-	// instead of once per candidate. BackendDisagreements counts
-	// definite-verdict conflicts between the configured validation backend
-	// and its cross-check solver (both answers discarded for a conservative
-	// Unknown).
-	BatchedSolves        int64
-	BatchFallbacks       int64
-	PrefixAtomsShared    int64
-	BackendDisagreements int64
+	// instead of once per candidate.
+	BatchedSolves     int64
+	BatchFallbacks    int64
+	PrefixAtomsShared int64
 	// CacheEntriesHit/CacheEntriesMiss count incremental-cache outcomes per
 	// entry function: a hit replays the entry's stored Stage-1 result (and
 	// its recorded exploration counters) without re-running the DFS;
@@ -331,7 +318,6 @@ func (s *Stats) addValidation(out ValidationOutcome) {
 	s.BatchedSolves += out.BatchedSolves
 	s.BatchFallbacks += out.BatchFallbacks
 	s.PrefixAtomsShared += out.PrefixAtomsShared
-	s.BackendDisagreements += out.Disagreements
 	if out.TimedOut {
 		s.DeadlineTrips++
 	}

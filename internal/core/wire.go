@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Capsule wire format (capsuleVersion 8).
+// Capsule wire format (capsuleVersion 9).
 //
 // A capsule payload is
 //
@@ -227,7 +227,7 @@ func (r tableReader) str() string {
 // ---- Stats ----
 
 // statsWireFields is the number of Stats fields on the wire.
-const statsWireFields = 33
+const statsWireFields = 32
 
 func appendStats(w *wireWriter, s *Stats) {
 	for _, v := range [statsWireFields]int64{
@@ -235,7 +235,7 @@ func appendStats(w *wireWriter, s *Stats) {
 		s.Typestates, s.TypestatesUnaware, s.PrunedBranches, s.MemoHits, s.SummaryHits,
 		s.PossibleBugs, s.RepeatedDropped, s.FalseDropped, s.Constraints, s.ConstraintsUnaware,
 		s.ValidationCacheHits, s.ValidationCacheMisses, s.ValidationCacheEvictions,
-		s.BatchedSolves, s.BatchFallbacks, s.PrefixAtomsShared, s.BackendDisagreements,
+		s.BatchedSolves, s.BatchFallbacks, s.PrefixAtomsShared,
 		s.CacheEntriesHit, s.CacheEntriesMiss, s.CacheStepsSkipped, s.WorkSteals,
 		s.DeadlineTrips, int64(s.PanicsContained), int64(s.EntriesRetried), int64(s.EntriesDegraded),
 		s.AdaptiveEntriesLight, s.SolverNanos,
@@ -267,7 +267,6 @@ func readStats(r *wireReader) Stats {
 	s.BatchedSolves = r.varint()
 	s.BatchFallbacks = r.varint()
 	s.PrefixAtomsShared = r.varint()
-	s.BackendDisagreements = r.varint()
 	s.CacheEntriesHit = r.varint()
 	s.CacheEntriesMiss = r.varint()
 	s.CacheStepsSkipped = r.varint()

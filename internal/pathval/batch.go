@@ -397,7 +397,7 @@ func (w *batchWalk) pollPush() bool {
 // solveLeaf decides one candidate at its leaf, reusing the shared replay
 // state. The extra constraint (if any) is applied and rolled back around the
 // solve, so siblings see the unextended state. The solve itself is the
-// ordinary full-solver path: verdict cache, singleflight, backend, deadline
+// ordinary full-solver path: verdict cache, singleflight, deadline
 // rules all apply unchanged.
 func (w *batchWalk) solveLeaf(idx int) {
 	bug := w.items[idx].bug

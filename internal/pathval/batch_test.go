@@ -163,7 +163,7 @@ func TestVerdictCacheLRUBound(t *testing.T) {
 	// Single shard: with one global stripe the per-shard bound equals the
 	// validator bound, so the test pins the exact pre-sharding LRU behavior.
 	v.cacheShards = 1
-	v.MaxCacheEntries = 1
+	v.maxCacheEntries = 1
 	want := perCandidateOutcomes(cands, core.ModePATA)
 	for round := 0; round < 2; round++ {
 		for i, pb := range cands {
@@ -175,7 +175,7 @@ func TestVerdictCacheLRUBound(t *testing.T) {
 		}
 	}
 	if v.CacheEvictions == 0 {
-		t.Error("MaxCacheEntries=1 over distinct systems should evict")
+		t.Error("maxCacheEntries=1 over distinct systems should evict")
 	}
 	if n := v.cacheEntries(); n > 1 {
 		t.Errorf("cache holds %d entries, bound is 1", n)

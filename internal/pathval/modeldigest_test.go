@@ -22,26 +22,19 @@ import (
 	"repro/internal/typestate"
 )
 
-// recordingBackend wraps the builtin solver and records every solve it
+// recordingSolve wraps the builtin solve and records every solve it
 // answers as one "key result model" line, the model sorted by variable ID.
-type recordingBackend struct {
-	inner pathval.Backend
-	mu    sync.Mutex
-	recs  map[string]bool
+type recordingSolve struct {
+	mu   sync.Mutex
+	recs map[string]bool
 }
 
-func newRecordingBackend(t *testing.T) *recordingBackend {
-	inner, err := pathval.BackendFromSpec("builtin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &recordingBackend{inner: inner, recs: make(map[string]bool)}
+func newRecordingSolve() *recordingSolve {
+	return &recordingSolve{recs: make(map[string]bool)}
 }
 
-func (b *recordingBackend) Name() string { return "recording" }
-
-func (b *recordingBackend) Solve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool, bool) {
-	res, model, interrupted, disagreed := b.inner.Solve(ctx, f, deadline, done)
+func (b *recordingSolve) solve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
+	res, model, interrupted := pathval.BuiltinSolve(ctx, f, deadline, done)
 	ids := make([]int, 0, len(model))
 	for id := range model {
 		ids = append(ids, id)
@@ -55,11 +48,11 @@ func (b *recordingBackend) Solve(ctx *smt.Context, f smt.Formula, deadline time.
 	b.mu.Lock()
 	b.recs[sb.String()] = true
 	b.mu.Unlock()
-	return res, model, interrupted, disagreed
+	return res, model, interrupted
 }
 
 // digest hashes the sorted records and returns it with the record count.
-func (b *recordingBackend) digest() string {
+func (b *recordingSolve) digest() string {
 	recs := make([]string, 0, len(b.recs))
 	for r := range b.recs {
 		recs = append(recs, r)
@@ -129,9 +122,9 @@ func TestSolverModelDigest(t *testing.T) {
 					if !batched && cs.name != "core" {
 						continue
 					}
-					rec := newRecordingBackend(t)
+					rec := newRecordingSolve()
 					v := pathval.New()
-					v.Backend = rec
+					v.SetSolveHook(rec.solve)
 					cfg := core.Config{Checkers: cs.mk(), Mode: m.mode}
 					v.Install(&cfg)
 					name := cs.name + "-" + m.name + "-" + c.name
@@ -146,10 +139,10 @@ func TestSolverModelDigest(t *testing.T) {
 		}
 	}
 
-	rec := newRecordingBackend(t)
+	rec := newRecordingSolve()
 	for seed := int64(0); seed < 2000; seed++ {
 		ctx := smt.NewContext()
-		rec.Solve(ctx, smtgen.New(ctx, seed).Formula(2), time.Time{}, nil)
+		rec.solve(ctx, smtgen.New(ctx, seed).Formula(2), time.Time{}, nil)
 	}
 	put("generated", rec.digest())
 

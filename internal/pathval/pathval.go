@@ -50,16 +50,13 @@ type Validator struct {
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64
-	// Backend decides final (non-screened) solves; nil means the built-in
-	// solver. Set before the first validation (typically right after New).
-	Backend Backend
 
-	// MaxCacheEntries/MaxCacheBytes bound the verdict cache; New sets the
+	// maxCacheEntries/maxCacheBytes bound the verdict cache; New sets the
 	// defaults above, and zero or negative values mean unbounded. The bounds
 	// are split evenly across shards (see shard.go), so eviction order is
 	// per-shard LRU rather than global.
-	MaxCacheEntries int
-	MaxCacheBytes   int64
+	maxCacheEntries int
+	maxCacheBytes   int64
 
 	// cacheShards picks the verdict-cache stripe count before first use:
 	// 0 selects the default (16), 1 the single global-mutex layout (for
@@ -82,6 +79,9 @@ type Validator struct {
 	// during the call) and the replay context's variable count; the
 	// solver oracle test re-decides them.
 	screenOutHook func(atoms []smt.Formula, numVars int)
+	// solve, when non-nil, replaces builtinSolve for final solves; tests
+	// use it to park or record solves.
+	solve func(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool)
 }
 
 // centry is one verdict-cache slot: the key it is filed under (needed to
@@ -101,36 +101,46 @@ type verdict struct {
 	model smt.Model
 }
 
-// New returns a Validator with the default cache bounds and the built-in
-// solver backend. The verdict-cache shard table is built lazily on first
-// use.
+// New returns a Validator with the default cache bounds. The verdict-cache
+// shard table is built lazily on first use.
 func New() *Validator {
 	return &Validator{
-		MaxCacheEntries: defaultMaxCacheEntries,
-		MaxCacheBytes:   defaultMaxCacheBytes,
+		maxCacheEntries: defaultMaxCacheEntries,
+		maxCacheBytes:   defaultMaxCacheBytes,
 	}
 }
 
-// solveCached decides f through the validator's backend, memoizing by the
-// canonical structural key of the constraint system (smt.Formula.Key
-// hash-conses the conjunction): candidate paths sharing the same constraints
-// — common for bugs on shared path prefixes and for AltPath re-validations —
-// skip the solver entirely. The replay that produced f is deterministic, so
-// a cached model assigns the same variable IDs a cold solve would and the
-// trigger values come out identical. Returns whether the verdict came from
-// the cache, whether the solve was interrupted by deadline/done, and the
-// eviction/disagreement deltas this call produced. An interrupted Unknown is
-// a timing artifact, so it is evicted from the cache before waiters are
-// released; concurrent waiters of that entry still observe the conservative
-// Unknown (without the interrupted flag), which only ever keeps a bug.
+// builtinSolve decides f with smt.Solver, the in-process decision procedure
+// (§3.3's Z3 stand-in). It reports whether deadline/done interrupted the
+// solve, in which case the answer is a conservative Unknown.
+func builtinSolve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
+	s := smt.NewSolver(ctx)
+	s.Deadline = deadline
+	s.Done = done
+	res, model := s.SolveWithModel(f)
+	return res, model, s.Interrupted
+}
+
+// solveCached decides f with smt.Solver, memoizing by the canonical
+// structural key of the constraint system (smt.Formula.Key hash-conses the
+// conjunction): candidate paths sharing the same constraints — common for
+// bugs on shared path prefixes and for AltPath re-validations — skip the
+// solver entirely. The replay that produced f is deterministic, so a cached
+// model assigns the same variable IDs a cold solve would and the trigger
+// values come out identical. Returns whether the verdict came from the
+// cache, whether the solve was interrupted by deadline/done, and the
+// evictions this call produced. An interrupted Unknown is a timing
+// artifact, so it is evicted from the cache before waiters are released;
+// concurrent waiters of that entry still observe the conservative Unknown
+// (without the interrupted flag), which only ever keeps a bug.
 //
-// The cache is LRU-bounded by MaxCacheEntries/MaxCacheBytes, split across
+// The cache is LRU-bounded by maxCacheEntries/maxCacheBytes, split across
 // lock-striped shards (shard.go) so concurrent workers rarely contend; a key
 // always maps to one shard, keeping singleflight and counter exactness.
 // Eviction only forgets verdicts — a later identical formula re-solves and
 // re-caches — so hit/miss semantics are unchanged apart from the extra
 // misses; in-flight entries (singleflight waiters pending) are never evicted.
-func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (res smt.Result, model smt.Model, hit, interrupted bool, evictions, disagreements int64) {
+func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (res smt.Result, model smt.Model, hit, interrupted bool, evictions int64) {
 	key := f.Key()
 	s := v.shardFor(key)
 	s.mu.Lock()
@@ -140,7 +150,7 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 		s.mu.Unlock()
 		<-e.ready
 		atomic.AddInt64(&v.CacheHits, 1)
-		return e.res, e.model, true, false, 0, 0
+		return e.res, e.model, true, false, 0
 	}
 	e := &verdict{ready: make(chan struct{})}
 	ent := &centry{key: key, bytes: int64(len(key)) + 64, v: e}
@@ -150,15 +160,11 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 	evictions = v.evictLocked(s)
 	s.mu.Unlock()
 
-	be := v.Backend
-	if be == nil {
-		be = builtinBackend{}
+	solve := v.solve
+	if solve == nil {
+		solve = builtinSolve
 	}
-	var disagreed bool
-	e.res, e.model, interrupted, disagreed = be.Solve(ctx, f, deadline, done)
-	if disagreed {
-		disagreements = 1
-	}
+	e.res, e.model, interrupted = solve(ctx, f, deadline, done)
 	s.mu.Lock()
 	if interrupted {
 		// Drop the timing artifact before releasing waiters.
@@ -172,7 +178,7 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 	close(e.ready)
 	atomic.AddInt64(&v.CacheMisses, 1)
 	atomic.AddInt64(&v.CacheEvictions, evictions)
-	return e.res, e.model, false, interrupted, evictions, disagreements
+	return e.res, e.model, false, interrupted, evictions
 }
 
 // Install wires the validator into an engine config: the per-candidate
@@ -219,7 +225,6 @@ func foldAlt(out *core.ValidationOutcome, alt core.ValidationOutcome) {
 	out.CacheHits += alt.CacheHits
 	out.CacheMisses += alt.CacheMisses
 	out.CacheEvictions += alt.CacheEvictions
-	out.Disagreements += alt.Disagreements
 	out.BatchedSolves += alt.BatchedSolves
 	out.BatchFallbacks += alt.BatchFallbacks
 	out.TimedOut = out.TimedOut || alt.TimedOut
@@ -256,13 +261,13 @@ func (v *Validator) validateOne(ctx context.Context, bug *core.PossibleBug, path
 	return out
 }
 
-// solveReplayed runs the cached/backed solve over an already-replayed path
+// solveReplayed runs the cached solve over an already-replayed path
 // and assembles the outcome. The batch planner calls it directly for
 // fallback leaves so a fallback does not replay the path a second time.
 func (v *Validator) solveReplayed(ctx context.Context, r *replayer) core.ValidationOutcome {
 	atomic.AddInt64(&v.Queries, 1)
 	deadline, _ := ctx.Deadline()
-	res, model, hit, interrupted, evictions, disagreements := v.solveCached(r.ctx, smt.And(r.atoms...), deadline, ctx.Done())
+	res, model, hit, interrupted, evictions := v.solveCached(r.ctx, smt.And(r.atoms...), deadline, ctx.Done())
 	switch res {
 	case smt.Unsat:
 		atomic.AddInt64(&v.Unsat, 1)
@@ -278,7 +283,6 @@ func (v *Validator) solveReplayed(ctx context.Context, r *replayer) core.Validat
 		Trigger:            r.triggerValues(model),
 		TimedOut:           interrupted,
 		CacheEvictions:     evictions,
-		Disagreements:      disagreements,
 	}
 	if hit {
 		out.CacheHits = 1

@@ -271,7 +271,7 @@ void func(char *p) {
 		use(*p);
 }`, core.ModePATA)
 	v.cacheShards = 1
-	v.MaxCacheEntries = 1
+	v.maxCacheEntries = 1
 	var target *core.PossibleBug
 	for _, pb := range cands {
 		if len(pb.AltPaths) > 0 {
@@ -456,19 +456,19 @@ func TestInterruptedVerdictNotMemoized(t *testing.T) {
 
 	done := make(chan struct{})
 	close(done)
-	res, _, hit, interrupted, _, _ := v.solveCached(ctx, f, time.Time{}, done)
+	res, _, hit, interrupted, _ := v.solveCached(ctx, f, time.Time{}, done)
 	if res != smt.Unknown || hit || !interrupted {
 		t.Fatalf("pressured solve = (%v, hit=%v, interrupted=%v), want uncached interrupted unknown", res, hit, interrupted)
 	}
 
 	// Pressure removed: the key must re-solve, not replay the Unknown.
-	res, _, hit, interrupted, _, _ = v.solveCached(ctx, f, time.Time{}, nil)
+	res, _, hit, interrupted, _ = v.solveCached(ctx, f, time.Time{}, nil)
 	if res != smt.Sat || hit || interrupted {
 		t.Fatalf("re-solve = (%v, hit=%v, interrupted=%v), want fresh sat", res, hit, interrupted)
 	}
 
 	// And the clean verdict memoizes as usual.
-	res, _, hit, _, _, _ = v.solveCached(ctx, f, time.Time{}, nil)
+	res, _, hit, _, _ = v.solveCached(ctx, f, time.Time{}, nil)
 	if res != smt.Sat || !hit {
 		t.Fatalf("third solve = (%v, hit=%v), want cached sat", res, hit)
 	}

@@ -13,7 +13,7 @@
 // Only the eviction ORDER is coarser: the LRU clock is per shard, and the
 // entry/byte bounds divide across shards (each shard gets an equal slice,
 // rounded up), so a pathological key distribution can hold the total
-// slightly above MaxCacheEntries while a cold shard stays under its slice.
+// slightly above maxCacheEntries while a cold shard stays under its slice.
 // Eviction only ever forgets verdicts, so this changes wall-clock, never
 // answers.
 package pathval
@@ -87,11 +87,11 @@ func (v *Validator) shardFor(key string) *vshard {
 // validator bounds mean unbounded, as before.
 func (v *Validator) shardBounds() (maxEntries int, maxBytes int64) {
 	n := len(v.shardsOf())
-	if v.MaxCacheEntries > 0 {
-		maxEntries = (v.MaxCacheEntries + n - 1) / n
+	if v.maxCacheEntries > 0 {
+		maxEntries = (v.maxCacheEntries + n - 1) / n
 	}
-	if v.MaxCacheBytes > 0 {
-		maxBytes = (v.MaxCacheBytes + int64(n) - 1) / int64(n)
+	if v.maxCacheBytes > 0 {
+		maxBytes = (v.maxCacheBytes + int64(n) - 1) / int64(n)
 	}
 	return maxEntries, maxBytes
 }

@@ -41,8 +41,8 @@ func TestShardTableShape(t *testing.T) {
 	// tiny bound still admits one entry per shard.
 	v := New()
 	v.cacheShards = 8
-	v.MaxCacheEntries = 20
-	v.MaxCacheBytes = 100
+	v.maxCacheEntries = 20
+	v.maxCacheBytes = 100
 	maxE, maxB := v.shardBounds()
 	if maxE != 3 || maxB != 13 {
 		t.Errorf("shardBounds() = (%d, %d), want (3, 13)", maxE, maxB)
@@ -57,7 +57,7 @@ func TestShardTableShape(t *testing.T) {
 // the data-race check for the sharded map/LRU/byte-budget mutation paths.
 func TestShardedCacheConcurrentChurn(t *testing.T) {
 	v := New()
-	v.MaxCacheEntries = 8 // 16 shards × ceil(8/16)=1 entry each: heavy churn
+	v.maxCacheEntries = 8 // 16 shards × ceil(8/16)=1 entry each: heavy churn
 	const (
 		workers  = 8
 		perG     = 300
@@ -75,7 +75,7 @@ func TestShardedCacheConcurrentChurn(t *testing.T) {
 				fs[i] = shardFormula(ctx, i)
 			}
 			for i := 0; i < perG; i++ {
-				_, _, hit, interrupted, ev, _ := v.solveCached(ctx, fs[(seed+i)%distinct], time.Time{}, nil)
+				_, _, hit, interrupted, ev := v.solveCached(ctx, fs[(seed+i)%distinct], time.Time{}, nil)
 				if interrupted {
 					t.Error("no deadline was set, yet a solve reported interrupted")
 					return
@@ -111,30 +111,28 @@ func TestShardedCacheConcurrentChurn(t *testing.T) {
 	}
 }
 
-// blockingBackend parks every Solve on release, counting entries. It lets a
+// blockingSolve parks every solve on release, counting entries. It lets a
 // test hold many goroutines inside the same in-flight verdict.
-type blockingBackend struct {
-	solves  int64
+type blockingSolve struct {
+	solves  atomic.Int64
 	release chan struct{}
 }
 
-func (b *blockingBackend) Name() string { return "blocking" }
-
-func (b *blockingBackend) Solve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool, bool) {
-	atomic.AddInt64(&b.solves, 1)
+func (b *blockingSolve) solve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
+	b.solves.Add(1)
 	<-b.release
-	return smt.Sat, nil, false, false
+	return smt.Sat, nil, false
 }
 
 // TestShardedCacheSingleflight checks the property sharding must not break:
 // structurally identical formulas in flight at the same time produce exactly
-// ONE backend solve; everyone else waits on the same verdict and counts a
-// hit. The backend blocks until all goroutines have entered solveCached, so
-// the waiters really are concurrent with the solve, not after it.
+// ONE solve; everyone else waits on the same verdict and counts a hit. The
+// solve blocks until all goroutines have entered solveCached, so the waiters
+// really are concurrent with the solve, not after it.
 func TestShardedCacheSingleflight(t *testing.T) {
-	be := &blockingBackend{release: make(chan struct{})}
+	bs := &blockingSolve{release: make(chan struct{})}
 	v := New()
-	v.Backend = be
+	v.SetSolveHook(bs.solve)
 	const waiters = 12
 	results := make(chan bool, waiters)
 	var entered sync.WaitGroup
@@ -144,20 +142,20 @@ func TestShardedCacheSingleflight(t *testing.T) {
 			ctx := smt.NewContext()
 			f := shardFormula(ctx, 7)
 			entered.Done()
-			_, _, hit, _, _, _ := v.solveCached(ctx, f, time.Time{}, nil)
+			_, _, hit, _, _ := v.solveCached(ctx, f, time.Time{}, nil)
 			results <- hit
 		}()
 	}
 	entered.Wait()
 	// All goroutines are at or past the cache probe; let the one solver run.
-	close(be.release)
+	close(bs.release)
 	nhit := 0
 	for g := 0; g < waiters; g++ {
 		if <-results {
 			nhit++
 		}
 	}
-	if got := atomic.LoadInt64(&be.solves); got != 1 {
+	if got := bs.solves.Load(); got != 1 {
 		t.Errorf("identical in-flight formulas solved %d times, want exactly 1", got)
 	}
 	if nhit != waiters-1 {
@@ -172,23 +170,23 @@ func TestShardedCacheSingleflight(t *testing.T) {
 // whose solve is still running must survive any amount of LRU pressure in
 // its shard, because waiters hold a pointer to that exact verdict.
 func TestShardedCacheInFlightNeverEvicted(t *testing.T) {
-	be := &blockingBackend{release: make(chan struct{})}
+	bs := &blockingSolve{release: make(chan struct{})}
 	v := New()
-	v.Backend = be
+	v.SetSolveHook(bs.solve)
 	v.cacheShards = 1 // one shard: every formula lands on the in-flight entry's LRU
-	v.MaxCacheEntries = 1
+	v.maxCacheEntries = 1
 
 	done := make(chan bool)
 	go func() {
 		ctx := smt.NewContext()
 		f := shardFormula(ctx, 0)
-		_, _, hit, _, _, _ := v.solveCached(ctx, f, time.Time{}, nil)
+		_, _, hit, _, _ := v.solveCached(ctx, f, time.Time{}, nil)
 		done <- hit
 	}()
 	// Solve is entered only after the entry is inserted, so once the counter
 	// ticks, formula 0 is both cached and in flight.
 	waitSolves := func(n int64) {
-		for atomic.LoadInt64(&be.solves) < n {
+		for bs.solves.Load() < n {
 			runtime.Gosched()
 		}
 	}
@@ -210,18 +208,18 @@ func TestShardedCacheInFlightNeverEvicted(t *testing.T) {
 	ctx := smt.NewContext()
 	joined := make(chan bool)
 	go func() {
-		_, _, hit, _, _, _ := v.solveCached(ctx, shardFormula(ctx, 0), time.Time{}, nil)
+		_, _, hit, _, _ := v.solveCached(ctx, shardFormula(ctx, 0), time.Time{}, nil)
 		joined <- hit
 	}()
 
-	close(be.release)
+	close(bs.release)
 	if hit := <-done; hit {
 		t.Error("the original solver reported a hit")
 	}
 	if hit := <-joined; !hit {
 		t.Error("a caller of an in-flight formula missed: the entry was evicted mid-solve")
 	}
-	if got := atomic.LoadInt64(&be.solves); got != 21 {
+	if got := bs.solves.Load(); got != 21 {
 		t.Errorf("%d solves, want 21 (1 original + 20 churn + 0 for the joiner)", got)
 	}
 }

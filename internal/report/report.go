@@ -79,8 +79,8 @@ func WriteStats(w io.Writer, st core.Stats) {
 	fmt.Fprintf(w, "  false dropped:       %d\n", st.FalseDropped)
 	fmt.Fprintf(w, "  verdict cache:       %d hits, %d misses, %d evicted\n",
 		st.ValidationCacheHits, st.ValidationCacheMisses, st.ValidationCacheEvictions)
-	fmt.Fprintf(w, "  stage-2 batching:    %d screened, %d fallbacks, %d prefix atoms shared, %d backend disagreements\n",
-		st.BatchedSolves, st.BatchFallbacks, st.PrefixAtomsShared, st.BackendDisagreements)
+	fmt.Fprintf(w, "  stage-2 batching:    %d screened, %d fallbacks, %d prefix atoms shared\n",
+		st.BatchedSolves, st.BatchFallbacks, st.PrefixAtomsShared)
 	fmt.Fprintf(w, "  incremental cache:   %d entries hit, %d missed (steps skipped: %d)\n",
 		st.CacheEntriesHit, st.CacheEntriesMiss, st.CacheStepsSkipped)
 	fmt.Fprintf(w, "  fault isolation:     %d degraded, %d retried, %d deadline trips, %d panics contained\n",

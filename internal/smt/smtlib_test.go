@@ -1,10 +1,152 @@
 package smt
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// ToSMTLIB2 renders f as a deterministic SMT-LIB2 script: one set-logic
+// line, uninterpreted-function declarations for the bitwise operators the
+// fragment cannot express over Int, declare-const lines for every variable
+// (sorted by ID), one assert, and check-sat. The same formula always
+// produces the same bytes.
+//
+// It lives in the tests because Stage 2 decides with Solver alone: no
+// external solver runs at analysis time. It stays so a formula can still be
+// re-checked by hand against an SMT-LIB2 solver such as Z3 (write
+// ToSMTLIB2(f) to a file from a test and run `z3 FILE`).
+//
+// Division and remainder map to the SMT-LIB div/mod (like the built-in
+// solver, both are treated opaquely unless constant, so an external solver
+// being exact here only ever refutes more paths — still sound). The bitwise
+// and shift operators become uninterpreted functions, matching the built-in
+// solver's opaque treatment.
+func ToSMTLIB2(f Formula) string {
+	e := &smtlibEmitter{vars: map[int]bool{}, funs: map[string]bool{}}
+	body := e.formula(f)
+	var b strings.Builder
+	b.WriteString("(set-logic QF_UFNIA)\n")
+	funs := make([]string, 0, len(e.funs))
+	for fn := range e.funs {
+		funs = append(funs, fn)
+	}
+	sort.Strings(funs)
+	for _, fn := range funs {
+		fmt.Fprintf(&b, "(declare-fun %s (Int Int) Int)\n", fn)
+	}
+	ids := make([]int, 0, len(e.vars))
+	for id := range e.vars {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		fmt.Fprintf(&b, "(declare-const v%d Int)\n", id)
+	}
+	fmt.Fprintf(&b, "(assert %s)\n", body)
+	b.WriteString("(check-sat)\n")
+	return b.String()
+}
+
+type smtlibEmitter struct {
+	vars map[int]bool
+	funs map[string]bool
+}
+
+// smtlibFun names the uninterpreted function standing for a bitwise or shift
+// operator; empty for operators SMT-LIB interprets natively.
+func smtlibFun(op string) string {
+	switch op {
+	case "&":
+		return "iand"
+	case "|":
+		return "ior"
+	case "^":
+		return "ixor"
+	case "<<":
+		return "ishl"
+	case ">>":
+		return "ishr"
+	}
+	return ""
+}
+
+func (e *smtlibEmitter) term(t Term) string {
+	switch tt := t.(type) {
+	case *Var:
+		e.vars[tt.ID] = true
+		return fmt.Sprintf("v%d", tt.ID)
+	case *IntLit:
+		if tt.Val < 0 {
+			return fmt.Sprintf("(- %d)", -tt.Val)
+		}
+		return fmt.Sprintf("%d", tt.Val)
+	case *BinTerm:
+		x, y := e.term(tt.X), e.term(tt.Y)
+		switch tt.Op {
+		case "+", "-", "*":
+			return fmt.Sprintf("(%s %s %s)", tt.Op, x, y)
+		case "/":
+			return fmt.Sprintf("(div %s %s)", x, y)
+		case "%":
+			return fmt.Sprintf("(mod %s %s)", x, y)
+		}
+		if fn := smtlibFun(tt.Op); fn != "" {
+			e.funs[fn] = true
+			return fmt.Sprintf("(%s %s %s)", fn, x, y)
+		}
+	}
+	return "0"
+}
+
+func (e *smtlibEmitter) formula(f Formula) string {
+	switch ff := f.(type) {
+	case *BoolLit:
+		if ff.Val {
+			return "true"
+		}
+		return "false"
+	case *Atom:
+		x, y := e.term(ff.X), e.term(ff.Y)
+		switch ff.Pred {
+		case "==":
+			return fmt.Sprintf("(= %s %s)", x, y)
+		case "!=":
+			return fmt.Sprintf("(not (= %s %s))", x, y)
+		default: // <, <=, >, >= are SMT-LIB operators verbatim
+			return fmt.Sprintf("(%s %s %s)", ff.Pred, x, y)
+		}
+	case *AndF:
+		if len(ff.Fs) == 0 {
+			return "true"
+		}
+		return e.join("and", ff.Fs)
+	case *OrF:
+		if len(ff.Fs) == 0 {
+			return "false"
+		}
+		return e.join("or", ff.Fs)
+	case *NotF:
+		return "(not " + e.formula(ff.F) + ")"
+	}
+	return "true"
+}
+
+func (e *smtlibEmitter) join(op string, fs []Formula) string {
+	if len(fs) == 1 {
+		return e.formula(fs[0])
+	}
+	var b strings.Builder
+	b.WriteString("(" + op)
+	for _, f := range fs {
+		b.WriteString(" ")
+		b.WriteString(e.formula(f))
+	}
+	b.WriteString(")")
+	return b.String()
+}
 
 func TestSMTLIB2Deterministic(t *testing.T) {
 	ctx := NewContext()
@@ -37,7 +179,7 @@ func TestSMTLIB2Deterministic(t *testing.T) {
 			t.Errorf("script lacks %q:\n%s", want, s1)
 		}
 	}
-	// Declarations come out sorted so recorded-answer replay can key scripts.
+	// Declarations come out sorted, so one formula gives one script.
 	i1 := strings.Index(s1, "(declare-const v1 Int)")
 	i2 := strings.Index(s1, "(declare-const v2 Int)")
 	i3 := strings.Index(s1, "(declare-const v3 Int)")

@@ -99,13 +99,6 @@ type Config struct {
 	// deeper rungs also halve the inlining depth). 0 means the default of
 	// one retry; negative disables retries.
 	MaxRetries int
-	// ValidateBackend selects the Stage-2 solver backend: "" or "builtin"
-	// for the built-in SMT-lite solver, "smtlib2" to additionally render
-	// each constraint system to SMT-LIB2 (emit-only cross-check), or
-	// "smtlib2:CMD [ARGS...]" to pipe the script to an external solver
-	// process (e.g. "smtlib2:z3 -in") whose check-sat answer is
-	// cross-checked against the builtin verdict.
-	ValidateBackend string
 }
 
 // Bug is one validated finding.
@@ -193,21 +186,12 @@ func (c Config) EngineConfig() (core.Config, error) {
 		EntryTimeout:            c.EntryTimeout,
 		RunTimeout:              c.RunTimeout,
 		MaxRetries:              c.MaxRetries,
-		ValidateBackend:         c.ValidateBackend,
 	}
 	if c.NoAlias {
 		ec.Mode = core.ModeNoAlias
 	}
 	if !c.SkipValidation {
-		v := pathval.New()
-		if c.ValidateBackend != "" {
-			be, err := pathval.BackendFromSpec(c.ValidateBackend)
-			if err != nil {
-				return core.Config{}, fmt.Errorf("pata: %w", err)
-			}
-			v.Backend = be
-		}
-		v.Install(&ec)
+		pathval.New().Install(&ec)
 	}
 	return ec, nil
 }
