@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	pata "repro"
+	"repro/internal/acache"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/minicc"
@@ -421,11 +422,15 @@ func (c *memCache) Save(key string, data []byte) {
 }
 
 // BenchmarkWarmAnalyze measures a warm cached analysis against a cold
-// cacheless one on scan-validate's corpus (validate-heavy ×12 with its
-// clusters scaled, seed 1), each op a Load and an Analyze as the CLI runs
-// them. "warm" replays every entry, Stage-2 verdicts included, from an
-// in-memory EntryCache filled before the timer starts; "cacheless" runs
-// both stages.
+// cacheless one, each op a Load and an Analyze as the CLI runs them.
+// "cacheless" and "warm" run scan-validate's corpus (validate-heavy ×12
+// with its clusters scaled, seed 1): "warm" replays every entry, Stage-2
+// verdicts included, from an in-memory EntryCache filled before the timer
+// starts; "cacheless" runs both stages. "disk" and "disk-cacheless" run
+// scan-linux's corpus (linux-like ×4, seed 1): "disk" is a 100%-hit
+// -cache-dir run, opening an acache store over the pack a cold run filled
+// (Open reads and verifies the whole pack) and replaying every entry from
+// it; "disk-cacheless" is the same Load + Analyze without a cache.
 func BenchmarkWarmAnalyze(b *testing.B) {
 	base := oscorpus.ValidationHeavySpec()
 	spec := oscorpus.Scaled(base, 12)
@@ -435,7 +440,10 @@ func BenchmarkWarmAnalyze(b *testing.B) {
 	}
 	spec.Seed++
 	c := oscorpus.Generate(spec)
-	analyze := func(b *testing.B, cache core.EntryCache) *pata.Result {
+	linux := oscorpus.Scaled(oscorpus.LinuxSpec(), 4)
+	linux.Seed++
+	lc := oscorpus.Generate(linux)
+	analyze := func(b *testing.B, c *oscorpus.Corpus, cache core.EntryCache) *pata.Result {
 		prog, err := pata.Load(c.Spec.Name, c.Sources)
 		if err != nil {
 			b.Fatal(err)
@@ -449,16 +457,43 @@ func BenchmarkWarmAnalyze(b *testing.B) {
 	}
 	b.Run("cacheless", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			analyze(b, nil)
+			analyze(b, c, nil)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		cache := &memCache{m: make(map[string][]byte)}
-		analyze(b, cache)
+		analyze(b, c, cache)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res := analyze(b, cache); res.Stats.CacheEntriesMiss != 0 {
+			if res := analyze(b, c, cache); res.Stats.CacheEntriesMiss != 0 {
 				b.Fatalf("warm op missed %d entries", res.Stats.CacheEntriesMiss)
+			}
+		}
+	})
+	b.Run("disk-cacheless", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			analyze(b, lc, nil)
+		}
+	})
+	b.Run("disk", func(b *testing.B) {
+		dir := b.TempDir()
+		open := func() *acache.Store {
+			store, err := acache.Open(dir, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return store
+		}
+		store := open()
+		analyze(b, lc, store)
+		store.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			store := open()
+			res := analyze(b, lc, store)
+			store.Close()
+			if res.Stats.CacheEntriesMiss != 0 {
+				b.Fatalf("disk op missed %d entries", res.Stats.CacheEntriesMiss)
 			}
 		}
 	})

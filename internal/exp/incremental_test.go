@@ -133,10 +133,11 @@ func TestIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalCorruptTolerance damages capsule files on disk between a
-// cold and a warm run — one truncated mid-frame, one overwritten with
-// garbage — and checks the warm run degrades to re-analysis (misses) while
-// still rendering the byte-identical report.
+// TestIncrementalCorruptTolerance damages the capsule pack on disk between
+// a cold and a warm run — its last frame truncated mid-frame, the frame
+// before it overwritten with garbage — and checks the warm run, on a
+// store re-opened over the damaged pack, degrades to re-analysis (misses)
+// while still rendering the byte-identical report.
 func TestIncrementalCorruptTolerance(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.ZephyrSpec())
 	dir := t.TempDir()
@@ -148,22 +149,29 @@ func TestIncrementalCorruptTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.Close()
 
-	caps, err := filepath.Glob(filepath.Join(dir, "e*.capsule"))
-	if err != nil || len(caps) < 2 {
-		t.Fatalf("want >= 2 capsule files, got %d (%v)", len(caps), err)
+	ends, err := acache.FrameEnds(dir)
+	if err != nil || len(ends) < 3 {
+		t.Fatalf("want >= 3 capsule frames, got %d (%v)", len(ends), err)
 	}
-	data, err := os.ReadFile(caps[0])
+	pack := filepath.Join(dir, acache.PackFile)
+	data, err := os.ReadFile(pack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(caps[0], data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(caps[1], []byte("not a capsule frame at all"), 0o644); err != nil {
+	last, prev := ends[len(ends)-2], ends[len(ends)-3]
+	data = data[:(last+ends[len(ends)-1])/2]
+	copy(data[prev:last], "not a capsule frame at all")
+	if err := os.WriteFile(pack, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	store, err = acache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	warmRes, _, warmRep, err := incRun(c.Spec.Name, c.Sources, store)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +183,7 @@ func TestIncrementalCorruptTolerance(t *testing.T) {
 		t.Errorf("only %d misses after corrupting two capsules", warmRes.Stats.CacheEntriesMiss)
 	}
 	if warmRes.Stats.CacheEntriesHit == 0 {
-		t.Error("no hits at all: corruption of two files should not flush the whole cache")
+		t.Error("no hits at all: corruption of two frames should not flush the whole cache")
 	}
 }
 
@@ -190,11 +198,11 @@ func (c *countingCache) Save(key string, data []byte) {
 	c.EntryCache.Save(key, data)
 }
 
-// TestCacheOneFilePerEntry pins the store's shape: a cold fill writes one
-// capsule file per entry function and nothing else — each candidate's
+// TestCacheOneFramePerEntry pins the store's shape: a cold fill appends
+// one capsule frame per entry function and nothing else — each candidate's
 // Stage-2 verdict rides in its entry's capsule — and a warm re-run of the
-// same sources saves nothing.
-func TestCacheOneFilePerEntry(t *testing.T) {
+// same sources saves nothing and leaves the pack's size unchanged.
+func TestCacheOneFramePerEntry(t *testing.T) {
 	for _, spec := range []oscorpus.OSSpec{oscorpus.LinuxSpec(), oscorpus.ValidationHeavySpec()} {
 		c := oscorpus.Generate(spec)
 		dir := t.TempDir()
@@ -202,6 +210,7 @@ func TestCacheOneFilePerEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer store.Close()
 		cache := &countingCache{EntryCache: store}
 		cold, _, _, err := incRun(c.Spec.Name, c.Sources, cache)
 		if err != nil {
@@ -212,12 +221,23 @@ func TestCacheOneFilePerEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range files {
-			if !strings.HasPrefix(f.Name(), "e") || filepath.Ext(f.Name()) != ".capsule" {
+			if f.Name() != acache.PackFile {
 				t.Errorf("%s: unexpected file %s in the store", c.Spec.Name, f.Name())
 			}
 		}
-		if len(files) != cold.Stats.EntryFunctions {
-			t.Errorf("%s: cold fill left %d files for %d entries", c.Spec.Name, len(files), cold.Stats.EntryFunctions)
+		ends, err := acache.FrameEnds(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ends) != cold.Stats.EntryFunctions {
+			t.Errorf("%s: cold fill appended %d frames for %d entries", c.Spec.Name, len(ends), cold.Stats.EntryFunctions)
+		}
+		info, err := os.Stat(filepath.Join(dir, acache.PackFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ends) == 0 || ends[len(ends)-1] != info.Size() {
+			t.Errorf("%s: intact frames end before the pack's %d bytes", c.Spec.Name, info.Size())
 		}
 		cache.saves.Store(0)
 		if _, _, _, err := incRun(c.Spec.Name, c.Sources, cache); err != nil {
@@ -225,6 +245,9 @@ func TestCacheOneFilePerEntry(t *testing.T) {
 		}
 		if n := cache.saves.Load(); n != 0 {
 			t.Errorf("%s: warm re-run saved %d capsules, want 0", c.Spec.Name, n)
+		}
+		if warm, err := os.Stat(filepath.Join(dir, acache.PackFile)); err != nil || warm.Size() != info.Size() {
+			t.Errorf("%s: warm re-run changed the pack from %d bytes (%v)", c.Spec.Name, info.Size(), err)
 		}
 	}
 }

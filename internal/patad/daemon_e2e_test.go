@@ -19,6 +19,7 @@ import (
 	"time"
 
 	pata "repro"
+	"repro/internal/acache"
 )
 
 func TestMain(m *testing.M) {
@@ -256,7 +257,7 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 }
 
 // TestDaemonKillDashNineWarmRestart: kill -9 the daemon while capsules are
-// being written; a restarted daemon on the same cache directory must
+// being appended; a restarted daemon on the same cache directory must
 // recover (checksummed frames: anything torn reads as a miss) and serve a
 // byte-identical report, then replay fully warm on the next analyze.
 func TestDaemonKillDashNineWarmRestart(t *testing.T) {
@@ -270,8 +271,8 @@ func TestDaemonKillDashNineWarmRestart(t *testing.T) {
 	c1 := dialDaemon(t, d1.socket)
 	c1.send(t, Request{ID: "doomed", Op: OpAnalyze})
 
-	// Kill as soon as the store holds some — but not all — capsules, so the
-	// crash lands mid-run with a partially populated cache.
+	// Kill as soon as the pack holds an intact frame — but not all of them —
+	// so the crash lands mid-run with a partially populated cache.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if n := capsuleCount(t, cache); n >= 1 {
@@ -315,19 +316,15 @@ func TestDaemonKillDashNineWarmRestart(t *testing.T) {
 	}
 }
 
+// capsuleCount counts the intact frames in dir's capsule pack; 0 before
+// the pack exists.
 func capsuleCount(t *testing.T, dir string) int {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
+	ends, err := acache.FrameEnds(dir)
+	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".capsule") {
-			n++
-		}
-	}
-	return n
+	return len(ends)
 }
 
 // TestDaemonStdioSession: the -stdio transport end to end — analyze and

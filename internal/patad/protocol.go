@@ -18,7 +18,8 @@
 //     in-flight work, flush the capsule store, exit 0;
 //   - crash-safe warm restart: after kill -9 mid-run, a restarted daemon
 //     recovers from the checksummed capsule store and serves byte-identical
-//     reports for unchanged entries (corrupt frames delete-and-miss).
+//     reports for unchanged entries (a torn or corrupt pack tail is
+//     truncated and misses).
 package patad
 
 import (
@@ -112,10 +113,12 @@ type StatusInfo struct {
 	// CacheDir is empty when the daemon runs without a persistent store
 	// (warm restarts are then cold).
 	CacheDir string `json:"cache_dir,omitempty"`
-	// ResidentEntries and ResidentKB size the in-memory capsule tier: the
-	// cached payloads the last analyze touched (or that the current one
-	// has touched so far), in entries and KiB of payload. Both are 0
-	// without a cache directory.
+	// ResidentEntries and ResidentKB size the capsule store's live index:
+	// the capsules the last analyze touched (or that the current one has
+	// touched so far), in entries and KiB of frames. PackKB is the pack
+	// file's size, live and dead frames, in KiB; compaction brings it
+	// back to ResidentKB. All three are 0 without a cache directory.
 	ResidentEntries int   `json:"resident_entries"`
 	ResidentKB      int64 `json:"resident_kb"`
+	PackKB          int64 `json:"pack_kb"`
 }

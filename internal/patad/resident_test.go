@@ -3,29 +3,22 @@ package patad
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	pata "repro"
+	"repro/internal/acache"
 )
 
-// removeCapsules deletes every capsule file in dir, leaving the resident
-// tier as the only copy of the payloads.
+// removeCapsules deletes the capsule pack in dir, leaving the store's
+// in-memory index as the only copy of the payloads.
 func removeCapsules(t *testing.T, dir string) {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*.capsule"))
-	if err != nil {
+	if err := os.Remove(filepath.Join(dir, acache.PackFile)); err != nil {
 		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no capsule files to remove")
-	}
-	for _, f := range files {
-		if err := os.Remove(f); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -48,7 +41,7 @@ func wantHits(t *testing.T, resp *Response, hit, miss int64) {
 
 // TestResidentTierServesWithoutCapsuleFiles: once an analyze has touched
 // every key, a re-analyze of the same epoch is served from memory alone —
-// 100% hits with every capsule file gone — and after an invalidate only
+// 100% hits with the capsule pack gone — and after an invalidate only
 // the frontier misses.
 func TestResidentTierServesWithoutCapsuleFiles(t *testing.T) {
 	dir := t.TempDir()
@@ -73,8 +66,8 @@ func TestResidentTierServesWithoutCapsuleFiles(t *testing.T) {
 // TestResidentTierDropsUntouchedKeys: an analyze retires every key it did
 // not touch, so the analyze after it cannot read them from memory. Beta's
 // original capsule goes untouched while beta is edited; reverting the edit
-// with the capsule files gone must miss beta instead of replaying it from
-// memory.
+// must miss beta instead of replaying it from memory, with or without the
+// pack on disk.
 func TestResidentTierDropsUntouchedKeys(t *testing.T) {
 	dir := t.TempDir()
 	srv := newTestServer(t, Options{Config: pata.Config{CacheDir: dir}})
@@ -120,9 +113,9 @@ func TestStatusResidentJSONShape(t *testing.T) {
 	uncached := newTestServer(t, Options{})
 	analyzeOK(t, uncached)
 	m := statusJSON(uncached)
-	if m["resident_entries"] != float64(0) || m["resident_kb"] != float64(0) {
-		t.Errorf("uncached daemon status: resident_entries=%v resident_kb=%v, want 0/0",
-			m["resident_entries"], m["resident_kb"])
+	if m["resident_entries"] != float64(0) || m["resident_kb"] != float64(0) || m["pack_kb"] != float64(0) {
+		t.Errorf("uncached daemon status: resident_entries=%v resident_kb=%v pack_kb=%v, want 0/0/0",
+			m["resident_entries"], m["resident_kb"], m["pack_kb"])
 	}
 
 	cached := newTestServer(t, Options{Config: pata.Config{CacheDir: t.TempDir()}})
@@ -134,5 +127,55 @@ func TestStatusResidentJSONShape(t *testing.T) {
 	}
 	if _, ok := m["resident_kb"].(float64); !ok {
 		t.Errorf("resident_kb = %v (%T), want a number", m["resident_kb"], m["resident_kb"])
+	}
+	if kb, ok := m["pack_kb"].(float64); !ok || kb < m["resident_kb"].(float64) {
+		t.Errorf("pack_kb = %v (%T), want a number no smaller than resident_kb %v", m["pack_kb"], m["pack_kb"], m["resident_kb"])
+	}
+}
+
+// TestStatusPackKBTracksCompaction: each edit leaves its entry's old
+// capsule as a dead frame in the pack, so pack_kb grows past resident_kb,
+// and compaction brings it back: after every analyze the pack stays
+// within twice the live frames (plus a KiB of frame and rounding slack).
+func TestStatusPackKBTracksCompaction(t *testing.T) {
+	const entries = 40
+	src := func(i, bound int) string {
+		return fmt.Sprintf(`
+struct dev%[1]d { int flags; int mode; };
+int f%02[1]d(struct dev%[1]d *d, int x) {
+	if (x > %[2]d)
+		x = x - 1;
+	if (!d)
+		return d->flags;
+	return x;
+}`, i, bound)
+	}
+	sources := map[string]string{}
+	for i := 0; i < entries; i++ {
+		sources[fmt.Sprintf("f%02d.c", i)] = src(i, i)
+	}
+	srv := newTestServer(t, Options{Sources: sources, Config: pata.Config{CacheDir: t.TempDir()}})
+	analyzeOK(t, srv)
+	grew, shrank := false, false
+	last := int64(0)
+	for edit := 1; edit <= 80; edit++ {
+		inv := srv.invalidate(&Request{Op: OpInvalidate, Sources: map[string]string{"f00.c": src(0, 100+edit)}})
+		if !inv.OK {
+			t.Fatalf("invalidate %d: %s", edit, inv.Error)
+		}
+		wantHits(t, analyzeOK(t, srv), entries-1, 1)
+		st := srv.status(&Request{Op: OpStatus}).Status
+		if st.ResidentEntries != entries {
+			t.Fatalf("edit %d: resident_entries = %d, want %d", edit, st.ResidentEntries, entries)
+		}
+		if st.PackKB > 2*st.ResidentKB+1 {
+			t.Fatalf("edit %d: pack_kb %d for resident_kb %d", edit, st.PackKB, st.ResidentKB)
+		}
+		grew = grew || st.PackKB > st.ResidentKB
+		shrank = shrank || st.PackKB < last
+		last = st.PackKB
+	}
+	if !grew || !shrank {
+		t.Errorf("pack_kb never showed dead frames (%v) or a compaction (%v)", grew, shrank)
 	}
 }

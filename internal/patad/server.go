@@ -12,6 +12,7 @@ import (
 	"time"
 
 	pata "repro"
+	"repro/internal/acache"
 	"repro/internal/core"
 )
 
@@ -52,10 +53,10 @@ type Options struct {
 type Server struct {
 	opts Options
 	ec   core.Config // template; value-copied per request
-	// resident is the engine's cache: the in-memory tier in front of the
-	// capsule store. nil when CacheDir is unset or unusable.
-	resident *residentCache
-	adm      *admission
+	// cache is the engine's capsule store, whose index serves every warm
+	// load from memory. nil when CacheDir is unset or unusable.
+	cache *acache.Store
+	adm   *admission
 	// maxLine caps a request line's length (scanMaxBuf).
 	maxLine int
 
@@ -70,6 +71,9 @@ type Server struct {
 	invalidateMu sync.Mutex
 
 	served atomic.Int64
+	// analyzing counts the analyses running on the cache; the last one
+	// out ends the store's run (endRun).
+	analyzing atomic.Int64
 
 	// Drain machinery. workMu serializes begin-work against the start of
 	// drain so workWG.Add never races workWG.Wait; drainCh short-circuits
@@ -135,8 +139,8 @@ func New(opts Options) (*Server, error) {
 	// uncached (cold-restart) daemon, never to a dead one.
 	if store := opts.Config.OpenCache(opts.Stderr); store != nil {
 		store.WarnLog = opts.Stderr
-		s.resident = newResidentCache(store)
-		s.ec.Cache = s.resident
+		s.cache = store
+		s.ec.Cache = store
 	}
 
 	prog, err := pata.Load("program", opts.Sources)
@@ -222,10 +226,11 @@ func (s *Server) Shutdown() {
 	}
 	s.killCancel()
 
-	if s.resident != nil {
-		if err := s.resident.disk.Flush(); err != nil {
+	if s.cache != nil {
+		if err := s.cache.Flush(); err != nil {
 			fmt.Fprintf(s.opts.Stderr, "patad: cache flush: %v\n", err)
 		}
+		s.cache.Close() // no analyze runs after drain; status still reads the index
 	}
 
 	// Unblock session readers (expired read deadline, writes unaffected)
@@ -405,10 +410,11 @@ func (s *Server) analyzeInto(ctx context.Context, req *Request, send func(*Respo
 		defer tcancel()
 	}
 
-	pres := s.prog.Load().Analyze(rctx, s.ec, s.opts.Config.Workers, s.opts.Config.WitnessPaths || req.Witness)
-	if s.resident != nil {
-		s.resident.endAnalyze()
+	if s.cache != nil {
+		s.analyzing.Add(1)
+		defer s.endRun()
 	}
+	pres := s.prog.Load().Analyze(rctx, s.ec, s.opts.Config.Workers, s.opts.Config.WitnessPaths || req.Witness)
 	s.served.Add(1)
 
 	resp.OK = true
@@ -418,6 +424,15 @@ func (s *Server) analyzeInto(ctx context.Context, req *Request, send func(*Respo
 	resp.Stats = &pres.Stats
 	send(resp)
 	sent = true
+}
+
+// endRun ends the capsule store's run once no other analyze is running,
+// so the store retires the keys the finished analyses left untouched but
+// never a key an overlapping analyze has yet to load.
+func (s *Server) endRun() {
+	if s.analyzing.Add(-1) == 0 {
+		s.cache.EndRun()
+	}
 }
 
 // invalidate applies a source edit through Program.Update, publishes the
@@ -451,10 +466,10 @@ func (s *Server) status(req *Request) *Response {
 		Served:   s.served.Load(),
 		Shed:     s.adm.shed.Load(),
 	}
-	if s.resident != nil {
-		info.CacheDir = s.resident.disk.Dir()
-		n, b := s.resident.size()
-		info.ResidentEntries, info.ResidentKB = n, b/1024
+	if s.cache != nil {
+		info.CacheDir = s.cache.Dir()
+		n, live, pack := s.cache.Size()
+		info.ResidentEntries, info.ResidentKB, info.PackKB = n, live/1024, pack/1024
 	}
 	return &Response{ID: req.ID, Op: req.Op, OK: true, Status: info}
 }

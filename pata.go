@@ -77,12 +77,13 @@ type Config struct {
 	WitnessPaths bool
 	// CacheDir, when non-empty, enables content-addressed incremental
 	// analysis: per-entry results, Stage-2 verdicts included, persist in
-	// this directory, one file per entry, keyed by the fingerprints of
-	// every function the entry can reach plus the analysis configuration. A warm re-run over unchanged
-	// sources replays from the cache — the findings are byte-identical to
-	// a cold run — and after an edit only entries that can reach a changed
+	// this directory, one frame per entry in one append-only pack, keyed
+	// by the fingerprints of every function the entry can reach plus the
+	// analysis configuration. A warm re-run over unchanged sources
+	// replays from the cache — the findings are byte-identical to a cold
+	// run — and after an edit only entries that can reach a changed
 	// function re-analyze. The directory is created if missing; corrupted
-	// or stale files silently fall back to cold analysis.
+	// or stale frames silently fall back to cold analysis.
 	CacheDir string
 	// EntryTimeout bounds the wall-clock spent on a single entry function
 	// (Stage-1 exploration attempt, and each Stage-2 candidate solve). An
@@ -216,6 +217,7 @@ func AnalyzeSourcesCtx(ctx context.Context, name string, sources map[string]stri
 		return nil, err
 	}
 	if store := cfg.OpenCache(os.Stderr); store != nil {
+		defer store.Close() // appends need no flush: the next run reads the page cache
 		ec.Cache = store
 	}
 	return p.Analyze(ctx, ec, cfg.Workers, cfg.WitnessPaths), nil
