@@ -205,8 +205,9 @@ type PossibleBug struct {
 
 	// The candidate's Stage-2 verdict as its entry capsule stores it:
 	// replayed from a cache hit, or recorded by Stage 2 (fresh) for the
-	// capsule saved after it. merged marks a first sighting to which
-	// mergeResults appended another entry's paths; see validateGroup.
+	// capsule saved after it. merged marks mergeResults' copy of a first
+	// sighting to which it appended another entry's paths; see
+	// validateGroup.
 	verdict *verdictC
 	fresh   bool
 	merged  bool

@@ -159,12 +159,10 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 	// deques. The key pass is sequential — EntryKey memoizes function
 	// fingerprints on first computation — but the capsule reads and
 	// decodes fan out across workers: each probe touches a disjoint slot,
-	// the store's locks are striped by key, and decodeCapsule only reads
-	// the module. Each hit's payload is kept for saveCapsule, and each
-	// miss's wire form (lifted in Stage 1) for saving after Stage 2.
+	// an EntryCache is safe for concurrent use, and decodeCapsule only
+	// reads the module.
 	var keys []string
-	var hits [][]byte
-	var wires []*entryCapsule
+	var store []bool // entries whose capsule is saved after Stage 2
 	results := make([]*Result, len(entries))
 	if cache != nil {
 		salt := cfg.analysisSalt(mod)
@@ -173,8 +171,7 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 		for i, fn := range entries {
 			keys[i] = entryKeyString(cg.EntryKey(fn, salt))
 		}
-		hits = make([][]byte, len(entries))
-		wires = make([]*entryCapsule, len(entries))
+		store = make([]bool, len(entries))
 		parallelFor(len(entries), workers, func(i int) {
 			data, ok := cache.Load(keys[i])
 			if !ok {
@@ -193,7 +190,7 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 				res.Incomplete = append(res.Incomplete,
 					IncompleteEntry{Entry: entries[i].Name, Reason: ReasonBudget, Rung: 0})
 			}
-			results[i], hits[i] = res, data
+			results[i] = res
 		})
 	}
 	var live []entryTask
@@ -252,17 +249,11 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 					res, eng, degraded = runEntryIsolated(eng, t.fn)
 				}
 				if cache != nil {
-					// Lift the wire form before the merge mutates
-					// first-sighting candidates in place (AltPaths). A
-					// non-encodable entry just isn't cached — and neither
-					// is a degraded one: its result depends on wall-clock
-					// (or on a contained panic), so a warm re-run must
-					// re-attempt it rather than replay the degraded shadow.
-					if !degraded {
-						if c, ok := capsuleOf(res); ok {
-							wires[t.idx] = &c
-						}
-					}
+					// A degraded entry is never cached: its result depends
+					// on wall-clock (or on a contained panic), so a warm
+					// re-run must re-attempt it rather than replay the
+					// degraded shadow.
+					store[t.idx] = !degraded
 					res.Stats.CacheEntriesMiss = 1
 				}
 				results[t.idx] = res
@@ -281,7 +272,7 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 	merged.Stats.ValidationTime = time.Since(vstart)
 	if cache != nil {
 		parallelFor(len(entries), workers, func(i int) {
-			saveCapsule(cache, keys[i], results[i], wires[i], hits[i])
+			saveCapsule(cache, keys[i], results[i], store[i])
 		})
 	}
 	return merged
@@ -303,25 +294,20 @@ func parallelFor(n, workers int, f func(i int)) {
 	wg.Wait()
 }
 
-// saveCapsule stores one entry's capsule after Stage 2, with each
-// candidate's verdict: a missed entry's wire form c (nil when the entry is
-// degraded or not encodable, and never saved), or — when Stage 2 recorded
-// a verdict the hit's capsule lacked — the hit's payload re-decoded.
-func saveCapsule(cache EntryCache, key string, res *Result, c *entryCapsule, hit []byte) {
-	if c == nil {
-		if hit == nil || !slices.ContainsFunc(res.Possible, func(pb *PossibleBug) bool { return pb.fresh }) {
-			return
-		}
-		w, ok := unmarshalCapsule(hit)
-		if !ok {
-			return
-		}
-		c = &w
+// saveCapsule stores one entry's capsule after Stage 2, encoded from its
+// own Result with each candidate's verdict: a missed entry's when store is
+// set, and a hit's when Stage 2 recorded a verdict its capsule lacked. An
+// entry that is not encodable just isn't cached.
+func saveCapsule(cache EntryCache, key string, res *Result, store bool) {
+	if res.Stats.CacheEntriesHit > 0 {
+		store = slices.ContainsFunc(res.Possible, func(pb *PossibleBug) bool { return pb.fresh })
 	}
-	for j, pb := range res.Possible {
-		c.Cands[j].Verdict = pb.verdict
+	if !store {
+		return
 	}
-	cache.Save(key, marshalCapsule(c))
+	if data, ok := encodeCapsule(res); ok {
+		cache.Save(key, data)
+	}
 }
 
 // mergeResults folds the per-entry Results, in entry-name order, into one
@@ -329,14 +315,16 @@ func saveCapsule(cache EntryCache, key string, res *Result, c *entryCapsule, hit
 // the first sighting keeps the candidate, later sightings append their
 // primary path and then their own alternates as AltPaths (capped), each
 // sighting counting one repeated drop. A first sighting that gains paths
-// is marked merged: its verdict then depends on another entry.
+// is replaced by a copy marked merged, whose verdict then depends on
+// another entry; the entry's own candidate is left as its capsule stores
+// it.
 func mergeResults(results []*Result) *Result {
 	type mergeKey struct {
 		checker string
 		origin  int
 		bug     int
 	}
-	seen := make(map[mergeKey]*PossibleBug)
+	seen := make(map[mergeKey]int) // index into merged.Possible
 	merged := &Result{}
 	s := &merged.Stats
 	for _, r := range results {
@@ -357,25 +345,29 @@ func mergeResults(results []*Result) *Result {
 		s.EntriesDegraded += r.Stats.EntriesDegraded
 		for _, pb := range r.Possible {
 			k := mergeKey{checker: pb.Checker.Name(), origin: pb.OriginGID, bug: pb.BugInstr.GID()}
-			prev, dup := seen[k]
+			i, dup := seen[k]
 			if !dup {
-				seen[k] = pb
+				seen[k] = len(merged.Possible)
 				merged.Possible = append(merged.Possible, pb)
 				continue
 			}
 			s.RepeatedDropped++
-			had := len(prev.AltPaths)
-			if len(prev.AltPaths) < maxAltPaths {
-				prev.AltPaths = append(prev.AltPaths, pb.Path)
+			prev := merged.Possible[i]
+			if len(prev.AltPaths) >= maxAltPaths {
+				continue
 			}
+			if !prev.merged {
+				cp := *prev
+				cp.AltPaths = slices.Clip(prev.AltPaths)
+				cp.merged = true
+				prev, merged.Possible[i] = &cp, &cp
+			}
+			prev.AltPaths = append(prev.AltPaths, pb.Path)
 			for _, alt := range pb.AltPaths {
 				if len(prev.AltPaths) >= maxAltPaths {
 					break
 				}
 				prev.AltPaths = append(prev.AltPaths, alt)
-			}
-			if len(prev.AltPaths) > had {
-				prev.merged = true
 			}
 		}
 	}

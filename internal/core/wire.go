@@ -2,16 +2,18 @@ package core
 
 import (
 	"encoding/binary"
-	"math"
-	"time"
+
+	"repro/internal/cir"
+	"repro/internal/typestate"
 )
 
-// Capsule wire format (capsuleVersion 9).
+// Capsule wire format (capsuleVersion 10).
 //
-// A capsule payload is
+// A capsule payload is one entry's Result:
 //
 //	table  uvarint n, n × uvarint len, then the n strings back to back
-//	stats  every Stats field in declaration order, each a zigzag varint
+//	stats  six zigzag varints: PathsExplored, StepsExecuted, Budgeted,
+//	       Typestates, TypestatesUnaware, RepeatedDropped
 //	cands  uvarint n, then n candidates
 //
 // and a candidate is
@@ -23,9 +25,9 @@ import (
 //	bug      ref
 //	path     steps
 //	alts     uvarint n, then n × steps
-//	extra    when flagged: varint kind, varint val, byte (1 = IsNull,
-//	         2 = IsStr), str Str, str RegFn, varint RegID, str Name,
-//	         str Pred, varint bound
+//	extra    when flagged: varint kind (1 const, 2 register, 3 global),
+//	         varint val, byte (1 = IsNull, 2 = IsStr), str Str, str RegFn,
+//	         varint RegID, str Name, str Pred, varint bound
 //	entry, in-function, category  str, str, str
 //	aliases  uvarint n, then n × str
 //	verdict  when flagged: byte feasible, varint constraints, varint
@@ -39,40 +41,332 @@ import (
 // names it once. The verdict is the candidate's Stage-2 outcome, present
 // when Stage 2 decided it from the entry's own paths (see validateGroup).
 //
+// The stats are the counters mergeResults sums from a replayed entry. A
+// saved entry is never degraded, so its retry, panic and deadline counters
+// are zero; decodeCapsule sets the entry and cache counters itself; Stage
+// 2 recomputes the rest. Adding or deleting a Stats field therefore leaves
+// the format alone.
+//
+// Capsules never store GIDs: AssignGIDs numbers instructions module-wide,
+// so editing one function renumbers every function after it. Instructions
+// are addressed as (function name, block index, instruction index)
+// instead, which is stable as long as the owning function's body is
+// unchanged — and the entry key already guarantees exactly that for every
+// function a cached path can step through.
+//
 // Decoding parses bytes a crashed or hostile writer may have produced (the
 // acache frame checksum catches bit rot, not a forged file), so every
 // length prefix is checked against the bytes that remain before anything
 // is allocated, booleans must be 0 or 1, flags may not carry unknown bits,
-// and trailing bytes are an error. Empty slices decode as nil, so a
+// and trailing bytes are an error. Every reference resolves against the
+// module as it is read: an unknown checker, function, block, instruction,
+// register or global, or an origin on none of the candidate's paths, fails
+// the decode like a malformed byte. Empty slices decode as nil, so a
 // capsule replays the same whichever way its slices were built.
 
-// wireWriter appends the primitives of the capsule format.
-type wireWriter struct {
-	buf []byte
+// ---- encoding ----
+
+const (
+	candHasOrigin = 1 << iota
+	candHasExtra
+	candHasVerdict
+)
+
+const (
+	extraConst = 1 + iota
+	extraRegister
+	extraGlobal
+)
+
+const (
+	extraIsNull = 1 << iota
+	extraIsStr
+)
+
+// capsuleWriter encodes one capsule: stats and candidates into buf, their
+// strings into the table.
+type capsuleWriter struct {
+	buf  []byte
+	idx  map[string]uint64
+	strs []string
+	// pos maps an instruction to its (block, index) within its function;
+	// indexed names the functions whose bodies pos already covers.
+	pos     map[cir.Instr][2]int
+	indexed map[string]bool
 }
 
-func (w *wireWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *wireWriter) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-
-func (w *wireWriter) bool(b bool) {
-	if b {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
+// encodeCapsule encodes one entry's Result, with each candidate's verdict.
+// ok=false means some candidate isn't representable (an off-module
+// instruction, an origin on none of its paths, an exotic extra-constraint
+// value); the caller then simply doesn't cache the entry — a conservative
+// miss on the next run, never a wrong replay.
+func encodeCapsule(res *Result) ([]byte, bool) {
+	w := &capsuleWriter{
+		buf:     make([]byte, 0, 256),
+		idx:     make(map[string]uint64),
+		pos:     make(map[cir.Instr][2]int),
+		indexed: make(map[string]bool),
 	}
+	st := &res.Stats
+	for _, v := range [...]int64{st.PathsExplored, st.StepsExecuted, int64(st.Budgeted),
+		st.Typestates, st.TypestatesUnaware, st.RepeatedDropped} {
+		w.varint(v)
+	}
+	w.uvarint(uint64(len(res.Possible)))
+	for _, pb := range res.Possible {
+		if !w.cand(pb) {
+			return nil, false
+		}
+	}
+	out := binary.AppendUvarint(make([]byte, 0, len(w.buf)+16*len(w.strs)+8), uint64(len(w.strs)))
+	for _, s := range w.strs {
+		out = binary.AppendUvarint(out, uint64(len(s)))
+	}
+	for _, s := range w.strs {
+		out = append(out, s...)
+	}
+	return append(out, w.buf...), true
 }
 
-// wireReader consumes the primitives of the capsule format. Errors are
-// sticky: after the first malformation every read returns a zero value,
-// so counts read as 0 and no loop runs or allocates on garbage.
-type wireReader struct {
+func (w *capsuleWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *capsuleWriter) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
+
+// str writes s as its string-table index, adding it to the table on first
+// use.
+func (w *capsuleWriter) str(s string) {
+	i, ok := w.idx[s]
+	if !ok {
+		i = uint64(len(w.strs))
+		w.idx[s] = i
+		w.strs = append(w.strs, s)
+	}
+	w.uvarint(i)
+}
+
+// locate returns in's function name and its (block, index) in that
+// function, indexing the function's body on first need.
+func (w *capsuleWriter) locate(in cir.Instr) (string, [2]int, bool) {
+	blk := in.Block()
+	if blk == nil || blk.Fn == nil {
+		return "", [2]int{}, false
+	}
+	fn := blk.Fn
+	p, ok := w.pos[in]
+	if !ok && !w.indexed[fn.Name] {
+		w.indexed[fn.Name] = true
+		for bi, b := range fn.Blocks {
+			for ii, bin := range b.Instrs {
+				w.pos[bin] = [2]int{bi, ii}
+			}
+		}
+		p, ok = w.pos[in]
+	}
+	return fn.Name, p, ok
+}
+
+func (w *capsuleWriter) ref(in cir.Instr) bool {
+	fn, p, ok := w.locate(in)
+	if ok {
+		w.str(fn)
+		w.varint(int64(p[0]))
+		w.varint(int64(p[1]))
+	}
+	return ok
+}
+
+func (w *capsuleWriter) steps(path []PathStep) bool {
+	w.uvarint(uint64(len(path)))
+	for _, st := range path {
+		fn, p, ok := w.locate(st.Instr)
+		if !ok {
+			return false
+		}
+		w.str(fn)
+		blk := int64(p[0])
+		zz := uint64(blk<<1) ^ uint64(blk>>63)
+		taken := uint64(0)
+		if st.Taken {
+			taken = 1
+		}
+		w.uvarint(zz<<1 | taken)
+		w.varint(int64(p[1]))
+	}
+	return true
+}
+
+func (w *capsuleWriter) cand(pb *PossibleBug) bool {
+	w.str(pb.Checker.Name())
+	var origin cir.Instr
+	var flags byte
+	if pb.OriginGID != 0 {
+		var ok bool
+		if origin, ok = originInstr(pb); !ok {
+			return false
+		}
+		flags |= candHasOrigin
+	}
+	if pb.Extra != nil {
+		flags |= candHasExtra
+	}
+	if pb.verdict != nil {
+		flags |= candHasVerdict
+	}
+	w.buf = append(w.buf, flags)
+	if origin != nil && !w.ref(origin) {
+		return false
+	}
+	if !w.ref(pb.BugInstr) || !w.steps(pb.Path) {
+		return false
+	}
+	w.uvarint(uint64(len(pb.AltPaths)))
+	for _, alt := range pb.AltPaths {
+		if !w.steps(alt) {
+			return false
+		}
+	}
+	if pb.Extra != nil && !w.extra(pb.Extra) {
+		return false
+	}
+	w.str(pb.EntryFn)
+	w.str(pb.InFn)
+	w.str(pb.Category)
+	w.uvarint(uint64(len(pb.AliasSet)))
+	for _, a := range pb.AliasSet {
+		w.str(a)
+	}
+	if v := pb.verdict; v != nil {
+		feasible := byte(0)
+		if v.Feasible {
+			feasible = 1
+		}
+		w.buf = append(w.buf, feasible)
+		w.varint(v.Constraints)
+		w.varint(v.ConstraintsUnaware)
+		w.uvarint(uint64(len(v.Trigger)))
+		for _, s := range v.Trigger {
+			w.str(s)
+		}
+	}
+	return true
+}
+
+func (w *capsuleWriter) extra(ex *typestate.ExtraConstraint) bool {
+	var kind, val, regID int64
+	var xf byte
+	var str, regFn, name string
+	switch v := ex.Val.(type) {
+	case *cir.Const:
+		kind, val, str = extraConst, v.Val, v.Str
+		if v.IsNull {
+			xf |= extraIsNull
+		}
+		if v.IsStr {
+			xf |= extraIsStr
+		}
+	case *cir.Register:
+		if v.Fn == nil {
+			return false
+		}
+		kind, regFn, regID = extraRegister, v.Fn.Name, int64(v.ID)
+	case *cir.Global:
+		kind, name = extraGlobal, v.Name
+	default:
+		return false
+	}
+	w.varint(kind)
+	w.varint(val)
+	w.buf = append(w.buf, xf)
+	w.str(str)
+	w.str(regFn)
+	w.varint(regID)
+	w.str(name)
+	w.str(string(ex.Pred))
+	w.varint(ex.Bound)
+	return true
+}
+
+// originInstr finds the candidate's origin instruction on one of its
+// witness paths, where a written capsule stores it and a decoded one must
+// find it again.
+func originInstr(pb *PossibleBug) (cir.Instr, bool) {
+	for _, st := range pb.Path {
+		if st.Instr.GID() == pb.OriginGID {
+			return st.Instr, true
+		}
+	}
+	for _, alt := range pb.AltPaths {
+		for _, st := range alt {
+			if st.Instr.GID() == pb.OriginGID {
+				return st.Instr, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// ---- decoding ----
+
+// minStepBytes and minCandBytes are the smallest encodings of a path step
+// (three one-byte fields) and of a candidate (checker, flags, a three-byte
+// bug ref, path and alternate counts, three names and the alias count).
+const (
+	minStepBytes = 3
+	minCandBytes = 11
+)
+
+// capsuleReader decodes one capsule against a module, resolving every
+// reference as it reads it. Errors are sticky: after the first
+// malformation every read returns a zero value, so counts read as 0 and no
+// loop runs or allocates on garbage.
+type capsuleReader struct {
 	data []byte
 	bad  bool
+	strs []string
+	mod  *cir.Module
+	// fnName and fn memoize the last function resolved: consecutive path
+	// steps mostly name the same one.
+	fnName string
+	fn     *cir.Function
 }
 
-func (r *wireReader) fail() { r.bad, r.data = true, nil }
+// decodeCapsule rebuilds one entry's Result against the fresh module.
+// ok=false — an unresolvable reference, an unknown checker, a malformed
+// payload — means the caller treats the capsule as a miss and re-analyzes
+// the entry. The replayed Stats carry the stored counters plus the
+// replay's own: one entry, hit, with every stored executed step skipped.
+// Each candidate carries its stored verdict, if any, for Stage 2 to
+// replay.
+func decodeCapsule(data []byte, mod *cir.Module, checkers map[string]typestate.Checker) (*Result, bool) {
+	r := &capsuleReader{data: data, mod: mod}
+	r.readTable()
+	res := &Result{Stats: Stats{
+		EntryFunctions:    1,
+		PathsExplored:     r.varint(),
+		StepsExecuted:     r.varint(),
+		Budgeted:          r.int(),
+		Typestates:        r.varint(),
+		TypestatesUnaware: r.varint(),
+		RepeatedDropped:   r.varint(),
+		CacheEntriesHit:   1,
+	}}
+	res.Stats.CacheStepsSkipped = res.Stats.StepsExecuted
+	if n := r.count(minCandBytes); n > 0 {
+		res.Possible = make([]*PossibleBug, n)
+		for i := range res.Possible {
+			if res.Possible[i] = r.cand(checkers); res.Possible[i] == nil {
+				return nil, false
+			}
+		}
+	}
+	if r.bad || len(r.data) > 0 {
+		return nil, false
+	}
+	return res, true
+}
 
-func (r *wireReader) uvarint() uint64 {
+func (r *capsuleReader) fail() { r.bad, r.data = true, nil }
+
+func (r *capsuleReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.data)
 	if n <= 0 {
 		r.fail()
@@ -82,7 +376,7 @@ func (r *wireReader) uvarint() uint64 {
 	return v
 }
 
-func (r *wireReader) varint() int64 {
+func (r *capsuleReader) varint() int64 {
 	v, n := binary.Varint(r.data)
 	if n <= 0 {
 		r.fail()
@@ -93,7 +387,7 @@ func (r *wireReader) varint() int64 {
 }
 
 // int reads a varint that must fit the platform int.
-func (r *wireReader) int() int {
+func (r *capsuleReader) int() int {
 	v := r.varint()
 	if int64(int(v)) != v {
 		r.fail()
@@ -102,7 +396,7 @@ func (r *wireReader) int() int {
 	return int(v)
 }
 
-func (r *wireReader) byte() byte {
+func (r *capsuleReader) byte() byte {
 	if len(r.data) == 0 {
 		r.fail()
 		return 0
@@ -112,20 +406,11 @@ func (r *wireReader) byte() byte {
 	return b
 }
 
-func (r *wireReader) bool() bool {
-	b := r.byte()
-	if b > 1 {
-		r.fail()
-		return false
-	}
-	return b == 1
-}
-
 // count reads a length prefix for elements that each take at least
 // minSize bytes on the wire, failing when the remaining input cannot hold
 // that many — the bound that keeps a forged prefix from allocating more
 // than the input's length implies.
-func (r *wireReader) count(minSize int) int {
+func (r *capsuleReader) count(minSize int) int {
 	n := r.uvarint()
 	if n > uint64(len(r.data)/minSize) {
 		r.fail()
@@ -134,88 +419,39 @@ func (r *wireReader) count(minSize int) int {
 	return int(n)
 }
 
-func (r *wireReader) take(n int) []byte {
-	if n > len(r.data) {
-		r.fail()
-		return nil
-	}
-	b := r.data[:n]
-	r.data = r.data[n:]
-	return b
-}
-
-// done reports whether the payload parsed completely with nothing left.
-func (r *wireReader) done() bool { return !r.bad && len(r.data) == 0 }
-
-// ---- string table ----
-
-// strTable interns a capsule's strings on the encoding side.
-type strTable struct {
-	idx  map[string]uint64
-	list []string
-}
-
-func (t *strTable) ref(w *wireWriter, s string) {
-	i, ok := t.idx[s]
-	if !ok {
-		i = uint64(len(t.list))
-		t.idx[s] = i
-		t.list = append(t.list, s)
-	}
-	w.uvarint(i)
-}
-
-// appendTo writes the table section.
-func (t *strTable) appendTo(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(t.list)))
-	for _, s := range t.list {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-	}
-	for _, s := range t.list {
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
 // readTable parses the table section. The strings share one backing
-// allocation: the blob is converted once and sliced.
-func readTable(r *wireReader) []string {
+// allocation: the blob is converted once and sliced. The length prefixes
+// are read twice, to bound the blob and then to slice it, rather than
+// kept.
+func (r *capsuleReader) readTable() {
 	n := r.count(1)
 	if n == 0 {
-		return nil
+		return
 	}
-	lens := make([]int, n)
+	lens := r.data
 	total := 0
-	for i := range lens {
+	for range n {
 		l := r.uvarint()
-		if l > uint64(len(r.data)) {
+		if r.bad || l > uint64(len(r.data)) || total+int(l) > len(r.data) {
 			r.fail()
-			return nil
+			return
 		}
-		lens[i] = int(l)
 		total += int(l)
-		if total > len(r.data) {
-			r.fail()
-			return nil
-		}
 	}
-	blob := string(r.take(total))
-	out := make([]string, n)
+	blob := string(r.data[:total])
+	r.data = r.data[total:]
+	r.strs = make([]string, n)
 	off := 0
-	for i, l := range lens {
-		out[i] = blob[off : off+l]
-		off += l
+	for i := range r.strs {
+		l, k := binary.Uvarint(lens)
+		lens = lens[k:]
+		r.strs[i] = blob[off : off+int(l)]
+		off += int(l)
 	}
-	return out
 }
 
-// tableReader resolves string-table references.
-type tableReader struct {
-	*wireReader
-	strs []string
-}
-
-func (r tableReader) str() string {
+// str resolves a string-table reference.
+func (r *capsuleReader) str() string {
 	i := r.uvarint()
 	if i >= uint64(len(r.strs)) {
 		r.fail()
@@ -224,269 +460,155 @@ func (r tableReader) str() string {
 	return r.strs[i]
 }
 
-// ---- Stats ----
-
-// statsWireFields is the number of Stats fields on the wire.
-const statsWireFields = 32
-
-func appendStats(w *wireWriter, s *Stats) {
-	for _, v := range [statsWireFields]int64{
-		int64(s.EntryFunctions), s.PathsExplored, s.StepsExecuted, int64(s.Budgeted),
-		s.Typestates, s.TypestatesUnaware, s.PrunedBranches, s.MemoHits, s.SummaryHits,
-		s.PossibleBugs, s.RepeatedDropped, s.FalseDropped, s.Constraints, s.ConstraintsUnaware,
-		s.ValidationCacheHits, s.ValidationCacheMisses, s.ValidationCacheEvictions,
-		s.BatchedSolves, s.BatchFallbacks, s.PrefixAtomsShared,
-		s.CacheEntriesHit, s.CacheEntriesMiss, s.CacheStepsSkipped, s.WorkSteals,
-		s.DeadlineTrips, int64(s.PanicsContained), int64(s.EntriesRetried), int64(s.EntriesDegraded),
-		s.AdaptiveEntriesLight, s.SolverNanos,
-		int64(s.AnalysisTime), int64(s.ValidationTime),
-	} {
-		w.varint(v)
-	}
-}
-
-func readStats(r *wireReader) Stats {
-	var s Stats
-	s.EntryFunctions = r.int()
-	s.PathsExplored = r.varint()
-	s.StepsExecuted = r.varint()
-	s.Budgeted = r.int()
-	s.Typestates = r.varint()
-	s.TypestatesUnaware = r.varint()
-	s.PrunedBranches = r.varint()
-	s.MemoHits = r.varint()
-	s.SummaryHits = r.varint()
-	s.PossibleBugs = r.varint()
-	s.RepeatedDropped = r.varint()
-	s.FalseDropped = r.varint()
-	s.Constraints = r.varint()
-	s.ConstraintsUnaware = r.varint()
-	s.ValidationCacheHits = r.varint()
-	s.ValidationCacheMisses = r.varint()
-	s.ValidationCacheEvictions = r.varint()
-	s.BatchedSolves = r.varint()
-	s.BatchFallbacks = r.varint()
-	s.PrefixAtomsShared = r.varint()
-	s.CacheEntriesHit = r.varint()
-	s.CacheEntriesMiss = r.varint()
-	s.CacheStepsSkipped = r.varint()
-	s.WorkSteals = r.varint()
-	s.DeadlineTrips = r.varint()
-	s.PanicsContained = r.int()
-	s.EntriesRetried = r.int()
-	s.EntriesDegraded = r.int()
-	s.AdaptiveEntriesLight = r.varint()
-	s.SolverNanos = r.varint()
-	s.AnalysisTime = time.Duration(r.varint())
-	s.ValidationTime = time.Duration(r.varint())
-	return s
-}
-
-// ---- entry capsules ----
-
-const (
-	candHasOrigin = 1 << iota
-	candHasExtra
-	candHasVerdict
-)
-
-const (
-	extraIsNull = 1 << iota
-	extraIsStr
-)
-
-// minStepBytes and minCandBytes are the smallest encodings of a path step
-// (three one-byte fields) and of a candidate (checker, flags, a three-byte
-// bug ref, path and alternate counts, three names and the alias count).
-const (
-	minStepBytes = 3
-	minCandBytes = 11
-)
-
-// marshalCapsule encodes c in the capsule wire format.
-func marshalCapsule(c *entryCapsule) []byte {
-	t := &strTable{idx: make(map[string]uint64)}
-	w := &wireWriter{buf: make([]byte, 0, 256)}
-	appendStats(w, &c.Stats)
-	w.uvarint(uint64(len(c.Cands)))
-	for i := range c.Cands {
-		appendCand(w, t, &c.Cands[i])
-	}
-	out := t.appendTo(make([]byte, 0, len(w.buf)+16*len(t.list)+8))
-	return append(out, w.buf...)
-}
-
-func appendRef(w *wireWriter, t *strTable, ref instrRef) {
-	t.ref(w, ref.Fn)
-	w.varint(int64(ref.Blk))
-	w.varint(int64(ref.Idx))
-}
-
-func appendSteps(w *wireWriter, t *strTable, steps []stepC) {
-	w.uvarint(uint64(len(steps)))
-	for _, st := range steps {
-		t.ref(w, st.Ref.Fn)
-		blk := int64(st.Ref.Blk)
-		zz := uint64(blk<<1) ^ uint64(blk>>63)
-		taken := uint64(0)
-		if st.Taken {
-			taken = 1
+// instr resolves the instruction at (blk, idx) in the named function,
+// failing the read when the module has none.
+func (r *capsuleReader) instr(fn string, blk, idx int64) cir.Instr {
+	if r.fn == nil || fn != r.fnName {
+		f, ok := r.mod.Funcs[fn]
+		if !ok {
+			r.fail()
+			return nil
 		}
-		w.uvarint(zz<<1 | taken)
-		w.varint(int64(st.Ref.Idx))
+		r.fnName, r.fn = fn, f
 	}
+	if blk < 0 || blk >= int64(len(r.fn.Blocks)) {
+		r.fail()
+		return nil
+	}
+	b := r.fn.Blocks[blk]
+	if idx < 0 || idx >= int64(len(b.Instrs)) {
+		r.fail()
+		return nil
+	}
+	return b.Instrs[idx]
 }
 
-func appendCand(w *wireWriter, t *strTable, c *candC) {
-	t.ref(w, c.Checker)
-	var flags byte
-	if c.HasOrigin {
-		flags |= candHasOrigin
-	}
-	if c.Extra != nil {
-		flags |= candHasExtra
-	}
-	if c.Verdict != nil {
-		flags |= candHasVerdict
-	}
-	w.buf = append(w.buf, flags)
-	if c.HasOrigin {
-		appendRef(w, t, c.Origin)
-	}
-	appendRef(w, t, c.Bug)
-	appendSteps(w, t, c.Path)
-	w.uvarint(uint64(len(c.Alts)))
-	for _, alt := range c.Alts {
-		appendSteps(w, t, alt)
-	}
-	if ex := c.Extra; ex != nil {
-		w.varint(int64(ex.Kind))
-		w.varint(ex.Val)
-		var xf byte
-		if ex.IsNull {
-			xf |= extraIsNull
-		}
-		if ex.IsStr {
-			xf |= extraIsStr
-		}
-		w.buf = append(w.buf, xf)
-		t.ref(w, ex.Str)
-		t.ref(w, ex.RegFn)
-		w.varint(int64(ex.RegID))
-		t.ref(w, ex.Name)
-		t.ref(w, ex.Pred)
-		w.varint(ex.Bound)
-	}
-	t.ref(w, c.EntryFn)
-	t.ref(w, c.InFn)
-	t.ref(w, c.Category)
-	w.uvarint(uint64(len(c.AliasSet)))
-	for _, a := range c.AliasSet {
-		t.ref(w, a)
-	}
-	if v := c.Verdict; v != nil {
-		w.bool(v.Feasible)
-		w.varint(v.Constraints)
-		w.varint(v.ConstraintsUnaware)
-		w.uvarint(uint64(len(v.Trigger)))
-		for _, s := range v.Trigger {
-			t.ref(w, s)
-		}
-	}
+func (r *capsuleReader) ref() cir.Instr {
+	fn, blk := r.str(), r.varint()
+	return r.instr(fn, blk, r.varint())
 }
 
-// unmarshalCapsule decodes a capsule payload; ok=false on any malformation.
-func unmarshalCapsule(data []byte) (entryCapsule, bool) {
-	wr := &wireReader{data: data}
-	r := tableReader{wireReader: wr, strs: readTable(wr)}
-	c := entryCapsule{Stats: readStats(wr)}
-	if n := r.count(minCandBytes); n > 0 {
-		c.Cands = make([]candC, n)
-		for i := range c.Cands {
-			readCand(r, &c.Cands[i])
-		}
-	}
-	if !wr.done() {
-		return entryCapsule{}, false
-	}
-	return c, true
-}
-
-func readRef(r tableReader) instrRef {
-	return instrRef{Fn: r.str(), Blk: r.int(), Idx: r.int()}
-}
-
-func readSteps(r tableReader) []stepC {
+func (r *capsuleReader) steps() []PathStep {
 	n := r.count(minStepBytes)
 	if n == 0 {
 		return nil
 	}
-	out := make([]stepC, n)
+	out := make([]PathStep, n)
 	for i := range out {
-		fn := r.str()
-		v := r.uvarint()
+		fn, v := r.str(), r.uvarint()
 		zz := v >> 1
 		blk := int64(zz>>1) ^ -int64(zz&1)
-		if blk < math.MinInt || blk > math.MaxInt {
-			r.fail()
+		out[i] = PathStep{Instr: r.instr(fn, blk, r.varint()), Taken: v&1 == 1}
+		if r.bad {
+			return nil
 		}
-		out[i] = stepC{Ref: instrRef{Fn: fn, Blk: int(blk), Idx: r.int()}, Taken: v&1 == 1}
 	}
 	return out
 }
 
-func readCand(r tableReader, c *candC) {
-	c.Checker = r.str()
+// cand reads one candidate; nil means the read failed.
+func (r *capsuleReader) cand(checkers map[string]typestate.Checker) *PossibleBug {
+	chk, ok := checkers[r.str()]
 	flags := r.byte()
-	if flags&^(candHasOrigin|candHasExtra|candHasVerdict) != 0 {
+	if !ok || flags&^(candHasOrigin|candHasExtra|candHasVerdict) != 0 {
 		r.fail()
-		return
+		return nil
 	}
+	pb := &PossibleBug{Checker: chk, Type: chk.Type()}
 	if flags&candHasOrigin != 0 {
-		c.HasOrigin = true
-		c.Origin = readRef(r)
+		if origin := r.ref(); origin != nil {
+			pb.OriginGID = origin.GID()
+		}
 	}
-	c.Bug = readRef(r)
-	c.Path = readSteps(r)
+	pb.BugInstr = r.ref()
+	pb.Path = r.steps()
 	if n := r.count(1); n > 0 {
-		c.Alts = make([][]stepC, n)
-		for i := range c.Alts {
-			c.Alts[i] = readSteps(r)
+		pb.AltPaths = make([][]PathStep, n)
+		for i := range pb.AltPaths {
+			pb.AltPaths[i] = r.steps()
 		}
 	}
 	if flags&candHasExtra != 0 {
-		ex := &extraC{Kind: r.int(), Val: r.varint()}
-		xf := r.byte()
-		if xf&^(extraIsNull|extraIsStr) != 0 {
-			r.fail()
-			return
-		}
-		ex.IsNull, ex.IsStr = xf&extraIsNull != 0, xf&extraIsStr != 0
-		ex.Str = r.str()
-		ex.RegFn = r.str()
-		ex.RegID = r.int()
-		ex.Name = r.str()
-		ex.Pred = r.str()
-		ex.Bound = r.varint()
-		c.Extra = ex
+		pb.Extra = r.extra()
 	}
-	c.EntryFn = r.str()
-	c.InFn = r.str()
-	c.Category = r.str()
+	pb.EntryFn, pb.InFn, pb.Category = r.str(), r.str(), r.str()
 	if n := r.count(1); n > 0 {
-		c.AliasSet = make([]string, n)
-		for i := range c.AliasSet {
-			c.AliasSet[i] = r.str()
+		pb.AliasSet = make([]string, n)
+		for i := range pb.AliasSet {
+			pb.AliasSet[i] = r.str()
 		}
 	}
 	if flags&candHasVerdict != 0 {
-		v := &verdictC{Feasible: r.bool(), Constraints: r.varint(), ConstraintsUnaware: r.varint()}
+		feasible := r.byte()
+		if feasible > 1 {
+			r.fail()
+		}
+		v := &verdictC{Feasible: feasible == 1, Constraints: r.varint(), ConstraintsUnaware: r.varint()}
 		if n := r.count(1); n > 0 {
 			v.Trigger = make([]string, n)
 			for i := range v.Trigger {
 				v.Trigger[i] = r.str()
 			}
 		}
-		c.Verdict = v
+		pb.verdict = v
 	}
+	if r.bad {
+		return nil
+	}
+	if _, ok := originInstr(pb); pb.OriginGID != 0 && !ok {
+		r.fail()
+		return nil
+	}
+	return pb
+}
+
+// extra reads an extra constraint. A constant's Typ is left nil: Stage-2's
+// term reconstruction reads only the value fields of a Const.
+func (r *capsuleReader) extra() *typestate.ExtraConstraint {
+	kind, val, xf := r.varint(), r.varint(), r.byte()
+	str, regFn, regID, name := r.str(), r.str(), r.int(), r.str()
+	ex := &typestate.ExtraConstraint{Pred: cir.Pred(r.str()), Bound: r.varint()}
+	if r.bad || xf&^(extraIsNull|extraIsStr) != 0 {
+		r.fail()
+		return nil
+	}
+	switch kind {
+	case extraConst:
+		ex.Val = &cir.Const{Val: val, IsNull: xf&extraIsNull != 0, Str: str, IsStr: xf&extraIsStr != 0}
+	case extraRegister:
+		if fn, ok := r.mod.Funcs[regFn]; ok {
+			if reg := findRegister(fn, regID); reg != nil {
+				ex.Val = reg
+			}
+		}
+	case extraGlobal:
+		if g, ok := r.mod.Globals[name]; ok {
+			ex.Val = g
+		}
+	}
+	if ex.Val == nil {
+		r.fail()
+		return nil
+	}
+	return ex
+}
+
+// findRegister locates a function's register by ID: a formal parameter or
+// an instruction destination. Register IDs are assigned sequentially within
+// a function during lowering, so they are as stable as the body itself.
+func findRegister(fn *cir.Function, id int) *cir.Register {
+	for _, p := range fn.Params {
+		if p.ID == id {
+			return p
+		}
+	}
+	var found *cir.Register
+	fn.Instrs(func(in cir.Instr) {
+		if found == nil {
+			if d := in.Dest(); d != nil && d.ID == id {
+				found = d
+			}
+		}
+	})
+	return found
 }

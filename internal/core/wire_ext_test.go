@@ -3,14 +3,12 @@ package core_test
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/cir"
 	"repro/internal/core"
 	"repro/internal/minicc"
 	"repro/internal/oscorpus"
@@ -59,42 +57,29 @@ func wireConfig(cache core.EntryCache) core.Config {
 	return cfg
 }
 
-// checkCapsuleWire pins one written capsule: it decodes; re-encoding the
-// decoded wire struct reproduces the payload byte for byte and decodes to
-// a DeepEqual struct; and replaying it against mod and lifting the replay
-// back to wire form yields the same candidates, verdicts included.
-func checkCapsuleWire(t *testing.T, key string, data []byte, mod *cir.Module, cfg core.Config) {
+// checkCapsuleWire pins one written capsule: it decodes against its
+// module, and encoding the decoded Result reproduces the payload byte for
+// byte, stats, candidates and verdicts included.
+func checkCapsuleWire(t *testing.T, key string, data []byte, decode func([]byte) (*core.Result, bool)) *core.Result {
 	t.Helper()
-	w, ok := core.UnmarshalCapsuleWire(data)
+	res, ok := decode(data)
 	if !ok {
-		t.Fatalf("%s: written capsule does not decode", key)
+		t.Fatalf("%s: written capsule does not decode against its module", key)
 	}
-	again := core.MarshalCapsuleWire(w)
+	again, ok := core.EncodeCapsule(res)
+	if !ok {
+		t.Fatalf("%s: decoded capsule is not representable", key)
+	}
 	if !bytes.Equal(again, data) {
 		t.Fatalf("%s: re-encoding the decoded capsule changed its bytes", key)
 	}
-	w2, ok := core.UnmarshalCapsuleWire(again)
-	if !ok || !reflect.DeepEqual(w2, w) {
-		t.Fatalf("%s: decode(encode(decode(b))) != decode(b)", key)
-	}
-	res, ok := core.ReplayCapsule(data, mod, cfg)
-	if !ok {
-		t.Fatalf("%s: written capsule does not replay against its module", key)
-	}
-	lifted, ok := core.CapsuleWireOf(res)
-	if !ok {
-		t.Fatalf("%s: replayed capsule is not representable", key)
-	}
-	if (len(lifted.Cands) > 0 || len(w.Cands) > 0) && !reflect.DeepEqual(lifted.Cands, w.Cands) {
-		t.Fatalf("%s: replayed candidates lift to a different wire form:\n got %+v\nwant %+v",
-			key, lifted.Cands, w.Cands)
-	}
+	return res
 }
 
 // TestCapsuleWireRoundTripCorpora: every capsule written while analyzing
 // the four paper corpora (with the extension bugs seeded) and the paper's
-// case studies survives the wire codec exactly, the verdicts it carries
-// included.
+// case studies decodes against its module and re-encodes byte for byte,
+// the verdicts it carries included.
 func TestCapsuleWireRoundTripCorpora(t *testing.T) {
 	type corpus struct {
 		name    string
@@ -117,20 +102,20 @@ func TestCapsuleWireRoundTripCorpora(t *testing.T) {
 		cache := &recordingCache{m: make(map[string][]byte)}
 		cfg := wireConfig(cache)
 		core.RunParallel(mod, cfg, 2)
+		decode := core.ReplayCapsule(mod, cfg)
 		keys, payloads := cache.sorted()
 		for i, key := range keys {
 			if !strings.HasPrefix(key, "e") {
 				t.Fatalf("unexpected cache key %q", key)
 			}
-			checkCapsuleWire(t, c.name+"/"+key, payloads[i], mod, cfg)
+			res := checkCapsuleWire(t, c.name+"/"+key, payloads[i], decode)
 			capsules++
-			w, _ := core.UnmarshalCapsuleWire(payloads[i])
-			for _, cand := range w.Cands {
-				if cand.Extra != nil {
+			for _, pb := range res.Possible {
+				if pb.Extra != nil {
 					extras++
 				}
-				alts += len(cand.Alts)
-				if v := cand.Verdict; v != nil {
+				alts += len(pb.AltPaths)
+				if v, ok := core.StoredVerdict(pb); ok {
 					verdicts++
 					if len(v.Trigger) > 0 {
 						triggers++
@@ -150,21 +135,25 @@ func TestCapsuleWireRoundTripCorpora(t *testing.T) {
 }
 
 // fuzzSeeds returns the capsules written while analyzing the round-trip
-// test program, plus the module and configuration to replay them against.
-func fuzzSeeds(f *testing.F) (capsules [][]byte, mod *cir.Module, cfg core.Config) {
+// test program, plus the decoder that replays them against its module.
+func fuzzSeeds(f *testing.F) (capsules [][]byte, decode func([]byte) (*core.Result, bool)) {
 	mod, err := minicc.LowerAll("capsule", map[string]string{"capsule.c": roundTripSrc})
 	if err != nil {
 		f.Fatal(err)
 	}
 	cache := &recordingCache{m: make(map[string][]byte)}
-	cfg = wireConfig(cache)
+	cfg := wireConfig(cache)
 	core.RunParallel(mod, cfg, 2)
 	_, capsules = cache.sorted()
+	decode = core.ReplayCapsule(mod, cfg)
 	verdicts := 0
 	for _, data := range capsules {
-		w, _ := core.UnmarshalCapsuleWire(data)
-		for _, cand := range w.Cands {
-			if cand.Verdict != nil {
+		res, ok := decode(data)
+		if !ok {
+			f.Fatal("written capsule does not decode")
+		}
+		for _, pb := range res.Possible {
+			if _, ok := core.StoredVerdict(pb); ok {
 				verdicts++
 			}
 		}
@@ -172,14 +161,14 @@ func fuzzSeeds(f *testing.F) (capsules [][]byte, mod *cir.Module, cfg core.Confi
 	if len(capsules) == 0 || verdicts == 0 {
 		f.Fatal("round-trip program wrote no capsules or no verdicts")
 	}
-	return capsules, mod, cfg
+	return capsules, decode
 }
 
 // allocBound is the most a decode may allocate for an input of n bytes.
 // Every length prefix is checked against the bytes that remain, and no
-// decoded element is more than about 24 bytes per input byte it
-// consumes (a candidate takes at least 11 bytes, a path step 3, a table
-// string or alternate path 1).
+// decoded element is more than about 27 bytes per input byte it
+// consumes (a candidate, 208 bytes plus its 8-byte slot, takes at least
+// 11; a 24-byte path step 3; a table string or an alternate path 1).
 func allocBound(n int) uint64 { return 32*uint64(n) + 4096 }
 
 // heapAllocs reads the process's cumulative heap allocation, including
@@ -205,64 +194,81 @@ func decodeOverBound(bound uint64, decode func()) (uint64, bool) {
 }
 
 // fuzzDecodeCapsule is the property both decoder fuzz targets check:
-// decoding arbitrary bytes never panics, never allocates more than the
-// input's length implies, and any accepted input is a fixed point of
-// decode∘encode. Accepted inputs are also replayed against mod, which
-// must not panic either.
-func fuzzDecodeCapsule(t *testing.T, data []byte, mod *cir.Module, cfg core.Config) {
-	var w core.CapsuleWire
+// decoding arbitrary bytes against the round-trip module never panics and
+// never allocates more than the input's length implies, and encoding any
+// accepted input's Result gives bytes that decode and re-encode to
+// themselves.
+func fuzzDecodeCapsule(t *testing.T, data []byte, decode func([]byte) (*core.Result, bool)) {
+	var res *core.Result
 	var ok bool
-	if n, over := decodeOverBound(allocBound(len(data)), func() { w, ok = core.UnmarshalCapsuleWire(data) }); over {
+	if n, over := decodeOverBound(allocBound(len(data)), func() { res, ok = decode(data) }); over {
 		t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 	}
 	if !ok {
 		return
 	}
-	w2, ok := core.UnmarshalCapsuleWire(core.MarshalCapsuleWire(w))
-	if !ok || !reflect.DeepEqual(w2, w) {
-		t.Fatalf("decode(encode(decode(b))) != decode(b):\n got %+v\nwant %+v", w2, w)
+	enc, ok := core.EncodeCapsule(res)
+	if !ok {
+		t.Fatal("an accepted capsule's Result does not encode")
 	}
-	core.ReplayCapsule(data, mod, cfg)
+	res2, ok := decode(enc)
+	if !ok {
+		t.Fatal("encode(decode(b)) does not decode")
+	}
+	if again, ok := core.EncodeCapsule(res2); !ok || !bytes.Equal(again, enc) {
+		t.Fatalf("encode(decode(encode(decode(b)))) != encode(decode(b)):\n got %x\nwant %x", again, enc)
+	}
 }
 
 // FuzzDecodeCapsule checks fuzzDecodeCapsule from the capsules written
 // while analyzing the round-trip program.
 func FuzzDecodeCapsule(f *testing.F) {
-	capsules, mod, cfg := fuzzSeeds(f)
+	capsules, decode := fuzzSeeds(f)
 	for _, c := range capsules {
 		f.Add(c)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecodeCapsule(t, data, mod, cfg) })
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecodeCapsule(t, data, decode) })
 }
 
-// FuzzDecodeVerdict checks fuzzDecodeCapsule from one-candidate capsules
-// that vary the candidate's flag-gated verdict: absent, flagged with an
-// empty and a non-empty trigger, each also truncated, and with an unknown
-// flag bit.
+// FuzzDecodeVerdict checks fuzzDecodeCapsule from a written capsule whose
+// first candidate's flag-gated verdict is varied: absent, feasible with an
+// empty and with a non-empty trigger, and infeasible, each also truncated,
+// and with an unknown flag bit.
 func FuzzDecodeVerdict(f *testing.F) {
-	_, mod, cfg := fuzzSeeds(f)
-	cand := core.CapsuleWire{Cands: []core.CandWire{{
-		Checker: "NPD",
-		EntryFn: "entry_npd",
-		InFn:    "helper_deref",
-	}}}
-	for _, v := range []*core.VerdictWire{
+	capsules, decode := fuzzSeeds(f)
+	var res *core.Result
+	for _, data := range capsules {
+		if r, ok := decode(data); ok && len(r.Possible) > 0 {
+			res = r
+			break
+		}
+	}
+	if res == nil {
+		f.Fatal("no written capsule has a candidate")
+	}
+	pb := res.Possible[0]
+	encode := func(v *core.ValidationOutcome) []byte {
+		core.SetStoredVerdict(pb, v)
+		data, ok := core.EncodeCapsule(res)
+		if !ok {
+			f.Fatal("seed capsule does not encode")
+		}
+		return data
+	}
+	for _, v := range []*core.ValidationOutcome{
 		nil,
 		{Feasible: true, Constraints: 4, ConstraintsUnaware: 6},
 		{Feasible: true, Constraints: 2, Trigger: []string{"p = 0", "flag = 1"}},
 		{Constraints: 9, ConstraintsUnaware: 11},
 	} {
-		cand.Cands[0].Verdict = v
-		data := core.MarshalCapsuleWire(cand)
+		data := encode(v)
 		f.Add(data)
 		f.Add(data[:len(data)-1])
 	}
 	// An unknown flag bit, in the flags byte located as the first byte
 	// that changes when the candidate gains a verdict.
-	cand.Cands[0].Verdict = nil
-	plain := core.MarshalCapsuleWire(cand)
-	cand.Cands[0].Verdict = &core.VerdictWire{}
-	flagged := core.MarshalCapsuleWire(cand)
+	plain := encode(nil)
+	flagged := encode(&core.ValidationOutcome{})
 	off := 0
 	for plain[off] == flagged[off] {
 		off++
@@ -270,5 +276,37 @@ func FuzzDecodeVerdict(f *testing.F) {
 	forged := append([]byte(nil), flagged...)
 	forged[off] |= 8
 	f.Add(forged)
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecodeCapsule(t, data, mod, cfg) })
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecodeCapsule(t, data, decode) })
+}
+
+// BenchmarkDecodeCapsules decodes every capsule a cold run writes over the
+// linux-like corpus ×4 (the serve-edit workload's corpus), the way a warm
+// run decodes its hits; checkers are indexed once, outside the loop.
+func BenchmarkDecodeCapsules(b *testing.B) {
+	c := oscorpus.Generate(oscorpus.Scaled(oscorpus.LinuxSpec(), 4))
+	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := &recordingCache{m: make(map[string][]byte)}
+	cfg := core.Config{Cache: cache}
+	pathval.New().Install(&cfg)
+	core.RunParallel(mod, cfg, 2)
+	_, payloads := cache.sorted()
+	decode := core.ReplayCapsule(mod, cfg)
+	size := 0
+	for _, p := range payloads {
+		size += len(p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, p := range payloads {
+			if _, ok := decode(p); !ok {
+				b.Fatal("written capsule does not decode")
+			}
+		}
+	}
+	b.ReportMetric(float64(len(payloads)), "capsules/op")
+	b.ReportMetric(float64(size)/1024, "payload-KB")
 }
