@@ -14,6 +14,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	pata "repro"
 	"repro/internal/acache"
@@ -400,6 +401,65 @@ func BenchmarkProgramUpdate(b *testing.B) {
 		}
 		prog, sources = next, edited
 	}
+}
+
+// BenchmarkServeEdit runs the serve-edit workload's op in-process, without
+// the daemon: on the seed-1 linux-like corpus at scale 4, each op applies
+// one oscorpus.Mutate edit of two functions through Program.Update, runs a
+// cached Analyze over an acache store, renders the report and ends the
+// store's run, as patad's invalidate and analyze do. Generating the edit
+// is not timed. update-ms and analyze-ms split the op (analyze-ms includes
+// the report and EndRun); B/op covers both.
+func BenchmarkServeEdit(b *testing.B) {
+	spec := oscorpus.Scaled(oscorpus.LinuxSpec(), 4)
+	spec.Seed++
+	c := oscorpus.Generate(spec)
+	store, err := acache.Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	ec, err := pata.Config{}.EngineConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ec.Cache = store
+	ctx := context.Background()
+	prog, err := pata.Load(c.Spec.Name, c.Sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog.Index()
+	prog.Analyze(ctx, ec, 0, false).Report()
+	store.EndRun()
+	sources := c.Sources
+	var update, analyze time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		edited, _ := oscorpus.Mutate(sources, 2, int64(i+1))
+		set := make(map[string]string)
+		for name, src := range edited {
+			if src != sources[name] {
+				set[name] = src
+			}
+		}
+		b.StartTimer()
+		t0 := time.Now()
+		next, _, _, err := prog.Update(set, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		next.Analyze(ctx, ec, 0, false).Report()
+		store.EndRun()
+		update += t1.Sub(t0)
+		analyze += time.Since(t1)
+		prog, sources = next, edited
+	}
+	b.ReportMetric(float64(update.Microseconds())/1e3/float64(b.N), "update-ms")
+	b.ReportMetric(float64(analyze.Microseconds())/1e3/float64(b.N), "analyze-ms")
 }
 
 // memCache is an in-memory core.EntryCache.

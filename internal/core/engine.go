@@ -203,13 +203,11 @@ type PossibleBug struct {
 	// at the bug point (Example 1 of the paper), for readable reports.
 	AliasSet []string
 
-	// The candidate's Stage-2 verdict as its entry capsule stores it:
-	// replayed from a cache hit, or recorded by Stage 2 (fresh) for the
-	// capsule saved after it. merged marks mergeResults' copy of a first
-	// sighting to which it appended another entry's paths; see
-	// validateGroup.
+	// The candidate's Stage-2 verdict as its entry capsule stores it, for
+	// Stage 2 to replay; nil on a live candidate, whose verdicts Stage 2
+	// records beside it (see validateGroup). merged marks mergeEntries'
+	// copy of a first sighting to which it appended another entry's paths.
 	verdict *verdictC
-	fresh   bool
 	merged  bool
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"slices"
@@ -71,7 +72,7 @@ func steal(queues []*stealQueue, w int) (entryTask, bool) {
 // on-path counts — is amortized over all the worker's entries; the
 // counters and the dedup map are reset per entry (the map's buckets are
 // reused), so within-entry deduplication happens here while cross-entry
-// deduplication is replayed by mergeResults in entry order.
+// deduplication is replayed by mergeEntries in entry order.
 func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 	e.stats = Stats{}
 	if e.tracker != nil {
@@ -95,7 +96,7 @@ func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 // are independent analysis roots, so Stage 1 parallelizes perfectly and the
 // largest entries start first). Each entry's Result lands in its slot of an
 // entry-indexed slice; after the Stage-1 barrier the slice is merged once,
-// in entry-name order (see mergeResults). Stage 2 then validates the merged
+// in entry-name order (see mergeEntries). Stage 2 then validates the merged
 // candidate list in one pass on the same `workers` (see validateCandidates).
 //
 // The result does not depend on the worker count: the merge reproduces the
@@ -131,13 +132,20 @@ func RunParallel(mod *cir.Module, cfg Config, workers int) *Result {
 // taking down the run, and degraded results are withheld from the
 // incremental cache (a warm re-run retries them).
 func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers int) *Result {
-	return RunGraphCtx(ctx, callgraph.Build(mod), cfg, workers)
+	res, _ := RunGraphCtx(ctx, callgraph.Build(mod), cfg, workers, nil)
+	return res
 }
 
 // RunGraphCtx is RunParallelCtx over cg's module, with cg as the call
 // graph: a host that already holds the graph (pata.Program) neither
 // rebuilds it nor recomputes the salt-free entry keys it memoizes.
-func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers int) *Result {
+//
+// With a cache, the run also takes and returns replay state (see Carry):
+// a hit on an entry that carry holds, under the run's salt, replays the
+// carried candidates instead of decoding its capsule, and the returned
+// Carry holds this run's state for the next. Without a cache, both are
+// nil.
+func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers int, carry *Carry) (*Result, *Carry) {
 	cfg = cfg.withDefaults()
 	if cfg.RunTimeout > 0 {
 		var cancel context.CancelFunc
@@ -155,47 +163,48 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 	start := time.Now()
 
 	// Incremental lookup: probe the cache for every entry up front. Hits
-	// fill their result slot; only misses are scheduled onto the Stage-1
-	// deques. The key pass is sequential — EntryKey memoizes function
+	// fill their slot with a replay; only misses are scheduled onto the
+	// Stage-1 deques. Entries the previous run's Carry holds, under this
+	// run's salt, take their key from it, and their replay too when it
+	// was a hit. The key pass is sequential — EntryKey memoizes function
 	// fingerprints on first computation — but the capsule reads and
 	// decodes fan out across workers: each probe touches a disjoint slot,
-	// an EntryCache is safe for concurrent use, and decodeCapsule only
-	// reads the module.
+	// an EntryCache is safe for concurrent use, and decodeReplay only reads
+	// the module. Every entry is loaded, carried or not: the load is what
+	// tells a hit from a miss, and it marks the key as used for a resident
+	// store's EndRun.
 	var keys []string
-	var store []bool // entries whose capsule is saved after Stage 2
-	results := make([]*Result, len(entries))
+	var salt uint64
+	var byName map[string]typestate.Checker
+	slots := make([]entrySlot, len(entries))
 	if cache != nil {
-		salt := cfg.analysisSalt(mod)
-		byName := checkersByName(cfg)
+		salt = cfg.analysisSalt(mod)
+		byName = checkersByName(cfg)
 		keys = make([]string, len(entries))
-		for i, fn := range entries {
-			keys[i] = entryKeyString(cg.EntryKey(fn, salt))
+		if carry != nil && carry.salt == salt {
+			carry.match(entries, func(i, j int) {
+				keys[i] = carry.keys[j]
+				slots[i].rep, slots[i].cached = carry.slots[j].rep, carry.slots[j].cached
+			})
 		}
-		store = make([]bool, len(entries))
+		for i, fn := range entries {
+			if keys[i] == "" {
+				keys[i] = entryKeyString(cg.EntryKey(fn, salt))
+			}
+		}
 		parallelFor(len(entries), workers, func(i int) {
 			data, ok := cache.Load(keys[i])
-			if !ok {
-				return
+			switch {
+			case !ok:
+				slots[i] = entrySlot{}
+			case !slots[i].cached:
+				slots[i].rep, slots[i].cached = decodeReplay(data, mod, byName)
 			}
-			res, ok := decodeCapsule(data, mod, byName)
-			if !ok {
-				return
-			}
-			// Budget trips are deterministic, so budget-tripped capsules
-			// are cacheable; their incomplete record is synthesized on
-			// replay (capsules predate the record's creation and stay
-			// leaner without it). Degraded entries are never saved, so no
-			// other reason can surface from a hit.
-			if res.Stats.Budgeted > 0 {
-				res.Incomplete = append(res.Incomplete,
-					IncompleteEntry{Entry: entries[i].Name, Reason: ReasonBudget, Rung: 0})
-			}
-			results[i] = res
 		})
 	}
 	var live []entryTask
 	for i, fn := range entries {
-		if results[i] == nil {
+		if !slots[i].cached {
 			live = append(live, entryTask{idx: i, fn: fn, size: fn.NumInstrs()})
 		}
 	}
@@ -253,29 +262,52 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 					// on wall-clock (or on a contained panic), so a warm
 					// re-run must re-attempt it rather than replay the
 					// degraded shadow.
-					store[t.idx] = !degraded
+					slots[t.idx].store = !degraded
 					res.Stats.CacheEntriesMiss = 1
 				}
-				results[t.idx] = res
+				slots[t.idx].live = res
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	merged := mergeResults(results)
+	merged := mergeEntries(entries, slots)
 	merged.Stats.AnalysisTime = time.Since(start)
 
 	vstart := time.Now()
-	merged.Bugs = validateCandidates(ctx, cfg, merged.Possible, workers, &merged.Stats)
+	var verdicts []*verdictC
+	merged.Bugs, verdicts = validateCandidates(ctx, cfg, merged.Possible, workers, &merged.Stats)
 	merged.Stats.PossibleBugs = int64(len(merged.Possible)) + merged.Stats.RepeatedDropped
 	merged.Stats.WorkSteals = atomic.LoadInt64(&steals)
 	merged.Stats.ValidationTime = time.Since(vstart)
-	if cache != nil {
-		parallelFor(len(entries), workers, func(i int) {
-			saveCapsule(cache, keys[i], results[i], store[i])
-		})
+	if cache == nil {
+		return merged, nil
 	}
-	return merged
+	var fresh map[*PossibleBug]*verdictC
+	for j, v := range verdicts {
+		if v != nil {
+			if fresh == nil {
+				fresh = make(map[*PossibleBug]*verdictC)
+			}
+			fresh[merged.Possible[j]] = v
+		}
+	}
+	parallelFor(len(entries), workers, func(i int) {
+		saveEntry(cache, keys[i], &slots[i], fresh, mod, byName)
+	})
+	next := &Carry{salt: salt, entries: entries, keys: keys, slots: slots}
+	return merged, next
+}
+
+// entrySlot is one entry's place in a run: its live Stage-1 Result, or,
+// when cached is set, the replay of the capsule the cache holds for it —
+// the hit's, and after saveEntry, which drops the live Result, the one a
+// saved entry stored. store marks a live entry whose capsule is saved
+// after Stage 2.
+type entrySlot struct {
+	live          *Result
+	cached, store bool
+	rep           replay
 }
 
 // parallelFor calls f(i) for every i in [0, n) on `workers` goroutines,
@@ -294,31 +326,56 @@ func parallelFor(n, workers int, f func(i int)) {
 	wg.Wait()
 }
 
-// saveCapsule stores one entry's capsule after Stage 2, encoded from its
-// own Result with each candidate's verdict: a missed entry's when store is
-// set, and a hit's when Stage 2 recorded a verdict its capsule lacked. An
-// entry that is not encodable just isn't cached.
-func saveCapsule(cache EntryCache, key string, res *Result, store bool) {
-	if res.Stats.CacheEntriesHit > 0 {
-		store = slices.ContainsFunc(res.Possible, func(pb *PossibleBug) bool { return pb.fresh })
-	}
-	if !store {
+// saveEntry stores one entry's capsule after Stage 2, with each
+// candidate's verdict, fresh ones included: a missed entry's when its slot
+// says so, and a hit's when Stage 2 decided a candidate its capsule stored no
+// verdict for. An entry that is not encodable just isn't cached. A saved
+// entry's slot is then left holding the replay of what the cache returns
+// for the key, if that is the capsule just saved (a store whose writes
+// are off returns the old one, or none), so the slot always replays what
+// the cache holds.
+func saveEntry(cache EntryCache, key string, sl *entrySlot, fresh map[*PossibleBug]*verdictC,
+	mod *cir.Module, checkers map[string]typestate.Checker) {
+	live := sl.live
+	sl.live = nil
+	var st capsuleStats
+	var possible []*PossibleBug
+	switch {
+	case sl.cached:
+		if !slices.ContainsFunc(sl.rep.possible, func(pb *PossibleBug) bool { return fresh[pb] != nil }) {
+			return
+		}
+		st, possible = sl.rep.stats, sl.rep.possible
+	case sl.store:
+		st, possible = capsuleStatsOf(&live.Stats), live.Possible
+	default:
 		return
 	}
-	if data, ok := encodeCapsule(res); ok {
-		cache.Save(key, data)
+	sl.cached, sl.rep = false, replay{}
+	data, ok := encodeEntry(st, possible, fresh)
+	if !ok {
+		return
+	}
+	cache.Save(key, data)
+	if got, ok := cache.Load(key); ok && bytes.Equal(got, data) {
+		sl.rep, sl.cached = decodeReplay(got, mod, checkers)
 	}
 }
 
-// mergeResults folds the per-entry Results, in entry-name order, into one
-// run Result through a global dedup that extends bugSink's across entries:
-// the first sighting keeps the candidate, later sightings append their
-// primary path and then their own alternates as AltPaths (capped), each
-// sighting counting one repeated drop. A first sighting that gains paths
-// is replaced by a copy marked merged, whose verdict then depends on
-// another entry; the entry's own candidate is left as its capsule stores
-// it.
-func mergeResults(results []*Result) *Result {
+// mergeEntries folds a run's entry slots, in entry-name order, into one
+// run Result: a live entry's Result, or a hit's replay, whose Stats are
+// its stored counters plus the replay's own (capsuleStats.replayed) and
+// which, when the entry tripped a budget, synthesizes the entry's
+// incomplete record (budget trips are deterministic, so budget-tripped
+// capsules are cacheable; degraded entries are never saved, so no other
+// reason can surface from a hit). Candidates go through a global dedup
+// that extends bugSink's across entries: the first sighting keeps the
+// candidate, later sightings append their primary path and then their own
+// alternates as AltPaths (capped), each sighting counting one repeated
+// drop. A first sighting that gains paths is replaced by a copy marked
+// merged, whose verdict then depends on another entry; the entry's own
+// candidate is left as its capsule stores it.
+func mergeEntries(entries []*cir.Function, slots []entrySlot) *Result {
 	type mergeKey struct {
 		checker string
 		origin  int
@@ -327,32 +384,44 @@ func mergeResults(results []*Result) *Result {
 	seen := make(map[mergeKey]int) // index into merged.Possible
 	merged := &Result{}
 	s := &merged.Stats
-	for _, r := range results {
-		merged.Incomplete = append(merged.Incomplete, r.Incomplete...)
-		s.EntryFunctions += r.Stats.EntryFunctions
-		s.PathsExplored += r.Stats.PathsExplored
-		s.StepsExecuted += r.Stats.StepsExecuted
-		s.Budgeted += r.Stats.Budgeted
-		s.Typestates += r.Stats.Typestates
-		s.TypestatesUnaware += r.Stats.TypestatesUnaware
-		s.RepeatedDropped += r.Stats.RepeatedDropped
-		s.CacheEntriesHit += r.Stats.CacheEntriesHit
-		s.CacheEntriesMiss += r.Stats.CacheEntriesMiss
-		s.CacheStepsSkipped += r.Stats.CacheStepsSkipped
-		s.DeadlineTrips += r.Stats.DeadlineTrips
-		s.PanicsContained += r.Stats.PanicsContained
-		s.EntriesRetried += r.Stats.EntriesRetried
-		s.EntriesDegraded += r.Stats.EntriesDegraded
-		for _, pb := range r.Possible {
+	for i := range slots {
+		var st *Stats
+		var possible []*PossibleBug
+		if r := slots[i].live; r != nil {
+			st, possible = &r.Stats, r.Possible
+			merged.Incomplete = append(merged.Incomplete, r.Incomplete...)
+		} else {
+			rst := slots[i].rep.stats.replayed()
+			st, possible = &rst, slots[i].rep.possible
+			if st.Budgeted > 0 {
+				merged.Incomplete = append(merged.Incomplete,
+					IncompleteEntry{Entry: entries[i].Name, Reason: ReasonBudget, Rung: 0})
+			}
+		}
+		s.EntryFunctions += st.EntryFunctions
+		s.PathsExplored += st.PathsExplored
+		s.StepsExecuted += st.StepsExecuted
+		s.Budgeted += st.Budgeted
+		s.Typestates += st.Typestates
+		s.TypestatesUnaware += st.TypestatesUnaware
+		s.RepeatedDropped += st.RepeatedDropped
+		s.CacheEntriesHit += st.CacheEntriesHit
+		s.CacheEntriesMiss += st.CacheEntriesMiss
+		s.CacheStepsSkipped += st.CacheStepsSkipped
+		s.DeadlineTrips += st.DeadlineTrips
+		s.PanicsContained += st.PanicsContained
+		s.EntriesRetried += st.EntriesRetried
+		s.EntriesDegraded += st.EntriesDegraded
+		for _, pb := range possible {
 			k := mergeKey{checker: pb.Checker.Name(), origin: pb.OriginGID, bug: pb.BugInstr.GID()}
-			i, dup := seen[k]
+			j, dup := seen[k]
 			if !dup {
 				seen[k] = len(merged.Possible)
 				merged.Possible = append(merged.Possible, pb)
 				continue
 			}
 			s.RepeatedDropped++
-			prev := merged.Possible[i]
+			prev := merged.Possible[j]
 			if len(prev.AltPaths) >= maxAltPaths {
 				continue
 			}
@@ -360,7 +429,7 @@ func mergeResults(results []*Result) *Result {
 				cp := *prev
 				cp.AltPaths = slices.Clip(prev.AltPaths)
 				cp.merged = true
-				prev, merged.Possible[i] = &cp, &cp
+				prev, merged.Possible[j] = &cp, &cp
 			}
 			prev.AltPaths = append(prev.AltPaths, pb.Path)
 			for _, alt := range pb.AltPaths {
@@ -376,18 +445,19 @@ func mergeResults(results []*Result) *Result {
 
 // validateCandidates is Stage 2: it validates the deduplicated candidate
 // list in one pass and returns the surviving bugs in candidate order,
-// folding every outcome's counters into st. Candidates are split into their
-// contiguous same-entry groups — candidates append per entry in entry
-// order, so each group is exactly one entry's candidates — and `workers`
-// goroutines take groups in turn (see validateGroup). With no validator
-// installed, every candidate is reported unvalidated.
-func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug, workers int, st *Stats) []*Bug {
+// folding every outcome's counters into st, and, positionally parallel to
+// possible, the verdicts it decided for the capsules (see validateGroup).
+// Candidates are split into their contiguous same-entry groups —
+// candidates append per entry in entry order, so each group is exactly one
+// entry's candidates — and `workers` goroutines take groups in turn. With
+// no validator installed, every candidate is reported unvalidated.
+func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug, workers int, st *Stats) ([]*Bug, []*verdictC) {
 	var bugs []*Bug
 	if cfg.ValidatePath == nil {
 		for _, pb := range possible {
 			bugs = append(bugs, &Bug{PossibleBug: pb})
 		}
-		return bugs
+		return bugs, nil
 	}
 	var groups []int // start index of each group; len(possible) closes the last
 	for i, pb := range possible {
@@ -398,6 +468,7 @@ func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug
 	groups = append(groups, len(possible))
 
 	outs := make([]ValidationOutcome, len(possible))
+	fresh := make([]*verdictC, len(possible))
 	var next, solverNanos atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < min(workers, len(groups)-1); w++ {
@@ -414,7 +485,7 @@ func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug
 					return
 				}
 				lo, hi := groups[g], groups[g+1]
-				validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], &mySolver)
+				validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], fresh[lo:hi], &mySolver)
 			}
 		}()
 	}
@@ -430,20 +501,21 @@ func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug
 		}
 		bugs = append(bugs, &Bug{PossibleBug: pb, Validated: !out.Panicked, Trigger: out.Trigger})
 	}
-	return bugs
+	return bugs, fresh
 }
 
 // validateGroup validates one same-entry candidate group into outs, which
-// is positionally parallel to pbs. A candidate replays the verdict its
-// entry capsule carries, unless the merge appended another entry's paths
-// to it; the rest, primary and alternate witnesses alike, go to the
-// validator together in one validateBatchGuarded call so a batch validator
-// can share their path-condition prefixes. Each live outcome is recorded
-// on its candidate for the capsule (see saveCapsule), except on a merged
-// candidate, whose verdict depends on a key other than its entry's, and
+// is positionally parallel to pbs, as fresh is. A candidate replays the
+// verdict its entry capsule carries, unless the merge appended another
+// entry's paths to it; the rest, primary and alternate witnesses alike, go
+// to the validator together in one validateBatchGuarded call so a batch
+// validator can share their path-condition prefixes. Each live outcome is
+// recorded in fresh for the capsule (see saveEntry), except a merged
+// candidate's, whose verdict depends on a key other than its entry's, and
 // except an interrupted or panicked one: that verdict is conservative, not
-// proven, and persisting it would freeze a guess.
-func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []ValidationOutcome, solverNanos *int64) {
+// proven, and persisting it would freeze a guess. Candidates are never
+// written: a replayed one may be shared with other runs (see Carry).
+func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []ValidationOutcome, fresh []*verdictC, solverNanos *int64) {
 	var miss []*PossibleBug
 	var idx []int
 	for i, pb := range pbs {
@@ -458,8 +530,8 @@ func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []V
 	}
 	for j, out := range validateBatchGuarded(ctx, cfg, miss, solverNanos) {
 		outs[idx[j]] = out
-		if pb := miss[j]; !pb.merged && !out.TimedOut && !out.Panicked {
-			pb.verdict, pb.fresh = verdictOf(out), true
+		if !miss[j].merged && !out.TimedOut && !out.Panicked {
+			fresh[idx[j]] = verdictOf(out)
 		}
 	}
 }

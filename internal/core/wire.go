@@ -41,11 +41,11 @@ import (
 // names it once. The verdict is the candidate's Stage-2 outcome, present
 // when Stage 2 decided it from the entry's own paths (see validateGroup).
 //
-// The stats are the counters mergeResults sums from a replayed entry. A
-// saved entry is never degraded, so its retry, panic and deadline counters
-// are zero; decodeCapsule sets the entry and cache counters itself; Stage
-// 2 recomputes the rest. Adding or deleting a Stats field therefore leaves
-// the format alone.
+// The stats are the counters a replayed entry adds to its run's totals
+// (capsuleStats). A saved entry is never degraded, so its retry, panic and
+// deadline counters are zero; a replay adds the entry and cache counters
+// itself; Stage 2 recomputes the rest. Adding or deleting a Stats field
+// therefore leaves the format alone.
 //
 // Capsules never store GIDs: AssignGIDs numbers instructions module-wide,
 // so editing one function renumbers every function after it. Instructions
@@ -83,6 +83,44 @@ const (
 	extraIsStr
 )
 
+// capsuleStats are the six Stats counters a capsule stores.
+type capsuleStats struct {
+	PathsExplored     int64
+	StepsExecuted     int64
+	Budgeted          int
+	Typestates        int64
+	TypestatesUnaware int64
+	RepeatedDropped   int64
+}
+
+func capsuleStatsOf(s *Stats) capsuleStats {
+	return capsuleStats{
+		PathsExplored:     s.PathsExplored,
+		StepsExecuted:     s.StepsExecuted,
+		Budgeted:          s.Budgeted,
+		Typestates:        s.Typestates,
+		TypestatesUnaware: s.TypestatesUnaware,
+		RepeatedDropped:   s.RepeatedDropped,
+	}
+}
+
+// replayed returns what a replay of the counters adds to its run's Stats:
+// the stored counters plus the replay's own — one entry, hit, with every
+// stored executed step skipped.
+func (c capsuleStats) replayed() Stats {
+	return Stats{
+		EntryFunctions:    1,
+		PathsExplored:     c.PathsExplored,
+		StepsExecuted:     c.StepsExecuted,
+		Budgeted:          c.Budgeted,
+		Typestates:        c.Typestates,
+		TypestatesUnaware: c.TypestatesUnaware,
+		RepeatedDropped:   c.RepeatedDropped,
+		CacheEntriesHit:   1,
+		CacheStepsSkipped: c.StepsExecuted,
+	}
+}
+
 // capsuleWriter encodes one capsule: stats and candidates into buf, their
 // strings into the table.
 type capsuleWriter struct {
@@ -93,27 +131,31 @@ type capsuleWriter struct {
 	// indexed names the functions whose bodies pos already covers.
 	pos     map[cir.Instr][2]int
 	indexed map[string]bool
+	// fresh holds the verdicts Stage 2 decided this run, which take
+	// precedence over the ones the candidates carry.
+	fresh map[*PossibleBug]*verdictC
 }
 
-// encodeCapsule encodes one entry's Result, with each candidate's verdict.
+// encodeEntry encodes one entry's counters and candidates. A candidate's
+// verdict is its fresh one, if it has one, else the one it carries.
 // ok=false means some candidate isn't representable (an off-module
 // instruction, an origin on none of its paths, an exotic extra-constraint
 // value); the caller then simply doesn't cache the entry — a conservative
 // miss on the next run, never a wrong replay.
-func encodeCapsule(res *Result) ([]byte, bool) {
+func encodeEntry(st capsuleStats, possible []*PossibleBug, fresh map[*PossibleBug]*verdictC) ([]byte, bool) {
 	w := &capsuleWriter{
 		buf:     make([]byte, 0, 256),
 		idx:     make(map[string]uint64),
 		pos:     make(map[cir.Instr][2]int),
 		indexed: make(map[string]bool),
+		fresh:   fresh,
 	}
-	st := &res.Stats
 	for _, v := range [...]int64{st.PathsExplored, st.StepsExecuted, int64(st.Budgeted),
 		st.Typestates, st.TypestatesUnaware, st.RepeatedDropped} {
 		w.varint(v)
 	}
-	w.uvarint(uint64(len(res.Possible)))
-	for _, pb := range res.Possible {
+	w.uvarint(uint64(len(possible)))
+	for _, pb := range possible {
 		if !w.cand(pb) {
 			return nil, false
 		}
@@ -208,7 +250,11 @@ func (w *capsuleWriter) cand(pb *PossibleBug) bool {
 	if pb.Extra != nil {
 		flags |= candHasExtra
 	}
-	if pb.verdict != nil {
+	v := pb.verdict
+	if f := w.fresh[pb]; f != nil {
+		v = f
+	}
+	if v != nil {
 		flags |= candHasVerdict
 	}
 	w.buf = append(w.buf, flags)
@@ -234,7 +280,7 @@ func (w *capsuleWriter) cand(pb *PossibleBug) bool {
 	for _, a := range pb.AliasSet {
 		w.str(a)
 	}
-	if v := pb.verdict; v != nil {
+	if v != nil {
 		feasible := byte(0)
 		if v.Feasible {
 			feasible = 1
@@ -329,39 +375,43 @@ type capsuleReader struct {
 	fn     *cir.Function
 }
 
-// decodeCapsule rebuilds one entry's Result against the fresh module.
-// ok=false — an unresolvable reference, an unknown checker, a malformed
-// payload — means the caller treats the capsule as a miss and re-analyzes
-// the entry. The replayed Stats carry the stored counters plus the
-// replay's own: one entry, hit, with every stored executed step skipped.
-// Each candidate carries its stored verdict, if any, for Stage 2 to
-// replay.
-func decodeCapsule(data []byte, mod *cir.Module, checkers map[string]typestate.Checker) (*Result, bool) {
-	r := &capsuleReader{data: data, mod: mod}
+// replay is what one cache hit contributes to its run: the counters its
+// capsule stores and its candidates, each with its stored verdict, if any,
+// for Stage 2 to replay. Nothing writes a replay's candidates, so one
+// replay may serve several runs (see Carry).
+type replay struct {
+	stats    capsuleStats
+	possible []*PossibleBug
+}
+
+// decodeReplay decodes one entry's capsule against the fresh module, the
+// way a run replays a hit. ok=false — an unresolvable reference, an
+// unknown checker, a malformed payload — means the caller treats the
+// capsule as a miss and re-analyzes the entry. A capsule without
+// candidates decodes without allocating.
+func decodeReplay(data []byte, mod *cir.Module, checkers map[string]typestate.Checker) (replay, bool) {
+	r := capsuleReader{data: data, mod: mod}
 	r.readTable()
-	res := &Result{Stats: Stats{
-		EntryFunctions:    1,
+	rp := replay{stats: capsuleStats{
 		PathsExplored:     r.varint(),
 		StepsExecuted:     r.varint(),
 		Budgeted:          r.int(),
 		Typestates:        r.varint(),
 		TypestatesUnaware: r.varint(),
 		RepeatedDropped:   r.varint(),
-		CacheEntriesHit:   1,
 	}}
-	res.Stats.CacheStepsSkipped = res.Stats.StepsExecuted
 	if n := r.count(minCandBytes); n > 0 {
-		res.Possible = make([]*PossibleBug, n)
-		for i := range res.Possible {
-			if res.Possible[i] = r.cand(checkers); res.Possible[i] == nil {
-				return nil, false
+		rp.possible = make([]*PossibleBug, n)
+		for i := range rp.possible {
+			if rp.possible[i] = r.cand(checkers); rp.possible[i] == nil {
+				return replay{}, false
 			}
 		}
 	}
 	if r.bad || len(r.data) > 0 {
-		return nil, false
+		return replay{}, false
 	}
-	return res, true
+	return rp, true
 }
 
 func (r *capsuleReader) fail() { r.bad, r.data = true, nil }

@@ -281,7 +281,8 @@ func FuzzDecodeVerdict(f *testing.F) {
 
 // BenchmarkDecodeCapsules decodes every capsule a cold run writes over the
 // linux-like corpus ×4 (the serve-edit workload's corpus), the way a warm
-// run decodes its hits; checkers are indexed once, outside the loop.
+// run decodes the hits it does not carry (core.DecodeHit); checkers are
+// indexed once, outside the loop.
 func BenchmarkDecodeCapsules(b *testing.B) {
 	c := oscorpus.Generate(oscorpus.Scaled(oscorpus.LinuxSpec(), 4))
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
@@ -293,20 +294,24 @@ func BenchmarkDecodeCapsules(b *testing.B) {
 	pathval.New().Install(&cfg)
 	core.RunParallel(mod, cfg, 2)
 	_, payloads := cache.sorted()
-	decode := core.ReplayCapsule(mod, cfg)
-	size := 0
+	decode := core.DecodeHit(mod, cfg)
+	size, clean := 0, 0
 	for _, p := range payloads {
 		size += len(p)
+		if decode(p) == 0 {
+			clean++
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		for _, p := range payloads {
-			if _, ok := decode(p); !ok {
+			if decode(p) < 0 {
 				b.Fatal("written capsule does not decode")
 			}
 		}
 	}
 	b.ReportMetric(float64(len(payloads)), "capsules/op")
+	b.ReportMetric(float64(clean), "clean-capsules/op")
 	b.ReportMetric(float64(size)/1024, "payload-KB")
 }

@@ -39,11 +39,13 @@ func wantHits(t *testing.T, resp *Response, hit, miss int64) {
 	}
 }
 
-// TestResidentTierServesWithoutCapsuleFiles: once an analyze has touched
-// every key, a re-analyze of the same epoch is served from memory alone —
-// 100% hits with the capsule pack gone — and after an invalidate only
-// the frontier misses.
-func TestResidentTierServesWithoutCapsuleFiles(t *testing.T) {
+// TestIndexServesWithoutPackFile: the capsule store's in-memory index
+// serves every load, so once an analyze has touched every key, a
+// re-analyze of the same epoch hits 100% with the pack file gone, and
+// after an invalidate only the frontier misses. Every analyze loads each
+// entry's key, carried entries included, so EndRun never retires a key
+// the next analyze replays.
+func TestIndexServesWithoutPackFile(t *testing.T) {
 	dir := t.TempDir()
 	srv := newTestServer(t, Options{Config: pata.Config{CacheDir: dir}})
 	cold := analyzeOK(t, srv)
@@ -63,12 +65,12 @@ func TestResidentTierServesWithoutCapsuleFiles(t *testing.T) {
 	wantHits(t, analyzeOK(t, srv), 1, 1)
 }
 
-// TestResidentTierDropsUntouchedKeys: an analyze retires every key it did
-// not touch, so the analyze after it cannot read them from memory. Beta's
+// TestEndRunDropsUntouchedKeys: EndRun after an analyze retires every key
+// that analyze did not load or save, so no later analyze can hit it. Beta's
 // original capsule goes untouched while beta is edited; reverting the edit
-// must miss beta instead of replaying it from memory, with or without the
-// pack on disk.
-func TestResidentTierDropsUntouchedKeys(t *testing.T) {
+// must miss beta, with or without the pack on disk — neither the index nor
+// state carried from an earlier epoch may replay it.
+func TestEndRunDropsUntouchedKeys(t *testing.T) {
 	dir := t.TempDir()
 	srv := newTestServer(t, Options{Config: pata.Config{CacheDir: dir}})
 	analyzeOK(t, srv)
@@ -93,10 +95,11 @@ func TestResidentTierDropsUntouchedKeys(t *testing.T) {
 	wantHits(t, analyzeOK(t, srv), 1, 1)
 }
 
-// TestStatusResidentJSONShape pins the status payload's resident-tier
-// keys: zero without a cache directory, nonzero once an analyze has
-// filled the tier.
-func TestStatusResidentJSONShape(t *testing.T) {
+// TestStatusIndexJSONShape pins the status payload's capsule-store keys,
+// resident_entries and resident_kb (the store's in-memory index) and
+// pack_kb: zero without a cache directory, nonzero once an analyze has
+// filled the store.
+func TestStatusIndexJSONShape(t *testing.T) {
 	statusJSON := func(srv *Server) map[string]any {
 		t.Helper()
 		data, err := json.Marshal(srv.status(&Request{Op: OpStatus}).Status)

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/callgraph"
 	"repro/internal/cir"
@@ -20,9 +21,16 @@ import (
 // memoizes the entry keys once the Program is indexed. It is the one
 // pipeline object
 // behind both the library (Load, then Analyze) and the patad daemon, whose
-// epochs are Programs derived from each other by Update. A Program never
-// changes once shared; Programs derived from it share the functions of
-// every file the edits left alone.
+// epochs are Programs derived from each other by Update. Programs derived
+// from a Program share the functions of every file the edits left alone.
+//
+// Once shared, a Program changes in one place only: the replay state
+// (core.Carry) of its last cached Analyze — the candidates and counters
+// the cache now holds for its entries — which the next cached Analyze of
+// the Program, or of a Program Update derives from it, replays instead of
+// decoding capsules. Each Analyze reads and replaces that state
+// atomically, and never writes the candidates it holds, so concurrent
+// Analyzes of one Program may share them.
 type Program struct {
 	name    string
 	sources map[string]string
@@ -31,6 +39,10 @@ type Program struct {
 	graphOnce sync.Once
 	cg        *callgraph.Graph
 	indexOnce sync.Once
+
+	// carry is the replay state of p's last cached Analyze, or, before
+	// one finishes, what Update carried over from the previous epoch.
+	carry atomic.Pointer[core.Carry]
 }
 
 // Load lowers sources (file name → content) into a Program named name. It
@@ -83,8 +95,14 @@ func (p *Program) Entries() int { return p.graph().NumEntries() }
 // (<= 0 = GOMAXPROCS) and converts the result, rendering witness paths
 // when witness is set. Cancelling ctx stops the run at the next bounded
 // unit of work; unfinished entries are listed in Result.Incomplete.
+// With ec.Cache set, hits on entries p carries replay without decoding,
+// and the run's own replay state replaces p's (see Program).
 func (p *Program) Analyze(ctx context.Context, ec core.Config, workers int, witness bool) *Result {
-	return ConvertResult(core.RunGraphCtx(ctx, p.graph(), ec, workers), witness)
+	res, carry := core.RunGraphCtx(ctx, p.graph(), ec, workers, p.carry.Load())
+	if carry != nil {
+		p.carry.Store(carry)
+	}
+	return ConvertResult(res, witness)
 }
 
 // Update applies an edit — set maps file name → new content, remove lists
@@ -101,9 +119,12 @@ func (p *Program) Analyze(ctx context.Context, ec core.Config, workers int, witn
 // (minicc.Lowered.Relower): the next Program shares every other function
 // with p, and derives its call graph from p's (callgraph.Graph.Derive),
 // so only the edited functions and the entries that reach them are
-// compared and re-keyed. Anything Relower declines — an added or removed
+// compared and re-keyed. It also carries p's replay state over for every
+// entry it did not re-key: those reach only functions the two Programs
+// share. Anything Relower declines — an added or removed
 // file, a changed declaration, a frontend error — lowers the edited
-// sources from scratch, as Load does, and builds the graph anew.
+// sources from scratch, as Load does, builds the graph anew and carries
+// nothing.
 func (p *Program) Update(set map[string]string, remove []string) (*Program, []string, []string, error) {
 	sources := maps.Clone(p.sources)
 	edits := make(map[string]string) // changed files' new content
@@ -136,6 +157,7 @@ func (p *Program) Update(set map[string]string, remove []string) (*Program, []st
 		if low := p.low.Relower(edits); low != nil {
 			cg, d := p.graph().Derive(low.Mod)
 			next = &Program{name: p.name, sources: sources, low: low, cg: cg}
+			next.carry.Store(p.carry.Load().Derive(low.Mod, d.Rekeyed))
 			delta = &d
 		}
 	}
