@@ -131,20 +131,31 @@ func BenchmarkStage1LinuxCorpus(b *testing.B) {
 	}
 }
 
-// BenchmarkStage2Validation measures Stage 2 alone: SMT validation of the
-// Stage-1 candidates of the linux-like corpus.
+// BenchmarkStage2Validation measures Stage 2 alone, as the engine runs it:
+// the Stage-1 candidates of the validate-heavy corpus, split into
+// same-entry groups, each validated by one batched call on a fresh
+// validator per op (a cold verdict cache, as in a CLI run).
 func BenchmarkStage2Validation(b *testing.B) {
-	c := oscorpus.Generate(oscorpus.LinuxSpec())
+	c := oscorpus.Generate(oscorpus.ValidationHeavySpec())
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
 	if err != nil {
 		b.Fatal(err)
 	}
 	res := core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
+	var groups [][]*core.PossibleBug
+	for i, pb := range res.Possible {
+		if i == 0 || pb.EntryFn != res.Possible[i-1].EntryFn {
+			groups = append(groups, nil)
+		}
+		groups[len(groups)-1] = append(groups[len(groups)-1], pb)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := pathval.New()
-		for _, pb := range res.Possible {
-			v.Validate(pb, core.ModePATA)
+		for _, g := range groups {
+			v.ValidateBatchCtx(ctx, g, core.ModePATA)
 		}
 	}
 }

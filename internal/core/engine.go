@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -803,16 +804,15 @@ func (e *Engine) apply(ems []typestate.Emission) {
 // bugSink receives bug-state transitions from the tracker. It deduplicates
 // each candidate by (checker, origin instruction, bug instruction) as the
 // paper's P3 phase does, and snapshots the current path for Stage 2: a
-// repeat only contributes an alternate witness path.
+// repeat only contributes an alternate witness path, and the path is
+// copied only when it is kept.
 func (e *Engine) bugSink(ci int, em typestate.Emission, from typestate.State) {
 	origin := e.tracker.Origin(ci, em.Obj)
-	full := make([]PathStep, len(e.path))
-	copy(full, e.path)
 	key := dedupKey{checker: ci, origin: origin, bug: em.Instr.GID()}
 	if prev, dup := e.dedup[key]; dup {
 		e.stats.RepeatedDropped++
 		if len(prev.AltPaths) < maxAltPaths {
-			prev.AltPaths = append(prev.AltPaths, full)
+			prev.AltPaths = append(prev.AltPaths, slices.Clone(e.path))
 		}
 		return
 	}
@@ -839,7 +839,7 @@ func (e *Engine) bugSink(ci int, em typestate.Emission, from typestate.State) {
 		Type:      chk.Type(),
 		BugInstr:  em.Instr,
 		OriginGID: origin,
-		Path:      full,
+		Path:      slices.Clone(e.path),
 		Extra:     em.Extra,
 		EntryFn:   entry,
 		InFn:      inFn,

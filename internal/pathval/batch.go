@@ -57,6 +57,12 @@ const batchSessionReserve = 1 << 20
 // own deadline handling decides TimedOut — the screen itself never marks a
 // verdict interrupted and never memoizes anything.
 func (v *Validator) ValidateBatchCtx(ctx context.Context, bugs []*core.PossibleBug, mode core.Mode) []core.ValidationOutcome {
+	return v.validateBatch(ctx, bugs, mode, (*batchWalk).walkTrie)
+}
+
+// validateBatch is ValidateBatchCtx with the walk of each round's paths
+// passed in as round, which decides w.items; tests pass a reference walk.
+func (v *Validator) validateBatch(ctx context.Context, bugs []*core.PossibleBug, mode core.Mode, round func(w *batchWalk)) []core.ValidationOutcome {
 	outs := make([]core.ValidationOutcome, len(bugs))
 	if len(bugs) == 0 {
 		return outs
@@ -78,11 +84,12 @@ func (v *Validator) ValidateBatchCtx(ctx context.Context, bugs []*core.PossibleB
 	defer v.releaseReplayer(r)
 	r.logging = true // checkpoint/rollback needs the undo logs from step one
 	w := &batchWalk{
-		v:    v,
-		ctx:  ctx,
-		r:    r,
-		cur:  smt.NewCursor(sctx),
-		done: ctx.Done(),
+		v:     v,
+		ctx:   ctx,
+		r:     r,
+		round: round,
+		cur:   smt.NewCursor(sctx),
+		done:  ctx.Done(),
 	}
 	w.deadline, _ = ctx.Deadline()
 
@@ -152,123 +159,154 @@ type pathItem struct {
 
 // run validates one round of witness paths through the shared trie walk.
 // It returns, positionally per item, whether the walk decided the item and
-// the outcome when it did. Undecided items (only possible after an abort)
+// the outcome when it did; both slices are reused by the next round, so the
+// caller reads them first. Undecided items (only possible after an abort)
 // are the caller's to fall back on. After a non-aborted run the replayer
 // and cursor are fully rolled back, ready for the next round; once aborted,
 // run refuses to touch them again and reports everything undecided.
 func (w *batchWalk) run(items []pathItem) ([]bool, []core.ValidationOutcome) {
 	w.items = items
-	w.decided = make([]bool, len(items))
-	w.outs = make([]core.ValidationOutcome, len(items))
+	w.decided = append(w.decided[:0], make([]bool, len(items))...)
+	w.outs = append(w.outs[:0], make([]core.ValidationOutcome, len(items))...)
 	if !w.aborted {
-		w.walk(buildStepTrie(items), true)
+		w.round(w)
 	}
 	return w.decided, w.outs
 }
 
-// buildStepTrie builds the prefix trie over the items' paths. Steps are
+// walkTrie decides the round's items by building the trie over their paths
+// and walking it from the root.
+func (w *batchWalk) walkTrie() {
+	w.r.trie.build(w.items)
+	w.walk(0, true)
+}
+
+// stepTrie is the prefix trie over one round's witness paths. Steps are
 // keyed by (instruction, taken direction, inlined callee): two paths whose
 // key sequences agree produce identical replayer mutations for the shared
 // prefix, so replaying it once is exact, not approximate.
 //
-// The trie is radix-compressed: a suffix private to a single candidate is
-// stored as one flat key slice (tail) instead of a node per step, so a batch
-// with little or no sharing — the common case on sparse corpora — allocates
-// a handful of nodes rather than one per path step. Nodes materialize only
-// where paths actually share steps or diverge.
-func buildStepTrie(items []pathItem) *stepNode {
-	root := &stepNode{weight: len(items)}
+// The trie is fully radix-compressed: every edge is a run of steps, a
+// slice of keys, and a node exists only where paths diverge or a path
+// ends, so it has at most two nodes per path whatever the path lengths.
+// All of it lives in three slices that are truncated, not freed, between
+// rounds and batches (the trie rides in the pooled replayer), so a warm
+// build allocates nothing.
+type stepTrie struct {
+	keys     []stepKey  // every item's key sequence, back to back
+	nodes    []trieNode // nodes[0] is the root, whose edge is empty
+	leafNext []int      // per item: the next item ending at its node, or -1
+}
+
+// trieNode is one trie node: the edge into it, keys[lo:hi], and the items
+// at or below it. Children and the items ending here (leaves) are linked
+// lists in insertion order, so the walk's replay and push sequence is
+// deterministic. Fan-out is tiny, so child lookup is a linear scan.
+type trieNode struct {
+	lo, hi         int
+	weight         int // items whose path runs through the edge
+	first, last    int // children, -1 if none
+	next           int // next sibling, -1 if none
+	leaf, lastLeaf int // items ending here, -1 if none
+}
+
+// build rebuilds the trie over items, reusing its storage.
+func (t *stepTrie) build(items []pathItem) {
+	t.keys = t.keys[:0]
+	t.nodes = append(t.nodes[:0], trieNode{weight: len(items), first: -1, last: -1, next: -1, leaf: -1, lastLeaf: -1})
+	t.leafNext = t.leafNext[:0]
 	for i, it := range items {
-		keys := make([]stepKey, len(it.path))
+		lo := len(t.keys)
 		for j, st := range it.path {
-			keys[j] = stepKey{in: st.Instr, taken: st.Taken, callee: stepCallee(st, it.path, j)}
+			t.keys = append(t.keys, stepKey{in: st.Instr, taken: st.Taken, callee: stepCallee(st, it.path, j)})
 		}
-		root.insert(keys, i)
-	}
-	return root
-}
-
-// insert threads one candidate's key sequence into the trie, materializing
-// compressed tails one step at a time while the new path keeps matching
-// them. keys must not be mutated afterwards: tails alias it.
-func (root *stepNode) insert(keys []stepKey, leaf int) {
-	node := root
-	for j := 0; ; j++ {
-		if j == len(keys) {
-			node.leaves = append(node.leaves, leaf)
-			return
-		}
-		if len(node.tail) > 0 {
-			// This subtree was private to one candidate; peel the first tail
-			// step into a real child so the new path can match or diverge.
-			ch := &stepNode{key: node.tail[0], weight: 1}
-			if len(node.tail) == 1 {
-				ch.leaves = []int{node.tailLeaf}
-			} else {
-				ch.tail, ch.tailLeaf = node.tail[1:], node.tailLeaf
-			}
-			node.tail, node.tailLeaf = nil, 0
-			node.children = append(node.children, ch)
-		}
-		k := keys[j]
-		var ch *stepNode
-		for _, c := range node.children {
-			if c.key == k {
-				ch = c
-				break
-			}
-		}
-		if ch == nil {
-			ch = &stepNode{key: k, weight: 1}
-			if j+1 == len(keys) {
-				ch.leaves = []int{leaf}
-			} else {
-				ch.tail, ch.tailLeaf = keys[j+1:], leaf
-			}
-			node.children = append(node.children, ch)
-			return
-		}
-		ch.weight++
-		node = ch
+		t.leafNext = append(t.leafNext, -1)
+		t.insert(lo, len(t.keys), i)
 	}
 }
 
-// stepKey identifies one trie edge. The instruction pointer (not its GID)
-// plus the branch direction and the resolved inlined callee fully determine
-// applyStep's effect given equal prior state.
+// insert threads item leaf, whose keys are keys[lo:hi], into the trie: it
+// follows the edges its keys match, splits the edge where they stop
+// matching, and hangs the rest of its keys off the last node reached as
+// one new edge.
+func (t *stepTrie) insert(lo, hi, leaf int) {
+	n, j := 0, lo
+	for j < hi {
+		c := t.nodes[n].first
+		for c >= 0 && t.keys[t.nodes[c].lo] != t.keys[j] {
+			c = t.nodes[c].next
+		}
+		if c < 0 {
+			t.addChild(n, trieNode{lo: j, hi: hi, weight: 1, first: -1, last: -1, next: -1, leaf: leaf, lastLeaf: leaf})
+			return
+		}
+		m := t.nodes[c].lo + 1
+		for j++; m < t.nodes[c].hi && j < hi && t.keys[m] == t.keys[j]; j++ {
+			m++
+		}
+		if m < t.nodes[c].hi {
+			t.split(c, m)
+		}
+		t.nodes[c].weight++
+		n = c
+	}
+	nd := &t.nodes[n]
+	if nd.leaf < 0 {
+		nd.leaf = leaf
+	} else {
+		t.leafNext[nd.lastLeaf] = leaf
+	}
+	nd.lastLeaf = leaf
+}
+
+// addChild appends ch as n's last child.
+func (t *stepTrie) addChild(n int, ch trieNode) {
+	c := len(t.nodes)
+	t.nodes = append(t.nodes, ch)
+	if p := &t.nodes[n]; p.first < 0 {
+		p.first = c
+	} else {
+		t.nodes[p.last].next = c
+	}
+	t.nodes[n].last = c
+}
+
+// split cuts node c's edge before key m: c keeps the head of the edge and
+// a new node, c's only child, takes the rest of it with c's weight,
+// children and leaves.
+func (t *stepTrie) split(c, m int) {
+	old := t.nodes[c]
+	d := len(t.nodes)
+	t.nodes = append(t.nodes, trieNode{lo: m, hi: old.hi, weight: old.weight, first: old.first, last: old.last, next: -1, leaf: old.leaf, lastLeaf: old.lastLeaf})
+	nd := &t.nodes[c]
+	nd.hi = m
+	nd.first, nd.last = d, d
+	nd.leaf, nd.lastLeaf = -1, -1
+}
+
+// stepKey identifies one replayed step. The instruction pointer (not its
+// GID) plus the branch direction and the resolved inlined callee fully
+// determine applyStep's effect given equal prior state.
 type stepKey struct {
 	in     cir.Instr
 	taken  bool
 	callee *cir.Function
 }
 
-// step reconstructs the path step this key replays.
-func (k stepKey) step() core.PathStep {
-	return core.PathStep{Instr: k.in, Taken: k.taken}
-}
-
-// stepNode is one materialized trie node: the edge key into it, candidates
-// whose step sequence ends here (leaves), and either children (shared or
-// diverging steps below) or a compressed single-candidate tail. Children
-// keep insertion order so the walk's replay and push sequence is
-// deterministic. Fan-out is tiny, so child lookup is a linear scan.
-type stepNode struct {
-	key      stepKey
-	children []*stepNode
-	tail     []stepKey // compressed suffix private to tailLeaf (nil if none)
-	tailLeaf int       // candidate owning tail; valid iff len(tail) > 0
-	leaves   []int     // candidate indices ending at this node
-	weight   int       // candidates whose path runs through this node
+// apply replays the step k identifies.
+func (k stepKey) apply(r *replayer) {
+	r.applyStep(core.PathStep{Instr: k.in, Taken: k.taken}, k.callee)
 }
 
 // batchWalk is the shared-session state across a batch's walks: one
-// replayer, one cursor, the abort flag, and the push/shared tallies. The
-// per-round fields (items, decided, outs) are reset by run.
+// replayer with its trie, one cursor, the abort flag, and the push/shared
+// tallies. The per-round fields (items, decided, outs) are reset by run.
 type batchWalk struct {
 	v        *Validator
 	ctx      context.Context
 	items    []pathItem
 	r        *replayer
+	round    func(w *batchWalk)
 	cur      *smt.Cursor
 	decided  []bool
 	outs     []core.ValidationOutcome
@@ -279,96 +317,75 @@ type batchWalk struct {
 	shared   int64
 }
 
-// walk processes node n, whose step has already been replayed (and, when
-// screening, pushed). screening means the cursor session still mirrors the
-// replayed prefix; it switches off — for a whole subtree — once the subtree
-// is private to a single candidate (a push there would serve exactly one
-// leaf, costing about what the leaf's own solve does) or the ID-floor guard
-// trips.
-func (w *batchWalk) walk(n *stepNode, screening bool) {
-	for _, idx := range n.leaves {
+// walk processes node n, whose edge has already been replayed (and, when
+// screening, pushed): first the items ending at n, then each child edge.
+// screening means the cursor session still mirrors the replayed prefix; it
+// switches off for good once the ID-floor guard trips.
+func (w *batchWalk) walk(n int, screening bool) {
+	t := &w.r.trie
+	for idx := t.nodes[n].leaf; idx >= 0; idx = t.leafNext[idx] {
 		if w.aborted {
 			return
 		}
 		w.solveLeaf(idx)
 	}
-	if len(n.tail) > 0 && !w.aborted {
-		// Compressed single-candidate chain: replay it in one checkpointed
-		// run. No per-step rollback granularity is needed when no sibling
-		// branches off, and no cursor work either — a weight-1 push would
-		// serve exactly one leaf, costing about what its own solve does.
-		m := w.r.checkpoint()
-		for _, k := range n.tail {
-			w.r.applyStep(k.step(), k.callee)
-		}
-		w.solveLeaf(n.tailLeaf)
-		w.r.rollback(m)
-	}
-	for _, ch := range n.children {
+	for c := t.nodes[n].first; c >= 0; c = t.nodes[c].next {
 		if w.aborted {
 			return
 		}
-		if ch.weight == 1 {
-			// Divergence-point child private to one candidate: edge plus
-			// compressed tail under a single checkpoint, skipping the
-			// shared-prefix machinery entirely.
-			m := w.r.checkpoint()
-			w.r.applyStep(ch.key.step(), ch.key.callee)
-			for _, k := range ch.tail {
-				w.r.applyStep(k.step(), k.callee)
-			}
-			if len(ch.tail) > 0 {
-				w.solveLeaf(ch.tailLeaf)
-			} else {
-				w.solveLeaf(ch.leaves[0])
-			}
-			w.r.rollback(m)
-			continue
+		w.edge(c, screening)
+	}
+}
+
+// edge replays node c's edge under one replayer checkpoint and one cursor
+// checkpoint, decides everything below it, and rolls both back.
+//
+// An edge private to one candidate (weight 1) is replayed and its leaf
+// solved without cursor work: a push there would serve exactly one leaf,
+// costing about what the leaf's own solve does. A shared edge is replayed
+// and pushed step by step, so a refutation stops at the step that refuted
+// it; every candidate below is then screened out at that replay point,
+// without replaying a single suffix step.
+func (w *batchWalk) edge(c int, screening bool) {
+	nd := w.r.trie.nodes[c]
+	keys := w.r.trie.keys[nd.lo:nd.hi]
+	m := w.r.checkpoint()
+	defer w.r.rollback(m)
+	if nd.weight == 1 {
+		for _, k := range keys {
+			k.apply(w.r)
 		}
-		childScreen := screening && w.r.ctx.NumVars() < batchSessionReserve
-		m := w.r.checkpoint()
+		w.solveLeaf(nd.leaf)
+		return
+	}
+	cmark := w.cur.Checkpoint()
+	defer w.cur.Rollback(cmark)
+	for _, k := range keys {
+		screening = screening && w.r.ctx.NumVars() < batchSessionReserve
 		before := len(w.r.atoms)
-		w.r.applyStep(ch.key.step(), ch.key.callee)
+		k.apply(w.r)
 		newAtoms := w.r.atoms[before:]
 		// Each atom a shared edge contributes is built once instead of once
 		// per candidate running through the edge.
-		w.shared += int64(len(newAtoms)) * int64(ch.weight-1)
-		dead := false
-		var cmark smt.CursorMark
-		if childScreen {
-			cmark = w.cur.Checkpoint()
-			for _, a := range newAtoms {
-				if !w.pollPush() {
-					break
-				}
-				if w.cur.Push(a) == smt.Unsat {
-					dead = true
-					break
-				}
+		w.shared += int64(len(newAtoms)) * int64(nd.weight-1)
+		if !screening {
+			continue
+		}
+		for _, a := range newAtoms {
+			if !w.pollPush() {
+				return
+			}
+			if w.cur.Push(a) == smt.Unsat {
+				// Constraint counts reflect the refutation point (a
+				// scheduling detail, like cache counters); the verdicts and
+				// empty triggers are exactly what per-candidate solving
+				// would report.
+				w.screenSubtree(c)
+				return
 			}
 		}
-		if w.aborted {
-			w.r.rollback(m)
-			if childScreen {
-				w.cur.Rollback(cmark)
-			}
-			return
-		}
-		if dead {
-			// The cursor refuted the shared prefix: every candidate below is
-			// infeasible without replaying a single suffix step. Constraint
-			// counts reflect the refutation point (a scheduling detail, like
-			// cache counters); the verdicts and empty triggers are exactly
-			// what per-candidate solving would report.
-			w.screenSubtree(ch)
-		} else {
-			w.walk(ch, childScreen)
-		}
-		if childScreen {
-			w.cur.Rollback(cmark)
-		}
-		w.r.rollback(m)
 	}
+	w.walk(c, screening)
 }
 
 // pollPush runs the pre-push bookkeeping: the test hook, the cancellation
@@ -419,17 +436,15 @@ func (w *batchWalk) solveLeaf(idx int) {
 	w.outs[idx] = out
 }
 
-// screenSubtree marks every candidate at or below n as screened-infeasible
-// at the current replay point, compressed tail owners included.
-func (w *batchWalk) screenSubtree(n *stepNode) {
-	for _, idx := range n.leaves {
+// screenSubtree marks every candidate at or below node n as
+// screened-infeasible at the current replay point.
+func (w *batchWalk) screenSubtree(n int) {
+	t := &w.r.trie
+	for idx := t.nodes[n].leaf; idx >= 0; idx = t.leafNext[idx] {
 		w.screenOut(idx)
 	}
-	if len(n.tail) > 0 {
-		w.screenOut(n.tailLeaf)
-	}
-	for _, ch := range n.children {
-		w.screenSubtree(ch)
+	for c := t.nodes[n].first; c >= 0; c = t.nodes[c].next {
+		w.screenSubtree(c)
 	}
 }
 

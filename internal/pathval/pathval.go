@@ -51,6 +51,10 @@ type Validator struct {
 	CacheMisses    int64
 	CacheEvictions int64
 
+	// stepsReplayed counts path steps applied by released replayers, shared
+	// steps once per replay; the Stage-2 allocation guard divides by it.
+	stepsReplayed int64
+
 	// maxCacheEntries/maxCacheBytes bound the verdict cache; New sets the
 	// defaults above, and zero or negative values mean unbounded. The bounds
 	// are split evenly across shards (see shard.go), so eviction order is
@@ -349,6 +353,7 @@ func isTempName(n string) bool {
 // replayer re-simulates a recorded path, building constraints.
 type replayer struct {
 	mode    core.Mode
+	steps   int // applyStep calls since the last reset
 	g       *aliasgraph.Graph
 	ctx     *smt.Context
 	syms    map[*aliasgraph.Node]*smt.Var
@@ -369,6 +374,10 @@ type replayer struct {
 	symLog  []*aliasgraph.Node
 	slotLog []slotUndo
 	execLog []int
+
+	// trie is the batch walk's prefix trie, kept here so its storage is
+	// pooled and reused along with the rest of the replay state.
+	trie stepTrie
 }
 
 // slotUndo records one PATA-NA slot-map write so rollback can restore the
@@ -518,6 +527,7 @@ func stepCallee(st core.PathStep, steps []core.PathStep, i int) *cir.Function {
 // trailed by the alias graph / term context or recorded in the replayer's
 // undo logs, so checkpoint/rollback brackets any sequence of applySteps.
 func (r *replayer) applyStep(st core.PathStep, callee *cir.Function) {
+	r.steps++
 	in := st.Instr
 	if r.execs[in.GID()] > 0 {
 		// Loop unrolling beyond once: a re-executed definition is a new

@@ -12,7 +12,11 @@
 // coordinating.
 package pathval
 
-import "repro/internal/core"
+import (
+	"sync/atomic"
+
+	"repro/internal/core"
+)
 
 // acquireReplayer returns a replay state that behaves exactly like
 // newReplayer's: either a recycled one reset to empty, or a fresh one when
@@ -31,6 +35,7 @@ func (v *Validator) acquireReplayer(mode core.Mode) *replayer {
 // model, and key — none of which alias the replayer — so release after
 // solveReplayed returns is safe.
 func (v *Validator) releaseReplayer(r *replayer) {
+	atomic.AddInt64(&v.stepsReplayed, int64(r.steps))
 	v.rpool.Put(r)
 }
 
@@ -43,6 +48,7 @@ func (v *Validator) releaseReplayer(r *replayer) {
 // same atoms, with the same variable IDs, as a fresh one.
 func (r *replayer) reset(mode core.Mode) {
 	r.mode = mode
+	r.steps = 0
 	r.g.Reset()
 	r.ctx.Rewind(0)
 	clear(r.syms)

@@ -1,7 +1,7 @@
 package typestate
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/aliasgraph"
 	"repro/internal/cir"
@@ -11,8 +11,6 @@ import (
 // Spec is a checker as data: its FSM plus the event each event source of
 // the interpreter emits. An empty Event, like a nil table, turns its source
 // off. The interpreter below implements every source once for all specs.
-// A Spec holds no pointers, so its %+v rendering is its full content (see
-// Digest).
 type Spec struct {
 	CheckerName string
 	BugType     BugType
@@ -106,9 +104,84 @@ func (s *Spec) FSM() *FSM { return &s.Machine }
 // Digest hashes the spec's full content: FSM, event fields and callee
 // lists. The incremental cache salts with it, so two variants sharing a
 // name (the two UVA modes, pairing rules that differ only in callees)
-// never replay each other's results. fmt prints map keys sorted, so the
-// rendering is deterministic.
-func (s *Spec) Digest() uint64 { return hmix.Str(fmt.Sprintf("%+v", *s)) }
+// never replay each other's results. Fields are hashed one by one in
+// declaration order, slices with their lengths and the FSM's maps in
+// sorted key order, so equal specs hash equally whatever their maps'
+// iteration order. A field added to Spec must be added here too
+// (TestSpecDigestCoversEveryField fails until it is).
+func (s *Spec) Digest() uint64 {
+	var d digest
+	d.str(s.CheckerName)
+	d.str(string(s.BugType))
+	d.fsm(&s.Machine)
+	d.strs(string(s.AssNull), string(s.BrNull), string(s.BrNonNull), string(s.Deref),
+		string(s.Bad), string(s.AssBad), string(s.AssGood), string(s.StoreBad))
+	d.u(uint64(len(s.BrConst)))
+	for _, f := range s.BrConst {
+		d.str(string(f.Pred))
+		d.u(uint64(f.Lo))
+		d.u(uint64(f.Hi))
+		d.str(string(f.Event))
+	}
+	d.strs(string(s.IndexUse), string(s.DivUse))
+	d.u(uint64(len(s.Calls)))
+	for _, r := range s.Calls {
+		d.u(uint64(r.Intr))
+		d.u(uint64(len(r.Names)))
+		d.strs(r.Names...)
+		d.bool(r.FromResult)
+		d.str(string(r.Event))
+	}
+	d.strs(string(s.Alloc), string(s.Write), string(s.Read), string(s.OpaqueInit),
+		string(s.Region), string(s.Acquire), string(s.Held))
+	d.bool(s.EscapeOnStore)
+	d.str(string(s.Leak))
+	return uint64(d)
+}
+
+// digest is a running hash over a sequence of values.
+type digest uint64
+
+func (d *digest) u(x uint64) { *d = digest(hmix.Mix2(uint64(*d), x)) }
+
+func (d *digest) str(s string) { d.u(hmix.Str(s)) }
+
+func (d *digest) strs(ss ...string) {
+	for _, s := range ss {
+		d.str(s)
+	}
+}
+
+func (d *digest) bool(b bool) {
+	if b {
+		d.u(1)
+	} else {
+		d.u(0)
+	}
+}
+
+// fsm hashes an FSM, its transition table in sorted (state, event) order.
+func (d *digest) fsm(f *FSM) {
+	d.strs(f.Name, string(f.Initial), string(f.Bug))
+	d.u(uint64(len(f.Transitions)))
+	for _, from := range sortedKeys(f.Transitions) {
+		row := f.Transitions[from]
+		d.str(string(from))
+		d.u(uint64(len(row)))
+		for _, ev := range sortedKeys(row) {
+			d.strs(string(ev), string(row[ev]))
+		}
+	}
+}
+
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 func emission(obj *aliasgraph.Node, ev Event, in cir.Instr) Emission {
 	return Emission{Obj: obj, Event: ev, Instr: in}
