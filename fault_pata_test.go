@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestUnusableCacheDirDegradesToUncached pins the graceful-degradation
@@ -71,5 +73,31 @@ func TestCancelledContextYieldsPartialResult(t *testing.T) {
 	if !strings.Contains(out, "incomplete analysis (1 entries):") ||
 		!strings.Contains(out, "probe(): cancelled") {
 		t.Errorf("report missing incomplete section:\n%s", out)
+	}
+}
+
+// panicSaveCache is an EntryCache whose Save panics.
+type panicSaveCache struct{ core.EntryCache }
+
+func (panicSaveCache) Save(string, []byte) { panic("save failed") }
+
+// TestCachedAnalyzePanicReachesCaller: a panic in the cache's Save, which
+// runs on the worker pool after Stage 2, is re-raised on the goroutine that
+// called Analyze, where the caller's recover contains it, instead of
+// killing the process from a pool goroutine.
+func TestCachedAnalyzePanicReachesCaller(t *testing.T) {
+	prog, err := Load("demo", map[string]string{"demo.c": demoSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec := engineConfig(t, Config{})
+	ec.Cache = panicSaveCache{openStore(t)}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		prog.Analyze(context.Background(), ec, 2, false)
+	}()
+	if got != "save failed" {
+		t.Errorf("caller recovered %v, want the Save panic", got)
 	}
 }

@@ -99,6 +99,10 @@ func (n *Node) Vars() []cir.Value {
 // NumVars returns the size of the alias class.
 func (n *Node) NumVars() int { return len(n.vars) }
 
+// Var returns the i-th variable of the alias class, 0 <= i < NumVars(), in
+// unspecified order: a reader that needs an order imposes its own.
+func (n *Node) Var(i int) cir.Value { return n.vars[i] }
+
 // Out returns the successor along label l, or nil.
 func (n *Node) Out(l Label) *Node {
 	for _, e := range n.out {

@@ -187,7 +187,7 @@ func TestCachedRunStatsMatchUncached(t *testing.T) {
 	}
 	strip := func(s core.Stats) core.Stats {
 		s.CacheEntriesHit, s.CacheEntriesMiss, s.CacheStepsSkipped = 0, 0, 0
-		s.AnalysisTime, s.ValidationTime, s.SolverNanos, s.WorkSteals = 0, 0, 0, 0
+		s.AnalysisTime, s.ValidationTime, s.SolverNanos = 0, 0, 0
 		return s
 	}
 	uncached := run(nil)

@@ -276,9 +276,12 @@ type Stats struct {
 	CacheEntriesHit   int64
 	CacheEntriesMiss  int64
 	CacheStepsSkipped int64
-	// WorkSteals counts Stage-1 tasks a worker claimed from another
-	// worker's queue (RunParallel's work-stealing scheduler; zero with one
-	// worker).
+	// WorkSteals counted Stage-1 tasks a worker stole from another
+	// worker's deque.
+	//
+	// Deprecated: always 0. Stage 1 takes entries from one shared cursor
+	// (par.For), so nothing is stolen; the field stays for readers of the
+	// JSON stats.
 	WorkSteals int64
 	// Fault-isolation counters. DeadlineTrips counts per-entry deadline
 	// expiries observed by the Stage-1 DFS and by Stage-2 validations;

@@ -6,65 +6,22 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/callgraph"
 	"repro/internal/cir"
+	"repro/internal/par"
 	"repro/internal/typestate"
 )
 
 // entryTask is one Stage-1 unit of work: a single entry function, tagged
 // with its position in the name-ordered entry list, which is the slot its
-// Result fills, and its instruction count, which orders the deques.
+// Result fills, and its instruction count, which orders the tasks.
 type entryTask struct {
 	idx  int
 	fn   *cir.Function
 	size int
-}
-
-// stealQueue is a mutex-based work-stealing deque of entry tasks. Deques
-// are seeded in descending instruction-count order, so the owner pops the
-// largest remaining entry from the front while thieves steal the smallest
-// from the back — the classic LPT heuristic plus stealing, which keeps all
-// workers busy on skewed corpora (a handful of huge driver entries next to
-// many tiny ones).
-type stealQueue struct {
-	mu    sync.Mutex
-	tasks []entryTask
-}
-
-func (q *stealQueue) popFront() (entryTask, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return entryTask{}, false
-	}
-	t := q.tasks[0]
-	q.tasks = q.tasks[1:]
-	return t, true
-}
-
-func (q *stealQueue) popBack() (entryTask, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.tasks) == 0 {
-		return entryTask{}, false
-	}
-	t := q.tasks[len(q.tasks)-1]
-	q.tasks = q.tasks[:len(q.tasks)-1]
-	return t, true
-}
-
-// steal scans the other workers' deques for a task, starting after w.
-func steal(queues []*stealQueue, w int) (entryTask, bool) {
-	for i := 1; i < len(queues); i++ {
-		if t, ok := queues[(w+i)%len(queues)].popBack(); ok {
-			return t, true
-		}
-	}
-	return entryTask{}, false
 }
 
 // runEntryDelta analyzes a single entry function on a reused worker engine
@@ -91,10 +48,11 @@ func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 // RunParallel analyzes the module with a two-stage scheduler; it is the
 // engine's only driver.
 //
-// Stage 1 runs `workers` concurrent engines over a work-stealing queue of
-// entry functions sorted by descending instruction count (entry functions
-// are independent analysis roots, so Stage 1 parallelizes perfectly and the
-// largest entries start first). Each entry's Result lands in its slot of an
+// Stage 1 runs `workers` concurrent engines over the entry functions sorted
+// by descending instruction count, each worker taking the next entry from
+// one shared cursor (par.For; entry functions are independent analysis
+// roots, so Stage 1 parallelizes perfectly and the largest entries start
+// first). Each entry's Result lands in its slot of an
 // entry-indexed slice; after the Stage-1 barrier the slice is merged once,
 // in entry-name order (see mergeEntries). Stage 2 then validates the merged
 // candidate list in one pass on the same `workers` (see validateCandidates).
@@ -103,7 +61,7 @@ func (e *Engine) runEntryDelta(fn *cir.Function) *Result {
 // same candidate order, cross-entry deduplication and AltPaths
 // accumulation, and Stage 2 validates the same same-entry candidate groups
 // through the same call. Only the timing counters (AnalysisTime,
-// ValidationTime, SolverNanos, WorkSteals) differ.
+// ValidationTime, SolverNanos) differ.
 //
 // workers <= 0 selects GOMAXPROCS. The merged Stats sum the per-entry
 // counters; AnalysisTime is the wall-clock of Stage 1 (including
@@ -163,16 +121,16 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 	start := time.Now()
 
 	// Incremental lookup: probe the cache for every entry up front. Hits
-	// fill their slot with a replay; only misses are scheduled onto the
-	// Stage-1 deques. Entries the previous run's Carry holds, under this
-	// run's salt, take their key from it, and their replay too when it
-	// was a hit. The key pass is sequential — EntryKey memoizes function
-	// fingerprints on first computation — but the capsule reads and
-	// decodes fan out across workers: each probe touches a disjoint slot,
-	// an EntryCache is safe for concurrent use, and decodeReplay only reads
-	// the module. Every entry is loaded, carried or not: the load is what
-	// tells a hit from a miss, and it marks the key as used for a resident
-	// store's EndRun.
+	// fill their slot with a replay; only misses run Stage 1. Entries the
+	// previous run's Carry holds, under this run's salt, take their key
+	// from it, and their replay too when it was a hit. The key pass is
+	// sequential — EntryKey memoizes function fingerprints on first
+	// computation — and so are the loads, which are map reads. Every
+	// entry is loaded, carried or not: the load is what tells a hit from a
+	// miss, and it marks the key as used for a resident store's EndRun.
+	// Only the decodes of hits the carry does not hold fan out across
+	// workers: each touches a disjoint slot, and decodeReplay only reads
+	// the module.
 	var keys []string
 	var salt uint64
 	var byName map[string]typestate.Checker
@@ -187,19 +145,26 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 				slots[i].rep, slots[i].cached = carry.slots[j].rep, carry.slots[j].cached
 			})
 		}
+		type hit struct {
+			i    int
+			data []byte
+		}
+		var decode []hit
 		for i, fn := range entries {
 			if keys[i] == "" {
 				keys[i] = entryKeyString(cg.EntryKey(fn, salt))
 			}
-		}
-		parallelFor(len(entries), workers, func(i int) {
 			data, ok := cache.Load(keys[i])
 			switch {
 			case !ok:
 				slots[i] = entrySlot{}
 			case !slots[i].cached:
-				slots[i].rep, slots[i].cached = decodeReplay(data, mod, byName)
+				decode = append(decode, hit{i, data})
 			}
+		}
+		par.For(len(decode), workers, func(_, k int) {
+			h := decode[k]
+			slots[h.i].rep, slots[h.i].cached = decodeReplay(h.data, mod, byName)
 		})
 	}
 	var live []entryTask
@@ -208,68 +173,49 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 			live = append(live, entryTask{idx: i, fn: fn, size: fn.NumInstrs()})
 		}
 	}
-
-	// Seed the deques: entries sorted by descending size, striped across
-	// workers so every deque starts with a mix of large and small tasks.
 	sort.SliceStable(live, func(i, j int) bool {
 		if si, sj := live[i].size, live[j].size; si != sj {
 			return si > sj
 		}
 		return live[i].fn.Name < live[j].fn.Name
 	})
-	queues := make([]*stealQueue, workers)
-	for w := range queues {
-		queues[w] = &stealQueue{}
-	}
-	for i, t := range live {
-		q := queues[i%workers]
-		q.tasks = append(q.tasks, t)
-	}
 
 	// Stage-1 workers: one reused engine per worker (sharing the call
-	// graph), each writing its entries' Results into their slots.
-	var steals int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			eng := newEngineWithCG(mod, cfg, cg)
-			eng.runCtx = ctx
-			defer func() { putOnPath(eng.onPath) }()
-			for {
-				t, ok := queues[w].popFront()
-				if !ok {
-					if t, ok = steal(queues, w); !ok {
-						return
-					}
-					atomic.AddInt64(&steals, 1)
-				}
-				var res *Result
-				degraded := false
-				if ctx.Err() != nil {
-					// Cancelled run: drain the queues without analyzing,
-					// recording each remaining entry so the partial report
-					// says exactly what was never attempted.
-					res = &Result{Stats: Stats{EntryFunctions: 1}}
-					res.Incomplete = []IncompleteEntry{{Entry: t.fn.Name, Reason: ReasonCancelled, Rung: -1}}
-					degraded = true
-				} else {
-					res, eng, degraded = runEntryIsolated(eng, t.fn)
-				}
-				if cache != nil {
-					// A degraded entry is never cached: its result depends
-					// on wall-clock (or on a contained panic), so a warm
-					// re-run must re-attempt it rather than replay the
-					// degraded shadow.
-					slots[t.idx].store = !degraded
-					res.Stats.CacheEntriesMiss = 1
-				}
-				slots[t.idx].live = res
+	// graph), created on its first entry, each writing its entries'
+	// Results into their slots.
+	engines := make([]*Engine, workers)
+	par.For(len(live), workers, func(w, k int) {
+		t := live[k]
+		var res *Result
+		degraded := false
+		if ctx.Err() != nil {
+			// Cancelled run: drain the remaining entries without analyzing,
+			// recording each so the partial report says exactly what was
+			// never attempted.
+			res = &Result{Stats: Stats{EntryFunctions: 1}}
+			res.Incomplete = []IncompleteEntry{{Entry: t.fn.Name, Reason: ReasonCancelled, Rung: -1}}
+			degraded = true
+		} else {
+			if engines[w] == nil {
+				engines[w] = newEngineWithCG(mod, cfg, cg)
+				engines[w].runCtx = ctx
 			}
-		}(w)
+			res, engines[w], degraded = runEntryIsolated(engines[w], t.fn)
+		}
+		if cache != nil {
+			// A degraded entry is never cached: its result depends on
+			// wall-clock (or on a contained panic), so a warm re-run must
+			// re-attempt it rather than replay the degraded shadow.
+			slots[t.idx].store = !degraded
+			res.Stats.CacheEntriesMiss = 1
+		}
+		slots[t.idx].live = res
+	})
+	for _, eng := range engines {
+		if eng != nil {
+			putOnPath(eng.onPath)
+		}
 	}
-	wg.Wait()
 
 	merged := mergeEntries(entries, slots)
 	merged.Stats.AnalysisTime = time.Since(start)
@@ -278,7 +224,6 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 	var verdicts []*verdictC
 	merged.Bugs, verdicts = validateCandidates(ctx, cfg, merged.Possible, workers, &merged.Stats)
 	merged.Stats.PossibleBugs = int64(len(merged.Possible)) + merged.Stats.RepeatedDropped
-	merged.Stats.WorkSteals = atomic.LoadInt64(&steals)
 	merged.Stats.ValidationTime = time.Since(vstart)
 	if cache == nil {
 		return merged, nil
@@ -292,7 +237,16 @@ func RunGraphCtx(ctx context.Context, cg *callgraph.Graph, cfg Config, workers i
 			fresh[merged.Possible[j]] = v
 		}
 	}
-	parallelFor(len(entries), workers, func(i int) {
+	var save []int
+	for i := range slots {
+		if slots[i].saves(fresh) {
+			save = append(save, i)
+		} else {
+			slots[i].live = nil
+		}
+	}
+	par.For(len(save), workers, func(_, k int) {
+		i := save[k]
 		saveEntry(cache, keys[i], &slots[i], fresh, mod, byName)
 	})
 	next := &Carry{salt: salt, entries: entries, keys: keys, slots: slots}
@@ -310,48 +264,30 @@ type entrySlot struct {
 	rep           replay
 }
 
-// parallelFor calls f(i) for every i in [0, n) on `workers` goroutines,
-// each taking every workers-th index.
-func parallelFor(n, workers int, f func(i int)) {
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; i < n; i += workers {
-				f(i)
-			}
-		}(p)
+// saves reports whether saveEntry has a capsule to store for the slot: a
+// missed entry's when the slot says so, and a hit's when Stage 2 decided a
+// candidate its capsule stored no verdict for.
+func (sl *entrySlot) saves(fresh map[*PossibleBug]*verdictC) bool {
+	if sl.cached {
+		return slices.ContainsFunc(sl.rep.possible, func(pb *PossibleBug) bool { return fresh[pb] != nil })
 	}
-	wg.Wait()
+	return sl.store
 }
 
-// saveEntry stores one entry's capsule after Stage 2, with each
-// candidate's verdict, fresh ones included: a missed entry's when its slot
-// says so, and a hit's when Stage 2 decided a candidate its capsule stored no
-// verdict for. An entry that is not encodable just isn't cached. A saved
+// saveEntry stores the capsule of an entry whose slot saves after Stage 2,
+// with each candidate's verdict, fresh ones included, and drops the slot's
+// live Result. An entry that is not encodable just isn't cached. A saved
 // entry's slot is then left holding the replay of what the cache returns
 // for the key, if that is the capsule just saved (a store whose writes
 // are off returns the old one, or none), so the slot always replays what
 // the cache holds.
 func saveEntry(cache EntryCache, key string, sl *entrySlot, fresh map[*PossibleBug]*verdictC,
 	mod *cir.Module, checkers map[string]typestate.Checker) {
-	live := sl.live
-	sl.live = nil
-	var st capsuleStats
-	var possible []*PossibleBug
-	switch {
-	case sl.cached:
-		if !slices.ContainsFunc(sl.rep.possible, func(pb *PossibleBug) bool { return fresh[pb] != nil }) {
-			return
-		}
-		st, possible = sl.rep.stats, sl.rep.possible
-	case sl.store:
-		st, possible = capsuleStatsOf(&live.Stats), live.Possible
-	default:
-		return
+	st, possible := sl.rep.stats, sl.rep.possible
+	if !sl.cached {
+		st, possible = capsuleStatsOf(&sl.live.Stats), sl.live.Possible
 	}
-	sl.cached, sl.rep = false, replay{}
+	sl.live, sl.cached, sl.rep = nil, false, replay{}
 	data, ok := encodeEntry(st, possible, fresh)
 	if !ok {
 		return
@@ -449,7 +385,8 @@ func mergeEntries(entries []*cir.Function, slots []entrySlot) *Result {
 // possible, the verdicts it decided for the capsules (see validateGroup).
 // Candidates are split into their contiguous same-entry groups —
 // candidates append per entry in entry order, so each group is exactly one
-// entry's candidates — and `workers` goroutines take groups in turn. With
+// entry's candidates — and `workers` goroutines take groups from one
+// cursor (par.For). With
 // no validator installed, every candidate is reported unvalidated.
 func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug, workers int, st *Stats) ([]*Bug, []*verdictC) {
 	var bugs []*Bug
@@ -469,27 +406,15 @@ func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug
 
 	outs := make([]ValidationOutcome, len(possible))
 	fresh := make([]*verdictC, len(possible))
-	var next, solverNanos atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(groups)-1); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each goroutine accumulates solver time locally and folds it in
-			// once at exit, so the hot path never bounces a shared cache line.
-			var mySolver int64
-			defer func() { solverNanos.Add(mySolver) }()
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= len(groups)-1 {
-					return
-				}
-				lo, hi := groups[g], groups[g+1]
-				validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], fresh[lo:hi], &mySolver)
-			}
-		}()
-	}
-	wg.Wait()
+	var solverNanos atomic.Int64
+	par.For(len(groups)-1, workers, func(_, g int) {
+		// Each group accumulates solver time locally and folds it in once,
+		// so the hot path never bounces a shared cache line.
+		var groupSolver int64
+		lo, hi := groups[g], groups[g+1]
+		validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], fresh[lo:hi], &groupSolver)
+		solverNanos.Add(groupSolver)
+	})
 	st.SolverNanos += solverNanos.Load()
 
 	for i, pb := range possible {

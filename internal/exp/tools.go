@@ -62,10 +62,10 @@ func bugReports(tool string, bugs []*core.Bug) []oscorpus.Report {
 }
 
 // RunPATA runs the full framework (or a configured variant) on a corpus
-// through core.RunParallelCtx: work-stealing Stage-1 workers, then Stage-2
-// validation on the same workers. Findings and counters do not depend on
-// the worker count — only the timers and WorkSteals do. workers <= 0
-// selects GOMAXPROCS.
+// through core.RunParallelCtx: Stage-1 workers taking entries from one
+// shared cursor, then Stage-2 validation on the same workers. Findings and
+// counters do not depend on the worker count — only the timers do.
+// workers <= 0 selects GOMAXPROCS.
 func RunPATA(c *oscorpus.Corpus, cfg core.Config, toolName string, workers int) (*ToolRun, error) {
 	mod, err := lowerCorpus(c)
 	if err != nil {

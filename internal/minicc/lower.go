@@ -8,9 +8,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cir"
+	"repro/internal/par"
 )
 
 // Lower parses src and lowers it into mod. Several files may be lowered into
@@ -84,7 +84,7 @@ func lowerAll(name string, sources map[string]string) (*Lowered, error) {
 	files := make([]*File, len(names))
 	keys := make([]uint64, len(names))
 	parseErrs := make([]error, len(names))
-	forEach(len(names), func(i int) {
+	par.For(len(names), runtime.GOMAXPROCS(0), func(_, i int) {
 		files[i], parseErrs[i] = Parse(names[i], sources[names[i]])
 		if parseErrs[i] == nil {
 			keys[i] = declKey(files[i])
@@ -109,7 +109,7 @@ func lowerAll(name string, sources map[string]string) (*Lowered, error) {
 		files[i] = nil // from here on only the units hold the bodies' ASTs
 	}
 	l.structs, l.addrTaken = maps.Clone(mod.Structs), maps.Clone(mod.AddressTaken)
-	forEach(len(units), func(i int) { fe.lowerBody(units[i]) })
+	par.For(len(units), runtime.GOMAXPROCS(0), func(_, i int) { fe.lowerBody(units[i]) })
 	if err := fe.finish(l.files); err != nil {
 		return l, err
 	}
@@ -130,43 +130,11 @@ func lowerAll(name string, sources map[string]string) (*Lowered, error) {
 // verify verifies funcs on the pool and joins their errors in order.
 func verify(funcs []*cir.Function) error {
 	verrs := make([]error, len(funcs))
-	forEach(len(funcs), func(i int) { verrs[i] = cir.VerifyFunction(funcs[i]) })
+	par.For(len(funcs), runtime.GOMAXPROCS(0), func(_, i int) { verrs[i] = cir.VerifyFunction(funcs[i]) })
 	if err := errors.Join(verrs...); err != nil {
 		return fmt.Errorf("lowered module fails verification: %w", err)
 	}
 	return nil
-}
-
-// forEach calls f(i) for every i in [0, n) on min(GOMAXPROCS, n)
-// goroutines and returns when all calls have. A panic in f is re-raised on
-// the caller's goroutine, where the caller's recover can contain it.
-func forEach(n int, f func(i int)) {
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  any
-	)
-	for range min(runtime.GOMAXPROCS(0), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicMu.Lock()
-					panicV = p
-					panicMu.Unlock()
-				}
-			}()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
-	}
 }
 
 // frontend holds what the lowering passes share across files.

@@ -2,11 +2,13 @@ package minicc
 
 import (
 	"maps"
+	"runtime"
 	"slices"
 	"strings"
 
 	"repro/internal/cir"
 	"repro/internal/hmix"
+	"repro/internal/par"
 )
 
 // Lowered is a module LowerProgram or Relower lowered without error,
@@ -53,7 +55,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 	slices.Sort(names)
 	parsed := make([]*File, len(names))
 	keys := make([]uint64, len(names))
-	forEach(len(names), func(i int) {
+	par.For(len(names), runtime.GOMAXPROCS(0), func(_, i int) {
 		if f, err := Parse(names[i], edits[names[i]]); err == nil {
 			parsed[i], keys[i] = f, declKey(f)
 		}
@@ -128,7 +130,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 		}
 	}
 
-	forEach(len(units), func(i int) { fe.lowerBody(units[i]) })
+	par.For(len(units), runtime.GOMAXPROCS(0), func(_, i int) { fe.lowerBody(units[i]) })
 	if fe.finish(files) != nil {
 		return nil
 	}
@@ -146,7 +148,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 	}
 	// Fingerprint the new functions on the pool, rather than one after
 	// another when the caller indexes the module.
-	forEach(len(fresh), func(i int) { fresh[i].Fingerprint() })
+	par.For(len(fresh), runtime.GOMAXPROCS(0), func(_, i int) { fresh[i].Fingerprint() })
 	release(edited)
 	return &Lowered{Mod: mod, instrs: instrs, files: files, structs: l.structs, addrTaken: l.addrTaken, bodyStructs: fe.bodyStructs}
 }

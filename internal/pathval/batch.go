@@ -28,7 +28,6 @@ package pathval
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cir"
@@ -453,8 +452,6 @@ func (w *batchWalk) screenOut(idx int) {
 	if w.v.screenOutHook != nil {
 		w.v.screenOutHook(w.r.atoms, w.r.ctx.NumVars())
 	}
-	atomic.AddInt64(&w.v.Queries, 1)
-	atomic.AddInt64(&w.v.Unsat, 1)
 	w.decided[idx] = true
 	w.outs[idx] = core.ValidationOutcome{
 		Feasible:           false,

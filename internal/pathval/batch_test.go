@@ -376,7 +376,7 @@ func TestBatchScreensSharedDeadPrefix(t *testing.T) {
 		t.Fatalf("want 3 fan candidates, got %d", len(cands))
 	}
 	outs := v.ValidateBatchCtx(context.Background(), cands, core.ModePATA)
-	var screened, fallbacks, shared int64
+	var screened, fallbacks, shared, hits, misses int64
 	for _, out := range outs {
 		if out.Feasible {
 			t.Error("fan candidate under contradictory prefix must be infeasible")
@@ -384,6 +384,8 @@ func TestBatchScreensSharedDeadPrefix(t *testing.T) {
 		screened += out.BatchedSolves
 		fallbacks += out.BatchFallbacks
 		shared += out.PrefixAtomsShared
+		hits += out.CacheHits
+		misses += out.CacheMisses
 	}
 	if screened == 0 {
 		t.Error("expected the cursor screen to refute the shared dead prefix")
@@ -392,7 +394,7 @@ func TestBatchScreensSharedDeadPrefix(t *testing.T) {
 		t.Error("expected shared prefix atoms to be counted")
 	}
 	// Screened leaves never touch the full solver or its cache.
-	if hits, misses := v.CacheHits, v.CacheMisses; hits+misses >= int64(len(cands)) {
+	if hits+misses >= int64(len(cands)) {
 		t.Errorf("screened batch should skip most solves: %d hits + %d misses for %d candidates (fallbacks %d)",
 			hits, misses, len(cands), fallbacks)
 	}
@@ -447,6 +449,7 @@ func TestVerdictCacheLRUBound(t *testing.T) {
 	v.cacheShards = 1
 	v.maxCacheEntries = 1
 	want := perCandidateOutcomes(cands, core.ModePATA)
+	var evictions int64
 	for round := 0; round < 2; round++ {
 		for i, pb := range cands {
 			out := v.Validate(pb, core.ModePATA)
@@ -454,9 +457,10 @@ func TestVerdictCacheLRUBound(t *testing.T) {
 				t.Errorf("round %d candidate %d: feasible=%v under eviction, want %v",
 					round, i, out.Feasible, want[i].Feasible)
 			}
+			evictions += out.CacheEvictions
 		}
 	}
-	if v.CacheEvictions == 0 {
+	if evictions == 0 {
 		t.Error("maxCacheEntries=1 over distinct systems should evict")
 	}
 	if n := v.cacheEntries(); n > 1 {
@@ -468,21 +472,24 @@ func TestVerdictCacheHitRateUnaffectedByBound(t *testing.T) {
 	// With a bound comfortably above the working set, re-validating the same
 	// candidates must hit the cache exactly as an unbounded cache would.
 	cands, v := analyze(t, mixedSrc, core.ModePATA)
+	var evictions int64
 	for _, pb := range cands {
-		v.Validate(pb, core.ModePATA)
+		evictions += v.Validate(pb, core.ModePATA).CacheEvictions
 	}
-	missesAfterWarmup := v.CacheMisses
+	var hits, misses int64
 	for _, pb := range cands {
-		v.Validate(pb, core.ModePATA)
+		out := v.Validate(pb, core.ModePATA)
+		hits += out.CacheHits
+		misses += out.CacheMisses
+		evictions += out.CacheEvictions
 	}
-	if v.CacheMisses != missesAfterWarmup {
-		t.Errorf("bounded cache missed %d times on re-validation, want 0",
-			v.CacheMisses-missesAfterWarmup)
+	if misses != 0 {
+		t.Errorf("bounded cache missed %d times on re-validation, want 0", misses)
 	}
-	if v.CacheHits == 0 {
+	if hits == 0 {
 		t.Error("expected cache hits on re-validation")
 	}
-	if v.CacheEvictions != 0 {
-		t.Errorf("default bounds should not evict on this workload, got %d", v.CacheEvictions)
+	if evictions != 0 {
+		t.Errorf("default bounds should not evict on this workload, got %d", evictions)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/aliasgraph"
@@ -34,23 +33,9 @@ const (
 
 // Validator validates candidate bug paths. Safe for reuse across bugs and
 // for concurrent use (RunParallel's Stage-2 workers call it from several
-// goroutines); the counters are updated atomically and the verdict
-// cache is internally synchronized.
+// goroutines): the verdict cache is internally synchronized. Its work is
+// counted per call, in the ValidationOutcome each validation returns.
 type Validator struct {
-	// Stats accumulates solver work. Read with atomic loads while
-	// validations are in flight; plain reads are fine once quiescent.
-	Queries int64
-	Unsat   int64
-	Sat     int64
-	Unknown int64
-	// CacheHits/CacheMisses count verdict-cache outcomes: a hit reuses the
-	// sat/unsat verdict and model of a previously solved, structurally
-	// identical constraint system. CacheEvictions counts entries the LRU
-	// bound pushed out.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-
 	// stepsReplayed counts path steps applied by released replayers, shared
 	// steps once per replay; the Stage-2 allocation guard divides by it.
 	stepsReplayed int64
@@ -153,7 +138,6 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 		e := elem.Value.(*centry).v
 		s.mu.Unlock()
 		<-e.ready
-		atomic.AddInt64(&v.CacheHits, 1)
 		return e.res, e.model, true, false, 0
 	}
 	e := &verdict{ready: make(chan struct{})}
@@ -180,8 +164,6 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 	}
 	s.mu.Unlock()
 	close(e.ready)
-	atomic.AddInt64(&v.CacheMisses, 1)
-	atomic.AddInt64(&v.CacheEvictions, evictions)
 	return e.res, e.model, false, interrupted, evictions
 }
 
@@ -269,17 +251,8 @@ func (v *Validator) validateOne(ctx context.Context, bug *core.PossibleBug, path
 // and assembles the outcome. The batch planner calls it directly for
 // fallback leaves so a fallback does not replay the path a second time.
 func (v *Validator) solveReplayed(ctx context.Context, r *replayer) core.ValidationOutcome {
-	atomic.AddInt64(&v.Queries, 1)
 	deadline, _ := ctx.Deadline()
 	res, model, hit, interrupted, evictions := v.solveCached(r.ctx, smt.And(r.atoms...), deadline, ctx.Done())
-	switch res {
-	case smt.Unsat:
-		atomic.AddInt64(&v.Unsat, 1)
-	case smt.Sat:
-		atomic.AddInt64(&v.Sat, 1)
-	default:
-		atomic.AddInt64(&v.Unknown, 1)
-	}
 	out := core.ValidationOutcome{
 		Feasible:           FeasibleVerdict(res),
 		Constraints:        int64(len(r.atoms)),
@@ -317,27 +290,37 @@ func (r *replayer) triggerValues(model smt.Model) []string {
 		if !ok {
 			continue
 		}
-		name := ""
-		for _, v := range node.Vars() {
-			if reg, isReg := v.(*cir.Register); isReg && reg.Name != "" && !strings.Contains(reg.Name, ".") {
-				// Prefer source-level names over compiler temporaries.
-				if !isTempName(reg.Name) {
-					name = reg.Name
-					break
-				}
-			}
-		}
-		if name == "" || seen[name] {
+		reg := sourceRegister(node)
+		if reg == nil || seen[reg.Name] {
 			continue
 		}
-		seen[name] = true
-		out = append(out, fmt.Sprintf("%s = %d", name, val))
+		seen[reg.Name] = true
+		out = append(out, fmt.Sprintf("%s = %d", reg.Name, val))
 	}
 	sort.Strings(out)
 	if len(out) > 6 {
 		out = out[:6]
 	}
 	return out
+}
+
+// sourceRegister returns the register that names node's value in a
+// trigger: of the class's source-named registers (compiler temporaries and
+// dotted names excluded), the one whose String() sorts first, or nil when
+// the class has none.
+func sourceRegister(node *aliasgraph.Node) *cir.Register {
+	var best *cir.Register
+	var bestKey string
+	for i := range node.NumVars() {
+		reg, isReg := node.Var(i).(*cir.Register)
+		if !isReg || reg.Name == "" || strings.Contains(reg.Name, ".") || isTempName(reg.Name) {
+			continue
+		}
+		if key := reg.String(); best == nil || key < bestKey {
+			best, bestKey = reg, key
+		}
+	}
+	return best
 }
 
 // isTempName reports compiler-generated register hints.

@@ -3,9 +3,8 @@
 // -blockprofile/-mutexprofile behavior. Block and mutex profiles are the
 // contention lens for the parallel scheduler: `go tool pprof` over a
 // -mutexprofile dump shows exactly which lock (verdict-cache shard, acache
-// stripe, steal deque) parallel workers convoy on, and -blockprofile shows
-// time parked on channels and locks (the merge channel, singleflight
-// waits).
+// index) parallel workers convoy on, and -blockprofile shows time parked on
+// channels and locks (singleflight waits, the worker pool's barrier).
 package profiles
 
 import (

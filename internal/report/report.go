@@ -66,7 +66,7 @@ func OriginInstr(b *core.Bug) cir.Instr {
 }
 
 // WriteStats renders the engine counters, including the parallel
-// scheduler's per-stage wall-clock, work-steal, and verdict-cache counters
+// scheduler's per-stage wall-clock and the verdict-cache counters
 // (cmd/pata -stats uses this).
 func WriteStats(w io.Writer, st core.Stats) {
 	fmt.Fprintf(w, "statistics:\n")
@@ -86,7 +86,6 @@ func WriteStats(w io.Writer, st core.Stats) {
 	fmt.Fprintf(w, "  fault isolation:     %d degraded, %d retried, %d deadline trips, %d panics contained\n",
 		st.EntriesDegraded, st.EntriesRetried, st.DeadlineTrips, st.PanicsContained)
 	fmt.Fprintf(w, "  solver self-time:    %v\n", time.Duration(st.SolverNanos))
-	fmt.Fprintf(w, "  work steals:         %d\n", st.WorkSteals)
 	fmt.Fprintf(w, "  analysis time:       %v\n", st.AnalysisTime)
 	fmt.Fprintf(w, "  validation time:     %v\n", st.ValidationTime)
 }
