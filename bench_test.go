@@ -167,14 +167,14 @@ func BenchmarkSMTSolver(b *testing.B) {
 		ctx := smt.NewContext()
 		s := smt.NewSolver(ctx)
 		x, y, z := ctx.Var("x"), ctx.Var("y"), ctx.Var("z")
-		f := smt.And(
+		atoms := []*smt.Atom{
 			smt.Eq(x, smt.Add(y, smt.Int(1))),
 			smt.Ge(y, smt.Int(0)),
 			smt.Le(z, smt.Int(100)),
 			smt.Lt(smt.Add(x, z), smt.Int(50)),
 			smt.Ne(x, smt.Int(0)),
-		)
-		if s.Solve(f) != smt.Sat {
+		}
+		if res, _ := s.Solve(atoms); res != smt.Sat {
 			b.Fatal("unexpected verdict")
 		}
 	}

@@ -174,6 +174,15 @@ const (
 	PredGE Pred = "ge"
 )
 
+// Valid reports whether p is one of the six comparison predicates.
+func (p Pred) Valid() bool {
+	switch p {
+	case PredEQ, PredNE, PredLT, PredLE, PredGT, PredGE:
+		return true
+	}
+	return false
+}
+
 // Negate returns the logically negated predicate.
 func (p Pred) Negate() Pred {
 	switch p {

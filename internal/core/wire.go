@@ -613,12 +613,13 @@ func (r *capsuleReader) cand(checkers map[string]typestate.Checker) *PossibleBug
 }
 
 // extra reads an extra constraint. A constant's Typ is left nil: Stage-2's
-// term reconstruction reads only the value fields of a Const.
+// term reconstruction reads only the value fields of a Const. The predicate
+// must be one of cir's six, the only ones Stage 2 can encode.
 func (r *capsuleReader) extra() *typestate.ExtraConstraint {
 	kind, val, xf := r.varint(), r.varint(), r.byte()
 	str, regFn, regID, name := r.str(), r.str(), r.int(), r.str()
 	ex := &typestate.ExtraConstraint{Pred: cir.Pred(r.str()), Bound: r.varint()}
-	if r.bad || xf&^(extraIsNull|extraIsStr) != 0 {
+	if r.bad || xf&^(extraIsNull|extraIsStr) != 0 || !ex.Pred.Valid() {
 		r.fail()
 		return nil
 	}

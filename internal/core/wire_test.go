@@ -95,7 +95,7 @@ func TestCapsuleWireEmptySlicesReadBackNil(t *testing.T) {
 		OriginGID: leak[2].GID(),
 		Path:      []PathStep{},
 		AltPaths:  [][]PathStep{{}, {{Instr: leak[2], Taken: true}}},
-		Extra:     &typestate.ExtraConstraint{Val: fn.Params[0], Pred: "<", Bound: -3},
+		Extra:     &typestate.ExtraConstraint{Val: fn.Params[0], Pred: cir.PredLT, Bound: -3},
 		EntryFn:   "entry_leak",
 		InFn:      "entry_leak",
 		AliasSet:  []string{},
@@ -144,7 +144,8 @@ int other_fn(int a) {
 // a trailing byte, a forged length prefix, an over-long varint, a
 // non-canonical boolean, an unknown flag bit and an origin on none of the
 // candidate's paths are each rejected, and so is every reference the
-// module cannot resolve: a function, block, index, register or global.
+// module cannot resolve: a function, block, index, register or global. So
+// is an extra constraint whose predicate is none of cir's six.
 func TestCapsuleWireRejectsMalformed(t *testing.T) {
 	f := newWireFixture(t)
 	leak := f.instrs(t, "entry_leak")
@@ -283,10 +284,13 @@ func TestCapsuleWireRejectsMalformed(t *testing.T) {
 		{"block", func(pb *PossibleBug) { pb.BugInstr = pastBlocks }},
 		{"index", func(pb *PossibleBug) { pb.Path = []PathStep{{Instr: pastIndex}} }},
 		{"register", func(pb *PossibleBug) {
-			pb.Extra = &typestate.ExtraConstraint{Val: &cir.Register{Fn: fn, ID: 1 << 20}, Pred: "=="}
+			pb.Extra = &typestate.ExtraConstraint{Val: &cir.Register{Fn: fn, ID: 1 << 20}, Pred: cir.PredEQ}
 		}},
 		{"global", func(pb *PossibleBug) {
-			pb.Extra = &typestate.ExtraConstraint{Val: &cir.Global{Name: "no_such_global"}, Pred: "=="}
+			pb.Extra = &typestate.ExtraConstraint{Val: &cir.Global{Name: "no_such_global"}, Pred: cir.PredEQ}
+		}},
+		{"predicate", func(pb *PossibleBug) {
+			pb.Extra = &typestate.ExtraConstraint{Val: fn.Params[0], Pred: "=="}
 		}},
 	} {
 		pb := cand()

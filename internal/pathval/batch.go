@@ -14,11 +14,11 @@
 // both the alias graph (trail) and the term context (Rewind) restore exactly
 // on rollback, so the constraint system assembled at a leaf — variable IDs
 // included — is byte-for-byte what a fresh per-candidate replay of that path
-// would build. Formula keys, cached verdicts, witness models, and trigger
-// values therefore match unbatched validation exactly.
+// would build. Conjunction keys, cached verdicts, witness models, and
+// trigger values therefore match unbatched validation exactly.
 //
 // Soundness: the cursor applies the same rule functions the full solver
-// runs on each cube, minus the solver's difference-bound check and
+// runs on the whole conjunction, minus the solver's difference-bound check and
 // fixpoint iteration (see smt.Cursor's contract), so its Unsat is a subset
 // of the solver's; and refuting a prefix of a conjunction refutes every
 // extension of it, so a screened candidate is one the per-candidate path

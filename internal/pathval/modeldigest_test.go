@@ -24,6 +24,8 @@ import (
 
 // recordingSolve wraps the builtin solve and records every solve it
 // answers as one "key result model" line, the model sorted by variable ID.
+// The key is sortedKey's, so a record does not depend on the verdict
+// cache's key format.
 type recordingSolve struct {
 	mu   sync.Mutex
 	recs map[string]bool
@@ -33,15 +35,15 @@ func newRecordingSolve() *recordingSolve {
 	return &recordingSolve{recs: make(map[string]bool)}
 }
 
-func (b *recordingSolve) solve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
-	res, model, interrupted := pathval.BuiltinSolve(ctx, f, deadline, done)
+func (b *recordingSolve) solve(ctx *smt.Context, atoms []*smt.Atom, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
+	res, model, interrupted := pathval.BuiltinSolve(ctx, atoms, deadline, done)
 	ids := make([]int, 0, len(model))
 	for id := range model {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\t%s\t", f.Key(), res)
+	fmt.Fprintf(&sb, "%s\t%s\t", sortedKey(atoms), res)
 	for _, id := range ids {
 		fmt.Fprintf(&sb, "%d=%d,", id, model[id])
 	}
@@ -49,6 +51,17 @@ func (b *recordingSolve) solve(ctx *smt.Context, f smt.Formula, deadline time.Ti
 	b.recs[sb.String()] = true
 	b.mu.Unlock()
 	return res, model, interrupted
+}
+
+// sortedKey renders a conjunction as "(and k1 k2 …)" over its atom keys in
+// sorted order, the format the recorded digests were taken in.
+func sortedKey(atoms []*smt.Atom) string {
+	keys := make([]string, len(atoms))
+	for i, a := range atoms {
+		keys[i] = a.Key()
+	}
+	sort.Strings(keys)
+	return "(and" + strings.Join(append([]string{""}, keys...), " ") + ")"
 }
 
 // digest hashes the sorted records and returns it with the record count.
@@ -69,7 +82,7 @@ func (b *recordingSolve) digest() string {
 // builtin solver produces for Stage 2 on the paper corpora, the extension,
 // validate-heavy (plain and the benchmark's ×12) and helper-heavy corpora,
 // under the core and all checker sets in PATA and NA modes, plus a
-// fixed-seed set of generated formulas. The core runs are repeated with
+// fixed-seed set of generated conjunctions. The core runs are repeated with
 // per-candidate Stage 2, which sends the candidates the batch screen would
 // refute to the solver as well. Trigger values are read off these models, and which
 // variables a model covers decides which triggers print, so a solver change
@@ -142,7 +155,7 @@ func TestSolverModelDigest(t *testing.T) {
 	rec := newRecordingSolve()
 	for seed := int64(0); seed < 2000; seed++ {
 		ctx := smt.NewContext()
-		rec.solve(ctx, smtgen.New(ctx, seed).Formula(2), time.Time{}, nil)
+		rec.solve(ctx, smtgen.New(ctx, seed).Conj(), time.Time{}, nil)
 	}
 	put("generated", rec.digest())
 

@@ -67,10 +67,10 @@ type Validator struct {
 	// drops, with the path-condition atoms the cursor refuted (valid only
 	// during the call) and the replay context's variable count; the
 	// solver oracle test re-decides them.
-	screenOutHook func(atoms []smt.Formula, numVars int)
+	screenOutHook func(atoms []*smt.Atom, numVars int)
 	// solve, when non-nil, replaces builtinSolve for final solves; tests
 	// use it to park or record solves.
-	solve func(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool)
+	solve func(ctx *smt.Context, atoms []*smt.Atom, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool)
 }
 
 // centry is one verdict-cache slot: the key it is filed under (needed to
@@ -99,26 +99,27 @@ func New() *Validator {
 	}
 }
 
-// builtinSolve decides f with smt.Solver, the in-process decision procedure
-// (§3.3's Z3 stand-in). It reports whether deadline/done interrupted the
-// solve, in which case the answer is a conservative Unknown.
-func builtinSolve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
+// builtinSolve decides the conjunction of atoms with smt.Solver, the
+// in-process decision procedure (§3.3's Z3 stand-in). It reports whether
+// deadline/done interrupted the solve, in which case the answer is a
+// conservative Unknown.
+func builtinSolve(ctx *smt.Context, atoms []*smt.Atom, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
 	s := smt.NewSolver(ctx)
 	s.Deadline = deadline
 	s.Done = done
-	res, model := s.SolveWithModel(f)
+	res, model := s.Solve(atoms)
 	return res, model, s.Interrupted
 }
 
-// solveCached decides f with smt.Solver, memoizing by the canonical
-// structural key of the constraint system (smt.Formula.Key hash-conses the
-// conjunction): candidate paths sharing the same constraints — common for
-// bugs on shared path prefixes and for AltPath re-validations — skip the
-// solver entirely. The replay that produced f is deterministic, so a cached
-// model assigns the same variable IDs a cold solve would and the trigger
-// values come out identical. Returns whether the verdict came from the
-// cache, whether the solve was interrupted by deadline/done, and the
-// evictions this call produced. An interrupted Unknown is a timing
+// solveCached decides the conjunction of atoms with smt.Solver, memoizing
+// by its ordered structural key (smt.Key): candidate paths sharing the same
+// constraints — common for bugs on shared path prefixes and for AltPath
+// re-validations — skip the solver entirely. The replay that produced the
+// atoms is deterministic and the key keeps their order, so a cached model
+// is exactly the model a cold solve would find, variable IDs and all, and
+// the trigger values come out identical. Returns whether the verdict came
+// from the cache, whether the solve was interrupted by deadline/done, and
+// the evictions this call produced. An interrupted Unknown is a timing
 // artifact, so it is evicted from the cache before waiters are released;
 // concurrent waiters of that entry still observe the conservative Unknown
 // (without the interrupted flag), which only ever keeps a bug.
@@ -126,11 +127,11 @@ func builtinSolve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-ch
 // The cache is LRU-bounded by maxCacheEntries/maxCacheBytes, split across
 // lock-striped shards (shard.go) so concurrent workers rarely contend; a key
 // always maps to one shard, keeping singleflight and counter exactness.
-// Eviction only forgets verdicts — a later identical formula re-solves and
-// re-caches — so hit/miss semantics are unchanged apart from the extra
+// Eviction only forgets verdicts — a later identical conjunction re-solves
+// and re-caches — so hit/miss semantics are unchanged apart from the extra
 // misses; in-flight entries (singleflight waiters pending) are never evicted.
-func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (res smt.Result, model smt.Model, hit, interrupted bool, evictions int64) {
-	key := f.Key()
+func (v *Validator) solveCached(ctx *smt.Context, atoms []*smt.Atom, deadline time.Time, done <-chan struct{}) (res smt.Result, model smt.Model, hit, interrupted bool, evictions int64) {
+	key := smt.Key(atoms)
 	s := v.shardFor(key)
 	s.mu.Lock()
 	if elem, ok := s.cache[key]; ok {
@@ -152,7 +153,7 @@ func (v *Validator) solveCached(ctx *smt.Context, f smt.Formula, deadline time.T
 	if solve == nil {
 		solve = builtinSolve
 	}
-	e.res, e.model, interrupted = solve(ctx, f, deadline, done)
+	e.res, e.model, interrupted = solve(ctx, atoms, deadline, done)
 	s.mu.Lock()
 	if interrupted {
 		// Drop the timing artifact before releasing waiters.
@@ -218,11 +219,11 @@ func foldAlt(out *core.ValidationOutcome, alt core.ValidationOutcome) {
 
 // FeasibleVerdict maps a solver result to the validator's keep/drop
 // decision: only a proven-unsatisfiable path is infeasible. Sat keeps the
-// bug, and so does Unknown — which the solver also returns when the DNF
-// expansion of a path's constraint system hits its clause cap and is
-// truncated; a truncated system proves nothing, so dropping on it would be
-// unsound for a bug finder. The batched screen relies on the same
-// asymmetry from the other side: it drops a candidate only on Unsat.
+// bug, and so does Unknown, which the solver returns only when a deadline
+// or cancellation interrupted it; an interrupted solve proves nothing, so
+// dropping on it would be unsound for a bug finder. The batched screen
+// relies on the same asymmetry from the other side: it drops a candidate
+// only on Unsat.
 func FeasibleVerdict(res smt.Result) bool { return res != smt.Unsat }
 
 // newReplayer returns a fresh replay state: its own alias graph and term
@@ -252,7 +253,7 @@ func (v *Validator) validateOne(ctx context.Context, bug *core.PossibleBug, path
 // fallback leaves so a fallback does not replay the path a second time.
 func (v *Validator) solveReplayed(ctx context.Context, r *replayer) core.ValidationOutcome {
 	deadline, _ := ctx.Deadline()
-	res, model, hit, interrupted, evictions := v.solveCached(r.ctx, smt.And(r.atoms...), deadline, ctx.Done())
+	res, model, hit, interrupted, evictions := v.solveCached(r.ctx, r.atoms, deadline, ctx.Done())
 	out := core.ValidationOutcome{
 		Feasible:           FeasibleVerdict(res),
 		Constraints:        int64(len(r.atoms)),
@@ -341,7 +342,7 @@ type replayer struct {
 	ctx     *smt.Context
 	syms    map[*aliasgraph.Node]*smt.Var
 	slot    map[cir.Value]*smt.Var // PATA-NA: versioned local-slot symbols
-	atoms   []smt.Formula
+	atoms   []*smt.Atom
 	unaware int64
 	frames  []*cir.Call
 	execs   map[int]int // per-instruction execution count on this path
@@ -469,7 +470,7 @@ func (r *replayer) termOf(v cir.Value) smt.Term {
 	return r.symOf(n)
 }
 
-func (r *replayer) addAtom(f smt.Formula) { r.atoms = append(r.atoms, f) }
+func (r *replayer) addAtom(a *smt.Atom) { r.atoms = append(r.atoms, a) }
 
 // countUnaware accounts what the alias-unaware encoding would emit for a
 // data-flow fact over a value of type t: one explicit constraint plus one
@@ -675,7 +676,10 @@ func (r *replayer) replayBranch(br *cir.CondBr, taken bool) {
 	r.addAtom(predAtom(pred, r.termOf(cmp.X), r.termOf(cmp.Y)))
 }
 
-func predAtom(p cir.Pred, x, y smt.Term) smt.Formula {
+// predAtom encodes x p y. Every predicate reaching Stage 2 is one of cir's
+// six: the frontend emits only those, the checker specs are built in, and
+// the capsule decoder rejects any other.
+func predAtom(p cir.Pred, x, y smt.Term) *smt.Atom {
 	switch p {
 	case cir.PredEQ:
 		return smt.Eq(x, y)
@@ -690,7 +694,7 @@ func predAtom(p cir.Pred, x, y smt.Term) smt.Formula {
 	case cir.PredGE:
 		return smt.Ge(x, y)
 	}
-	return smt.True
+	panic("pathval: unknown predicate " + string(p))
 }
 
 func isAllocaReg(v cir.Value) bool {

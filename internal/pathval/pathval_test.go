@@ -394,8 +394,8 @@ void func(char *p) {
 
 func TestFeasibleVerdictConservative(t *testing.T) {
 	// Only a proven Unsat drops a candidate. Unknown — which the solver
-	// also returns for constraint systems whose DNF expansion was truncated
-	// at the clause cap — must keep it: a truncated system proves nothing.
+	// returns when a deadline or cancellation interrupts it — must keep
+	// it: an interrupted solve proves nothing.
 	if FeasibleVerdict(smt.Unsat) {
 		t.Error("Unsat must be infeasible")
 	}
@@ -403,7 +403,7 @@ func TestFeasibleVerdictConservative(t *testing.T) {
 		t.Error("Sat must be feasible")
 	}
 	if !FeasibleVerdict(smt.Unknown) {
-		t.Error("Unknown (e.g. truncated DNF) must stay feasible")
+		t.Error("Unknown (an interrupted solve) must stay feasible")
 	}
 }
 
@@ -462,7 +462,7 @@ func TestInterruptedVerdictNotMemoized(t *testing.T) {
 	v := New()
 	ctx := smt.NewContext()
 	x := ctx.Var("x")
-	f := smt.And(smt.Gt(x, smt.Int(0)), smt.Lt(x, smt.Int(10)))
+	f := []*smt.Atom{smt.Gt(x, smt.Int(0)), smt.Lt(x, smt.Int(10))}
 
 	done := make(chan struct{})
 	close(done)
@@ -481,6 +481,41 @@ func TestInterruptedVerdictNotMemoized(t *testing.T) {
 	res, _, hit, _, _ = v.solveCached(ctx, f, time.Time{}, nil)
 	if res != smt.Sat || !hit {
 		t.Fatalf("third solve = (%v, hit=%v), want cached sat", res, hit)
+	}
+}
+
+// TestVerdictCacheKeysByAtomOrder pins the verdict cache's ordered key.
+// The atom order fixes the solver's union-find roots and with them the
+// witness model, so the same atoms in another order are another entry: a
+// hit must return exactly the model a cold solve of the same atoms in the
+// same order finds.
+func TestVerdictCacheKeysByAtomOrder(t *testing.T) {
+	v := New()
+	ctx := smt.NewContext()
+	x, y, z := ctx.Var("x"), ctx.Var("y"), ctx.Var("z")
+	xy := smt.Eq(x, smt.Add(y, smt.Int(1)))
+	xz := smt.Eq(x, z)
+	orders := [][]*smt.Atom{{xy, xz}, {xz, xy}}
+	var models []smt.Model
+	for i, atoms := range orders {
+		res, model, hit, _, _ := v.solveCached(ctx, atoms, time.Time{}, nil)
+		if res != smt.Sat || hit {
+			t.Fatalf("order %d: (%v, hit=%v), want an uncached sat", i, res, hit)
+		}
+		_, cold := smt.NewSolver(ctx).Solve(atoms)
+		if !reflect.DeepEqual(model, cold) {
+			t.Errorf("order %d: model %v, a cold solve finds %v", i, model, cold)
+		}
+		models = append(models, model)
+	}
+	if reflect.DeepEqual(models[0], models[1]) {
+		t.Fatalf("both orders give model %v; the test cannot tell the keys apart", models[0])
+	}
+	for i, atoms := range orders {
+		_, model, hit, _, _ := v.solveCached(ctx, atoms, time.Time{}, nil)
+		if !hit || !reflect.DeepEqual(model, models[i]) {
+			t.Errorf("order %d again: hit=%v model %v, want a hit with %v", i, hit, model, models[i])
+		}
 	}
 }
 

@@ -42,12 +42,12 @@ func TestScreenUnsatIsSolverUnsat(t *testing.T) {
 			var mu sync.Mutex
 			screened, sound := 0, 0
 			v := pathval.New()
-			v.SetScreenOutHook(func(atoms []smt.Formula, numVars int) {
+			v.SetScreenOutHook(func(atoms []*smt.Atom, numVars int) {
 				// A context of its own, numbered past the replay's
 				// variables, for the opaque terms the solver interns.
 				ctx := smt.NewContext()
 				ctx.Reserve(numVars)
-				res := smt.NewSolver(ctx).Solve(smt.And(atoms...))
+				res, _ := smt.NewSolver(ctx).Solve(atoms)
 				mu.Lock()
 				defer mu.Unlock()
 				screened++
@@ -55,7 +55,7 @@ func TestScreenUnsatIsSolverUnsat(t *testing.T) {
 					sound++
 				} else if screened-sound <= 3 {
 					t.Errorf("%s mode %v: screened out, but the solver says %v on %s",
-						src.Spec.Name, mode, res, smt.And(atoms...))
+						src.Spec.Name, mode, res, atoms)
 				}
 			})
 			cfg := core.Config{Checkers: typestate.AllCheckers(), Mode: mode}

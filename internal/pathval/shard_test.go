@@ -19,9 +19,9 @@ import (
 // deterministic per context, so the same i from two goroutines (each with its
 // own context) produces the same structural key — that is what makes cross-
 // goroutine hits and singleflight observable.
-func shardFormula(ctx *smt.Context, i int) smt.Formula {
+func shardFormula(ctx *smt.Context, i int) []*smt.Atom {
 	x := ctx.Var(fmt.Sprintf("x%d", i))
-	return smt.And(smt.Ge(x, smt.Int(int64(i))), smt.Le(x, smt.Int(int64(i)+10)))
+	return []*smt.Atom{smt.Ge(x, smt.Int(int64(i))), smt.Le(x, smt.Int(int64(i)+10))}
 }
 
 // TestShardTableShape pins the shard-table sizing rules: 0 selects the
@@ -69,7 +69,7 @@ func TestShardedCacheConcurrentChurn(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			ctx := smt.NewContext()
-			fs := make([]smt.Formula, distinct)
+			fs := make([][]*smt.Atom, distinct)
 			for i := range fs {
 				fs[i] = shardFormula(ctx, i)
 			}
@@ -103,7 +103,7 @@ type blockingSolve struct {
 	release chan struct{}
 }
 
-func (b *blockingSolve) solve(ctx *smt.Context, f smt.Formula, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
+func (b *blockingSolve) solve(ctx *smt.Context, atoms []*smt.Atom, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
 	b.solves.Add(1)
 	<-b.release
 	return smt.Sat, nil, false

@@ -8,7 +8,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -114,47 +113,6 @@ func WriteIncomplete(w io.Writer, inc []core.IncompleteEntry) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// Summary aggregates bug counts by type.
-type Summary struct {
-	Total  int
-	ByType map[string]int
-}
-
-// Summarize counts bugs per type.
-func Summarize(bugs []*core.Bug) Summary {
-	s := Summary{ByType: make(map[string]int)}
-	for _, b := range bugs {
-		s.Total++
-		s.ByType[string(b.Type)]++
-	}
-	return s
-}
-
-// String renders "12 (8/3/1)"-style counts for the given type order.
-func (s Summary) String() string {
-	keys := make([]string, 0, len(s.ByType))
-	for k := range s.ByType {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, s.ByType[k]))
-	}
-	return fmt.Sprintf("%d (%s)", s.Total, strings.Join(parts, " "))
-}
-
-// Counts renders N (a/b/c) for a fixed type order, the paper's table cell
-// format.
-func Counts(bugs []*core.Bug, order ...string) string {
-	s := Summarize(bugs)
-	parts := make([]string, 0, len(order))
-	for _, k := range order {
-		parts = append(parts, fmt.Sprintf("%d", s.ByType[k]))
-	}
-	return fmt.Sprintf("%d (%s)", s.Total, strings.Join(parts, "/"))
 }
 
 // Table renders an aligned text table.

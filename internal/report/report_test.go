@@ -64,28 +64,6 @@ func TestOriginInstr(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	bugs := someBugs(t)
-	s := Summarize(bugs)
-	if s.Total != len(bugs) {
-		t.Errorf("total = %d", s.Total)
-	}
-	if s.ByType["NPD"] == 0 || s.ByType["ML"] == 0 {
-		t.Errorf("by type = %v", s.ByType)
-	}
-	if !strings.Contains(s.String(), "NPD=") {
-		t.Errorf("summary string = %q", s.String())
-	}
-}
-
-func TestCounts(t *testing.T) {
-	bugs := someBugs(t)
-	cell := Counts(bugs, "NPD", "UVA", "ML")
-	if !strings.HasPrefix(cell, "2 (1/0/1)") {
-		t.Errorf("counts cell = %q", cell)
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	tbl := &Table{Header: []string{"A", "LongHeader", "C"}}
 	tbl.AddRow("aaaa", "b", "c")

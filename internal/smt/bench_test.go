@@ -12,11 +12,11 @@ func BenchmarkConjunction(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		links int
-		link  func(prev, next *Var) Formula
+		link  func(prev, next *Var) *Atom
 		hi    int64
 	}{
-		{"path", 8, func(prev, next *Var) Formula { return Eq(next, Add(prev, Int(1))) }, 100},
-		{"chain-2000", 2000, func(prev, next *Var) Formula { return Eq(prev, Sub(next, Int(1))) }, 2100},
+		{"path", 8, func(prev, next *Var) *Atom { return Eq(next, Add(prev, Int(1))) }, 100},
+		{"chain-2000", 2000, func(prev, next *Var) *Atom { return Eq(prev, Sub(next, Int(1))) }, 2100},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -26,12 +26,12 @@ func BenchmarkConjunction(b *testing.B) {
 				for j := range vars {
 					vars[j] = ctx.Var("v")
 				}
-				fs := []Formula{Ge(vars[0], Int(0))}
+				fs := []*Atom{Ge(vars[0], Int(0))}
 				for j := 1; j < len(vars); j++ {
 					fs = append(fs, c.link(vars[j-1], vars[j]))
 				}
 				fs = append(fs, Le(vars[len(vars)-1], Int(c.hi)), Ne(vars[3], Int(-5)))
-				if s.Solve(And(fs...)) != Sat {
+				if res, _ := s.Solve(fs); res != Sat {
 					b.Fatal("unexpected verdict")
 				}
 			}
@@ -39,24 +39,23 @@ func BenchmarkConjunction(b *testing.B) {
 	}
 }
 
-// BenchmarkFormulaKey measures computing the canonical structural key of a
-// path conjunction — the verdict cache pays this on every lookup, so it must
-// stay far below solve cost.
+// BenchmarkFormulaKey measures computing the structural key of a path
+// conjunction — the verdict cache pays this on every lookup, so it must stay
+// far below solve cost.
 func BenchmarkFormulaKey(b *testing.B) {
 	ctx := NewContext()
 	vars := make([]*Var, 8)
 	for j := range vars {
 		vars[j] = ctx.Var("v")
 	}
-	fs := []Formula{Ge(vars[0], Int(0))}
+	fs := []*Atom{Ge(vars[0], Int(0))}
 	for j := 1; j < len(vars); j++ {
 		fs = append(fs, Eq(vars[j], Add(vars[j-1], Int(1))))
 	}
 	fs = append(fs, Le(vars[len(vars)-1], Int(100)), Ne(vars[3], Int(-5)))
-	f := And(fs...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f.Key() == "" {
+		if Key(fs) == "" {
 			b.Fatal("empty key")
 		}
 	}
@@ -75,11 +74,11 @@ func BenchmarkCursorPush(b *testing.B) {
 	for j := range vars {
 		vars[j] = ctx.Var("v")
 	}
-	base := []Formula{Ge(vars[0], Int(0)), Le(vars[0], Int(100))}
+	base := []*Atom{Ge(vars[0], Int(0)), Le(vars[0], Int(100))}
 	for j := 1; j < len(vars); j++ {
 		base = append(base, Eq(vars[j], Add(vars[j-1], Int(1))))
 	}
-	branch := []Formula{Ge(vars[7], Int(3)), Ne(vars[4], Int(9)), Le(vars[2], Int(50))}
+	branch := []*Atom{Ge(vars[7], Int(3)), Ne(vars[4], Int(9)), Le(vars[2], Int(50))}
 	for _, f := range base {
 		if c.Push(f) != Sat {
 			b.Fatal("base facts refuted")
@@ -132,7 +131,7 @@ func BenchmarkUnsatRefutation(b *testing.B) {
 		ctx := NewContext()
 		s := NewSolver(ctx)
 		x := ctx.Var("x")
-		if s.Solve(And(Eq(x, Int(0)), Ne(x, Int(0)))) != Unsat {
+		if res, _ := s.Solve([]*Atom{Eq(x, Int(0)), Ne(x, Int(0))}); res != Unsat {
 			b.Fatal("should refute")
 		}
 	}

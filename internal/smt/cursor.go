@@ -10,9 +10,10 @@ package smt
 //     branch condition, descend, backtrack, and assert the other — all in
 //     O(changed facts) instead of re-solving the whole conjunction at every
 //     fork.
-//   - Solver runs each DNF cube on a fresh Cursor in batch order (classify
-//     every atom, absorb equalities, check difference bounds, propagate to
-//     a fixpoint, check disequalities), calling the same rule functions.
+//   - Solver runs a whole conjunction on a fresh Cursor in batch order
+//     (classify every atom, absorb equalities, check difference bounds,
+//     propagate to a fixpoint, check disequalities), calling the same rule
+//     functions.
 //
 // Soundness contract: Push returns Unsat only when the accumulated
 // conjunction is provably unsatisfiable. Its rules — atom classification,
@@ -149,34 +150,17 @@ func (c *Cursor) Rollback(mark CursorMark) {
 	}
 }
 
-// Push asserts f as a new conjunct and reports whether the conjunction so
-// far is still possibly satisfiable. Unsat is definitive (and sound);
-// Sat means "not proven unsat". Unsupported formula shapes (negations,
-// disjunctions) are dropped, which only weakens the conjunction and so is
-// conservative. The mutation stays on the trail either way: callers that
-// prune on Unsat roll back to their checkpoint.
-func (c *Cursor) Push(f Formula) Result {
-	c.pushF(f)
+// Push asserts a as a new conjunct and reports whether the conjunction so
+// far is still possibly satisfiable. Unsat is definitive (and sound); Sat
+// means "not proven unsat". The mutation stays on the trail either way:
+// callers that prune on Unsat roll back to their checkpoint.
+func (c *Cursor) Push(a *Atom) Result {
+	splitAtom(c.ctx, a, c.pushEq, c.pushIneq, c.addDiseq)
 	c.recheck()
 	if c.unsat {
 		return Unsat
 	}
 	return Sat
-}
-
-func (c *Cursor) pushF(f Formula) {
-	switch ff := f.(type) {
-	case *BoolLit:
-		if !ff.Val {
-			c.setUnsat()
-		}
-	case *AndF:
-		for _, g := range ff.Fs {
-			c.pushF(g)
-		}
-	case *Atom:
-		splitAtom(c.ctx, ff, c.pushEq, c.pushIneq, c.addDiseq)
-	}
 }
 
 // splitAtom linearizes a as d = X - Y and hands it to the callback for its

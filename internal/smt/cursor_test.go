@@ -80,25 +80,6 @@ func TestCursorDisequalitySingleton(t *testing.T) {
 	}
 }
 
-func TestCursorBoolLitAndNestedAnd(t *testing.T) {
-	ctx := NewContext()
-	c := NewCursor(ctx)
-	x, y := ctx.Var("x"), ctx.Var("y")
-
-	m := c.Checkpoint()
-	if got := c.Push(And(Eq(x, Int(1)), Eq(y, Int(2)), Eq(x, y))); got != Unsat {
-		t.Fatalf("conjunction with embedded conflict: got %v, want Unsat", got)
-	}
-	c.Rollback(m)
-	if got := c.Push(False); got != Unsat {
-		t.Fatalf("false literal: got %v, want Unsat", got)
-	}
-	c.Rollback(m)
-	if got := c.Push(True); got != Sat {
-		t.Fatalf("true literal: got %v, want Sat", got)
-	}
-}
-
 // TestCursorRollbackRestoresExactly re-runs the same push sequence after a
 // rollback and checks the verdicts repeat, i.e. the trail restores union-find
 // attachments, intervals, and the stored (dis)equality lists exactly.
@@ -107,7 +88,7 @@ func TestCursorRollbackRestoresExactly(t *testing.T) {
 	c := NewCursor(ctx)
 	x, y, z := ctx.Var("x"), ctx.Var("y"), ctx.Var("z")
 
-	seq := []Formula{
+	seq := []*Atom{
 		Eq(x, Add(y, Int(2))),
 		Le(y, Int(10)),
 		Gt(z, Int(0)),

@@ -81,7 +81,7 @@ func TestLinearizeConstantFolding(t *testing.T) {
 	ctx := NewContext()
 	s := NewSolver(ctx)
 	cases := []struct {
-		f    Formula
+		f    *Atom
 		want Result
 	}{
 		{Eq(Bin("&", Int(6), Int(3)), Int(2)), Sat},
@@ -92,7 +92,7 @@ func TestLinearizeConstantFolding(t *testing.T) {
 		{Eq(Bin("&", Int(6), Int(3)), Int(3)), Unsat},
 	}
 	for _, c := range cases {
-		if got := s.Solve(c.f); got != c.want {
+		if got := solve(s, c.f); got != c.want {
 			t.Errorf("%s = %v, want %v", c.f, got, c.want)
 		}
 	}
@@ -102,10 +102,10 @@ func TestModelExtraction(t *testing.T) {
 	ctx := NewContext()
 	s := NewSolver(ctx)
 	x, y := ctx.Var("x"), ctx.Var("y")
-	res, model := s.SolveWithModel(And(
+	res, model := s.Solve([]*Atom{
 		Ge(x, Int(10)), Le(x, Int(20)),
 		Eq(y, Add(x, Int(5))),
-	))
+	})
 	if res != Sat {
 		t.Fatalf("res = %v", res)
 	}
@@ -122,7 +122,7 @@ func TestModelPrefersZero(t *testing.T) {
 	ctx := NewContext()
 	s := NewSolver(ctx)
 	x := ctx.Var("x")
-	res, model := s.SolveWithModel(And(Ge(x, Int(-5)), Le(x, Int(5))))
+	res, model := s.Solve([]*Atom{Ge(x, Int(-5)), Le(x, Int(5))})
 	if res != Sat || model[x.ID] != 0 {
 		t.Errorf("model = %v, want x = 0", model)
 	}

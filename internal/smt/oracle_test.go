@@ -8,11 +8,11 @@ import (
 	"repro/internal/smtgen"
 )
 
-// oracleFormulas and oracleSequences size the tier-1 oracle runs; -short
-// runs a tenth of each. FuzzSolverOracle explores further seeds.
+// oracleConjunctions and oracleSequences size the tier-1 oracle runs;
+// -short runs a tenth of each. FuzzSolverOracle explores further seeds.
 const (
-	oracleFormulas  = 20000
-	oracleSequences = 10000
+	oracleConjunctions = 20000
+	oracleSequences    = 10000
 )
 
 func oracleCount(n int) int64 {
@@ -22,20 +22,20 @@ func oracleCount(n int) int64 {
 	return int64(n)
 }
 
-// solverOracle solves the formula generated from seed and, when the solver
-// answers Unsat, searches the enumeration box for a model. It returns the
-// verdict and a description of the counterexample, or "" when there is
-// none.
+// solverOracle solves the conjunction generated from seed and, when the
+// solver answers Unsat, searches the enumeration box for a model. It
+// returns the verdict and a description of the counterexample, or "" when
+// there is none.
 func solverOracle(seed int64) (smt.Result, string) {
 	ctx := smt.NewContext()
 	g := smtgen.New(ctx, seed)
-	f := g.Formula(2)
-	res := smt.NewSolver(ctx).Solve(f)
+	atoms := g.Conj()
+	res, _ := smt.NewSolver(ctx).Solve(atoms)
 	if res != smt.Unsat {
 		return res, ""
 	}
-	if m, ok := smtgen.Model(f, g.Vars); ok {
-		return res, fmt.Sprintf("seed %d: solver Unsat for %s, but %v satisfies it", seed, f, m)
+	if m, ok := smtgen.Model(atoms, g.Vars); ok {
+		return res, fmt.Sprintf("seed %d: solver Unsat for %s, but %v satisfies it", seed, atoms, m)
 	}
 	return res, ""
 }
@@ -48,19 +48,18 @@ func cursorOracle(seed int64) (bool, string) {
 	ctx := smt.NewContext()
 	g := smtgen.New(ctx, seed)
 	c := smt.NewCursor(ctx)
-	var prefix []smt.Formula
+	var prefix []*smt.Atom
 	for i := 2 + int(uint64(seed)%5); i > 0; i-- {
 		a := g.Atom()
 		prefix = append(prefix, a)
 		if c.Push(a) != smt.Unsat {
 			continue
 		}
-		f := smt.And(prefix...)
-		if res := smt.NewSolver(ctx).Solve(f); res != smt.Unsat {
-			return true, fmt.Sprintf("seed %d: cursor Unsat for %s, solver %v", seed, f, res)
+		if res, _ := smt.NewSolver(ctx).Solve(prefix); res != smt.Unsat {
+			return true, fmt.Sprintf("seed %d: cursor Unsat for %s, solver %v", seed, prefix, res)
 		}
-		if m, ok := smtgen.Model(f, g.Vars); ok {
-			return true, fmt.Sprintf("seed %d: cursor Unsat for %s, but %v satisfies it", seed, f, m)
+		if m, ok := smtgen.Model(prefix, g.Vars); ok {
+			return true, fmt.Sprintf("seed %d: cursor Unsat for %s, but %v satisfies it", seed, prefix, m)
 		}
 		return true, ""
 	}
@@ -68,12 +67,12 @@ func cursorOracle(seed int64) (bool, string) {
 }
 
 // TestUnsatSoundnessProperty checks the solver's Unsat against brute force:
-// for generated formulas over one to three variables (+, -, *, / and % by
-// nonzero literals, all six predicates, And/Or/Not nested two deep), no
-// Unsat formula may have a model in [-Box, Box]^n.
+// for generated conjunctions of one to five atoms over one to three
+// variables (+, -, *, / and % by nonzero literals, all six predicates), no
+// Unsat conjunction may have a model in [-Box, Box]^n.
 func TestUnsatSoundnessProperty(t *testing.T) {
 	unsats := 0
-	for seed := int64(0); seed < oracleCount(oracleFormulas); seed++ {
+	for seed := int64(0); seed < oracleCount(oracleConjunctions); seed++ {
 		res, bad := solverOracle(seed)
 		if bad != "" {
 			t.Fatal(bad)
@@ -83,9 +82,9 @@ func TestUnsatSoundnessProperty(t *testing.T) {
 		}
 	}
 	if unsats == 0 {
-		t.Fatal("no generated formula was refuted; the oracle checks nothing")
+		t.Fatal("no generated conjunction was refuted; the oracle checks nothing")
 	}
-	t.Logf("%d of %d formulas Unsat, all confirmed", unsats, oracleCount(oracleFormulas))
+	t.Logf("%d of %d conjunctions Unsat, all confirmed", unsats, oracleCount(oracleConjunctions))
 }
 
 // TestCursorSoundnessSubset checks the cursor's soundness contract: whenever
@@ -94,9 +93,9 @@ func TestUnsatSoundnessProperty(t *testing.T) {
 // not hold — the cursor may answer Sat where the solver proves Unsat.) It
 // runs a fixed grid of sequences, then generated ones.
 func TestCursorSoundnessSubset(t *testing.T) {
-	mkAtoms := func(ctx *smt.Context) [][]smt.Formula {
+	mkAtoms := func(ctx *smt.Context) [][]*smt.Atom {
 		x, y, z := ctx.Var("x"), ctx.Var("y"), ctx.Var("z")
-		return [][]smt.Formula{
+		return [][]*smt.Atom{
 			{smt.Eq(x, smt.Int(0)), smt.Ne(x, smt.Int(0))},
 			{smt.Lt(x, y), smt.Lt(y, z), smt.Lt(z, x)},
 			{smt.Eq(x, smt.Add(y, smt.Int(5))), smt.Le(x, smt.Int(3)), smt.Ge(y, smt.Int(0))},
@@ -113,13 +112,13 @@ func TestCursorSoundnessSubset(t *testing.T) {
 		seq := mkAtoms(ctx)[si]
 		c := smt.NewCursor(ctx)
 		s := smt.NewSolver(ctx)
-		var prefix []smt.Formula
-		for ai, f := range seq {
-			prefix = append(prefix, f)
-			if c.Push(f) != smt.Unsat {
+		var prefix []*smt.Atom
+		for ai, a := range seq {
+			prefix = append(prefix, a)
+			if c.Push(a) != smt.Unsat {
 				continue
 			}
-			if batch := s.Solve(smt.And(prefix...)); batch != smt.Unsat {
+			if batch, _ := s.Solve(prefix); batch != smt.Unsat {
 				t.Errorf("seq %d atom %d: cursor Unsat but batch solver says %v", si, ai, batch)
 			}
 		}

@@ -8,25 +8,25 @@ import (
 	"testing"
 )
 
-// ToSMTLIB2 renders f as a deterministic SMT-LIB2 script: one set-logic
-// line, uninterpreted-function declarations for the bitwise operators the
-// fragment cannot express over Int, declare-const lines for every variable
-// (sorted by ID), one assert, and check-sat. The same formula always
-// produces the same bytes.
+// ToSMTLIB2 renders the conjunction of atoms as a deterministic SMT-LIB2
+// script: one set-logic line, uninterpreted-function declarations for the
+// bitwise operators the fragment cannot express over Int, declare-const
+// lines for every variable (sorted by ID), one assert, and check-sat. The
+// same atoms always produce the same bytes.
 //
 // It lives in the tests because Stage 2 decides with Solver alone: no
 // external solver runs at analysis time. It stays so a formula can still be
 // re-checked by hand against an SMT-LIB2 solver such as Z3 (write
-// ToSMTLIB2(f) to a file from a test and run `z3 FILE`).
+// ToSMTLIB2(atoms) to a file from a test and run `z3 FILE`).
 //
 // Division and remainder map to the SMT-LIB div/mod (like the built-in
 // solver, both are treated opaquely unless constant, so an external solver
 // being exact here only ever refutes more paths — still sound). The bitwise
 // and shift operators become uninterpreted functions, matching the built-in
 // solver's opaque treatment.
-func ToSMTLIB2(f Formula) string {
+func ToSMTLIB2(atoms []*Atom) string {
 	e := &smtlibEmitter{vars: map[int]bool{}, funs: map[string]bool{}}
-	body := e.formula(f)
+	body := e.conj(atoms)
 	var b strings.Builder
 	b.WriteString("(set-logic QF_UFNIA)\n")
 	funs := make([]string, 0, len(e.funs))
@@ -101,48 +101,32 @@ func (e *smtlibEmitter) term(t Term) string {
 	return "0"
 }
 
-func (e *smtlibEmitter) formula(f Formula) string {
-	switch ff := f.(type) {
-	case *BoolLit:
-		if ff.Val {
-			return "true"
-		}
-		return "false"
-	case *Atom:
-		x, y := e.term(ff.X), e.term(ff.Y)
-		switch ff.Pred {
-		case "==":
-			return fmt.Sprintf("(= %s %s)", x, y)
-		case "!=":
-			return fmt.Sprintf("(not (= %s %s))", x, y)
-		default: // <, <=, >, >= are SMT-LIB operators verbatim
-			return fmt.Sprintf("(%s %s %s)", ff.Pred, x, y)
-		}
-	case *AndF:
-		if len(ff.Fs) == 0 {
-			return "true"
-		}
-		return e.join("and", ff.Fs)
-	case *OrF:
-		if len(ff.Fs) == 0 {
-			return "false"
-		}
-		return e.join("or", ff.Fs)
-	case *NotF:
-		return "(not " + e.formula(ff.F) + ")"
+func (e *smtlibEmitter) atom(a *Atom) string {
+	x, y := e.term(a.X), e.term(a.Y)
+	switch a.Pred {
+	case "==":
+		return fmt.Sprintf("(= %s %s)", x, y)
+	case "!=":
+		return fmt.Sprintf("(not (= %s %s))", x, y)
+	default: // <, <=, >, >= are SMT-LIB operators verbatim
+		return fmt.Sprintf("(%s %s %s)", a.Pred, x, y)
 	}
-	return "true"
 }
 
-func (e *smtlibEmitter) join(op string, fs []Formula) string {
-	if len(fs) == 1 {
-		return e.formula(fs[0])
+// conj renders the conjunction: true when empty, the atom itself when
+// single.
+func (e *smtlibEmitter) conj(atoms []*Atom) string {
+	switch len(atoms) {
+	case 0:
+		return "true"
+	case 1:
+		return e.atom(atoms[0])
 	}
 	var b strings.Builder
-	b.WriteString("(" + op)
-	for _, f := range fs {
+	b.WriteString("(and")
+	for _, a := range atoms {
 		b.WriteString(" ")
-		b.WriteString(e.formula(f))
+		b.WriteString(e.atom(a))
 	}
 	b.WriteString(")")
 	return b.String()
@@ -151,14 +135,14 @@ func (e *smtlibEmitter) join(op string, fs []Formula) string {
 func TestSMTLIB2Deterministic(t *testing.T) {
 	ctx := NewContext()
 	a, b, c := ctx.Var("a"), ctx.Var("b"), ctx.Var("c")
-	f := And(
+	f := []*Atom{
 		Gt(a, Int(0)),
 		Eq(b, Add(a, Int(1))),
 		Ne(c, Bin("&", a, b)),
 		Le(Mul(a, b), Int(100)),
 		Lt(Div(a, Int(2)), Rem(b, Int(3))),
-		Or(Eq(a, Int(-5)), Not(Eq(b, c))),
-	)
+		Ge(a, Int(-5)),
+	}
 	s1 := ToSMTLIB2(f)
 	s2 := ToSMTLIB2(f)
 	if s1 != s2 {
@@ -172,7 +156,9 @@ func TestSMTLIB2Deterministic(t *testing.T) {
 		"(declare-const v3 Int)",
 		"(div v1 2)",
 		"(mod v2 3)",
-		"(- 5)",
+		"(>= v1 (- 5))",
+		"(not (= v3 (iand v1 v2)))",
+		"(assert (and (> v1 0) (= v2 (+ v1 1)) ",
 		"(check-sat)",
 	} {
 		if !strings.Contains(s1, want) {
@@ -189,9 +175,14 @@ func TestSMTLIB2Deterministic(t *testing.T) {
 }
 
 func TestSMTLIB2EmptyConjunction(t *testing.T) {
-	s := ToSMTLIB2(And())
+	s := ToSMTLIB2(nil)
 	if !strings.Contains(s, "(assert true)") {
 		t.Errorf("empty conjunction should assert true:\n%s", s)
+	}
+	ctx := NewContext()
+	x := ctx.Var("x")
+	if s := ToSMTLIB2([]*Atom{Lt(x, Int(3))}); !strings.Contains(s, "(assert (< v1 3))") {
+		t.Errorf("a single atom should be asserted bare:\n%s", s)
 	}
 }
 
@@ -203,7 +194,7 @@ func TestDeadlinePollsInterruptMidPass(t *testing.T) {
 	ctx := NewContext()
 	// A long chain of inequalities keeps one propagation pass busy well past
 	// a poll stride.
-	var fs []Formula
+	var fs []*Atom
 	vars := make([]*Var, 48)
 	for i := range vars {
 		vars[i] = ctx.Var("x")
@@ -218,7 +209,7 @@ func TestDeadlinePollsInterruptMidPass(t *testing.T) {
 	s := NewSolver(ctx)
 	s.Done = done
 	s.pollHook = func() { once.Do(func() { close(done) }) }
-	res := s.Solve(And(fs...))
+	res, _ := s.Solve(fs)
 	if res != Unknown {
 		t.Errorf("mid-pass interruption must answer Unknown, got %v", res)
 	}
@@ -232,7 +223,7 @@ func TestDeadlinePollsInterruptMidPass(t *testing.T) {
 	// The same system with no interruption decides normally and still counts
 	// its polls.
 	s2 := NewSolver(ctx)
-	if res := s2.Solve(And(fs...)); res != Sat {
+	if res, _ := s2.Solve(fs); res != Sat {
 		t.Errorf("uninterrupted chain should be sat, got %v", res)
 	}
 	if s2.Interrupted {

@@ -25,13 +25,9 @@ func (r Result) String() string {
 
 // Stats accumulates solver work counters.
 type Stats struct {
-	Queries      int
-	Conjunctions int
-	Atoms        int
-	Splits       int
 	// DeadlinePolls counts interrupt checks taken inside a propagation pass
 	// (every pollStride inequalities), in addition to the checks between
-	// cubes and between passes. Tests pin the in-pass granularity with it.
+	// passes. Tests pin the in-pass granularity with it.
 	DeadlinePolls int
 }
 
@@ -45,15 +41,13 @@ const pollStride = 16
 // maxIters bounds interval-propagation rounds per conjunction.
 const maxIters = 50
 
-// Solver decides formulas built from the constructors in this package.
+// Solver decides conjunctions of atoms built from the constructors in this
+// package.
 type Solver struct {
 	ctx *Context
-	// MaxCubes bounds DNF expansion; beyond it the solver answers Unknown
-	// rather than exploding.
-	MaxCubes int
 	// Deadline, when non-zero, makes the solver give up with Unknown once
-	// the wall clock passes it. Checked between cubes and between interval
-	// propagation rounds, so a query stops within one bounded unit of work.
+	// the wall clock passes it. Checked before and during each interval
+	// propagation round, so a query stops within one bounded unit of work.
 	Deadline time.Time
 	// Done, when non-nil, interrupts the query with Unknown once the
 	// channel is closed (typically a context's Done channel).
@@ -90,13 +84,7 @@ func (s *Solver) interrupted() bool {
 
 // NewSolver returns a solver bound to ctx.
 func NewSolver(ctx *Context) *Solver {
-	return &Solver{ctx: ctx, MaxCubes: 64}
-}
-
-// Solve decides f.
-func (s *Solver) Solve(f Formula) Result {
-	r, _ := s.SolveWithModel(f)
-	return r
+	return &Solver{ctx: ctx}
 }
 
 // Model is a witness assignment for a Sat verdict: variable ID → value.
@@ -105,128 +93,24 @@ func (s *Solver) Solve(f Formula) Result {
 // exactly what a bug report needs: plausible concrete trigger values.
 type Model map[int]int64
 
-// SolveWithModel decides f and, when satisfiable, returns candidate witness
-// values for the variables of the first satisfiable cube.
-func (s *Solver) SolveWithModel(f Formula) (Result, Model) {
-	s.Stats.Queries++
+// Solve decides the conjunction of atoms and, when it is satisfiable,
+// returns candidate witness values for its variables. Unknown means the
+// query was interrupted (see Interrupted).
+func (s *Solver) Solve(atoms []*Atom) (Result, Model) {
 	s.Interrupted = false
-	cubes, overflow := s.dnf(nnf(f, false), s.MaxCubes)
-	sawUnknown := overflow
-	for _, cube := range cubes {
-		if s.interrupted() {
-			sawUnknown = true
-			break
-		}
-		s.Stats.Conjunctions++
-		res, model := s.solveConjModel(cube)
-		switch res {
-		case Sat:
-			return Sat, model
-		case Unknown:
-			sawUnknown = true
-		}
-	}
-	if sawUnknown {
+	if s.interrupted() {
 		return Unknown, nil
 	}
-	return Unsat, nil
+	return s.solveConjModel(atoms)
 }
 
-// nnf pushes negations down to atoms.
-func nnf(f Formula, neg bool) Formula {
-	switch ff := f.(type) {
-	case *BoolLit:
-		return &BoolLit{Val: ff.Val != neg}
-	case *Atom:
-		if !neg {
-			return ff
-		}
-		return &Atom{Pred: negatePred(ff.Pred), X: ff.X, Y: ff.Y}
-	case *NotF:
-		return nnf(ff.F, !neg)
-	case *AndF:
-		out := make([]Formula, len(ff.Fs))
-		for i, g := range ff.Fs {
-			out[i] = nnf(g, neg)
-		}
-		if neg {
-			return &OrF{Fs: out}
-		}
-		return &AndF{Fs: out}
-	case *OrF:
-		out := make([]Formula, len(ff.Fs))
-		for i, g := range ff.Fs {
-			out[i] = nnf(g, neg)
-		}
-		if neg {
-			return &AndF{Fs: out}
-		}
-		return &OrF{Fs: out}
-	}
-	return f
-}
-
-// dnf expands an NNF formula into cubes (conjunctions of atoms), capped at
-// max cubes. The second result reports whether the cap truncated expansion.
-func (s *Solver) dnf(f Formula, max int) ([][]*Atom, bool) {
-	switch ff := f.(type) {
-	case *BoolLit:
-		if ff.Val {
-			return [][]*Atom{{}}, false
-		}
-		return nil, false
-	case *Atom:
-		return [][]*Atom{{ff}}, false
-	case *AndF:
-		cubes := [][]*Atom{{}}
-		overflow := false
-		for _, g := range ff.Fs {
-			sub, of := s.dnf(g, max)
-			overflow = overflow || of
-			var next [][]*Atom
-			for _, c := range cubes {
-				for _, d := range sub {
-					merged := make([]*Atom, 0, len(c)+len(d))
-					merged = append(merged, c...)
-					merged = append(merged, d...)
-					next = append(next, merged)
-					if len(next) > max {
-						s.Stats.Splits++
-						return next[:max], true
-					}
-				}
-			}
-			cubes = next
-			if len(cubes) == 0 {
-				return nil, overflow // one conjunct is false
-			}
-		}
-		return cubes, overflow
-	case *OrF:
-		var cubes [][]*Atom
-		overflow := false
-		for _, g := range ff.Fs {
-			sub, of := s.dnf(g, max-len(cubes))
-			overflow = overflow || of
-			cubes = append(cubes, sub...)
-			if len(cubes) >= max {
-				s.Stats.Splits++
-				return cubes[:max], true
-			}
-		}
-		return cubes, overflow
-	}
-	return [][]*Atom{{}}, false
-}
-
-// solveConjModel decides one cube on a fresh Cursor in batch order: every
+// solveConjModel decides a conjunction on a fresh Cursor in batch order: every
 // atom is classified first, equalities are absorbed in two passes (so
 // substitutions expose new unions), and only then do the difference-bound
 // check, interval propagation to a fixpoint and the disequality check run.
 // The order fixes which variables become union-find roots, and with them
 // the witness models.
 func (s *Solver) solveConjModel(atoms []*Atom) (Result, Model) {
-	s.Stats.Atoms += len(atoms)
 	c := NewCursor(s.ctx)
 
 	var eqs []*lin

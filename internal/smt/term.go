@@ -1,24 +1,24 @@
 // Package smt is a small SMT solver for the constraint fragment PATA's
 // path validation emits (Table 3 of the paper): per-path conjunctions of
-// linear integer (in)equalities over alias-class symbols, with occasional
-// disjunctions from lowered boolean operators.
+// linear integer (in)equalities over alias-class symbols. A conjunction of
+// atoms is the only thing it decides; Stage 2 never builds a disjunction or
+// a negation, because the frontend lowers && and || to branches and each
+// branch contributes one atom.
 //
 // One decision core, Cursor, holds an offset union-find over equalities,
 // per-class intervals and the stored inequalities and disequalities. Solver
-// expands a formula into at most MaxCubes DNF cubes and decides each on a
-// fresh Cursor: equality absorption, a difference-bound negative-cycle
-// check, interval (bound) propagation to a fixpoint, then disequality
-// checking. The batched Stage-2 screen pushes atoms into one Cursor
-// incrementally and calls the same rule functions, so its Unsat is a
-// subset of the Solver's. UNSAT answers are sound; SAT answers may be
-// over-approximate (the paper accepts the same incompleteness for Z3 on
-// complex arithmetic, §5.2) — a "SAT" path keeps its bug report, which is
-// the conservative direction for a bug finder.
+// decides a conjunction on a fresh Cursor: equality absorption, a
+// difference-bound negative-cycle check, interval (bound) propagation to a
+// fixpoint, then disequality checking. The batched Stage-2 screen pushes
+// atoms into one Cursor incrementally and calls the same rule functions, so
+// its Unsat is a subset of the Solver's. UNSAT answers are sound; SAT
+// answers may be over-approximate (the paper accepts the same
+// incompleteness for Z3 on complex arithmetic, §5.2) — a "SAT" path keeps
+// its bug report, which is the conservative direction for a bug finder.
 package smt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -143,17 +143,6 @@ func Rem(x, y Term) Term { return &BinTerm{Op: "%", X: x, Y: y} }
 // Bin returns the binary term x op y for any operator.
 func Bin(op string, x, y Term) Term { return &BinTerm{Op: op, X: x, Y: y} }
 
-// Formula is a boolean combination of atoms.
-type Formula interface {
-	String() string
-	// Key returns a canonical structural key: two formulas with equal keys
-	// are syntactically identical up to the order of conjuncts/disjuncts.
-	// Variable identity is part of the key (terms key by Var ID), so keys
-	// are only comparable for formulas built in deterministically replayed
-	// contexts. Used by pathval's verdict cache to memoize solver calls.
-	Key() string
-}
-
 // Atom is X pred Y over integer terms.
 type Atom struct {
 	Pred string // "==", "!=", "<", "<=", ">", ">="
@@ -162,122 +151,39 @@ type Atom struct {
 
 func (a *Atom) String() string { return fmt.Sprintf("%s %s %s", a.X, a.Pred, a.Y) }
 
-// Key implements Formula.
+// Key returns the atom's structural key. Variable identity is part of the
+// key (terms key by Var ID), so keys are only comparable for atoms built in
+// deterministically replayed contexts.
 func (a *Atom) Key() string { return "(" + a.X.key() + a.Pred + a.Y.key() + ")" }
 
-// AndF is a conjunction.
-type AndF struct{ Fs []Formula }
-
-func (f *AndF) String() string { return joinF("and", f.Fs) }
-
-// Key implements Formula: conjunct order does not affect satisfiability, so
-// child keys are sorted to canonicalize the conjunction.
-func (f *AndF) Key() string { return keyF("and", f.Fs) }
-
-// OrF is a disjunction.
-type OrF struct{ Fs []Formula }
-
-func (f *OrF) String() string { return joinF("or", f.Fs) }
-
-// Key implements Formula (children sorted, as for AndF).
-func (f *OrF) Key() string { return keyF("or", f.Fs) }
-
-// NotF is a negation.
-type NotF struct{ F Formula }
-
-func (f *NotF) String() string { return "(not " + f.F.String() + ")" }
-
-// Key implements Formula.
-func (f *NotF) Key() string { return "(not " + f.F.Key() + ")" }
-
-// BoolLit is a constant formula.
-type BoolLit struct{ Val bool }
-
-func (f *BoolLit) String() string {
-	if f.Val {
-		return "true"
-	}
-	return "false"
-}
-
-// Key implements Formula.
-func (f *BoolLit) Key() string { return f.String() }
-
-// keyF renders a canonical key for a commutative boolean combination.
-func keyF(op string, fs []Formula) string {
-	keys := make([]string, len(fs))
-	for i, f := range fs {
-		keys[i] = f.Key()
-	}
-	sort.Strings(keys)
+// Key returns the structural key of the conjunction of atoms: the atom keys
+// in order. Each atom key is parenthesized, so the concatenation is
+// unambiguous. The order is part of the key because it fixes the solver's
+// union-find roots and with them the witness model; pathval's verdict cache
+// files solves under it, so a hit returns exactly the model a cold solve of
+// the same atoms in the same order would.
+func Key(atoms []*Atom) string {
 	var b strings.Builder
-	b.WriteString("(" + op)
-	for _, k := range keys {
-		b.WriteString(" ")
-		b.WriteString(k)
+	for _, a := range atoms {
+		b.WriteString(a.Key())
 	}
-	b.WriteString(")")
 	return b.String()
 }
-
-func joinF(op string, fs []Formula) string {
-	var b strings.Builder
-	b.WriteString("(" + op)
-	for _, f := range fs {
-		b.WriteString(" ")
-		b.WriteString(f.String())
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
-// True and False are the constant formulas.
-var (
-	True  Formula = &BoolLit{Val: true}
-	False Formula = &BoolLit{Val: false}
-)
 
 // Eq returns x == y.
-func Eq(x, y Term) Formula { return &Atom{Pred: "==", X: x, Y: y} }
+func Eq(x, y Term) *Atom { return &Atom{Pred: "==", X: x, Y: y} }
 
 // Ne returns x != y.
-func Ne(x, y Term) Formula { return &Atom{Pred: "!=", X: x, Y: y} }
+func Ne(x, y Term) *Atom { return &Atom{Pred: "!=", X: x, Y: y} }
 
 // Lt returns x < y.
-func Lt(x, y Term) Formula { return &Atom{Pred: "<", X: x, Y: y} }
+func Lt(x, y Term) *Atom { return &Atom{Pred: "<", X: x, Y: y} }
 
 // Le returns x <= y.
-func Le(x, y Term) Formula { return &Atom{Pred: "<=", X: x, Y: y} }
+func Le(x, y Term) *Atom { return &Atom{Pred: "<=", X: x, Y: y} }
 
 // Gt returns x > y.
-func Gt(x, y Term) Formula { return &Atom{Pred: ">", X: x, Y: y} }
+func Gt(x, y Term) *Atom { return &Atom{Pred: ">", X: x, Y: y} }
 
 // Ge returns x >= y.
-func Ge(x, y Term) Formula { return &Atom{Pred: ">=", X: x, Y: y} }
-
-// And returns the conjunction of fs.
-func And(fs ...Formula) Formula { return &AndF{Fs: fs} }
-
-// Or returns the disjunction of fs.
-func Or(fs ...Formula) Formula { return &OrF{Fs: fs} }
-
-// Not returns the negation of f.
-func Not(f Formula) Formula { return &NotF{F: f} }
-
-func negatePred(p string) string {
-	switch p {
-	case "==":
-		return "!="
-	case "!=":
-		return "=="
-	case "<":
-		return ">="
-	case "<=":
-		return ">"
-	case ">":
-		return "<="
-	case ">=":
-		return "<"
-	}
-	return p
-}
+func Ge(x, y Term) *Atom { return &Atom{Pred: ">=", X: x, Y: y} }

@@ -1,8 +1,8 @@
-// Package smtgen draws small random smt formulas and decides them by brute
-// force over a bounded box. Tests and fuzz targets use it as an oracle: the
-// solver's Unsat is sound only if no assignment in the box satisfies the
-// formula, so every Unsat the solver or the cursor reports can be checked
-// by enumeration.
+// Package smtgen draws small random smt conjunctions and decides them by
+// brute force over a bounded box. Tests and fuzz targets use it as an
+// oracle: the solver's Unsat is sound only if no assignment in the box
+// satisfies the conjunction, so every Unsat the solver or the cursor
+// reports can be checked by enumeration.
 package smtgen
 
 import (
@@ -18,7 +18,7 @@ const Box = 6
 
 var preds = []string{"==", "!=", "<", "<=", ">", ">="}
 
-// Gen draws formulas over one to three fresh variables.
+// Gen draws conjunctions over one to three fresh variables.
 type Gen struct {
 	rng  *rand.Rand
 	Vars []*smt.Var
@@ -73,28 +73,13 @@ func (g *Gen) Atom() *smt.Atom {
 	return &smt.Atom{Pred: preds[g.rng.Intn(len(preds))], X: g.Term(2), Y: g.Term(1)}
 }
 
-// Formula draws a boolean combination of atoms with And, Or and Not nested
-// to at most depth levels.
-func (g *Gen) Formula(depth int) smt.Formula {
-	if depth == 0 || g.rng.Intn(4) == 0 {
-		return g.Atom()
+// Conj draws a conjunction of one to five atoms.
+func (g *Gen) Conj() []*smt.Atom {
+	atoms := make([]*smt.Atom, 1+g.rng.Intn(5))
+	for i := range atoms {
+		atoms[i] = g.Atom()
 	}
-	switch g.rng.Intn(5) {
-	case 0:
-		return smt.Not(g.Formula(depth - 1))
-	case 1:
-		return smt.Or(g.children(depth)...)
-	default:
-		return smt.And(g.children(depth)...)
-	}
-}
-
-func (g *Gen) children(depth int) []smt.Formula {
-	fs := make([]smt.Formula, 2+g.rng.Intn(3))
-	for i := range fs {
-		fs[i] = g.Formula(depth - 1)
-	}
-	return fs
+	return atoms
 }
 
 // EvalTerm evaluates t under env (variable ID → value) with Go's
@@ -124,56 +109,43 @@ func EvalTerm(t smt.Term, env map[int]int64) int64 {
 	panic(fmt.Sprintf("smtgen: cannot evaluate term %T", t))
 }
 
-// Eval reports whether f holds under env.
-func Eval(f smt.Formula, env map[int]int64) bool {
-	switch ff := f.(type) {
-	case *smt.BoolLit:
-		return ff.Val
-	case *smt.Atom:
-		x, y := EvalTerm(ff.X, env), EvalTerm(ff.Y, env)
-		switch ff.Pred {
-		case "==":
-			return x == y
-		case "!=":
-			return x != y
-		case "<":
-			return x < y
-		case "<=":
-			return x <= y
-		case ">":
-			return x > y
-		case ">=":
-			return x >= y
+// Eval reports whether every atom holds under env.
+func Eval(atoms []*smt.Atom, env map[int]int64) bool {
+	for _, a := range atoms {
+		if !evalAtom(a, env) {
+			return false
 		}
-		panic("smtgen: unknown predicate " + ff.Pred)
-	case *smt.NotF:
-		return !Eval(ff.F, env)
-	case *smt.AndF:
-		for _, g := range ff.Fs {
-			if !Eval(g, env) {
-				return false
-			}
-		}
-		return true
-	case *smt.OrF:
-		for _, g := range ff.Fs {
-			if Eval(g, env) {
-				return true
-			}
-		}
-		return false
 	}
-	panic(fmt.Sprintf("smtgen: cannot evaluate formula %T", f))
+	return true
 }
 
-// Model searches [-Box, Box]^len(vars) for an assignment satisfying f and
-// returns the first one found.
-func Model(f smt.Formula, vars []*smt.Var) (map[int]int64, bool) {
+func evalAtom(a *smt.Atom, env map[int]int64) bool {
+	x, y := EvalTerm(a.X, env), EvalTerm(a.Y, env)
+	switch a.Pred {
+	case "==":
+		return x == y
+	case "!=":
+		return x != y
+	case "<":
+		return x < y
+	case "<=":
+		return x <= y
+	case ">":
+		return x > y
+	case ">=":
+		return x >= y
+	}
+	panic("smtgen: unknown predicate " + a.Pred)
+}
+
+// Model searches [-Box, Box]^len(vars) for an assignment satisfying every
+// atom and returns the first one found.
+func Model(atoms []*smt.Atom, vars []*smt.Var) (map[int]int64, bool) {
 	env := make(map[int]int64, len(vars))
 	var search func(i int) bool
 	search = func(i int) bool {
 		if i == len(vars) {
-			return Eval(f, env)
+			return Eval(atoms, env)
 		}
 		for v := int64(-Box); v <= Box; v++ {
 			env[vars[i].ID] = v
