@@ -142,13 +142,7 @@ func BenchmarkStage2Validation(b *testing.B) {
 		b.Fatal(err)
 	}
 	res := core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
-	var groups [][]*core.PossibleBug
-	for i, pb := range res.Possible {
-		if i == 0 || pb.EntryFn != res.Possible[i-1].EntryFn {
-			groups = append(groups, nil)
-		}
-		groups[len(groups)-1] = append(groups[len(groups)-1], pb)
-	}
+	groups := entryGroups(res.Possible)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -158,6 +152,19 @@ func BenchmarkStage2Validation(b *testing.B) {
 			v.ValidateBatchCtx(ctx, g, core.ModePATA)
 		}
 	}
+}
+
+// entryGroups splits candidates into their contiguous same-entry groups,
+// the batches the engine's Stage 2 hands to its hook.
+func entryGroups(possible []*core.PossibleBug) [][]*core.PossibleBug {
+	var groups [][]*core.PossibleBug
+	for i, pb := range possible {
+		if i == 0 || pb.EntryFn != possible[i-1].EntryFn {
+			groups = append(groups, nil)
+		}
+		groups[len(groups)-1] = append(groups[len(groups)-1], pb)
+	}
+	return groups
 }
 
 // BenchmarkSMTSolver measures the SMT-lite solver on a representative
@@ -338,7 +345,8 @@ func BenchmarkParallelWorkers(b *testing.B) {
 // BenchmarkValidatorCache measures the Stage-2 verdict cache: "cold" pays a
 // fresh validator (every constraint system solved), "warm" revalidates the
 // same candidates against an already-populated cache (every solve is a
-// lookup of the memoized verdict and model).
+// lookup of the memoized verdict and model). Candidates go to
+// ValidateBatchCtx in their same-entry groups, as the engine hands them.
 func BenchmarkValidatorCache(b *testing.B) {
 	c := oscorpus.Generate(oscorpus.LinuxSpec())
 	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
@@ -349,24 +357,24 @@ func BenchmarkValidatorCache(b *testing.B) {
 	if len(res.Possible) == 0 {
 		b.Fatal("no candidates")
 	}
+	groups := entryGroups(res.Possible)
+	ctx := context.Background()
+	validateAll := func(v *pathval.Validator) {
+		for _, g := range groups {
+			v.ValidateBatchCtx(ctx, g, core.ModePATA)
+		}
+	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			v := pathval.New()
-			for _, pb := range res.Possible {
-				v.Validate(pb, core.ModePATA)
-			}
+			validateAll(pathval.New())
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		v := pathval.New()
-		for _, pb := range res.Possible {
-			v.Validate(pb, core.ModePATA)
-		}
+		validateAll(v)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, pb := range res.Possible {
-				v.Validate(pb, core.ModePATA)
-			}
+			validateAll(v)
 		}
 	})
 }

@@ -32,13 +32,17 @@ func TestCancelDuringValidation(t *testing.T) {
 	validating := make(chan struct{}, 1)
 	cfg := core.Config{
 		Checkers: typestate.CoreCheckers(),
-		ValidatePath: func(ctx context.Context, bug *core.PossibleBug, mode core.Mode) core.ValidationOutcome {
-			select {
-			case validating <- struct{}{}:
-			default:
+		ValidateBatch: func(ctx context.Context, bugs []*core.PossibleBug, mode core.Mode) []core.ValidationOutcome {
+			outs := make([]core.ValidationOutcome, len(bugs))
+			for i := range bugs {
+				select {
+				case validating <- struct{}{}:
+				default:
+				}
+				<-ctx.Done()
+				outs[i] = core.ValidationOutcome{Feasible: true, TimedOut: true}
 			}
-			<-ctx.Done()
-			return core.ValidationOutcome{Feasible: true, TimedOut: true}
+			return outs
 		},
 	}
 

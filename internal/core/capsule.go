@@ -33,11 +33,10 @@ const capsuleVersion = 10
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
 // every budget knob, the feature toggles, whether Stage-2 validation is
-// live and whether it is batched (batching changes the constraint counters
-// a capsule's verdicts replay), the checker set (specs by content digest,
-// others by name, in configured order — order affects checker indices and
-// alias-set capture), the intrinsics table, and the module's globals (name
-// and element type; global bodies don't exist in CIR). EntryKey mixes this
+// live, the checker set (specs by content digest, others by name, in
+// configured order — order affects checker indices and alias-set
+// capture), the intrinsics table, and the module's globals (name and
+// element type; global bodies don't exist in CIR). EntryKey mixes this
 // salt into every per-entry key, so changing any of these is a full cache
 // invalidation. Call on a withDefaults() config — zero fields would
 // otherwise alias their defaulted spellings.
@@ -50,7 +49,7 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h = hmix.Mix3(h,
 		uint64(int64(c.MaxContinuationsPerCall)),
 		uint64(int64(c.LoopUnroll)))
-	h = hmix.Mix3(h, boolBit(c.ValidatePath != nil), boolBit(c.ValidateBatch != nil))
+	h = hmix.Mix2(h, boolBit(c.ValidateBatch != nil))
 	// Fault injection perturbs exploration, so its presence is salted;
 	// EntryTimeout/RunTimeout/MaxRetries deliberately are not — degraded
 	// entries are simply never persisted, so timing knobs cannot poison

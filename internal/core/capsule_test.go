@@ -54,10 +54,10 @@ func lowerCapsuleSrc(t *testing.T) *cir.Module {
 // salt, while irrelevant knobs (trace hooks, timing knobs) do not.
 func TestAnalysisSaltInvalidation(t *testing.T) {
 	mod := lowerCapsuleSrc(t)
-	valid := func(context.Context, *PossibleBug, Mode) ValidationOutcome {
-		return ValidationOutcome{Feasible: true}
+	valid := func(_ context.Context, bugs []*PossibleBug, _ Mode) []ValidationOutcome {
+		return make([]ValidationOutcome, len(bugs))
 	}
-	base := Config{ValidatePath: valid}
+	base := Config{ValidateBatch: valid}
 	salt := func(c Config) uint64 { return c.withDefaults().analysisSalt(mod) }
 	s0 := salt(base)
 
@@ -71,13 +71,7 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 		{"MaxStepsPerEntry", func(c Config) Config { c.MaxStepsPerEntry = 5000; return c }},
 		{"MaxContinuationsPerCall", func(c Config) Config { c.MaxContinuationsPerCall = 7; return c }},
 		{"LoopUnroll", func(c Config) Config { c.LoopUnroll = 2; return c }},
-		{"ValidatePath", func(c Config) Config { c.ValidatePath = nil; return c }},
-		{"ValidateBatch", func(c Config) Config {
-			c.ValidateBatch = func(_ context.Context, bugs []*PossibleBug, _ Mode) []ValidationOutcome {
-				return make([]ValidationOutcome, len(bugs))
-			}
-			return c
-		}},
+		{"ValidateBatch", func(c Config) Config { c.ValidateBatch = nil; return c }},
 		{"Checkers", func(c Config) Config {
 			c.Checkers = append(typestate.CoreCheckers(), typestate.NewDBZ())
 			return c

@@ -65,24 +65,25 @@ type Config struct {
 	// bugs whose trigger needs several iterations become reachable, at a
 	// path-count cost.
 	LoopUnroll int
-	// ValidatePath decides a candidate bug's path feasibility; it returns
-	// false when the path is proven infeasible (the bug is dropped). It is
-	// installed by the pathval package (or a custom validator); when nil,
-	// Stage-2 validation is skipped. The counts it returns feed the Table 5
+	// ValidatePath is never read: ValidateBatch is the one Stage-2 hook.
+	// The field remains only so that code still assigning it compiles.
+	//
+	// Deprecated: ignored; install a Stage-2 validator as ValidateBatch.
+	ValidatePath func(ctx context.Context, bug *PossibleBug, mode Mode) ValidationOutcome
+	// ValidateBatch is the Stage-2 hook: it decides the path feasibility
+	// of a group of candidates from ONE entry function, outcomes
+	// positionally parallel to bugs; a candidate proven infeasible
+	// (Feasible false) is dropped. It is installed by the pathval package
+	// (or a custom validator); when nil, Stage-2 validation is skipped.
+	// The engine calls it once per contiguous same-entry candidate group,
+	// singletons included, so a validator can share path-condition
+	// prefixes across the group. The counts it returns feed the Table 5
 	// constraint statistics. The context carries the run's cancellation
-	// and, when EntryTimeout is set, a per-candidate deadline; an
+	// and, when EntryTimeout is set, one deadline for the whole group; an
 	// implementation that cannot finish in time must return a conservative
 	// verdict (Feasible) with TimedOut set rather than block. RunParallel
-	// calls it (and ValidateBatch) from several workers at once, so both
-	// must be safe for concurrent use (pathval's Validator is).
-	ValidatePath func(ctx context.Context, bug *PossibleBug, mode Mode) ValidationOutcome
-	// ValidateBatch, when set, validates a group of candidates from ONE
-	// entry function in a single call (installed by pathval alongside
-	// ValidatePath). The engine hands it contiguous same-entry candidate
-	// runs so a batched validator can share path-condition prefixes across
-	// the group; outcomes are positionally parallel to the input. The
-	// verdicts must be identical to calling ValidatePath per candidate —
-	// batching is a scheduling optimization, not a semantics change.
+	// calls it from several workers at once, so it must be safe for
+	// concurrent use (pathval's Validator is).
 	ValidateBatch func(ctx context.Context, bugs []*PossibleBug, mode Mode) []ValidationOutcome
 	// Cache, when set, enables content-addressed incremental analysis:
 	// RunParallel keys each entry function by the fingerprints of every
@@ -92,8 +93,8 @@ type Config struct {
 	// carries its candidates' Stage-2 verdicts, so a hit skips Stage 2.
 	Cache EntryCache
 	// EntryTimeout bounds the wall-clock of one entry function's Stage-1
-	// DFS attempt and of each candidate's Stage-2 validation (<= 0 means
-	// no deadline). The DFS polls the deadline at a bounded step cadence;
+	// DFS attempt and of each Stage-2 hook call, which validates one
+	// same-entry candidate group (<= 0 means no deadline). The DFS polls the deadline at a bounded step cadence;
 	// an entry that trips it is retried down the degrade ladder (see
 	// MaxRetries) and recorded in Result.Incomplete.
 	EntryTimeout time.Duration
@@ -303,8 +304,8 @@ type Stats struct {
 	// Deprecated: always 0. The size gate was removed with Stage-1
 	// pruning; the field stays for readers of the JSON stats.
 	AdaptiveEntriesLight int64
-	// SolverNanos is the Stage-2 validation calls' self-time in
-	// nanoseconds. A wall-clock measurement: nondeterministic across runs,
+	// SolverNanos is the Stage-2 validation time in nanoseconds, summed
+	// over the same-entry candidate groups. A wall-clock measurement: nondeterministic across runs,
 	// excluded from every equivalence comparison.
 	SolverNanos    int64
 	AnalysisTime   time.Duration

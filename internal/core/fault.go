@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cir"
@@ -200,14 +199,35 @@ func runEntryIsolated(eng *Engine, fn *cir.Function) (*Result, *Engine, bool) {
 	return res, eng, true
 }
 
-// validateGuarded runs the Stage-2 hook for one candidate under the same
-// barrier Stage 1 gets: a recover() fence and, when EntryTimeout is set, a
-// per-candidate deadline. A panicking validator keeps the bug (Feasible,
-// but not Validated) — dropping a report because the checker crashed would
-// be unsound for a bug finder.
-func validateGuarded(ctx context.Context, cfg Config, pb *PossibleBug, solverNanos *int64) (out ValidationOutcome) {
-	start := time.Now()
-	defer func() { atomic.AddInt64(solverNanos, int64(time.Since(start))) }()
+// validateBatchGuarded validates one entry's contiguous candidate group
+// in one ValidateBatch call under the barrier Stage 1 gets: a recover()
+// fence and, when EntryTimeout is set, one deadline for the group. If the
+// call panics or returns the wrong number of outcomes, every candidate is
+// re-validated as a batch of one under its own fence, so only the faulting
+// candidate surfaces as Panicked and its group mates keep their real
+// verdicts. A panicking validator keeps the bug (Feasible, but not
+// Validated): dropping a report because the checker crashed would be
+// unsound for a bug finder.
+func validateBatchGuarded(ctx context.Context, cfg Config, pbs []*PossibleBug) []ValidationOutcome {
+	if outs, ok := callBatchGuarded(ctx, cfg, pbs); ok {
+		return outs
+	}
+	outs := make([]ValidationOutcome, len(pbs))
+	for i := range pbs {
+		if len(pbs) > 1 {
+			if one, ok := callBatchGuarded(ctx, cfg, pbs[i:i+1]); ok {
+				outs[i] = one[0]
+				continue
+			}
+		}
+		outs[i] = ValidationOutcome{Feasible: true, Panicked: true}
+	}
+	return outs
+}
+
+// callBatchGuarded is one fenced ValidateBatch call; ok is false when the
+// hook panicked or returned an outcome count other than len(pbs).
+func callBatchGuarded(ctx context.Context, cfg Config, pbs []*PossibleBug) (outs []ValidationOutcome, ok bool) {
 	if cfg.EntryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.EntryTimeout)
@@ -215,50 +235,9 @@ func validateGuarded(ctx context.Context, cfg Config, pb *PossibleBug, solverNan
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			out = ValidationOutcome{Feasible: true, Panicked: true}
+			ok = false
 		}
 	}()
-	return cfg.ValidatePath(ctx, pb, cfg.Mode)
-}
-
-// validateBatchGuarded validates one entry's contiguous candidate group.
-// With a batch hook installed the whole group runs in one guarded call
-// sharing one EntryTimeout deadline; otherwise — and for singleton groups,
-// where there is no prefix to share — it degenerates to per-candidate
-// validateGuarded calls. A panic inside the
-// batched call is contained by re-validating every candidate individually:
-// each then gets its own fence, so only the faulting candidate surfaces as
-// Panicked and its group mates keep their real verdicts.
-func validateBatchGuarded(ctx context.Context, cfg Config, pbs []*PossibleBug, solverNanos *int64) []ValidationOutcome {
-	if cfg.ValidateBatch == nil || len(pbs) <= 1 {
-		outs := make([]ValidationOutcome, len(pbs))
-		for i, pb := range pbs {
-			outs[i] = validateGuarded(ctx, cfg, pb, solverNanos)
-		}
-		return outs
-	}
-	outs, ok := func() (outs []ValidationOutcome, ok bool) {
-		start := time.Now()
-		defer func() { atomic.AddInt64(solverNanos, int64(time.Since(start))) }()
-		bctx := ctx
-		if cfg.EntryTimeout > 0 {
-			var cancel context.CancelFunc
-			bctx, cancel = context.WithTimeout(ctx, cfg.EntryTimeout)
-			defer cancel()
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				ok = false
-			}
-		}()
-		outs = cfg.ValidateBatch(bctx, pbs, cfg.Mode)
-		return outs, len(outs) == len(pbs)
-	}()
-	if !ok {
-		outs = make([]ValidationOutcome, len(pbs))
-		for i, pb := range pbs {
-			outs[i] = validateGuarded(ctx, cfg, pb, solverNanos)
-		}
-	}
-	return outs
+	outs = cfg.ValidateBatch(ctx, pbs, cfg.Mode)
+	return outs, len(outs) == len(pbs)
 }

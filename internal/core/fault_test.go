@@ -1,8 +1,11 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -318,5 +321,99 @@ func TestContainedPanicLeavesNoPathState(t *testing.T) {
 	skip := map[string]bool{"aa_deep_entry": true}
 	if want, have := reportExcept(fresh, skip), reportExcept(got, skip); have != want {
 		t.Errorf("entries after a contained panic report differently from a fresh engine:\n--- fresh\n%s\n--- after panic\n%s", want, have)
+	}
+}
+
+// TestValidatorPanicContained pins Stage 2's panic fence: a validator that
+// panics whenever its batch holds one marked candidate, inside a same-entry
+// group of at least two, costs only that candidate its verdict. It is
+// reported unvalidated, the run counts one contained panic, and its group
+// mates keep the verdicts and triggers of an unfaulted run, because the
+// engine re-runs the failed group as batches of one. The marked verdict is
+// a guess, so a cache must not store it: a warm run hands the candidate to
+// the validator again.
+func TestValidatorPanicContained(t *testing.T) {
+	c := oscorpus.Generate(oscorpus.ValidationHeavySpec())
+	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type ident struct {
+		entry  string
+		instr  cir.Instr
+		typ    typestate.BugType
+		origin int
+	}
+	id := func(pb *core.PossibleBug) ident { return ident{pb.EntryFn, pb.BugInstr, pb.Type, pb.OriginGID} }
+	// fates maps every reported candidate to its verdict and trigger.
+	fates := func(res *core.Result) map[ident]string {
+		m := make(map[ident]string)
+		for _, b := range res.Bugs {
+			m[id(b.PossibleBug)] = fmt.Sprintf("validated=%v trigger=%q", b.Validated, b.Trigger)
+		}
+		return m
+	}
+	newCfg := func() core.Config {
+		cfg := core.Config{Checkers: typestate.CoreCheckers()}
+		pathval.New().Install(&cfg)
+		return cfg
+	}
+
+	baseline := core.RunParallel(mod, newCfg(), 1)
+	var marked ident
+	for i := 1; i < len(baseline.Possible); i++ {
+		if pb := baseline.Possible[i]; pb.EntryFn == baseline.Possible[i-1].EntryFn {
+			marked = id(pb)
+			break
+		}
+	}
+	if marked.entry == "" {
+		t.Fatal("no same-entry candidate group of two or more")
+	}
+
+	// faulty validates through pathval but panics on any batch that holds
+	// the marked candidate; handed counts those batches.
+	var handed atomic.Int64
+	cache := newMemCache()
+	faulty := func() core.Config {
+		cfg := newCfg()
+		inner := cfg.ValidateBatch
+		cfg.ValidateBatch = func(ctx context.Context, bugs []*core.PossibleBug, mode core.Mode) []core.ValidationOutcome {
+			for _, pb := range bugs {
+				if id(pb) == marked {
+					handed.Add(1)
+					panic("injected validator fault")
+				}
+			}
+			return inner(ctx, bugs, mode)
+		}
+		cfg.Cache = cache
+		return cfg
+	}
+
+	want := fates(baseline)
+	delete(want, marked)
+	for _, run := range []string{"cold", "warm"} {
+		handed.Store(0)
+		res := core.RunParallel(mod, faulty(), 1)
+		if res.Stats.PanicsContained != 1 {
+			t.Errorf("%s: PanicsContained = %d, want 1", run, res.Stats.PanicsContained)
+		}
+		if handed.Load() == 0 {
+			t.Errorf("%s: the marked candidate never reached the validator", run)
+		}
+		got := fates(res)
+		if f, ok := got[marked]; !ok || f != fmt.Sprintf("validated=false trigger=%q", []string(nil)) {
+			t.Errorf("%s: marked candidate reported as %q (present %v), want kept unvalidated", run, f, ok)
+		}
+		delete(got, marked)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: verdicts of the other candidates differ from an unfaulted run:\n got %v\nwant %v", run, got, want)
+		}
+	}
+	// The cold run hands the marked candidate over in its group and then
+	// alone; the warm run replays its group mates and hands it over alone.
+	if h := handed.Load(); h != 1 {
+		t.Errorf("warm: the marked candidate reached the validator %d times, want 1", h)
 	}
 }

@@ -390,7 +390,7 @@ func mergeEntries(entries []*cir.Function, slots []entrySlot) *Result {
 // no validator installed, every candidate is reported unvalidated.
 func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug, workers int, st *Stats) ([]*Bug, []*verdictC) {
 	var bugs []*Bug
-	if cfg.ValidatePath == nil {
+	if cfg.ValidateBatch == nil {
 		for _, pb := range possible {
 			bugs = append(bugs, &Bug{PossibleBug: pb})
 		}
@@ -408,12 +408,10 @@ func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug
 	fresh := make([]*verdictC, len(possible))
 	var solverNanos atomic.Int64
 	par.For(len(groups)-1, workers, func(_, g int) {
-		// Each group accumulates solver time locally and folds it in once,
-		// so the hot path never bounces a shared cache line.
-		var groupSolver int64
+		start := time.Now()
 		lo, hi := groups[g], groups[g+1]
-		validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], fresh[lo:hi], &groupSolver)
-		solverNanos.Add(groupSolver)
+		validateGroup(ctx, cfg, possible[lo:hi], outs[lo:hi], fresh[lo:hi])
+		solverNanos.Add(int64(time.Since(start)))
 	})
 	st.SolverNanos += solverNanos.Load()
 
@@ -440,7 +438,7 @@ func validateCandidates(ctx context.Context, cfg Config, possible []*PossibleBug
 // except an interrupted or panicked one: that verdict is conservative, not
 // proven, and persisting it would freeze a guess. Candidates are never
 // written: a replayed one may be shared with other runs (see Carry).
-func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []ValidationOutcome, fresh []*verdictC, solverNanos *int64) {
+func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []ValidationOutcome, fresh []*verdictC) {
 	var miss []*PossibleBug
 	var idx []int
 	for i, pb := range pbs {
@@ -453,7 +451,10 @@ func validateGroup(ctx context.Context, cfg Config, pbs []*PossibleBug, outs []V
 		miss = append(miss, pb)
 		idx = append(idx, i)
 	}
-	for j, out := range validateBatchGuarded(ctx, cfg, miss, solverNanos) {
+	if len(miss) == 0 {
+		return // a fully replayed group calls no validator
+	}
+	for j, out := range validateBatchGuarded(ctx, cfg, miss) {
 		outs[idx[j]] = out
 		if !miss[j].merged && !out.TimedOut && !out.Panicked {
 			fresh[idx[j]] = verdictOf(out)

@@ -1,18 +1,32 @@
 package exp
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/oscorpus"
 )
+
+// perCandidate wraps a Stage-2 hook so that it validates every candidate
+// of a group as a batch of one.
+func perCandidate(hook func(context.Context, []*core.PossibleBug, core.Mode) []core.ValidationOutcome) func(context.Context, []*core.PossibleBug, core.Mode) []core.ValidationOutcome {
+	return func(ctx context.Context, bugs []*core.PossibleBug, mode core.Mode) []core.ValidationOutcome {
+		outs := make([]core.ValidationOutcome, len(bugs))
+		for i := range bugs {
+			outs[i] = hook(ctx, bugs[i:i+1], mode)[0]
+		}
+		return outs
+	}
+}
 
 // TestBatchedValidationEquivalence is the repo's report-identity gate for
 // batched Stage-2 validation and for the scheduler: on every corpus (the four
 // paper OSes plus the validation-heavy and helper-heavy workloads), the
 // batched default must produce byte-identical bug reports to per-candidate
-// solving (no ValidateBatch hook installed), and the run at workers=4 must
-// match the one at workers=1.
+// solving (the hook called on batches of one, see perCandidate), and the
+// run at workers=4 must match the one at workers=1.
 func TestBatchedValidationEquivalence(t *testing.T) {
 	corpora := append(Corpora(),
 		oscorpus.Generate(oscorpus.ValidationHeavySpec()),
@@ -24,7 +38,7 @@ func TestBatchedValidationEquivalence(t *testing.T) {
 			for vi, variant := range []string{"batched", "per-candidate"} {
 				cfg := PATAConfig()
 				if variant == "per-candidate" {
-					cfg.ValidateBatch = nil
+					cfg.ValidateBatch = perCandidate(cfg.ValidateBatch)
 				}
 				// One tool name for every run: it is embedded in every
 				// report, and the comparisons below are byte-exact.

@@ -67,7 +67,7 @@ func (v *Validator) validateBatch(ctx context.Context, bugs []*core.PossibleBug,
 		return outs
 	}
 	if len(bugs) == 1 {
-		outs[0] = v.ValidateCtx(ctx, bugs[0], mode)
+		outs[0] = v.validateCandidate(ctx, bugs[0], mode)
 		return outs
 	}
 
@@ -110,7 +110,7 @@ func (v *Validator) validateBatch(ctx context.Context, bugs []*core.PossibleBug,
 		}
 	}
 
-	// Alternate witnesses, in rounds that preserve ValidateCtx's order
+	// Alternate witnesses, in rounds that preserve validateCandidate's order
 	// semantics exactly: a candidate's k-th alternate is validated iff its
 	// primary and first k-1 alternates all came back infeasible, and its
 	// outcome folds in per the same accumulation. Each round's paths form

@@ -55,12 +55,12 @@ void func(char *p, int n, int m) {
 	}
 }`
 
-// perCandidateOutcomes validates each candidate through a fresh validator's
-// unbatched path, giving the reference verdicts batching must reproduce.
+// perCandidateOutcomes validates each candidate as a batch of one on a
+// fresh validator, giving the reference verdicts batching must reproduce.
 func perCandidateOutcomes(cands []*core.PossibleBug, mode core.Mode) []core.ValidationOutcome {
 	outs := make([]core.ValidationOutcome, len(cands))
-	for i, pb := range cands {
-		outs[i] = New().Validate(pb, mode)
+	for i := range cands {
+		outs[i] = New().ValidateBatchCtx(context.Background(), cands[i:i+1], mode)[0]
 	}
 	return outs
 }
@@ -452,7 +452,7 @@ func TestVerdictCacheLRUBound(t *testing.T) {
 	var evictions int64
 	for round := 0; round < 2; round++ {
 		for i, pb := range cands {
-			out := v.Validate(pb, core.ModePATA)
+			out := v.validateCandidate(context.Background(), pb, core.ModePATA)
 			if out.Feasible != want[i].Feasible {
 				t.Errorf("round %d candidate %d: feasible=%v under eviction, want %v",
 					round, i, out.Feasible, want[i].Feasible)
@@ -474,11 +474,11 @@ func TestVerdictCacheHitRateUnaffectedByBound(t *testing.T) {
 	cands, v := analyze(t, mixedSrc, core.ModePATA)
 	var evictions int64
 	for _, pb := range cands {
-		evictions += v.Validate(pb, core.ModePATA).CacheEvictions
+		evictions += v.validateCandidate(context.Background(), pb, core.ModePATA).CacheEvictions
 	}
 	var hits, misses int64
 	for _, pb := range cands {
-		out := v.Validate(pb, core.ModePATA)
+		out := v.validateCandidate(context.Background(), pb, core.ModePATA)
 		hits += out.CacheHits
 		misses += out.CacheMisses
 		evictions += out.CacheEvictions

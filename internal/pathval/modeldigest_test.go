@@ -2,6 +2,7 @@ package pathval_test
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -142,7 +143,7 @@ func TestSolverModelDigest(t *testing.T) {
 					v.Install(&cfg)
 					name := cs.name + "-" + m.name + "-" + c.name
 					if !batched {
-						cfg.ValidateBatch = nil
+						cfg.ValidateBatch = perCandidate(cfg.ValidateBatch)
 						name += "-percand"
 					}
 					core.RunParallel(mod, cfg, 1)
@@ -213,4 +214,16 @@ func readModelDigests(t *testing.T, path string) map[string]string {
 		t.Fatal(err)
 	}
 	return want
+}
+
+// perCandidate wraps a Stage-2 hook so that it validates every candidate
+// of a group as a batch of one.
+func perCandidate(hook func(context.Context, []*core.PossibleBug, core.Mode) []core.ValidationOutcome) func(context.Context, []*core.PossibleBug, core.Mode) []core.ValidationOutcome {
+	return func(ctx context.Context, bugs []*core.PossibleBug, mode core.Mode) []core.ValidationOutcome {
+		outs := make([]core.ValidationOutcome, len(bugs))
+		for i := range bugs {
+			outs[i] = hook(ctx, bugs[i:i+1], mode)[0]
+		}
+		return outs
+	}
 }

@@ -168,30 +168,18 @@ func (v *Validator) solveCached(ctx *smt.Context, atoms []*smt.Atom, deadline ti
 	return e.res, e.model, false, interrupted, evictions
 }
 
-// Install wires the validator into an engine config: the per-candidate
-// entry point plus the batched group entry point (which the engine uses for
-// same-entry candidate groups; clear Config.ValidateBatch afterwards to
-// validate every candidate on its own).
+// Install wires the validator into an engine config as its one Stage-2
+// hook, which the engine calls once per same-entry candidate group.
 func (v *Validator) Install(cfg *core.Config) {
-	cfg.ValidatePath = v.ValidateCtx
 	cfg.ValidateBatch = v.ValidateBatchCtx
 }
 
-// Validate decides a candidate bug's feasibility with no deadline. It is
-// ValidateCtx with a background context, kept for callers (and tests) that
-// don't thread a context.
-func (v *Validator) Validate(bug *core.PossibleBug, mode core.Mode) core.ValidationOutcome {
-	return v.ValidateCtx(context.Background(), bug, mode)
-}
-
-// ValidateCtx decides a candidate bug's feasibility: its primary witness
-// path is replayed and solved; when that path is proven infeasible, the
-// alternate witnesses recorded for the same (origin, bug) pair are tried in
-// turn. The bug survives if any witness path is feasible. The context's
-// deadline and cancellation interrupt the solver between bounded units of
-// work; an interrupted solve answers Unknown, which conservatively keeps
-// the bug and marks the outcome TimedOut.
-func (v *Validator) ValidateCtx(ctx context.Context, bug *core.PossibleBug, mode core.Mode) core.ValidationOutcome {
+// validateCandidate decides a batch of one, and is the reference the batch
+// walk must match: the primary witness path is replayed and solved; when
+// it is proven infeasible, the alternate witnesses are tried in turn, and
+// the bug survives if any witness path is feasible. An interrupted solve
+// answers Unknown, which keeps the bug and marks the outcome TimedOut.
+func (v *Validator) validateCandidate(ctx context.Context, bug *core.PossibleBug, mode core.Mode) core.ValidationOutcome {
 	out := v.validateOne(ctx, bug, bug.Path, mode)
 	for _, alt := range bug.AltPaths {
 		if out.Feasible {

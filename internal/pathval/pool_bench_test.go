@@ -36,12 +36,12 @@ func poolCandidate(tb testing.TB) *core.PossibleBug {
 func TestPooledReplayerDeterminism(t *testing.T) {
 	bug := poolCandidate(t)
 	v := New()
-	first := v.Validate(bug, core.ModePATA)
+	first := v.validateCandidate(context.Background(), bug, core.ModePATA)
 	if first.Feasible {
 		t.Fatal("the infeasible candidate validated as feasible")
 	}
 	for i := 0; i < 50; i++ {
-		out := v.Validate(bug, core.ModePATA)
+		out := v.validateCandidate(context.Background(), bug, core.ModePATA)
 		out.CacheHits, out.CacheMisses = first.CacheHits, first.CacheMisses
 		if !reflect.DeepEqual(out, first) {
 			t.Fatalf("iteration %d: pooled revalidation diverged:\n got %+v\nwant %+v", i, out, first)
@@ -65,9 +65,9 @@ func TestPooledReplayerDeterminism(t *testing.T) {
 func TestPooledReplayerAllocBudget(t *testing.T) {
 	bug := poolCandidate(t)
 	v := New()
-	v.Validate(bug, core.ModePATA) // warm pool and verdict cache
+	v.validateCandidate(context.Background(), bug, core.ModePATA) // warm pool and verdict cache
 	const budget = 50
-	if avg := testing.AllocsPerRun(1000, func() { v.Validate(bug, core.ModePATA) }); avg > budget {
+	if avg := testing.AllocsPerRun(1000, func() { v.validateCandidate(context.Background(), bug, core.ModePATA) }); avg > budget {
 		t.Errorf("pooled validation allocates %.1f/op in steady state, budget %d", avg, budget)
 	}
 }
@@ -81,16 +81,16 @@ func BenchmarkValidateReplayer(b *testing.B) {
 	ctx := context.Background()
 	b.Run("pooled", func(b *testing.B) {
 		v := New()
-		v.Validate(bug, core.ModePATA)
+		v.validateCandidate(context.Background(), bug, core.ModePATA)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.Validate(bug, core.ModePATA)
+			v.validateCandidate(context.Background(), bug, core.ModePATA)
 		}
 	})
 	b.Run("fresh", func(b *testing.B) {
 		v := New()
-		v.Validate(bug, core.ModePATA)
+		v.validateCandidate(context.Background(), bug, core.ModePATA)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -39,10 +39,9 @@ func BenchmarkConjunction(b *testing.B) {
 	}
 }
 
-// BenchmarkFormulaKey measures computing the structural key of a path
-// conjunction — the verdict cache pays this on every lookup, so it must stay
-// far below solve cost.
-func BenchmarkFormulaKey(b *testing.B) {
+// keyPath is BenchmarkFormulaKey's conjunction: an 8-link offset chain,
+// bounds and one disequality, the shape of an alias-aware path condition.
+func keyPath() []*Atom {
 	ctx := NewContext()
 	vars := make([]*Var, 8)
 	for j := range vars {
@@ -52,12 +51,32 @@ func BenchmarkFormulaKey(b *testing.B) {
 	for j := 1; j < len(vars); j++ {
 		fs = append(fs, Eq(vars[j], Add(vars[j-1], Int(1))))
 	}
-	fs = append(fs, Le(vars[len(vars)-1], Int(100)), Ne(vars[3], Int(-5)))
+	return append(fs, Le(vars[len(vars)-1], Int(100)), Ne(vars[3], Int(-5)))
+}
+
+// BenchmarkFormulaKey measures computing the structural key of a path
+// conjunction — the verdict cache pays this on every lookup, so it must stay
+// far below solve cost.
+func BenchmarkFormulaKey(b *testing.B) {
+	fs := keyPath()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if Key(fs) == "" {
 			b.Fatal("empty key")
 		}
+	}
+}
+
+// TestKeyAllocBudget guards the verdict-cache key: Key of keyPath's ten
+// atoms builds into one presized buffer, so it allocates that buffer and
+// the string, not a string per term (50 allocations when every term key
+// went through fmt).
+func TestKeyAllocBudget(t *testing.T) {
+	fs := keyPath()
+	const budget = 3
+	if avg := testing.AllocsPerRun(100, func() { Key(fs) }); avg > budget {
+		t.Errorf("Key allocates %.1f/op, budget %d", avg, budget)
 	}
 }
 

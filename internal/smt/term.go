@@ -19,13 +19,15 @@ package smt
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Term is an integer-sorted SMT term.
 type Term interface {
 	String() string
-	key() string // structural key for congruence-lite memoization
+	// appendKey appends the term's structural key, for congruence-lite
+	// memoization and the verdict cache, to b.
+	appendKey(b []byte) []byte
 }
 
 // Var is an integer symbol. Create through Context.Var so IDs are unique.
@@ -34,16 +36,16 @@ type Var struct {
 	Name string
 }
 
-func (v *Var) String() string { return fmt.Sprintf("%s#%d", v.Name, v.ID) }
-func (v *Var) key() string    { return fmt.Sprintf("v%d", v.ID) }
+func (v *Var) String() string            { return fmt.Sprintf("%s#%d", v.Name, v.ID) }
+func (v *Var) appendKey(b []byte) []byte { return strconv.AppendInt(append(b, 'v'), int64(v.ID), 10) }
 
 // IntLit is an integer literal.
 type IntLit struct {
 	Val int64
 }
 
-func (l *IntLit) String() string { return fmt.Sprintf("%d", l.Val) }
-func (l *IntLit) key() string    { return fmt.Sprintf("c%d", l.Val) }
+func (l *IntLit) String() string            { return fmt.Sprintf("%d", l.Val) }
+func (l *IntLit) appendKey(b []byte) []byte { return strconv.AppendInt(append(b, 'c'), l.Val, 10) }
 
 // BinTerm is a binary arithmetic term.
 type BinTerm struct {
@@ -54,8 +56,13 @@ type BinTerm struct {
 func (b *BinTerm) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.X, b.Op, b.Y)
 }
-func (b *BinTerm) key() string {
-	return "(" + b.X.key() + b.Op + b.Y.key() + ")"
+func (b *BinTerm) appendKey(buf []byte) []byte { return appendBinKey(buf, b.X, b.Op, b.Y) }
+
+// appendBinKey appends the key of x op y, for a term or an atom, to b.
+func appendBinKey(b []byte, x Term, op string, y Term) []byte {
+	b = x.appendKey(append(b, '('))
+	b = y.appendKey(append(b, op...))
+	return append(b, ')')
 }
 
 // Context creates variables and interns opaque terms.
@@ -112,7 +119,7 @@ func (c *Context) Rewind(n int) {
 // uninterpreted term, interned by structural key so syntactically identical
 // terms share one symbol (congruence-lite).
 func (c *Context) OpaqueFor(t Term) *Var {
-	k := t.key()
+	k := string(t.appendKey(nil))
 	if v, ok := c.opaque[k]; ok {
 		return v
 	}
@@ -154,7 +161,7 @@ func (a *Atom) String() string { return fmt.Sprintf("%s %s %s", a.X, a.Pred, a.Y
 // Key returns the atom's structural key. Variable identity is part of the
 // key (terms key by Var ID), so keys are only comparable for atoms built in
 // deterministically replayed contexts.
-func (a *Atom) Key() string { return "(" + a.X.key() + a.Pred + a.Y.key() + ")" }
+func (a *Atom) Key() string { return string(appendBinKey(nil, a.X, a.Pred, a.Y)) }
 
 // Key returns the structural key of the conjunction of atoms: the atom keys
 // in order. Each atom key is parenthesized, so the concatenation is
@@ -163,11 +170,11 @@ func (a *Atom) Key() string { return "(" + a.X.key() + a.Pred + a.Y.key() + ")" 
 // files solves under it, so a hit returns exactly the model a cold solve of
 // the same atoms in the same order would.
 func Key(atoms []*Atom) string {
-	var b strings.Builder
+	b := make([]byte, 0, 16*len(atoms)) // most path atoms' keys fit 16 bytes
 	for _, a := range atoms {
-		b.WriteString(a.Key())
+		b = appendBinKey(b, a.X, a.Pred, a.Y)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Eq returns x == y.

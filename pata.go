@@ -85,11 +85,13 @@ type Config struct {
 	// function re-analyze. The directory is created if missing; corrupted
 	// or stale frames silently fall back to cold analysis.
 	CacheDir string
-	// EntryTimeout bounds the wall-clock spent on a single entry function
-	// (Stage-1 exploration attempt, and each Stage-2 candidate solve). An
-	// entry that exceeds it is retried down the degrade ladder with tighter
-	// budgets and, if still failing, reported in Result.Incomplete instead
-	// of aborting the run. 0 means no per-entry deadline.
+	// EntryTimeout bounds the wall-clock spent on a single entry function:
+	// each Stage-1 exploration attempt, and the Stage-2 validation of the
+	// entry's candidates as one group, under one deadline. An entry whose
+	// exploration exceeds it is retried down the degrade ladder with
+	// tighter budgets and, if still failing, reported in Result.Incomplete
+	// instead of aborting the run; a Stage-2 group that exceeds it keeps
+	// its undecided candidates. 0 means no per-entry deadline.
 	EntryTimeout time.Duration
 	// RunTimeout bounds the whole analysis; when it expires, entries not
 	// yet finished are reported as cancelled in Result.Incomplete and the
