@@ -131,6 +131,22 @@ func BenchmarkStage1LinuxCorpus(b *testing.B) {
 	}
 }
 
+// BenchmarkStage1HelperCorpus measures Stage 1 alone on the helper-heavy
+// corpus, whose deep helper chains make Stage 1 nearly all of a run: the
+// per-step cost of the DFS's alias and typestate updates, on one worker.
+func BenchmarkStage1HelperCorpus(b *testing.B) {
+	c := oscorpus.Generate(oscorpus.HelperHeavySpec())
+	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.RunParallel(mod, core.Config{Checkers: typestate.CoreCheckers()}, 1)
+	}
+}
+
 // BenchmarkStage2Validation measures Stage 2 alone, as the engine runs it:
 // the Stage-1 candidates of the validate-heavy corpus, split into
 // same-entry groups, each validated by one batched call on a fresh

@@ -53,20 +53,12 @@ var DerefLabel = Label{Kind: Deref}
 // FieldLabel returns the label for field name.
 func FieldLabel(name string) Label { return Label{Kind: Field, Name: name} }
 
-// IndexLabel returns the label for an array index. Constant indexes use the
-// constant's text so a[3] aliases a[3]; non-constant indexes are labelled
-// with a token unique to the indexing instruction, reproducing the paper's
-// array-insensitivity (§5.2). The site token must be content-stable across
-// unrelated module edits — these labels reach report output through alias
-// sets, and the incremental cache replays reports byte-for-byte — so call
-// sites derive it from cir.SiteToken (function name + function-local
-// instruction ID), not from the module-wide GID.
-func IndexLabel(idx cir.Value, site string) Label {
-	if c, ok := idx.(*cir.Const); ok && !c.IsStr {
-		return Label{Kind: Index, Name: fmt.Sprintf("%d", c.Val)}
-	}
-	return Label{Kind: Index, Name: "i@" + site}
-}
+// IndexLabel returns the label of the element address that in computes: its
+// Label text (cir.IndexAddr.Label), which ExtendGIDs computes once. A
+// constant index uses the constant's text so a[3] aliases a[3]; a
+// non-constant index is labelled with a token unique to the instruction,
+// reproducing the paper's array-insensitivity (§5.2).
+func IndexLabel(in *cir.IndexAddr) Label { return Label{Kind: Index, Name: in.Label()} }
 
 // Node is an alias class. Members and out edges are small slices searched
 // linearly: a class holds a handful of variables and a node has at most one
@@ -144,9 +136,28 @@ func (n *Node) removeEdge(l Label) *Node {
 // rolled back together with the graph, and the path replayer undoes its
 // pointer-keyed symbols through its own log.
 type Graph struct {
-	varOf map[cir.Value]*Node
+	// varOf holds, per value ID (cir.VID), the ID of the node whose class
+	// the value is in, 0 for none. Its slots come in chunks, allocated
+	// when first written, so a graph holds memory for the values its paths
+	// touched, not for the module's whole value-ID space.
+	varOf []*[chunkLen]int32
+	// side holds the classes of the values without a value ID: constants,
+	// and registers of functions no module numbered (unit tests). It is
+	// searched linearly, since a path gives few constants a class (as an
+	// address or a compared value, not as a moved or stored one).
+	side  []sideVar
 	nodes []*Node
 	trail []undo
+}
+
+// chunkLen is the number of value-ID slots per chunk of Graph.varOf: a
+// chunk spans the registers of a few functions.
+const chunkLen = 256
+
+// sideVar is a value without a value ID in the class of node id.
+type sideVar struct {
+	v  cir.Value
+	id int32
 }
 
 // Mark is a checkpoint into the trail.
@@ -173,20 +184,76 @@ type undo struct {
 // New returns an empty alias graph. Nodes are created lazily when variables
 // are first touched, which is semantically identical to the paper's
 // initialization of one isolated node per program variable.
-func New() *Graph {
-	return &Graph{varOf: make(map[cir.Value]*Node)}
-}
+func New() *Graph { return &Graph{} }
 
 // Reset returns the graph to the empty state New produces while keeping the
 // allocations a previous run warmed up: the nodes (recycled by later
-// allocations), the trail's backing array and the varOf map. Node IDs
-// restart at 1, so a reset graph replays a path bit-identically to a fresh
-// one — which is what lets the path validator pool replayers instead of
-// allocating graph+maps per candidate.
+// allocations), the trail's backing array and the varOf table. Only the
+// slots of the live nodes' variables are cleared, so a reset costs the
+// replay it follows, not the table's size. Node IDs restart at 1, so a
+// reset graph replays a path bit-identically to a fresh one — which is
+// what lets the path validator pool replayers instead of allocating a
+// graph per candidate.
 func (g *Graph) Reset() {
-	clear(g.varOf)
+	for _, n := range g.nodes {
+		for _, v := range n.vars {
+			if vid := cir.VID(v); vid != 0 {
+				g.varOf[vid/chunkLen][vid%chunkLen] = 0
+			}
+		}
+	}
+	clear(g.side)
+	g.side = g.side[:0]
 	g.nodes = g.nodes[:0]
 	g.trail = g.trail[:0]
+}
+
+// classOf returns the ID of the node v (with value ID vid) is in, 0 for none.
+func (g *Graph) classOf(v cir.Value, vid int) int32 {
+	if vid != 0 {
+		if c := vid / chunkLen; c < len(g.varOf) && g.varOf[c] != nil {
+			return g.varOf[c][vid%chunkLen]
+		}
+		return 0
+	}
+	for _, s := range g.side {
+		if s.v == v {
+			return s.id
+		}
+	}
+	return 0
+}
+
+// setClass records that v (with value ID vid) is in node id, or in none
+// when id is 0.
+func (g *Graph) setClass(v cir.Value, vid int, id int32) {
+	if vid != 0 {
+		c := vid / chunkLen
+		if c >= len(g.varOf) {
+			g.varOf = append(g.varOf, make([]*[chunkLen]int32, c+1-len(g.varOf))...)
+		}
+		if g.varOf[c] == nil {
+			g.varOf[c] = new([chunkLen]int32)
+		}
+		g.varOf[c][vid%chunkLen] = id
+		return
+	}
+	for i, s := range g.side {
+		if s.v == v {
+			if id != 0 {
+				g.side[i].id = id
+				return
+			}
+			last := len(g.side) - 1
+			g.side[i] = g.side[last]
+			g.side[last] = sideVar{}
+			g.side = g.side[:last]
+			return
+		}
+	}
+	if id != 0 {
+		g.side = append(g.side, sideVar{v: v, id: id})
+	}
 }
 
 // newNode allocates the next node, reusing the retired node in the slot
@@ -212,18 +279,24 @@ func (g *Graph) newNode() *Node {
 // NodeOf returns the node representing v, creating an isolated node when v
 // has not been seen (the GetNode of the paper's pseudocode).
 func (g *Graph) NodeOf(v cir.Value) *Node {
-	if n, ok := g.varOf[v]; ok {
-		return n
+	vid := cir.VID(v)
+	if id := g.classOf(v, vid); id != 0 {
+		return g.nodes[id-1]
 	}
 	n := g.newNode()
 	n.vars = append(n.vars, v)
-	g.varOf[v] = n
+	g.setClass(v, vid, int32(n.ID))
 	g.trail = append(g.trail, undo{kind: uVarMove, v: v, from: nil, to: n})
 	return n
 }
 
 // Lookup returns the node of v without creating one.
-func (g *Graph) Lookup(v cir.Value) *Node { return g.varOf[v] }
+func (g *Graph) Lookup(v cir.Value) *Node {
+	if id := g.classOf(v, cir.VID(v)); id != 0 {
+		return g.nodes[id-1]
+	}
+	return nil
+}
 
 func (g *Graph) moveVar(v cir.Value, from, to *Node) {
 	if from == to {
@@ -233,7 +306,7 @@ func (g *Graph) moveVar(v cir.Value, from, to *Node) {
 		from.removeVar(v)
 	}
 	to.vars = append(to.vars, v)
-	g.varOf[v] = to
+	g.setClass(v, cir.VID(v), int32(to.ID))
 	g.trail = append(g.trail, undo{kind: uVarMove, v: v, from: from, to: to})
 }
 
@@ -267,12 +340,12 @@ func (g *Graph) Rollback(mark Mark) {
 		switch u.kind {
 		case uVarMove:
 			u.to.removeVar(u.v)
+			var id int32
 			if u.from != nil {
 				u.from.vars = append(u.from.vars, u.v)
-				g.varOf[u.v] = u.from
-			} else {
-				delete(g.varOf, u.v)
+				id = int32(u.from.ID)
 			}
+			g.setClass(u.v, cir.VID(u.v), id)
 		case uEdgeAdd:
 			u.from.removeEdge(u.label)
 		case uEdgeDel:
@@ -378,17 +451,6 @@ func (g *Graph) DerefNode(v cir.Value) *Node { return g.Target(v, DerefLabel) }
 
 // ---- queries ----
 
-// AliasSet returns the access paths that reach v's alias class: the plain
-// variables residing in the class plus paths of the form base.l1.l2...
-// discovered by a bounded reverse walk (Example 1 of the paper).
-func (g *Graph) AliasSet(v cir.Value, maxDepth int) []string {
-	n := g.varOf[v]
-	if n == nil {
-		return nil
-	}
-	return g.AccessPaths(n, maxDepth)
-}
-
 // AccessPaths enumerates access paths reaching node n, up to maxDepth edge
 // labels, deterministically ordered.
 func (g *Graph) AccessPaths(n *Node, maxDepth int) []string {
@@ -442,8 +504,8 @@ func (g *Graph) AccessPaths(n *Node, maxDepth int) []string {
 
 // SameClass reports whether a and b currently reside in the same alias class.
 func (g *Graph) SameClass(a, b cir.Value) bool {
-	na, nb := g.varOf[a], g.varOf[b]
-	return na != nil && na == nb
+	na := g.Lookup(a)
+	return na != nil && na == g.Lookup(b)
 }
 
 // String renders the live portion of the graph for debugging.

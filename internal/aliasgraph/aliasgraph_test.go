@@ -276,20 +276,32 @@ func TestNestedRollback(t *testing.T) {
 }
 
 func TestIndexLabels(t *testing.T) {
+	m := cir.NewModule("m")
+	fn := m.NewFunction("f", &cir.FuncType{Result: cir.Void})
+	arr := fn.AddParam("arr", cir.PointerTo(cir.I64))
+	i := fn.AddParam("i", cir.I64)
+	b := cir.NewBuilder(fn)
 	c3 := cir.IntConst(cir.I64, 3)
-	if l := IndexLabel(c3, "f#17"); l.Name != "3" {
+	sites := []*cir.IndexAddr{}
+	for _, idx := range []cir.Value{c3, c3, i, i} {
+		b.IndexAddr("e", arr, idx)
+		sites = append(sites, b.Blk.Instrs[len(b.Blk.Instrs)-1].(*cir.IndexAddr))
+	}
+	b.Ret(nil)
+	m.AssignGIDs()
+	if l := IndexLabel(sites[0]); l.Name != "3" {
 		t.Errorf("const index label = %q", l.Name)
 	}
-	i := reg("i")
-	l1 := IndexLabel(i, "f#17")
-	l2 := IndexLabel(i, "f#18")
-	if l1 == l2 {
+	if l := IndexLabel(sites[2]); l.Name != "i@"+cir.SiteToken(sites[2]) {
+		t.Errorf("non-const index label = %q", l.Name)
+	}
+	if IndexLabel(sites[2]) == IndexLabel(sites[3]) {
 		t.Error("non-const indexes at different instructions must differ (array-insensitivity)")
 	}
 	g := New()
-	arr, e1, e2 := reg("arr"), reg("e1"), reg("e2")
-	g.GEP(e1, arr, IndexLabel(c3, "f#1"))
-	g.GEP(e2, arr, IndexLabel(c3, "f#2"))
+	e1, e2 := reg("e1"), reg("e2")
+	g.GEP(e1, arr, IndexLabel(sites[0]))
+	g.GEP(e2, arr, IndexLabel(sites[1]))
 	if !g.SameClass(e1, e2) {
 		t.Error("a[3] must alias a[3] regardless of instruction")
 	}

@@ -6,14 +6,26 @@ import (
 	"repro/internal/cir"
 )
 
+// numberedRegs returns n pointer registers of a function a module numbered,
+// which a graph keeps in its value-ID table, as it does the engine's.
+func numberedRegs(n int) []cir.Value {
+	m := cir.NewModule("m")
+	fn := m.NewFunction("f", &cir.FuncType{Result: cir.Void})
+	vars := make([]cir.Value, n)
+	for i := range vars {
+		vars[i] = fn.AddParam("v", cir.PointerTo(cir.I64))
+	}
+	m.AssignGIDs()
+	return vars
+}
+
 // BenchmarkUpdateRules measures the four Figure 5 operations plus rollback,
 // the inner loop of the path DFS.
 func BenchmarkUpdateRules(b *testing.B) {
 	g := New()
-	vars := make([]cir.Value, 64)
-	for i := range vars {
-		vars[i] = &cir.Register{ID: i, Name: "v", Typ: cir.PointerTo(cir.I64)}
-		g.NodeOf(vars[i])
+	vars := numberedRegs(64)
+	for _, v := range vars {
+		g.NodeOf(v)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,10 +44,9 @@ func BenchmarkUpdateRules(b *testing.B) {
 // branch-heavy DFS pattern.
 func BenchmarkCheckpointRollback(b *testing.B) {
 	g := New()
-	vars := make([]cir.Value, 32)
-	for i := range vars {
-		vars[i] = &cir.Register{ID: i, Name: "v", Typ: cir.PointerTo(cir.I64)}
-		g.NodeOf(vars[i])
+	vars := numberedRegs(32)
+	for _, v := range vars {
+		g.NodeOf(v)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -53,10 +64,9 @@ func BenchmarkCheckpointRollback(b *testing.B) {
 // BenchmarkAccessPaths measures alias-set extraction for reporting.
 func BenchmarkAccessPaths(b *testing.B) {
 	g := New()
-	base := &cir.Register{ID: 0, Name: "base", Typ: cir.PointerTo(cir.I64)}
-	cur := cir.Value(base)
-	for i := 1; i <= 8; i++ {
-		next := &cir.Register{ID: i, Name: "n", Typ: cir.PointerTo(cir.I64)}
+	vars := numberedRegs(9)
+	cur := vars[0]
+	for _, next := range vars[1:] {
 		g.GEP(next, cur, FieldLabel("f"))
 		cur = next
 	}

@@ -267,17 +267,6 @@ func (g *refGraph) DerefNode(v cir.Value) *refNode { return g.Target(v, DerefLab
 
 // ---- queries ----
 
-// AliasSet returns the access paths that reach v's alias class: the plain
-// variables residing in the class plus paths of the form base.l1.l2...
-// discovered by a bounded reverse walk (Example 1 of the paper).
-func (g *refGraph) AliasSet(v cir.Value, maxDepth int) []string {
-	n := g.varOf[v]
-	if n == nil {
-		return nil
-	}
-	return g.AccessPaths(n, maxDepth)
-}
-
 // AccessPaths enumerates access paths reaching node n, up to maxDepth edge
 // labels, deterministically ordered.
 func (g *refGraph) AccessPaths(n *refNode, maxDepth int) []string {
@@ -371,14 +360,34 @@ func (g *refGraph) String() string {
 // checkpoints, rollbacks and resets, and compares them after every
 // operation: printed graph, access paths and node ID of every variable,
 // class membership and constants. Rollbacks and resets make Graph recycle
-// node storage, which the map-based reference never does.
+// node storage, which the map-based reference never does. The values are a
+// numbered module function's registers and a global, which Graph keeps in
+// its value-ID table, plus constants and a register of an unnumbered
+// function, which it keeps in its side table.
 func TestDifferentialAgainstMapGraph(t *testing.T) {
-	vars := make([]cir.Value, 10)
-	for i := range vars {
-		vars[i] = &cir.Register{ID: i + 1, Name: fmt.Sprintf("v%d", i), Typ: cir.PointerTo(cir.I64)}
+	m := cir.NewModule("m")
+	fn := m.NewFunction("f", &cir.FuncType{Result: cir.Void})
+	var vars []cir.Value
+	for i := range 8 {
+		vars = append(vars, fn.AddParam(fmt.Sprintf("v%d", i), cir.PointerTo(cir.I64)))
+	}
+	vars = append(vars, m.AddGlobal("gl", cir.I64))
+	m.AssignGIDs()
+	loose := cir.NewModule("loose").NewFunction("h", &cir.FuncType{Result: cir.Void})
+	vars = append(vars, loose.AddParam("u", cir.PointerTo(cir.I64)),
+		cir.IntConst(cir.I64, 9), cir.NullConst(cir.PointerTo(cir.I64)))
+	for _, v := range vars[:9] {
+		if cir.VID(v) == 0 {
+			t.Fatalf("%s has no value ID", v)
+		}
+	}
+	for _, v := range vars[9:] {
+		if cir.VID(v) != 0 {
+			t.Fatalf("%s has value ID %d", v, cir.VID(v))
+		}
 	}
 	labels := []Label{DerefLabel, FieldLabel("f"), FieldLabel("g"),
-		IndexLabel(cir.IntConst(cir.I64, 3), "s"), IndexLabel(vars[0], "s")}
+		{Kind: Index, Name: "3"}, {Kind: Index, Name: "i@s"}}
 	consts := []*cir.Const{cir.IntConst(cir.I64, 7), cir.IntConst(cir.I64, 0), cir.NullConst(cir.PointerTo(cir.I64))}
 	type marks struct {
 		g Mark

@@ -66,6 +66,7 @@ func (b *Builder) Alloca(varName string, elem Type) *Register {
 	r := b.Fn.NewReg(varName, PointerTo(elem))
 	in := &Alloca{Dst: r, Elem: elem, VarName: varName}
 	r.Def = in
+	b.Fn.markStackAddr(r)
 	b.emit(in)
 	return r
 }
@@ -108,6 +109,9 @@ func (b *Builder) FieldAddr(name string, base Value, field string) *Register {
 	r := b.Fn.NewReg(name, PointerTo(ft))
 	in := &FieldAddr{Dst: r, Base: base, Field: field}
 	r.Def = in
+	if IsStackAddr(base) {
+		b.Fn.markStackAddr(r)
+	}
 	b.emit(in)
 	return r
 }
@@ -125,6 +129,9 @@ func (b *Builder) IndexAddr(name string, base Value, index Value) *Register {
 	r := b.Fn.NewReg(name, PointerTo(et))
 	in := &IndexAddr{Dst: r, Base: base, Index: index}
 	r.Def = in
+	if IsStackAddr(base) {
+		b.Fn.markStackAddr(r)
+	}
 	b.emit(in)
 	return r
 }

@@ -2,6 +2,7 @@ package cir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -23,30 +24,40 @@ type Instr interface {
 	// alias-graph index tokens that reach report output, and the capsules
 	// the incremental cache persists across runs.
 	LID() int
+	// BlockIndex returns the instruction's index in its block's Instrs,
+	// which Block.Append records: the engine's successor lookup reads
+	// Instrs[BlockIndex()+1] instead of searching the block.
+	BlockIndex() int
 	// Position returns the source position.
 	Position() Pos
 	String() string
 
-	setBlock(*Block)
+	setBlock(*Block, int)
 	setGID(int)
 	setLID(int)
 }
 
-// instr carries the bookkeeping shared by all instructions.
+// instr carries the bookkeeping shared by all instructions. Its numbers
+// are 32-bit fields packed into two words, so that recording the block
+// index and a call's callee index costs no space.
 type instr struct {
-	blk *Block
-	gid int
-	lid int
-	Pos Pos
+	blk      *Block
+	gid, lid int32
+	idx      int32
+	// callee is a Call's callee index (see Module.Callee), 0 until
+	// numbered and for every other instruction.
+	callee int32
+	Pos    Pos
 }
 
-func (i *instr) Block() *Block     { return i.blk }
-func (i *instr) GID() int          { return i.gid }
-func (i *instr) LID() int          { return i.lid }
-func (i *instr) Position() Pos     { return i.Pos }
-func (i *instr) setBlock(b *Block) { i.blk = b }
-func (i *instr) setGID(id int)     { i.gid = id }
-func (i *instr) setLID(id int)     { i.lid = id }
+func (i *instr) Block() *Block                { return i.blk }
+func (i *instr) GID() int                     { return int(i.gid) }
+func (i *instr) LID() int                     { return int(i.lid) }
+func (i *instr) BlockIndex() int              { return int(i.idx) }
+func (i *instr) Position() Pos                { return i.Pos }
+func (i *instr) setBlock(b *Block, index int) { i.blk, i.idx = b, int32(index) }
+func (i *instr) setGID(id int)                { i.gid = int32(id) }
+func (i *instr) setLID(id int)                { i.lid = int32(id) }
 
 // Alloca allocates stack storage for one value of type Elem and defines Dst
 // as its address (Dst has type *Elem).
@@ -116,12 +127,37 @@ func (i *FieldAddr) String() string {
 // IndexAddr computes the address of element Index of the array pointed to by
 // Base. PATA is array-insensitive for non-constant indexes: the alias engine
 // labels a constant index "[k]" and a non-constant index with a token unique
-// to this instruction (see §5.2 of the paper).
+// to this instruction (see §5.2 of the paper and Label).
 type IndexAddr struct {
 	instr
 	Dst   *Register
 	Base  Value
 	Index Value
+	// label is Label's text, computed once by Module.ExtendGIDs.
+	label string
+}
+
+// Label returns the alias-graph label text of the element address: the
+// decimal text of a constant index, so a[3] aliases a[3], and otherwise
+// "i@" plus the instruction's SiteToken, so every non-constant index names
+// its own element. The token is content-stable across unrelated module
+// edits (these labels reach report output through alias sets, and the
+// incremental cache replays reports byte for byte). ExtendGIDs computes the
+// text when it gives the instruction its LID, so the engine's step and the
+// path replayer read it without allocating; an instruction no module
+// numbered computes it on every call.
+func (i *IndexAddr) Label() string {
+	if i.label != "" {
+		return i.label
+	}
+	return i.labelText()
+}
+
+func (i *IndexAddr) labelText() string {
+	if c, ok := i.Index.(*Const); ok && !c.IsStr {
+		return strconv.FormatInt(c.Val, 10)
+	}
+	return "i@" + SiteToken(i)
 }
 
 func (i *IndexAddr) Dest() *Register   { return i.Dst }

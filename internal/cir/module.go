@@ -2,6 +2,7 @@ package cir
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,9 +16,10 @@ type Block struct {
 	Instrs []Instr
 }
 
-// Append adds an instruction to the block and wires its parent pointer.
+// Append adds an instruction to the block and wires its parent pointer and
+// block index.
 func (b *Block) Append(in Instr) Instr {
-	in.setBlock(b)
+	in.setBlock(b, len(b.Instrs))
 	b.Instrs = append(b.Instrs, in)
 	return in
 }
@@ -61,7 +63,29 @@ type Function struct {
 	Category string
 
 	nextReg int
-	fp      uint64 // memoized Fingerprint; 0 = not yet computed
+	// The function's registers hold value IDs vidBase+1 .. vidBase+nvids
+	// (see Module.ExtendGIDs).
+	vidBase, nvids int
+	// stack has bit r.ID set for each register r the Builder marked as a
+	// stack address (see IsStackAddr).
+	stack []uint64
+	fp    uint64 // memoized Fingerprint; 0 = not yet computed
+}
+
+// NumRegs returns how many registers fn has made.
+func (fn *Function) NumRegs() int { return fn.nextReg }
+
+func (fn *Function) markStackAddr(r *Register) {
+	w := r.ID >> 6
+	if w >= len(fn.stack) {
+		fn.stack = append(fn.stack, make([]uint64, w+1-len(fn.stack))...)
+	}
+	fn.stack[w] |= 1 << (r.ID & 63)
+}
+
+func (fn *Function) stackAddr(id int) bool {
+	w := id >> 6
+	return w < len(fn.stack) && fn.stack[w]&(1<<(id&63)) != 0
 }
 
 // IsDecl reports whether fn has no body (an external declaration).
@@ -132,8 +156,13 @@ type Module struct {
 	// (Figure 1 of the paper).
 	AddressTaken map[string]bool
 
-	order  []string
-	maxGID int
+	order          []string
+	maxGID, maxVID int
+	// calleeIdx numbers the callee names of the module's calls (from 1);
+	// callees[i] is the function the name numbered i denotes here, nil when
+	// the module does not declare it. ExtendGIDs fills both.
+	calleeIdx map[string]int32
+	callees   []*Function
 }
 
 // NewModule returns an empty module.
@@ -201,30 +230,95 @@ func (m *Module) SortedFuncs() []*Function {
 // every instruction within a function with a function-local ID (LID). GIDs
 // shift whenever any function changes; LIDs depend only on the owning
 // function's body, which is what the incremental cache's content addressing
-// needs. It must be called once after construction and before analysis.
-func (m *Module) AssignGIDs() { m.ExtendGIDs(0, m.SortedFuncs()) }
+// needs. It also gives the globals and registers their value IDs and the
+// calls their callee indexes (see ExtendGIDs). It must be called once after
+// construction and before analysis.
+func (m *Module) AssignGIDs() { m.ExtendGIDs(nil, m.SortedFuncs()) }
 
-// ExtendGIDs numbers the instructions of fns, in the order given, with GIDs
-// from base+1 up, and gives them their LIDs. It is AssignGIDs for a module
-// whose other functions already hold GIDs no higher than base (functions it
-// shares with an earlier module, say); the module's GIDs are then unique but
-// need not be dense, which is why GID-indexed tables size by MaxGID.
-func (m *Module) ExtendGIDs(base int, fns []*Function) {
-	m.maxGID = base
+// ExtendGIDs numbers the module for Stage 1's dense tables, continuing
+// prev's numbering (from scratch when prev is nil). It is AssignGIDs for a
+// module that shares its other functions, already numbered, with prev.
+//
+//   - GIDs: fns' instructions, in the order given, get GIDs above
+//     prev.MaxGID, and their LIDs. The module's GIDs are then unique but
+//     need not be dense, which is why GID-indexed tables size by MaxGID.
+//   - Value IDs: globals no module numbered yet (all of them when prev is
+//     nil) get IDs from 1 in name order, then each function of fns gets a
+//     base above prev.MaxVID, and its register r the ID base + r.ID. A
+//     shared function keeps its base, so its registers keep their IDs.
+//   - Callee indexes: each callee name gets a number, prev's numbers
+//     carried over, so a call in a shared function finds its callee in this
+//     module's table (Callee).
+//
+// It also computes each IndexAddr's Label text with its LID.
+func (m *Module) ExtendGIDs(prev *Module, fns []*Function) {
+	m.maxGID, m.maxVID, m.calleeIdx = 0, 0, nil
+	if prev != nil {
+		m.maxGID, m.maxVID, m.calleeIdx = prev.maxGID, prev.maxVID, prev.calleeIdx
+	}
+	var globals []*Global
+	for _, g := range m.Globals {
+		if g.vid == 0 || prev == nil {
+			globals = append(globals, g)
+		}
+	}
+	sort.Slice(globals, func(i, j int) bool { return globals[i].Name < globals[j].Name })
+	for _, g := range globals {
+		m.maxVID++
+		g.vid = m.maxVID
+	}
+	owned := prev == nil
 	for _, fn := range fns {
+		fn.vidBase, fn.nvids = m.maxVID, fn.nextReg
+		m.maxVID += fn.nextReg
 		lid := 0
 		fn.Instrs(func(in Instr) {
 			m.maxGID++
 			in.setGID(m.maxGID)
 			lid++
 			in.setLID(lid)
+			switch t := in.(type) {
+			case *IndexAddr:
+				t.label = t.labelText()
+			case *Call:
+				i, ok := m.calleeIdx[t.Callee]
+				if !ok {
+					if !owned {
+						m.calleeIdx, owned = maps.Clone(m.calleeIdx), true
+					}
+					if m.calleeIdx == nil {
+						m.calleeIdx = make(map[string]int32)
+					}
+					i = int32(len(m.calleeIdx) + 1)
+					m.calleeIdx[t.Callee] = i
+				}
+				t.callee = i
+			}
 		})
+	}
+	m.callees = make([]*Function, len(m.calleeIdx)+1)
+	for name, i := range m.calleeIdx {
+		m.callees[i] = m.Funcs[name]
 	}
 }
 
 // MaxGID returns the highest GID AssignGIDs or ExtendGIDs gave out: a bound
 // for tables indexed by GID.
 func (m *Module) MaxGID() int { return m.maxGID }
+
+// MaxVID returns the highest value ID AssignGIDs or ExtendGIDs gave out: a
+// bound for tables indexed by value ID (cir.VID).
+func (m *Module) MaxVID() int { return m.maxVID }
+
+// Callee returns the function call c names, or nil when the module does not
+// declare it. For a call ExtendGIDs numbered, in this module or in the one
+// it continued, this is a table read.
+func (m *Module) Callee(c *Call) *Function {
+	if i := int(c.callee); i > 0 && i < len(m.callees) {
+		return m.callees[i]
+	}
+	return m.Funcs[c.Callee]
+}
 
 // NumInstrs returns the total instruction count.
 func (m *Module) NumInstrs() int {

@@ -34,11 +34,49 @@ func (r *Register) String() string {
 // IsParam reports whether r is a formal parameter of its function.
 func (r *Register) IsParam() bool { return r.Def == nil }
 
+// VID returns r's value ID: its function's value-ID base plus r.ID (see
+// Module.ExtendGIDs), or 0 when no module numbered r's function or r was
+// made after it was numbered.
+func (r *Register) VID() int {
+	if fn := r.Fn; fn != nil && uint(r.ID-1) < uint(fn.nvids) {
+		return fn.vidBase + r.ID
+	}
+	return 0
+}
+
 // Global is a module-level variable. Its value is the address of the global
 // storage, so its type is a pointer to the declared type (as in LLVM).
 type Global struct {
 	Name string
 	Elem Type // declared type; the value's type is *Elem
+	vid  int  // value ID; 0 until a module numbers it
+}
+
+// VID returns v's value ID: a dense, module-unique number for registers and
+// globals that Stage 1 indexes its tables by (see Module.ExtendGIDs), or 0
+// for constants and for values no module numbered.
+func VID(v Value) int {
+	switch t := v.(type) {
+	case *Register:
+		return t.VID()
+	case *Global:
+		return t.vid
+	}
+	return 0
+}
+
+// IsStackAddr reports whether v is an address rooted at an alloca or a
+// global: a global, an Alloca's register, or a FieldAddr or IndexAddr of
+// such an address. Dereferencing one cannot fault on NULL. The Builder
+// marks a register when it emits its definition.
+func IsStackAddr(v Value) bool {
+	switch t := v.(type) {
+	case *Global:
+		return true
+	case *Register:
+		return t.Fn != nil && t.Fn.stackAddr(t.ID)
+	}
+	return false
 }
 
 func (g *Global) Type() Type     { return PointerTo(g.Elem) }

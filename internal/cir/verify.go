@@ -8,6 +8,7 @@ import (
 // Verify checks structural well-formedness of the module:
 //
 //   - every block ends in exactly one terminator;
+//   - every instruction records its block and its index there;
 //   - every register is defined exactly once;
 //   - instruction destinations point back at their defining instruction;
 //   - branch targets belong to the same function;
@@ -73,6 +74,9 @@ func verifyFunction(fn *Function) []error {
 			isLast := idx == len(blk.Instrs)-1
 			if IsTerminator(in) != isLast {
 				errs = append(errs, fmt.Errorf("%s/%s: instruction %d (%s): terminator placement", fn.Name, blk.Name, idx, in))
+			}
+			if in.Block() != blk || in.BlockIndex() != idx {
+				errs = append(errs, fmt.Errorf("%s/%s: instruction %d (%s): not appended at its place", fn.Name, blk.Name, idx, in))
 			}
 			if d := in.Dest(); d != nil {
 				if defs.has(d) {

@@ -387,8 +387,6 @@ type Engine struct {
 	dedup    map[dedupKey]*PossibleBug
 	possible []*PossibleBug
 	stats    Stats
-
-	stackAddrMemo map[*cir.Register]bool
 }
 
 type frame struct {
@@ -414,12 +412,11 @@ type dedupKey struct {
 // across its worker engines).
 func newEngineWithCG(mod *cir.Module, cfg Config, cg *callgraph.Graph) *Engine {
 	return &Engine{
-		Mod:           mod,
-		CG:            cg,
-		Cfg:           cfg.withDefaults(),
-		dedup:         make(map[dedupKey]*PossibleBug),
-		stackAddrMemo: make(map[*cir.Register]bool),
-		onPath:        getOnPath(mod.MaxGID() + 1),
+		Mod:    mod,
+		CG:     cg,
+		Cfg:    cfg.withDefaults(),
+		dedup:  make(map[dedupKey]*PossibleBug),
+		onPath: getOnPath(mod.MaxGID() + 1),
 	}
 }
 
@@ -612,25 +609,19 @@ func (e *Engine) onPathCount(gid int) int {
 	return 0
 }
 
-// instrSuccessors is Next() of the paper's pseudocode. The result may alias
-// the block's instruction slice; callers must not modify it.
+// instrSuccessors is Next() of the paper's pseudocode for every instruction
+// but a conditional branch (execCondBr walks both directions): the next
+// instruction of the block, or a Br's target's first. The result aliases a
+// block's instruction slice; callers must not modify it.
 func instrSuccessors(in cir.Instr) []cir.Instr {
 	blk := in.Block()
-	for i, cur := range blk.Instrs {
-		if cur == in {
-			if i+1 < len(blk.Instrs) {
-				return blk.Instrs[i+1 : i+2 : i+2]
-			}
-			break
-		}
+	if i := in.BlockIndex() + 1; i < len(blk.Instrs) {
+		return blk.Instrs[i : i+1 : i+1]
 	}
-	var out []cir.Instr
-	for _, s := range blk.Succs() {
-		if len(s.Instrs) > 0 {
-			out = append(out, s.Instrs[0])
-		}
+	if br, ok := in.(*cir.Br); ok && len(br.Target.Instrs) > 0 {
+		return br.Target.Instrs[:1:1]
 	}
-	return out
+	return nil
 }
 
 func (e *Engine) execCondBr(br *cir.CondBr) {
@@ -661,7 +652,7 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 }
 
 func (e *Engine) execCall(call *cir.Call) {
-	callee := e.Mod.Funcs[call.Callee]
+	callee := e.Mod.Callee(call)
 	inlinable := callee != nil && !callee.IsDecl() &&
 		len(e.frames) < e.Cfg.MaxCallDepth &&
 		callee.Entry() != nil && len(callee.Entry().Instrs) > 0 &&
@@ -775,7 +766,7 @@ func (e *Engine) applyAlias(in cir.Instr) {
 		if na {
 			return
 		}
-		e.g.GEP(t.Dst, t.Base, aliasgraph.IndexLabel(t.Index, cir.SiteToken(t)))
+		e.g.GEP(t.Dst, t.Base, aliasgraph.IndexLabel(t))
 	}
 }
 
@@ -888,37 +879,14 @@ func (e *Engine) CallerFrameID() int {
 }
 
 // IsDefined implements typestate.Ctx.
-func (e *Engine) IsDefined(callee string) bool {
-	fn, ok := e.Mod.Funcs[callee]
-	return ok && !fn.IsDecl()
+func (e *Engine) IsDefined(call *cir.Call) bool {
+	fn := e.Mod.Callee(call)
+	return fn != nil && !fn.IsDecl()
 }
 
 // IsStackAddr implements typestate.Ctx: true for addresses rooted at an
 // alloca or a global (dereferencing them cannot fault on NULL).
-func (e *Engine) IsStackAddr(v cir.Value) bool {
-	switch t := v.(type) {
-	case *cir.Global:
-		return true
-	case *cir.Register:
-		if memo, ok := e.stackAddrMemo[t]; ok {
-			return memo
-		}
-		res := false
-		if t.Def != nil {
-			switch d := t.Def.(type) {
-			case *cir.Alloca:
-				res = true
-			case *cir.FieldAddr:
-				res = e.IsStackAddr(d.Base)
-			case *cir.IndexAddr:
-				res = e.IsStackAddr(d.Base)
-			}
-		}
-		e.stackAddrMemo[t] = res
-		return res
-	}
-	return false
-}
+func (e *Engine) IsStackAddr(v cir.Value) bool { return cir.IsStackAddr(v) }
 
 // SortedBugs orders bugs by type, file and line for stable reporting.
 func SortedBugs(bugs []*Bug) []*Bug {

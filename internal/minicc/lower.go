@@ -121,7 +121,7 @@ func lowerAll(name string, sources map[string]string) (*Lowered, error) {
 	if err := verify(mod.SortedFuncs()); err != nil {
 		return l, err
 	}
-	l.instrs = mod.MaxGID() // AssignGIDs numbers densely
+	l.instrs, l.vids = mod.MaxGID(), mod.MaxVID() // AssignGIDs numbers densely
 	l.bodyStructs = fe.bodyStructs
 	release(l.files)
 	return l, nil

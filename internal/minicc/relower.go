@@ -22,6 +22,7 @@ import (
 type Lowered struct {
 	Mod    *cir.Module
 	instrs int          // Mod.NumInstrs()
+	vids   int          // the value IDs Mod's globals and functions hold
 	files  []*fileDecls // in sorted name order
 	// structs and addrTaken are the module's struct table and address-taken
 	// set as the declaration pass left them; bodyStructs holds the struct
@@ -43,8 +44,8 @@ type Lowered struct {
 // every edited file must be a file of l that parses to the same declKey —
 // the same structs, globals and function signatures, positions aside —
 // and the result must lower and verify without error. Otherwise, and when
-// the GID space would outgrow maxGIDSpace times the instruction count, it
-// returns nil, and the caller lowers the sources from scratch (which also
+// the GID or value-ID space would outgrow maxGIDSpace times the
+// instruction or value count, it returns nil, and the caller lowers the sources from scratch (which also
 // gives the error, or renumbers the GIDs). The new functions come back
 // fingerprinted.
 func (l *Lowered) Relower(edits map[string]string) *Lowered {
@@ -73,6 +74,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 		units  []*unit         // the edited files' bodies
 		fresh  []*cir.Function // and their functions
 		instrs = l.instrs
+		vids   = l.vids
 	)
 	for i, f := range parsed {
 		j, ok := slices.BinarySearchFunc(files, names[i], func(d *fileDecls, name string) int {
@@ -101,6 +103,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 			u := &unit{file: d, idx: k, fd: fd, created: ou.created}
 			if ou.fn != nil {
 				instrs -= ou.fn.NumInstrs()
+				vids -= ou.fn.NumRegs()
 				u.fn = &cir.Function{Name: ou.fn.Name, Typ: ou.fn.Typ, Pos: funcPos(fd), File: d.name, Static: ou.fn.Static}
 				u.fn.NewBlock("entry")
 				mod.Funcs[u.fn.Name] = u.fn
@@ -134,15 +137,18 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 	if fe.finish(files) != nil {
 		return nil
 	}
-	added := 0
+	added, addedVIDs := 0, 0
 	for _, fn := range fresh {
 		added += fn.NumInstrs()
+		addedVIDs += fn.NumRegs()
 	}
-	if instrs += added; l.Mod.MaxGID()+added > maxGIDSpace*instrs {
+	instrs += added
+	vids += addedVIDs
+	if l.Mod.MaxGID()+added > maxGIDSpace*instrs || l.Mod.MaxVID()+addedVIDs > maxGIDSpace*vids {
 		return nil
 	}
 	slices.SortFunc(fresh, func(a, b *cir.Function) int { return strings.Compare(a.Name, b.Name) })
-	mod.ExtendGIDs(l.Mod.MaxGID(), fresh)
+	mod.ExtendGIDs(l.Mod, fresh)
 	if verify(fresh) != nil {
 		return nil
 	}
@@ -150,7 +156,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 	// another when the caller indexes the module.
 	par.For(len(fresh), runtime.GOMAXPROCS(0), func(_, i int) { fresh[i].Fingerprint() })
 	release(edited)
-	return &Lowered{Mod: mod, instrs: instrs, files: files, structs: l.structs, addrTaken: l.addrTaken, bodyStructs: fe.bodyStructs}
+	return &Lowered{Mod: mod, instrs: instrs, vids: vids, files: files, structs: l.structs, addrTaken: l.addrTaken, bodyStructs: fe.bodyStructs}
 }
 
 // release drops what only lowering needed from files' records once their
@@ -166,12 +172,13 @@ func release(files []*fileDecls) {
 }
 
 // maxGIDSpace bounds a Relowered module's GID space, as a multiple of its
-// instruction count: every edit adds its functions' GIDs above the old ones,
-// and a module that would outgrow the bound is lowered from scratch, which
-// numbers its GIDs densely again. Each Stage-1 worker keeps a table sized
-// by the GID space (reused across analyses, not allocated per run), so a
-// larger bound costs memory for as long as the host runs, and a smaller
-// one costs more full lowerings.
+// instruction count, and its value-ID space, as a multiple of its register
+// and global count: every edit adds its functions' GIDs and value IDs above
+// the old ones, and a module that would outgrow either bound is lowered
+// from scratch, which numbers both densely again. Each Stage-1 worker keeps
+// tables sized by these spaces (reused across analyses, not allocated per
+// run), so a larger bound costs memory for as long as the host runs, and a
+// smaller one costs more full lowerings.
 const maxGIDSpace = 4
 
 // funcPos is the position a function declared or defined by fd carries.

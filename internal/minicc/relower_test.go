@@ -2,6 +2,7 @@ package minicc
 
 import (
 	"maps"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -198,4 +199,41 @@ func TestRelowerBoundsGIDSpace(t *testing.T) {
 	if !declined {
 		t.Error("20 re-lowerings of one file never outgrew the GID bound")
 	}
+}
+
+// TestRelowerBoundsValueIDSpace: re-lowering a register-dense function
+// beside a large register-free one fills the value-ID space about four
+// times as fast as the GID space, and Relower declines once the value-ID
+// space would outgrow maxGIDSpace times the module's values, while the GID
+// space alone would still take the edit.
+func TestRelowerBoundsValueIDSpace(t *testing.T) {
+	body := func(k int) string {
+		return "int dense(int x) { return x" + strings.Repeat(" + x", 9) + " + " + strconv.Itoa(k) + "; }\n"
+	}
+	l, err := LowerProgram("m", map[string]string{
+		"a.c": "void g(void);\nvoid big(void) {" + strings.Repeat(" g();", 60) + " }\n",
+		"b.c": body(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 10; k++ {
+		next := l.Relower(map[string]string{"b.c": body(k)})
+		if next != nil {
+			if max, n := next.Mod.MaxVID(), next.vids; max > maxGIDSpace*n {
+				t.Fatalf("edit %d: value-ID high-water mark %d over %d× %d values", k, max, maxGIDSpace, n)
+			}
+			l = next
+			continue
+		}
+		dense := l.Mod.Funcs["dense"].NumInstrs() // the edit keeps its size
+		if l.Mod.MaxGID()+dense > maxGIDSpace*l.instrs {
+			t.Fatalf("edit %d: the GID space, not the value-ID space, declined", k)
+		}
+		if l.Mod.MaxVID()+l.Mod.Funcs["dense"].NumRegs() <= maxGIDSpace*l.vids {
+			t.Fatalf("edit %d: declined within both bounds", k)
+		}
+		return
+	}
+	t.Error("10 re-lowerings of a register-dense function never outgrew the value-ID bound")
 }

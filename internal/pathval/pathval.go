@@ -526,7 +526,7 @@ func (r *replayer) applyStep(st core.PathStep, callee *cir.Function) {
 		r.countUnaware(t.Dst.Typ)
 	case *cir.IndexAddr:
 		if r.mode != core.ModeNoAlias {
-			r.g.GEP(t.Dst, t.Base, aliasgraph.IndexLabel(t.Index, cir.SiteToken(t)))
+			r.g.GEP(t.Dst, t.Base, aliasgraph.IndexLabel(t))
 		}
 		r.countUnaware(t.Dst.Typ)
 	case *cir.BinOp:

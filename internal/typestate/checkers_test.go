@@ -32,15 +32,15 @@ func newMockCtx(checkers ...Checker) *mockCtx {
 	return m
 }
 
-func (m *mockCtx) Graph() *aliasgraph.Graph     { return m.g }
-func (m *mockCtx) Tracker() *Tracker            { return m.tr }
-func (m *mockCtx) IsStackAddr(v cir.Value) bool { return m.stack[v] }
-func (m *mockCtx) Intrinsics() *Intrinsics      { return m.intr }
-func (m *mockCtx) Depth() int                   { return m.depth }
-func (m *mockCtx) FrameID() int                 { return m.frame }
-func (m *mockCtx) CallerFrameID() int           { return m.caller }
-func (m *mockCtx) IsDefined(callee string) bool { return m.defined[callee] }
-func (m *mockCtx) Checker() int                 { return m.ci }
+func (m *mockCtx) Graph() *aliasgraph.Graph      { return m.g }
+func (m *mockCtx) Tracker() *Tracker             { return m.tr }
+func (m *mockCtx) IsStackAddr(v cir.Value) bool  { return m.stack[v] }
+func (m *mockCtx) Intrinsics() *Intrinsics       { return m.intr }
+func (m *mockCtx) Depth() int                    { return m.depth }
+func (m *mockCtx) FrameID() int                  { return m.frame }
+func (m *mockCtx) CallerFrameID() int            { return m.caller }
+func (m *mockCtx) IsDefined(call *cir.Call) bool { return m.defined[call.Callee] }
+func (m *mockCtx) Checker() int                  { return m.ci }
 
 func preg(name string) *cir.Register {
 	return &cir.Register{Name: name, Typ: cir.PointerTo(cir.I64)}

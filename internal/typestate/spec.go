@@ -324,7 +324,7 @@ func (s *Spec) call(g *aliasgraph.Graph, ctx Ctx, call *cir.Call, out []Emission
 		if r.Event == s.Acquire {
 			tr, ci := ctx.Tracker(), ctx.Checker()
 			rec := tr.rec(ci, obj)
-			rec.frame, rec.escaped = ctx.FrameID(), false
+			rec.frame, rec.escaped = int32(ctx.FrameID()), false
 			tr.set(ci, obj, rec)
 		}
 		return append(out, emission(obj, r.Event, call))
@@ -333,7 +333,7 @@ func (s *Spec) call(g *aliasgraph.Graph, ctx Ctx, call *cir.Call, out []Emission
 	// released there: UVA assumes it initialized (avoiding the concurrency
 	// false positives of §5.2; the thread-unaware variant reproduces them)
 	// and an owned resource escapes (Saber does the same, §6).
-	if (s.OpaqueInit == "" && s.Held == "") || ctx.IsDefined(call.Callee) {
+	if (s.OpaqueInit == "" && s.Held == "") || ctx.IsDefined(call) {
 		return out
 	}
 	for _, a := range call.Args {
@@ -355,7 +355,7 @@ func (s *Spec) escape(ctx Ctx, v cir.Value) {
 	}
 	tr, ci := ctx.Tracker(), ctx.Checker()
 	if obj := ctx.Graph().Lookup(v); obj != nil {
-		if rec := tr.rec(ci, obj); rec.state == s.Held {
+		if rec := tr.rec(ci, obj); tr.moved(ci, rec, s.Held) {
 			rec.escaped = true
 			tr.set(ci, obj, rec)
 		}
@@ -368,23 +368,23 @@ func (s *Spec) OnReturn(ret *cir.Ret, ctx Ctx, out []Emission) []Emission {
 		return out
 	}
 	tr, ci := ctx.Tracker(), ctx.Checker()
-	frame := ctx.FrameID()
+	frame := int32(ctx.FrameID())
 	if ret.Val != nil {
 		if obj := ctx.Graph().Lookup(ret.Val); obj != nil {
-			if rec := tr.rec(ci, obj); rec.state == s.Held && rec.frame == frame {
+			if rec := tr.rec(ci, obj); tr.moved(ci, rec, s.Held) && rec.frame == frame {
 				if ctx.Depth() == 0 {
 					// Returning from the entry function publishes the
 					// resource to the unknown caller.
 					rec.escaped = true
 				} else {
-					rec.frame = ctx.CallerFrameID()
+					rec.frame = int32(ctx.CallerFrameID())
 				}
 				tr.set(ci, obj, rec)
 			}
 		}
 	}
 	for _, obj := range tr.touched[ci] {
-		if rec := tr.rec(ci, obj); rec.state == s.Held && rec.frame == frame && !rec.escaped {
+		if rec := tr.rec(ci, obj); tr.moved(ci, rec, s.Held) && rec.frame == frame && !rec.escaped {
 			out = append(out, emission(obj, s.Leak, ret))
 		}
 	}

@@ -17,6 +17,8 @@ package typestate
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/aliasgraph"
@@ -45,7 +47,8 @@ type State string
 // Event is an FSM input symbol.
 type Event string
 
-// FSM is the finite state machine of Definition 2.
+// FSM is the finite state machine of Definition 2, by name. The tracker
+// runs it compiled (see machine).
 type FSM struct {
 	Name        string
 	Initial     State
@@ -53,15 +56,70 @@ type FSM struct {
 	Transitions map[State]map[Event]State
 }
 
-// Next returns the successor state for (s, e); ok is false when no
-// transition is defined (the state is unchanged).
-func (f *FSM) Next(s State, e Event) (State, bool) {
-	if m, ok := f.Transitions[s]; ok {
-		if n, ok := m[e]; ok {
-			return n, true
+// machine is an FSM compiled for the tracker: states and events interned
+// to small ints, so a transition is one table read and a record's state is
+// a byte. State ID 0 is a record's zero value, an object that never moved:
+// it reads as the initial state, which also holds an ID of its own.
+type machine struct {
+	states       []State // by ID; states[0] is the initial state
+	events       []Event // by ID, sorted
+	next         []uint8 // next[s*len(events)+e]: the successor's ID, 0 for none
+	initial, bug uint8
+}
+
+// compile interns f's states (the initial and the bug state first, then
+// the rest in sorted order) and events (in sorted order) and fills the
+// transition table.
+func compile(f *FSM) *machine {
+	states := []State{f.Initial, f.Bug}
+	evs := make(map[Event]int)
+	for from, row := range f.Transitions {
+		states = append(states, from)
+		for ev, to := range row {
+			states = append(states, to)
+			evs[ev] = 0
 		}
 	}
-	return s, false
+	slices.Sort(states[2:])
+	m := &machine{states: []State{f.Initial}, events: sortedKeys(evs)}
+	ids := make(map[State]uint8)
+	for _, s := range states {
+		if _, ok := ids[s]; ok {
+			continue
+		}
+		if len(m.states) > math.MaxUint8 {
+			panic(fmt.Sprintf("typestate: FSM %s has more than %d states", f.Name, math.MaxUint8))
+		}
+		ids[s] = uint8(len(m.states))
+		m.states = append(m.states, s)
+	}
+	m.initial, m.bug = ids[f.Initial], ids[f.Bug]
+	for i, ev := range m.events {
+		evs[ev] = i
+	}
+	m.next = make([]uint8, len(m.states)*len(m.events))
+	for from, row := range f.Transitions {
+		for ev, to := range row {
+			m.next[int(ids[from])*len(m.events)+evs[ev]] = ids[to]
+		}
+	}
+	return m
+}
+
+// step returns the successor of state cur (0 reads as the initial state)
+// under event e, and 0 when the FSM defines no transition. An emission
+// names its event, which is matched among the machine's few (two to five
+// in the shipped specs), so specs and custom checkers keep emitting names.
+func (m *machine) step(cur uint8, e Event) uint8 {
+	if cur == 0 {
+		cur = m.initial
+	}
+	for i, ev := range m.events {
+		if ev == e {
+			return m.next[int(cur)*len(m.events)+i]
+		}
+	}
+	return 0
 }
 
 // ExtraConstraint lets a checker attach a bug condition beyond path
@@ -173,9 +231,10 @@ type Ctx interface {
 	// CallerFrameID identifies the activation that will resume when the
 	// current one returns (meaningful when Depth() > 0).
 	CallerFrameID() int
-	// IsDefined reports whether callee has a body in the module (calls to
-	// undefined functions are treated as opaque by escape analysis).
-	IsDefined(callee string) bool
+	// IsDefined reports whether call's callee has a body in the module
+	// (calls to undefined functions are treated as opaque by escape
+	// analysis).
+	IsDefined(call *cir.Call) bool
 	// Checker is the tracker index of the checker whose hook is running.
 	Checker() int
 }
@@ -203,30 +262,24 @@ type Checker interface {
 
 // ---- tracker ----
 
-type objKey struct {
-	checker int
-	node    *aliasgraph.Node
-}
-
 // objRec is the per-(checker, object) record.
 type objRec struct {
-	// state is "" until the object's first transition: the FSM's initial
-	// state.
-	state State
 	// origin is the GID of the instruction that put the object into its
 	// current state: the "origin" half of the paper's repeated-bug key (P3).
-	origin int
+	origin int32
 	// frame and escaped belong to the resource-ownership source: the frame
 	// that owns a held resource, and whether it outlives static tracking.
-	frame   int
+	frame int32
+	// state is the machine's state ID, 0 until the object's first
+	// transition: the FSM's initial state.
+	state   uint8
 	escaped bool
 }
 
-// tundo restores one record; had is false when the key was absent.
+// tundo restores one record slot.
 type tundo struct {
-	key objKey
-	old objRec
-	had bool
+	slot int32
+	old  objRec
 }
 
 // BugSink receives bug-state transitions as they happen during tracking.
@@ -244,9 +297,18 @@ type Stats struct {
 
 // Tracker holds the per-alias-class records of all checkers, with
 // trail-based checkpoint/rollback mirroring the alias graph's.
+//
+// The record of object n under checker ci sits in slot
+// n.ID*len(Checkers)+ci of recs, which grows on demand; a slot past its end
+// or holding the zero record belongs to an object that never moved. Node
+// IDs are dense and LIFO, and the engine rolls the tracker back together
+// with the alias graph, so by the time a node is retired its slots are
+// zero again and the node that next takes its ID starts clean. All objects
+// of one tracker must come from one graph.
 type Tracker struct {
 	Checkers []Checker
-	recs     map[objKey]objRec
+	machines []*machine // compiled Checkers[ci].FSM()
+	recs     []objRec
 	// touched lists, per checker and in insertion order, the objects whose
 	// state has left the initial state.
 	touched [][]*aliasgraph.Node
@@ -255,14 +317,19 @@ type Tracker struct {
 	Sink    BugSink
 }
 
-// NewTracker returns a tracker over the given checkers.
+// NewTracker returns a tracker over the given checkers, compiling each
+// checker's FSM once.
 func NewTracker(checkers []Checker, sink BugSink) *Tracker {
-	return &Tracker{
+	t := &Tracker{
 		Checkers: checkers,
-		recs:     make(map[objKey]objRec),
+		machines: make([]*machine, len(checkers)),
 		touched:  make([][]*aliasgraph.Node, len(checkers)),
 		Sink:     sink,
 	}
+	for ci, c := range checkers {
+		t.machines[ci] = compile(c.FSM())
+	}
+	return t
 }
 
 // Mark is a trail checkpoint.
@@ -276,53 +343,62 @@ func (t *Tracker) Rollback(mark Mark) {
 	for len(t.trail) > int(mark) {
 		u := t.trail[len(t.trail)-1]
 		t.trail = t.trail[:len(t.trail)-1]
-		if u.old.state == "" && t.recs[u.key].state != "" {
-			lst := t.touched[u.key.checker]
-			t.touched[u.key.checker] = lst[:len(lst)-1]
+		if u.old.state == 0 && t.recs[u.slot].state != 0 {
+			ci := int(u.slot) % len(t.Checkers)
+			t.touched[ci] = t.touched[ci][:len(t.touched[ci])-1]
 		}
-		if u.had {
-			t.recs[u.key] = u.old
-		} else {
-			delete(t.recs, u.key)
-		}
+		t.recs[u.slot] = u.old
 	}
 }
 
 func (t *Tracker) rec(ci int, obj *aliasgraph.Node) objRec {
-	return t.recs[objKey{checker: ci, node: obj}]
+	if k := obj.ID*len(t.Checkers) + ci; k < len(t.recs) {
+		return t.recs[k]
+	}
+	return objRec{}
 }
 
 // set replaces obj's record under checker ci, trailing the old one.
 func (t *Tracker) set(ci int, obj *aliasgraph.Node, r objRec) {
-	k := objKey{checker: ci, node: obj}
-	old, had := t.recs[k]
-	t.trail = append(t.trail, tundo{key: k, old: old, had: had})
+	k := obj.ID*len(t.Checkers) + ci
+	if k >= len(t.recs) {
+		t.recs = append(t.recs, make([]objRec, k+1-len(t.recs))...)
+	}
+	old := t.recs[k]
+	t.trail = append(t.trail, tundo{slot: int32(k), old: old})
 	t.recs[k] = r
-	if old.state == "" && r.state != "" {
+	if old.state == 0 && r.state != 0 {
 		t.touched[ci] = append(t.touched[ci], obj)
 	}
 }
 
+// moved reports whether r, a record under checker ci, has made a
+// transition into state s.
+func (t *Tracker) moved(ci int, r objRec, s State) bool {
+	return r.state != 0 && t.machines[ci].states[r.state] == s
+}
+
 // StateOf returns the current state of obj under checker ci.
 func (t *Tracker) StateOf(ci int, obj *aliasgraph.Node) State {
-	if s := t.rec(ci, obj).state; s != "" {
-		return s
-	}
-	return t.Checkers[ci].FSM().Initial
+	return t.machines[ci].states[t.rec(ci, obj).state]
 }
 
 // Origin returns the GID of the instruction that put obj into its current
 // state under checker ci (0 when it never left the initial state).
-func (t *Tracker) Origin(ci int, obj *aliasgraph.Node) int { return t.rec(ci, obj).origin }
+func (t *Tracker) Origin(ci int, obj *aliasgraph.Node) int { return int(t.rec(ci, obj).origin) }
 
 // Apply feeds one emission through checker ci's FSM, counting costs and
 // reporting bug-state entries through the sink.
 func (t *Tracker) Apply(ci int, em Emission) {
-	fsm := t.Checkers[ci].FSM()
-	cur := t.StateOf(ci, em.Obj)
-	next, moved := fsm.Next(cur, em.Event)
-	if !moved {
+	m := t.machines[ci]
+	r := t.rec(ci, em.Obj)
+	next := m.step(r.state, em.Event)
+	if next == 0 {
 		return
+	}
+	cur := r.state
+	if cur == 0 {
+		cur = m.initial
 	}
 	t.Stats.Transitions++
 	// Alias-unaware cost: one update per variable in the class plus one
@@ -333,18 +409,23 @@ func (t *Tracker) Apply(ci int, em Emission) {
 	}
 	t.Stats.TransitionsUnaware += 2*nvars - 1
 	if next != cur {
-		r := t.rec(ci, em.Obj)
 		r.state = next
-		if next != fsm.Bug && em.Instr != nil {
-			r.origin = em.Instr.GID()
+		if next != m.bug && em.Instr != nil {
+			r.origin = int32(em.Instr.GID())
 		}
 		t.set(ci, em.Obj, r)
 	}
-	if next == fsm.Bug && t.Sink != nil {
-		t.Sink(ci, em, cur)
+	if next == m.bug && t.Sink != nil {
+		t.Sink(ci, em, m.states[cur])
 	}
 }
 
 func (t *Tracker) String() string {
-	return fmt.Sprintf("tracker{%d checkers, %d records}", len(t.Checkers), len(t.recs))
+	n := 0
+	for _, r := range t.recs {
+		if r != (objRec{}) {
+			n++
+		}
+	}
+	return fmt.Sprintf("tracker{%d checkers, %d records}", len(t.Checkers), n)
 }

@@ -12,20 +12,66 @@ func mkNode(g *aliasgraph.Graph, name string) *aliasgraph.Node {
 	return g.NodeOf(&cir.Register{Name: name, Typ: cir.PointerTo(cir.I64)})
 }
 
+// next steps the compiled m from the state named s under event e, by name;
+// ok is false when no transition is defined (the state is unchanged).
+func next(m *machine, s State, e Event) (State, bool) {
+	if n := m.step(stateID(m, s), e); n != 0 {
+		return m.states[n], true
+	}
+	return s, false
+}
+
+// stateID returns the ID of the state named s in m.
+func stateID(m *machine, s State) uint8 {
+	for id, name := range m.states[1:] {
+		if name == s {
+			return uint8(id + 1)
+		}
+	}
+	panic("unknown state " + s)
+}
+
+// sid returns the ID of the state named s in checker ci's compiled machine.
+func sid(tr *Tracker, ci int, s State) uint8 { return stateID(tr.machines[ci], s) }
+
 func TestFSMNext(t *testing.T) {
-	fsm := NewNPD().FSM()
-	s, ok := fsm.Next("S0", "br_null")
+	m := compile(NewNPD().FSM())
+	s, ok := next(m, "S0", "br_null")
 	if !ok || s != "S_N" {
 		t.Errorf("S0 --br_null--> %s (%v)", s, ok)
 	}
-	s, ok = fsm.Next("S_N", "deref")
+	s, ok = next(m, "S_N", "deref")
 	if !ok || s != "S_NPD" {
 		t.Errorf("S_N --deref--> %s (%v)", s, ok)
 	}
 	// Undefined transitions keep the state.
-	s, ok = fsm.Next("S_NPD", "br_null")
+	s, ok = next(m, "S_NPD", "br_null")
 	if ok || s != "S_NPD" {
 		t.Errorf("undefined transition moved: %s (%v)", s, ok)
+	}
+	// So do events the FSM does not know.
+	if s, ok = next(m, "S0", "no_such_event"); ok || s != "S0" {
+		t.Errorf("unknown event moved: %s (%v)", s, ok)
+	}
+}
+
+// TestCompiledMachinesMatchTables: every compiled machine takes exactly the
+// transitions its FSM's table lists, from every state under every event.
+func TestCompiledMachinesMatchTables(t *testing.T) {
+	for _, c := range allSpecs() {
+		fsm := c.FSM()
+		m := compile(fsm)
+		if m.states[0] != fsm.Initial || m.states[m.initial] != fsm.Initial || m.states[m.bug] != fsm.Bug {
+			t.Errorf("%s: initial/bug states interned wrong", c.Name())
+		}
+		for _, s := range m.states[1:] {
+			for _, e := range m.events {
+				want, wantOK := fsm.Transitions[s][e]
+				if got, ok := next(m, s, e); ok != wantOK || (ok && got != want) {
+					t.Errorf("%s: %s --%s--> %s (%v), table says %s (%v)", c.Name(), s, e, got, ok, want, wantOK)
+				}
+			}
+		}
 	}
 }
 
@@ -174,12 +220,12 @@ func TestTrackerRollbackRestoresOverwrites(t *testing.T) {
 	g := aliasgraph.New()
 	obj1, obj2 := mkNode(g, "p"), mkNode(g, "q")
 	tr := NewTracker([]Checker{NewNPD()}, nil)
-	tr.set(0, obj1, objRec{state: "S_N", frame: 7})
+	tr.set(0, obj1, objRec{state: sid(tr, 0, "S_N"), frame: 7})
 
 	m := tr.Checkpoint()
 	mutate := func() {
-		tr.set(0, obj1, objRec{state: "S_NON", frame: 9}) // overwrite
-		tr.set(0, obj2, objRec{state: "S_N"})
+		tr.set(0, obj1, objRec{state: sid(tr, 0, "S_NON"), frame: 9}) // overwrite
+		tr.set(0, obj2, objRec{state: sid(tr, 0, "S_N")})
 	}
 	mutate()
 	if tr.rec(0, obj1).frame != 9 || tr.StateOf(0, obj1) != "S_NON" || tr.StateOf(0, obj2) != "S_N" {
@@ -288,7 +334,12 @@ func TestTrackerRollbackProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(tr.touched[0]) == 0 && len(tr.recs) == 0
+		for _, r := range tr.recs {
+			if r != (objRec{}) {
+				return false
+			}
+		}
+		return len(tr.touched[0]) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -5,11 +5,13 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/acache"
+	"repro/internal/cir"
 	"repro/internal/cir/cirtest"
 	"repro/internal/core"
 	"repro/internal/oscorpus"
@@ -333,4 +335,122 @@ func FuzzUpdate(f *testing.F) {
 		}
 		checkUpdate(t, prog, map[string]string{"b.c": src}, nil)
 	})
+}
+
+// valueIDs checks p's module numbering: every register and global holds a
+// nonzero value ID no higher than MaxVID that nothing else holds, every
+// register of a function p shares with prev (nil for none; otherwise some
+// function must be shared) keeps the ID it had there, and every call finds
+// its callee through the callee table. It returns the registers' IDs for
+// the next step's check.
+func valueIDs(t *testing.T, step int, p *Program, prev map[*cir.Register]int) map[*cir.Register]int {
+	t.Helper()
+	mod := p.low.Mod
+	owner := make(map[int]string)
+	claim := func(v cir.Value, where string) int {
+		id := cir.VID(v)
+		if id <= 0 || id > mod.MaxVID() {
+			t.Fatalf("step %d: %s %s has value ID %d, MaxVID %d", step, where, v, id, mod.MaxVID())
+		}
+		if other, dup := owner[id]; dup {
+			t.Fatalf("step %d: value ID %d held by %s and by %s %s", step, id, other, where, v)
+		}
+		owner[id] = where + " " + v.String()
+		return id
+	}
+	for _, g := range mod.Globals {
+		claim(g, "global")
+	}
+	ids := make(map[*cir.Register]int)
+	shared := 0
+	for _, fn := range mod.SortedFuncs() {
+		regs := slices.Clone(fn.Params)
+		fn.Instrs(func(in cir.Instr) {
+			if d := in.Dest(); d != nil {
+				regs = append(regs, d)
+			}
+			if c, ok := in.(*cir.Call); ok && mod.Callee(c) != mod.Funcs[c.Callee] {
+				t.Fatalf("step %d: %s's call of %s resolves to another function", step, fn.Name, c.Callee)
+			}
+		})
+		for _, r := range regs {
+			ids[r] = claim(r, fn.Name)
+			if old, ok := prev[r]; ok {
+				if shared++; old != ids[r] {
+					t.Fatalf("step %d: shared %s's %s moved from value ID %d to %d", step, fn.Name, r, old, ids[r])
+				}
+			}
+		}
+	}
+	if prev != nil && shared == 0 {
+		t.Fatalf("step %d: Update shared no function", step)
+	}
+	return ids
+}
+
+// TestRelowerValueIDsUnique: along a chain of Program.Updates that Relower
+// serves, value IDs stay unique and the shared functions' registers keep
+// theirs; and once re-lowering a register-dense function outgrows the
+// value-ID bound (minicc's TestRelowerBoundsValueIDSpace shows it is that
+// bound and not the GID one), Update falls back to a fresh Load, which
+// numbers densely again.
+func TestRelowerValueIDsUnique(t *testing.T) {
+	c := oscorpus.Generate(oscorpus.LinuxSpec())
+	prog, err := Load(c.Spec.Name, c.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := valueIDs(t, 0, prog, nil)
+	sources := c.Sources
+	for step := 1; step <= 6; step++ {
+		edited, _ := oscorpus.Mutate(sources, 2, int64(step))
+		set := make(map[string]string)
+		for name, src := range edited {
+			if src != sources[name] {
+				set[name] = src
+			}
+		}
+		next, _, _, err := prog.Update(set, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = valueIDs(t, step, next, ids)
+		prog, sources = next, edited
+	}
+
+	// big has many instructions and two registers, dense about as many
+	// registers as instructions: re-lowering dense fills the value-ID
+	// space about four times as fast as the GID space.
+	sparse := map[string]string{
+		"a.c": "void g(void);\nvoid big(int y) {" + strings.Repeat(" g();", 60) + " }\n",
+	}
+	body := func(k int) string {
+		return "int dense(int x) { return x" + strings.Repeat(" + x", 9) + " + " + strconv.Itoa(k) + "; }\n"
+	}
+	sparse["b.c"] = body(0)
+	prog, err = Load("sparse", sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = valueIDs(t, 0, prog, nil)
+	for k := 1; ; k++ {
+		if k > 10 {
+			t.Fatal("10 re-lowerings of a register-dense function never outgrew the value-ID bound")
+		}
+		next, _, _, err := prog.Update(map[string]string{"b.c": body(k)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, nmod := prog.low.Mod, next.low.Mod
+		if nmod.Funcs["big"] == mod.Funcs["big"] {
+			ids = valueIDs(t, k, next, ids)
+			prog = next
+			continue
+		}
+		if nmod.MaxVID() != nmod.Funcs["dense"].NumRegs()+nmod.Funcs["big"].NumRegs()+len(nmod.Globals) {
+			t.Errorf("edit %d: a fresh Load numbers %d value IDs, not densely", k, nmod.MaxVID())
+		}
+		valueIDs(t, k, next, nil)
+		break
+	}
 }
