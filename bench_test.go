@@ -109,6 +109,7 @@ func BenchmarkCases(b *testing.B) {
 // linux-like corpus (the Clang-equivalent P1 cost).
 func BenchmarkFrontendLinuxCorpus(b *testing.B) {
 	c := oscorpus.Generate(oscorpus.LinuxSpec())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := minicc.LowerAll(c.Spec.Name, c.Sources); err != nil {

@@ -61,11 +61,26 @@ func (b *Builder) emit(in Instr) Instr {
 	return b.Blk.Append(in)
 }
 
+// withDst is an instruction allocated together with the register it
+// defines: one object where the two used to be two.
+type withDst[I any] struct {
+	in  I
+	dst Register
+}
+
+// newDst makes *r a fresh register of b's function, defined by def.
+func (b *Builder) newDst(r *Register, name string, t Type, def Instr) *Register {
+	b.Fn.nextReg++
+	*r = Register{ID: b.Fn.nextReg, Name: name, Typ: t, Def: def, Fn: b.Fn}
+	return r
+}
+
 // Alloca emits stack allocation of elem named varName.
 func (b *Builder) Alloca(varName string, elem Type) *Register {
-	r := b.Fn.NewReg(varName, PointerTo(elem))
-	in := &Alloca{Dst: r, Elem: elem, VarName: varName}
-	r.Def = in
+	x := new(withDst[Alloca])
+	in := &x.in
+	r := b.newDst(&x.dst, varName, PointerTo(elem), in)
+	*in = Alloca{Dst: r, Elem: elem, VarName: varName}
 	b.Fn.markStackAddr(r)
 	b.emit(in)
 	return r
@@ -73,9 +88,10 @@ func (b *Builder) Alloca(varName string, elem Type) *Register {
 
 // Move emits a register copy of src.
 func (b *Builder) Move(name string, src Value) *Register {
-	r := b.Fn.NewReg(name, src.Type())
-	in := &Move{Dst: r, Src: src}
-	r.Def = in
+	x := new(withDst[Move])
+	in := &x.in
+	r := b.newDst(&x.dst, name, src.Type(), in)
+	*in = Move{Dst: r, Src: src}
 	b.emit(in)
 	return r
 }
@@ -86,9 +102,10 @@ func (b *Builder) Load(name string, addr Value) *Register {
 	if elem == nil {
 		elem = I64
 	}
-	r := b.Fn.NewReg(name, elem)
-	in := &Load{Dst: r, Addr: addr}
-	r.Def = in
+	x := new(withDst[Load])
+	in := &x.in
+	r := b.newDst(&x.dst, name, elem, in)
+	*in = Load{Dst: r, Addr: addr}
 	b.emit(in)
 	return r
 }
@@ -106,9 +123,10 @@ func (b *Builder) FieldAddr(name string, base Value, field string) *Register {
 			ft = t
 		}
 	}
-	r := b.Fn.NewReg(name, PointerTo(ft))
-	in := &FieldAddr{Dst: r, Base: base, Field: field}
-	r.Def = in
+	x := new(withDst[FieldAddr])
+	in := &x.in
+	r := b.newDst(&x.dst, name, PointerTo(ft), in)
+	*in = FieldAddr{Dst: r, Base: base, Field: field}
 	if IsStackAddr(base) {
 		b.Fn.markStackAddr(r)
 	}
@@ -126,9 +144,10 @@ func (b *Builder) IndexAddr(name string, base Value, index Value) *Register {
 	default:
 		et = pt
 	}
-	r := b.Fn.NewReg(name, PointerTo(et))
-	in := &IndexAddr{Dst: r, Base: base, Index: index}
-	r.Def = in
+	x := new(withDst[IndexAddr])
+	in := &x.in
+	r := b.newDst(&x.dst, name, PointerTo(et), in)
+	*in = IndexAddr{Dst: r, Base: base, Index: index}
 	if IsStackAddr(base) {
 		b.Fn.markStackAddr(r)
 	}
@@ -138,31 +157,34 @@ func (b *Builder) IndexAddr(name string, base Value, index Value) *Register {
 
 // BinOp emits x op y.
 func (b *Builder) BinOp(name string, op BinaryOp, x, y Value) *Register {
-	r := b.Fn.NewReg(name, x.Type())
-	in := &BinOp{Dst: r, Op: op, X: x, Y: y}
-	r.Def = in
+	w := new(withDst[BinOp])
+	in := &w.in
+	r := b.newDst(&w.dst, name, x.Type(), in)
+	*in = BinOp{Dst: r, Op: op, X: x, Y: y}
 	b.emit(in)
 	return r
 }
 
 // Cmp emits x pred y producing an i1.
 func (b *Builder) Cmp(name string, pred Pred, x, y Value) *Register {
-	r := b.Fn.NewReg(name, I1)
-	in := &Cmp{Dst: r, Pred: pred, X: x, Y: y}
-	r.Def = in
+	w := new(withDst[Cmp])
+	in := &w.in
+	r := b.newDst(&w.dst, name, I1, in)
+	*in = Cmp{Dst: r, Pred: pred, X: x, Y: y}
 	b.emit(in)
 	return r
 }
 
 // Call emits a direct call. resultType Void yields a nil destination.
 func (b *Builder) Call(name, callee string, resultType Type, args ...Value) *Register {
-	var r *Register
-	in := &Call{Callee: callee, Args: args}
-	if _, isVoid := resultType.(*VoidType); !isVoid && resultType != nil {
-		r = b.Fn.NewReg(name, resultType)
-		in.Dst = r
-		r.Def = in
+	if _, isVoid := resultType.(*VoidType); isVoid || resultType == nil {
+		b.emit(&Call{Callee: callee, Args: args})
+		return nil
 	}
+	x := new(withDst[Call])
+	in := &x.in
+	r := b.newDst(&x.dst, name, resultType, in)
+	*in = Call{Dst: r, Callee: callee, Args: args}
 	b.emit(in)
 	return r
 }

@@ -12,8 +12,6 @@ import (
 type Instr interface {
 	// Dest returns the register defined by the instruction, or nil.
 	Dest() *Register
-	// Operands returns the used values.
-	Operands() []Value
 	// Block returns the containing basic block.
 	Block() *Block
 	// GID returns the module-unique instruction ID.
@@ -69,8 +67,7 @@ type Alloca struct {
 	VarName string
 }
 
-func (i *Alloca) Dest() *Register   { return i.Dst }
-func (i *Alloca) Operands() []Value { return nil }
+func (i *Alloca) Dest() *Register { return i.Dst }
 func (i *Alloca) String() string {
 	return fmt.Sprintf("%s = alloca %s ; %s", i.Dst, i.Elem, i.VarName)
 }
@@ -83,9 +80,8 @@ type Move struct {
 	Src Value
 }
 
-func (i *Move) Dest() *Register   { return i.Dst }
-func (i *Move) Operands() []Value { return []Value{i.Src} }
-func (i *Move) String() string    { return fmt.Sprintf("%s = move %s", i.Dst, i.Src) }
+func (i *Move) Dest() *Register { return i.Dst }
+func (i *Move) String() string  { return fmt.Sprintf("%s = move %s", i.Dst, i.Src) }
 
 // Load defines Dst with the value stored at Addr (v1 = *v2).
 type Load struct {
@@ -94,9 +90,8 @@ type Load struct {
 	Addr Value
 }
 
-func (i *Load) Dest() *Register   { return i.Dst }
-func (i *Load) Operands() []Value { return []Value{i.Addr} }
-func (i *Load) String() string    { return fmt.Sprintf("%s = load %s", i.Dst, i.Addr) }
+func (i *Load) Dest() *Register { return i.Dst }
+func (i *Load) String() string  { return fmt.Sprintf("%s = load %s", i.Dst, i.Addr) }
 
 // Store writes Val to the location Addr (*v2 = v1).
 type Store struct {
@@ -105,9 +100,8 @@ type Store struct {
 	Val  Value
 }
 
-func (i *Store) Dest() *Register   { return nil }
-func (i *Store) Operands() []Value { return []Value{i.Addr, i.Val} }
-func (i *Store) String() string    { return fmt.Sprintf("store %s <- %s", i.Addr, i.Val) }
+func (i *Store) Dest() *Register { return nil }
+func (i *Store) String() string  { return fmt.Sprintf("store %s <- %s", i.Addr, i.Val) }
 
 // FieldAddr computes the address of field Field of the struct pointed to by
 // Base (v1 = &v2->f; the GEP operation of the paper).
@@ -118,8 +112,7 @@ type FieldAddr struct {
 	Field string
 }
 
-func (i *FieldAddr) Dest() *Register   { return i.Dst }
-func (i *FieldAddr) Operands() []Value { return []Value{i.Base} }
+func (i *FieldAddr) Dest() *Register { return i.Dst }
 func (i *FieldAddr) String() string {
 	return fmt.Sprintf("%s = fieldaddr %s, .%s", i.Dst, i.Base, i.Field)
 }
@@ -160,8 +153,7 @@ func (i *IndexAddr) labelText() string {
 	return "i@" + SiteToken(i)
 }
 
-func (i *IndexAddr) Dest() *Register   { return i.Dst }
-func (i *IndexAddr) Operands() []Value { return []Value{i.Base, i.Index} }
+func (i *IndexAddr) Dest() *Register { return i.Dst }
 func (i *IndexAddr) String() string {
 	return fmt.Sprintf("%s = indexaddr %s, [%s]", i.Dst, i.Base, i.Index)
 }
@@ -191,8 +183,7 @@ type BinOp struct {
 	X, Y Value
 }
 
-func (i *BinOp) Dest() *Register   { return i.Dst }
-func (i *BinOp) Operands() []Value { return []Value{i.X, i.Y} }
+func (i *BinOp) Dest() *Register { return i.Dst }
 func (i *BinOp) String() string {
 	return fmt.Sprintf("%s = %s %s, %s", i.Dst, i.Op, i.X, i.Y)
 }
@@ -246,8 +237,7 @@ type Cmp struct {
 	X, Y Value
 }
 
-func (i *Cmp) Dest() *Register   { return i.Dst }
-func (i *Cmp) Operands() []Value { return []Value{i.X, i.Y} }
+func (i *Cmp) Dest() *Register { return i.Dst }
 func (i *Cmp) String() string {
 	return fmt.Sprintf("%s = cmp %s %s, %s", i.Dst, i.Pred, i.X, i.Y)
 }
@@ -261,8 +251,11 @@ type Call struct {
 	Args   []Value
 }
 
-func (i *Call) Dest() *Register   { return i.Dst }
-func (i *Call) Operands() []Value { return i.Args }
+func (i *Call) Dest() *Register { return i.Dst }
+
+// CalleeIndex returns the number Module.ExtendGIDs gave the callee's name
+// (see Module.Callee), 0 until a module numbers the call.
+func (i *Call) CalleeIndex() int { return int(i.callee) }
 func (i *Call) String() string {
 	var b strings.Builder
 	if i.Dst != nil {
@@ -285,9 +278,8 @@ type Br struct {
 	Target *Block
 }
 
-func (i *Br) Dest() *Register   { return nil }
-func (i *Br) Operands() []Value { return nil }
-func (i *Br) String() string    { return "br " + i.Target.Name }
+func (i *Br) Dest() *Register { return nil }
+func (i *Br) String() string  { return "br " + i.Target.Name }
 
 // CondBr branches to True when Cond is non-zero, else to False.
 type CondBr struct {
@@ -297,8 +289,7 @@ type CondBr struct {
 	False *Block
 }
 
-func (i *CondBr) Dest() *Register   { return nil }
-func (i *CondBr) Operands() []Value { return []Value{i.Cond} }
+func (i *CondBr) Dest() *Register { return nil }
 func (i *CondBr) String() string {
 	return fmt.Sprintf("condbr %s, %s, %s", i.Cond, i.True.Name, i.False.Name)
 }
@@ -310,12 +301,6 @@ type Ret struct {
 }
 
 func (i *Ret) Dest() *Register { return nil }
-func (i *Ret) Operands() []Value {
-	if i.Val == nil {
-		return nil
-	}
-	return []Value{i.Val}
-}
 func (i *Ret) String() string {
 	if i.Val == nil {
 		return "ret"

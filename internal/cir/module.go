@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/slab"
 )
 
 // Block is a basic block: a straight-line sequence of instructions ending in
@@ -17,9 +19,14 @@ type Block struct {
 }
 
 // Append adds an instruction to the block and wires its parent pointer and
-// block index.
+// block index. A block of a function fills the function's instruction
+// arena in place while it is the block appended to last (see
+// Function.reopen).
 func (b *Block) Append(in Instr) Instr {
 	in.setBlock(b, len(b.Instrs))
+	if b.Fn != nil && len(b.Instrs) == cap(b.Instrs) {
+		b.Fn.reopen(b)
+	}
 	b.Instrs = append(b.Instrs, in)
 	return in
 }
@@ -70,6 +77,43 @@ type Function struct {
 	// stack address (see IsStackAddr).
 	stack []uint64
 	fp    uint64 // memoized Fingerprint; 0 = not yet computed
+
+	// A body's blocks and constants come from the function's own slabs,
+	// and its blocks' instruction slices from one arena, so they cost an
+	// allocation per chunk rather than one per object; a register comes
+	// in one object with the instruction that defines it (see Builder).
+	// Per function, they stay valid however many modules share it.
+	blocks slab.Of[Block]
+	consts slab.Of[Const]
+	// arena is the unused tail of the instruction arena's chunk, starting
+	// at the first instruction of open, the one block whose slice may grow
+	// into it.
+	arena []Instr
+	open  *Block
+}
+
+// arenaChunk is the instruction arena's chunk size, in instructions: a
+// generated body has 25 on average.
+const arenaChunk = 16
+
+// reopen makes b the block whose slice grows into the instruction arena:
+// it moves b's instructions to the start of the arena's free tail and gives
+// b the rest of the tail as capacity. The previously open block keeps its
+// instructions where they are, its capacity cut to their number. A region a
+// block left is never written again, so a slice of it stays valid.
+func (fn *Function) reopen(b *Block) {
+	if o := fn.open; o != nil {
+		n := len(o.Instrs)
+		o.Instrs = o.Instrs[:n:n]
+		fn.arena = fn.arena[min(n, len(fn.arena)):]
+	}
+	n := len(b.Instrs)
+	if len(fn.arena) <= n {
+		fn.arena = make([]Instr, max(arenaChunk, 2*(n+1)))
+	}
+	copy(fn.arena, b.Instrs)
+	b.Instrs = fn.arena[:n]
+	fn.open = b
 }
 
 // NumRegs returns how many registers fn has made.
@@ -101,7 +145,7 @@ func (fn *Function) Entry() *Block {
 
 // NewBlock creates, appends and returns a new basic block.
 func (fn *Function) NewBlock(name string) *Block {
-	b := &Block{Name: name + strconv.Itoa(len(fn.Blocks)), Fn: fn}
+	b := fn.blocks.New(Block{Name: name + strconv.Itoa(len(fn.Blocks)), Fn: fn})
 	fn.Blocks = append(fn.Blocks, b)
 	return b
 }
@@ -110,6 +154,19 @@ func (fn *Function) NewBlock(name string) *Block {
 func (fn *Function) NewReg(name string, t Type) *Register {
 	fn.nextReg++
 	return &Register{ID: fn.nextReg, Name: name, Typ: t, Fn: fn}
+}
+
+// IntConst returns an integer constant of type t, as the package-level
+// IntConst does, from fn's slab. Each call makes a distinct constant: the
+// alias graph tells constants apart by identity.
+func (fn *Function) IntConst(t Type, v int64) *Const {
+	return fn.consts.New(Const{Typ: t, Val: v})
+}
+
+// NullConst returns a NULL constant of pointer type t from fn's slab (see
+// IntConst).
+func (fn *Function) NullConst(t Type) *Const {
+	return fn.consts.New(Const{Typ: t, IsNull: true})
 }
 
 // AddParam appends a formal parameter register.
@@ -319,6 +376,10 @@ func (m *Module) Callee(c *Call) *Function {
 	}
 	return m.Funcs[c.Callee]
 }
+
+// NumCallees returns a bound for tables indexed by callee index
+// (Call.CalleeIndex).
+func (m *Module) NumCallees() int { return len(m.callees) }
 
 // NumInstrs returns the total instruction count.
 func (m *Module) NumInstrs() int {

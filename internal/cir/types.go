@@ -8,6 +8,7 @@ package cir
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Type is the interface implemented by all CIR types.
@@ -15,11 +16,20 @@ type Type interface {
 	String() string
 	// Equal reports structural type equality.
 	Equal(Type) bool
+
+	pointer() *pointerCache
 }
+
+// pointerCache holds the one pointer type to the type that embeds it (see
+// PointerTo).
+type pointerCache struct{ ptr atomic.Pointer[PtrType] }
+
+func (c *pointerCache) pointer() *pointerCache { return c }
 
 // IntType is an integer type of a given bit width. Width 1 is used for
 // booleans produced by comparisons.
 type IntType struct {
+	pointerCache
 	Width int
 }
 
@@ -31,13 +41,14 @@ func (t *IntType) Equal(o Type) bool {
 }
 
 // VoidType is the type of functions that return nothing.
-type VoidType struct{}
+type VoidType struct{ pointerCache }
 
 func (t *VoidType) String() string    { return "void" }
 func (t *VoidType) Equal(o Type) bool { _, ok := o.(*VoidType); return ok }
 
 // PtrType is a pointer to Elem.
 type PtrType struct {
+	pointerCache
 	Elem Type
 }
 
@@ -57,6 +68,7 @@ type Field struct {
 // StructType is a nominal struct type. Two struct types are equal iff their
 // names are equal (nominal typing, as in C).
 type StructType struct {
+	pointerCache
 	Name   string
 	Fields []Field
 }
@@ -88,6 +100,7 @@ func (t *StructType) FieldType(name string) Type {
 
 // ArrayType is a fixed-length array of Elem.
 type ArrayType struct {
+	pointerCache
 	Elem Type
 	Len  int
 }
@@ -101,6 +114,7 @@ func (t *ArrayType) Equal(o Type) bool {
 
 // FuncType describes a function signature.
 type FuncType struct {
+	pointerCache
 	Params   []Type
 	Result   Type
 	Variadic bool
@@ -165,8 +179,18 @@ func Pointee(t Type) Type {
 	return nil
 }
 
-// PointerTo returns a pointer type to elem.
-func PointerTo(elem Type) *PtrType { return &PtrType{Elem: elem} }
+// PointerTo returns the pointer type to elem. It makes one *PtrType per
+// element type value, on first use, and keeps it on the element, so the
+// frontend allocates a pointer type once per type rather than once per
+// use. Concurrent calls agree on the one they return.
+func PointerTo(elem Type) *PtrType {
+	c := elem.pointer()
+	if p := c.ptr.Load(); p != nil {
+		return p
+	}
+	c.ptr.CompareAndSwap(nil, &PtrType{Elem: elem})
+	return c.ptr.Load()
+}
 
 // NumFields returns the number of struct fields transitively visible at the
 // first level of t (pointers are looked through once). It is used by the

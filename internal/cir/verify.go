@@ -116,9 +116,12 @@ func verifyFunction(fn *Function) []error {
 		}
 	}
 	// Check that every used register has a definition.
+	var buf [4]Value
+	ops := buf[:0]
 	for _, blk := range fn.Blocks {
 		for _, in := range blk.Instrs {
-			for _, op := range in.Operands() {
+			ops = appendOperands(ops[:0], in)
+			for _, op := range ops {
 				r, ok := op.(*Register)
 				if !ok {
 					continue
@@ -130,4 +133,33 @@ func verifyFunction(fn *Function) []error {
 		}
 	}
 	return errs
+}
+
+// appendOperands appends to dst the values that in uses, in operand order.
+func appendOperands(dst []Value, in Instr) []Value {
+	switch t := in.(type) {
+	case *Move:
+		return append(dst, t.Src)
+	case *Load:
+		return append(dst, t.Addr)
+	case *Store:
+		return append(dst, t.Addr, t.Val)
+	case *FieldAddr:
+		return append(dst, t.Base)
+	case *IndexAddr:
+		return append(dst, t.Base, t.Index)
+	case *BinOp:
+		return append(dst, t.X, t.Y)
+	case *Cmp:
+		return append(dst, t.X, t.Y)
+	case *Call:
+		return append(dst, t.Args...)
+	case *CondBr:
+		return append(dst, t.Cond)
+	case *Ret:
+		if t.Val != nil {
+			return append(dst, t.Val)
+		}
+	}
+	return dst
 }

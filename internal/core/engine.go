@@ -365,6 +365,12 @@ type Engine struct {
 	// of the checker whose hook runs (typestate.Ctx.Checker).
 	emits []typestate.Emission
 	ci    int
+	// facts are the comparison facts of the branch direction the checkers'
+	// OnBranch hooks inspect, computed once for all of them.
+	facts [2]typestate.BranchFact
+	// intr holds, per callee index, 1 + the callee's intrinsic kind, or 0
+	// until the callee is first classified (see Intrinsic).
+	intr []uint8
 
 	paths int64
 	steps int64
@@ -417,6 +423,7 @@ func newEngineWithCG(mod *cir.Module, cfg Config, cg *callgraph.Graph) *Engine {
 		Cfg:    cfg.withDefaults(),
 		dedup:  make(map[dedupKey]*PossibleBug),
 		onPath: getOnPath(mod.MaxGID() + 1),
+		intr:   make([]uint8, mod.NumCallees()),
 	}
 }
 
@@ -641,9 +648,11 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 		tm := e.tracker.Checkpoint()
 		// Record the direction on the branch step already on the path.
 		e.path[len(e.path)-1].Taken = taken
+		var n int
+		e.facts, n = typestate.BranchFacts(br, taken)
 		for ci, c := range e.tracker.Checkers {
 			e.ci = ci
-			e.apply(c.OnBranch(br, taken, e, e.emits[:0]))
+			e.apply(c.OnBranch(br, e.facts[:n], e, e.emits[:0]))
 		}
 		e.exec(next)
 		e.tracker.Rollback(tm)
@@ -856,8 +865,18 @@ func (e *Engine) Tracker() *typestate.Tracker { return e.tracker }
 // Checker implements typestate.Ctx.
 func (e *Engine) Checker() int { return e.ci }
 
-// Intrinsics implements typestate.Ctx.
-func (e *Engine) Intrinsics() *typestate.Intrinsics { return e.Cfg.Intrinsics }
+// Intrinsic implements typestate.Ctx. The engine classifies a callee by
+// name once and from then on reads its kind by callee index.
+func (e *Engine) Intrinsic(call *cir.Call) typestate.Intrinsic {
+	i := call.CalleeIndex()
+	if i <= 0 || i >= len(e.intr) {
+		return e.Cfg.Intrinsics.Classify(call.Callee)
+	}
+	if e.intr[i] == 0 {
+		e.intr[i] = uint8(e.Cfg.Intrinsics.Classify(call.Callee)) + 1
+	}
+	return typestate.Intrinsic(e.intr[i] - 1)
+}
 
 // Depth implements typestate.Ctx.
 func (e *Engine) Depth() int { return len(e.frames) - 1 }

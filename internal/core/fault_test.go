@@ -279,7 +279,7 @@ func (c *panicChecker) OnInstr(_ cir.Instr, ctx typestate.Ctx, out []typestate.E
 	}
 	return out
 }
-func (c *panicChecker) OnBranch(_ *cir.CondBr, _ bool, _ typestate.Ctx, out []typestate.Emission) []typestate.Emission {
+func (c *panicChecker) OnBranch(_ *cir.CondBr, _ []typestate.BranchFact, _ typestate.Ctx, out []typestate.Emission) []typestate.Emission {
 	return out
 }
 func (c *panicChecker) OnReturn(_ *cir.Ret, _ typestate.Ctx, out []typestate.Emission) []typestate.Emission {

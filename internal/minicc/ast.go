@@ -1,10 +1,11 @@
 package minicc
 
-// Position of an AST node.
+import "repro/internal/slab"
+
+// Position of an AST node in its file (the File it was parsed into).
 type Position struct {
-	File string
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
 
 // TypeExpr is a syntactic type: a base name plus pointer depth plus an
@@ -280,3 +281,30 @@ func (e *Index) exprPos() Position      { return e.Pos }
 func (e *Select) exprPos() Position     { return e.Pos }
 func (e *Cast) exprPos() Position       { return e.Pos }
 func (e *SizeofExpr) exprPos() Position { return e.Pos }
+
+// nodes holds the lookahead buffer a Parser reuses, the slabs it takes the
+// AST from, and the stacks its list rules collect into (see popList).
+type nodes struct {
+	look     []Token
+	blocks   slab.Of[BlockStmt]
+	decls    slab.Of[DeclStmt]
+	exprStmt slab.Of[ExprStmt]
+	ifs      slab.Of[IfStmt]
+	returns  slab.Of[ReturnStmt]
+	idents   slab.Of[Ident]
+	ints     slab.Of[IntLit]
+	unaries  slab.Of[Unary]
+	binaries slab.Of[Binary]
+	assigns  slab.Of[Assign]
+	calls    slab.Of[CallExpr]
+	selects  slab.Of[Select]
+	vars     slab.Of[VarDecl]
+	funcs    slab.Of[FuncDecl]
+
+	stmtList slab.Of[Stmt]
+	exprList slab.Of[Expr]
+	varList  slab.Of[*VarDecl]
+	stmtBuf  []Stmt
+	exprBuf  []Expr
+	varBuf   []*VarDecl
+}

@@ -135,14 +135,16 @@ func TestLowerAllCrossFileOrder(t *testing.T) {
 }
 
 // frontendAllocBudget bounds LowerAll's heap use on linux-like ×1, per
-// token and per source byte. Measured 3.10 mallocs per token and 66.5 bytes
-// per source byte, at GOMAXPROCS 1, 2 and 8 and under -race alike. The
-// sequential frontend, whose token slice grew by doubling, which made a map
-// for every scope and named blocks with fmt, made 3.24 mallocs per token
-// and allocated 91.2 bytes per source byte.
+// token and per source byte. Measured 1.21–1.22 mallocs per token and
+// 37.8–38.0 bytes per source byte at GOMAXPROCS 1, 2 and 8, and 1.29–1.32
+// and 38.7–39.1 under -race at GOMAXPROCS 2, 4 and 8. The frontend whose
+// tokens carried their text, whose parser kept every token and whose AST
+// nodes, registers, blocks and instruction slices were allocated one by
+// one made 3.11 mallocs per token and allocated 67.0 bytes per source
+// byte; the sequential frontend before it 3.24 and 91.2.
 const (
-	frontendMallocsPerToken = 3.2
-	frontendBytesPerSrcByte = 72
+	frontendMallocsPerToken = 1.5
+	frontendBytesPerSrcByte = 42
 )
 
 // TestFrontendAllocBudget fails when LowerAll allocates more per token or

@@ -5,54 +5,30 @@ import (
 	"strings"
 )
 
-// Lexer turns mini-C source text into tokens. Preprocessor lines (#include,
+// lexer turns mini-C source text into tokens. Preprocessor lines (#include,
 // #define, ...) are skipped whole, so lightly-preprocessed kernel-style code
 // lexes cleanly.
-type Lexer struct {
-	file string
-	src  string
-	pos  int
-	line int
-	col  int
-	errs []error
+type lexer struct {
+	file, src string
+	pos, line int
+	lineStart int // the offset of the current line's first byte
+	errs      []error
 }
 
-// NewLexer returns a lexer over src, reporting positions against file.
-func NewLexer(file, src string) *Lexer {
-	return &Lexer{file: file, src: src, line: 1, col: 1}
-}
+func (lx *lexer) col() int { return lx.pos - lx.lineStart + 1 }
 
-// Errors returns lexical errors encountered so far.
-func (lx *Lexer) Errors() []error { return lx.errs }
-
-func (lx *Lexer) errorf(line, col int, format string, args ...any) {
+func (lx *lexer) errorf(line, col int, format string, args ...any) {
 	lx.errs = append(lx.errs, &Error{File: lx.file, Line: line, Col: col, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (lx *Lexer) peek() byte {
-	if lx.pos >= len(lx.src) {
-		return 0
+// skipTo advances to offset end, counting the lines it passes.
+func (lx *lexer) skipTo(end int) {
+	for ; lx.pos < end; lx.pos++ {
+		if lx.src[lx.pos] == '\n' {
+			lx.line++
+			lx.lineStart = lx.pos + 1
+		}
 	}
-	return lx.src[lx.pos]
-}
-
-func (lx *Lexer) peek2() byte {
-	if lx.pos+1 >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos+1]
-}
-
-func (lx *Lexer) advance() byte {
-	c := lx.src[lx.pos]
-	lx.pos++
-	if c == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	return c
 }
 
 func isIdentStart(c byte) bool {
@@ -64,55 +40,45 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9')
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // skipTrivia consumes whitespace, comments and preprocessor lines.
-func (lx *Lexer) skipTrivia() {
+func (lx *lexer) skipTrivia() {
 	for lx.pos < len(lx.src) {
-		c := lx.peek()
-		switch {
+		s := lx.src[lx.pos:]
+		switch c := s[0]; {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			lx.advance()
-		case c == '/' && lx.peek2() == '/':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
+			lx.skipTo(lx.pos + 1)
+		case strings.HasPrefix(s, "//"):
+			lx.skipTo(lineEnd(lx.src, lx.pos))
+		case strings.HasPrefix(s, "/*"):
+			if i := strings.Index(s[2:], "*/"); i >= 0 {
+				lx.skipTo(lx.pos + i + 4)
+				break
 			}
-		case c == '/' && lx.peek2() == '*':
-			startLine, startCol := lx.line, lx.col
-			lx.advance()
-			lx.advance()
-			closed := false
-			for lx.pos < len(lx.src) {
-				if lx.peek() == '*' && lx.peek2() == '/' {
-					lx.advance()
-					lx.advance()
-					closed = true
-					break
-				}
-				lx.advance()
-			}
-			if !closed {
-				lx.errorf(startLine, startCol, "unterminated block comment")
-			}
-		case c == '#' && lx.col == 1:
+			lx.errorf(lx.line, lx.col(), "unterminated block comment")
+			lx.skipTo(len(lx.src))
+		case c == '#' && lx.pos == lx.lineStart:
 			// Preprocessor directive: skip the (possibly continued) line.
-			for lx.pos < len(lx.src) {
-				if lx.peek() == '\\' && lx.peek2() == '\n' {
-					lx.advance()
-					lx.advance()
-					continue
-				}
-				if lx.peek() == '\n' {
-					break
-				}
-				lx.advance()
+			end := lineEnd(lx.src, lx.pos)
+			for end < len(lx.src) && lx.src[end-1] == '\\' {
+				end = lineEnd(lx.src, end+1)
 			}
+			lx.skipTo(end)
 		default:
 			return
 		}
 	}
 }
 
-// punct returns the punctuator that starts s by maximal munch, or "" if
-// none does.
-func punct(s string) string {
+// lineEnd returns the offset of the next newline from i on, or len(src).
+func lineEnd(src string, i int) int {
+	if n := strings.IndexByte(src[i:], '\n'); n >= 0 {
+		return i + n
+	}
+	return len(src)
+}
+
+// punct returns the ID and length of the punctuator that starts s by
+// maximal munch, or length 0 if none does.
+func punct(s string) (tokID, int) {
 	var c1, c2 byte
 	if len(s) > 1 {
 		c1 = s[1]
@@ -157,182 +123,157 @@ func punct(s string) string {
 			n = 2
 		}
 	}
-	return s[:n]
+	if n == 1 {
+		return tokID(s[0]), 1
+	}
+	return spelled[s[:n]], n
 }
 
-// Next returns the next token. A run of bytes that start no token is
+// next returns the next token. A run of bytes that start no token is
 // skipped with one error, at its first byte.
-func (lx *Lexer) Next() Token {
+func (lx *lexer) next() Token {
 	badEnd := -1
 	for {
 		lx.skipTrivia()
 		if lx.pos >= len(lx.src) {
-			return Token{Kind: EOF, Line: lx.line, Col: lx.col}
+			return Token{Kind: EOF, Off: int32(lx.pos), Line: int32(lx.line), Col: int32(lx.col())}
 		}
 		if t, ok := lx.token(); ok {
 			return t
 		}
 		if lx.pos != badEnd {
-			lx.errorf(lx.line, lx.col, "unexpected character %q", string(lx.peek()))
+			lx.errorf(lx.line, lx.col(), "unexpected character %q", string(lx.src[lx.pos]))
 		}
-		lx.advance()
+		lx.skipTo(lx.pos + 1)
 		badEnd = lx.pos
 	}
 }
 
 // token scans the token at the current position, which is not trivia and
 // not the end of input; ok is false when no token starts there.
-func (lx *Lexer) token() (tok Token, ok bool) {
-	line, col := lx.line, lx.col
-	c := lx.peek()
-
-	switch {
+func (lx *lexer) token() (tok Token, ok bool) {
+	src, start := lx.src, lx.pos
+	tok = Token{Off: int32(start), Line: int32(lx.line), Col: int32(lx.col())}
+	var end int
+	switch c := src[start]; {
 	case isIdentStart(c):
-		start := lx.pos
-		for lx.pos < len(lx.src) && isIdentCont(lx.peek()) {
-			lx.advance()
+		end = scanIdent(src, start)
+		tok.Kind, tok.Len = IDENT, uint16(min(end-start, maxTokLen))
+		if id, ok := spelled[src[start:end]]; ok {
+			tok.Kind, tok.ID = KEYWORD, id
 		}
-		text := lx.src[start:lx.pos]
-		k := IDENT
-		if _, ok := keywords[text]; ok {
-			k = KEYWORD
-		}
-		return Token{Kind: k, Text: text, Line: line, Col: col}, true
-
 	case isDigit(c):
-		start := lx.pos
-		base := int64(10)
-		if c == '0' && (lx.peek2() == 'x' || lx.peek2() == 'X') {
-			lx.advance()
-			lx.advance()
-			base = 16
-			for lx.pos < len(lx.src) && isHex(lx.peek()) {
-				lx.advance()
-			}
-		} else {
-			for lx.pos < len(lx.src) && isDigit(lx.peek()) {
-				lx.advance()
-			}
-		}
-		text := lx.src[start:lx.pos]
+		end, tok.Val = scanNumber(src, start)
+		tok.Kind, tok.Len = INT, uint16(min(end-start, maxTokLen))
 		// Swallow integer suffixes (U, L, UL, ...).
-		for lx.pos < len(lx.src) && strings.ContainsRune("uUlL", rune(lx.peek())) {
-			lx.advance()
+		for end < len(src) && strings.IndexByte("uUlL", src[end]) >= 0 {
+			end++
 		}
-		val := parseInt(text, base)
-		return Token{Kind: INT, Text: text, Val: val, Line: line, Col: col}, true
-
 	case c == '\'':
-		lx.advance()
-		var v int64
-		if lx.peek() == '\\' {
-			lx.advance()
-			if lx.pos < len(lx.src) {
-				v = escapeVal(lx.advance())
+		tok.Kind, end = CHARLIT, start+1
+		if end < len(src) && src[end] == '\\' {
+			end++
+			if end < len(src) {
+				tok.Val = escapeVal(src[end])
+				end++
 			}
-		} else if lx.pos < len(lx.src) {
-			v = int64(lx.advance())
+		} else if end < len(src) {
+			tok.Val = int64(src[end])
+			end++
 		}
-		if lx.peek() == '\'' {
-			lx.advance()
+		if end < len(src) && src[end] == '\'' {
+			end++
 		} else {
-			lx.errorf(line, col, "unterminated character literal")
+			lx.errorf(int(tok.Line), int(tok.Col), "unterminated character literal")
 		}
-		return Token{Kind: CHARLIT, Text: "'c'", Val: v, Line: line, Col: col}, true
-
 	case c == '"':
-		lx.advance()
-		var sb strings.Builder
-		for lx.pos < len(lx.src) && lx.peek() != '"' {
-			ch := lx.advance()
-			if ch == '\\' && lx.pos < len(lx.src) {
-				ch = byte(escapeVal(lx.advance()))
-			}
+		var closed bool
+		_, end, closed = stringLit(src, start, false)
+		if !closed {
+			lx.errorf(int(tok.Line), int(tok.Col), "unterminated string literal")
+		}
+		tok.Kind, tok.Len = STRING, uint16(min(end-start, maxTokLen))
+	default:
+		id, n := punct(src[start:])
+		if n == 0 {
+			return Token{}, false
+		}
+		tok.Kind, tok.ID, tok.Len, end = PUNCT, id, uint16(n), start+n
+	}
+	lx.skipTo(end)
+	return tok, true
+}
+
+// scanIdent returns the end of the identifier or keyword at src[i].
+func scanIdent(src string, i int) int {
+	for i < len(src) && isIdentCont(src[i]) {
+		i++
+	}
+	return i
+}
+
+// scanNumber returns the end of the digits of the integer literal at src[i],
+// its suffix excluded, and its value, wrapped to 64 bits.
+func scanNumber(src string, i int) (end int, val int64) {
+	if strings.HasPrefix(src[i:], "0x") || strings.HasPrefix(src[i:], "0X") {
+		for i += 2; i < len(src) && isHex(src[i]); i++ {
+			val = val*16 + hexVal(src[i])
+		}
+		return i, val
+	}
+	for ; i < len(src) && isDigit(src[i]); i++ {
+		val = val*10 + int64(src[i]-'0')
+	}
+	return i, val
+}
+
+// stringLit scans the string literal whose opening quote is src[i]. It
+// returns the position after the closing quote (len(src) when there is
+// none) and whether there is one; with decode set it also returns the
+// literal's value, escapes resolved.
+func stringLit(src string, i int, decode bool) (val string, end int, closed bool) {
+	var sb strings.Builder
+	for i++; i < len(src) && src[i] != '"'; i++ {
+		ch := src[i]
+		if ch == '\\' && i+1 < len(src) {
+			i++
+			ch = byte(escapeVal(src[i]))
+		}
+		if decode {
 			sb.WriteByte(ch)
 		}
-		if lx.pos < len(lx.src) {
-			lx.advance() // closing quote
-		} else {
-			lx.errorf(line, col, "unterminated string literal")
-		}
-		return Token{Kind: STRING, Text: sb.String(), Line: line, Col: col}, true
 	}
-
-	p := punct(lx.src[lx.pos:])
-	if p == "" {
-		return Token{}, false
+	if i < len(src) {
+		return sb.String(), i + 1, true
 	}
-	lx.pos += len(p)
-	lx.col += len(p)
-	return Token{Kind: PUNCT, Text: p, Line: line, Col: col}, true
+	return sb.String(), i, false
 }
 
-func isHex(c byte) bool {
-	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-}
+func isHex(c byte) bool { return isDigit(c) || c|0x20 >= 'a' && c|0x20 <= 'f' }
 
-func parseInt(text string, base int64) int64 {
-	var v int64
-	if base == 16 {
-		for i := 2; i < len(text); i++ {
-			v = v*16 + int64(hexVal(text[i]))
-		}
-		return v
-	}
-	for i := 0; i < len(text); i++ {
-		v = v*10 + int64(text[i]-'0')
-	}
-	return v
-}
+// hexVal returns the value of the hex digit c.
+func hexVal(c byte) int64 { return int64(strings.IndexByte("0123456789abcdef", c|0x20)) }
 
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	default:
-		return int(c-'A') + 10
-	}
-}
-
+// escapeVal returns the value of the escape sequence \c: \n, \t, \r and \0
+// are control characters, and any other c stands for itself.
 func escapeVal(c byte) int64 {
-	switch c {
-	case 'n':
-		return '\n'
-	case 't':
-		return '\t'
-	case 'r':
-		return '\r'
-	case '0':
-		return 0
-	case '\\':
-		return '\\'
-	case '\'':
-		return '\''
-	case '"':
-		return '"'
+	if i := strings.IndexByte("ntr0", c); i >= 0 {
+		return int64("\n\t\r\x00"[i])
 	}
 	return int64(c)
 }
 
-// srcBytesPerToken sizes Tokenize's token slice. The generated corpora's
-// files have 3.3–4.3 bytes of preprocessed source per token (3.8 on
-// average), so estimating from a lower ratio lets them tokenize without
-// regrowing the slice.
-const srcBytesPerToken = 3
-
 // Tokenize returns all tokens of src, ending with EOF, and the lexical
-// errors found. Parse runs it on the preprocessed source.
+// errors found: the tokens Parse lexes from the preprocessed source as it
+// parses.
 func Tokenize(file, src string) ([]Token, []error) {
-	lx := NewLexer(file, src)
-	toks := make([]Token, 0, len(src)/srcBytesPerToken+1)
+	lx := &lexer{file: file, src: src, line: 1}
+	var toks []Token
 	for {
-		t := lx.Next()
+		t := lx.next()
 		toks = append(toks, t)
 		if t.Kind == EOF {
-			break
+			return toks, lx.errs
 		}
 	}
-	return toks, lx.Errors()
 }

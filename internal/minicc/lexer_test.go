@@ -8,9 +8,10 @@ import (
 )
 
 func TestLexBasics(t *testing.T) {
-	toks, errs := Tokenize("t.c", `int x = 42; // comment
+	src := `int x = 42; // comment
 /* block
-comment */ char c = 'a';`)
+comment */ char c = 'a';`
+	toks, errs := Tokenize("t.c", src)
 	if len(errs) != 0 {
 		t.Fatalf("lex errors: %v", errs)
 	}
@@ -19,7 +20,7 @@ comment */ char c = 'a';`)
 		if tok.Kind == EOF {
 			break
 		}
-		texts = append(texts, tok.Text)
+		texts = append(texts, tok.Text(src))
 	}
 	want := []string{"int", "x", "=", "42", ";", "char", "c", "=", "'c'", ";"}
 	if len(texts) != len(want) {
@@ -33,11 +34,12 @@ comment */ char c = 'a';`)
 }
 
 func TestLexOperatorsMaximalMunch(t *testing.T) {
-	toks, _ := Tokenize("t.c", "a->b ++ -- <<= >= == != && || += ...")
+	src := "a->b ++ -- <<= >= == != && || += ..."
+	toks, _ := Tokenize("t.c", src)
 	want := []string{"a", "->", "b", "++", "--", "<<=", ">=", "==", "!=", "&&", "||", "+=", "..."}
 	for i, w := range want {
-		if toks[i].Text != w {
-			t.Errorf("token %d = %q, want %q", i, toks[i].Text, w)
+		if toks[i].Text(src) != w {
+			t.Errorf("token %d = %q, want %q", i, toks[i].Text(src), w)
 		}
 	}
 }
@@ -53,19 +55,21 @@ func TestLexNumbers(t *testing.T) {
 }
 
 func TestLexPreprocessorSkipped(t *testing.T) {
-	toks, errs := Tokenize("t.c", "#include <stdio.h>\n#define FOO 1 \\\n  2\nint x;")
+	src := "#include <stdio.h>\n#define FOO 1 \\\n  2\nint x;"
+	toks, errs := Tokenize("t.c", src)
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
-	if toks[0].Text != "int" {
-		t.Errorf("first token = %q, want int", toks[0].Text)
+	if toks[0].Text(src) != "int" {
+		t.Errorf("first token = %q, want int", toks[0].Text(src))
 	}
 }
 
 func TestLexStringsAndEscapes(t *testing.T) {
-	toks, _ := Tokenize("t.c", `"hello\nworld" '\t' '\0'`)
-	if toks[0].Kind != STRING || toks[0].Text != "hello\nworld" {
-		t.Errorf("string = %q", toks[0].Text)
+	src := `"hello\nworld" '\t' '\0'`
+	toks, _ := Tokenize("t.c", src)
+	if toks[0].Kind != STRING || toks[0].Text(src) != "hello\nworld" {
+		t.Errorf("string = %q", toks[0].Text(src))
 	}
 	if toks[1].Val != '\t' || toks[2].Val != 0 {
 		t.Errorf("escapes: %d %d", toks[1].Val, toks[2].Val)
@@ -76,21 +80,22 @@ func TestLexLineNumbers(t *testing.T) {
 	toks, _ := Tokenize("t.c", "a\nb\n\nc")
 	wantLines := []int{1, 2, 4}
 	for i, w := range wantLines {
-		if toks[i].Line != w {
+		if int(toks[i].Line) != w {
 			t.Errorf("token %d line = %d, want %d", i, toks[i].Line, w)
 		}
 	}
 }
 
 func TestLexErrorRecovery(t *testing.T) {
-	toks, errs := Tokenize("t.c", "int $ x;")
+	src := "int $ x;"
+	toks, errs := Tokenize("t.c", src)
 	if len(errs) == 0 {
 		t.Error("expected error for $")
 	}
 	// Lexing continues past the bad character.
 	found := false
 	for _, tok := range toks {
-		if tok.Text == "x" {
+		if tok.Text(src) == "x" {
 			found = true
 		}
 	}
@@ -107,11 +112,12 @@ func TestLexUnterminatedComment(t *testing.T) {
 }
 
 func TestLexKeywordsVsIdents(t *testing.T) {
-	toks, _ := Tokenize("t.c", "if ifx struct structs return returning")
+	src := "if ifx struct structs return returning"
+	toks, _ := Tokenize("t.c", src)
 	wantKinds := []Kind{KEYWORD, IDENT, KEYWORD, IDENT, KEYWORD, IDENT}
 	for i, w := range wantKinds {
 		if toks[i].Kind != w {
-			t.Errorf("token %d (%q) kind = %v, want %v", i, toks[i].Text, toks[i].Kind, w)
+			t.Errorf("token %d (%q) kind = %v, want %v", i, toks[i].Text(src), toks[i].Kind, w)
 		}
 	}
 }
@@ -212,8 +218,9 @@ func TestLexPunctuatorsMaximalMunch(t *testing.T) {
 		}
 	}
 	for _, s := range strs {
-		if got, want := punct(s), munch(s); got != want {
-			t.Errorf("punct(%q) = %q, want %q", s, got, want)
+		id, n := punct(s)
+		if got, want := s[:n], munch(s); got != want || got != idText[id] {
+			t.Errorf("punct(%q) = %q (ID spelling %q), want %q", s, got, idText[id], want)
 		}
 	}
 }

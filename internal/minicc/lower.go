@@ -6,23 +6,11 @@ import (
 	"maps"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/cir"
 	"repro/internal/par"
 )
-
-// Lower parses src and lowers it into mod. Several files may be lowered into
-// the same module; cross-file calls resolve by name, as the paper's P1
-// function-information database enables.
-func Lower(mod *cir.Module, file, src string) error {
-	f, err := Parse(file, src)
-	if err != nil {
-		return err
-	}
-	return LowerFile(mod, f)
-}
 
 // LowerFile lowers a parsed file into mod, after the files already lowered
 // into it: it declares the file's structs, globals and functions, then
@@ -75,21 +63,7 @@ func LowerProgram(name string, sources map[string]string) (*Lowered, error) {
 
 func lowerAll(name string, sources map[string]string) (*Lowered, error) {
 	mod := cir.NewModule(name)
-	names := make([]string, 0, len(sources))
-	for n := range sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	files := make([]*File, len(names))
-	keys := make([]uint64, len(names))
-	parseErrs := make([]error, len(names))
-	par.For(len(names), runtime.GOMAXPROCS(0), func(_, i int) {
-		files[i], parseErrs[i] = Parse(names[i], sources[names[i]])
-		if parseErrs[i] == nil {
-			keys[i] = declKey(files[i])
-		}
-	})
+	names, files, keys, parseErrs := parseFiles(sources)
 	parsed := len(names)
 	for i, err := range parseErrs {
 		if err != nil {
@@ -125,6 +99,26 @@ func lowerAll(name string, sources map[string]string) (*Lowered, error) {
 	l.bodyStructs = fe.bodyStructs
 	release(l.files)
 	return l, nil
+}
+
+// parseFiles parses sources on the pool, in sorted name order, and keys
+// each file that parses. A worker takes all its files' ASTs from one set of
+// slabs: every AST dies once the bodies are lowered, and a slab per worker
+// leaves one chunk per node type part-empty, not one per file.
+func parseFiles(sources map[string]string) (names []string, files []*File, keys []uint64, errs []error) {
+	for n := range sources {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	files, keys, errs = make([]*File, len(names)), make([]uint64, len(names)), make([]error, len(names))
+	ns := make([]nodes, runtime.GOMAXPROCS(0))
+	par.For(len(names), len(ns), func(w, i int) {
+		files[i], errs[i] = parse(names[i], sources[names[i]], &ns[w])
+		if errs[i] == nil {
+			keys[i] = declKey(files[i])
+		}
+	})
+	return names, files, keys, errs
 }
 
 // verify verifies funcs on the pool and joins their errors in order.
@@ -213,7 +207,8 @@ type lowerer struct {
 	// per-function state
 	fn      *cir.Function
 	b       *cir.Builder
-	scopes  []map[string]*cir.Register
+	vars    []binding // the locals in scope, outermost first
+	scopes  []int     // where each open scope's bindings start in vars
 	labels  map[string]*cir.Block
 	defined map[string]bool // labels that have a LabelStmt
 	gotos   []*GotoStmt     // in source order
@@ -223,8 +218,14 @@ type lowerer struct {
 	conts  []*cir.Block
 }
 
+// binding is a local variable's name and stack slot.
+type binding struct {
+	name string
+	addr *cir.Register
+}
+
 func (lw *lowerer) errorf(pos Position, format string, args ...any) {
-	lw.errs = append(lw.errs, &Error{File: pos.File, Line: pos.Line, Col: pos.Col, Msg: fmt.Sprintf(format, args...)})
+	lw.errs = append(lw.errs, &Error{File: lw.file.name, Line: int(pos.Line), Col: int(pos.Col), Msg: fmt.Sprintf(format, args...)})
 }
 
 // declare is the declaration pass over one file. It leaves every function
@@ -312,7 +313,7 @@ func (fe *frontend) finish(decls []*fileDecls) error {
 				case use.nargs < 0 && declared:
 					mod.AddressTaken[use.name] = true
 				case use.nargs < 0 && undefined == nil:
-					undefined = &Error{File: use.pos.File, Line: use.pos.Line, Col: use.pos.Col,
+					undefined = &Error{File: d.name, Line: int(use.pos.Line), Col: int(use.pos.Col),
 						Msg: "undefined identifier " + use.name}
 					undefAt = min(use.err, undefAt)
 				}
@@ -400,6 +401,7 @@ func (lw *lowerer) lowerStruct(sd *StructDecl) {
 	if len(st.Fields) > 0 {
 		return // keep first definition; duplicates across files are common headers
 	}
+	st.Fields = slices.Grow(st.Fields, len(sd.Fields))
 	for _, f := range sd.Fields {
 		st.Fields = append(st.Fields, cir.Field{Name: f.Name, Type: lw.resolveType(f.Type)})
 	}
@@ -435,6 +437,7 @@ func (lw *lowerer) moduleName(fd *FuncDecl, from int) string {
 
 func (lw *lowerer) funcType(fd *FuncDecl) *cir.FuncType {
 	ft := &cir.FuncType{Result: lw.resolveType(fd.Result), Variadic: fd.Variadic}
+	ft.Params = slices.Grow(ft.Params, len(fd.Params))
 	for _, p := range fd.Params {
 		ft.Params = append(ft.Params, lw.resolveType(p.Type))
 	}
@@ -451,7 +454,7 @@ func (lw *lowerer) declareFunc(fd *FuncDecl, i int) {
 		return
 	}
 	lw.mod.Funcs[name] = &cir.Function{Name: name, Typ: lw.funcType(fd),
-		Pos: cir.Pos{File: fd.Pos.File, Line: fd.Pos.Line}, File: lw.file.name, Static: fd.Static}
+		Pos: funcPos(lw.file.name, fd), File: lw.file.name, Static: fd.Static}
 	lw.file.declared = append(lw.file.declared, name)
 	lw.file.declFD = append(lw.file.declFD, i)
 }
@@ -479,7 +482,7 @@ func (lw *lowerer) claimBody(fd *FuncDecl, idx int) *unit {
 		return u
 	}
 	fn.Typ = lw.funcType(fd)
-	fn.Pos = cir.Pos{File: fd.Pos.File, Line: fd.Pos.Line}
+	fn.Pos = funcPos(lw.file.name, fd)
 	fn.File = lw.file.name
 	fn.Static = fd.Static
 	fn.NewBlock("entry")
@@ -505,38 +508,35 @@ func (lw *lowerer) callee(name string, nargs int) (string, *cir.FuncType) {
 
 // ---- function bodies ----
 
-// pushScope opens a scope; its map is made by the first define in it, as
-// most blocks declare nothing.
-func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, nil) }
-func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
+// pushScope opens a scope. Scopes are one stack of bindings: a body has
+// few locals, so a lookup scans them from the most recent one out, and a
+// name bound twice in a scope resolves to its redefinition.
+func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, len(lw.vars)) }
+
+func (lw *lowerer) popScope() {
+	lw.vars = lw.vars[:lw.scopes[len(lw.scopes)-1]]
+	lw.scopes = lw.scopes[:len(lw.scopes)-1]
+}
 
 func (lw *lowerer) define(name string, addr *cir.Register) {
-	top := &lw.scopes[len(lw.scopes)-1]
-	if *top == nil {
-		*top = make(map[string]*cir.Register)
-	}
-	(*top)[name] = addr
+	lw.vars = append(lw.vars, binding{name, addr})
 }
 
 func (lw *lowerer) lookup(name string) *cir.Register {
-	for i := len(lw.scopes) - 1; i >= 0; i-- {
-		if r, ok := lw.scopes[i][name]; ok {
-			return r
+	for i := len(lw.vars) - 1; i >= 0; i-- {
+		if lw.vars[i].name == name {
+			return lw.vars[i].addr
 		}
 	}
 	return nil
 }
 
-func (lw *lowerer) at(pos Position) {
-	lw.b.AtLine(pos.File, pos.Line)
-}
+func (lw *lowerer) at(pos Position) { lw.b.AtLine(lw.file.name, int(pos.Line)) }
 
 func (lw *lowerer) lowerFunc(fd *FuncDecl) {
 	fn := lw.unit.fn
 	lw.fn = fn
 	lw.b = cir.NewBuilder(fn)
-	lw.labels = make(map[string]*cir.Block)
-	lw.defined = make(map[string]bool)
 	lw.pushScope()
 	lw.at(fd.Pos)
 
@@ -575,20 +575,26 @@ func (lw *lowerer) sealFunction() {
 }
 
 func (lw *lowerer) emitDefaultRet() {
-	res := lw.fn.Typ.Result
-	switch {
-	case res.Equal(cir.Void):
+	if res := lw.fn.Typ.Result; !res.Equal(cir.Void) {
+		lw.b.Ret(lw.zero(res))
+	} else {
 		lw.b.Ret(nil)
-	case cir.IsPointer(res):
-		lw.b.Ret(cir.NullConst(res))
-	default:
-		lw.b.Ret(cir.IntConst(res, 0))
 	}
+}
+
+// zero returns the zero constant of type t: NULL for a pointer.
+func (lw *lowerer) zero(t cir.Type) *cir.Const {
+	if cir.IsPointer(t) {
+		return lw.fn.NullConst(t)
+	}
+	return lw.fn.IntConst(t, 0)
 }
 
 func (lw *lowerer) labelBlock(name string) *cir.Block {
 	if blk, ok := lw.labels[name]; ok {
 		return blk
+	} else if lw.labels == nil {
+		lw.labels, lw.defined = make(map[string]*cir.Block), make(map[string]bool)
 	}
 	blk := lw.fn.NewBlock("L." + name)
 	lw.labels[name] = blk
@@ -637,8 +643,8 @@ func (lw *lowerer) lowerStmt(s Stmt) {
 		lw.gotos = append(lw.gotos, st)
 		lw.b.Br(lw.labelBlock(st.Label))
 	case *LabelStmt:
-		lw.defined[st.Name] = true
 		blk := lw.labelBlock(st.Name)
+		lw.defined[st.Name] = true
 		lw.at(st.Pos)
 		lw.b.Br(blk) // fallthrough into the label
 		lw.b.SetBlock(blk)
@@ -673,8 +679,8 @@ func (lw *lowerer) lowerLocalDecl(d *VarDecl) {
 	case d.AggregateInit:
 		// A brace initializer zero-fills the object; lower it as a memset
 		// so the UVA checker sees the bulk initialization.
-		lw.b.Call("", "memset", cir.Void, slot, cir.IntConst(cir.I64, 0),
-			cir.IntConst(cir.I64, lw.sizeOf(t)))
+		lw.b.Call("", "memset", cir.Void, slot, lw.fn.IntConst(cir.I64, 0),
+			lw.fn.IntConst(cir.I64, lw.sizeOf(t)))
 	case d.Init != nil:
 		v := lw.lowerExpr(d.Init)
 		lw.b.Store(slot, v)
@@ -715,11 +721,7 @@ func (lw *lowerer) lowerWhile(st *WhileStmt) {
 	lw.at(st.Pos)
 	lw.lowerCond(st.Cond, body, end)
 	lw.b.SetBlock(body)
-	lw.breaks = append(lw.breaks, end)
-	lw.conts = append(lw.conts, head)
-	lw.lowerStmt(st.Body)
-	lw.conts = lw.conts[:len(lw.conts)-1]
-	lw.breaks = lw.breaks[:len(lw.breaks)-1]
+	lw.loopBody(st.Body, end, head)
 	lw.b.Br(head)
 	lw.b.SetBlock(end)
 }
@@ -743,11 +745,7 @@ func (lw *lowerer) lowerFor(st *ForStmt) {
 		lw.b.Br(body)
 	}
 	lw.b.SetBlock(body)
-	lw.breaks = append(lw.breaks, end)
-	lw.conts = append(lw.conts, post)
-	lw.lowerStmt(st.Body)
-	lw.conts = lw.conts[:len(lw.conts)-1]
-	lw.breaks = lw.breaks[:len(lw.breaks)-1]
+	lw.loopBody(st.Body, end, post)
 	lw.b.Br(post)
 	lw.b.SetBlock(post)
 	if st.Post != nil {
@@ -756,6 +754,14 @@ func (lw *lowerer) lowerFor(st *ForStmt) {
 	lw.b.Br(head)
 	lw.b.SetBlock(end)
 	lw.popScope()
+}
+
+// loopBody lowers a loop's body, with brk and cont the targets of its
+// break and continue statements.
+func (lw *lowerer) loopBody(body Stmt, brk, cont *cir.Block) {
+	lw.breaks, lw.conts = append(lw.breaks, brk), append(lw.conts, cont)
+	lw.lowerStmt(body)
+	lw.breaks, lw.conts = lw.breaks[:len(lw.breaks)-1], lw.conts[:len(lw.conts)-1]
 }
 
 func (lw *lowerer) lowerSwitch(st *SwitchStmt) {
@@ -822,13 +828,8 @@ func (lw *lowerer) lowerCond(e Expr, yes, no *cir.Block) {
 			lw.lowerCond(x.Y, yes, no)
 			return
 		}
-		if pred, ok := cmpPred(x.Op); ok {
-			lw.at(x.Pos)
-			a := lw.lowerExpr(x.X)
-			b := lw.lowerExpr(x.Y)
-			a, b = lw.unifyCmpOperands(a, b)
-			c := lw.b.Cmp("cond", pred, a, b)
-			lw.b.CondBr(c, yes, no)
+		if pred, ok := cmpPreds[x.Op]; ok {
+			lw.b.CondBr(lw.compare("cond", pred, x), yes, no)
 			return
 		}
 	case *Unary:
@@ -839,51 +840,40 @@ func (lw *lowerer) lowerCond(e Expr, yes, no *cir.Block) {
 	}
 	lw.at(e.exprPos())
 	v := lw.lowerExpr(e)
-	var zero cir.Value
-	if cir.IsPointer(v.Type()) {
-		zero = cir.NullConst(v.Type())
-	} else {
-		zero = cir.IntConst(v.Type(), 0)
-	}
-	c := lw.b.Cmp("cond", cir.PredNE, v, zero)
+	c := lw.b.Cmp("cond", cir.PredNE, v, lw.zero(v.Type()))
 	lw.b.CondBr(c, yes, no)
+}
+
+// compare lowers the comparison x, of predicate pred, to a register named
+// name.
+func (lw *lowerer) compare(name string, pred cir.Pred, x *Binary) *cir.Register {
+	lw.at(x.Pos)
+	a, b := lw.unifyCmpOperands(lw.lowerExpr(x.X), lw.lowerExpr(x.Y))
+	return lw.b.Cmp(name, pred, a, b)
 }
 
 // unifyCmpOperands retypes an untyped NULL against the other pointer operand
 // so comparisons read naturally.
 func (lw *lowerer) unifyCmpOperands(a, b cir.Value) (cir.Value, cir.Value) {
 	if ca, ok := a.(*cir.Const); ok && ca.IsNull && cir.IsPointer(b.Type()) {
-		a = cir.NullConst(b.Type())
+		a = lw.fn.NullConst(b.Type())
 	}
 	if cb, ok := b.(*cir.Const); ok && cb.IsNull && cir.IsPointer(a.Type()) {
-		b = cir.NullConst(a.Type())
+		b = lw.fn.NullConst(a.Type())
 	}
 	// Comparing a pointer against literal 0 is a null check in C.
 	if ca, ok := a.(*cir.Const); ok && !ca.IsNull && ca.Val == 0 && cir.IsPointer(b.Type()) {
-		a = cir.NullConst(b.Type())
+		a = lw.fn.NullConst(b.Type())
 	}
 	if cb, ok := b.(*cir.Const); ok && !cb.IsNull && cb.Val == 0 && cir.IsPointer(a.Type()) {
-		b = cir.NullConst(a.Type())
+		b = lw.fn.NullConst(a.Type())
 	}
 	return a, b
 }
 
-func cmpPred(op string) (cir.Pred, bool) {
-	switch op {
-	case "==":
-		return cir.PredEQ, true
-	case "!=":
-		return cir.PredNE, true
-	case "<":
-		return cir.PredLT, true
-	case "<=":
-		return cir.PredLE, true
-	case ">":
-		return cir.PredGT, true
-	case ">=":
-		return cir.PredGE, true
-	}
-	return "", false
+// cmpPreds maps the comparison operators to their predicates.
+var cmpPreds = map[string]cir.Pred{
+	"==": cir.PredEQ, "!=": cir.PredNE, "<": cir.PredLT, "<=": cir.PredLE, ">": cir.PredGT, ">=": cir.PredGE,
 }
 
 // ---- expressions ----
@@ -892,11 +882,8 @@ func cmpPred(op string) (cir.Pred, bool) {
 func (lw *lowerer) lowerAddr(e Expr) cir.Value {
 	switch x := e.(type) {
 	case *Ident:
-		if slot := lw.lookup(x.Name); slot != nil {
-			return slot
-		}
-		if g, ok := lw.mod.Globals[x.Name]; ok {
-			return g
+		if addr, _ := lw.variable(x.Name); addr != nil {
+			return addr
 		}
 		lw.errorf(x.Pos, "undefined variable %s", x.Name)
 		// Recover with a fresh slot so analysis can continue.
@@ -928,6 +915,18 @@ func (lw *lowerer) lowerAddr(e Expr) cir.Value {
 	return lw.b.Alloca("badlv", cir.I64)
 }
 
+// variable returns the address of the local or global variable name and
+// the type stored there, or nils when no variable has the name.
+func (lw *lowerer) variable(name string) (cir.Value, cir.Type) {
+	if slot := lw.lookup(name); slot != nil {
+		return slot, cir.Pointee(slot.Typ)
+	}
+	if g, ok := lw.mod.Globals[name]; ok {
+		return g, g.Elem
+	}
+	return nil, nil
+}
+
 // arrayBase lowers the base of an indexing expression: arrays are used in
 // place (their address), pointers are loaded.
 func (lw *lowerer) arrayBase(e Expr) cir.Value {
@@ -944,12 +943,8 @@ func (lw *lowerer) arrayBase(e Expr) cir.Value {
 func (lw *lowerer) staticTypeOf(e Expr) cir.Type {
 	switch x := e.(type) {
 	case *Ident:
-		if slot := lw.lookup(x.Name); slot != nil {
-			return cir.Pointee(slot.Typ)
-		}
-		if g, ok := lw.mod.Globals[x.Name]; ok {
-			return g.Elem
-		}
+		_, elem := lw.variable(x.Name)
+		return elem
 	case *Select:
 		var base cir.Type
 		if x.Arrow {
@@ -968,56 +963,38 @@ func (lw *lowerer) staticTypeOf(e Expr) cir.Type {
 func (lw *lowerer) lowerExpr(e Expr) cir.Value {
 	switch x := e.(type) {
 	case *IntLit:
-		return cir.IntConst(cir.I64, x.Val)
+		return lw.fn.IntConst(cir.I64, x.Val)
 	case *StrLit:
 		return cir.StrConst(x.Val)
 	case *NullLit:
-		return cir.NullConst(cir.PointerTo(cir.I8))
+		return lw.fn.NullConst(cir.PointerTo(cir.I8))
 	case *Ident:
 		if v, ok := lw.file.enums[x.Name]; ok {
-			return cir.IntConst(cir.I64, v)
+			return lw.fn.IntConst(cir.I64, v)
 		}
-		if slot := lw.lookup(x.Name); slot != nil {
-			if _, isArr := cir.Pointee(slot.Typ).(*cir.ArrayType); isArr {
-				lw.at(x.Pos)
-				return lw.b.IndexAddr(x.Name+".decay", slot, cir.IntConst(cir.I64, 0))
-			}
+		if addr, elem := lw.variable(x.Name); addr != nil {
 			lw.at(x.Pos)
-			return lw.b.Load(x.Name, slot)
-		}
-		if g, ok := lw.mod.Globals[x.Name]; ok {
-			if _, isArr := g.Elem.(*cir.ArrayType); isArr {
-				lw.at(x.Pos)
-				return lw.b.IndexAddr(x.Name+".decay", g, cir.IntConst(cir.I64, 0))
+			if _, isArr := elem.(*cir.ArrayType); isArr {
+				return lw.b.IndexAddr(x.Name+".decay", addr, lw.fn.IntConst(cir.I64, 0))
 			}
-			lw.at(x.Pos)
-			return lw.b.Load(x.Name, g)
+			return lw.b.Load(x.Name, addr)
 		}
 		if _, ok := lw.mod.Funcs[x.Name]; ok {
 			// A function name used as a value: record as address-taken and
 			// produce an opaque constant (function-pointer calls are out of
 			// scope, §7).
 			lw.unit.addrTaken = append(lw.unit.addrTaken, x.Name)
-			return cir.IntConst(cir.I64, 0)
+			return lw.fn.IntConst(cir.I64, 0)
 		}
 		// Either a function a call in an earlier body declared, or
 		// undefined: finish decides and fills the error slot if need be.
 		lw.unit.uses = append(lw.unit.uses, use{name: x.Name, nargs: -1, pos: x.Pos, err: len(lw.errs)})
 		lw.errs = append(lw.errs, nil)
-		return cir.IntConst(cir.I64, 0)
+		return lw.fn.IntConst(cir.I64, 0)
 	case *Unary:
 		return lw.lowerUnary(x)
 	case *Postfix:
-		lw.at(x.Pos)
-		addr := lw.lowerAddr(x.X)
-		old := lw.b.Load("old", addr)
-		op := cir.OpAdd
-		if x.Op == "--" {
-			op = cir.OpSub
-		}
-		nv := lw.b.BinOp("inc", op, old, cir.IntConst(cir.I64, 1))
-		lw.b.Store(addr, nv)
-		return old
+		return lw.incDec(x.Pos, x.Op, x.X, true)
 	case *Binary:
 		return lw.lowerBinary(x)
 	case *Assign:
@@ -1035,21 +1012,21 @@ func (lw *lowerer) lowerExpr(e Expr) cir.Value {
 		t := lw.resolveType(x.Type)
 		lw.at(x.Pos)
 		if c, ok := v.(*cir.Const); ok && c.IsNull && cir.IsPointer(t) {
-			return cir.NullConst(t)
+			return lw.fn.NullConst(t)
 		}
 		return lw.moveAs("cast", t, v)
 	case *SizeofExpr:
 		if x.IsType {
-			return cir.IntConst(cir.I64, lw.sizeOf(lw.resolveType(x.Type)))
+			return lw.fn.IntConst(cir.I64, lw.sizeOf(lw.resolveType(x.Type)))
 		}
 		t := lw.staticTypeOf(x.X)
 		if t == nil {
 			t = cir.I64
 		}
-		return cir.IntConst(cir.I64, lw.sizeOf(t))
+		return lw.fn.IntConst(cir.I64, lw.sizeOf(t))
 	}
 	lw.errorf(e.exprPos(), "unsupported expression %T", e)
-	return cir.IntConst(cir.I64, 0)
+	return lw.fn.IntConst(cir.I64, 0)
 }
 
 // moveAs emits a Move whose destination has an explicit type (used for
@@ -1067,19 +1044,15 @@ func (lw *lowerer) lowerUnary(x *Unary) cir.Value {
 	case "!":
 		lw.at(x.Pos)
 		v := lw.lowerExpr(x.X)
-		var zero cir.Value = cir.IntConst(v.Type(), 0)
-		if cir.IsPointer(v.Type()) {
-			zero = cir.NullConst(v.Type())
-		}
-		return lw.b.Cmp("not", cir.PredEQ, v, zero)
+		return lw.b.Cmp("not", cir.PredEQ, v, lw.zero(v.Type()))
 	case "-":
 		lw.at(x.Pos)
 		v := lw.lowerExpr(x.X)
-		return lw.b.BinOp("neg", cir.OpSub, cir.IntConst(v.Type(), 0), v)
+		return lw.b.BinOp("neg", cir.OpSub, lw.fn.IntConst(v.Type(), 0), v)
 	case "~":
 		lw.at(x.Pos)
 		v := lw.lowerExpr(x.X)
-		return lw.b.BinOp("bnot", cir.OpXor, v, cir.IntConst(v.Type(), -1))
+		return lw.b.BinOp("bnot", cir.OpXor, v, lw.fn.IntConst(v.Type(), -1))
 	case "*":
 		lw.at(x.Pos)
 		addr := lw.lowerExpr(x.X)
@@ -1087,19 +1060,27 @@ func (lw *lowerer) lowerUnary(x *Unary) cir.Value {
 	case "&":
 		return lw.lowerAddr(x.X)
 	case "++", "--":
-		lw.at(x.Pos)
-		addr := lw.lowerAddr(x.X)
-		old := lw.b.Load("old", addr)
-		op := cir.OpAdd
-		if x.Op == "--" {
-			op = cir.OpSub
-		}
-		nv := lw.b.BinOp("inc", op, old, cir.IntConst(cir.I64, 1))
-		lw.b.Store(addr, nv)
-		return nv
+		return lw.incDec(x.Pos, x.Op, x.X, false)
 	}
 	lw.errorf(x.Pos, "unsupported unary operator %s", x.Op)
-	return cir.IntConst(cir.I64, 0)
+	return lw.fn.IntConst(cir.I64, 0)
+}
+
+// incDec lowers x++ or x-- (post) or ++x or --x, as op says.
+func (lw *lowerer) incDec(pos Position, op string, x Expr, post bool) cir.Value {
+	lw.at(pos)
+	addr := lw.lowerAddr(x)
+	old := lw.b.Load("old", addr)
+	bop := cir.OpAdd
+	if op == "--" {
+		bop = cir.OpSub
+	}
+	nv := lw.b.BinOp("inc", bop, old, lw.fn.IntConst(cir.I64, 1))
+	lw.b.Store(addr, nv)
+	if post {
+		return old
+	}
+	return nv
 }
 
 func (lw *lowerer) lowerBinary(x *Binary) cir.Value {
@@ -1112,20 +1093,16 @@ func (lw *lowerer) lowerBinary(x *Binary) cir.Value {
 		end := lw.fn.NewBlock("b.end")
 		lw.lowerCond(x, yes, no)
 		lw.b.SetBlock(yes)
-		lw.b.Store(tmp, cir.IntConst(cir.I64, 1))
+		lw.b.Store(tmp, lw.fn.IntConst(cir.I64, 1))
 		lw.b.Br(end)
 		lw.b.SetBlock(no)
-		lw.b.Store(tmp, cir.IntConst(cir.I64, 0))
+		lw.b.Store(tmp, lw.fn.IntConst(cir.I64, 0))
 		lw.b.Br(end)
 		lw.b.SetBlock(end)
 		return lw.b.Load("bool", tmp)
 	}
-	if pred, ok := cmpPred(x.Op); ok {
-		lw.at(x.Pos)
-		a := lw.lowerExpr(x.X)
-		b := lw.lowerExpr(x.Y)
-		a, b = lw.unifyCmpOperands(a, b)
-		return lw.b.Cmp("cmp", pred, a, b)
+	if pred, ok := cmpPreds[x.Op]; ok {
+		return lw.compare("cmp", pred, x)
 	}
 	lw.at(x.Pos)
 	a := lw.lowerExpr(x.X)
@@ -1135,42 +1112,22 @@ func (lw *lowerer) lowerBinary(x *Binary) cir.Value {
 	if cir.IsPointer(a.Type()) && cir.IsInteger(b.Type()) && (x.Op == "+" || x.Op == "-") {
 		idx := b
 		if x.Op == "-" {
-			idx = lw.b.BinOp("negidx", cir.OpSub, cir.IntConst(cir.I64, 0), b)
+			idx = lw.b.BinOp("negidx", cir.OpSub, lw.fn.IntConst(cir.I64, 0), b)
 		}
 		return lw.b.IndexAddr("ptradd", a, idx)
 	}
-	op, ok := binOpFor(x.Op)
+	op, ok := binOps[x.Op]
 	if !ok {
 		lw.errorf(x.Pos, "unsupported binary operator %s", x.Op)
-		return cir.IntConst(cir.I64, 0)
+		return lw.fn.IntConst(cir.I64, 0)
 	}
 	return lw.b.BinOp("bin", op, a, b)
 }
 
-func binOpFor(op string) (cir.BinaryOp, bool) {
-	switch op {
-	case "+":
-		return cir.OpAdd, true
-	case "-":
-		return cir.OpSub, true
-	case "*":
-		return cir.OpMul, true
-	case "/":
-		return cir.OpDiv, true
-	case "%":
-		return cir.OpRem, true
-	case "&":
-		return cir.OpAnd, true
-	case "|":
-		return cir.OpOr, true
-	case "^":
-		return cir.OpXor, true
-	case "<<":
-		return cir.OpShl, true
-	case ">>":
-		return cir.OpShr, true
-	}
-	return "", false
+// binOps maps the arithmetic and bitwise operators to their CIR operators.
+var binOps = map[string]cir.BinaryOp{
+	"+": cir.OpAdd, "-": cir.OpSub, "*": cir.OpMul, "/": cir.OpDiv, "%": cir.OpRem,
+	"&": cir.OpAnd, "|": cir.OpOr, "^": cir.OpXor, "<<": cir.OpShl, ">>": cir.OpShr,
 }
 
 func (lw *lowerer) lowerAssign(x *Assign) cir.Value {
@@ -1180,7 +1137,7 @@ func (lw *lowerer) lowerAssign(x *Assign) cir.Value {
 		v := lw.lowerExpr(x.Y)
 		if c, ok := v.(*cir.Const); ok && c.IsNull {
 			if pt := cir.Pointee(addr.Type()); pt != nil && cir.IsPointer(pt) {
-				v = cir.NullConst(pt)
+				v = lw.fn.NullConst(pt)
 			}
 		}
 		lw.at(x.Pos)
@@ -1189,7 +1146,7 @@ func (lw *lowerer) lowerAssign(x *Assign) cir.Value {
 	}
 	old := lw.b.Load("old", addr)
 	rhs := lw.lowerExpr(x.Y)
-	op, ok := binOpFor(x.Op[:len(x.Op)-1])
+	op, ok := binOps[x.Op[:len(x.Op)-1]]
 	if !ok {
 		lw.errorf(x.Pos, "unsupported compound assignment %s", x.Op)
 		return old
@@ -1221,12 +1178,12 @@ func (lw *lowerer) lowerTernary(x *Cond) cir.Value {
 
 func (lw *lowerer) lowerCall(x *CallExpr) cir.Value {
 	callee, ft := lw.callee(x.Fun, len(x.Args))
-	var args []cir.Value
+	args := slices.Grow([]cir.Value(nil), len(x.Args))
 	for i, a := range x.Args {
 		v := lw.lowerExpr(a)
 		if c, ok := v.(*cir.Const); ok && c.IsNull && i < len(ft.Params) {
 			if cir.IsPointer(ft.Params[i]) {
-				v = cir.NullConst(ft.Params[i])
+				v = lw.fn.NullConst(ft.Params[i])
 			}
 		}
 		args = append(args, v)
@@ -1234,7 +1191,7 @@ func (lw *lowerer) lowerCall(x *CallExpr) cir.Value {
 	lw.at(x.Pos)
 	r := lw.b.Call(x.Fun, callee, ft.Result, args...)
 	if r == nil {
-		return cir.IntConst(cir.I64, 0)
+		return lw.fn.IntConst(cir.I64, 0)
 	}
 	return r
 }

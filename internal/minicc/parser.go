@@ -3,102 +3,129 @@ package minicc
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/slab"
 )
 
-// Parser builds an AST from tokens. It is a conventional recursive-descent
-// parser with precedence climbing for binary operators.
+// Parser builds an AST from tokens: a recursive-descent parser with
+// precedence climbing for binary operators. It lexes as it parses, keeping
+// only its lookahead, compares token IDs, and slices a token's text out of
+// the source only where a rule keeps a name.
 type Parser struct {
-	file     string
-	toks     []Token
-	pos      int
-	errs     []error
-	typedefs map[string]TypeExpr
+	file      string
+	lx        lexer   // over the preprocessed source
+	look      []Token // look[head] is the current token, then the lookahead
+	head, pos int     // pos counts the tokens consumed
+	errs      []error
+	typedefs  map[string]TypeExpr
+	nodes     *nodes
 }
 
 // Parse parses one mini-C translation unit. The source is macro-expanded
 // first (see Preprocess); line numbers are preserved.
-func Parse(file, src string) (*File, error) {
-	toks, lexErrs := Tokenize(file, Preprocess(src))
-	p := &Parser{file: file, toks: toks, typedefs: make(map[string]TypeExpr)}
-	p.errs = append(p.errs, lexErrs...)
+func Parse(file, src string) (*File, error) { return parse(file, src, new(nodes)) }
+
+// parse is Parse with the AST slabs of ns (see parseFiles).
+func parse(file, src string, ns *nodes) (*File, error) {
+	text := Preprocess(src)
+	p := &Parser{file: file, lx: lexer{file: file, src: text, line: 1},
+		typedefs: make(map[string]TypeExpr), nodes: ns}
+	p.look = append(ns.look[:0], p.lx.next())
 	f := p.parseFile()
+	ns.look = p.look
 	f.Lines = strings.Count(src, "\n") + 1
-	if len(p.errs) > 0 {
-		return f, p.errs[0]
+	// Lexical errors come first, as if the file were lexed before parsing.
+	if errs := append(p.lx.errs, p.errs...); len(errs) > 0 {
+		return f, errs[0]
 	}
 	return f, nil
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
+func (p *Parser) cur() Token { return p.look[p.head] }
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.look[p.head]
 	if t.Kind != EOF {
 		p.pos++
+		if p.head++; p.head == len(p.look) {
+			p.look, p.head = append(p.look[:0], p.lx.next()), 0
+		}
 	}
 	return t
 }
 
+// peekN returns the token n after the current one (EOF past the end).
 func (p *Parser) peekN(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+	for p.head+n >= len(p.look) {
+		p.look = append(p.look, p.lx.next())
 	}
-	return p.toks[p.pos+n]
+	return p.look[p.head+n]
 }
 
-func (p *Parser) at(text string) bool { return p.cur().Text == text && p.cur().Kind != STRING }
+// name consumes the current token and returns its text: an identifier
+// the AST keeps.
+func (p *Parser) name() string { return p.next().Text(p.lx.src) }
 
-func (p *Parser) accept(text string) bool {
-	if p.at(text) {
+// describe renders t for a diagnostic.
+func (p *Parser) describe(t Token) string {
+	if t.Kind == EOF {
+		return "<eof>"
+	}
+	return fmt.Sprintf("%q", t.Text(p.lx.src))
+}
+
+func (p *Parser) at(id tokID) bool { return p.look[p.head].ID == id }
+
+func (p *Parser) accept(id tokID) bool {
+	if p.at(id) {
 		p.next()
 		return true
 	}
 	return false
 }
 
-func (p *Parser) expect(text string) Token {
-	if p.at(text) {
+func (p *Parser) expect(id tokID) Token {
+	if p.at(id) {
 		return p.next()
 	}
-	p.errorf("expected %q, found %s", text, p.cur())
+	p.errorf("expected %q, found %s", idText[id], p.describe(p.cur()))
 	return p.cur()
 }
 
 func (p *Parser) errorf(format string, args ...any) {
 	t := p.cur()
-	p.errs = append(p.errs, &Error{File: p.file, Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)})
+	p.errs = append(p.errs, &Error{File: p.file, Line: int(t.Line), Col: int(t.Col), Msg: fmt.Sprintf(format, args...)})
 	// Simple recovery: skip the offending token so parsing can continue.
-	if t.Kind != EOF {
-		p.pos++
-	}
+	p.next()
 }
 
 func (p *Parser) position() Position {
-	t := p.cur()
-	return Position{File: p.file, Line: t.Line, Col: t.Col}
+	return Position{Line: p.look[p.head].Line, Col: p.look[p.head].Col}
 }
 
-// typeQualifiers that may prefix a type and are ignored.
-var typeQualifiers = map[string]bool{
-	"const": true, "volatile": true, "unsigned": true, "signed": true,
-	"inline": true,
-}
+// isTypeQualifier reports the qualifiers that may prefix a type and are
+// ignored.
+func isTypeQualifier(id tokID) bool { return id >= kwUnsigned && id <= kwInline }
 
-var baseTypes = map[string]bool{
-	"int": true, "char": true, "long": true, "short": true, "void": true,
+func isBaseType(id tokID) bool { return id >= kwInt && id <= kwVoid }
+
+func (p *Parser) skipQualifiers() {
+	for isTypeQualifier(p.cur().ID) {
+		p.next()
+	}
 }
 
 // startsType reports whether the token stream at offset n begins a type.
 func (p *Parser) startsType(n int) bool {
 	t := p.peekN(n)
-	for typeQualifiers[t.Text] {
+	for isTypeQualifier(t.ID) {
 		n++
 		t = p.peekN(n)
 	}
-	if baseTypes[t.Text] || t.Text == "struct" {
+	if isBaseType(t.ID) || t.ID == kwStruct {
 		return true
 	}
 	if t.Kind == IDENT {
-		_, ok := p.typedefs[t.Text]
+		_, ok := p.typedefs[t.Text(p.lx.src)]
 		return ok
 	}
 	return false
@@ -107,42 +134,36 @@ func (p *Parser) startsType(n int) bool {
 // parseTypePrefix parses qualifiers, a base type name and leading '*'s
 // (array suffixes belong to declarators and are parsed by callers).
 func (p *Parser) parseTypePrefix() TypeExpr {
-	for typeQualifiers[p.cur().Text] {
-		p.next()
-	}
+	p.skipQualifiers()
 	var te TypeExpr
 	switch {
-	case p.accept("struct"):
+	case p.accept(kwStruct):
 		te.IsStruct = true
 		if p.cur().Kind == IDENT {
-			te.Base = p.next().Text
+			te.Base = p.name()
 		} else {
 			p.errorf("expected struct tag")
 		}
-	case baseTypes[p.cur().Text]:
-		te.Base = p.next().Text
+	case isBaseType(p.cur().ID):
+		te.Base = idText[p.next().ID]
 		// Swallow multi-word types like "long long", "unsigned int".
-		for baseTypes[p.cur().Text] {
+		for isBaseType(p.cur().ID) {
 			p.next()
 		}
 	case p.cur().Kind == IDENT:
-		if td, ok := p.typedefs[p.cur().Text]; ok {
+		if td, ok := p.typedefs[p.cur().Text(p.lx.src)]; ok {
 			te = td
 			p.next()
 		} else {
-			p.errorf("expected type, found %s", p.cur())
+			p.errorf("expected type, found %s", p.describe(p.cur()))
 		}
 	default:
-		p.errorf("expected type, found %s", p.cur())
+		p.errorf("expected type, found %s", p.describe(p.cur()))
 	}
-	for typeQualifiers[p.cur().Text] {
-		p.next()
-	}
-	for p.accept("*") {
+	p.skipQualifiers()
+	for p.accept('*') {
 		te.Ptr++
-		for typeQualifiers[p.cur().Text] {
-			p.next()
-		}
+		p.skipQualifiers()
 	}
 	return te
 }
@@ -153,11 +174,11 @@ func (p *Parser) parseFile() *File {
 	for p.cur().Kind != EOF {
 		start := p.pos
 		switch {
-		case p.at("typedef"):
+		case p.at(kwTypedef):
 			p.parseTypedef(f)
-		case p.at("enum"):
+		case p.at(kwEnum):
 			f.Enums = append(f.Enums, p.parseEnum())
-		case p.at("struct") && p.peekN(2).Text == "{":
+		case p.at(kwStruct) && p.peekN(2).ID == '{':
 			f.Structs = append(f.Structs, p.parseStructDecl())
 		default:
 			nerr := len(p.errs)
@@ -178,17 +199,16 @@ func (p *Parser) parseFile() *File {
 func (p *Parser) syncTopLevel() {
 	depth := 0
 	for p.cur().Kind != EOF {
-		t := p.cur()
-		switch t.Text {
-		case "{":
+		switch p.cur().ID {
+		case '{':
 			depth++
-		case "}":
+		case '}':
 			depth--
 			if depth <= 0 {
 				p.next()
 				return
 			}
-		case ";":
+		case ';':
 			if depth == 0 {
 				p.next()
 				return
@@ -199,83 +219,82 @@ func (p *Parser) syncTopLevel() {
 }
 
 func (p *Parser) parseTypedef(f *File) {
-	p.expect("typedef")
-	if p.at("struct") && p.peekN(2).Text == "{" {
+	p.expect(kwTypedef)
+	if p.at(kwStruct) && p.peekN(2).ID == '{' {
 		// typedef struct tag { ... } name;
 		st := p.parseStructDeclNoSemi()
 		f.Structs = append(f.Structs, st)
 		if p.cur().Kind == IDENT {
-			name := p.next().Text
-			p.typedefs[name] = TypeExpr{Base: st.Name, IsStruct: true}
+			p.typedefs[p.name()] = TypeExpr{Base: st.Name, IsStruct: true}
 		}
-		p.expect(";")
+		p.expect(';')
 		return
 	}
 	te := p.parseTypePrefix()
 	if p.cur().Kind == IDENT {
-		name := p.next().Text
-		p.typedefs[name] = te
+		p.typedefs[p.name()] = te
 	} else {
 		p.errorf("expected typedef name")
 	}
-	p.expect(";")
+	p.expect(';')
 }
 
 func (p *Parser) parseEnum() *EnumDecl {
 	pos := p.position()
-	p.expect("enum")
+	p.expect(kwEnum)
 	if p.cur().Kind == IDENT {
 		p.next() // optional tag
 	}
 	e := &EnumDecl{Pos: pos}
-	p.expect("{")
+	p.expect('{')
 	val := int64(0)
-	for !p.at("}") && p.cur().Kind != EOF {
+	for !p.at('}') && p.cur().Kind != EOF {
 		if p.cur().Kind != IDENT {
 			p.errorf("expected enumerator name")
 			break
 		}
-		name := p.next().Text
-		if p.accept("=") {
+		name := p.name()
+		if p.accept('=') {
 			if p.cur().Kind == INT {
 				val = p.next().Val
-			} else if p.accept("-") && p.cur().Kind == INT {
+			} else if p.accept('-') && p.cur().Kind == INT {
 				val = -p.next().Val
 			}
 		}
 		e.Names = append(e.Names, name)
 		e.Vals = append(e.Vals, val)
 		val++
-		if !p.accept(",") {
+		if !p.accept(',') {
 			break
 		}
 	}
-	p.expect("}")
-	p.expect(";")
+	p.expect('}')
+	p.expect(';')
 	return e
 }
 
 func (p *Parser) parseStructDecl() *StructDecl {
 	st := p.parseStructDeclNoSemi()
-	p.expect(";")
+	p.expect(';')
 	return st
 }
 
 func (p *Parser) parseStructDeclNoSemi() *StructDecl {
 	pos := p.position()
-	p.expect("struct")
+	p.expect(kwStruct)
 	st := &StructDecl{Pos: pos}
 	if p.cur().Kind == IDENT {
-		st.Name = p.next().Text
+		st.Name = p.name()
 	} else {
 		st.Name = fmt.Sprintf("anon_%s_%d", p.file, pos.Line)
 	}
-	p.expect("{")
-	for !p.at("}") && p.cur().Kind != EOF {
+	p.expect('{')
+	mark := len(p.nodes.varBuf)
+	for !p.at('}') && p.cur().Kind != EOF {
 		te := p.parseTypePrefix()
 		for {
 			fieldType := te
-			for p.accept("*") {
+			for p.accept('*') {
 				fieldType.Ptr++
 			}
 			fpos := p.position()
@@ -283,35 +302,44 @@ func (p *Parser) parseStructDeclNoSemi() *StructDecl {
 				p.errorf("expected field name")
 				break
 			}
-			name := p.next().Text
-			if p.accept("[") {
+			name := p.name()
+			if p.accept('[') {
 				if p.cur().Kind == INT {
 					fieldType.ArrayLen = int(p.next().Val)
 				} else {
 					fieldType.ArrayLen = 1
-					for !p.at("]") && p.cur().Kind != EOF {
+					for !p.at(']') && p.cur().Kind != EOF {
 						p.next()
 					}
 				}
-				p.expect("]")
+				p.expect(']')
 			}
-			st.Fields = append(st.Fields, &VarDecl{Pos: fpos, Name: name, Type: fieldType})
-			if !p.accept(",") {
+			p.nodes.varBuf = append(p.nodes.varBuf, p.nodes.vars.New(VarDecl{Pos: fpos, Name: name, Type: fieldType}))
+			if !p.accept(',') {
 				break
 			}
 		}
-		p.expect(";")
+		p.expect(';')
 	}
-	p.expect("}")
+	st.Fields = popList(&p.nodes.varBuf, &p.nodes.varList, mark)
+	p.expect('}')
 	return st
+}
+
+// popList pops the items a list rule pushed on *stack from mark on and
+// returns them cloned into s.
+func popList[T any](stack *[]T, s *slab.Of[T], mark int) []T {
+	l := s.Clone((*stack)[mark:])
+	*stack = (*stack)[:mark]
+	return l
 }
 
 // parseTopLevelDecl parses a function definition/declaration or a global
 // variable.
 func (p *Parser) parseTopLevelDecl(f *File) {
 	static := false
-	for p.at("static") || p.at("extern") || p.at("inline") {
-		if p.at("static") {
+	for p.at(kwStatic) || p.at(kwExtern) || p.at(kwInline) {
+		if p.at(kwStatic) {
 			static = true
 		}
 		p.next()
@@ -322,8 +350,8 @@ func (p *Parser) parseTopLevelDecl(f *File) {
 		p.errorf("expected declarator name")
 		return
 	}
-	name := p.next().Text
-	if p.at("(") {
+	name := p.name()
+	if p.at('(') {
 		fd := p.parseFuncRest(pos, name, te)
 		fd.Static = static
 		f.Funcs = append(f.Funcs, fd)
@@ -333,26 +361,19 @@ func (p *Parser) parseTopLevelDecl(f *File) {
 	// possibly with aggregate initializer).
 	for {
 		g := &VarDecl{Pos: pos, Name: name, Type: te}
-		if p.accept("[") {
-			if p.cur().Kind == INT {
-				g.Type.ArrayLen = int(p.next().Val)
-			} else {
-				g.Type.ArrayLen = 1
-			}
-			p.expect("]")
-		}
-		if p.accept("=") {
-			if p.at("{") {
+		g.Type.ArrayLen = p.arraySuffix()
+		if p.accept('=') {
+			if p.at('{') {
 				g.InitNames = p.parseAggregateInit()
 			} else {
 				g.Init = p.parseAssignExpr()
 			}
 		}
 		f.Globals = append(f.Globals, g)
-		if !p.accept(",") {
+		if !p.accept(',') {
 			break
 		}
-		for p.accept("*") {
+		for p.accept('*') {
 			te.Ptr++
 		}
 		pos = p.position()
@@ -360,9 +381,23 @@ func (p *Parser) parseTopLevelDecl(f *File) {
 			p.errorf("expected declarator name")
 			break
 		}
-		name = p.next().Text
+		name = p.name()
 	}
-	p.expect(";")
+	p.expect(';')
+}
+
+// arraySuffix parses a declarator's optional [N]: it returns N, 1 when the
+// length is no literal, and 0 without a suffix.
+func (p *Parser) arraySuffix() int {
+	if !p.accept('[') {
+		return 0
+	}
+	n := 1
+	if p.cur().Kind == INT {
+		n = int(p.next().Val)
+	}
+	p.expect(']')
+	return n
 }
 
 // parseAggregateInit skims a brace initializer, collecting identifier
@@ -373,16 +408,16 @@ func (p *Parser) parseAggregateInit() []string {
 	for p.cur().Kind != EOF {
 		t := p.cur()
 		switch {
-		case t.Text == "{" && t.Kind == PUNCT:
+		case t.ID == '{':
 			depth++
-		case t.Text == "}" && t.Kind == PUNCT:
+		case t.ID == '}':
 			depth--
 			if depth == 0 {
 				p.next()
 				return names
 			}
 		case t.Kind == IDENT:
-			names = append(names, t.Text)
+			names = append(names, t.Text(p.lx.src))
 		}
 		p.next()
 	}
@@ -390,13 +425,14 @@ func (p *Parser) parseAggregateInit() []string {
 }
 
 func (p *Parser) parseFuncRest(pos Position, name string, result TypeExpr) *FuncDecl {
-	fd := &FuncDecl{Pos: pos, Name: name, Result: result}
-	p.expect("(")
-	if p.at("void") && p.peekN(1).Text == ")" {
+	fd := p.nodes.funcs.New(FuncDecl{Pos: pos, Name: name, Result: result})
+	p.expect('(')
+	if p.at(kwVoid) && p.peekN(1).ID == ')' {
 		p.next()
 	}
-	for !p.at(")") && p.cur().Kind != EOF {
-		if p.accept("...") {
+	mark := len(p.nodes.varBuf)
+	for !p.at(')') && p.cur().Kind != EOF {
+		if p.accept(pEllipsis) {
 			fd.Variadic = true
 			break
 		}
@@ -404,31 +440,32 @@ func (p *Parser) parseFuncRest(pos Position, name string, result TypeExpr) *Func
 		ppos := p.position()
 		pname := ""
 		if p.cur().Kind == IDENT {
-			pname = p.next().Text
+			pname = p.name()
 		}
-		if p.accept("[") {
+		if p.accept('[') {
 			// Array parameters decay to pointers.
-			for !p.at("]") && p.cur().Kind != EOF {
+			for !p.at(']') && p.cur().Kind != EOF {
 				p.next()
 			}
-			p.expect("]")
+			p.expect(']')
 			pt.Ptr++
 		}
 		if pname == "" {
-			pname = fmt.Sprintf("arg%d", len(fd.Params))
+			pname = fmt.Sprintf("arg%d", len(p.nodes.varBuf)-mark)
 		}
-		fd.Params = append(fd.Params, &VarDecl{Pos: ppos, Name: pname, Type: pt})
-		if !p.accept(",") {
+		p.nodes.varBuf = append(p.nodes.varBuf, p.nodes.vars.New(VarDecl{Pos: ppos, Name: pname, Type: pt}))
+		if !p.accept(',') {
 			break
 		}
 	}
+	fd.Params = popList(&p.nodes.varBuf, &p.nodes.varList, mark)
 	// Panic-mode recovery: resynchronize at the parameter-list close so a
 	// malformed signature does not consume the following declarations.
-	for !p.at(")") && !p.at("{") && !p.at(";") && p.cur().Kind != EOF {
+	for !p.at(')') && !p.at('{') && !p.at(';') && p.cur().Kind != EOF {
 		p.next()
 	}
-	p.accept(")")
-	if p.accept(";") {
+	p.accept(')')
+	if p.accept(';') {
 		return fd // declaration only
 	}
 	fd.Body = p.parseBlock()
@@ -437,130 +474,133 @@ func (p *Parser) parseFuncRest(pos Position, name string, result TypeExpr) *Func
 
 func (p *Parser) parseBlock() *BlockStmt {
 	pos := p.position()
-	p.expect("{")
-	b := &BlockStmt{Pos: pos}
-	for !p.at("}") && p.cur().Kind != EOF {
+	p.expect('{')
+	mark := len(p.nodes.stmtBuf)
+	for !p.at('}') && p.cur().Kind != EOF {
 		start := p.pos
-		b.Stmts = append(b.Stmts, p.parseStmt())
+		s := p.parseStmt()
+		p.nodes.stmtBuf = append(p.nodes.stmtBuf, s)
 		if p.pos == start {
 			p.next()
 		}
 	}
-	p.expect("}")
+	b := p.nodes.blocks.New(BlockStmt{Pos: pos, Stmts: popList(&p.nodes.stmtBuf, &p.nodes.stmtList, mark)})
+	p.expect('}')
 	return b
 }
 
 func (p *Parser) parseStmt() Stmt {
 	pos := p.position()
+	n := p.nodes
 	switch {
-	case p.at("{"):
+	case p.at('{'):
 		return p.parseBlock()
-	case p.accept(";"):
+	case p.accept(';'):
 		return &EmptyStmt{Pos: pos}
-	case p.accept("if"):
-		p.expect("(")
+	case p.accept(kwIf):
+		p.expect('(')
 		cond := p.parseExpr()
-		p.expect(")")
-		s := &IfStmt{Pos: pos, Cond: cond, Then: p.parseStmt()}
-		if p.accept("else") {
+		p.expect(')')
+		s := n.ifs.New(IfStmt{Pos: pos, Cond: cond, Then: p.parseStmt()})
+		if p.accept(kwElse) {
 			s.Else = p.parseStmt()
 		}
 		return s
-	case p.accept("while"):
-		p.expect("(")
+	case p.accept(kwWhile):
+		p.expect('(')
 		cond := p.parseExpr()
-		p.expect(")")
+		p.expect(')')
 		return &WhileStmt{Pos: pos, Cond: cond, Body: p.parseStmt()}
-	case p.accept("do"):
+	case p.accept(kwDo):
 		body := p.parseStmt()
-		p.expect("while")
-		p.expect("(")
+		p.expect(kwWhile)
+		p.expect('(')
 		cond := p.parseExpr()
-		p.expect(")")
-		p.expect(";")
+		p.expect(')')
+		p.expect(';')
 		return &WhileStmt{Pos: pos, Cond: cond, Body: body, DoWhile: true}
-	case p.accept("for"):
-		p.expect("(")
+	case p.accept(kwFor):
+		p.expect('(')
 		var init Stmt
-		if !p.at(";") {
+		if !p.at(';') {
 			if p.startsType(0) {
 				init = p.parseDeclStmt()
 			} else {
 				e := p.parseExpr()
-				init = &ExprStmt{Pos: pos, X: e}
-				p.expect(";")
+				init = n.exprStmt.New(ExprStmt{Pos: pos, X: e})
+				p.expect(';')
 			}
 		} else {
-			p.expect(";")
+			p.expect(';')
 		}
 		var cond Expr
-		if !p.at(";") {
+		if !p.at(';') {
 			cond = p.parseExpr()
 		}
-		p.expect(";")
+		p.expect(';')
 		var post Expr
-		if !p.at(")") {
+		if !p.at(')') {
 			post = p.parseExpr()
 		}
-		p.expect(")")
+		p.expect(')')
 		return &ForStmt{Pos: pos, Init: init, Cond: cond, Post: post, Body: p.parseStmt()}
-	case p.accept("return"):
-		s := &ReturnStmt{Pos: pos}
-		if !p.at(";") {
+	case p.accept(kwReturn):
+		s := n.returns.New(ReturnStmt{Pos: pos})
+		if !p.at(';') {
 			s.X = p.parseExpr()
 		}
-		p.expect(";")
+		p.expect(';')
 		return s
-	case p.accept("goto"):
+	case p.accept(kwGoto):
 		s := &GotoStmt{Pos: pos}
 		if p.cur().Kind == IDENT {
-			s.Label = p.next().Text
+			s.Label = p.name()
 		} else {
 			p.errorf("expected label after goto")
 		}
-		p.expect(";")
+		p.expect(';')
 		return s
-	case p.accept("break"):
-		p.expect(";")
+	case p.accept(kwBreak):
+		p.expect(';')
 		return &BreakStmt{Pos: pos}
-	case p.accept("continue"):
-		p.expect(";")
+	case p.accept(kwContinue):
+		p.expect(';')
 		return &ContinueStmt{Pos: pos}
-	case p.accept("switch"):
+	case p.accept(kwSwitch):
 		return p.parseSwitch(pos)
-	case p.cur().Kind == IDENT && p.peekN(1).Text == ":" && p.peekN(2).Text != ":":
-		name := p.next().Text
-		p.expect(":")
+	case p.cur().Kind == IDENT && p.peekN(1).ID == ':' && p.peekN(2).ID != ':':
+		name := p.name()
+		p.expect(':')
 		inner := Stmt(&EmptyStmt{Pos: pos})
-		if !p.at("}") {
+		if !p.at('}') {
 			inner = p.parseStmt()
 		}
 		return &LabelStmt{Pos: pos, Name: name, Stmt: inner}
-	case p.startsType(0) && !(p.at("struct") && p.peekN(2).Text == "{"):
+	case p.startsType(0) && !(p.at(kwStruct) && p.peekN(2).ID == '{'):
 		return p.parseDeclStmt()
 	default:
 		e := p.parseExpr()
-		p.expect(";")
-		return &ExprStmt{Pos: pos, X: e}
+		p.expect(';')
+		return n.exprStmt.New(ExprStmt{Pos: pos, X: e})
 	}
 }
 
 func (p *Parser) parseSwitch(pos Position) Stmt {
-	p.expect("(")
+	p.expect('(')
 	tag := p.parseExpr()
-	p.expect(")")
-	p.expect("{")
+	p.expect(')')
+	p.expect('{')
 	s := &SwitchStmt{Pos: pos, Tag: tag}
 	var cc *CaseClause
-	for !p.at("}") && p.cur().Kind != EOF {
+	for !p.at('}') && p.cur().Kind != EOF {
 		switch {
-		case p.accept("case"):
+		case p.accept(kwCase):
 			cc = &CaseClause{Pos: p.position(), Val: p.parseExpr()}
-			p.expect(":")
+			p.expect(':')
 			s.Cases = append(s.Cases, cc)
-		case p.accept("default"):
+		case p.accept(kwDefault):
 			cc = &CaseClause{Pos: p.position(), IsDefault: true}
-			p.expect(":")
+			p.expect(':')
 			s.Cases = append(s.Cases, cc)
 		default:
 			if cc == nil {
@@ -571,17 +611,17 @@ func (p *Parser) parseSwitch(pos Position) Stmt {
 			cc.Body = append(cc.Body, p.parseStmt())
 		}
 	}
-	p.expect("}")
+	p.expect('}')
 	return s
 }
 
 func (p *Parser) parseDeclStmt() Stmt {
 	pos := p.position()
 	te := p.parseTypePrefix()
-	ds := &DeclStmt{Pos: pos}
+	mark := len(p.nodes.varBuf)
 	for {
 		dt := te
-		for p.accept("*") {
+		for p.accept('*') {
 			dt.Ptr++
 		}
 		vpos := p.position()
@@ -589,30 +629,24 @@ func (p *Parser) parseDeclStmt() Stmt {
 			p.errorf("expected variable name")
 			break
 		}
-		name := p.next().Text
-		if p.accept("[") {
-			if p.cur().Kind == INT {
-				dt.ArrayLen = int(p.next().Val)
-			} else {
-				dt.ArrayLen = 1
-			}
-			p.expect("]")
-		}
-		d := &VarDecl{Pos: vpos, Name: name, Type: dt}
-		if p.accept("=") {
-			if p.at("{") {
+		name := p.name()
+		dt.ArrayLen = p.arraySuffix()
+		d := p.nodes.vars.New(VarDecl{Pos: vpos, Name: name, Type: dt})
+		if p.accept('=') {
+			if p.at('{') {
 				d.InitNames = p.parseAggregateInit()
 				d.AggregateInit = true
 			} else {
 				d.Init = p.parseAssignExpr()
 			}
 		}
-		ds.Decls = append(ds.Decls, d)
-		if !p.accept(",") {
+		p.nodes.varBuf = append(p.nodes.varBuf, d)
+		if !p.accept(',') {
 			break
 		}
 	}
-	p.expect(";")
+	ds := p.nodes.decls.New(DeclStmt{Pos: pos, Decls: popList(&p.nodes.varBuf, &p.nodes.varList, mark)})
+	p.expect(';')
 	return ds
 }
 
@@ -620,144 +654,141 @@ func (p *Parser) parseDeclStmt() Stmt {
 
 func (p *Parser) parseExpr() Expr {
 	e := p.parseAssignExpr()
-	for p.accept(",") {
+	for p.accept(',') {
 		e = p.parseAssignExpr() // comma operator: keep last (effects preserved by caller lowering both? kept simple)
 	}
 	return e
 }
 
-var assignOps = map[string]bool{
-	"=": true, "+=": true, "-=": true, "*=": true, "/=": true, "%=": true,
-	"&=": true, "|=": true, "^=": true,
-}
+// assignOps is 1 for the assignment operators, 0 for other tokens.
+var assignOps = opTable("=,+=,-=,*=,/=,%=,&=,|=,^=")
 
 func (p *Parser) parseAssignExpr() Expr {
 	lhs := p.parseTernary()
-	if assignOps[p.cur().Text] && p.cur().Kind == PUNCT {
+	if assignOps[p.cur().ID] != 0 {
 		pos := p.position()
-		op := p.next().Text
+		op := idText[p.next().ID]
 		rhs := p.parseAssignExpr()
-		return &Assign{Pos: pos, Op: op, X: lhs, Y: rhs}
+		return p.nodes.assigns.New(Assign{Pos: pos, Op: op, X: lhs, Y: rhs})
 	}
 	return lhs
 }
 
 func (p *Parser) parseTernary() Expr {
 	c := p.parseBinary(1)
-	if p.at("?") {
+	if p.at('?') {
 		pos := p.position()
 		p.next()
 		t := p.parseAssignExpr()
-		p.expect(":")
+		p.expect(':')
 		f := p.parseTernary()
 		return &Cond{Pos: pos, C: c, T: t, F: f}
 	}
 	return c
 }
 
-var binPrec = map[string]int{
-	"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-	"==": 6, "!=": 6,
-	"<": 7, "<=": 7, ">": 7, ">=": 7,
-	"<<": 8, ">>": 8,
-	"+": 9, "-": 9,
-	"*": 10, "/": 10, "%": 10,
+// binPrec is each binary operator's precedence, 0 for other tokens.
+var binPrec = opTable("|| && | ^ & ==,!= <,<=,>,>= <<,>> +,- *,/,%")
+
+// opTable maps, by ID, each operator of ops, a space-separated list of
+// comma-separated groups, to its group's number, counting from 1.
+func opTable(ops string) (t [256]int8) {
+	for i, group := range strings.Fields(ops) {
+		for _, op := range strings.Split(group, ",") {
+			t[spelled[op]] = int8(i + 1)
+		}
+	}
+	return t
 }
 
 func (p *Parser) parseBinary(minPrec int) Expr {
 	lhs := p.parseUnary()
 	for {
-		t := p.cur()
-		prec, ok := binPrec[t.Text]
-		if t.Kind != PUNCT || !ok || prec < minPrec {
+		prec := int(binPrec[p.cur().ID])
+		if prec == 0 || prec < minPrec {
 			return lhs
 		}
 		pos := p.position()
-		op := p.next().Text
+		op := idText[p.next().ID]
 		rhs := p.parseBinary(prec + 1)
-		lhs = &Binary{Pos: pos, Op: op, X: lhs, Y: rhs}
+		lhs = p.nodes.binaries.New(Binary{Pos: pos, Op: op, X: lhs, Y: rhs})
 	}
 }
 
 func (p *Parser) parseUnary() Expr {
 	pos := p.position()
-	switch {
-	case p.accept("!"):
-		return &Unary{Pos: pos, Op: "!", X: p.parseUnary()}
-	case p.accept("-"):
-		return &Unary{Pos: pos, Op: "-", X: p.parseUnary()}
-	case p.accept("~"):
-		return &Unary{Pos: pos, Op: "~", X: p.parseUnary()}
-	case p.accept("*"):
-		return &Unary{Pos: pos, Op: "*", X: p.parseUnary()}
-	case p.accept("&"):
-		return &Unary{Pos: pos, Op: "&", X: p.parseUnary()}
-	case p.accept("+"):
+	switch id := p.cur().ID; id {
+	case '!', '-', '~', '*', '&', pInc, pDec:
+		p.next()
+		return p.nodes.unaries.New(Unary{Pos: pos, Op: idText[id], X: p.parseUnary()})
+	case '+':
+		p.next()
 		return p.parseUnary()
-	case p.accept("++"):
-		return &Unary{Pos: pos, Op: "++", X: p.parseUnary()}
-	case p.accept("--"):
-		return &Unary{Pos: pos, Op: "--", X: p.parseUnary()}
-	case p.accept("sizeof"):
-		if p.at("(") && p.startsType(1) {
-			p.expect("(")
+	case kwSizeof:
+		p.next()
+		if p.at('(') && p.startsType(1) {
+			p.expect('(')
 			te := p.parseTypePrefix()
-			p.expect(")")
+			p.expect(')')
 			return &SizeofExpr{Pos: pos, Type: te, IsType: true}
 		}
-		p.expect("(")
+		p.expect('(')
 		x := p.parseExpr()
-		p.expect(")")
+		p.expect(')')
 		return &SizeofExpr{Pos: pos, X: x}
-	case p.at("(") && p.startsType(1):
-		p.expect("(")
-		te := p.parseTypePrefix()
-		p.expect(")")
-		return &Cast{Pos: pos, Type: te, X: p.parseUnary()}
+	case '(':
+		if p.startsType(1) {
+			p.expect('(')
+			te := p.parseTypePrefix()
+			p.expect(')')
+			return &Cast{Pos: pos, Type: te, X: p.parseUnary()}
+		}
 	}
 	return p.parsePostfix()
 }
 
 func (p *Parser) parsePostfix() Expr {
 	e := p.parsePrimary()
+	n := p.nodes
 	for {
 		pos := p.position()
 		switch {
-		case p.at("("):
+		case p.at('('):
 			id, ok := e.(*Ident)
 			if !ok {
 				p.errorf("indirect calls are not supported")
 				id = &Ident{Pos: pos, Name: "__indirect__"}
 			}
-			p.expect("(")
-			call := &CallExpr{Pos: pos, Fun: id.Name}
-			for !p.at(")") && p.cur().Kind != EOF {
-				call.Args = append(call.Args, p.parseAssignExpr())
-				if !p.accept(",") {
+			p.expect('(')
+			mark := len(n.exprBuf)
+			for !p.at(')') && p.cur().Kind != EOF {
+				a := p.parseAssignExpr()
+				n.exprBuf = append(n.exprBuf, a)
+				if !p.accept(',') {
 					break
 				}
 			}
-			p.expect(")")
-			e = call
-		case p.accept("["):
+			e = n.calls.New(CallExpr{Pos: pos, Fun: id.Name, Args: popList(&n.exprBuf, &n.exprList, mark)})
+			p.expect(')')
+		case p.accept('['):
 			i := p.parseExpr()
-			p.expect("]")
+			p.expect(']')
 			e = &Index{Pos: pos, X: e, I: i}
-		case p.accept("->"):
+		case p.accept(pArrow):
 			if p.cur().Kind != IDENT {
 				p.errorf("expected field name after ->")
 				return e
 			}
-			e = &Select{Pos: pos, X: e, Field: p.next().Text, Arrow: true}
-		case p.accept("."):
+			e = n.selects.New(Select{Pos: pos, X: e, Field: p.name(), Arrow: true})
+		case p.accept('.'):
 			if p.cur().Kind != IDENT {
 				p.errorf("expected field name after .")
 				return e
 			}
-			e = &Select{Pos: pos, X: e, Field: p.next().Text}
-		case p.accept("++"):
+			e = n.selects.New(Select{Pos: pos, X: e, Field: p.name()})
+		case p.accept(pInc):
 			e = &Postfix{Pos: pos, Op: "++", X: e}
-		case p.accept("--"):
+		case p.accept(pDec):
 			e = &Postfix{Pos: pos, Op: "--", X: e}
 		default:
 			return e
@@ -769,31 +800,28 @@ func (p *Parser) parsePrimary() Expr {
 	pos := p.position()
 	t := p.cur()
 	switch {
-	case t.Kind == INT:
+	case t.Kind == INT || t.Kind == CHARLIT:
 		p.next()
-		return &IntLit{Pos: pos, Val: t.Val}
-	case t.Kind == CHARLIT:
-		p.next()
-		return &IntLit{Pos: pos, Val: t.Val}
+		return p.nodes.ints.New(IntLit{Pos: pos, Val: t.Val})
 	case t.Kind == STRING:
 		p.next()
 		// Adjacent string literals concatenate, as in C.
-		s := t.Text
+		s := t.Text(p.lx.src)
 		for p.cur().Kind == STRING {
-			s += p.next().Text
+			s += p.name()
 		}
 		return &StrLit{Pos: pos, Val: s}
-	case t.Text == "NULL" && t.Kind == KEYWORD:
+	case t.ID == kwNULL:
 		p.next()
 		return &NullLit{Pos: pos}
 	case t.Kind == IDENT:
 		p.next()
-		return &Ident{Pos: pos, Name: t.Text}
-	case p.accept("("):
+		return p.nodes.idents.New(Ident{Pos: pos, Name: t.Text(p.lx.src)})
+	case p.accept('('):
 		e := p.parseExpr()
-		p.expect(")")
+		p.expect(')')
 		return e
 	}
-	p.errorf("expected expression, found %s", t)
-	return &IntLit{Pos: pos, Val: 0}
+	p.errorf("expected expression, found %s", p.describe(t))
+	return p.nodes.ints.New(IntLit{Pos: pos, Val: 0})
 }

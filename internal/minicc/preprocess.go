@@ -19,6 +19,10 @@ import (
 // point at the original source lines. Expansion is bounded to avoid
 // self-referential loops.
 func Preprocess(src string) string {
+	if strings.IndexByte(src, '#') < 0 {
+		// No directive: no line to blank and no macro to expand.
+		return src
+	}
 	lines := strings.Split(src, "\n")
 	macros := make(map[string]*macro)
 	out := make([]string, 0, len(lines))

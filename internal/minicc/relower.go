@@ -49,18 +49,7 @@ type Lowered struct {
 // gives the error, or renumbers the GIDs). The new functions come back
 // fingerprinted.
 func (l *Lowered) Relower(edits map[string]string) *Lowered {
-	names := make([]string, 0, len(edits))
-	for name := range edits {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	parsed := make([]*File, len(names))
-	keys := make([]uint64, len(names))
-	par.For(len(names), runtime.GOMAXPROCS(0), func(_, i int) {
-		if f, err := Parse(names[i], edits[names[i]]); err == nil {
-			parsed[i], keys[i] = f, declKey(f)
-		}
-	})
+	names, parsed, keys, errs := parseFiles(edits)
 
 	mod := cir.NewModule(l.Mod.Name)
 	mod.Funcs = make(map[string]*cir.Function, len(l.Mod.Funcs))
@@ -80,7 +69,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 		j, ok := slices.BinarySearchFunc(files, names[i], func(d *fileDecls, name string) int {
 			return strings.Compare(d.name, name)
 		})
-		if f == nil || !ok || keys[i] != files[j].key {
+		if errs[i] != nil || !ok || keys[i] != files[j].key {
 			return nil
 		}
 		old := files[j]
@@ -90,7 +79,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 			statics: old.statics, declared: old.declared, declFD: old.declFD}
 		for k, name := range old.declared {
 			if fn := l.Mod.Funcs[name]; fn.IsDecl() && fn.File == d.name {
-				mod.Funcs[name] = &cir.Function{Name: name, Typ: fn.Typ, Pos: funcPos(f.Funcs[old.declFD[k]]),
+				mod.Funcs[name] = &cir.Function{Name: name, Typ: fn.Typ, Pos: funcPos(d.name, f.Funcs[old.declFD[k]]),
 					File: d.name, Static: fn.Static}
 			}
 		}
@@ -104,7 +93,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 			if ou.fn != nil {
 				instrs -= ou.fn.NumInstrs()
 				vids -= ou.fn.NumRegs()
-				u.fn = &cir.Function{Name: ou.fn.Name, Typ: ou.fn.Typ, Pos: funcPos(fd), File: d.name, Static: ou.fn.Static}
+				u.fn = &cir.Function{Name: ou.fn.Name, Typ: ou.fn.Typ, Pos: funcPos(d.name, fd), File: d.name, Static: ou.fn.Static}
 				u.fn.NewBlock("entry")
 				mod.Funcs[u.fn.Name] = u.fn
 				fresh = append(fresh, u.fn)
@@ -181,8 +170,8 @@ func release(files []*fileDecls) {
 // smaller one costs more full lowerings.
 const maxGIDSpace = 4
 
-// funcPos is the position a function declared or defined by fd carries.
-func funcPos(fd *FuncDecl) cir.Pos { return cir.Pos{File: fd.Pos.File, Line: fd.Pos.Line} }
+// funcPos is the position of the function fd declares in file.
+func funcPos(file string, fd *FuncDecl) cir.Pos { return cir.Pos{File: file, Line: int(fd.Pos.Line)} }
 
 // declKey hashes what the declaration pass reads of f: its structs, globals
 // and function signatures, in source order, with the address-taken names

@@ -305,7 +305,7 @@ func (s *Spec) call(g *aliasgraph.Graph, ctx Ctx, call *cir.Call, out []Emission
 	if len(s.Calls) == 0 {
 		return out
 	}
-	kind := ctx.Intrinsics().Classify(call.Callee)
+	kind := ctx.Intrinsic(call)
 	for i := range s.Calls {
 		r := &s.Calls[i]
 		if !r.matches(call.Callee, kind) {
@@ -392,18 +392,16 @@ func (s *Spec) OnReturn(ret *cir.Ret, ctx Ctx, out []Emission) []Emission {
 }
 
 // OnBranch implements Checker.
-func (s *Spec) OnBranch(br *cir.CondBr, taken bool, ctx Ctx, out []Emission) []Emission {
-	facts, n := BranchFacts(br, taken)
-	for _, f := range facts[:n] {
-		ev := s.branchEvent(f)
-		if ev != "" {
-			out = append(out, emission(ctx.Graph().NodeOf(f.Val), ev, br))
+func (s *Spec) OnBranch(br *cir.CondBr, facts []BranchFact, ctx Ctx, out []Emission) []Emission {
+	for i := range facts {
+		if ev := s.branchEvent(&facts[i]); ev != "" {
+			out = append(out, emission(ctx.Graph().NodeOf(facts[i].Val), ev, br))
 		}
 	}
 	return out
 }
 
-func (s *Spec) branchEvent(f BranchFact) Event {
+func (s *Spec) branchEvent(f *BranchFact) Event {
 	typ := f.Val.Type()
 	switch {
 	case cir.IsPointer(typ) && (f.Bound.IsNull || f.Bound.Val == 0):
@@ -414,8 +412,8 @@ func (s *Spec) branchEvent(f BranchFact) Event {
 			return s.BrNonNull
 		}
 	case cir.IsInteger(typ) && !f.Bound.IsNull && !f.Bound.IsStr:
-		for _, c := range s.BrConst {
-			if c.Pred == f.Pred && c.Lo <= f.Bound.Val && f.Bound.Val <= c.Hi {
+		for i := range s.BrConst {
+			if c := &s.BrConst[i]; c.Pred == f.Pred && c.Lo <= f.Bound.Val && f.Bound.Val <= c.Hi {
 				return c.Event
 			}
 		}

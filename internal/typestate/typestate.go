@@ -222,8 +222,9 @@ type Ctx interface {
 	// IsStackAddr reports whether v is an address rooted at an alloca
 	// (dereferencing it cannot be a null-pointer dereference).
 	IsStackAddr(v cir.Value) bool
-	// Intrinsics classifies callees.
-	Intrinsics() *Intrinsics
+	// Intrinsic classifies call's callee, as Intrinsics.Classify does its
+	// name.
+	Intrinsic(call *cir.Call) Intrinsic
 	// Depth is the current call depth (0 in the entry function).
 	Depth() int
 	// FrameID identifies the current function activation on this path.
@@ -248,8 +249,10 @@ type Checker interface {
 	FSM() *FSM
 	// OnInstr inspects an instruction (after the alias-graph update).
 	OnInstr(in cir.Instr, ctx Ctx, out []Emission) []Emission
-	// OnBranch inspects a conditional branch taken in the given direction.
-	OnBranch(br *cir.CondBr, taken bool, ctx Ctx, out []Emission) []Emission
+	// OnBranch inspects a conditional branch taken in one direction, given
+	// the comparison facts that direction implies (BranchFacts), which the
+	// engine computes once for all checkers.
+	OnBranch(br *cir.CondBr, facts []BranchFact, ctx Ctx, out []Emission) []Emission
 	// OnReturn inspects a return at the current depth (ML and Pair fire
 	// their leak event on the returning frame's resources).
 	OnReturn(ret *cir.Ret, ctx Ctx, out []Emission) []Emission
