@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 
@@ -20,6 +21,8 @@ func main() {
 	out := flag.String("out", "", "output directory (required)")
 	truth := flag.Bool("truth", false, "also write ground-truth.txt")
 	flag.Parse()
+	log.SetFlags(0)
+	log.SetPrefix("oscorpusgen: ")
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "usage: oscorpusgen -os linux -out DIR")
 		os.Exit(2)
@@ -46,16 +49,16 @@ func main() {
 	for name, src := range c.Sources {
 		path := filepath.Join(*out, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 	}
 	if *truth {
 		f, err := os.Create(filepath.Join(*out, "ground-truth.txt"))
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		for _, g := range c.Truth {
 			fmt.Fprintf(f, "%s %s %s:%d category=%s interproc=%v alias=%v\n",
@@ -65,14 +68,9 @@ func main() {
 			fmt.Fprintf(f, "%s TRAP(%s) %s %s:%d\n", tr.ID, tr.Mechanism, tr.Type, tr.File, tr.Line)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 	}
 	fmt.Printf("wrote %d files (%d lines, %d seeded bugs, %d traps) to %s\n",
 		c.Files(), c.Lines, len(c.Truth), len(c.Traps), *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "oscorpusgen:", err)
-	os.Exit(1)
 }

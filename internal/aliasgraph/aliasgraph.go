@@ -538,51 +538,3 @@ func (g *Graph) String() string {
 	}
 	return b.String()
 }
-
-// DOT renders the live portion of the graph in Graphviz format, for
-// debugging and documentation. Nodes show their alias classes; edges show
-// their labels.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n\trankdir=LR;\n\tnode [shape=box, fontname=monospace];\n", name)
-	live := make(map[*Node]bool)
-	for _, n := range g.nodes {
-		if len(n.vars) > 0 || len(n.out) > 0 {
-			live[n] = true
-		}
-		for _, e := range n.out {
-			live[e.to] = true
-		}
-	}
-	for _, n := range g.nodes {
-		if !live[n] {
-			continue
-		}
-		label := ""
-		for i, v := range n.Vars() {
-			if i > 0 {
-				label += "\\n"
-			}
-			label += v.String()
-		}
-		if n.ConstVal != nil {
-			label += "\\n= " + n.ConstVal.String()
-		}
-		if label == "" {
-			label = "∅"
-		}
-		fmt.Fprintf(&b, "\tn%d [label=\"%s\"];\n", n.ID, label)
-	}
-	for _, n := range g.nodes {
-		if !live[n] {
-			continue
-		}
-		out := slices.Clone(n.out)
-		sort.Slice(out, func(i, j int) bool { return out[i].l.String() < out[j].l.String() })
-		for _, e := range out {
-			fmt.Fprintf(&b, "\tn%d -> n%d [label=%q];\n", n.ID, e.to.ID, e.l.String())
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

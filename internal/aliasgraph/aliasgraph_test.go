@@ -441,16 +441,3 @@ func TestAccessPathsDepthBound(t *testing.T) {
 		}
 	}
 }
-
-func TestDOTExport(t *testing.T) {
-	g := New()
-	p, v := reg("p"), reg("v")
-	g.Store(p, v)
-	g.GEP(reg("f"), v, FieldLabel("frnd"))
-	dot := g.DOT("fig")
-	for _, want := range []string{"digraph \"fig\"", "->", "label=\"*\"", ".frnd"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-}

@@ -25,13 +25,6 @@ type Obj struct {
 	Field string
 }
 
-func (o Obj) String() string {
-	if o.Field == "" {
-		return o.Base
-	}
-	return o.Base + "." + o.Field
-}
-
 // Analysis holds the points-to solution.
 type Analysis struct {
 	Mod *cir.Module
@@ -87,7 +80,10 @@ func (a *Analysis) Pts(v cir.Value) []Obj {
 	for o := range s {
 		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		return a.Base < b.Base || a.Base == b.Base && a.Field < b.Field
+	})
 	return out
 }
 

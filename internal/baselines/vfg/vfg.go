@@ -14,7 +14,6 @@ package vfg
 import (
 	"sort"
 
-	"repro/internal/cfg"
 	"repro/internal/cir"
 	"repro/internal/typestate"
 )
@@ -41,7 +40,6 @@ func Run(mod *cir.Module) []Finding {
 }
 
 func checkFn(fn *cir.Function, mod *cir.Module, intr *typestate.Intrinsics) []Finding {
-	g := cfg.New(fn)
 	var allocs []*cir.Call
 	fn.Instrs(func(in cir.Instr) {
 		if c, ok := in.(*cir.Call); ok && c.Dst != nil {
@@ -57,7 +55,7 @@ func checkFn(fn *cir.Function, mod *cir.Module, intr *typestate.Intrinsics) []Fi
 		if escapes(fn, mod, intr, carriers, slots) {
 			continue
 		}
-		if exit := leakyExit(fn, g, intr, alloc, carriers); exit != nil {
+		if exit := leakyExit(intr, alloc, carriers); exit != nil {
 			out = append(out, Finding{Alloc: alloc, Exit: exit, Fn: fn})
 		}
 	}
@@ -137,7 +135,7 @@ func escapes(fn *cir.Function, mod *cir.Module, intr *typestate.Intrinsics, carr
 
 // leakyExit returns a function exit reachable from the allocation without
 // passing a free of a carrying value, or nil.
-func leakyExit(fn *cir.Function, g *cfg.Graph, intr *typestate.Intrinsics, alloc *cir.Call, carriers map[cir.Value]bool) cir.Instr {
+func leakyExit(intr *typestate.Intrinsics, alloc *cir.Call, carriers map[cir.Value]bool) cir.Instr {
 	freesIn := func(b *cir.Block, fromIdx int) bool {
 		for i := fromIdx; i < len(b.Instrs); i++ {
 			if c, ok := b.Instrs[i].(*cir.Call); ok && intr.Classify(c.Callee) == typestate.IntrFree {

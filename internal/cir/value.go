@@ -31,9 +31,6 @@ func (r *Register) String() string {
 	return "%t" + strconv.Itoa(r.ID)
 }
 
-// IsParam reports whether r is a formal parameter of its function.
-func (r *Register) IsParam() bool { return r.Def == nil }
-
 // VID returns r's value ID: its function's value-ID base plus r.ID (see
 // Module.ExtendGIDs), or 0 when no module numbered r's function or r was
 // made after it was numbered.

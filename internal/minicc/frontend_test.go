@@ -48,6 +48,10 @@ func frontendErrorCases() []frontendErrorCase {
 			"a.c:1:22: undefined identifier zz"},
 		{"lexical error before a parse error", map[string]string{"a.c": "int f(void) { return 1; }", "b.c": "int g(void) { return 1 @ 2; }", "c.c": "int h( {"},
 			`b.c:1:24: unexpected character "@"`},
+		{"non-ASCII character", map[string]string{"a.c": "int f(int x) { return x é 1; }"},
+			`a.c:1:25: unexpected character "é"`},
+		{"byte that is not UTF-8", map[string]string{"a.c": "int f(int x) { return x \xff\xfe 1; }"},
+			`a.c:1:25: unexpected character "\xff"`},
 		{"identifier no call declared", map[string]string{"a.c": "int u(void) { return foo(1); }", "b.c": "int v(void) { return foo; }", "c.c": "int w(void) { return bar; }"},
 			"c.c:1:22: undefined identifier bar"},
 		{"undefined label", map[string]string{"a.c": "int f(void) { goto nowhere; }", "b.c": "int g(void) { break; }"},

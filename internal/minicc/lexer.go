@@ -3,6 +3,7 @@ package minicc
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // lexer turns mini-C source text into tokens. Preprocessor lines (#include,
@@ -141,10 +142,16 @@ func (lx *lexer) next() Token {
 		if t, ok := lx.token(); ok {
 			return t
 		}
+		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
 		if lx.pos != badEnd {
-			lx.errorf(lx.line, lx.col(), "unexpected character %q", string(lx.src[lx.pos]))
+			// A byte that is not valid UTF-8 is quoted as itself ("\xff").
+			stray := string(r)
+			if r == utf8.RuneError && size == 1 {
+				stray = lx.src[lx.pos : lx.pos+1]
+			}
+			lx.errorf(lx.line, lx.col(), "unexpected character %q", stray)
 		}
-		lx.skipTo(lx.pos + 1)
+		lx.skipTo(lx.pos + size)
 		badEnd = lx.pos
 	}
 }

@@ -36,13 +36,6 @@ const (
 	KEYWORD
 )
 
-var kindNames = map[Kind]string{
-	EOF: "eof", IDENT: "identifier", INT: "integer", CHARLIT: "char",
-	STRING: "string", PUNCT: "punctuator", KEYWORD: "keyword",
-}
-
-func (k Kind) String() string { return kindNames[k] }
-
 // Token is a lexical token. It holds no pointer, so a token slice is a
 // block the collector never scans: its text is the slice [Off, Off+Len) of
 // the (preprocessed) source it was lexed from, read with Text.

@@ -55,19 +55,6 @@ type Corpus struct {
 // Files returns the number of source files.
 func (c *Corpus) Files() int { return len(c.Sources) }
 
-// TruthAt indexes ground truth by (file, line, type).
-func (c *Corpus) TruthAt() map[string]GroundTruth {
-	m := make(map[string]GroundTruth, len(c.Truth))
-	for _, g := range c.Truth {
-		m[truthKey(g.File, g.Line, g.Type)] = g
-	}
-	return m
-}
-
-func truthKey(file string, line int, bt typestate.BugType) string {
-	return fmt.Sprintf("%s:%d:%s", file, line, bt)
-}
-
 var bugTemplates = map[typestate.BugType][]bugTemplate{
 	// Alias-dependent patterns dominate, as in real OS code (the paper's
 	// PATA-NA study loses 57% of real bugs without aliasing, §5.4).

@@ -1,6 +1,7 @@
 package oscorpus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,6 +152,10 @@ func TestEvaluateScoring(t *testing.T) {
 	if s.RealByCategory[g.Category] != 1 {
 		t.Errorf("category attribution: %+v", s.RealByCategory)
 	}
+}
+
+func truthKey(file string, line int, bt typestate.BugType) string {
+	return fmt.Sprintf("%s:%d:%s", file, line, bt)
 }
 
 func TestPaperCasesDetected(t *testing.T) {

@@ -7,6 +7,7 @@ package patad
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -61,7 +62,7 @@ int %[2]s(struct dev%[1]d *d, int x) {
 // e2eExpectedReport computes the CLI-parity oracle for the corpus dir.
 func e2eExpectedReport(t *testing.T, dir string) string {
 	t.Helper()
-	res, err := pata.AnalyzeDir(dir, pata.Config{LoopUnroll: 1})
+	res, err := pata.AnalyzeDirCtx(context.Background(), dir, pata.Config{LoopUnroll: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

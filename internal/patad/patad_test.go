@@ -452,6 +452,39 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 }
 
+// TestKillCancelsDrainingWork is the second Ctrl-C: Kill cancels the work a
+// graceful drain with a long deadline is still waiting for, and the drain
+// completes at once with a partial result.
+func TestKillCancelsDrainingWork(t *testing.T) {
+	started := make(chan struct{})
+	var once sync.Once
+	verySlow := func(entry string, rung int) *core.FaultSpec {
+		once.Do(func() { close(started) })
+		return &core.FaultSpec{Slow: 300 * time.Millisecond}
+	}
+	srv := newTestServer(t, Options{
+		FaultHook:    verySlow,
+		DrainTimeout: time.Minute,
+		Config:       pata.Config{MaxRetries: -1},
+	})
+	inFlight := make(chan *Response, 1)
+	go func() {
+		inFlight <- srv.analyze(context.Background(), &Request{Op: OpAnalyze})
+	}()
+	<-started
+	go srv.Shutdown()
+	srv.Kill()
+	select {
+	case <-srv.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain did not complete after Kill")
+	}
+	resp := <-inFlight
+	if !resp.OK || len(resp.Incomplete) == 0 {
+		t.Errorf("killed request should yield a partial result: %+v", resp)
+	}
+}
+
 // TestSessionProtocol drives a full NDJSON session over an in-memory pipe:
 // ping, status, malformed input, unknown op, analyze, shutdown.
 func TestSessionProtocol(t *testing.T) {

@@ -261,3 +261,13 @@ func TestSolverInterruption(t *testing.T) {
 		t.Error("Interrupted leaked across queries")
 	}
 }
+
+// TestAtomString pins the rendering the oracle tests print counterexamples
+// with.
+func TestAtomString(t *testing.T) {
+	ctx := NewContext()
+	a := Lt(Add(ctx.Var("x"), Int(1)), ctx.Var("y"))
+	if got, want := a.String(), "(x#1 + 1) < y#2"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}

@@ -422,13 +422,3 @@ func (t *Tracker) Apply(ci int, em Emission) {
 		t.Sink(ci, em, m.states[cur])
 	}
 }
-
-func (t *Tracker) String() string {
-	n := 0
-	for _, r := range t.recs {
-		if r != (objRec{}) {
-			n++
-		}
-	}
-	return fmt.Sprintf("tracker{%d checkers, %d records}", len(t.Checkers), n)
-}

@@ -241,13 +241,8 @@ func (c Config) OpenCache(w io.Writer) *acache.Store {
 	return store
 }
 
-// AnalyzeFiles reads and analyzes the given mini-C files as one program.
-func AnalyzeFiles(paths []string, cfg Config) (*Result, error) {
-	return AnalyzeFilesCtx(context.Background(), paths, cfg)
-}
-
-// AnalyzeFilesCtx is AnalyzeFiles with a caller context; cancellation
-// semantics are those of AnalyzeSourcesCtx.
+// AnalyzeFilesCtx reads and analyzes the given mini-C files as one program;
+// cancellation semantics are those of AnalyzeSourcesCtx.
 func AnalyzeFilesCtx(ctx context.Context, paths []string, cfg Config) (*Result, error) {
 	sources, err := ReadSources(paths)
 	if err != nil {
@@ -256,13 +251,8 @@ func AnalyzeFilesCtx(ctx context.Context, paths []string, cfg Config) (*Result, 
 	return AnalyzeSourcesCtx(ctx, "program", sources, cfg)
 }
 
-// AnalyzeDir analyzes every .c file under dir (recursively) as one program.
-func AnalyzeDir(dir string, cfg Config) (*Result, error) {
-	return AnalyzeDirCtx(context.Background(), dir, cfg)
-}
-
-// AnalyzeDirCtx is AnalyzeDir with a caller context; cancellation semantics
-// are those of AnalyzeSourcesCtx.
+// AnalyzeDirCtx analyzes every .c file under dir (recursively) as one
+// program; cancellation semantics are those of AnalyzeSourcesCtx.
 func AnalyzeDirCtx(ctx context.Context, dir string, cfg Config) (*Result, error) {
 	paths, err := SourcePaths(dir)
 	if err != nil {
@@ -272,7 +262,7 @@ func AnalyzeDirCtx(ctx context.Context, dir string, cfg Config) (*Result, error)
 }
 
 // SourcePaths lists every .c file under dir (recursively), sorted — the
-// file set AnalyzeDir analyzes, exposed so long-lived callers (the patad
+// file set AnalyzeDirCtx analyzes, exposed so long-lived callers (the patad
 // daemon) can load the same corpus a CLI run would.
 func SourcePaths(dir string) ([]string, error) {
 	var paths []string
@@ -296,7 +286,7 @@ func SourcePaths(dir string) ([]string, error) {
 }
 
 // ReadSources reads the given files into the source map AnalyzeSources
-// consumes, keyed by path exactly as AnalyzeFiles would (so reports from
+// consumes, keyed by path exactly as AnalyzeFilesCtx would (so reports from
 // either entry point print identical file names).
 func ReadSources(paths []string) (map[string]string, error) {
 	sources := make(map[string]string, len(paths))
@@ -340,16 +330,6 @@ func ConvertResult(res *core.Result, witness bool) *Result {
 		out.Bugs = append(out.Bugs, pb)
 	}
 	return out
-}
-
-// FPRateHint returns the share of candidates Stage 2 dropped, a proxy for
-// how much path validation contributed on this program.
-func (r *Result) FPRateHint() float64 {
-	total := r.Stats.FalseDropped + int64(len(r.Bugs))
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Stats.FalseDropped) / float64(total)
 }
 
 // String renders a compact report.
