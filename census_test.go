@@ -24,9 +24,11 @@ var censusKinds = map[string]bool{
 }
 
 // TestCensusAllowList checks scripts/census_allow.txt without running the
-// census: every line is "file function kind TestName", names a function
-// that exists in non-test Go outside bench/, gives one of the census kinds
-// and a test that exists, and the lines are sorted and unique.
+// census: every line is "file function kind TestName", naming a function
+// that exists in non-test Go outside bench/, or "dir package kind
+// TestName", naming a directory outside bench/ that holds non-test Go; it
+// gives one of the census kinds and a test that exists, and the lines are
+// sorted and unique.
 func TestCensusAllowList(t *testing.T) {
 	f, err := os.Open(filepath.Join("scripts", "census_allow.txt"))
 	if err != nil {
@@ -60,6 +62,12 @@ func TestCensusAllowList(t *testing.T) {
 		}
 		if strings.HasSuffix(file, "_test.go") || strings.HasPrefix(file, "bench/") {
 			t.Errorf("line %d: %s is test code or under bench/", n, file)
+			continue
+		}
+		if name == "package" {
+			if !hasNonTestGo(t, file) {
+				t.Errorf("line %d: %s is no directory of non-test Go", n, file)
+			}
 			continue
 		}
 		if funcs[file] == nil {
@@ -96,6 +104,21 @@ func funcNames(t *testing.T, file string) map[string]bool {
 		out[name] = true
 	}
 	return out
+}
+
+// hasNonTestGo reports whether dir holds a Go file that is not a test.
+func hasNonTestGo(t *testing.T, dir string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !strings.HasSuffix(f, "_test.go") {
+			return true
+		}
+	}
+	return false
 }
 
 func recvName(e ast.Expr) string {

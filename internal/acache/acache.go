@@ -12,11 +12,6 @@
 // degrades to cold analysis, never to a failed run): the first failed
 // write warns once and turns every further write off for the run.
 //
-// A resident host (patad) calls EndRun after each analyze: entries that
-// analyze did not touch leave the index, and once the pack holds more dead
-// bytes than live ones it is rewritten. The CLI never calls EndRun, so its
-// store keeps every capsule.
-//
 // Several processes may share one directory. Every frame is checksummed
 // and, on a local filesystem, O_APPEND writes never interleave, so no process
 // reads a wrong payload; a process that compacts or truncates the pack may
@@ -88,8 +83,7 @@ type Store struct {
 // of discovering the problem as silently swallowed Save errors.
 //
 // maxBytes is kept only because bench/layers.go passes 0; any other value
-// is an error (the store has no byte cap: EndRun bounds a resident host's
-// pack).
+// is an error (the store has no byte cap: EndRun bounds the pack).
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes != 0 {
 		return nil, fmt.Errorf("acache: byte cap %d: the store has none, pass 0", maxBytes)
@@ -124,6 +118,9 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		}
 	}
 	s.packBytes = int64(valid)
+	// The pack's frames belong to earlier runs: the first run starts a
+	// generation of its own, so its EndRun drops what it did not touch.
+	s.gen = 1
 	return s, nil
 }
 
@@ -177,12 +174,13 @@ func (s *Store) put(key string, frame []byte) {
 	s.live += int64(len(frame))
 }
 
-// EndRun closes one run of a resident host. Every entry the run did not
-// load or save leaves the index, so the index holds at most the keys of
-// the last finished run and of the current one. If the pack then holds
-// more dead bytes than live ones, it is rewritten to the live frames
-// through a temp file, fsync and rename. Analyses that overlap a run's end
-// may lose keys early; that costs a miss, never a wrong replay.
+// EndRun closes one run: patad calls it after each analyze, the CLI once
+// before it closes the store. Every entry the run did not load or save
+// leaves the index, so the index holds at most the keys of the last
+// finished run and of the current one. If the pack then holds more dead
+// bytes than live ones, it is rewritten to the live frames through a temp
+// file, fsync and rename. Analyses that overlap a run's end may lose keys
+// early; that costs a miss, never a wrong replay.
 func (s *Store) EndRun() {
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()

@@ -537,3 +537,26 @@ func FuzzOpenPack(f *testing.F) {
 		}
 	})
 }
+
+// TestFirstEndRunDropsPackFrames: the frames Open reads belong to earlier
+// runs, so the first EndRun after Open drops every one its run did not
+// touch, as a one-run CLI process needs.
+func TestFirstEndRunDropsPackFrames(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	s.Save("old", []byte("stale"))
+	s.Save("kept", []byte("live"))
+	s.Close()
+
+	s = open(t, dir)
+	if _, ok := s.Load("kept"); !ok {
+		t.Fatal("reopened store lost a frame")
+	}
+	s.EndRun()
+	if _, ok := s.Load("old"); ok {
+		t.Error("the first EndRun kept a frame its run never touched")
+	}
+	if _, ok := s.Load("kept"); !ok {
+		t.Error("the first EndRun dropped a frame its run loaded")
+	}
+}

@@ -8,20 +8,23 @@
 // candidate below it as Unsat without replaying their suffixes or invoking
 // the full solver at all. Candidates the screen cannot refute are solved at
 // their leaf — through the ordinary full-solver path (verdict cache,
-// singleflight, deadline rules) — using the shared replay state.
+// singleflight, deadline rules) — using the shared replay state. A group of
+// one is a one-item walk, so this is the only way a candidate is decided.
 //
 // Determinism: replay is a deterministic function of the step sequence, and
 // both the alias graph (trail) and the term context (Rewind) restore exactly
 // on rollback, so the constraint system assembled at a leaf — variable IDs
-// included — is byte-for-byte what a fresh per-candidate replay of that path
-// would build. Conjunction keys, cached verdicts, witness models, and
-// trigger values therefore match unbatched validation exactly.
+// included — is byte-for-byte what a fresh replay of that path alone would
+// build. Every leaf solve runs under a checkpoint too, so the variables the
+// solver interns in the replay's term context never shift a later leaf.
+// Conjunction keys, cached verdicts, witness models, and trigger values
+// therefore match a candidate validated on its own exactly.
 //
 // Soundness: the cursor applies the same rule functions the full solver
 // runs on the whole conjunction, minus the solver's difference-bound check and
 // fixpoint iteration (see smt.Cursor's contract), so its Unsat is a subset
 // of the solver's; and refuting a prefix of a conjunction refutes every
-// extension of it, so a screened candidate is one the per-candidate path
+// extension of it, so a screened candidate is one its own one-item walk
 // would also have dropped. Everything else falls back to the full solve,
 // so Sat verdicts are never manufactured by the screen.
 package pathval
@@ -44,103 +47,75 @@ const screenDeadlineStride = 32
 // variables the session interns for nonlinear subterms get IDs above it, so
 // they can never collide with the replayer's candidate variables. If a
 // replay ever allocates past the floor (it would take a ~million-step path),
-// screening is disabled for the rest of the batch rather than risk an
-// unsound collision.
+// screening is disabled below that point rather than risk an unsound
+// collision.
 const batchSessionReserve = 1 << 20
 
-// ValidateBatchCtx validates a group of candidates from one entry in a
-// single shared-replay session, falling back to per-candidate solving for
-// any candidate the walk leaves undecided. Outcomes are positionally
-// parallel to bugs. An interrupted screen (deadline/cancellation) simply
-// stops deciding: remaining candidates take the per-candidate path, whose
-// own deadline handling decides TimedOut — the screen itself never marks a
-// verdict interrupted and never memoizes anything.
+// ValidateBatchCtx validates a group of candidates from one entry in one
+// shared-replay walk; outcomes are positionally parallel to bugs. A group
+// of one is a one-item walk: its trie has a single weight-1 edge, so it
+// replays the path and solves it, the per-candidate semantics. A deadline
+// or cancellation in the middle of the screen turns screening off for the
+// rest of the batch and the walk goes on: every remaining leaf takes the
+// ordinary leaf solve, whose own interrupt rules decide it (a verdict-cache
+// hit, or an interrupted Unknown that keeps the bug and marks it TimedOut).
+// The screen itself never marks a verdict interrupted and never memoizes.
 func (v *Validator) ValidateBatchCtx(ctx context.Context, bugs []*core.PossibleBug, mode core.Mode) []core.ValidationOutcome {
 	return v.validateBatch(ctx, bugs, mode, (*batchWalk).walkTrie)
 }
 
 // validateBatch is ValidateBatchCtx with the walk of each round's paths
-// passed in as round, which decides w.items; tests pass a reference walk.
+// passed in as round, which fills w.outs; tests pass a reference walk.
 func (v *Validator) validateBatch(ctx context.Context, bugs []*core.PossibleBug, mode core.Mode, round func(w *batchWalk)) []core.ValidationOutcome {
 	outs := make([]core.ValidationOutcome, len(bugs))
 	if len(bugs) == 0 {
 		return outs
 	}
-	if len(bugs) == 1 {
-		outs[0] = v.validateCandidate(ctx, bugs[0], mode)
-		return outs
-	}
-
-	// One replayer and one cursor session for the whole group, reused across
-	// the primary pass and every alternate-witness round: each walk fully
-	// rolls itself back, so every pass starts from the pristine root state a
-	// fresh replayer would have. The session context reserves a high ID
-	// floor so its opaque interns cannot collide with replayer variables
-	// (see batchSessionReserve).
-	sctx := smt.NewContext()
-	sctx.Reserve(batchSessionReserve)
+	// One replayer for the whole group, reused across the primary round and
+	// every alternate round: each walk fully rolls itself back, so every
+	// round starts from the pristine root state a fresh replayer would have.
 	r := v.acquireReplayer(mode)
 	defer v.releaseReplayer(r)
-	r.logging = true // checkpoint/rollback needs the undo logs from step one
-	w := &batchWalk{
-		v:     v,
-		ctx:   ctx,
-		r:     r,
-		round: round,
-		cur:   smt.NewCursor(sctx),
-		done:  ctx.Done(),
-	}
+	w := &batchWalk{v: v, ctx: ctx, r: r, done: ctx.Done()}
 	w.deadline, _ = ctx.Deadline()
 
-	// Primary witness paths first.
-	items := make([]pathItem, len(bugs))
-	for i, bug := range bugs {
-		items[i] = pathItem{bug: bug, path: bug.Path}
-	}
-	decided, got := w.run(items)
-	for i, bug := range bugs {
-		if decided[i] {
-			outs[i] = got[i]
-		} else {
-			// The walk aborted (deadline/cancellation) before reaching this
-			// candidate: ordinary per-candidate validation of the primary
-			// path, fresh replay included.
-			outs[i] = v.validateOne(ctx, bug, bug.Path, mode)
-			outs[i].BatchFallbacks = 1
-		}
-	}
-
-	// Alternate witnesses, in rounds that preserve validateCandidate's order
-	// semantics exactly: a candidate's k-th alternate is validated iff its
-	// primary and first k-1 alternates all came back infeasible, and its
-	// outcome folds in per the same accumulation. Each round's paths form
-	// their own prefix trie, so alternates — which share prefixes with each
-	// other just as primaries do — get the same shared replay and screening.
-	altIdx := make([]int, len(bugs))
-	for {
+	// Witness paths go in rounds: round 0 holds every primary path, and
+	// round k a candidate's k-th alternate iff its primary and first k-1
+	// alternates all came back infeasible; the alternate's outcome folds
+	// into the candidate's. Each round's paths form their own prefix trie,
+	// so alternates, which share prefixes with each other just as primaries
+	// do, get the same shared replay and screening.
+	items := make([]pathItem, 0, len(bugs))
+	for k := 0; ; k++ {
 		items = items[:0]
-		var owner []int
 		for i, bug := range bugs {
-			if outs[i].Feasible || altIdx[i] >= len(bug.AltPaths) {
-				continue
+			switch {
+			case k == 0:
+				items = append(items, pathItem{bug: bug, path: bug.Path, cand: i})
+			case !outs[i].Feasible && k <= len(bug.AltPaths):
+				items = append(items, pathItem{bug: bug, path: bug.AltPaths[k-1], cand: i})
 			}
-			items = append(items, pathItem{bug: bug, path: bug.AltPaths[altIdx[i]]})
-			owner = append(owner, i)
-			altIdx[i]++
 		}
 		if len(items) == 0 {
 			break
 		}
-		decided, got = w.run(items)
-		for j, i := range owner {
-			var altOut core.ValidationOutcome
-			if decided[j] {
-				altOut = got[j]
+		w.items = items
+		w.outs = append(w.outs[:0], make([]core.ValidationOutcome, len(items))...)
+		round(w)
+		for j, out := range w.outs {
+			if k == 0 {
+				outs[items[j].cand] = out
 			} else {
-				altOut = v.validateOne(ctx, bugs[i], items[j].path, mode)
-				altOut.BatchFallbacks = 1
+				foldAlt(&outs[items[j].cand], out)
 			}
-			foldAlt(&outs[i], altOut)
+		}
+	}
+	// Every leaf solve counts one cache hit or one miss. In a group of two
+	// or more each is a fallback from the screen; a group of one has no
+	// screen to fall back from.
+	if len(bugs) > 1 {
+		for i := range outs {
+			outs[i].BatchFallbacks = outs[i].CacheHits + outs[i].CacheMisses
 		}
 	}
 	// The shared-prefix count is a property of the whole batch; pin it to
@@ -150,27 +125,12 @@ func (v *Validator) validateBatch(ctx context.Context, bugs []*core.PossibleBug,
 }
 
 // pathItem is one witness path queued for a walk: the path to replay plus
-// the candidate it belongs to (for its extra trigger constraint).
+// the candidate it belongs to (for its extra trigger constraint) and that
+// candidate's index in the batch.
 type pathItem struct {
 	bug  *core.PossibleBug
 	path []core.PathStep
-}
-
-// run validates one round of witness paths through the shared trie walk.
-// It returns, positionally per item, whether the walk decided the item and
-// the outcome when it did; both slices are reused by the next round, so the
-// caller reads them first. Undecided items (only possible after an abort)
-// are the caller's to fall back on. After a non-aborted run the replayer
-// and cursor are fully rolled back, ready for the next round; once aborted,
-// run refuses to touch them again and reports everything undecided.
-func (w *batchWalk) run(items []pathItem) ([]bool, []core.ValidationOutcome) {
-	w.items = items
-	w.decided = append(w.decided[:0], make([]bool, len(items))...)
-	w.outs = append(w.outs[:0], make([]core.ValidationOutcome, len(items))...)
-	if !w.aborted {
-		w.round(w)
-	}
-	return w.decided, w.outs
+	cand int
 }
 
 // walkTrie decides the round's items by building the trie over their paths
@@ -297,47 +257,46 @@ func (k stepKey) apply(r *replayer) {
 	r.applyStep(core.PathStep{Instr: k.in, Taken: k.taken}, k.callee)
 }
 
-// batchWalk is the shared-session state across a batch's walks: one
-// replayer with its trie, one cursor, the abort flag, and the push/shared
-// tallies. The per-round fields (items, decided, outs) are reset by run.
+// batchWalk is the state one batch's walks share: one replayer with its
+// trie, the screen's cursor session, and the push/shared tallies. items
+// and outs belong to the current round.
 type batchWalk struct {
-	v        *Validator
-	ctx      context.Context
-	items    []pathItem
-	r        *replayer
-	round    func(w *batchWalk)
-	cur      *smt.Cursor
-	decided  []bool
-	outs     []core.ValidationOutcome
-	deadline time.Time
-	done     <-chan struct{}
-	aborted  bool
-	pushes   int
-	shared   int64
+	v     *Validator
+	ctx   context.Context
+	r     *replayer
+	items []pathItem
+	outs  []core.ValidationOutcome
+	// cur is the screen's session over a context that reserves IDs above
+	// batchSessionReserve, so its opaque interns cannot collide with replay
+	// variables. The first shared edge that screens creates it; a one-item
+	// walk never does.
+	cur *smt.Cursor
+	// interrupted is set once a deadline or cancellation hits the screen,
+	// which stays off for the rest of the batch.
+	interrupted bool
+	deadline    time.Time
+	done        <-chan struct{}
+	pushes      int
+	shared      int64
 }
 
 // walk processes node n, whose edge has already been replayed (and, when
 // screening, pushed): first the items ending at n, then each child edge.
 // screening means the cursor session still mirrors the replayed prefix; it
-// switches off for good once the ID-floor guard trips.
+// switches off below a node once the ID-floor guard trips.
 func (w *batchWalk) walk(n int, screening bool) {
 	t := &w.r.trie
 	for idx := t.nodes[n].leaf; idx >= 0; idx = t.leafNext[idx] {
-		if w.aborted {
-			return
-		}
 		w.solveLeaf(idx)
 	}
 	for c := t.nodes[n].first; c >= 0; c = t.nodes[c].next {
-		if w.aborted {
-			return
-		}
 		w.edge(c, screening)
 	}
 }
 
-// edge replays node c's edge under one replayer checkpoint and one cursor
-// checkpoint, decides everything below it, and rolls both back.
+// edge replays node c's edge under one replayer checkpoint and, when
+// screening, one cursor checkpoint, decides everything below it, and rolls
+// both back.
 //
 // An edge private to one candidate (weight 1) is replayed and its leaf
 // solved without cursor work: a push there would serve exactly one leaf,
@@ -357,8 +316,11 @@ func (w *batchWalk) edge(c int, screening bool) {
 		w.solveLeaf(nd.leaf)
 		return
 	}
-	cmark := w.cur.Checkpoint()
-	defer w.cur.Rollback(cmark)
+	screening = screening && !w.interrupted
+	if screening {
+		cmark := w.session().Checkpoint()
+		defer w.cur.Rollback(cmark)
+	}
 	for _, k := range keys {
 		screening = screening && w.r.ctx.NumVars() < batchSessionReserve
 		before := len(w.r.atoms)
@@ -372,13 +334,14 @@ func (w *batchWalk) edge(c int, screening bool) {
 		}
 		for _, a := range newAtoms {
 			if !w.pollPush() {
-				return
+				screening = false
+				break
 			}
 			if w.cur.Push(a) == smt.Unsat {
 				// Constraint counts reflect the refutation point (a
 				// scheduling detail, like cache counters); the verdicts and
-				// empty triggers are exactly what per-candidate solving
-				// would report.
+				// empty triggers are exactly what solving the candidate
+				// alone would report.
 				w.screenSubtree(c)
 				return
 			}
@@ -387,52 +350,51 @@ func (w *batchWalk) edge(c int, screening bool) {
 	w.walk(c, screening)
 }
 
+// session returns the screen's cursor, creating it on first use.
+func (w *batchWalk) session() *smt.Cursor {
+	if w.cur == nil {
+		sctx := smt.NewContext()
+		sctx.Reserve(batchSessionReserve)
+		w.cur = smt.NewCursor(sctx)
+	}
+	return w.cur
+}
+
 // pollPush runs the pre-push bookkeeping: the test hook, the cancellation
-// select, and the strided wall-clock deadline check. It reports false once
-// the walk is aborted.
+// select, and the strided wall-clock deadline check. It reports false, and
+// turns the screen off for the rest of the batch, once the context is done.
 func (w *batchWalk) pollPush() bool {
 	if w.v.screenHook != nil {
 		w.v.screenHook(w.pushes)
 	}
-	if w.done != nil {
-		select {
-		case <-w.done:
-			w.aborted = true
-			return false
-		default:
+	select {
+	case <-w.done:
+		w.interrupted = true
+	default:
+		if !w.deadline.IsZero() && w.pushes%screenDeadlineStride == 0 && time.Now().After(w.deadline) {
+			w.interrupted = true
 		}
 	}
-	if !w.deadline.IsZero() && w.pushes%screenDeadlineStride == 0 && time.Now().After(w.deadline) {
-		w.aborted = true
+	if w.interrupted {
 		return false
 	}
 	w.pushes++
 	return true
 }
 
-// solveLeaf decides one candidate at its leaf, reusing the shared replay
-// state. The extra constraint (if any) is applied and rolled back around the
-// solve, so siblings see the unextended state. The solve itself is the
-// ordinary full-solver path: verdict cache, singleflight, deadline
-// rules all apply unchanged.
+// solveLeaf decides one candidate at its leaf through the ordinary full
+// solve (verdict cache, singleflight, deadline rules) on the shared replay
+// state. It runs under a replayer checkpoint: the candidate's extra
+// constraint and whatever the solve interns in the replay's term context
+// (opaque variables for nonlinear terms) are rolled back, so siblings and
+// later replays number their variables as a fresh replay would.
 func (w *batchWalk) solveLeaf(idx int) {
-	bug := w.items[idx].bug
-	// solveReplayed reads the replayer without mutating it, so the solve
-	// itself needs no bracket; only an extra trigger atom does.
-	if bug.Extra == nil {
-		out := w.v.solveReplayed(w.ctx, w.r)
-		out.BatchFallbacks = 1
-		w.decided[idx] = true
-		w.outs[idx] = out
-		return
-	}
 	m := w.r.checkpoint()
-	w.r.addAtom(predAtom(bug.Extra.Pred, w.r.termOf(bug.Extra.Val), smt.Int(bug.Extra.Bound)))
-	out := w.v.solveReplayed(w.ctx, w.r)
-	out.BatchFallbacks = 1
+	if x := w.items[idx].bug.Extra; x != nil {
+		w.r.addAtom(predAtom(x.Pred, w.r.termOf(x.Val), smt.Int(x.Bound)))
+	}
+	w.outs[idx] = w.v.solveReplayed(w.ctx, w.r)
 	w.r.rollback(m)
-	w.decided[idx] = true
-	w.outs[idx] = out
 }
 
 // screenSubtree marks every candidate at or below node n as
@@ -452,7 +414,6 @@ func (w *batchWalk) screenOut(idx int) {
 	if w.v.screenOutHook != nil {
 		w.v.screenOutHook(w.r.atoms, w.r.ctx.NumVars())
 	}
-	w.decided[idx] = true
 	w.outs[idx] = core.ValidationOutcome{
 		Feasible:           false,
 		Constraints:        int64(len(w.r.atoms)),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/smt"
@@ -214,15 +215,9 @@ func refRound(w *batchWalk) {
 	var walk func(n *node, screening bool)
 	walk = func(n *node, screening bool) {
 		for _, idx := range n.leaves {
-			if w.aborted {
-				return
-			}
 			w.solveLeaf(idx)
 		}
 		for _, ch := range n.children {
-			if w.aborted {
-				return
-			}
 			m := w.r.checkpoint()
 			if ch.weight == 1 {
 				c := ch
@@ -236,26 +231,32 @@ func refRound(w *batchWalk) {
 				w.r.rollback(m)
 				continue
 			}
-			screen := screening && w.r.ctx.NumVars() < batchSessionReserve
-			cm := w.cur.Checkpoint()
+			screen := screening && !w.interrupted && w.r.ctx.NumVars() < batchSessionReserve
+			checkpointed := screen
+			var cm smt.CursorMark
+			if checkpointed {
+				cm = w.session().Checkpoint()
+			}
 			before := len(w.r.atoms)
 			ch.key.apply(w.r)
 			w.shared += int64(len(w.r.atoms)-before) * int64(ch.weight-1)
 			dead := false
 			for _, a := range w.r.atoms[before:] {
-				if !screen || dead || !w.pollPush() {
+				if !screen || dead {
 					break
 				}
-				dead = w.cur.Push(a) == smt.Unsat
+				if screen = w.pollPush(); screen {
+					dead = w.cur.Push(a) == smt.Unsat
+				}
 			}
-			switch {
-			case w.aborted:
-			case dead:
+			if dead {
 				screenAll(ch)
-			default:
+			} else {
 				walk(ch, screen)
 			}
-			w.cur.Rollback(cm)
+			if checkpointed {
+				w.cur.Rollback(cm)
+			}
 			w.r.rollback(m)
 		}
 	}
@@ -452,7 +453,7 @@ func TestVerdictCacheLRUBound(t *testing.T) {
 	var evictions int64
 	for round := 0; round < 2; round++ {
 		for i, pb := range cands {
-			out := v.validateCandidate(context.Background(), pb, core.ModePATA)
+			out := v.validateSingle(context.Background(), pb, core.ModePATA)
 			if out.Feasible != want[i].Feasible {
 				t.Errorf("round %d candidate %d: feasible=%v under eviction, want %v",
 					round, i, out.Feasible, want[i].Feasible)
@@ -474,11 +475,11 @@ func TestVerdictCacheHitRateUnaffectedByBound(t *testing.T) {
 	cands, v := analyze(t, mixedSrc, core.ModePATA)
 	var evictions int64
 	for _, pb := range cands {
-		evictions += v.validateCandidate(context.Background(), pb, core.ModePATA).CacheEvictions
+		evictions += v.validateSingle(context.Background(), pb, core.ModePATA).CacheEvictions
 	}
 	var hits, misses int64
 	for _, pb := range cands {
-		out := v.validateCandidate(context.Background(), pb, core.ModePATA)
+		out := v.validateSingle(context.Background(), pb, core.ModePATA)
 		hits += out.CacheHits
 		misses += out.CacheMisses
 		evictions += out.CacheEvictions
@@ -492,4 +493,74 @@ func TestVerdictCacheHitRateUnaffectedByBound(t *testing.T) {
 	if evictions != 0 {
 		t.Errorf("default bounds should not evict on this workload, got %d", evictions)
 	}
+}
+
+// sharedNonlinearSrc has two NPD candidates on one path prefix, the first
+// ending where the second goes on, and a nonlinear guard (n * m) that the
+// solver decides through an opaque variable it interns in the replay's term
+// context.
+const sharedNonlinearSrc = `
+struct dev { int a; int b; int c; };
+int f(struct dev *q, int n, int m) {
+	int rc = 0;
+	if (n > 60)
+		q = NULL;
+	int w = n * m;
+	if (w > 5) {
+		rc = rc + q->a;
+		int t = n + 7;
+		if (t > 70)
+			rc = rc + q->b;
+	}
+	return rc;
+}`
+
+// TestBatchLeafSolveLeavesReplayUntouched checks that a leaf solve cannot
+// shift a later replay: in the batch walk, every leaf solves the formula a
+// fresh replay of its path builds, variable IDs included, over a term
+// context holding exactly the fresh replay's variables; and a leaf solve
+// leaves the replay's variable count as it found it.
+func TestBatchLeafSolveLeavesReplayUntouched(t *testing.T) {
+	cands, v := analyze(t, sharedNonlinearSrc, core.ModePATA)
+	if len(cands) != 2 {
+		t.Fatalf("want 2 candidates, got %d", len(cands))
+	}
+	fresh := map[string]int{} // formula key -> variable count of its fresh replay
+	for _, pb := range cands {
+		r := newReplayer(core.ModePATA)
+		r.replay(pb, pb.Path)
+		fresh[smt.Key(r.atoms)] = r.ctx.NumVars()
+	}
+	leaves := 0
+	v.solve = func(ctx *smt.Context, atoms []*smt.Atom, deadline time.Time, done <-chan struct{}) (smt.Result, smt.Model, bool) {
+		leaves++
+		key := smt.Key(atoms)
+		if n, ok := fresh[key]; !ok {
+			t.Errorf("leaf %d solves %s, which no fresh replay builds", leaves, key)
+		} else if ctx.NumVars() != n {
+			t.Errorf("leaf %d: the replay context holds %d variables, a fresh replay %d", leaves, ctx.NumVars(), n)
+		}
+		return builtinSolve(ctx, atoms, deadline, done)
+	}
+	v.ValidateBatchCtx(context.Background(), cands, core.ModePATA)
+	if leaves != len(cands) {
+		t.Fatalf("%d leaf solves, want %d", leaves, len(cands))
+	}
+
+	v.solve = nil
+	perLeaf := func(w *batchWalk) {
+		for idx, it := range w.items {
+			m := w.r.checkpoint()
+			for j, st := range it.path {
+				w.r.applyStep(st, stepCallee(st, it.path, j))
+			}
+			before := w.r.ctx.NumVars()
+			w.solveLeaf(idx)
+			if after := w.r.ctx.NumVars(); after != before {
+				t.Errorf("leaf %d: its solve left %d replay variables, found %d", idx, after, before)
+			}
+			w.r.rollback(m)
+		}
+	}
+	New().validateBatch(context.Background(), cands, core.ModePATA, perLeaf)
 }

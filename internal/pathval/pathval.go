@@ -174,25 +174,8 @@ func (v *Validator) Install(cfg *core.Config) {
 	cfg.ValidateBatch = v.ValidateBatchCtx
 }
 
-// validateCandidate decides a batch of one, and is the reference the batch
-// walk must match: the primary witness path is replayed and solved; when
-// it is proven infeasible, the alternate witnesses are tried in turn, and
-// the bug survives if any witness path is feasible. An interrupted solve
-// answers Unknown, which keeps the bug and marks the outcome TimedOut.
-func (v *Validator) validateCandidate(ctx context.Context, bug *core.PossibleBug, mode core.Mode) core.ValidationOutcome {
-	out := v.validateOne(ctx, bug, bug.Path, mode)
-	for _, alt := range bug.AltPaths {
-		if out.Feasible {
-			break
-		}
-		foldAlt(&out, v.validateOne(ctx, bug, alt, mode))
-	}
-	return out
-}
-
 // foldAlt folds an alternate witness's outcome into its candidate's: the
-// alternate decides feasibility, and every counter accumulates. Both the
-// per-candidate and the batched path fold through it, so they count alike.
+// alternate decides feasibility, and every counter accumulates.
 func foldAlt(out *core.ValidationOutcome, alt core.ValidationOutcome) {
 	out.Feasible = alt.Feasible
 	out.Constraints += alt.Constraints
@@ -201,7 +184,6 @@ func foldAlt(out *core.ValidationOutcome, alt core.ValidationOutcome) {
 	out.CacheMisses += alt.CacheMisses
 	out.CacheEvictions += alt.CacheEvictions
 	out.BatchedSolves += alt.BatchedSolves
-	out.BatchFallbacks += alt.BatchFallbacks
 	out.TimedOut = out.TimedOut || alt.TimedOut
 }
 
@@ -228,17 +210,9 @@ func newReplayer(mode core.Mode) *replayer {
 	}
 }
 
-func (v *Validator) validateOne(ctx context.Context, bug *core.PossibleBug, path []core.PathStep, mode core.Mode) core.ValidationOutcome {
-	r := v.acquireReplayer(mode)
-	r.replay(bug, path)
-	out := v.solveReplayed(ctx, r)
-	v.releaseReplayer(r)
-	return out
-}
-
 // solveReplayed runs the cached solve over an already-replayed path
-// and assembles the outcome. The batch planner calls it directly for
-// fallback leaves so a fallback does not replay the path a second time.
+// and assembles the outcome. The solver may intern opaque variables in
+// r.ctx, so callers bracket it with a replayer checkpoint.
 func (v *Validator) solveReplayed(ctx context.Context, r *replayer) core.ValidationOutcome {
 	deadline, _ := ctx.Deadline()
 	res, model, hit, interrupted, evictions := v.solveCached(r.ctx, r.atoms, deadline, ctx.Done())
@@ -339,10 +313,7 @@ type replayer struct {
 	// shared prefix of a candidate group once and rolls the replayer back
 	// between sibling suffixes. Each log records the mutations the maps
 	// above cannot replay backwards on their own; the alias graph and the
-	// term context carry their own rewind machinery. Logging is off by
-	// default so one-shot per-candidate replays pay nothing for it; the
-	// batch walk switches it on before its first step.
-	logging bool
+	// term context carry their own rewind machinery.
 	symLog  []*aliasgraph.Node
 	slotLog []slotUndo
 	execLog []int
@@ -430,9 +401,7 @@ func (r *replayer) symOf(n *aliasgraph.Node) *smt.Var {
 	}
 	s := r.ctx.Var("as")
 	r.syms[n] = s
-	if r.logging {
-		r.symLog = append(r.symLog, n)
-	}
+	r.symLog = append(r.symLog, n)
 	return s
 }
 
@@ -468,15 +437,6 @@ func (r *replayer) countUnaware(t cir.Type) {
 	r.unaware += 1 + int64(cir.NumFields(t))
 }
 
-func (r *replayer) replay(bug *core.PossibleBug, steps []core.PathStep) {
-	for i, st := range steps {
-		r.applyStep(st, stepCallee(st, steps, i))
-	}
-	if bug.Extra != nil {
-		r.addAtom(predAtom(bug.Extra.Pred, r.termOf(bug.Extra.Val), smt.Int(bug.Extra.Bound)))
-	}
-}
-
 // stepCallee resolves the inlined callee of step i: a call is inlined iff the
 // next step is the callee's entry instruction. Resolving it from the step
 // sequence up front keeps applyStep lookahead-free, which is what lets the
@@ -509,9 +469,7 @@ func (r *replayer) applyStep(st core.PathStep, callee *cir.Function) {
 		}
 	}
 	r.execs[in.GID()]++
-	if r.logging {
-		r.execLog = append(r.execLog, in.GID())
-	}
+	r.execLog = append(r.execLog, in.GID())
 	switch t := in.(type) {
 	case *cir.Move:
 		r.applyMoveLike(t.Dst, t.Src)
@@ -614,9 +572,7 @@ func (r *replayer) replayStore(t *cir.Store) {
 			s := r.ctx.Var("slot")
 			old, had := r.slot[t.Addr]
 			r.slot[t.Addr] = s
-			if r.logging {
-				r.slotLog = append(r.slotLog, slotUndo{addr: t.Addr, old: old, had: had})
-			}
+			r.slotLog = append(r.slotLog, slotUndo{addr: t.Addr, old: old, had: had})
 			r.addAtom(smt.Eq(s, r.termOf(t.Val)))
 		}
 		return

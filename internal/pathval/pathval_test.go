@@ -49,7 +49,7 @@ func TestInfeasiblePathUnsatAware(t *testing.T) {
 	if target == nil {
 		t.Fatalf("stage 1 did not produce the candidate; got %d candidates", len(cands))
 	}
-	out := v.validateCandidate(context.Background(), target, core.ModePATA)
+	out := v.validateSingle(context.Background(), target, core.ModePATA)
 	if out.Feasible {
 		t.Error("alias-aware validation should prove the path infeasible")
 	}
@@ -69,7 +69,7 @@ int func(struct s *p) {
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
-	out := v.validateCandidate(context.Background(), cands[0], core.ModePATA)
+	out := v.validateSingle(context.Background(), cands[0], core.ModePATA)
 	if !out.Feasible {
 		t.Error("feasible NPD path must be kept")
 	}
@@ -87,7 +87,7 @@ void func(char *p) {
 }`, core.ModePATA)
 	unsat := 0
 	for _, pb := range cands {
-		out := v.validateCandidate(context.Background(), pb, core.ModePATA)
+		out := v.validateSingle(context.Background(), pb, core.ModePATA)
 		if out.Feasible {
 			t.Errorf("candidate at %s survived although x==5 contradicts x=3", pb.BugInstr.Position())
 		} else {
@@ -114,7 +114,7 @@ void func(char *p, int x) {
 }`, core.ModePATA)
 	dropped := 0
 	for _, pb := range cands {
-		if !v.validateCandidate(context.Background(), pb, core.ModePATA).Feasible {
+		if !v.validateSingle(context.Background(), pb, core.ModePATA).Feasible {
 			dropped++
 		}
 	}
@@ -137,7 +137,7 @@ func TestNAValidationMissesAliasContradiction(t *testing.T) {
 			continue
 		}
 		seen++
-		if v.validateCandidate(context.Background(), pb, core.ModeNoAlias).Feasible {
+		if v.validateSingle(context.Background(), pb, core.ModeNoAlias).Feasible {
 			kept++
 		}
 	}
@@ -159,7 +159,7 @@ int func(struct s *p) {
 }`, core.ModePATA)
 	var queries int64
 	for _, pb := range cands {
-		out := v.validateCandidate(context.Background(), pb, core.ModePATA)
+		out := v.validateSingle(context.Background(), pb, core.ModePATA)
 		queries += out.CacheHits + out.CacheMisses
 	}
 	if queries != int64(len(cands)) || queries == 0 {
@@ -195,7 +195,7 @@ int pick(int *a, int i) {
 		if pb.Extra == nil {
 			continue
 		}
-		if v.validateCandidate(context.Background(), pb, core.ModePATA).Feasible {
+		if v.validateSingle(context.Background(), pb, core.ModePATA).Feasible {
 			t.Errorf("i >= 10 path with i < 0 extra constraint kept at %s", pb.BugInstr.Position())
 		}
 	}
@@ -216,7 +216,7 @@ int func(struct s *p, int n) {
 	}
 	var got []string
 	for _, pb := range cands {
-		out := v.validateCandidate(context.Background(), pb, core.ModePATA)
+		out := v.validateSingle(context.Background(), pb, core.ModePATA)
 		if out.Feasible {
 			got = out.Trigger
 		}
@@ -247,7 +247,7 @@ void func(char *p) {
 }`, core.ModePATA)
 	kept := false
 	for _, pb := range cands {
-		if v.validateCandidate(context.Background(), pb, core.ModePATA).Feasible {
+		if v.validateSingle(context.Background(), pb, core.ModePATA).Feasible {
 			kept = true
 		}
 	}
@@ -283,7 +283,7 @@ void func(char *p) {
 	if target == nil {
 		t.Fatal("no candidate with an alternate witness")
 	}
-	out := v.validateCandidate(context.Background(), target, core.ModePATA)
+	out := v.validateSingle(context.Background(), target, core.ModePATA)
 	if !out.Feasible || out.CacheMisses < 2 {
 		t.Fatalf("outcome %+v: want a feasible alternate after an infeasible primary", out)
 	}
@@ -309,7 +309,7 @@ int func(struct s *p) {
 		t.Fatal("no candidates")
 	}
 	for _, pb := range cands {
-		if !v.validateCandidate(context.Background(), pb, core.ModePATA).Feasible {
+		if !v.validateSingle(context.Background(), pb, core.ModePATA).Feasible {
 			t.Error("logging call must not poison feasibility")
 		}
 	}
@@ -328,7 +328,7 @@ void func(char *p, int flags) {
 	}
 }`, core.ModePATA)
 	for _, pb := range cands {
-		if v.validateCandidate(context.Background(), pb, core.ModePATA).Feasible {
+		if v.validateSingle(context.Background(), pb, core.ModePATA).Feasible {
 			t.Error("contradictory bitwise guards kept (congruence should refute)")
 		}
 	}
@@ -368,11 +368,11 @@ void func(char *p) {
 			}
 			var hits int64
 			for _, pb := range cands {
-				cold := v.validateCandidate(context.Background(), pb, core.ModePATA)
+				cold := v.validateSingle(context.Background(), pb, core.ModePATA)
 				if cold.CacheMisses == 0 {
 					t.Errorf("%s: first validation should miss the cache", pb.BugInstr.Position())
 				}
-				warm := v.validateCandidate(context.Background(), pb, core.ModePATA)
+				warm := v.validateSingle(context.Background(), pb, core.ModePATA)
 				if warm.CacheHits != cold.CacheMisses || warm.CacheMisses != 0 {
 					t.Errorf("%s: revalidation should be all cache hits: cold misses=%d, warm hits=%d misses=%d",
 						pb.BugInstr.Position(), cold.CacheMisses, warm.CacheHits, warm.CacheMisses)
@@ -421,7 +421,7 @@ func TestVerdictCacheConcurrentSingleflight(t *testing.T) {
 	if target == nil {
 		t.Fatal("stage 1 did not produce the candidate")
 	}
-	coldMisses := New().validateCandidate(context.Background(), target, core.ModePATA).CacheMisses
+	coldMisses := New().validateSingle(context.Background(), target, core.ModePATA).CacheMisses
 
 	const n = 16
 	outs := make([]core.ValidationOutcome, n)
@@ -430,7 +430,7 @@ func TestVerdictCacheConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i] = v.validateCandidate(context.Background(), target, core.ModePATA)
+			outs[i] = v.validateSingle(context.Background(), target, core.ModePATA)
 		}(i)
 	}
 	wg.Wait()

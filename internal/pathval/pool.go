@@ -57,7 +57,6 @@ func (r *replayer) reset(mode core.Mode) {
 	r.atoms = r.atoms[:0]
 	r.unaware = 0
 	r.frames = r.frames[:0]
-	r.logging = false
 	r.symLog = r.symLog[:0]
 	r.slotLog = r.slotLog[:0]
 	r.execLog = r.execLog[:0]

@@ -36,12 +36,12 @@ func poolCandidate(tb testing.TB) *core.PossibleBug {
 func TestPooledReplayerDeterminism(t *testing.T) {
 	bug := poolCandidate(t)
 	v := New()
-	first := v.validateCandidate(context.Background(), bug, core.ModePATA)
+	first := v.validateSingle(context.Background(), bug, core.ModePATA)
 	if first.Feasible {
 		t.Fatal("the infeasible candidate validated as feasible")
 	}
 	for i := 0; i < 50; i++ {
-		out := v.validateCandidate(context.Background(), bug, core.ModePATA)
+		out := v.validateSingle(context.Background(), bug, core.ModePATA)
 		out.CacheHits, out.CacheMisses = first.CacheHits, first.CacheMisses
 		if !reflect.DeepEqual(out, first) {
 			t.Fatalf("iteration %d: pooled revalidation diverged:\n got %+v\nwant %+v", i, out, first)
@@ -51,23 +51,24 @@ func TestPooledReplayerDeterminism(t *testing.T) {
 
 // TestPooledReplayerAllocBudget is the alloc-budget guard for the Stage-2
 // hot loop: once the pool is warm and the verdict is cached, one validation
-// must stay under the budget below. The replay itself still allocates (every
-// smt.Var and atom is a fresh node by design — the term context hands out
-// pointer-identity vars), so the budget is not zero; what it guards against
-// is the pre-pooling behavior of rebuilding the replayer — graph, context,
-// four maps, every slice — per candidate, and alias-graph nodes that are
-// allocated afresh instead of recycled from the reset graph. Measured steady
-// state is 22 allocs/op (0.4KB) pooled vs 100 (16KB) fresh. Race-detector
-// builds drop one in four sync.Pool puts at random, so there the average is
-// ~44 (43–47 over 15 runs of 1000); the budget of 50 holds for both builds
-// while still failing on a regression to per-candidate construction or
-// per-replay node allocation.
+// (a batch of one, so a one-item walk) must stay under the budget below.
+// The replay itself still allocates (every smt.Var and atom is a fresh node
+// by design — the term context hands out pointer-identity vars), so the
+// budget is not zero; what it guards against is the pre-pooling behavior of
+// rebuilding the replayer — graph, context, four maps, every slice — per
+// candidate, and alias-graph nodes that are allocated afresh instead of
+// recycled from the reset graph. Measured steady state is 14 allocs/op
+// pooled; it was 100 (16KB) with a fresh replayer per candidate.
+// Race-detector builds drop one in four sync.Pool puts at random, so there
+// the average is 35–41 (6 runs of 1000); the budget of 50 holds for both
+// builds while still failing on a regression to per-candidate construction
+// or per-replay node allocation.
 func TestPooledReplayerAllocBudget(t *testing.T) {
 	bug := poolCandidate(t)
 	v := New()
-	v.validateCandidate(context.Background(), bug, core.ModePATA) // warm pool and verdict cache
+	v.validateSingle(context.Background(), bug, core.ModePATA) // warm pool and verdict cache
 	const budget = 50
-	if avg := testing.AllocsPerRun(1000, func() { v.validateCandidate(context.Background(), bug, core.ModePATA) }); avg > budget {
+	if avg := testing.AllocsPerRun(1000, func() { v.validateSingle(context.Background(), bug, core.ModePATA) }); avg > budget {
 		t.Errorf("pooled validation allocates %.1f/op in steady state, budget %d", avg, budget)
 	}
 }
@@ -81,16 +82,16 @@ func BenchmarkValidateReplayer(b *testing.B) {
 	ctx := context.Background()
 	b.Run("pooled", func(b *testing.B) {
 		v := New()
-		v.validateCandidate(context.Background(), bug, core.ModePATA)
+		v.validateSingle(context.Background(), bug, core.ModePATA)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.validateCandidate(context.Background(), bug, core.ModePATA)
+			v.validateSingle(context.Background(), bug, core.ModePATA)
 		}
 	})
 	b.Run("fresh", func(b *testing.B) {
 		v := New()
-		v.validateCandidate(context.Background(), bug, core.ModePATA)
+		v.validateSingle(context.Background(), bug, core.ModePATA)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -219,7 +219,13 @@ func AnalyzeSourcesCtx(ctx context.Context, name string, sources map[string]stri
 		return nil, err
 	}
 	if store := cfg.OpenCache(os.Stderr); store != nil {
-		defer store.Close() // appends need no flush: the next run reads the page cache
+		// End the run as patad ends an analyze: the pack keeps this run's
+		// keys only, and compacts once dead bytes outweigh live ones.
+		// Appends need no flush: the next run reads the page cache.
+		defer func() {
+			store.EndRun()
+			store.Close()
+		}()
 		ec.Cache = store
 	}
 	return p.Analyze(ctx, ec, cfg.Workers, cfg.WitnessPaths), nil

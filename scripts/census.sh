@@ -9,7 +9,11 @@
 #
 #   - a non-test function outside bench/ never ran and is not on
 #     scripts/census_allow.txt, or
-#   - an allow-list entry ran, or names a function that no longer exists.
+#   - a non-test package outside bench/ is linked into no built binary, so
+#     no profile counts its functions, and the allow-list has no package
+#     line for it, or
+#   - an allow-list entry ran (a package line: is linked), or names a
+#     function or package that no longer exists.
 #
 # Run from anywhere in a checkout:
 #
@@ -133,7 +137,17 @@ grep -v '^repro/bench/' "$work/profile" >"$work/profile.repro"
 stmts=$(go tool cover -func="$work/profile.repro" | awk '$1 == "total:" { print $NF }')
 awk -F'\t' '$2 == "0.0%" { print $1 }' "$work/funcs" | sort -u >"$work/unrun"
 awk -F'\t' '{ print $1 }' "$work/funcs" | sort -u >"$work/all"
-awk '!/^(#|$)/ { print $1 " " $2 }' "$allow" | sort -u >"$work/allowed"
+awk '!/^(#|$)/ && $2 != "package" { print $1 " " $2 }' "$allow" | sort -u >"$work/allowed"
+
+# Packages, as module-relative directories ("." for the root): every one
+# with non-test Go outside bench/, the ones some built binary links (they
+# have functions in the profiles), and the allow-listed ones.
+go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... |
+	awk 'NF { p = $0; sub(/^repro\/?/, "", p); if (p == "") p = "."; if (p !~ /^bench(\/|$)/) print p }' |
+	sort -u >"$work/pkgs"
+awk -F'\t' '{ d = $1; sub(/ .*/, "", d); if (!sub(/\/[^\/]*$/, "", d)) d = "."; print d }' "$work/funcs" |
+	sort -u >"$work/linked"
+awk '!/^(#|$)/ && $2 == "package" { print $1 }' "$allow" | sort -u >"$work/allowedpkgs"
 
 fail=0
 report() {
@@ -150,6 +164,14 @@ comm -23 "$work/allowed" "$work/gone" | comm -23 - "$work/unrun" >"$work/ran"
 report "functions no workload runs (delete them, or allow-list them with a kind and a pinning test)" "$work/new"
 report "allow-listed functions that ran (take them off the allow-list)" "$work/ran"
 report "allow-listed functions that no longer exist" "$work/gone"
-printf 'census: %d functions, %d unexecuted, %d allow-listed; %s of statements ran\n' \
-	"$total" "$(wc -l <"$work/unrun")" "$(wc -l <"$work/allowed")" "$stmts" >&2
+comm -23 "$work/pkgs" "$work/linked" | comm -23 - "$work/allowedpkgs" >"$work/newpkgs"
+comm -12 "$work/allowedpkgs" "$work/linked" >"$work/linkedpkgs"
+comm -23 "$work/allowedpkgs" "$work/pkgs" >"$work/gonepkgs"
+report "packages no built binary links (delete them, or allow-list them with a package line)" "$work/newpkgs"
+report "allow-listed packages that a built binary links (take them off the allow-list)" "$work/linkedpkgs"
+report "allow-listed packages that no longer exist" "$work/gonepkgs"
+printf 'census: %d functions, %d unexecuted, %d allow-listed; %d packages, %d unlinked, %d allow-listed; %s of statements ran\n' \
+	"$total" "$(wc -l <"$work/unrun")" "$(wc -l <"$work/allowed")" \
+	"$(wc -l <"$work/pkgs")" "$(comm -23 "$work/pkgs" "$work/linked" | wc -l)" \
+	"$(wc -l <"$work/allowedpkgs")" "$stmts" >&2
 exit $fail
