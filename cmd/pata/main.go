@@ -29,9 +29,16 @@
 //
 // Ctrl-C (or SIGTERM) cancels the analysis gracefully: the partial result is
 // printed with its "incomplete analysis" section and a clean run exits 130.
+//
+// A run is one batch job, so it runs under a 64 MiB heap budget
+// (profiles.BatchHeap): the collector stays off until the runtime's memory
+// nears the budget, collects once there, and paces as usual after that. A
+// GOGC or GOMEMLIMIT in the environment turns the budget off. The report
+// goes to stdout through one buffer, written out when the run ends.
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,7 +56,18 @@ import (
 	"repro/internal/typestate"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() {
+	profiles.BatchHeap(profiles.BatchBudget) // never released: the process ends with the run
+	stdout := bufio.NewWriter(os.Stdout)
+	code := run(os.Args[1:], stdout, os.Stderr)
+	if err := stdout.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "pata:", err)
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 // run is the whole command: it parses args, analyzes, writes the report to
 // stdout and diagnostics to stderr, and returns the exit code.

@@ -17,6 +17,12 @@
 // SIGTERM (or the shutdown op) drains gracefully and exits 0; with
 // -cache-dir even a kill -9 mid-run restarts warm from the checksummed
 // capsule store.
+//
+// Start-up (reading, lowering and indexing the sources) runs under the
+// same 64 MiB heap budget as a pata run (profiles.BatchHeap); the budget is
+// released before the daemon serves, so serving keeps the runtime's
+// default collector pacing. A GOGC or GOMEMLIMIT in the environment turns
+// the budget off.
 package main
 
 import (

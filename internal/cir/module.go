@@ -143,9 +143,16 @@ func (fn *Function) Entry() *Block {
 	return fn.Blocks[0]
 }
 
-// NewBlock creates, appends and returns a new basic block.
-func (fn *Function) NewBlock(name string) *Block {
-	b := fn.blocks.New(Block{Name: name + strconv.Itoa(len(fn.Blocks)), Fn: fn})
+// NewBlock creates, appends and returns a new basic block, named base
+// followed by its index in the function.
+func (fn *Function) NewBlock(base string) *Block {
+	return fn.AddBlock(base + strconv.Itoa(len(fn.Blocks)))
+}
+
+// AddBlock is NewBlock for a caller that has built the block's name
+// itself.
+func (fn *Function) AddBlock(name string) *Block {
+	b := fn.blocks.New(Block{Name: name, Fn: fn})
 	fn.Blocks = append(fn.Blocks, b)
 	return b
 }

@@ -20,7 +20,7 @@ func LowerFile(mod *cir.Module, f *File) error {
 	fe := &frontend{mod: mod}
 	d := fe.declare(f)
 	for _, u := range d.units {
-		fe.lowerBody(u)
+		fe.lowerBody(u, &fe.names)
 	}
 	return fe.finish([]*fileDecls{d})
 }
@@ -83,7 +83,7 @@ func lowerAll(name string, sources map[string]string) (*Lowered, error) {
 		files[i] = nil // from here on only the units hold the bodies' ASTs
 	}
 	l.structs, l.addrTaken = maps.Clone(mod.Structs), maps.Clone(mod.AddressTaken)
-	par.For(len(units), runtime.GOMAXPROCS(0), func(_, i int) { fe.lowerBody(units[i]) })
+	fe.lowerBodies(units)
 	if err := fe.finish(l.files); err != nil {
 		return l, err
 	}
@@ -140,6 +140,9 @@ type frontend struct {
 	// adds these to it.
 	mu          sync.Mutex
 	bodyStructs map[string]*cir.StructType
+
+	// names names the blocks the sequential passes make.
+	names blockNames
 }
 
 // fileDecls is what the declaration pass records for one file.
@@ -203,6 +206,8 @@ type lowerer struct {
 	file *fileDecls
 	unit *unit // the body being lowered; nil in the declaration pass
 	errs []error
+	// names is the block-name cache of the worker running the lowerer.
+	names *blockNames
 
 	// per-function state
 	fn      *cir.Function
@@ -232,7 +237,7 @@ func (lw *lowerer) errorf(pos Position, format string, args ...any) {
 // with a body in f claimed (see claimBody) and ready to lower.
 func (fe *frontend) declare(f *File) *fileDecls {
 	d := &fileDecls{name: f.Name, lines: f.Lines, enums: fileEnums(f), statics: make(map[string]static)}
-	lw := &lowerer{fe: fe, mod: fe.mod, file: d}
+	lw := &lowerer{fe: fe, mod: fe.mod, file: d, names: &fe.names}
 	for _, sd := range f.Structs {
 		lw.lowerStruct(sd)
 	}
@@ -263,13 +268,21 @@ func fileEnums(f *File) map[string]int64 {
 	return enums
 }
 
-// lowerBody lowers u's body into its function. It reads the module's tables
-// and writes only u and u.fn, so bodies lower concurrently.
-func (fe *frontend) lowerBody(u *unit) {
+// lowerBodies lowers units' bodies on the worker pool, each worker naming
+// blocks from its own blockNames.
+func (fe *frontend) lowerBodies(units []*unit) {
+	bn := make([]blockNames, runtime.GOMAXPROCS(0))
+	par.For(len(units), len(bn), func(w, i int) { fe.lowerBody(units[i], &bn[w]) })
+}
+
+// lowerBody lowers u's body into its function, naming its blocks from
+// names. It reads the module's tables and writes only u, u.fn and names,
+// so bodies lower concurrently, each worker with its own names.
+func (fe *frontend) lowerBody(u *unit, names *blockNames) {
 	if u.fn == nil {
 		return
 	}
-	lw := &lowerer{fe: fe, mod: fe.mod, file: u.file, unit: u, errs: u.errs}
+	lw := &lowerer{fe: fe, mod: fe.mod, file: u.file, unit: u, errs: u.errs, names: names}
 	lw.lowerFunc(u.fd)
 	u.errs = lw.errs
 	u.fd = nil // release the body's AST while other bodies lower
@@ -485,7 +498,7 @@ func (lw *lowerer) claimBody(fd *FuncDecl, idx int) *unit {
 	fn.Pos = funcPos(lw.file.name, fd)
 	fn.File = lw.file.name
 	fn.Static = fd.Static
-	fn.NewBlock("entry")
+	lw.names.newBlock(fn, bkEntry)
 	u.fn = fn
 	u.errs = lw.errs
 	return u
@@ -590,6 +603,9 @@ func (lw *lowerer) zero(t cir.Type) *cir.Const {
 	return lw.fn.IntConst(t, 0)
 }
 
+// newBlock appends a block of kind k to the function being lowered.
+func (lw *lowerer) newBlock(k blockKind) *cir.Block { return lw.names.newBlock(lw.fn, k) }
+
 func (lw *lowerer) labelBlock(name string) *cir.Block {
 	if blk, ok := lw.labels[name]; ok {
 		return blk
@@ -688,11 +704,11 @@ func (lw *lowerer) lowerLocalDecl(d *VarDecl) {
 }
 
 func (lw *lowerer) lowerIf(st *IfStmt) {
-	then := lw.fn.NewBlock("if.then")
-	end := lw.fn.NewBlock("if.end")
+	then := lw.newBlock(bkIfThen)
+	end := lw.newBlock(bkIfEnd)
 	els := end
 	if st.Else != nil {
-		els = lw.fn.NewBlock("if.else")
+		els = lw.newBlock(bkIfElse)
 	}
 	lw.at(st.Pos)
 	lw.lowerCond(st.Cond, then, els)
@@ -708,9 +724,9 @@ func (lw *lowerer) lowerIf(st *IfStmt) {
 }
 
 func (lw *lowerer) lowerWhile(st *WhileStmt) {
-	head := lw.fn.NewBlock("while.head")
-	body := lw.fn.NewBlock("while.body")
-	end := lw.fn.NewBlock("while.end")
+	head := lw.newBlock(bkWhileHead)
+	body := lw.newBlock(bkWhileBody)
+	end := lw.newBlock(bkWhileEnd)
 	lw.at(st.Pos)
 	if st.DoWhile {
 		lw.b.Br(body)
@@ -731,10 +747,10 @@ func (lw *lowerer) lowerFor(st *ForStmt) {
 	if st.Init != nil {
 		lw.lowerStmt(st.Init)
 	}
-	head := lw.fn.NewBlock("for.head")
-	body := lw.fn.NewBlock("for.body")
-	post := lw.fn.NewBlock("for.post")
-	end := lw.fn.NewBlock("for.end")
+	head := lw.newBlock(bkForHead)
+	body := lw.newBlock(bkForBody)
+	post := lw.newBlock(bkForPost)
+	end := lw.newBlock(bkForEnd)
 	lw.at(st.Pos)
 	lw.b.Br(head)
 	lw.b.SetBlock(head)
@@ -767,12 +783,12 @@ func (lw *lowerer) loopBody(body Stmt, brk, cont *cir.Block) {
 func (lw *lowerer) lowerSwitch(st *SwitchStmt) {
 	lw.at(st.Pos)
 	tag := lw.lowerExpr(st.Tag)
-	end := lw.fn.NewBlock("sw.end")
+	end := lw.newBlock(bkSwitchEnd)
 
 	// Create a body block per clause so fallthrough works.
 	bodies := make([]*cir.Block, len(st.Cases))
 	for i := range st.Cases {
-		bodies[i] = lw.fn.NewBlock("sw.case")
+		bodies[i] = lw.newBlock(bkSwitchCase)
 	}
 	var defaultBlk *cir.Block = end
 	// Dispatch chain.
@@ -784,7 +800,7 @@ func (lw *lowerer) lowerSwitch(st *SwitchStmt) {
 		lw.at(cc.Pos)
 		v := lw.lowerExpr(cc.Val)
 		c := lw.b.Cmp("sw", cir.PredEQ, tag, v)
-		next := lw.fn.NewBlock("sw.test")
+		next := lw.newBlock(bkSwitchTest)
 		lw.b.CondBr(c, bodies[i], next)
 		lw.b.SetBlock(next)
 	}
@@ -816,13 +832,13 @@ func (lw *lowerer) lowerCond(e Expr, yes, no *cir.Block) {
 	case *Binary:
 		switch x.Op {
 		case "&&":
-			mid := lw.fn.NewBlock("and.rhs")
+			mid := lw.newBlock(bkAndRHS)
 			lw.lowerCond(x.X, mid, no)
 			lw.b.SetBlock(mid)
 			lw.lowerCond(x.Y, yes, no)
 			return
 		case "||":
-			mid := lw.fn.NewBlock("or.rhs")
+			mid := lw.newBlock(bkOrRHS)
 			lw.lowerCond(x.X, yes, mid)
 			lw.b.SetBlock(mid)
 			lw.lowerCond(x.Y, yes, no)
@@ -1088,9 +1104,9 @@ func (lw *lowerer) lowerBinary(x *Binary) cir.Value {
 		// Boolean value context: materialize through a temporary.
 		lw.at(x.Pos)
 		tmp := lw.b.Alloca("bool.tmp", cir.I64)
-		yes := lw.fn.NewBlock("b.true")
-		no := lw.fn.NewBlock("b.false")
-		end := lw.fn.NewBlock("b.end")
+		yes := lw.newBlock(bkBoolTrue)
+		no := lw.newBlock(bkBoolFalse)
+		end := lw.newBlock(bkBoolEnd)
 		lw.lowerCond(x, yes, no)
 		lw.b.SetBlock(yes)
 		lw.b.Store(tmp, lw.fn.IntConst(cir.I64, 1))
@@ -1160,9 +1176,9 @@ func (lw *lowerer) lowerAssign(x *Assign) cir.Value {
 func (lw *lowerer) lowerTernary(x *Cond) cir.Value {
 	lw.at(x.Pos)
 	tmp := lw.b.Alloca("cond.tmp", cir.I64)
-	yes := lw.fn.NewBlock("t.true")
-	no := lw.fn.NewBlock("t.false")
-	end := lw.fn.NewBlock("t.end")
+	yes := lw.newBlock(bkTernaryTrue)
+	no := lw.newBlock(bkTernaryFalse)
+	end := lw.newBlock(bkTernaryEnd)
 	lw.lowerCond(x.C, yes, no)
 	lw.b.SetBlock(yes)
 	tv := lw.lowerExpr(x.T)

@@ -94,7 +94,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 				instrs -= ou.fn.NumInstrs()
 				vids -= ou.fn.NumRegs()
 				u.fn = &cir.Function{Name: ou.fn.Name, Typ: ou.fn.Typ, Pos: funcPos(d.name, fd), File: d.name, Static: ou.fn.Static}
-				u.fn.NewBlock("entry")
+				fe.names.newBlock(u.fn, bkEntry)
 				mod.Funcs[u.fn.Name] = u.fn
 				fresh = append(fresh, u.fn)
 			}
@@ -122,7 +122,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 		}
 	}
 
-	par.For(len(units), runtime.GOMAXPROCS(0), func(_, i int) { fe.lowerBody(units[i]) })
+	fe.lowerBodies(units)
 	if fe.finish(files) != nil {
 		return nil
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	pata "repro"
+	"repro/internal/profiles"
 	"repro/internal/typestate"
 )
 
@@ -18,7 +19,10 @@ import (
 // tests can run the daemon in-process (and the re-exec e2e tests can run it
 // as the test binary itself). It returns the process exit code: 0 for a
 // clean drain (including SIGTERM), 1 for startup or serve errors, 2 for
-// usage errors.
+// usage errors. Start-up (reading, lowering and indexing the sources) is
+// one batch job and runs under profiles.BatchHeap's budget; Main releases
+// it before it serves, so the resident daemon keeps the runtime's default
+// pacing.
 func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("patad", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -57,6 +61,8 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 		return 2
 	}
+	release := profiles.BatchHeap(profiles.BatchBudget)
+	defer release()
 	sources, err := pata.ReadSources(paths)
 	if err != nil {
 		fmt.Fprintln(stderr, "patad:", err)
@@ -91,6 +97,7 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "patad:", err)
 		return 1
 	}
+	release()
 
 	// First SIGTERM/SIGINT drains gracefully (stop admitting, finish
 	// in-flight, flush the store, exit 0); a second one cancels in-flight

@@ -32,6 +32,13 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(Main(args, os.Stdin, os.Stdout, os.Stderr))
 	}
+	if dir := os.Getenv("PATAD_BATCH_PROBE"); dir != "" {
+		if err := batchProbe(dir); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
 	os.Exit(m.Run())
 }
 

@@ -1,10 +1,12 @@
-// Package profiles wires the standard pprof dump files behind one Set so
-// both binaries (pata, patabench) expose identical -cpuprofile/-memprofile/
-// -blockprofile/-mutexprofile behavior. Block and mutex profiles are the
-// contention lens for the parallel scheduler: `go tool pprof` over a
-// -mutexprofile dump shows exactly which lock (verdict-cache shard, acache
-// index) parallel workers convoy on, and -blockprofile shows time parked on
-// channels and locks (singleflight waits, the worker pool's barrier).
+// Package profiles holds the runtime settings the binaries share. Set
+// wires the standard pprof dump files so both binaries (pata, patabench)
+// expose identical -cpuprofile/-memprofile/-blockprofile/-mutexprofile
+// behavior. Block and mutex profiles are the contention lens for the
+// parallel scheduler: `go tool pprof` over a -mutexprofile dump shows
+// exactly which lock (verdict-cache shard, acache index) parallel workers
+// convoy on, and -blockprofile shows time parked on channels and locks
+// (singleflight waits, the worker pool's barrier). BatchHeap is the heap
+// budget pata and patad give a batch phase (DESIGN §11).
 package profiles
 
 import (
