@@ -406,10 +406,38 @@ func BenchmarkExtensions(b *testing.B) {
 	}
 }
 
+// editPool draws the edits the update benchmarks and TestUpdateAllocBudget
+// apply: n two-function oscorpus.Mutate edits of sources, seeds 1 to n,
+// each as the files it changes. It fails b on an edit that changes no
+// function.
+func editPool(b testing.TB, sources map[string]string, n int) []map[string]string {
+	pool := make([]map[string]string, n)
+	for i := range pool {
+		edited, names := oscorpus.Mutate(sources, 2, int64(i+1))
+		set := make(map[string]string)
+		for name, src := range edited {
+			if src != sources[name] {
+				set[name] = src
+			}
+		}
+		if len(set) == 0 || len(names) == 0 {
+			b.Fatalf("edit %d changes no function", i+1)
+		}
+		pool[i] = set
+	}
+	return pool
+}
+
+// editPoolSize is how many distinct edits the update benchmarks cycle
+// through.
+const editPoolSize = 64
+
 // BenchmarkProgramUpdate measures Program.Update on serve-edit's shape: the
-// seed-1 linux-like corpus at scale 4, each op applying one
-// oscorpus.Mutate edit of two functions to the Program the previous op
-// returned, as patad's invalidate does. Generating the edit is not timed.
+// seed-1 linux-like corpus at scale 4, each op applying one two-function
+// oscorpus.Mutate edit of the base corpus to the base Program, as patad's
+// invalidate does. The edits are drawn before the timer starts (editPool)
+// and taken in turn. An op whose Update changes no function fails the
+// benchmark.
 func BenchmarkProgramUpdate(b *testing.B) {
 	spec := oscorpus.Scaled(oscorpus.LinuxSpec(), 4)
 	spec.Seed++
@@ -419,33 +447,29 @@ func BenchmarkProgramUpdate(b *testing.B) {
 		b.Fatal(err)
 	}
 	prog.Index()
-	sources := c.Sources
+	edits := editPool(b, c.Sources, editPoolSize)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		edited, _ := oscorpus.Mutate(sources, 2, int64(i+1))
-		set := make(map[string]string)
-		for name, src := range edited {
-			if src != sources[name] {
-				set[name] = src
-			}
-		}
-		b.StartTimer()
-		next, _, _, err := prog.Update(set, nil)
+		_, changed, _, err := prog.Update(edits[i%len(edits)], nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		prog, sources = next, edited
+		if len(changed) == 0 {
+			b.Fatalf("op %d: Update changed no function", i)
+		}
 	}
 }
 
 // BenchmarkServeEdit runs the serve-edit workload's op in-process, without
 // the daemon: on the seed-1 linux-like corpus at scale 4, each op applies
-// one oscorpus.Mutate edit of two functions through Program.Update, runs a
-// cached Analyze over an acache store, renders the report and ends the
-// store's run, as patad's invalidate and analyze do. Generating the edit
-// is not timed. update-ms and analyze-ms split the op (analyze-ms includes
-// the report and EndRun); B/op covers both.
+// one two-function oscorpus.Mutate edit of the base corpus (editPool) to
+// the base Program through Program.Update, runs a cached Analyze of the
+// result over an acache store, renders the report and ends the store's
+// run, as patad's invalidate and analyze do. An op whose Update changes no
+// function fails the benchmark.
+// update-ms and analyze-ms split the op (analyze-ms includes the report
+// and EndRun); B/op and allocs/op cover both.
 func BenchmarkServeEdit(b *testing.B) {
 	spec := oscorpus.Scaled(oscorpus.LinuxSpec(), 4)
 	spec.Seed++
@@ -468,31 +492,24 @@ func BenchmarkServeEdit(b *testing.B) {
 	prog.Index()
 	prog.Analyze(ctx, ec, 0, false).Report()
 	store.EndRun()
-	sources := c.Sources
+	edits := editPool(b, c.Sources, editPoolSize)
 	var update, analyze time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		edited, _ := oscorpus.Mutate(sources, 2, int64(i+1))
-		set := make(map[string]string)
-		for name, src := range edited {
-			if src != sources[name] {
-				set[name] = src
-			}
-		}
-		b.StartTimer()
 		t0 := time.Now()
-		next, _, _, err := prog.Update(set, nil)
+		next, changed, _, err := prog.Update(edits[i%len(edits)], nil)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if len(changed) == 0 {
+			b.Fatalf("op %d: Update changed no function", i)
 		}
 		t1 := time.Now()
 		next.Analyze(ctx, ec, 0, false).Report()
 		store.EndRun()
 		update += t1.Sub(t0)
 		analyze += time.Since(t1)
-		prog, sources = next, edited
 	}
 	b.ReportMetric(float64(update.Microseconds())/1e3/float64(b.N), "update-ms")
 	b.ReportMetric(float64(analyze.Microseconds())/1e3/float64(b.N), "analyze-ms")

@@ -113,19 +113,19 @@ func TestDeriveSharesUntouchedSlices(t *testing.T) {
 	for _, fn := range g.EntryFunctions() {
 		g.EntryKey(fn, 0)
 	}
-	// leaf now calls other, which gains a caller. Every function of b.c is
-	// new, so the entries side and top, which reaches leaf, are re-keyed;
-	// alone keeps its base.
+	// leaf now calls other, which gains a caller. Only leaf's body changed,
+	// so leaf alone is new and top, which reaches it, is re-keyed; side and
+	// alone, which do not, keep their bases.
 	edited := strings.Replace(files["b.c"], "{ return a; }", "{ return other(a); }", 1)
 	next := low.Relower(map[string]string{"b.c": edited})
 	if next == nil {
 		t.Fatal("Relower declined a body edit")
 	}
 	ng, d := g.Derive(next.Mod)
-	if !slices.Equal(d.Changed, []string{"leaf", "other", "side"}) {
+	if !slices.Equal(d.Changed, []string{"leaf"}) {
 		t.Errorf("changed = %v", d.Changed)
 	}
-	if got := names(d.Rekeyed); !slices.Equal(got, []string{"side", "top"}) {
+	if got := names(d.Rekeyed); !slices.Equal(got, []string{"top"}) {
 		t.Errorf("rekeyed = %v", got)
 	}
 	same := func(a, b []string) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
@@ -135,8 +135,10 @@ func TestDeriveSharesUntouchedSlices(t *testing.T) {
 	if same(ng.Callers["other"], g.Callers["other"]) || !slices.Equal(ng.Callers["other"], []string{"leaf", "side"}) {
 		t.Errorf("other's callers = %v, want a new [leaf side]", ng.Callers["other"])
 	}
-	if _, ok := ng.bases[next.Mod.Funcs["alone"]]; !ok {
-		t.Error("alone's key base was not carried")
+	for _, name := range []string{"alone", "side"} {
+		if _, ok := ng.bases[next.Mod.Funcs[name]]; !ok {
+			t.Errorf("%s's key base was not carried", name)
+		}
 	}
 	if _, ok := ng.bases[next.Mod.Funcs["top"]]; ok {
 		t.Error("top's key base was carried across the edit of leaf")

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/slab"
 )
@@ -76,7 +77,7 @@ type Function struct {
 	// stack has bit r.ID set for each register r the Builder marked as a
 	// stack address (see IsStackAddr).
 	stack []uint64
-	fp    uint64 // memoized Fingerprint; 0 = not yet computed
+	fp    atomic.Uint64 // memoized Fingerprint; 0 = not yet computed
 
 	// A body's blocks and constants come from the function's own slabs,
 	// and its blocks' instruction slices from one arena, so they cost an

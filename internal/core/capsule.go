@@ -28,7 +28,7 @@ type EntryCache interface {
 // entry keys, the Stats replayed from it, the counters a stored verdict
 // carries, or the engine's exploration semantics change in a way old
 // capsules cannot represent.
-const capsuleVersion = 10
+const capsuleVersion = 11
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,

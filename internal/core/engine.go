@@ -907,7 +907,10 @@ func (e *Engine) IsDefined(call *cir.Call) bool {
 // alloca or a global (dereferencing them cannot fault on NULL).
 func (e *Engine) IsStackAddr(v cir.Value) bool { return cir.IsStackAddr(v) }
 
-// SortedBugs orders bugs by type, file and line for stable reporting.
+// SortedBugs orders bugs by type, file and line for stable reporting, and
+// bugs on one line by function name and LID: the GID order of a module
+// AssignGIDs numbered, which a Relowered module, whose reused and fresh
+// functions of one file are numbered apart, does not keep.
 func SortedBugs(bugs []*Bug) []*Bug {
 	out := make([]*Bug, len(bugs))
 	copy(out, bugs)
@@ -923,7 +926,10 @@ func SortedBugs(bugs []*Bug) []*Bug {
 		if pa.Line != pb.Line {
 			return pa.Line < pb.Line
 		}
-		return a.BugInstr.GID() < b.BugInstr.GID()
+		if fa, fb := a.BugInstr.Block().Fn.Name, b.BugInstr.Block().Fn.Name; fa != fb {
+			return fa < fb
+		}
+		return a.BugInstr.LID() < b.BugInstr.LID()
 	})
 	return out
 }

@@ -7,7 +7,8 @@ import (
 	"repro/internal/typestate"
 )
 
-// Capsule wire format (capsuleVersion 10).
+// Capsule wire format (capsuleVersion 11; the layout is unchanged since 10,
+// and 11 re-keys every capsule for the structural fingerprint).
 //
 // A capsule payload is one entry's Result:
 //

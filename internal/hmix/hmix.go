@@ -18,6 +18,15 @@ func fin(z uint64) uint64 {
 
 func step(h, p uint64) uint64 { return fin(h ^ (p + seed + h<<6 + h>>2)) }
 
+// Add mixes ps, in order, into the running hash h: a chain of steps that,
+// unlike MixN, does not restart from the seed for each call.
+func Add(h uint64, ps ...uint64) uint64 {
+	for _, p := range ps {
+		h = step(h, p)
+	}
+	return h
+}
+
 // Mix2 hashes an ordered pair.
 func Mix2(a, b uint64) uint64 { return step(step(seed, a), b) }
 

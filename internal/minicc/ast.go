@@ -26,6 +26,9 @@ type File struct {
 	Enums   []*EnumDecl
 	// Lines is the number of source lines in the file.
 	Lines int
+	// ctx hashes the preprocessed source outside the definitions' spans
+	// (see hashSpans).
+	ctx uint64
 }
 
 // StructDecl declares a struct type.
@@ -66,6 +69,12 @@ type FuncDecl struct {
 	Variadic bool
 	Body     *BlockStmt // nil for declarations
 	Static   bool
+
+	// A definition's span runs from its name to the next top-level token,
+	// bytes [off, end) of the preprocessed source; span hashes it (see
+	// hashSpans).
+	off, end int32
+	span     uint64
 }
 
 // Stmt is a statement node.

@@ -150,6 +150,7 @@ type fileDecls struct {
 	name    string
 	lines   int
 	key     uint64 // declKey of the parsed file
+	ctx     uint64 // the parsed file's context hash (see hashSpans)
 	enums   map[string]int64
 	statics map[string]static // source name -> renamed static
 	errs    []error           // reported while declaring the file's functions
@@ -174,6 +175,7 @@ type unit struct {
 	file *fileDecls
 	idx  int // index among the file's bodies
 	fd   *FuncDecl
+	span uint64        // fd's span hash (see hashSpans)
 	fn   *cir.Function // nil for a duplicate body, which is skipped
 	// created is set when fn was made for this body (a static defined twice
 	// in one file); finish then gives fn its place in definition order.
@@ -236,7 +238,7 @@ func (lw *lowerer) errorf(pos Position, format string, args ...any) {
 // declare is the declaration pass over one file. It leaves every function
 // with a body in f claimed (see claimBody) and ready to lower.
 func (fe *frontend) declare(f *File) *fileDecls {
-	d := &fileDecls{name: f.Name, lines: f.Lines, enums: fileEnums(f), statics: make(map[string]static)}
+	d := &fileDecls{name: f.Name, lines: f.Lines, ctx: f.ctx, enums: fileEnums(f), statics: make(map[string]static)}
 	lw := &lowerer{fe: fe, mod: fe.mod, file: d, names: &fe.names}
 	for _, sd := range f.Structs {
 		lw.lowerStruct(sd)
@@ -479,7 +481,7 @@ func (lw *lowerer) declareFunc(fd *FuncDecl, i int) {
 // it is lowered, and gives it its entry block, so IsDecl reports it defined
 // from here on.
 func (lw *lowerer) claimBody(fd *FuncDecl, idx int) *unit {
-	u := &unit{file: lw.file, idx: idx, fd: fd}
+	u := &unit{file: lw.file, idx: idx, fd: fd, span: fd.span}
 	lw.errs = nil
 	name := lw.moduleName(fd, idx)
 	fn := lw.mod.Funcs[name]

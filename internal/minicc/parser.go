@@ -33,6 +33,7 @@ func parse(file, src string, ns *nodes) (*File, error) {
 	p.look = append(ns.look[:0], p.lx.next())
 	f := p.parseFile()
 	ns.look = p.look
+	hashSpans(f, text)
 	f.Lines = strings.Count(src, "\n") + 1
 	// Lexical errors come first, as if the file were lexed before parsing.
 	if errs := append(p.lx.errs, p.errs...); len(errs) > 0 {
@@ -345,14 +346,14 @@ func (p *Parser) parseTopLevelDecl(f *File) {
 		p.next()
 	}
 	te := p.parseTypePrefix()
-	pos := p.position()
+	pos, off := p.position(), p.cur().Off
 	if p.cur().Kind != IDENT {
 		p.errorf("expected declarator name")
 		return
 	}
 	name := p.name()
 	if p.at('(') {
-		fd := p.parseFuncRest(pos, name, te)
+		fd := p.parseFuncRest(pos, off, name, te)
 		fd.Static = static
 		f.Funcs = append(f.Funcs, fd)
 		return
@@ -424,7 +425,9 @@ func (p *Parser) parseAggregateInit() []string {
 	return names
 }
 
-func (p *Parser) parseFuncRest(pos Position, name string, result TypeExpr) *FuncDecl {
+// parseFuncRest parses a function from its parameter list on; the
+// function's name starts at byte off of the preprocessed source.
+func (p *Parser) parseFuncRest(pos Position, off int32, name string, result TypeExpr) *FuncDecl {
 	fd := p.nodes.funcs.New(FuncDecl{Pos: pos, Name: name, Result: result})
 	p.expect('(')
 	if p.at(kwVoid) && p.peekN(1).ID == ')' {
@@ -469,6 +472,7 @@ func (p *Parser) parseFuncRest(pos Position, name string, result TypeExpr) *Func
 		return fd // declaration only
 	}
 	fd.Body = p.parseBlock()
+	fd.off, fd.end = off, p.cur().Off
 	return fd
 }
 

@@ -1,6 +1,7 @@
 package minicc
 
 import (
+	"hash/maphash"
 	"maps"
 	"runtime"
 	"slices"
@@ -33,11 +34,16 @@ type Lowered struct {
 }
 
 // Relower lowers the program l was lowered from with the files edits names
-// (file name → new text) replaced, re-lowering only those files' bodies.
-// Every function the edit does not touch is shared with l.Mod, pointer for
-// pointer and fingerprint memo included, and keeps its GIDs; the edited
-// files' functions are new and get fresh GIDs above l.Mod.MaxGID, in name
-// order. l is only read, so analyses of l.Mod may run meanwhile.
+// (file name → new text) replaced, re-lowering only the edited bodies.
+// Every function of an unedited file is shared with l.Mod, pointer for
+// pointer and fingerprint memo included, and keeps its GIDs and value IDs.
+// So is every body of an edited file whose span hash is unchanged, when
+// its file's context hash is too (see hashSpans): its bytes, its
+// positions and everything of its file it reads are as before, so it
+// would lower to the same function. The other bodies of the edited files
+// lower into new functions, which get fresh GIDs above l.Mod.MaxGID, in
+// name order, and come back verified and fingerprinted. l is only read,
+// so analyses of l.Mod may run meanwhile.
 //
 // The module equals LowerAll's for the edited sources up to those GIDs,
 // because Relower takes its fast path only where nothing else can change:
@@ -45,9 +51,9 @@ type Lowered struct {
 // the same structs, globals and function signatures, positions aside —
 // and the result must lower and verify without error. Otherwise, and when
 // the GID or value-ID space would outgrow maxGIDSpace times the
-// instruction or value count, it returns nil, and the caller lowers the sources from scratch (which also
-// gives the error, or renumbers the GIDs). The new functions come back
-// fingerprinted.
+// instruction or value count, it returns nil, and the caller lowers the
+// sources from scratch (which also gives the error, or renumbers the
+// GIDs).
 func (l *Lowered) Relower(edits map[string]string) *Lowered {
 	names, parsed, keys, errs := parseFiles(edits)
 
@@ -60,7 +66,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 	files := slices.Clone(l.files)
 	var (
 		edited []*fileDecls
-		units  []*unit         // the edited files' bodies
+		units  []*unit         // the edited bodies
 		fresh  []*cir.Function // and their functions
 		instrs = l.instrs
 		vids   = l.vids
@@ -75,7 +81,7 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 		old := files[j]
 		// The declaration pass would give this file the same records; only
 		// positions, which its functions carry, can differ.
-		d := &fileDecls{name: old.name, lines: f.Lines, key: old.key, enums: fileEnums(f),
+		d := &fileDecls{name: old.name, lines: f.Lines, key: old.key, ctx: f.ctx, enums: fileEnums(f),
 			statics: old.statics, declared: old.declared, declFD: old.declFD}
 		for k, name := range old.declared {
 			if fn := l.Mod.Funcs[name]; fn.IsDecl() && fn.File == d.name {
@@ -89,7 +95,19 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 				continue
 			}
 			ou := old.units[k]
-			u := &unit{file: d, idx: k, fd: fd, created: ou.created}
+			k++
+			if ou.fn != nil && f.ctx == old.ctx && fd.span == ou.span {
+				// The body lowers as before: its bytes and positions are
+				// unchanged, and so is everything of its file it reads.
+				// Its record is copied, so that no record keeps an earlier
+				// version's file records alive.
+				u := *ou
+				u.file = d
+				d.units = append(d.units, &u)
+				mod.Funcs[u.fn.Name] = u.fn
+				continue
+			}
+			u := &unit{file: d, idx: ou.idx, fd: fd, span: fd.span, created: ou.created}
 			if ou.fn != nil {
 				instrs -= ou.fn.NumInstrs()
 				vids -= ou.fn.NumRegs()
@@ -99,9 +117,8 @@ func (l *Lowered) Relower(edits map[string]string) *Lowered {
 				fresh = append(fresh, u.fn)
 			}
 			d.units = append(d.units, u)
-			k++
+			units = append(units, u)
 		}
-		units = append(units, d.units...)
 		files[j] = d
 		edited = append(edited, d)
 	}
@@ -169,6 +186,31 @@ func release(files []*fileDecls) {
 // run), so a larger bound costs memory for as long as the host runs, and a
 // smaller one costs more full lowerings.
 const maxGIDSpace = 4
+
+// spanSeed keys the span and context hashes, which live only in memory.
+var spanSeed = maphash.MakeSeed()
+
+// hashSpans hashes what Relower compares to keep a body of an edited file.
+// A definition's span runs from its name to the next top-level token; its
+// hash covers those preprocessed bytes (parameter names and body, with
+// every macro use expanded) and the name's line and column, which fix the
+// position of every token in the span. The file's context hash covers the
+// bytes outside every span, gap by gap: the typedefs and enums a body
+// reads but declKey leaves out, and every declaration.
+func hashSpans(f *File, text string) {
+	ctx, last := uint64(0), 0
+	for _, fd := range f.Funcs {
+		if fd.Body == nil {
+			continue
+		}
+		lo := min(max(int(fd.off), last), len(text))
+		hi := min(max(int(fd.end), lo), len(text))
+		ctx = hmix.Mix3(ctx, maphash.String(spanSeed, text[last:lo]), uint64(lo-last))
+		fd.span = hmix.Mix4(maphash.String(spanSeed, text[lo:hi]), uint64(hi-lo), uint64(fd.Pos.Line), uint64(fd.Pos.Col))
+		last = hi
+	}
+	f.ctx = hmix.Mix3(ctx, maphash.String(spanSeed, text[last:]), uint64(len(text)-last))
+}
 
 // funcPos is the position of the function fd declares in file.
 func funcPos(file string, fd *FuncDecl) cir.Pos { return cir.Pos{File: file, Line: int(fd.Pos.Line)} }

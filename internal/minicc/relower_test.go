@@ -2,6 +2,7 @@ package minicc
 
 import (
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,12 +49,15 @@ int tail(int n) {
 `,
 }
 
-// relowerCase is an edit of relowerBase and whether Relower must take its
-// fast path for it.
+// relowerCase is an edit of relowerBase, whether Relower must take its
+// fast path for it and, if so, the functions it must lower anew: the
+// edited bodies, and every body of a file whose text outside the bodies
+// changed.
 type relowerCase struct {
 	name  string
 	edits map[string]string
 	fast  bool
+	fresh []string
 }
 
 func relowerCases() []relowerCase {
@@ -64,26 +68,26 @@ func relowerCases() []relowerCase {
 		return map[string]string{file: strings.Replace(relowerBase[file], old, new, 1)}
 	}
 	return []relowerCase{
-		{"body edit", edit("b.c", "return 0;", "return 7;"), true},
-		{"line shift", edit("c.c", "enum mode", "/* one */\n/* two */\nenum mode"), true},
-		{"new implicit declaration", edit("c.c", "return s == 0;", "return new_ext(n, 2) + (s == 0);"), true},
-		{"newly address-taken function", edit("b.c", "return 0;", "return helper ? 1 : 0;"), true},
-		{"enum value", edit("c.c", "ON = 3", "ON = 4"), true},
-		{"body-only struct added", edit("b.c", "return 0;", "struct other *o = 0;\n\treturn o == 0;"), true},
-		{"body-only struct dropped", edit("c.c", "struct scratch *s = 0;", "int *s = 0;"), true},
-		{"renamed static", edit("b.c", "return x - 1;", "return x - 2;"), true},
+		{"body edit", edit("b.c", "return 0;", "return 7;"), true, []string{"helper"}},
+		{"line shift", edit("c.c", "enum mode", "/* one */\n/* two */\nenum mode"), true, []string{"tail", "uses_ext"}},
+		{"new implicit declaration", edit("c.c", "return s == 0;", "return new_ext(n, 2) + (s == 0);"), true, []string{"tail"}},
+		{"newly address-taken function", edit("b.c", "return 0;", "return helper ? 1 : 0;"), true, []string{"helper"}},
+		{"enum value", edit("c.c", "ON = 3", "ON = 4"), true, []string{"tail", "uses_ext"}},
+		{"body-only struct added", edit("b.c", "return 0;", "struct other *o = 0;\n\treturn o == 0;"), true, []string{"helper", "local@b.c", "use_local"}},
+		{"body-only struct dropped", edit("c.c", "struct scratch *s = 0;", "int *s = 0;"), true, []string{"tail"}},
+		{"renamed static", edit("b.c", "return x - 1;", "return x - 2;"), true, []string{"local@b.c"}},
 		{"two files", map[string]string{
 			"a.c": strings.Replace(relowerBase["a.c"], "return -1;", "return -2;", 1),
 			"c.c": strings.Replace(relowerBase["c.c"], "return s == 0;", "return s != 0;", 1),
-		}, true},
-		{"identifier loses its declaring call", edit("a.c", " + ext_log(d->flags)", ""), false},
-		{"changed struct", edit("b.c", "int flags;", "int flags; int extra;"), false},
-		{"changed prototype", edit("a.c", "int helper(struct dev *d);", "int helper(struct dev *d, int n);"), false},
-		{"new function", edit("b.c", "int use_local", "int more(void) { return 1; }\nint use_local"), false},
-		{"changed initializer", edit("c.c", ".probe = probe", ".probe = tail"), false},
-		{"parse error", map[string]string{"b.c": "int helper( {"}, false},
-		{"lowering error", edit("b.c", "return 0;", "return nowhere;"), false},
-		{"file not in the program", map[string]string{"d.c": "int d(void) { return 0; }"}, false},
+		}, true, []string{"probe", "tail"}},
+		{"identifier loses its declaring call", edit("a.c", " + ext_log(d->flags)", ""), false, nil},
+		{"changed struct", edit("b.c", "int flags;", "int flags; int extra;"), false, nil},
+		{"changed prototype", edit("a.c", "int helper(struct dev *d);", "int helper(struct dev *d, int n);"), false, nil},
+		{"new function", edit("b.c", "int use_local", "int more(void) { return 1; }\nint use_local"), false, nil},
+		{"changed initializer", edit("c.c", ".probe = probe", ".probe = tail"), false, nil},
+		{"parse error", map[string]string{"b.c": "int helper( {"}, false, nil},
+		{"lowering error", edit("b.c", "return 0;", "return nowhere;"), false, nil},
+		{"file not in the program", map[string]string{"d.c": "int d(void) { return 0; }"}, false, nil},
 	}
 }
 
@@ -98,9 +102,11 @@ func normalized(t *testing.T, mod *cir.Module) string {
 
 // checkRelower checks one Relower of l by edits against LowerAll of the
 // edited sources: the fast path is taken exactly when fast is set, and
-// then gives LowerAll's module up to GIDs, shares every function of the
-// unedited files with l, and leaves l's module as it was.
-func checkRelower(t *testing.T, l *Lowered, sources, edits map[string]string, fast bool) *Lowered {
+// then gives LowerAll's module up to GIDs, makes new functions for the
+// definitions fresh names and shares every other function with l, pointer
+// for pointer (the prototypes and implicit declarations of edited files
+// are remade), and leaves l's module as it was.
+func checkRelower(t *testing.T, l *Lowered, sources, edits map[string]string, fast bool, fresh []string) *Lowered {
 	t.Helper()
 	before := cirtest.Digest(l.Mod)
 	next := l.Relower(edits)
@@ -122,14 +128,20 @@ func checkRelower(t *testing.T, l *Lowered, sources, edits map[string]string, fa
 	if got, want := normalized(t, next.Mod), normalized(t, want); got != want {
 		t.Errorf("Relower's module differs from LowerAll's")
 	}
+	for _, name := range fresh {
+		if fn := next.Mod.Funcs[name]; fn == nil || fn.IsDecl() {
+			t.Errorf("edited function %s is not defined", name)
+		}
+	}
 	for name, fn := range next.Mod.Funcs {
 		old, ok := l.Mod.Funcs[name]
+		isFresh := slices.Contains(fresh, name)
 		switch _, isEdited := edits[fn.File]; {
-		case fn.File == "":
-		case isEdited && fn == old:
-			t.Errorf("%s of edited file %s is shared", name, fn.File)
-		case !isEdited && (!ok || fn != old):
-			t.Errorf("%s of unedited file %s is not shared", name, fn.File)
+		case fn.File == "" || isEdited && fn.IsDecl():
+		case isFresh && fn == old:
+			t.Errorf("edited function %s of %s is shared", name, fn.File)
+		case !isFresh && (!ok || fn != old):
+			t.Errorf("unedited function %s of %s is not shared", name, fn.File)
 		}
 	}
 	if next.Mod.MaxGID() < l.Mod.MaxGID() {
@@ -148,14 +160,15 @@ func TestRelowerMatchesLowerAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkRelower(t, l, relowerBase, c.edits, c.fast)
+			checkRelower(t, l, relowerBase, c.edits, c.fast, c.fresh)
 		})
 	}
 }
 
 // TestRelowerMutateSequence chains Relower over an oscorpus.Mutate edit
-// sequence on the linux-like corpus: every step takes the fast path and
-// matches LowerAll of the edited sources.
+// sequence on the linux-like corpus: every step takes the fast path,
+// matches LowerAll of the edited sources and lowers anew exactly the
+// functions Mutate edited.
 func TestRelowerMutateSequence(t *testing.T) {
 	sources := oscorpus.Generate(oscorpus.LinuxSpec()).Sources
 	l, err := LowerProgram("m", sources)
@@ -163,14 +176,14 @@ func TestRelowerMutateSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := range 6 {
-		edited, _ := oscorpus.Mutate(sources, 2, int64(step+1))
+		edited, mutated := oscorpus.Mutate(sources, 2, int64(step+1))
 		edits := make(map[string]string)
 		for name, src := range edited {
 			if src != sources[name] {
 				edits[name] = src
 			}
 		}
-		l = checkRelower(t, l, sources, edits, true)
+		l = checkRelower(t, l, sources, edits, true, mutated)
 		sources = edited
 	}
 }

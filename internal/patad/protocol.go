@@ -36,7 +36,7 @@ const (
 	// cold CLI run over the same sources and configuration.
 	OpAnalyze = "analyze"
 	// OpInvalidate updates source files (set and/or remove), re-lowers the
-	// module, re-fingerprints exactly the functions whose file changed,
+	// module, re-fingerprints exactly the function bodies the edit changed,
 	// and reports the invalidation frontier — the entry functions whose
 	// content-addressed key changed, i.e. what the next analyze will
 	// actually re-run.

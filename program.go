@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/cir"
 	"repro/internal/core"
 	"repro/internal/minicc"
+	"repro/internal/par"
 )
 
 // Program is one loaded mini-C program: its sources, its lowered module
@@ -22,7 +24,7 @@ import (
 // pipeline object
 // behind both the library (Load, then Analyze) and the patad daemon, whose
 // epochs are Programs derived from each other by Update. Programs derived
-// from a Program share the functions of every file the edits left alone.
+// from a Program share every function whose body the edits left alone.
 //
 // Once shared, a Program changes in one place only: the replay state
 // (core.Carry) of its last cached Analyze — the candidates and counters
@@ -68,15 +70,20 @@ func (p *Program) graph() *callgraph.Graph {
 
 // Index memoizes every function fingerprint and the salt-free part of
 // every entry key (callgraph.EntryKey), which Update diffs and a cached
-// Analyze mixes its salt into; it does the work once per Program. The
-// fingerprint memo is not safe for concurrent first computation, so a
-// host that analyzes one Program with a cache from several goroutines
-// (patad) indexes it before sharing it. Update returns indexed Programs.
+// Analyze mixes its salt into; it does the work once per Program. It
+// fingerprints the functions that lack one on the worker pool: all of
+// them after Load, and after Update only the declarations Relower remade,
+// since Relower fingerprints the functions it lowers and the rest are
+// shared. Update returns indexed Programs.
 func (p *Program) Index() {
 	p.indexOnce.Do(func() {
+		var todo []*cir.Function
 		for _, fn := range p.low.Mod.Funcs {
-			fn.Fingerprint()
+			if !fn.HasFingerprint() {
+				todo = append(todo, fn)
+			}
 		}
+		par.For(len(todo), runtime.GOMAXPROCS(0), func(_, i int) { todo[i].Fingerprint() })
 		cg := p.graph()
 		for _, fn := range cg.EntryFunctions() {
 			cg.EntryKey(fn, 0)
@@ -115,11 +122,13 @@ func (p *Program) Analyze(ctx context.Context, ec core.Config, workers int, witn
 // file returns p itself; one that no longer lowers, or that removes every
 // file, returns an error.
 //
-// An edit that only rewrites existing files re-lowers just those files
-// (minicc.Lowered.Relower): the next Program shares every other function
-// with p, and derives its call graph from p's (callgraph.Graph.Derive),
-// so only the edited functions and the entries that reach them are
-// compared and re-keyed. It also carries p's replay state over for every
+// An edit that only rewrites existing files re-lowers just the bodies it
+// changed (minicc.Lowered.Relower: a body of an edited file is kept when
+// its text, its position and its file's text outside the bodies are
+// unchanged). The next Program shares every other function with p, and
+// derives its call graph from p's (callgraph.Graph.Derive), so only the
+// re-lowered functions and the entries that reach them are compared and
+// re-keyed. It also carries p's replay state over for every
 // entry it did not re-key: those reach only functions the two Programs
 // share. Anything Relower declines — an added or removed
 // file, a changed declaration, a frontend error — lowers the edited

@@ -240,10 +240,11 @@ func TestUpdateMatchesLoad(t *testing.T) {
 }
 
 // TestUpdateSharesUnchangedFunctions: an Update that edits function bodies
-// shares every function of the unchanged files with the previous Program,
-// pointer for pointer, and makes new ones for the edited files; it writes
-// nothing of the previous Program, which an Analyze runs on meanwhile (the
-// race detector checks the overlap).
+// makes new functions for the edited bodies and shares every other
+// function with the previous Program, pointer for pointer, the unedited
+// bodies of the edited files included; it writes nothing of the previous
+// Program, which an Analyze runs on meanwhile (the race detector checks
+// the overlap).
 func TestUpdateSharesUnchangedFunctions(t *testing.T) {
 	c := oscorpus.Generate(oscorpus.LinuxSpec())
 	prog, err := Load(c.Spec.Name, c.Sources)
@@ -273,22 +274,25 @@ func TestUpdateSharesUnchangedFunctions(t *testing.T) {
 	if !slices.Equal(changed, mutated) {
 		t.Errorf("changed = %v, want %v", changed, mutated)
 	}
-	shared := 0
+	shared, sharedEdited := 0, 0
 	for name, fn := range next.low.Mod.Funcs {
 		old := prog.low.Mod.Funcs[name]
 		_, edited := set[fn.File]
+		fresh := slices.Contains(mutated, name)
 		switch {
-		case fn.File == "": // implicit declarations are remade
-		case edited && fn == old:
-			t.Errorf("%s of edited file %s is shared", name, fn.File)
-		case !edited && fn != old:
-			t.Errorf("%s of unchanged file %s is not shared", name, fn.File)
-		case !edited:
+		case fn.File == "" || edited && fn.IsDecl(): // implicit declarations and edited files' prototypes are remade
+		case fresh && fn == old:
+			t.Errorf("edited function %s is shared", name)
+		case !fresh && fn != old:
+			t.Errorf("unedited function %s of %s is not shared", name, fn.File)
+		case edited:
+			sharedEdited++
+		default:
 			shared++
 		}
 	}
-	if shared == 0 {
-		t.Error("no function shared")
+	if shared == 0 || sharedEdited == 0 {
+		t.Errorf("%d functions of unchanged files and %d unedited ones of edited files shared", shared, sharedEdited)
 	}
 	res := <-done
 	if after := cirtest.Digest(prog.low.Mod); after != before {
@@ -296,6 +300,81 @@ func TestUpdateSharesUnchangedFunctions(t *testing.T) {
 	}
 	if again := prog.Analyze(context.Background(), ec, 1, true); again.Report() != res.Report() {
 		t.Error("the previous Program analyzes differently after Update")
+	}
+}
+
+// hazardBase is a program whose edits test Relower's reuse of unedited
+// bodies in an edited file: a macro, a typedef and an enum only bodies
+// read, a comment inside a body, a parameter no body reads, a callee only
+// one body declares implicitly, and two definitions, each with a NULL
+// dereference, on one line.
+var hazardBase = map[string]string{
+	"a.c": `#define LIMIT 4
+typedef int count_t;
+enum level { LOW, HIGH = 2 };
+struct dev { int flags; struct dev *next; };
+int first(struct dev *d) {
+	count_t n = LIMIT;
+	if (!d)
+		return n;
+	return d->flags + HIGH;
+}
+int second(int a, int b) {
+	/* note */
+	return a + b + ext_log(a);
+}
+int third(struct dev *d) {
+	count_t k = 0;
+	return d->flags + k;
+}
+int fourth(int unused) { return LOW; }
+int npd1(struct dev *p) { if (!p) return p->flags; return 0; } int npd2(struct dev *q) { if (!q) return q->flags; return 0; }
+`,
+	"b.c": `struct dev { int flags; struct dev *next; };
+int user(struct dev *d) { return first(d) + second(1, 2) + third(d) + fourth(0); }
+`,
+}
+
+// TestUpdateReuseHazards runs edits that keep a.c's declarations but can
+// change how the bodies Relower keeps would lower, through checkUpdate,
+// and checks that the next Program reports as a fresh Load does.
+func TestUpdateReuseHazards(t *testing.T) {
+	ec, err := Config{}.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, old, new string }{
+		{"body-only typedef changed", "typedef int count_t;", "typedef char count_t;"},
+		{"enum value changed", "HIGH = 2", "HIGH = 3"},
+		{"macro used in one body changed", "#define LIMIT 4", "#define LIMIT 5"},
+		{"line inserted in an earlier body", "count_t n = LIMIT;", "count_t n = LIMIT;\n\tn = n + 1;"},
+		{"parameter renamed", "int fourth(int unused)", "int fourth(int spare)"},
+		{"comment-only edit in a body", "/* note */", "/* a longer note */"},
+		{"only implicit declaration dropped", " + ext_log(a)", ""},
+		{"edit beside a definition on its line", "return 0; } int npd2", "return 1; } int npd2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if !strings.Contains(hazardBase["a.c"], c.old) {
+				t.Fatalf("a.c lacks %q", c.old)
+			}
+			prog, err := Load("m", hazardBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := map[string]string{"a.c": strings.Replace(hazardBase["a.c"], c.old, c.new, 1)}
+			next := checkUpdate(t, prog, set, nil)
+			if !next.derivedFrom(prog) {
+				t.Error("Update did not take the Relower path")
+			}
+			want, err := Load("m", map[string]string{"a.c": set["a.c"], "b.c": hazardBase["b.c"]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, exp := next.Analyze(context.Background(), ec, 1, true).Report(), want.Analyze(context.Background(), ec, 1, true).Report()
+			if got != exp {
+				t.Errorf("report after Update:\n%s\nafter a fresh Load:\n%s", got, exp)
+			}
+		})
 	}
 }
 
